@@ -13,6 +13,7 @@ files byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -93,7 +94,10 @@ def _parse_value(key: str, text: str):
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise CliError(f"config key '{key}' must be finite, got {text!r}")
+            return value
     except ValueError:
         raise CliError(f"config key '{key}' wants a number, got {text!r}") from None
     return text
@@ -165,8 +169,11 @@ def _load_split(out_dir, name, n_classes=None):
 
 
 def cmd_gen_data(cfg, out_dir) -> None:
-    dcfg = _synth_config(cfg)
-    train_id, val_id, test_id, train_ood, test_ood = gen_longtail(dcfg)
+    try:
+        dcfg = _synth_config(cfg)
+        train_id, val_id, test_id, train_ood, test_ood = gen_longtail(dcfg)
+    except ValueError as exc:
+        raise CliError(f"data generation failed: {exc}") from None
     splits = {
         "train.csv": train_id,
         "val_id.csv": val_id,
@@ -186,24 +193,28 @@ def cmd_train(cfg, out_dir) -> None:
     train_id = _load_split(out_dir, "train.csv", n_classes=cfg["n_classes"])
     train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
     val_id = _load_split(out_dir, "val_id.csv", n_classes=cfg["n_classes"])
-    hyper = PattHyper(tau=cfg["tau"], epsilon=cfg["epsilon"],
-                      alpha=cfg["alpha"], beta=cfg["beta"])
-    tcfg = TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        ood_batch_size=cfg["ood_batch_size"],
-        learning_rate=cfg["learning_rate"],
-        optimizer=cfg["optimizer"],
-        sgd_momentum=cfg["sgd_momentum"],
-        seed=cfg["seed"],
-        hyper=hyper,
-        vmf_momentum=cfg["vmf_momentum"],
-        vmf_update=cfg["vmf_update"],
-        encoder_widths=_widths(cfg),
-        feature_dim=cfg["feature_dim"],
-        method=cfg["method"],
-        oe_gamma=cfg["oe_gamma"],
-    )
+    widths = _widths(cfg)
+    try:
+        hyper = PattHyper(tau=cfg["tau"], epsilon=cfg["epsilon"],
+                          alpha=cfg["alpha"], beta=cfg["beta"])
+        tcfg = TrainConfig(
+            epochs=cfg["epochs"],
+            batch_size=cfg["batch_size"],
+            ood_batch_size=cfg["ood_batch_size"],
+            learning_rate=cfg["learning_rate"],
+            optimizer=cfg["optimizer"],
+            sgd_momentum=cfg["sgd_momentum"],
+            seed=cfg["seed"],
+            hyper=hyper,
+            vmf_momentum=cfg["vmf_momentum"],
+            vmf_update=cfg["vmf_update"],
+            encoder_widths=widths,
+            feature_dim=cfg["feature_dim"],
+            method=cfg["method"],
+            oe_gamma=cfg["oe_gamma"],
+        )
+    except ValueError as exc:
+        raise CliError(f"bad training config: {exc}") from None
     try:
         model, mix, history = train(tcfg, train_id, train_ood, val_id)
     except ValueError as exc:
@@ -358,9 +369,12 @@ def cmd_report(cfg, out_dir) -> None:
 
     true_labels = np.array([r[0] for r in rows["id"]])
     pred_labels = np.array([r[1] for r in rows["id"]])
-    acc, acc_head, acc_tail = classification_report(
-        true_labels, pred_labels, train_id.class_counts,
-        tail_fraction=cfg["tail_fraction"])
+    try:
+        acc, acc_head, acc_tail = classification_report(
+            true_labels, pred_labels, train_id.class_counts,
+            tail_fraction=cfg["tail_fraction"])
+    except ValueError as exc:
+        raise CliError(f"bad scores file {os.path.join(out_dir, 'scores.csv')}: {exc}") from None
     with open(os.path.join(out_dir, "acc_table.csv"), "w", encoding="ascii") as fh:
         fh.write("group,acc\n")
         fh.write(f"overall,{acc!r}\n")

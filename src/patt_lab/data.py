@@ -243,8 +243,9 @@ def save_features_csv(dataset: LabeledSet, path) -> None:
 
 
 def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
-    """Read a split written by ``save_features_csv``; malformed content is
-    rejected with the offending line number."""
+    """Read a split written by ``save_features_csv``; malformed content, and
+    with ``n_classes`` given a label outside [-1, n_classes), is rejected with
+    the offending line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -266,8 +267,9 @@ def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
             inputs[ln - 2] = [float(v) for v in parts[2:]]
         except ValueError as exc:
             raise ValueError(f"{path}: line {ln}: {exc}") from None
-        if labels[ln - 2] < OOD_LABEL:
-            raise ValueError(f"{path}: line {ln}: label {labels[ln - 2]} out of range")
+        label = labels[ln - 2]
+        if label < OOD_LABEL or (n_classes is not None and label >= n_classes):
+            raise ValueError(f"{path}: line {ln}: label {label} out of range")
     if not np.all(np.isfinite(inputs)):
         raise ValueError(f"{path}: non-finite feature values")
     return LabeledSet.from_rows(inputs, labels, n_classes=n_classes)

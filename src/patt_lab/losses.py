@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vmf import VmfMixture, bessel_ratio, log_norm_const
+from .vmf import VmfMixture, _log_norm_and_ratio
 
 __all__ = [
     "LossValue",
@@ -233,13 +233,17 @@ def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
     rows = np.arange(n)
     log_priors = np.log(mix.priors)
     kappas = mix.kappas
-    log_z_class = log_norm_const(mix.dim, kappas)
+    k = kappas.size
 
     # tilted concentrations per (sample, class)
     centers = kappas[:, None] * mix.mus
     tilted_vec = centers[None, :, :] + z[:, None, :] / tau
     tilted = np.linalg.norm(tilted_vec, axis=2)
-    log_z_tilted = log_norm_const(mix.dim, tilted)
+    # one Bessel pass for the class and the tilted concentrations together
+    log_z, ratio = _log_norm_and_ratio(mix.dim, np.concatenate([kappas, tilted.ravel()]))
+    log_z_class = log_z[:k]
+    log_z_tilted = log_z[k:].reshape(n, k)
+    ratio = ratio[k:].reshape(n, k)
 
     s = (
         log_priors[None, :]
@@ -253,7 +257,6 @@ def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
     p = _softmax(s)
 
     # d log Z / d kappa = -A_d(kappa); chain through d tilted / d z
-    ratio = bessel_ratio(mix.dim, tilted)
     weight = ratio / (tau * np.maximum(tilted, _TINY))
     grads = np.einsum("nk,nkd->nd", p * weight, tilted_vec)
     grads -= weight[rows, y][:, None] * tilted_vec[rows, y]

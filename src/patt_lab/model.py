@@ -180,12 +180,15 @@ def batch_loss_and_grads(
     priors: np.ndarray,
     method: str = "patt",
     oe_gamma: float = 0.5,
+    forward=None,
 ):
     """Mean batch objective and its exact parameter gradients.
 
     The mixture statistics are constants here; differentiation covers the
     encoder (through the unit-norm projection) and the classifier head for
-    both the labeled and the outlier stream.
+    both the labeled and the outlier stream. ``forward`` may carry the
+    labeled batch's encoder pass (``_forward_batch(model, id_x)``) when the
+    caller already ran it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -195,7 +198,7 @@ def batch_loss_and_grads(
     grads = _zero_grads(model)
     uniform = np.full(model.n_classes, 1.0 / model.n_classes)
 
-    acts, _, norms, z = _forward_batch(model, id_x)
+    acts, _, norms, z = _forward_batch(model, id_x) if forward is None else forward
     logits = z @ model.clf_w.T + model.clf_b
 
     if method == "patt":
@@ -351,19 +354,24 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: losses.PattHyper):
     ood_x = None if ood_batch is None else np.asarray(ood_batch, dtype=np.float64)
     config = state.config
 
+    if id_x.shape[-1] != state.model.input_dim:
+        raise ValueError(f"input dim {id_x.shape[-1]} != model input {state.model.input_dim}")
+
     mix = state.mix
+    forward = None
     if config.method == "patt":
         if config.vmf_update == "batch":
-            z = encoder_forward(state.model, id_x)
+            # one encoder pass feeds both the stats refresh and the loss
+            forward = _forward_batch(state.model, id_x)
             mix = estimate_class_stats(
-                z, id_y, previous=mix, momentum=config.vmf_momentum
+                forward[3], id_y, previous=mix, momentum=config.vmf_momentum
             )
         if mix is None:
             raise ValueError("patt training requires initialized mixture statistics")
 
     breakdown, grads = batch_loss_and_grads(
         state.model, mix, id_x, id_y, ood_x, hyper, state.priors,
-        method=config.method, oe_gamma=config.oe_gamma,
+        method=config.method, oe_gamma=config.oe_gamma, forward=forward,
     )
     for name, val in (("isac", breakdown.isac), ("tla", breakdown.tla), ("oe", breakdown.oe)):
         if not np.isfinite(val):

@@ -54,7 +54,7 @@ class VmfParams:
             raise ValueError(f"mu has shape {self.mu.shape}, expected ({self.dim},)")
         if not math.isfinite(self.kappa) or self.kappa < 0.0:
             raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
-        norm = float(np.linalg.norm(self.mu))
+        norm = math.sqrt(self.mu @ self.mu)
         if abs(norm - 1.0) > _MU_NORM_TOL:
             raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
 
@@ -119,10 +119,16 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return np.squeeze(m, -1) + np.log(np.sum(np.exp(a - m), axis=-1))
 
 
-def _log_bessel_series_plain(nu: float, x: np.ndarray) -> np.ndarray:
+def _lgamma_plus_one(orders, row):
+    # lgamma(nu + 1) for each element's order, from math.lgamma once per order
+    return np.array([math.lgamma(v + 1.0) for v in orders])[row]
+
+
+def _log_bessel_series_plain(orders, row, x):
     # Ascending series sum_m (x/2)^(2m+nu) / (m! Gamma(m+nu+1)). All terms are
     # positive, so direct summation of the ratio-normalized terms is stable;
     # the plain-float accumulator is safe for x <= 300 (no overflow).
+    nu = orders[row]
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
@@ -135,19 +141,23 @@ def _log_bessel_series_plain(nu: float, x: np.ndarray) -> np.ndarray:
             break
         if m > 10000:  # pragma: no cover - series converges long before this
             raise RuntimeError("Bessel series failed to converge")
-    return nu * np.log(0.5 * x) - math.lgamma(nu + 1.0) + np.log(total)
+    return nu * np.log(0.5 * x) - _lgamma_plus_one(orders, row) + np.log(total)
 
 
-def _log_bessel_series_log(nu: float, x: np.ndarray) -> np.ndarray:
+def _log_bessel_series_log(orders, row, x):
     # Same series accumulated in log space for arguments large enough that the
     # normalized partial sums would overflow (only reachable for nu > ~12).
+    # Per-order logs come from math.log, looked up by row, so every element
+    # gets the bits of a scalar-order evaluation.
+    nu = orders[row]
     log_half_x = np.log(0.5 * x)
-    log_term = nu * log_half_x - math.lgamma(nu + 1.0)
+    log_term = nu * log_half_x - _lgamma_plus_one(orders, row)
     total = log_term.copy()
     m = 0
     while True:
         m += 1
-        log_term = log_term + 2.0 * log_half_x - math.log(m) - math.log(m + nu)
+        log_m_nu = np.array([math.log(m + v) for v in orders])[row]
+        log_term = log_term + 2.0 * log_half_x - math.log(m) - log_m_nu
         total = np.logaddexp(total, log_term)
         if m > 4 and np.all(log_term < total - 45.0):
             break
@@ -156,10 +166,11 @@ def _log_bessel_series_log(nu: float, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _log_bessel_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
+def _log_bessel_asymptotic(orders, row, x):
     # Large-argument expansion I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k a_k(nu)/x^k.
     # Only used for x >= max(30, 2 nu^2), where the truncated tail is far below
     # 1e-12 relative.
+    nu = orders[row]
     mu4 = 4.0 * nu * nu
     inv8x = 1.0 / (8.0 * x)
     term = np.ones_like(x)
@@ -172,39 +183,68 @@ def _log_bessel_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(total)
 
 
-def log_bessel_i(nu: float, x):
+def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # log I_nu(x) for every order (rows) at every positive x (columns). Each
+    # order keeps its own branch cuts, and each branch runs one loop over the
+    # elements of all orders that fall in it. Terms a loop adds after an
+    # element has converged are below half an ulp of its sum, so every element
+    # has the bits of a single-order evaluation.
+    row = np.repeat(np.arange(orders.size), x.size)
+    xs = np.tile(x, orders.size)
+    cut = np.maximum(30.0, 2.0 * orders * orders)[row]
+    small = xs < np.minimum(cut, 300.0)
+    large = xs >= cut
+    out = np.empty_like(xs)
+    for mask, branch in ((small, _log_bessel_series_plain),
+                         (~small & ~large, _log_bessel_series_log),
+                         (large, _log_bessel_asymptotic)):
+        if mask.all():
+            out = branch(orders, row, xs)
+        elif mask.any():
+            out[mask] = branch(orders, row[mask], xs[mask])
+    return out.reshape(orders.size, x.size)
+
+
+def log_bessel_i(nu, x):
     """log I_nu(x), the modified Bessel function of the first kind.
 
-    ``nu`` is a scalar order >= 0; ``x`` may be a scalar or an ndarray.
-    Evaluated by the ascending series for small and moderate arguments and by
-    the large-argument asymptotic expansion beyond ``max(30, 2 nu^2)``; at
-    x = 0 the limit is 0 for nu = 0 and -inf otherwise.
+    ``nu`` is a scalar order >= 0, or a 1-D sequence of orders that are
+    evaluated in one pass and stacked as the leading axis of the result;
+    ``x`` may be a scalar or an ndarray. Evaluated by the ascending series for
+    small and moderate arguments and by the large-argument asymptotic
+    expansion beyond ``max(30, 2 nu^2)``; at x = 0 the limit is 0 for nu = 0
+    and -inf otherwise.
     """
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0.0:
+    orders = np.asarray(nu, dtype=np.float64)
+    stacked = orders.ndim == 1
+    orders = np.atleast_1d(orders)
+    if orders.ndim != 1 or orders.size == 0:
+        raise ValueError("order must be a scalar or a non-empty 1-D sequence")
+    if not np.all(np.isfinite(orders)) or np.any(orders < 0.0):
         raise ValueError(f"order must be finite and non-negative, got {nu}")
     xs = np.asarray(x, dtype=np.float64)
     if np.any(~np.isfinite(xs)) or np.any(xs < 0.0):
         raise ValueError("argument must be finite and non-negative")
-    scalar = xs.ndim == 0
     flat = np.atleast_1d(xs).ravel()
-    out = np.empty_like(flat)
-
     zero = flat == 0.0
-    out[zero] = 0.0 if nu == 0.0 else -np.inf
-    cut = max(30.0, 2.0 * nu * nu)
-    small = ~zero & (flat < np.minimum(cut, 300.0))
-    mid = ~zero & ~small & (flat < cut)
-    large = ~zero & (flat >= cut)
-    if small.any():
-        out[small] = _log_bessel_series_plain(nu, flat[small])
-    if mid.any():
-        out[mid] = _log_bessel_series_log(nu, flat[mid])
-    if large.any():
-        out[large] = _log_bessel_asymptotic(nu, flat[large])
-    if scalar:
-        return float(out[0])
-    return out.reshape(xs.shape)
+    if zero.any():
+        out = np.empty((orders.size, flat.size))
+        out[:, zero] = np.where(orders == 0.0, 0.0, -np.inf)[:, None]
+        if not zero.all():
+            out[:, ~zero] = _log_bessel_positive(orders, flat[~zero])
+    else:
+        out = _log_bessel_positive(orders, flat)
+    if stacked:
+        return out.reshape(orders.shape + xs.shape)
+    if xs.ndim == 0:
+        return float(out[0, 0])
+    return out[0].reshape(xs.shape)
+
+
+def _log_uniform_const(dim: int) -> float:
+    # log normalization constant at kappa = 0: minus the log sphere area
+    half = 0.5 * dim
+    return math.lgamma(half) - math.log(2.0) - half * math.log(math.pi)
 
 
 def log_norm_const(dim: int, kappa):
@@ -224,8 +264,7 @@ def log_norm_const(dim: int, kappa):
     flat = np.atleast_1d(ks).ravel()
     half = 0.5 * dim
     nu = half - 1.0
-    uniform = math.lgamma(half) - math.log(2.0) - half * math.log(math.pi)
-    out = np.full_like(flat, uniform)
+    out = np.full_like(flat, _log_uniform_const(dim))
     pos = flat > 0.0
     if pos.any():
         kp = flat[pos]
@@ -255,6 +294,26 @@ def bessel_ratio(dim: int, kappa):
     if scalar:
         return float(out[0])
     return out.reshape(ks.shape)
+
+
+def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
+    """``(log_norm_const(dim, kappa), bessel_ratio(dim, kappa))`` from one
+    Bessel pass over both orders d/2 - 1 and d/2.
+
+    Both arrays have the bits of the two separate calls. ``kappa`` is an
+    array of finite non-negative values; ``dim`` is >= 2.
+    """
+    half = 0.5 * dim
+    nu = half - 1.0
+    log_norm = np.full(kappa.shape, _log_uniform_const(dim))
+    ratio = np.zeros(kappa.shape)
+    pos = kappa > 0.0
+    if pos.any():
+        kp = kappa[pos]
+        log_i = log_bessel_i((nu, half), kp)
+        log_norm[pos] = nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i[0]
+        ratio[pos] = np.exp(log_i[1] - log_i[0])
+    return log_norm, ratio
 
 
 def _check_unit_rows(z: np.ndarray, what: str) -> None:
@@ -306,12 +365,27 @@ def vmf_mgf_log(params: VmfParams, t) -> float:
     return log_norm_const(params.dim, params.kappa) - log_norm_const(params.dim, tilted)
 
 
-def _banerjee_kappa(r_bar: float, dim: int) -> float:
+def _banerjee_kappa(r_bar: np.ndarray, dim: int) -> np.ndarray:
     # kappa ~= r (d - r^2) / (1 - r^2), clamped into [0, KAPPA_MAX]
-    if r_bar >= 1.0 - 1e-12:
-        return KAPPA_MAX
-    kappa = r_bar * (dim - r_bar * r_bar) / (1.0 - r_bar * r_bar)
-    return float(min(max(kappa, 0.0), KAPPA_MAX))
+    capped = r_bar >= 1.0 - 1e-12
+    r = np.where(capped, 0.0, r_bar)  # keeps 1 - r^2 away from 0 in capped rows
+    r2 = r * r
+    kappa = np.minimum(np.maximum(r * (dim - r2) / (1.0 - r2), 0.0), KAPPA_MAX)
+    return np.where(capped, KAPPA_MAX, kappa)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    # Norm of each row with the bits of np.linalg.norm on that row, which is
+    # sqrt(row @ row); an axis-wise reduction sums in another order. A stacked
+    # vector-vector matmul takes the same dot product path for every row.
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
+
+
+def _unit_rows_or(a: np.ndarray, norms: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    # rows of ``a`` scaled to unit length; rows whose norm is ~0 take the
+    # matching row of ``fallback``
+    cancelled = (norms <= 1e-12)[:, None]
+    return np.where(cancelled, fallback, a / np.where(cancelled, 1.0, norms[:, None]))
 
 
 def estimate_class_stats(
@@ -360,36 +434,36 @@ def estimate_class_stats(
     if np.any(labs < 0) or np.any(labs >= n_classes):
         raise ValueError("labels out of range for the class count")
 
-    components = []
-    for y in range(n_classes):
-        rows = feats[labs == y]
-        if rows.shape[0] == 0:
-            if previous is None:
-                raise ValueError(f"class {y} has no samples and no previous stats")
-            components.append(previous.classes[y])
-            continue
-        resultant = rows.sum(axis=0)
-        r_norm = float(np.linalg.norm(resultant))
-        r_bar = r_norm / rows.shape[0]
-        if r_norm > 1e-12:
-            mu_hat = resultant / r_norm
-        elif previous is not None:
-            mu_hat = previous.classes[y].mu
-        else:
-            # fully cancelled resultant: direction is unidentifiable, kappa is
-            # 0 anyway so any fixed unit vector gives the same (uniform) law
-            mu_hat = np.zeros(dim)
-            mu_hat[0] = 1.0
-        kappa_hat = _banerjee_kappa(r_bar, dim)
-        if previous is not None and momentum > 0.0:
-            prev = previous.classes[y]
-            blend = momentum * prev.mu + (1.0 - momentum) * mu_hat
-            b_norm = float(np.linalg.norm(blend))
-            mu_new = blend / b_norm if b_norm > 1e-12 else mu_hat
-            kappa_new = momentum * prev.kappa + (1.0 - momentum) * kappa_hat
-        else:
-            mu_new, kappa_new = mu_hat, kappa_hat
-        components.append(VmfParams(mu=mu_new, kappa=kappa_new, dim=dim))
+    n_rows = np.bincount(labs, minlength=n_classes)
+    present = n_rows > 0
+    if previous is None and not present.all():
+        absent = int(np.argmin(present))
+        raise ValueError(f"class {absent} has no samples and no previous stats")
+    # per-class resultants, accumulated row by row in batch order (the order
+    # of a per-class row sum, so the bits match)
+    resultants = np.zeros((n_classes, dim))
+    np.add.at(resultants, labs, feats)
+    resultants = resultants[present]
+    r_norm = _row_norms(resultants)
+    kappa_hat = _banerjee_kappa(r_norm / n_rows[present], dim)
+    if previous is not None:
+        fallback = prev_mus = previous.mus[present]
+    else:
+        # fully cancelled resultant: direction is unidentifiable, kappa is
+        # 0 anyway so any fixed unit vector gives the same (uniform) law
+        fallback = np.zeros_like(resultants)
+        fallback[:, 0] = 1.0
+    mu_hat = _unit_rows_or(resultants, r_norm, fallback)
+    if previous is not None and momentum > 0.0:
+        blend = momentum * prev_mus + (1.0 - momentum) * mu_hat
+        mu_new = _unit_rows_or(blend, _row_norms(blend), mu_hat)
+        kappa_new = momentum * previous.kappas[present] + (1.0 - momentum) * kappa_hat
+    else:
+        mu_new, kappa_new = mu_hat, kappa_hat
+
+    components = list(previous.classes) if previous is not None else [None] * n_classes
+    for j, y in enumerate(np.flatnonzero(present)):
+        components[y] = VmfParams(mu=mu_new[j], kappa=kappa_new[j], dim=dim)
     return VmfMixture(classes=components, priors=priors)
 
 

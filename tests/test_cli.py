@@ -90,6 +90,13 @@ class TestLoadConfig:
         with pytest.raises(cli.CliError, match="epochs"):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_float_rejected(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"tau = {text}\n")
+        with pytest.raises(cli.CliError, match="'tau' must be finite"):
+            cli.load_config(path)
+
     def test_bool_keys_are_strict(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("features_direct = 1\n")
@@ -267,3 +274,62 @@ class TestErrorPaths:
                        "--out", str(tmp_path / "o"), "--seed", "-3"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def assert_one_error_line(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+class TestCliContract:
+    """Bad config values and corrupted inputs end in exit 1 with one
+    ``error:`` line, never a traceback."""
+
+    def test_zero_batch_size_in_train(self, pipeline, tmp_path, capsys):
+        _, out = pipeline
+        config = write_config(tmp_path / "run.cfg", batch_size=0)
+        rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert_one_error_line(rc, capsys)
+
+    def test_nan_tau_in_train_names_the_key(self, pipeline, tmp_path, capsys):
+        _, out = pipeline
+        config = write_config(tmp_path / "run.cfg", tau="nan")
+        rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert "'tau'" in capsys.readouterr().err
+        assert rc == 1
+
+    @pytest.mark.parametrize("overrides", [
+        {"imbalance_ratio": 0.5},
+        # too many classes to place on the circle at the direction spacing
+        {"n_classes": 60, "feature_dim": 2},
+    ])
+    def test_bad_data_config_in_gen_data(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path / "run.cfg", **overrides)
+        rc = cli.main(["gen-data", "--config", str(config),
+                       "--out", str(tmp_path / "o")])
+        assert_one_error_line(rc, capsys)
+
+    def test_out_of_range_test_label_in_eval(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        lines = (bad / "test_id.csv").read_text().splitlines(keepends=True)
+        row = lines[1].split(",")
+        row[1] = "42"
+        lines[1] = ",".join(row)
+        (bad / "test_id.csv").write_text("".join(lines))
+        rc = cli.main(["eval", "--config", str(config), "--out", str(bad)])
+        assert_one_error_line(rc, capsys)
+
+    def test_out_of_range_score_label_in_report(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        lines = (bad / "scores.csv").read_text().splitlines(keepends=True)
+        row = lines[1].split(",")
+        row[2] = "42"
+        lines[1] = ",".join(row)
+        (bad / "scores.csv").write_text("".join(lines))
+        rc = cli.main(["report", "--config", str(config), "--out", str(bad)])
+        assert_one_error_line(rc, capsys)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from patt_lab import model as model_module
 from patt_lab.data import LabeledSet, SynthConfig, gen_longtail
 from patt_lab.losses import PattHyper
 from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState,
@@ -226,6 +227,25 @@ class TestTrainStep:
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
         train_step(state, (x, y), ood, state.config.hyper)
         assert params_equal(model, before)
+
+    def test_batch_mode_runs_one_labeled_forward(self, monkeypatch):
+        # the stats refresh and the loss share one encoder pass: one forward
+        # for the labeled batch, one for the outliers
+        calls = []
+        original = model_module._forward_batch
+
+        def counting(model, x):
+            calls.append(x.shape[0])
+            return original(model, x)
+
+        model = make_model(seed=2)
+        x, y = batch_for(model, 12, seed=3)
+        state = make_state(model, x, y)
+        assert state.config.vmf_update == "batch"
+        ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
+        monkeypatch.setattr(model_module, "_forward_batch", counting)
+        train_step(state, (x, y), ood, state.config.hyper)
+        assert calls == [12, 6]
 
     def test_repeated_steps_reduce_total_loss(self):
         # fixed batch, fixed statistics: 200 steps must shave off >= 10%

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab.vmf import (KAPPA_MAX, VmfMixture, VmfParams, bessel_ratio,
-                          estimate_class_stats, log_bessel_i, log_norm_const,
-                          log_sum_exp, mixture_log_pdf, sample_vmf, vmf_log_pdf,
-                          vmf_mgf_log)
+from patt_lab import losses, vmf
+from patt_lab.vmf import (KAPPA_MAX, VmfMixture, VmfParams, _log_norm_and_ratio,
+                          bessel_ratio, estimate_class_stats, log_bessel_i,
+                          log_norm_const, log_sum_exp, mixture_log_pdf, sample_vmf,
+                          vmf_log_pdf, vmf_mgf_log)
 
 import oracles
 
@@ -97,6 +98,16 @@ class TestLogBesselI:
         assert out.shape == (3,)
         for x, got in zip(xs, out):
             assert got == pytest.approx(oracles.log_bessel_mp(1.0, x), rel=1e-10)
+
+    def test_stacked_orders_match_single_orders(self):
+        # every branch, and both sides of the order-dependent cuts
+        xs = np.array([[0.0, 0.3, 12.0, 29.9], [30.0, 310.0, 449.0, 451.0],
+                       [511.0, 513.0, 700.0, 9000.0]])
+        orders = (0.0, 2.5, 15.0, 16.0)
+        out = log_bessel_i(orders, xs)
+        assert out.shape == (4,) + xs.shape
+        for row, nu in zip(out, orders):
+            np.testing.assert_array_equal(row, log_bessel_i(nu, xs))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -302,6 +313,122 @@ class TestEstimateClassStats:
         z = np.array([e(0, 3), e(1, 3)])
         with pytest.raises(ValueError):
             estimate_class_stats(z, np.array([0, 1]))
+
+
+class TestFusedNormAndRatio:
+    """One Bessel pass over both orders gives log C_d and A_d together."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_asymptotic_branch_is_exact(self, d):
+        # both orders d/2 - 1 and d/2 take the asymptotic branch here
+        cut = max(30.0, 2.0 * (0.5 * d) ** 2)
+        x = np.concatenate([[cut], np.geomspace(cut, 1e4, 200)])
+        log_norm, ratio = _log_norm_and_ratio(d, x)
+        np.testing.assert_array_equal(log_norm, log_norm_const(d, x))
+        np.testing.assert_array_equal(ratio, bessel_ratio(d, x))
+
+    def test_mixed_branches_match_separate_calls(self):
+        # d = 32: the cuts are 450 (nu = 15) and 512 (nu = 16), so x in
+        # [450, 512) takes the asymptotic branch for one order and the log
+        # series for the other; kappa = 0 entries are the uniform law
+        d = 32
+        x = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(5.0, 299.0, 7),
+                            np.linspace(300.0, 449.0, 5), np.linspace(450.0, 511.9, 9),
+                            [512.0, 700.0, 0.0, 5000.0]]).reshape(4, 7)
+        log_norm, ratio = _log_norm_and_ratio(d, x)
+        assert log_norm.shape == ratio.shape == x.shape
+        # criterion 4's tolerance: relative 1e-10 with an absolute floor 1e-12
+        np.testing.assert_allclose(log_norm, log_norm_const(d, x), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(ratio, bessel_ratio(d, x), rtol=1e-10, atol=1e-12)
+        assert np.all(ratio[x == 0.0] == 0.0)
+
+    def test_isac_makes_one_bessel_pass(self, monkeypatch):
+        calls = []
+        original = vmf.log_bessel_i
+
+        def counting(nu, x):
+            calls.append(np.shape(nu))
+            return original(nu, x)
+
+        monkeypatch.setattr(vmf, "log_bessel_i", counting)
+        rng = np.random.default_rng(2)
+        z = rng.normal(size=(40, 8))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        y = np.arange(40) % 5
+        mix = estimate_class_stats(z, y, class_counts=[8] * 5)
+        losses.isac_loss_batch(mix, z, y, 0.1)
+        assert calls == [(2,)]
+
+
+def _loop_class_stats(feats, labs, previous, momentum, class_counts=None):
+    # reference: one class at a time, as a per-class Python loop
+    dim = feats.shape[1]
+    if previous is None:
+        counts = np.asarray(class_counts, dtype=np.float64)
+        n_classes, priors = counts.size, counts / counts.sum()
+    else:
+        n_classes, priors = previous.n_classes, previous.priors
+    comps = []
+    for y in range(n_classes):
+        rows = feats[labs == y]
+        if rows.shape[0] == 0:
+            comps.append(previous.classes[y])
+            continue
+        resultant = rows.sum(axis=0)
+        r_norm = float(np.linalg.norm(resultant))
+        r_bar = r_norm / rows.shape[0]
+        if r_norm > 1e-12:
+            mu_hat = resultant / r_norm
+        elif previous is not None:
+            mu_hat = previous.classes[y].mu
+        else:
+            mu_hat = e(0, dim)
+        if r_bar >= 1.0 - 1e-12:
+            kappa_hat = KAPPA_MAX
+        else:
+            kappa_hat = r_bar * (dim - r_bar * r_bar) / (1.0 - r_bar * r_bar)
+            kappa_hat = min(max(kappa_hat, 0.0), KAPPA_MAX)
+        if previous is not None and momentum > 0.0:
+            prev = previous.classes[y]
+            blend = momentum * prev.mu + (1.0 - momentum) * mu_hat
+            b_norm = float(np.linalg.norm(blend))
+            mu_hat = blend / b_norm if b_norm > 1e-12 else mu_hat
+            kappa_hat = momentum * prev.kappa + (1.0 - momentum) * kappa_hat
+        comps.append(VmfParams(mu=mu_hat, kappa=kappa_hat, dim=dim))
+    return VmfMixture(classes=comps, priors=priors)
+
+
+class TestEstimateClassStatsMatchesLoop:
+    """The array-wide refresh keeps the bits of the per-class loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        d, k, n = (2, 3, 8, 32, 8, 3)[seed], 7, 60
+        z = rng.normal(size=(n, d))
+        z[:10] = z[0]          # a run of identical rows hits the kappa clamp
+        z[10:12] = [z[12], -z[12]]
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        y = rng.integers(0, k, size=n)
+        y[:10] = 0
+        y[10:12] = 1           # an antipodal pair
+        y[12:12 + k] = np.arange(k)
+        counts = np.bincount(y, minlength=k)
+        first = estimate_class_stats(z, y, class_counts=counts)
+        ref = _loop_class_stats(z, y, None, 0.0, class_counts=counts)
+        batch = slice(20, 45)  # some classes are absent from this batch
+        for momentum in (0.0, 0.9):
+            got = estimate_class_stats(z[batch], y[batch], previous=first, momentum=momentum)
+            want = _loop_class_stats(z[batch], y[batch], ref, momentum)
+            for a, b in zip(got.classes, want.classes):
+                np.testing.assert_array_equal(a.mu, b.mu)
+                assert a.kappa == b.kappa
+            np.testing.assert_array_equal(got.priors, want.priors)
+
+    def test_absent_class_without_previous_is_named(self):
+        z = np.array([e(0, 3), e(1, 3)])
+        with pytest.raises(ValueError, match="class 2 has no samples"):
+            estimate_class_stats(z, np.array([0, 1]), class_counts=[1, 1, 1])
 
 
 class TestBesselRatio:
