@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EncoderClassifier, classifier_logits
+from .util import logsumexp_softmax
 from .vmf import log_sum_exp
 
 __all__ = [
@@ -160,8 +161,8 @@ def energy_score(logits):
         return log_sum_exp(a)
     if a.ndim != 2:
         raise ValueError("logits must be 1- or 2-D")
-    m = a.max(axis=1, keepdims=True)
-    return (m[:, 0] + np.log(np.sum(np.exp(a - m), axis=1)))
+    lse, _ = logsumexp_softmax(a)
+    return lse
 
 
 def msp_score(logits):
@@ -171,9 +172,8 @@ def msp_score(logits):
     a = np.atleast_2d(a)
     if a.shape[1] < 2:
         raise ValueError("need at least two classes for a softmax score")
-    m = a.max(axis=1, keepdims=True)
-    e = np.exp(a - m)
-    out = e.max(axis=1) / e.sum(axis=1)
+    _, probs = logsumexp_softmax(a)
+    out = probs.max(axis=1)
     return float(out[0]) if one else out
 
 

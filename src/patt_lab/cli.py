@@ -168,6 +168,17 @@ def _load_split(out_dir, name, n_classes=None):
         raise CliError(f"bad dataset file {path}: {exc}") from None
 
 
+def _load_train(out_dir, cfg):
+    # train.csv must hold rows of every class that n_classes declares
+    train_id = _load_split(out_dir, "train.csv", n_classes=cfg["n_classes"])
+    empty = np.flatnonzero(train_id.class_counts == 0)
+    if empty.size:
+        path = os.path.join(out_dir, "train.csv")
+        raise CliError(f"bad dataset file {path}: class {empty[0]} has no rows "
+                       f"(n_classes = {cfg['n_classes']})")
+    return train_id
+
+
 def cmd_gen_data(cfg, out_dir) -> None:
     try:
         dcfg = _synth_config(cfg)
@@ -190,7 +201,7 @@ def cmd_gen_data(cfg, out_dir) -> None:
 def cmd_train(cfg, out_dir) -> None:
     if cfg["method"] not in METHODS:
         raise CliError(f"unknown method '{cfg['method']}' (pick one of {', '.join(METHODS)})")
-    train_id = _load_split(out_dir, "train.csv", n_classes=cfg["n_classes"])
+    train_id = _load_train(out_dir, cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
     val_id = _load_split(out_dir, "val_id.csv", n_classes=cfg["n_classes"])
     widths = _widths(cfg)
@@ -227,12 +238,16 @@ def cmd_train(cfg, out_dir) -> None:
                      f"{rec.tla!r},{rec.oe!r},{rec.val_acc!r}\n")
 
 
-def _load_model(out_dir):
+def _load_model(out_dir, cfg):
     path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
     try:
-        return load_checkpoint(path)
+        model, mix = load_checkpoint(path)
     except ValueError as exc:
         raise CliError(f"bad checkpoint {path}: {exc}") from None
+    if model.n_classes != cfg["n_classes"]:
+        raise CliError(f"checkpoint {path} has {model.n_classes} classes "
+                       f"but n_classes = {cfg['n_classes']}")
+    return model, mix
 
 
 def _train_priors(train_id):
@@ -241,8 +256,8 @@ def _train_priors(train_id):
 
 
 def cmd_calibrate(cfg, out_dir) -> None:
-    model, _mix = _load_model(out_dir)
-    train_id = _load_split(out_dir, "train.csv", n_classes=cfg["n_classes"])
+    model, _mix = _load_model(out_dir, cfg)
+    train_id = _load_train(out_dir, cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
     per_class = cfg["per_class"] or int(train_id.class_counts.min())
     if per_class < 1:
@@ -291,8 +306,8 @@ def cmd_eval(cfg, out_dir) -> None:
     path only. The trained classifier is what produced the weight's
     virtual labels, so its predictions stay the reference.
     """
-    model, _mix = _load_model(out_dir)
-    train_id = _load_split(out_dir, "train.csv", n_classes=cfg["n_classes"])
+    model, _mix = _load_model(out_dir, cfg)
+    train_id = _load_train(out_dir, cfg)
     test_id = _load_split(out_dir, "test_id.csv", n_classes=cfg["n_classes"])
     test_ood = _load_split(out_dir, "test_ood.csv", n_classes=cfg["n_classes"])
     weight = _resolve_attention(cfg, out_dir)
@@ -351,7 +366,7 @@ def _read_scores(out_dir):
 def cmd_report(cfg, out_dir) -> None:
     """Bin scores for plotting and recompute the accuracy split."""
     rows = _read_scores(out_dir)
-    train_id = _load_split(out_dir, "train.csv", n_classes=cfg["n_classes"])
+    train_id = _load_train(out_dir, cfg)
     id_scores = np.array([r[2] for r in rows["id"]])
     ood_scores = np.array([r[2] for r in rows["ood"]])
     lo = min(id_scores.min(), ood_scores.min())

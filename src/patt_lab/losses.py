@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import logsumexp_softmax
 from .vmf import VmfMixture, _log_norm_and_ratio
 
 __all__ = [
@@ -74,18 +75,6 @@ class TotalLossValue:
     grad_ood_logits: np.ndarray | None
 
 
-def _softmax(a: np.ndarray) -> np.ndarray:
-    m = np.max(a, axis=-1, keepdims=True)
-    e = np.exp(a - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return np.squeeze(m, axis) + np.log(np.sum(np.exp(a - m), axis=axis))
-
-
 def _check_logits(logits, min_k: int = 2) -> np.ndarray:
     v = np.asarray(logits, dtype=np.float64)
     if v.ndim != 1 or v.size < min_k:
@@ -120,9 +109,8 @@ def oe_uniform_loss(logits) -> LossValue:
 def oe_uniform_loss_batch(logits: np.ndarray):
     """Row-wise ``oe_uniform_loss``: returns (values (n,), gradients (n, K))."""
     k = logits.shape[-1]
-    vals = _logsumexp(logits) - logits.mean(axis=-1)
-    grads = _softmax(logits) - 1.0 / k
-    return vals, grads
+    lse, probs = logsumexp_softmax(logits)
+    return lse - logits.mean(axis=-1), probs - 1.0 / k
 
 
 def scl_batch_loss(features: np.ndarray, labels: np.ndarray, anchor_index: int, tau: float) -> float:
@@ -143,7 +131,9 @@ def scl_batch_loss(features: np.ndarray, labels: np.ndarray, anchor_index: int, 
     sims = (z @ anchor) / tau
     pos = y == y[anchor_index]
     n_pos = int(pos.sum())
-    return float(np.log(n_pos) - _logsumexp(sims[pos]) + _logsumexp(sims))
+    lse_pos, _ = logsumexp_softmax(sims[pos])
+    lse_all, _ = logsumexp_softmax(sims)
+    return float(np.log(n_pos) - lse_pos + lse_all)
 
 
 def la_loss(logits, y: int, priors) -> LossValue:
@@ -161,8 +151,8 @@ def la_loss(logits, y: int, priors) -> LossValue:
         raise ValueError(f"target class {y} has zero prior")
     with np.errstate(divide="ignore"):
         a = np.log(p) + v
-    value = float(_logsumexp(a) - a[y])
-    grad = _softmax(a)
+    lse, grad = logsumexp_softmax(a)
+    value = float(lse - a[y])
     grad[y] -= 1.0
     return LossValue(value=value, grad=grad)
 
@@ -191,9 +181,10 @@ def tla_loss_batch(logits: np.ndarray, y: np.ndarray, priors: np.ndarray, epsilo
     """Row-wise ``tla_loss``: returns (values (n,), gradients (n, K))."""
     with np.errstate(divide="ignore"):
         a = np.log(priors)[None, :] + logits / epsilon
-    vals = _logsumexp(a) - a[np.arange(a.shape[0]), y]
-    grads = _softmax(a)
-    grads[np.arange(a.shape[0]), y] -= 1.0
+    rows = np.arange(a.shape[0])
+    lse, grads = logsumexp_softmax(a)
+    vals = lse - a[rows, y]
+    grads[rows, y] -= 1.0
     grads /= epsilon
     return vals, grads
 
@@ -253,8 +244,7 @@ def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
         - log_z_class[y][:, None]
         - log_z_tilted
     )
-    vals = _logsumexp(s)
-    p = _softmax(s)
+    vals, p = logsumexp_softmax(s)
 
     # d log Z / d kappa = -A_d(kappa); chain through d tilted / d z
     weight = ratio / (tau * np.maximum(tilted, _TINY))

@@ -275,14 +275,18 @@ class TrainConfig:
 
 @dataclass
 class _AdamState:
-    m: list
-    v: list
+    """First and second moments, flat in ``param_list`` order."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 @dataclass
 class _SgdState:
-    velocity: list
+    """Momentum buffer, flat in ``param_list`` order."""
+
+    velocity: np.ndarray
 
 
 @dataclass
@@ -298,45 +302,51 @@ class TrainState:
 
     def __post_init__(self) -> None:
         if self.opt is None:
-            params = self.model.param_list()
+            size = sum(p.size for p in self.model.param_list())
             if self.config.optimizer == "adam":
-                self.opt = _AdamState(
-                    m=[np.zeros_like(p) for p in params],
-                    v=[np.zeros_like(p) for p in params],
-                )
+                self.opt = _AdamState(m=np.zeros(size), v=np.zeros(size))
             else:
-                self.opt = _SgdState(velocity=[np.zeros_like(p) for p in params])
+                self.opt = _SgdState(velocity=np.zeros(size))
 
 
-def _apply_update(model, grads, config, opt):
-    params = [p.copy() for p in model.param_list()]
+def _flatten(arrays) -> np.ndarray:
+    # one vector holding the arrays in order (a copy)
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _apply_update(model, flat_grad, config, opt):
+    """One optimizer step over the flat parameter vector.
+
+    ``flat_grad`` holds the gradients in ``param_list`` order. Returns the new
+    model, whose arrays are views into a fresh parameter vector (``model`` is
+    left untouched), and the new optimizer state.
+    """
+    current = model.param_list()
+    params = _flatten(current)
     lr = config.learning_rate
     if isinstance(opt, _AdamState):
         b1, b2, eps = 0.9, 0.999, 1e-8
         t = opt.t + 1
-        new_m, new_v = [], []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            m = b1 * opt.m[i] + (1.0 - b1) * g
-            v = b2 * opt.v[i] + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            new_m.append(m)
-            new_v.append(v)
-        new_opt = _AdamState(m=new_m, v=new_v, t=t)
+        m = b1 * opt.m + (1.0 - b1) * flat_grad
+        v = b2 * opt.v + (1.0 - b2) * flat_grad * flat_grad
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_opt = _AdamState(m=m, v=v, t=t)
     else:
-        new_vel = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            vel = config.sgd_momentum * opt.velocity[i] + g
-            p -= lr * vel
-            new_vel.append(vel)
-        new_opt = _SgdState(velocity=new_vel)
+        vel = config.sgd_momentum * opt.velocity + flat_grad
+        params -= lr * vel
+        new_opt = _SgdState(velocity=vel)
+    views, start = [], 0
+    for p in current:
+        views.append(params[start:start + p.size].reshape(p.shape))
+        start += p.size
     n_layers = len(model.weights)
     new_model = EncoderClassifier(
-        weights=[params[2 * i] for i in range(n_layers)],
-        biases=[params[2 * i + 1] for i in range(n_layers)],
-        clf_w=params[2 * n_layers],
-        clf_b=params[2 * n_layers + 1],
+        weights=views[0:2 * n_layers:2],
+        biases=views[1:2 * n_layers:2],
+        clf_w=views[2 * n_layers],
+        clf_b=views[2 * n_layers + 1],
     )
     return new_model, new_opt
 
@@ -376,11 +386,11 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: losses.PattHyper):
     for name, val in (("isac", breakdown.isac), ("tla", breakdown.tla), ("oe", breakdown.oe)):
         if not np.isfinite(val):
             raise RuntimeError(f"non-finite loss term: {name} = {val}")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError("non-finite gradient in parameter update")
+    flat_grad = _flatten(grads)
+    if not np.isfinite(flat_grad).all():
+        raise RuntimeError("non-finite gradient in parameter update")
 
-    new_model, new_opt = _apply_update(state.model, grads, config, state.opt)
+    new_model, new_opt = _apply_update(state.model, flat_grad, config, state.opt)
     new_state = replace(state, model=new_model, mix=mix, opt=new_opt)
     return new_state, breakdown
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import logsumexp_softmax
+
 __all__ = [
     "KAPPA_MAX",
     "VmfParams",
@@ -55,7 +57,7 @@ class VmfParams:
         if not math.isfinite(self.kappa) or self.kappa < 0.0:
             raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
         norm = math.sqrt(self.mu @ self.mu)
-        if abs(norm - 1.0) > _MU_NORM_TOL:
+        if not abs(norm - 1.0) <= _MU_NORM_TOL:  # written so that NaN fails
             raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
 
 
@@ -108,15 +110,8 @@ def log_sum_exp(values) -> float:
         raise ValueError("log_sum_exp expects a non-empty 1-D array")
     if not np.all(np.isfinite(v)):
         raise ValueError("log_sum_exp expects finite inputs")
-    m = float(v.max())
-    return m + math.log(float(np.exp(v - m).sum()))
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    # internal variant: tolerates -inf entries (dropped-out mixture lanes)
-    m = np.max(a, axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return np.squeeze(m, -1) + np.log(np.sum(np.exp(a - m), axis=-1))
+    lse, _ = logsumexp_softmax(v)
+    return float(lse)
 
 
 def _lgamma_plus_one(orders, row):
@@ -166,19 +161,25 @@ def _log_bessel_series_log(orders, row, x):
     return total
 
 
-def _log_bessel_asymptotic(orders, row, x):
+def _log_bessel_asymptotic(nu, x):
     # Large-argument expansion I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k a_k(nu)/x^k.
     # Only used for x >= max(30, 2 nu^2), where the truncated tail is far below
-    # 1e-12 relative.
-    nu = orders[row]
+    # 1e-12 relative. ``nu`` and ``x`` broadcast: a column of orders against a
+    # row of arguments evaluates the whole block with one scalar order per
+    # row. For these x and k <= 39 every term is smaller than the one before,
+    # so once |term| <= 1e-17 |sum| (below half an ulp) later terms leave the
+    # sum unchanged, and testing that every fourth term keeps the bits of a
+    # test after every term.
     mu4 = 4.0 * nu * nu
     inv8x = 1.0 / (8.0 * x)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
+    term = np.ones(np.broadcast_shapes(np.shape(nu), np.shape(x)))
+    total = term.copy()
     for k in range(1, 40):
-        term = term * ((2 * k - 1) ** 2 - mu4) * inv8x / k
+        term *= (2 * k - 1) ** 2 - mu4
+        term *= inv8x
+        term /= k
         total += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+        if k % 4 == 0 and np.all(np.abs(term) <= 1e-17 * np.abs(total)):
             break
     return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(total)
 
@@ -189,19 +190,24 @@ def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     # elements of all orders that fall in it. Terms a loop adds after an
     # element has converged are below half an ulp of its sum, so every element
     # has the bits of a single-order evaluation.
+    cut = np.maximum(30.0, 2.0 * orders * orders)
+    if x.min(initial=np.inf) >= cut.max():
+        # every element takes the asymptotic branch: evaluate the block
+        return _log_bessel_asymptotic(orders[:, None], x)
     row = np.repeat(np.arange(orders.size), x.size)
     xs = np.tile(x, orders.size)
-    cut = np.maximum(30.0, 2.0 * orders * orders)[row]
+    cut = cut[row]
     small = xs < np.minimum(cut, 300.0)
     large = xs >= cut
     out = np.empty_like(xs)
     for mask, branch in ((small, _log_bessel_series_plain),
-                         (~small & ~large, _log_bessel_series_log),
-                         (large, _log_bessel_asymptotic)):
+                         (~small & ~large, _log_bessel_series_log)):
         if mask.all():
-            out = branch(orders, row, xs)
-        elif mask.any():
+            return branch(orders, row, xs).reshape(orders.size, x.size)
+        if mask.any():
             out[mask] = branch(orders, row[mask], xs[mask])
+    if large.any():
+        out[large] = _log_bessel_asymptotic(orders[row[large]], xs[large])
     return out.reshape(orders.size, x.size)
 
 
@@ -318,9 +324,9 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
 
 def _check_unit_rows(z: np.ndarray, what: str) -> None:
     norms = np.linalg.norm(z, axis=-1)
-    bad = np.abs(norms - 1.0) > _UNIT_INPUT_TOL
-    if np.any(bad):
-        worst = float(norms.ravel()[np.argmax(np.abs(norms - 1.0).ravel())])
+    deviation = np.abs(norms - 1.0)
+    if not np.all(deviation <= _UNIT_INPUT_TOL):  # written so that NaN fails
+        worst = float(norms.ravel()[np.argmax(deviation.ravel())])
         raise ValueError(f"{what} must be unit norm, worst ||.|| = {worst!r}")
 
 
@@ -344,7 +350,7 @@ def mixture_log_pdf(mix: VmfMixture, z) -> float:
     _check_unit_rows(zs, "z")
     log_z = log_norm_const(mix.dim, mix.kappas)
     a = np.log(mix.priors) + log_z + (zs @ mix.mus.T) * mix.kappas
-    val = _logsumexp_rows(a)
+    val, _ = logsumexp_softmax(a)
     if zs.ndim == 1:
         return float(val)
     return val

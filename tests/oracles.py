@@ -3,10 +3,17 @@
 Everything here trades speed for transparency: literal series summation in
 50-digit arithmetic, exhaustive threshold sweeps, O(n^2) pair counting.
 Production code must agree with these oracles, never the other way around.
+The module also keeps the earlier forms of rewritten hot paths (the
+per-element asymptotic Bessel kernel, two-pass log-sum-exp and softmax, the
+per-parameter optimizer step); the rewrites must match them bit for bit.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
+
+from patt_lab import vmf
 
 mp.mp.dps = 50
 
@@ -46,6 +53,92 @@ def log_bessel_half(nu, x):
 def log_bessel_mp(nu, x):
     """mpmath's own I_nu, a second independent route for large arguments."""
     return float(mp.log(mp.besseli(mp.mpf(nu), mp.mpf(x))))
+
+
+def log_bessel_asymptotic_ref(nu, x):
+    """The large-argument kernel before its block form: per-element orders, a
+    new array per term and a convergence test after every term.
+
+    Returns the values and the number of terms summed.
+    """
+    mu4 = 4.0 * nu * nu
+    inv8x = 1.0 / (8.0 * x)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, 40):
+        term = term * ((2 * k - 1) ** 2 - mu4) * inv8x / k
+        total += term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+            break
+    return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(total), k
+
+
+def log_bessel_positive_ref(orders, x):
+    """``vmf._log_bessel_positive`` with ``log_bessel_asymptotic_ref``: every
+    (order, x) pair flattened, each branch evaluated on its mask with
+    per-element orders."""
+    row = np.repeat(np.arange(orders.size), x.size)
+    xs = np.tile(x, orders.size)
+    cut = np.maximum(30.0, 2.0 * orders * orders)[row]
+    small = xs < np.minimum(cut, 300.0)
+    large = xs >= cut
+    middle = ~small & ~large
+    out = np.empty_like(xs)
+    if small.any():
+        out[small] = vmf._log_bessel_series_plain(orders, row[small], xs[small])
+    if middle.any():
+        out[middle] = vmf._log_bessel_series_log(orders, row[middle], xs[middle])
+    if large.any():
+        out[large] = log_bessel_asymptotic_ref(orders[row[large]], xs[large])[0]
+    return out.reshape(orders.size, x.size)
+
+
+def logsumexp_ref(a):
+    """Row-wise log-sum-exp as two passes; -inf lanes drop out."""
+    m = np.max(a, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.squeeze(m, -1) + np.log(np.sum(np.exp(a - m), axis=-1))
+
+
+def softmax_ref(a):
+    """Row-wise softmax, its own exp pass."""
+    m = np.max(a, axis=-1, keepdims=True)
+    e = np.exp(a - m)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def apply_update_ref(params, grads, config, state=None):
+    """One Adam or SGD step parameter by parameter, each from its own arrays.
+
+    ``params`` and ``grads`` are lists in ``param_list`` order; ``state``
+    holds per-parameter lists (``m``, ``v`` and ``t`` for Adam,
+    ``velocity`` for SGD) and is None before the first step. Returns the new
+    parameter list and state; the inputs are left untouched.
+    """
+    params = [p.copy() for p in params]
+    if state is None:
+        zeros = [np.zeros_like(p) for p in params]
+        state = {"m": zeros, "v": zeros, "t": 0, "velocity": zeros}
+    lr = config.learning_rate
+    if config.optimizer == "adam":
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        t = state["t"] + 1
+        new_m, new_v = [], []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m = b1 * state["m"][i] + (1.0 - b1) * g
+            v = b2 * state["v"][i] + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            new_m.append(m)
+            new_v.append(v)
+        return params, {"m": new_m, "v": new_v, "t": t}
+    new_vel = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        vel = config.sgd_momentum * state["velocity"][i] + g
+        p -= lr * vel
+        new_vel.append(vel)
+    return params, {"velocity": new_vel}
 
 
 def log_z3(kappa):

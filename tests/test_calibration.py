@@ -231,6 +231,10 @@ class TestEnergyScore:
         for i in range(8):
             assert batch[i] == pytest.approx(energy_score(a[i]), abs=1e-12)
 
+    def test_batch_keeps_the_bits_of_two_passes(self):
+        a = 10.0 * np.random.default_rng(3).normal(size=(50, 7))
+        np.testing.assert_array_equal(energy_score(a), oracles.logsumexp_ref(a))
+
 
 class TestMspScore:
     def test_uniform_logits(self):
@@ -252,6 +256,13 @@ class TestMspScore:
         batch = msp_score(a)
         for i in range(8):
             assert batch[i] == pytest.approx(msp_score(a[i]), abs=1e-14)
+
+    def test_batch_keeps_the_bits_of_two_passes(self):
+        # max(e_i / s) == max(e_i) / s: rounding a division is monotone
+        a = 10.0 * np.random.default_rng(4).normal(size=(50, 7))
+        e = np.exp(a - a.max(axis=1, keepdims=True))
+        np.testing.assert_array_equal(msp_score(a), e.max(axis=1) / e.sum(axis=1))
+        np.testing.assert_array_equal(msp_score(a), oracles.softmax_ref(a).max(axis=1))
 
 
 class TestScoreRanking:

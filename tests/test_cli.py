@@ -333,3 +333,34 @@ class TestCliContract:
         (bad / "scores.csv").write_text("".join(lines))
         rc = cli.main(["report", "--config", str(config), "--out", str(bad)])
         assert_one_error_line(rc, capsys)
+
+
+class TestClassCountAgreement:
+    """``n_classes`` must agree with train.csv and with the checkpoint."""
+
+    @pytest.mark.parametrize("command", ["train", "calibrate", "eval", "report"])
+    def test_more_classes_than_the_data(self, pipeline, tmp_path, capsys, command):
+        # the 4-class run read with n_classes = 6: classes 4 and 5 have no
+        # rows in train.csv, and the checkpoint holds 4 classes
+        _, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        config = write_config(tmp_path / "run.cfg", n_classes=6)
+        rc = cli.main([command, "--config", str(config), "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("error:") and "n_classes = 6" in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    def test_checkpoint_with_another_class_count(self, pipeline, tmp_path, capsys, command):
+        # 5-class data next to the 4-class checkpoint
+        _, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        config = write_config(tmp_path / "run.cfg", n_classes=5)
+        run(config, bad, "gen-data")
+        capsys.readouterr()
+        rc = cli.main([command, "--config", str(config), "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("error:") and "4 classes but n_classes = 5" in err

@@ -1,0 +1,117 @@
+"""Golden bytes: the five CLI stages reproduce recorded output digests.
+
+Each stage runs in its own process with one BLAS/OpenMP thread, the way the
+benchmark runs it, and the sha256 of every byte-compared output (acceptance
+criterion 8) must equal the digest recorded for it. A change that is meant to
+keep every output byte must leave this test passing; a change that moves
+numbers on purpose records new digests here and says why.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+STAGES = ("gen-data", "train", "calibrate", "eval", "report")
+NUMPY = "2.4.6"
+
+# The CLI defaults of patt-lab 0.1.0 with every key written out, so that a
+# later change of a default does not move these digests.
+SMALL = """\
+n_classes = 10
+feature_dim = 8
+imbalance_ratio = 100.0
+max_per_class = 500
+within_kappa = 80.0
+ood_kappa = 20.0
+val_per_class = 20
+test_per_class = 40
+ood_train_clusters = 2
+ood_test_clusters = 3
+ood_train_size = 600
+ood_test_size = 400
+max_direction_dot = 0.9
+features_direct = false
+input_dim = 0
+epochs = 30
+batch_size = 128
+ood_batch_size = 128
+learning_rate = 0.001
+optimizer = adam
+sgd_momentum = 0.9
+vmf_momentum = 0.9
+vmf_update = batch
+encoder_widths = 64,64
+oe_gamma = 0.5
+tau = 0.1
+epsilon = 0.7
+alpha = 0.5
+beta = 0.1
+per_class = 0
+tail_fraction = 0.3333333333333333
+seed = 0
+"""
+
+CONFIGS = {
+    "small": SMALL + "method = patt\nscore = energy\nuse_calibration = auto\n",
+    # the same data trained and scored as the outlier-exposure baseline
+    "oe-baseline": SMALL + "method = oe-baseline\nscore = msp\nuse_calibration = off\n",
+}
+
+DATA = {
+    "train.csv": "a22068939b91a27bf72248d5f34affbed825713ca37927db7b9fed0109da67cd",
+    "val_id.csv": "d0c63a201df56eac266417d14f35fbc46dabc3bd89e68495008c2be93322dcd2",
+    "test_id.csv": "d576c01492267593904c4615388505859bcec7be3acb11b93b1670a19443f2b1",
+    "train_ood.csv": "ce8ab88f36538272a85e8b138ce64d042473bbd2de9e8deae055585828e48d5d",
+    "test_ood.csv": "65fe323dc40261a44730d552e07aa8ddab782535d734e52a22f3e2d7d741cdf2",
+    "manifest.txt": "8d5d98ca765d0f7f80afaa658782adf021240eb4dddfe4e162142860d37912db",
+}
+
+DIGESTS = {
+    "small": {
+        **DATA,
+        "model.ckpt": "384bcc48615257d0355657326bb749a45919386a6db05019bae67227819a11a4",
+        "history.csv": "07e3d449f8cd8db2eb9b6b4695a9d947c2dd4adac60fe1c5158eb8f99b09910e",
+        "attention.csv": "201c86547496081cff83681e4fe2d5203a7e1806d83d29c8c424ce217a48573c",
+        "scores.csv": "fc3e30c641fd3b819323d332d2e2072365e5bbf655f13a74b8f4873809b8453d",
+        "report.csv": "5080347179daf2e704b88868127056544cadcf947a25cfdf85710e2188e5f937",
+        "hist.csv": "5466ce61fbdfeef08b442c808bece8508748396d207b3ec585f77fcd3a984ca3",
+        "acc_table.csv": "6c184aa37509ad4f8a0e819bf43bdaeb5a182d46f232c9dae58fe3a5bed369b5",
+    },
+    "oe-baseline": {
+        **DATA,
+        "model.ckpt": "77d2b2bbf8417a4dd6ae5142d844e47a2810ad809e43aae7da509cfa9b746470",
+        "history.csv": "706ebd38422df2326683039db96abc6f45550ee40419651345ab06964f5eae97",
+        "attention.csv": "a17a1961082ae37dfd5d7cdec5e5fe74a34a301102f975d78f25a3128414e34b",
+        "scores.csv": "1005f3ffc2bc0366db2c3ce517ba7a6ff56dad21f91d2c1b7bbf526140c25a92",
+        "report.csv": "96b9d87671e02ecb8c56e98453e11929d3be2f6072eea0cf712672f078c53287",
+        "hist.csv": "e3c7f10945e9e906e5cbf769fe376ae8f361ab1a49674b45e39eec5102c156dd",
+        "acc_table.csv": "65d6abb396e4a40891bf3e2578dadef4a0ef04be58dd63cc8001d01b87e08e4e",
+    },
+}
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY,
+                    reason=f"digests were recorded with numpy {NUMPY} and its bundled "
+                           f"OpenBLAS; numpy {np.__version__} may round differently")
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_pipeline_outputs_match_recorded_digests(tmp_path, name):
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIGS[name] + f"out_dir = {tmp_path / 'out'}\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    for stage in STAGES:
+        done = subprocess.run(
+            [sys.executable, "-c", "from patt_lab.cli import entry; entry()",
+             stage, "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0 and not done.stderr, (stage, done.stderr)
+    got = {out: hashlib.sha256((tmp_path / "out" / out).read_bytes()).hexdigest()
+           for out in DIGESTS[name]}
+    changed = sorted(out for out, digest in DIGESTS[name].items() if got[out] != digest)
+    assert not changed, f"outputs whose bytes changed: {changed}"

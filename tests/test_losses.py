@@ -9,6 +9,7 @@ from patt_lab.losses import (PattHyper, isac_loss, isac_loss_batch, la_loss,
                              oe_uniform_loss, oe_uniform_loss_batch,
                              patt_total_loss, scl_batch_loss, tla_loss,
                              tla_loss_batch)
+from patt_lab.util import logsumexp_softmax
 from patt_lab.vmf import VmfMixture, VmfParams, sample_vmf
 
 import oracles
@@ -399,3 +400,34 @@ class TestPattHyper:
             PattHyper(epsilon=-1.0)
         with pytest.raises(ValueError):
             PattHyper(alpha=-0.1)
+
+
+class TestLogsumexpSoftmax:
+    """The one exp pass gives the bits of the two-pass references."""
+
+    def test_tla_rows_with_a_zero_prior(self):
+        rng = np.random.default_rng(8)
+        logits = 4.0 * rng.normal(size=(64, 6))
+        priors = np.array([0.4, 0.3, 0.0, 0.2, 0.1, 0.0])
+        with np.errstate(divide="ignore"):
+            a = np.log(priors) + logits / 0.7
+        lse, probs = logsumexp_softmax(a)
+        np.testing.assert_array_equal(lse, oracles.logsumexp_ref(a))
+        np.testing.assert_array_equal(probs, oracles.softmax_ref(a))
+        assert np.all(probs[:, [2, 5]] == 0.0)
+        y = rng.integers(0, 2, size=64)
+        vals, grads = tla_loss_batch(logits, y, priors, 0.7)
+        np.testing.assert_array_equal(vals, oracles.logsumexp_ref(a) - a[np.arange(64), y])
+
+    def test_single_row_and_an_all_dropped_row(self):
+        v = np.array([-np.inf, 2.0, -1.0, 700.0])
+        lse, probs = logsumexp_softmax(v)
+        assert lse.shape == () and lse == oracles.logsumexp_ref(v)
+        np.testing.assert_array_equal(probs, oracles.softmax_ref(v))
+        dropped = np.array([[-np.inf, -np.inf], [0.0, 1.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lse, probs = logsumexp_softmax(dropped)
+            want_lse, want = oracles.logsumexp_ref(dropped), oracles.softmax_ref(dropped)
+        np.testing.assert_array_equal(lse, want_lse)
+        assert lse[0] == -np.inf
+        np.testing.assert_array_equal(probs, want)

@@ -13,6 +13,8 @@ from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState,
 from patt_lab.util import derive_seed
 from patt_lab.vmf import VmfMixture, VmfParams, estimate_class_stats
 
+import oracles
+
 
 def make_model(seed=0, input_dim=6, widths=(8,), feature_dim=4, n_classes=3):
     return EncoderClassifier.init(input_dim, widths, feature_dim, n_classes, seed)
@@ -272,6 +274,50 @@ class TestTrainStep:
         state = make_state(model, x, y, method="ce-baseline")
         with pytest.raises(RuntimeError, match="non-finite"):
             train_step(state, (x, y), None, state.config.hyper)
+
+
+def ref_model(model, params):
+    # a model of the same layout holding the arrays of ``params``
+    n = len(model.weights)
+    return EncoderClassifier(weights=params[0:2 * n:2], biases=params[1:2 * n:2],
+                             clf_w=params[2 * n], clf_b=params[2 * n + 1])
+
+
+class TestFlatUpdate:
+    """The update over one flat parameter vector keeps the bits of the
+    per-parameter reference step."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("assigned", [False, True])
+    def test_matches_per_parameter_reference(self, optimizer, assigned):
+        model = make_model(seed=2)
+        if assigned:
+            # arrays assigned after init, as tau_norm_classifier does; the
+            # head is a transposed (non-contiguous) view
+            rng = np.random.default_rng(9)
+            model.clf_w = rng.normal(size=(model.feature_dim, model.n_classes)).T
+            model.biases[0] = rng.normal(size=model.biases[0].shape)
+        x, y = batch_for(model, 12, seed=3)
+        ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
+        state = make_state(model, x, y, optimizer=optimizer, learning_rate=1e-2,
+                           vmf_update="epoch")
+        hyper = state.config.hyper
+        ref_params, ref_opt = model.param_list(), None
+        for _ in range(3):
+            _, grads = batch_loss_and_grads(ref_model(model, ref_params), state.mix,
+                                            x, y, ood, hyper, state.priors)
+            ref_params, ref_opt = oracles.apply_update_ref(ref_params, grads,
+                                                           state.config, ref_opt)
+            state, _ = train_step(state, (x, y), ood, hyper)
+            for got, want in zip(state.model.param_list(), ref_params):
+                np.testing.assert_array_equal(got, want)
+            for name, value in vars(state.opt).items():
+                if name == "t":
+                    assert value == ref_opt["t"]
+                else:
+                    want = np.concatenate([a.ravel() for a in ref_opt[name]])
+                    np.testing.assert_array_equal(value, want)
+        assert not params_equal(model, state.model)
 
 
 def smoke_dataset(seed=0, **overrides):

@@ -360,6 +360,74 @@ class TestFusedNormAndRatio:
         assert calls == [(2,)]
 
 
+def assert_matches_reference(monkeypatch, dim, x):
+    # against log_bessel_i and _log_norm_and_ratio with the per-element
+    # reference kernel swapped in
+    orders = (0.5 * dim - 1.0, 0.5 * dim)
+    with monkeypatch.context() as patch:
+        patch.setattr(vmf, "_log_bessel_positive", oracles.log_bessel_positive_ref)
+        want_i = log_bessel_i(orders, x)
+        want_norm, want_ratio = _log_norm_and_ratio(dim, x)
+    np.testing.assert_array_equal(log_bessel_i(orders, x), want_i)
+    log_norm, ratio = _log_norm_and_ratio(dim, x)
+    np.testing.assert_array_equal(log_norm, want_norm)
+    np.testing.assert_array_equal(ratio, want_ratio)
+
+
+def top_cut(dim):
+    # the larger of the two orders' asymptotic cuts
+    return max(30.0, 2.0 * (0.5 * dim) ** 2)
+
+
+class TestBlockBesselKernel:
+    """The block asymptotic kernel, with its convergence test every fourth
+    term, keeps the bits of the per-element kernel tested after every term."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_random_blocks(self, monkeypatch, dim):
+        rng = np.random.default_rng(dim)
+        x = top_cut(dim) * np.exp(rng.uniform(0.0, 6.0, size=(30, 11)))
+        assert_matches_reference(monkeypatch, dim, x)
+        x.flat[::7] = 0.0  # kappa = 0 lanes leave the rest a block
+        assert_matches_reference(monkeypatch, dim, x)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_just_above_the_cut(self, monkeypatch, dim):
+        cut = top_cut(dim)
+        x = np.array([cut, np.nextafter(cut, np.inf), cut * (1.0 + 1e-12),
+                      cut + 1e-6, cut + 0.5, 2.0 * cut])
+        assert_matches_reference(monkeypatch, dim, x)
+
+    def test_loop_stopping_at_terms_37_to_39(self):
+        # Below the branch cut (x ~ 18.6) the series needs 37-39 terms, which
+        # no element of the validated range does (those stop by term 17), so
+        # the kernel is called directly. Each row mixes one slow element with
+        # fast ones; the last row never converges and runs to the term cap.
+        slow = np.array([[0.0, 18.56], [0.0, 18.55], [4.0, 18.968],
+                         [4.0, 18.98], [2.0, 18.67], [0.0, 18.3]])
+        stops = [oracles.log_bessel_asymptotic_ref(np.array([nu]), np.array([x]))[1]
+                 for nu, x in slow]
+        assert stops == [37, 38, 39, 38, 37, 39]
+        for nu, x in slow:
+            xs = np.array([x, 30.0, 400.0, 9000.0])
+            want, _ = oracles.log_bessel_asymptotic_ref(np.full(4, nu), xs)
+            np.testing.assert_array_equal(vmf._log_bessel_asymptotic(np.full(4, nu), xs), want)
+            block = vmf._log_bessel_asymptotic(np.array([[nu], [nu + 1.0]]), xs)
+            np.testing.assert_array_equal(block[0], want)
+        orders = slow[:, 0]
+        want, _ = oracles.log_bessel_asymptotic_ref(orders, slow[:, 1])
+        np.testing.assert_array_equal(vmf._log_bessel_asymptotic(orders, slow[:, 1]), want)
+
+    def test_mixed_branches(self, monkeypatch):
+        # d = 32 puts x in all three branches for each order, and x in
+        # [450, 512) in different branches for the two orders
+        x = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(5.0, 299.0, 7),
+                            np.linspace(300.0, 449.0, 5), np.linspace(450.0, 511.9, 9),
+                            [512.0, 700.0, 0.0, 5000.0]])
+        assert_matches_reference(monkeypatch, 32, x)
+        assert_matches_reference(monkeypatch, 8, np.concatenate([[29.9, 31.99], x]))
+
+
 def _loop_class_stats(feats, labs, previous, momentum, class_counts=None):
     # reference: one class at a time, as a per-class Python loop
     dim = feats.shape[1]
@@ -482,6 +550,17 @@ class TestVmfParamsValidation:
     def test_rejects_negative_kappa(self):
         with pytest.raises(ValueError):
             vp(e(0, 3), -1.0)
+
+    def test_rejects_nan_mu(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            vp(np.array([np.nan, 0.0]), 1.0)
+
+    def test_unit_row_check_rejects_nan(self):
+        z = np.array([[np.nan, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"features must be unit norm, worst \|\|\.\|\| = nan"):
+            estimate_class_stats(z, np.array([0, 1]), class_counts=[1, 1])
+        with pytest.raises(ValueError, match="z must be unit norm"):
+            vmf_log_pdf(vp(e(0, 2), 1.0), np.array([np.nan, 0.0]))
 
     def test_mixture_prior_checks(self):
         p = vp(e(0, 3), 1.0)
