@@ -33,6 +33,9 @@ __all__ = ["main", "entry"]
 
 HIST_BINS = 30
 
+# config keys that scale a training step's losses, gradients or update
+_STEP_KEYS = ("learning_rate", "sgd_momentum", "tau", "epsilon", "alpha", "beta", "oe_gamma")
+
 # key -> default; the default's type decides how the value string is parsed
 DEFAULTS = {
     "seed": 0,
@@ -227,9 +230,15 @@ def cmd_train(cfg, out_dir) -> None:
     except ValueError as exc:
         raise CliError(f"bad training config: {exc}") from None
     try:
-        model, mix, history = train(tcfg, train_id, train_ood, val_id)
+        # a finite config value can still overflow the step; fail on the
+        # first overflow or invalid operation instead of printing warnings
+        with np.errstate(over="raise", invalid="raise"):
+            model, mix, history = train(tcfg, train_id, train_ood, val_id)
     except ValueError as exc:
         raise CliError(f"training failed: {exc}") from None
+    except (FloatingPointError, RuntimeError) as exc:
+        raise CliError(f"training failed: {exc} (check the keys that scale the step: "
+                       f"{', '.join(_STEP_KEYS)})") from None
     save_checkpoint(os.path.join(out_dir, "model.ckpt"), model, mix)
     with open(os.path.join(out_dir, "history.csv"), "w", encoding="ascii") as fh:
         fh.write("epoch,total,isac,tla,oe,val_acc\n")
@@ -436,3 +445,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import logsumexp_softmax
+from .util import logsumexp_softmax, norms_along
 from .vmf import VmfMixture, _log_norm_and_ratio
 
 __all__ = [
@@ -110,7 +110,7 @@ def oe_uniform_loss_batch(logits: np.ndarray):
     """Row-wise ``oe_uniform_loss``: returns (values (n,), gradients (n, K))."""
     k = logits.shape[-1]
     lse, probs = logsumexp_softmax(logits)
-    return lse - logits.mean(axis=-1), probs - 1.0 / k
+    return lse - np.add.reduce(logits, axis=-1) / k, probs - 1.0 / k
 
 
 def scl_batch_loss(features: np.ndarray, labels: np.ndarray, anchor_index: int, tau: float) -> float:
@@ -215,9 +215,9 @@ def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
         raise ValueError(f"features must be (n, {mix.dim})")
     if y.shape != (z.shape[0],):
         raise ValueError("one label per feature row required")
-    if np.any(y < 0) or np.any(y >= mix.n_classes):
+    if (y < 0).any() or (y >= mix.n_classes).any():
         raise ValueError("label out of range for the mixture")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("features must be finite")
 
     n = z.shape[0]
@@ -229,7 +229,7 @@ def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
     # tilted concentrations per (sample, class)
     centers = kappas[:, None] * mix.mus
     tilted_vec = centers[None, :, :] + z[:, None, :] / tau
-    tilted = np.linalg.norm(tilted_vec, axis=2)
+    tilted = norms_along(tilted_vec, axis=2)
     # one Bessel pass for the class and the tilted concentrations together
     log_z, ratio = _log_norm_and_ratio(mix.dim, np.concatenate([kappas, tilted.ravel()]))
     log_z_class = log_z[:k]

@@ -9,14 +9,15 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import losses
-from .util import derive_seed
-from .vmf import VmfMixture, VmfParams, estimate_class_stats
+from .util import derive_seed, norms_along
+from .vmf import VmfMixture, estimate_class_stats
 
 __all__ = [
     "EncoderClassifier",
@@ -113,8 +114,8 @@ def _forward_batch(model: EncoderClassifier, x: np.ndarray):
         h = np.tanh(h @ w.T + b)
         acts.append(h)
     pre = h @ model.weights[-1].T + model.biases[-1]
-    norms = np.linalg.norm(pre, axis=-1)
-    if np.any(norms < 1e-12):
+    norms = norms_along(pre)
+    if (norms < 1e-12).any():
         raise ValueError("degenerate embedding: pre-normalization output is ~0")
     z = pre / norms[:, None]
     return acts, pre, norms, z
@@ -139,22 +140,27 @@ def classifier_logits(model: EncoderClassifier, z) -> np.ndarray:
     return zv @ model.clf_w.T + model.clf_b
 
 
-def _zero_grads(model: EncoderClassifier) -> list:
-    return [np.zeros_like(p) for p in model.param_list()]
+def _views(flat: np.ndarray, like) -> list:
+    # consecutive slices of ``flat`` shaped like the arrays in ``like``
+    views, start = [], 0
+    for a in like:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
     # head
     if d_logits is not None:
         grads[-2] += d_logits.T @ z
-        grads[-1] += d_logits.sum(axis=0)
+        grads[-1] += np.add.reduce(d_logits, axis=0)
         d_z = d_z + d_logits @ model.clf_w if d_z is not None else d_logits @ model.clf_w
     # unit-norm projection: (I - z z^T) / ||pre||
-    d_pre = (d_z - z * np.sum(z * d_z, axis=-1, keepdims=True)) / norms[:, None]
+    d_pre = (d_z - z * np.add.reduce(z * d_z, axis=-1, keepdims=True)) / norms[:, None]
     g = d_pre
     for layer in range(len(model.weights) - 1, -1, -1):
         grads[2 * layer] += g.T @ acts[layer]
-        grads[2 * layer + 1] += g.sum(axis=0)
+        grads[2 * layer + 1] += np.add.reduce(g, axis=0)
         if layer > 0:
             g = (g @ model.weights[layer]) * (1.0 - acts[layer] ** 2)
 
@@ -181,6 +187,7 @@ def batch_loss_and_grads(
     method: str = "patt",
     oe_gamma: float = 0.5,
     forward=None,
+    flat_grad=None,
 ):
     """Mean batch objective and its exact parameter gradients.
 
@@ -188,15 +195,20 @@ def batch_loss_and_grads(
     encoder (through the unit-norm projection) and the classifier head for
     both the labeled and the outlier stream. ``forward`` may carry the
     labeled batch's encoder pass (``_forward_batch(model, id_x)``) when the
-    caller already ran it.
+    caller already ran it. The gradients are returned as one array per
+    parameter in ``param_list`` order, each a view into one flat vector:
+    ``flat_grad`` when the caller passes a zero vector of the parameter
+    count, otherwise a new one.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n = id_x.shape[0]
     if n == 0:
         raise ValueError("empty labeled batch")
-    grads = _zero_grads(model)
-    uniform = np.full(model.n_classes, 1.0 / model.n_classes)
+    params = model.param_list()
+    if flat_grad is None:
+        flat_grad = np.zeros(sum(p.size for p in params))
+    grads = _views(flat_grad, params)
 
     acts, _, norms, z = _forward_batch(model, id_x) if forward is None else forward
     logits = z @ model.clf_w.T + model.clf_b
@@ -208,14 +220,16 @@ def batch_loss_and_grads(
         tla_vals, tla_grads = losses.tla_loss_batch(logits, id_y, priors, hyper.epsilon)
         d_z = isac_grads / n
         d_logits = hyper.alpha * tla_grads / n
-        isac_mean, cls_mean = float(isac_vals.mean()), float(tla_vals.mean())
+        isac_mean = float(np.add.reduce(isac_vals)) / n
+        cls_mean = float(np.add.reduce(tla_vals)) / n
         ood_weight = hyper.beta
     else:
         # plain cross entropy == adjustment under uniform priors
+        uniform = np.full(model.n_classes, 1.0 / model.n_classes)
         ce_vals, ce_grads = losses.tla_loss_batch(logits, id_y, uniform, 1.0)
         d_z = np.zeros_like(z)
         d_logits = ce_grads / n
-        isac_mean, cls_mean = 0.0, float(ce_vals.mean())
+        isac_mean, cls_mean = 0.0, float(np.add.reduce(ce_vals)) / n
         ood_weight = oe_gamma if method == "oe-baseline" else 0.0
     _backprop_stream(model, acts, norms, z, d_z, d_logits, grads)
 
@@ -225,7 +239,7 @@ def batch_loss_and_grads(
         acts_o, _, norms_o, z_o = _forward_batch(model, ood_x)
         logits_o = z_o @ model.clf_w.T + model.clf_b
         oe_vals, oe_grads = losses.oe_uniform_loss_batch(logits_o)
-        oe_mean = float(oe_vals.mean())
+        oe_mean = float(np.add.reduce(oe_vals)) / m
         _backprop_stream(model, acts_o, norms_o, z_o, None, ood_weight * oe_grads / m, grads)
 
     if method == "patt":
@@ -337,10 +351,7 @@ def _apply_update(model, flat_grad, config, opt):
         vel = config.sgd_momentum * opt.velocity + flat_grad
         params -= lr * vel
         new_opt = _SgdState(velocity=vel)
-    views, start = [], 0
-    for p in current:
-        views.append(params[start:start + p.size].reshape(p.shape))
-        start += p.size
+    views = _views(params, current)
     n_layers = len(model.weights)
     new_model = EncoderClassifier(
         weights=views[0:2 * n_layers:2],
@@ -379,14 +390,17 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: losses.PattHyper):
         if mix is None:
             raise ValueError("patt training requires initialized mixture statistics")
 
-    breakdown, grads = batch_loss_and_grads(
+    # batch_loss_and_grads accumulates every parameter's gradient into a
+    # view of this one vector
+    flat_grad = np.zeros(sum(p.size for p in state.model.param_list()))
+    breakdown, _ = batch_loss_and_grads(
         state.model, mix, id_x, id_y, ood_x, hyper, state.priors,
         method=config.method, oe_gamma=config.oe_gamma, forward=forward,
+        flat_grad=flat_grad,
     )
     for name, val in (("isac", breakdown.isac), ("tla", breakdown.tla), ("oe", breakdown.oe)):
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise RuntimeError(f"non-finite loss term: {name} = {val}")
-    flat_grad = _flatten(grads)
     if not np.isfinite(flat_grad).all():
         raise RuntimeError("non-finite gradient in parameter update")
 
@@ -507,9 +521,9 @@ def save_checkpoint(path, model: EncoderClassifier, mix: VmfMixture) -> None:
     parts.append(struct.pack("<I", model.n_classes))
     for arr in model.param_list():
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    for comp, prior in zip(mix.classes, mix.priors):
-        parts.append(np.ascontiguousarray(comp.mu, dtype="<f8").tobytes())
-        parts.append(struct.pack("<dd", comp.kappa, float(prior)))
+    # one row per class: mu, kappa, prior
+    stats = np.column_stack([mix.mus, mix.kappas, mix.priors])
+    parts.append(np.ascontiguousarray(stats, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -553,13 +567,9 @@ def load_checkpoint(path):
     dim = sizes[-1]
     clf_w = take_f64(k * dim, (k, dim))
     clf_b = take_f64(k, (k,))
-    comps, priors = [], np.empty(k)
-    for j in range(k):
-        mu = take_f64(dim, (dim,))
-        kappa, prior = take("<dd")
-        comps.append(VmfParams(mu=mu, kappa=kappa, dim=dim))
-        priors[j] = prior
+    stats = take_f64(k * (dim + 2), (k, dim + 2))
     if off != len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
     model = EncoderClassifier(weights=weights, biases=biases, clf_w=clf_w, clf_b=clf_b)
-    return model, VmfMixture(classes=comps, priors=priors)
+    mix = VmfMixture(mus=stats[:, :dim], kappas=stats[:, dim], priors=stats[:, dim + 1])
+    return model, mix

@@ -1,5 +1,12 @@
-"""Shared helpers: deterministic derivation of per-role random seeds, and the
-one log-sum-exp/softmax of the package."""
+"""Shared helpers: deterministic derivation of per-role random seeds, the
+one log-sum-exp/softmax of the package, and norms along an axis.
+
+The hot paths call numpy's ufunc reductions (``np.add.reduce``,
+``np.maximum.reduce``, ``.any()``/``.all()``) directly instead of the
+Python-level wrappers ``np.sum``/``np.max``/``np.any``/``np.linalg.norm``:
+each wrapper dispatches to the same ufunc loop, so the bits are the same and
+only the per-call overhead goes.
+"""
 
 import hashlib
 
@@ -25,8 +32,16 @@ def logsumexp_softmax(a: np.ndarray):
     holds only ``-inf`` has log-sum-exp ``-inf`` (its softmax is NaN). The
     log-sum-exp has the shape of ``a`` without its last axis.
     """
-    m = np.max(a, axis=-1, keepdims=True)
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(a - m)
-    total = np.sum(e, axis=-1, keepdims=True)
-    return np.squeeze(m, -1) + np.log(np.squeeze(total, -1)), e / total
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(total[..., 0]), e / total
+
+
+def norms_along(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Euclidean norms of real ``x`` along ``axis``: ``np.linalg.norm(x,
+    axis=axis)`` without its wrapper, which computes this same
+    ``sqrt(add.reduce(x * x))``, so the bits are equal. (A per-row dot
+    product sums in another order and can differ in the last bit.)"""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))

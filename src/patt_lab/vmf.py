@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import logsumexp_softmax
+from .util import logsumexp_softmax, norms_along
 
 __all__ = [
     "KAPPA_MAX",
@@ -36,6 +36,13 @@ KAPPA_MAX = 1e4
 
 _MU_NORM_TOL = 1e-9
 _UNIT_INPUT_TOL = 1e-6
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    # Norm of each row with the bits of np.linalg.norm on that row, which is
+    # sqrt(row @ row); an axis-wise reduction sums in another order. A stacked
+    # vector-vector matmul takes the same dot product path for every row.
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
 
 
 @dataclass
@@ -63,44 +70,50 @@ class VmfParams:
 
 @dataclass
 class VmfMixture:
-    """A finite mixture of same-dimension vMF components with strict priors."""
+    """A finite mixture of same-dimension vMF components with strict priors,
+    stored as arrays: ``mus`` (K, dim) unit rows, ``kappas`` (K,) and
+    ``priors`` (K,).
 
-    classes: list
+    Construction runs every check of ``VmfParams`` on all rows at once and
+    requires positive priors that sum to 1.
+    """
+
+    mus: np.ndarray
+    kappas: np.ndarray
     priors: np.ndarray
 
     def __post_init__(self) -> None:
-        self.classes = list(self.classes)
+        self.mus = np.asarray(self.mus, dtype=np.float64)
+        self.kappas = np.asarray(self.kappas, dtype=np.float64)
         self.priors = np.asarray(self.priors, dtype=np.float64)
-        if not self.classes:
-            raise ValueError("mixture needs at least one component")
-        if any(not isinstance(c, VmfParams) for c in self.classes):
-            raise ValueError("mixture components must be VmfParams")
-        dims = {c.dim for c in self.classes}
-        if len(dims) != 1:
-            raise ValueError(f"components disagree on dimension: {sorted(dims)}")
-        if self.priors.shape != (len(self.classes),):
-            raise ValueError("priors length must match number of components")
-        if np.any(self.priors <= 0.0):
+        if self.mus.ndim != 2 or self.mus.shape[0] == 0:
+            raise ValueError(f"mus must be a non-empty (K, dim) matrix, got shape {self.mus.shape}")
+        k, dim = self.mus.shape
+        if dim < 2:
+            raise ValueError(f"dim must be >= 2, got {dim}")
+        if self.kappas.shape != (k,) or self.priors.shape != (k,):
+            raise ValueError(f"kappas {self.kappas.shape} and priors {self.priors.shape} "
+                             f"must both have shape ({k},)")
+        # each test is written so that NaN fails it
+        if not (np.isfinite(self.kappas) & (self.kappas >= 0.0)).all():
+            raise ValueError(f"kappa must be finite and non-negative, got {self.kappas}")
+        norms = _row_norms(self.mus)
+        bad = ~(np.abs(norms - 1.0) <= _MU_NORM_TOL)
+        if bad.any():
+            raise ValueError(f"mu must be unit norm, got ||mu|| = {norms[bad][0]!r}")
+        if not (self.priors > 0.0).all():
             raise ValueError("priors must be strictly positive")
-        if abs(float(self.priors.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"priors must sum to 1, got {float(self.priors.sum())!r}")
+        total = float(np.add.reduce(self.priors))
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"priors must sum to 1, got {total!r}")
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return self.mus.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.classes[0].dim
-
-    @property
-    def mus(self) -> np.ndarray:
-        """Component directions stacked as a (K, dim) matrix."""
-        return np.stack([c.mu for c in self.classes])
-
-    @property
-    def kappas(self) -> np.ndarray:
-        return np.array([c.kappa for c in self.classes])
+        return self.mus.shape[1]
 
 
 def log_sum_exp(values) -> float:
@@ -132,7 +145,7 @@ def _log_bessel_series_plain(orders, row, x):
         m += 1
         term = term * q / (m * (m + nu))
         total += term
-        if m > 4 and np.all(term < 1e-18 * total):
+        if m > 4 and (term < 1e-18 * total).all():
             break
         if m > 10000:  # pragma: no cover - series converges long before this
             raise RuntimeError("Bessel series failed to converge")
@@ -154,7 +167,7 @@ def _log_bessel_series_log(orders, row, x):
         log_m_nu = np.array([math.log(m + v) for v in orders])[row]
         log_term = log_term + 2.0 * log_half_x - math.log(m) - log_m_nu
         total = np.logaddexp(total, log_term)
-        if m > 4 and np.all(log_term < total - 45.0):
+        if m > 4 and (log_term < total - 45.0).all():
             break
         if m > 500000:  # pragma: no cover
             raise RuntimeError("Bessel series failed to converge")
@@ -179,7 +192,7 @@ def _log_bessel_asymptotic(nu, x):
         term *= inv8x
         term /= k
         total += term
-        if k % 4 == 0 and np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+        if k % 4 == 0 and (np.abs(term) <= 1e-17 * np.abs(total)).all():
             break
     return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(total)
 
@@ -191,7 +204,7 @@ def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     # element has converged are below half an ulp of its sum, so every element
     # has the bits of a single-order evaluation.
     cut = np.maximum(30.0, 2.0 * orders * orders)
-    if x.min(initial=np.inf) >= cut.max():
+    if np.minimum.reduce(x, initial=np.inf) >= np.maximum.reduce(cut):
         # every element takes the asymptotic branch: evaluate the block
         return _log_bessel_asymptotic(orders[:, None], x)
     row = np.repeat(np.arange(orders.size), x.size)
@@ -226,10 +239,10 @@ def log_bessel_i(nu, x):
     orders = np.atleast_1d(orders)
     if orders.ndim != 1 or orders.size == 0:
         raise ValueError("order must be a scalar or a non-empty 1-D sequence")
-    if not np.all(np.isfinite(orders)) or np.any(orders < 0.0):
+    if not (np.isfinite(orders) & (orders >= 0.0)).all():
         raise ValueError(f"order must be finite and non-negative, got {nu}")
     xs = np.asarray(x, dtype=np.float64)
-    if np.any(~np.isfinite(xs)) or np.any(xs < 0.0):
+    if not (np.isfinite(xs) & (xs >= 0.0)).all():
         raise ValueError("argument must be finite and non-negative")
     flat = np.atleast_1d(xs).ravel()
     zero = flat == 0.0
@@ -311,9 +324,14 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     """
     half = 0.5 * dim
     nu = half - 1.0
+    pos = kappa > 0.0
+    if pos.all():
+        # no kappa = 0 lane: skip the boolean gather and scatter
+        log_i = log_bessel_i((nu, half), kappa)
+        log_norm = nu * np.log(kappa) - half * math.log(2.0 * math.pi) - log_i[0]
+        return log_norm, np.exp(log_i[1] - log_i[0])
     log_norm = np.full(kappa.shape, _log_uniform_const(dim))
     ratio = np.zeros(kappa.shape)
-    pos = kappa > 0.0
     if pos.any():
         kp = kappa[pos]
         log_i = log_bessel_i((nu, half), kp)
@@ -323,9 +341,9 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
 
 
 def _check_unit_rows(z: np.ndarray, what: str) -> None:
-    norms = np.linalg.norm(z, axis=-1)
+    norms = norms_along(z)
     deviation = np.abs(norms - 1.0)
-    if not np.all(deviation <= _UNIT_INPUT_TOL):  # written so that NaN fails
+    if not (deviation <= _UNIT_INPUT_TOL).all():  # written so that NaN fails
         worst = float(norms.ravel()[np.argmax(deviation.ravel())])
         raise ValueError(f"{what} must be unit norm, worst ||.|| = {worst!r}")
 
@@ -380,13 +398,6 @@ def _banerjee_kappa(r_bar: np.ndarray, dim: int) -> np.ndarray:
     return np.where(capped, KAPPA_MAX, kappa)
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    # Norm of each row with the bits of np.linalg.norm on that row, which is
-    # sqrt(row @ row); an axis-wise reduction sums in another order. A stacked
-    # vector-vector matmul takes the same dot product path for every row.
-    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
-
-
 def _unit_rows_or(a: np.ndarray, norms: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     # rows of ``a`` scaled to unit length; rows whose norm is ~0 take the
     # matching row of ``fallback``
@@ -432,28 +443,33 @@ def estimate_class_stats(
         if class_counts is None:
             raise ValueError("class_counts is required when no previous stats exist")
         counts = np.asarray(class_counts, dtype=np.float64)
-        if counts.ndim != 1 or counts.size < 2 or np.any(counts <= 0):
+        if counts.ndim != 1 or counts.size < 2 or not (counts > 0).all():
             raise ValueError("class_counts must be positive with >= 2 classes")
         n_classes = counts.size
-        priors = counts / counts.sum()
+        priors = counts / np.add.reduce(counts)
 
-    if np.any(labs < 0) or np.any(labs >= n_classes):
+    if (labs < 0).any() or (labs >= n_classes).any():
         raise ValueError("labels out of range for the class count")
 
     n_rows = np.bincount(labs, minlength=n_classes)
     present = n_rows > 0
-    if previous is None and not present.all():
+    every = present.all()
+    if previous is None and not every:
         absent = int(np.argmin(present))
         raise ValueError(f"class {absent} has no samples and no previous stats")
     # per-class resultants, accumulated row by row in batch order (the order
     # of a per-class row sum, so the bits match)
     resultants = np.zeros((n_classes, dim))
     np.add.at(resultants, labs, feats)
-    resultants = resultants[present]
+    if not every:
+        resultants, n_rows = resultants[present], n_rows[present]
     r_norm = _row_norms(resultants)
-    kappa_hat = _banerjee_kappa(r_norm / n_rows[present], dim)
+    kappa_hat = _banerjee_kappa(r_norm / n_rows, dim)
     if previous is not None:
-        fallback = prev_mus = previous.mus[present]
+        prev_mus, prev_kappas = previous.mus, previous.kappas
+        if not every:
+            prev_mus, prev_kappas = prev_mus[present], prev_kappas[present]
+        fallback = prev_mus
     else:
         # fully cancelled resultant: direction is unidentifiable, kappa is
         # 0 anyway so any fixed unit vector gives the same (uniform) law
@@ -463,14 +479,16 @@ def estimate_class_stats(
     if previous is not None and momentum > 0.0:
         blend = momentum * prev_mus + (1.0 - momentum) * mu_hat
         mu_new = _unit_rows_or(blend, _row_norms(blend), mu_hat)
-        kappa_new = momentum * previous.kappas[present] + (1.0 - momentum) * kappa_hat
+        kappa_new = momentum * prev_kappas + (1.0 - momentum) * kappa_hat
     else:
         mu_new, kappa_new = mu_hat, kappa_hat
 
-    components = list(previous.classes) if previous is not None else [None] * n_classes
-    for j, y in enumerate(np.flatnonzero(present)):
-        components[y] = VmfParams(mu=mu_new[j], kappa=kappa_new[j], dim=dim)
-    return VmfMixture(classes=components, priors=priors)
+    if not every:
+        # absent classes keep their previous rows
+        mus, kappas = previous.mus.copy(), previous.kappas.copy()
+        mus[present], kappas[present] = mu_new, kappa_new
+        mu_new, kappa_new = mus, kappas
+    return VmfMixture(mus=mu_new, kappas=kappa_new, priors=priors)
 
 
 def _orthonormal_to(mu: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ Everything here trades speed for transparency: literal series summation in
 Production code must agree with these oracles, never the other way around.
 The module also keeps the earlier forms of rewritten hot paths (the
 per-element asymptotic Bessel kernel, two-pass log-sum-exp and softmax, the
-per-parameter optimizer step); the rewrites must match them bit for bit.
+per-parameter optimizer step, the per-class statistics refresh); the
+rewrites must match them bit for bit.
 """
 
 import math
@@ -139,6 +140,63 @@ def apply_update_ref(params, grads, config, state=None):
         p -= lr * vel
         new_vel.append(vel)
     return params, {"velocity": new_vel}
+
+
+def mixture_of(components, priors):
+    """A ``vmf.VmfMixture`` whose rows are the given ``VmfParams``."""
+    return vmf.VmfMixture(mus=np.stack([c.mu for c in components]),
+                          kappas=np.array([c.kappa for c in components]),
+                          priors=priors)
+
+
+def components_of(mix):
+    """Each row of a mixture as its own validated ``VmfParams``."""
+    return [vmf.VmfParams(mu=mix.mus[j], kappa=mix.kappas[j], dim=mix.dim)
+            for j in range(mix.n_classes)]
+
+
+def class_stats_ref(feats, labs, previous, momentum, class_counts=None):
+    """``vmf.estimate_class_stats`` one class at a time, as a Python loop that
+    builds one ``VmfParams`` per class.
+
+    ``previous`` is None or an earlier ``(components, priors)`` result of this
+    function; returns ``(components, priors)``.
+    """
+    dim = feats.shape[1]
+    if previous is None:
+        counts = np.asarray(class_counts, dtype=np.float64)
+        priors = counts / counts.sum()
+        prev_comps = [None] * counts.size
+    else:
+        prev_comps, priors = previous
+    comps = []
+    for y, prev in enumerate(prev_comps):
+        rows = feats[labs == y]
+        if rows.shape[0] == 0:
+            comps.append(prev)
+            continue
+        resultant = rows.sum(axis=0)
+        r_norm = float(np.linalg.norm(resultant))
+        r_bar = r_norm / rows.shape[0]
+        if r_norm > 1e-12:
+            mu_hat = resultant / r_norm
+        elif prev is not None:
+            mu_hat = prev.mu
+        else:
+            mu_hat = np.zeros(dim)
+            mu_hat[0] = 1.0
+        if r_bar >= 1.0 - 1e-12:
+            kappa_hat = vmf.KAPPA_MAX
+        else:
+            kappa_hat = r_bar * (dim - r_bar * r_bar) / (1.0 - r_bar * r_bar)
+            kappa_hat = min(max(kappa_hat, 0.0), vmf.KAPPA_MAX)
+        if prev is not None and momentum > 0.0:
+            blend = momentum * prev.mu + (1.0 - momentum) * mu_hat
+            b_norm = float(np.linalg.norm(blend))
+            mu_hat = blend / b_norm if b_norm > 1e-12 else mu_hat
+            kappa_hat = momentum * prev.kappa + (1.0 - momentum) * kappa_hat
+        comps.append(vmf.VmfParams(mu=mu_hat, kappa=kappa_hat, dim=dim))
+    return comps, priors
 
 
 def log_z3(kappa):

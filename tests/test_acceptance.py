@@ -22,7 +22,7 @@ from patt_lab.metrics import auroc, aupr, classification_report, fpr_at_95_tpr
 from patt_lab.model import (EncoderClassifier, TrainConfig,
                             batch_loss_and_grads, classifier_logits,
                             encoder_forward, train)
-from patt_lab.vmf import (VmfMixture, VmfParams, estimate_class_stats,
+from patt_lab.vmf import (VmfParams, estimate_class_stats,
                           log_bessel_i, log_norm_const, sample_vmf,
                           vmf_mgf_log)
 
@@ -44,9 +44,9 @@ def random_mixture(rng, k, d, hi):
     mus = rng.normal(size=(k, d))
     mus /= np.linalg.norm(mus, axis=1, keepdims=True)
     priors = rng.uniform(0.2, 1.0, size=k)
-    return VmfMixture(
-        classes=[vp(mus[j], rng.uniform(0.5, hi)) for j in range(k)],
-        priors=priors / priors.sum())
+    return oracles.mixture_of(
+        [vp(mus[j], rng.uniform(0.5, hi)) for j in range(k)],
+        priors / priors.sum())
 
 
 def fd_grad(f, x, h):
@@ -101,7 +101,7 @@ def test_criterion_2_isac_is_infinite_batch_scl(capsys):
         for j in range(mix.n_classes):
             rows = np.flatnonzero(labels == j)
             if rows.size:
-                feats[rows] = sample_vmf(mix.classes[j], rows.size,
+                feats[rows] = sample_vmf(oracles.components_of(mix)[j], rows.size,
                                          seed=seed * 131 + j)
         return feats, labels
 
@@ -114,7 +114,7 @@ def test_criterion_2_isac_is_infinite_batch_scl(capsys):
         anchors = []
         for a in range(8):
             y = int(rng.integers(0, k))
-            z = sample_vmf(mix.classes[y], 1, seed=7000 + 10 * ms + a)[0]
+            z = sample_vmf(oracles.components_of(mix)[y], 1, seed=7000 + 10 * ms + a)[0]
             anchors.append((z, y, isac_loss(mix, z, y, tau=1.0).value))
         means = []
         for p in (8, 11, 14):

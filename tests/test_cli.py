@@ -1,9 +1,18 @@
 """End-to-end tests of the command-line pipeline on a miniature dataset."""
 
+import contextlib
+import io
+import os
 import shutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patt_lab import cli
 from patt_lab.metrics import EvalReport
@@ -364,3 +373,122 @@ class TestClassCountAgreement:
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
         assert err.startswith("error:") and "4 classes but n_classes = 5" in err
+
+
+@pytest.fixture(scope="module")
+def small_two_epochs(tmp_path_factory):
+    # the CLI defaults (the `small` data) trained for two epochs
+    root = tmp_path_factory.mktemp("small2")
+    config = root / "run.cfg"
+    config.write_text("epochs = 2\n")
+    run(config, root / "out", "gen-data")
+    return root / "out"
+
+
+class TestOverflowingStep:
+    """A finite config value that overflows the training step ends in one
+    ``error: training failed`` line naming the keys that scale the step,
+    with no numpy warning printed first."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "1e300"),  # used to fail as "features must be unit norm"
+        ("tau", "1e-320"),           # used to fail as "argument must be finite"
+        ("alpha", "1e308"),          # used to exit 0 after numpy warnings
+        ("epsilon", "1e-300"),       # used to exit 0 after numpy warnings
+    ])
+    def test_overflow_is_one_error_line(self, small_two_epochs, tmp_path, capsys, key, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"epochs = 2\n{key} = {value}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--config", str(config), "--out", str(small_two_epochs)])
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: training failed: overflow encountered in"), err
+        for name in cli._STEP_KEYS:
+            assert name in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    # `python -m patt_lab.cli` used to exit 0 without running anything
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "patt_lab.cli", "train", "--config", str(tmp_path / "nope.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: missing config file") and done.stderr.count("\n") == 1
+
+
+FUZZ = {
+    "seed": 0, "n_classes": 3, "feature_dim": 4, "imbalance_ratio": 4.0,
+    "max_per_class": 24, "val_per_class": 4, "test_per_class": 4,
+    "ood_train_size": 16, "ood_test_size": 12, "ood_test_clusters": 2,
+    "epochs": 1, "batch_size": 16, "ood_batch_size": 8, "encoder_widths": "6",
+}
+
+TINIEST = 5e-324
+HUGE = 1.7976931348623157e308
+
+
+def step_value(low, high, extremes):
+    # a listed extreme (boundaries, subnormals, overflow-sized, one invalid
+    # value) or an ordinary float from the key's valid range
+    return st.one_of(st.sampled_from(extremes),
+                     st.floats(low, high, exclude_max=high < HUGE))
+
+
+WEIGHT = step_value(0.0, HUGE, [0.0, TINIEST, 1e-300, 0.1, 0.5, 1.0, 1e12,
+                                1e150, 1e300, HUGE, -1e-300])
+POSITIVE = step_value(TINIEST, HUGE, [TINIEST, 1e-320, 1e-300, 1e-12, 0.1, 0.7,
+                                      1.0, 1e12, 1e300, HUGE, 0.0])
+STEP_KEYS = {
+    "learning_rate": WEIGHT, "alpha": WEIGHT, "beta": WEIGHT, "oe_gamma": WEIGHT,
+    "epsilon": POSITIVE, "tau": POSITIVE,
+    "vmf_momentum": step_value(0.0, 1.0, [0.0, TINIEST, 0.5, 0.9, 0.9999999999999999, 1.0]),
+    "sgd_momentum": step_value(-HUGE, HUGE, [0.0, 0.9, 1.0, 2.0, 1e12, 1e300, -1.0]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    config = write_config(root / "data.cfg", **FUZZ)
+    run(config, root / "out", "gen-data")
+    return root
+
+
+def main_quietly(argv):
+    # (exit code, stderr text, warnings raised), with stderr captured per call
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    return rc, err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestCliContractFuzz:
+    """Every drawn value of the keys that scale a training step ends in exit 0
+    with nothing on stderr, or exit 1 with exactly one ``error:`` line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.fixed_dictionaries(STEP_KEYS),
+           method=st.sampled_from(["patt", "oe-baseline", "ce-baseline"]),
+           optimizer=st.sampled_from(["adam", "sgd"]))
+    def test_train_and_later_stages(self, fuzz_data, values, method, optimizer):
+        config = fuzz_data / "run.cfg"
+        items = dict(FUZZ, method=method, optimizer=optimizer,
+                     **{k: repr(v) for k, v in values.items()})
+        config.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
+        for command in ("train", "calibrate", "eval", "report"):
+            rc, err, caught = main_quietly(
+                [command, "--config", str(config), "--out", str(fuzz_data / "out")])
+            assert not caught, (command, caught)
+            if rc != 0:
+                assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
+                break
+            assert err == "", (command, err)

@@ -57,10 +57,15 @@ tail_fraction = 0.3333333333333333
 seed = 0
 """
 
+PATT = "method = patt\nscore = energy\nuse_calibration = auto\n"
+
 CONFIGS = {
-    "small": SMALL + "method = patt\nscore = energy\nuse_calibration = auto\n",
+    "small": SMALL + PATT,
     # the same data trained and scored as the outlier-exposure baseline
     "oe-baseline": SMALL + "method = oe-baseline\nscore = msp\nuse_calibration = off\n",
+    # seed 4's first step sends two tilted concentrations (x = 30.3, 31.4)
+    # to the plain Bessel series at order d/2, so the mixed-branch path runs
+    "small-seed4": SMALL.replace("seed = 0\n", "seed = 4\n") + PATT,
 }
 
 DATA = {
@@ -92,6 +97,21 @@ DIGESTS = {
         "report.csv": "96b9d87671e02ecb8c56e98453e11929d3be2f6072eea0cf712672f078c53287",
         "hist.csv": "e3c7f10945e9e906e5cbf769fe376ae8f361ab1a49674b45e39eec5102c156dd",
         "acc_table.csv": "65d6abb396e4a40891bf3e2578dadef4a0ef04be58dd63cc8001d01b87e08e4e",
+    },
+    "small-seed4": {
+        "train.csv": "36e75dcc31f24eb11a1ff6e7ca7f31d53b9c355bb97b5a3f77563e8f01cc0a11",
+        "val_id.csv": "0cbc94948ebe51df86cbf0574f5dc05e3b96d37df1019d87f53c682865ae8fc1",
+        "test_id.csv": "dc395327db8b163a3386689f3f78733c84e11d1353fe2af2137cb5f1ab80e8c2",
+        "train_ood.csv": "7f44bf92b6103319af7b715e8f5ec0d3bfef785b81cbfa2bf5033bbd7e320ad9",
+        "test_ood.csv": "b566c1fa11aa9d0e6dbb2baa5992e197b8d559494b939df18583c7175278def1",
+        "manifest.txt": "2554e0002533b5c4bbaaa66bb76d5e5da2dbc0e220b0a8ce9e29b998145413ee",
+        "model.ckpt": "cefa50ad0a7fc93c83b2aace1cf82cf562d8c0979a33dc11ff17ef1b9ddfde2a",
+        "history.csv": "72ad334e07d3b7870b629005d048d5f37edcd409dcff3fcba3e98106e3d772b1",
+        "attention.csv": "2fc2acfb63287c6f9f37dda7667fcd63fc4d037a6ee1a2b994d4908cf6ff94b5",
+        "scores.csv": "2c656a27411c373e42a6dc9b8bd12e15f63280ee66d57b14489e3b1d684a516c",
+        "report.csv": "9aa92cbbd4b2e59defa13e6840992cc0eb99f7fef82b9871ae26a9535ff668d4",
+        "hist.csv": "5937918d9512da4e8ab2f48bf160ad388fe9b891c750e0f84fb64226f2a6cba7",
+        "acc_table.csv": "62d6329b3a17d545bc34929e0843989f93df619a86de513e1a7f2e271538d586",
     },
 }
 

@@ -10,7 +10,7 @@ from patt_lab.losses import (PattHyper, isac_loss, isac_loss_batch, la_loss,
                              patt_total_loss, scl_batch_loss, tla_loss,
                              tla_loss_batch)
 from patt_lab.util import logsumexp_softmax
-from patt_lab.vmf import VmfMixture, VmfParams, sample_vmf
+from patt_lab.vmf import VmfParams, sample_vmf
 
 import oracles
 
@@ -42,7 +42,7 @@ def random_mixture(rng, k, d, kappa_hi=20.0):
     priors = rng.uniform(0.2, 1.0, size=k)
     priors /= priors.sum()
     comps = [vp(mus[j], kappas[j]) for j in range(k)]
-    return VmfMixture(classes=comps, priors=priors)
+    return oracles.mixture_of(comps, priors)
 
 
 class TestOeUniformLoss:
@@ -225,15 +225,15 @@ class TestTlaLoss:
 class TestIsacLoss:
     def test_identical_classes_symmetric(self):
         p = vp(e(0, 3), 5.0)
-        mix = VmfMixture(classes=[p] * 4, priors=np.full(4, 0.25))
+        mix = oracles.mixture_of([p] * 4, np.full(4, 0.25))
         out = isac_loss(mix, unit([1.0, 2.0, -1.0]), 2, tau=0.5)
         assert out.value == pytest.approx(np.log(4), abs=1e-10)
         np.testing.assert_allclose(out.grad, 0.0, atol=1e-10)
 
     def test_two_class_closed_form_chain(self):
-        mix = VmfMixture(
-            classes=[vp(e(0, 3), 2.0), vp(-e(0, 3), 2.0)],
-            priors=np.array([0.5, 0.5]))
+        mix = oracles.mixture_of(
+            [vp(e(0, 3), 2.0), vp(-e(0, 3), 2.0)],
+            np.array([0.5, 0.5]))
         out = isac_loss(mix, e(0, 3), 0, tau=1.0)
         assert out.value == pytest.approx(0.30153415049965461, rel=1e-9)
 
@@ -243,8 +243,8 @@ class TestIsacLoss:
         z = unit(rng.normal(size=5))
         base = isac_loss(mix, z, 1, tau=0.3)
         perm = np.array([2, 0, 3, 1])
-        mix_p = VmfMixture(classes=[mix.classes[j] for j in perm],
-                           priors=mix.priors[perm])
+        comps = oracles.components_of(mix)
+        mix_p = oracles.mixture_of([comps[j] for j in perm], mix.priors[perm])
         y_p = int(np.flatnonzero(perm == 1)[0])
         out = isac_loss(mix_p, z, y_p, tau=0.3)
         assert out.value == pytest.approx(base.value, rel=1e-12)
@@ -289,7 +289,7 @@ class TestIsacLoss:
                 feats, labels = _mixture_batch(mix, size, seed=40 + rep)
                 for a in range(6):
                     y = int(rng.integers(0, 3))
-                    z = sample_vmf(mix.classes[y], 1, seed=900 + a)[0]
+                    z = sample_vmf(oracles.components_of(mix)[y], 1, seed=900 + a)[0]
                     target = isac_loss(mix, z, y, tau=1.0).value
                     f = np.vstack([z[None, :], feats])
                     l = np.concatenate([[y], labels])
@@ -313,7 +313,7 @@ def _mixture_batch(mix, n, seed):
     for j in range(mix.n_classes):
         rows = np.flatnonzero(labels == j)
         if rows.size:
-            feats[rows] = sample_vmf(mix.classes[j], rows.size, seed=seed + j)
+            feats[rows] = sample_vmf(oracles.components_of(mix)[j], rows.size, seed=seed + j)
     return feats, labels
 
 
@@ -338,7 +338,7 @@ class TestPattTotalLoss:
 
     def test_symmetric_degenerate_composition(self):
         p = vp(e(0, 3), 2.0)
-        mix = VmfMixture(classes=[p] * 5, priors=np.full(5, 0.2))
+        mix = oracles.mixture_of([p] * 5, np.full(5, 0.2))
         hyper = PattHyper(tau=0.5, epsilon=0.7, alpha=0.5, beta=0.1)
         out = patt_total_loss(mix, e(1, 3), 0, np.zeros(5), np.zeros((2, 5)),
                               hyper, np.full(5, 0.2))

@@ -11,7 +11,7 @@ from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState,
                             encoder_forward, load_checkpoint, save_checkpoint,
                             train, train_step)
 from patt_lab.util import derive_seed
-from patt_lab.vmf import VmfMixture, VmfParams, estimate_class_stats
+from patt_lab.vmf import VmfParams, estimate_class_stats
 
 import oracles
 
@@ -276,6 +276,67 @@ class TestTrainStep:
             train_step(state, (x, y), None, state.config.hyper)
 
 
+class TestFlatGradient:
+    """train_step accumulates every gradient into views of one zero vector."""
+
+    @pytest.mark.parametrize("method", ["patt", "oe-baseline", "ce-baseline"])
+    def test_flat_gradient_equals_flattened_list(self, monkeypatch, method):
+        model = make_model(seed=2)
+        x, y = batch_for(model, 12, seed=3)
+        ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
+        state = make_state(model, x, y, method=method)
+        seen = []
+        original = model_module._apply_update
+
+        def capturing(model, flat_grad, config, opt):
+            seen.append(flat_grad.copy())
+            return original(model, flat_grad, config, opt)
+
+        monkeypatch.setattr(model_module, "_apply_update", capturing)
+        hyper = state.config.hyper
+        new_state, _ = train_step(state, (x, y), ood, hyper)
+        # the refreshed statistics are the ones the step's loss used
+        _, grads = batch_loss_and_grads(model, new_state.mix, x, y, ood, hyper,
+                                        state.priors, method=method)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], model_module._flatten(grads))
+
+    def test_gradients_are_views_of_the_given_vector(self):
+        model = make_model(seed=2)
+        x, y = batch_for(model, 12, seed=3)
+        mix = stats_for(model, x, y)
+        size = sum(p.size for p in model.param_list())
+        flat = np.zeros(size)
+        _, grads = batch_loss_and_grads(model, mix, x, y, None, PattHyper(),
+                                        np.full(3, 1 / 3), flat_grad=flat)
+        assert [g.shape for g in grads] == [p.shape for p in model.param_list()]
+        assert all(np.shares_memory(g, flat) for g in grads)
+        np.testing.assert_array_equal(flat, model_module._flatten(grads))
+        _, fresh = batch_loss_and_grads(model, mix, x, y, None, PattHyper(),
+                                        np.full(3, 1 / 3))
+        for a, b in zip(grads, fresh):
+            np.testing.assert_array_equal(a, b)
+
+    def test_step_constructs_no_vmf_params(self, monkeypatch):
+        model = make_model(seed=2)
+        x, y = batch_for(model, 12, seed=3)
+        ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
+        state = make_state(model, x, y)
+        assert state.config.vmf_update == "batch"
+        built = []
+        original = VmfParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(VmfParams, "__post_init__", counting)
+        train_step(state, (x, y), ood, state.config.hyper)
+        assert built == []
+        VmfParams(mu=np.array([1.0, 0.0]), kappa=1.0, dim=2)
+        assert len(built) == 1
+
+
 def ref_model(model, params):
     # a model of the same layout holding the arrays of ``params``
     n = len(model.weights)
@@ -345,7 +406,7 @@ class TestTrain:
         m1, mix1, h1 = train(config, train_id, train_ood, val_id)
         m2, mix2, h2 = train(config, train_id, train_ood, val_id)
         assert params_equal(m1, m2)
-        for c1, c2 in zip(mix1.classes, mix2.classes):
+        for c1, c2 in zip(oracles.components_of(mix1), oracles.components_of(mix2)):
             assert np.array_equal(c1.mu, c2.mu) and c1.kappa == c2.kappa
         assert h1.records == h2.records
 
@@ -418,7 +479,7 @@ def make_mixture(rng, k, d):
     comps = [VmfParams(mu=mus[j], kappa=float(rng.uniform(1, 30)), dim=d)
              for j in range(k)]
     priors = rng.uniform(0.2, 1.0, size=k)
-    return VmfMixture(classes=comps, priors=priors / priors.sum())
+    return oracles.mixture_of(comps, priors / priors.sum())
 
 
 class TestCheckpoint:
@@ -431,7 +492,7 @@ class TestCheckpoint:
         loaded, loaded_mix = load_checkpoint(path)
         assert params_equal(model, loaded)
         assert np.array_equal(mix.priors, loaded_mix.priors)
-        for a, b in zip(mix.classes, loaded_mix.classes):
+        for a, b in zip(oracles.components_of(mix), oracles.components_of(loaded_mix)):
             assert np.array_equal(a.mu, b.mu) and a.kappa == b.kappa
 
     def test_file_carries_magic(self, tmp_path):

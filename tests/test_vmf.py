@@ -191,8 +191,7 @@ class TestVmfLogPdf:
                 rel_std = np.sqrt(max(np.exp(ln_second) - 1.0, 0.0) / n)
                 if 3.0 * rel_std > tol:
                     continue
-                mix = VmfMixture(classes=[vp(mu, kappa)],
-                                 priors=np.array([1.0]))
+                mix = oracles.mixture_of([vp(mu, kappa)], np.array([1.0]))
                 log_pdf = mixture_log_pdf(mix, zs)
                 integral = np.exp(area) * np.mean(np.exp(log_pdf))
                 assert integral == pytest.approx(1.0, rel=tol)
@@ -209,20 +208,20 @@ class TestVmfLogPdf:
 class TestMixtureLogPdf:
     def test_single_class(self):
         p = vp(e(1, 4), 3.0)
-        mix = VmfMixture(classes=[p], priors=np.array([1.0]))
+        mix = oracles.mixture_of([p], np.array([1.0]))
         z = unit([0.3, -1.0, 0.2, 0.9])
         assert mixture_log_pdf(mix, z) == pytest.approx(vmf_log_pdf(p, z), rel=1e-12)
 
     def test_identical_classes_collapse(self):
         p = vp(e(0, 3), 5.0)
-        mix = VmfMixture(classes=[p] * 4, priors=np.full(4, 0.25))
+        mix = oracles.mixture_of([p] * 4, np.full(4, 0.25))
         z = unit([1.0, 1.0, 0.0])
         assert mixture_log_pdf(mix, z) == pytest.approx(vmf_log_pdf(p, z), rel=1e-12)
 
     def test_two_class_direct_sum(self):
         p1 = vp(e(0, 3), 2.0)
         p2 = vp(unit([0.0, 1.0, 1.0]), 7.0)
-        mix = VmfMixture(classes=[p1, p2], priors=np.array([0.3, 0.7]))
+        mix = oracles.mixture_of([p1, p2], np.array([0.3, 0.7]))
         z = unit([1.0, -1.0, 0.5])
         direct = np.logaddexp(np.log(0.3) + vmf_log_pdf(p1, z),
                               np.log(0.7) + vmf_log_pdf(p2, z))
@@ -253,15 +252,15 @@ class TestEstimateClassStats:
         z = np.array([e(0, 3), -e(0, 3), e(1, 3), -e(1, 3), e(2, 3)])
         y = np.array([0, 0, 0, 0, 1])
         mix = estimate_class_stats(z, y, class_counts=[4, 1])
-        assert mix.classes[0].kappa == pytest.approx(0.0, abs=1e-9)
+        assert mix.kappas[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_identical_vectors_hit_clamp(self):
         v = unit([1.0, 2.0, 2.0])
         z = np.array([v, v, v, e(1, 3)])
         y = np.array([0, 0, 0, 1])
         mix = estimate_class_stats(z, y, class_counts=[3, 1])
-        np.testing.assert_allclose(mix.classes[0].mu, v, atol=1e-12)
-        assert mix.classes[0].kappa == KAPPA_MAX
+        np.testing.assert_allclose(mix.mus[0], v, atol=1e-12)
+        assert mix.kappas[0] == KAPPA_MAX
 
     def test_half_resultant_formula(self):
         # two unit vectors at +-60 degrees: mean length exactly 0.5
@@ -269,7 +268,7 @@ class TestEstimateClassStats:
         z = np.array([[0.5, s, 0.0], [0.5, -s, 0.0], [0.0, 0.0, 1.0]])
         y = np.array([0, 0, 1])
         mix = estimate_class_stats(z, y, class_counts=[2, 1])
-        assert mix.classes[0].kappa == pytest.approx(11.0 / 6.0, rel=1e-12)
+        assert mix.kappas[0] == pytest.approx(11.0 / 6.0, rel=1e-12)
 
     def test_idempotent_on_repeated_batch(self):
         rng = np.random.default_rng(4)
@@ -279,9 +278,10 @@ class TestEstimateClassStats:
         counts = np.bincount(y, minlength=2)
         first = estimate_class_stats(z, y, class_counts=counts)
         second = estimate_class_stats(z, y, previous=first, momentum=0.0)
-        for pa, pb in zip(first.classes, second.classes):
-            np.testing.assert_allclose(pa.mu, pb.mu, atol=1e-12)
-            assert pa.kappa == pytest.approx(pb.kappa, rel=1e-12)
+        for mu_a, mu_b in zip(first.mus, second.mus):
+            np.testing.assert_allclose(mu_a, mu_b, atol=1e-12)
+        for kappa_a, kappa_b in zip(first.kappas, second.kappas):
+            assert kappa_a == pytest.approx(kappa_b, rel=1e-12)
 
     def test_absent_class_keeps_previous(self):
         z0 = np.array([e(0, 3), e(1, 3), unit([1.0, 1.0, 0.0])])
@@ -289,8 +289,8 @@ class TestEstimateClassStats:
         z1 = np.array([e(2, 3)])
         second = estimate_class_stats(z1, np.array([0]), previous=first,
                                       momentum=0.0)
-        np.testing.assert_array_equal(second.classes[1].mu, first.classes[1].mu)
-        assert second.classes[1].kappa == first.classes[1].kappa
+        np.testing.assert_array_equal(second.mus[1], first.mus[1])
+        assert second.kappas[1] == first.kappas[1]
 
     def test_ema_blends_kappa(self):
         v = e(0, 3)
@@ -301,7 +301,7 @@ class TestEstimateClassStats:
         out = estimate_class_stats(batch, np.array([0, 0, 1, 1]), previous=prev,
                                    momentum=0.9)
         # class 0: previous clamp KAPPA_MAX, batch estimate 0
-        assert out.classes[0].kappa == pytest.approx(0.9 * KAPPA_MAX, rel=1e-12)
+        assert out.kappas[0] == pytest.approx(0.9 * KAPPA_MAX, rel=1e-12)
 
     def test_priors_fixed_from_counts(self):
         z = np.array([e(0, 3)] * 3 + [e(1, 3)])
@@ -428,44 +428,6 @@ class TestBlockBesselKernel:
         assert_matches_reference(monkeypatch, 8, np.concatenate([[29.9, 31.99], x]))
 
 
-def _loop_class_stats(feats, labs, previous, momentum, class_counts=None):
-    # reference: one class at a time, as a per-class Python loop
-    dim = feats.shape[1]
-    if previous is None:
-        counts = np.asarray(class_counts, dtype=np.float64)
-        n_classes, priors = counts.size, counts / counts.sum()
-    else:
-        n_classes, priors = previous.n_classes, previous.priors
-    comps = []
-    for y in range(n_classes):
-        rows = feats[labs == y]
-        if rows.shape[0] == 0:
-            comps.append(previous.classes[y])
-            continue
-        resultant = rows.sum(axis=0)
-        r_norm = float(np.linalg.norm(resultant))
-        r_bar = r_norm / rows.shape[0]
-        if r_norm > 1e-12:
-            mu_hat = resultant / r_norm
-        elif previous is not None:
-            mu_hat = previous.classes[y].mu
-        else:
-            mu_hat = e(0, dim)
-        if r_bar >= 1.0 - 1e-12:
-            kappa_hat = KAPPA_MAX
-        else:
-            kappa_hat = r_bar * (dim - r_bar * r_bar) / (1.0 - r_bar * r_bar)
-            kappa_hat = min(max(kappa_hat, 0.0), KAPPA_MAX)
-        if previous is not None and momentum > 0.0:
-            prev = previous.classes[y]
-            blend = momentum * prev.mu + (1.0 - momentum) * mu_hat
-            b_norm = float(np.linalg.norm(blend))
-            mu_hat = blend / b_norm if b_norm > 1e-12 else mu_hat
-            kappa_hat = momentum * prev.kappa + (1.0 - momentum) * kappa_hat
-        comps.append(VmfParams(mu=mu_hat, kappa=kappa_hat, dim=dim))
-    return VmfMixture(classes=comps, priors=priors)
-
-
 class TestEstimateClassStatsMatchesLoop:
     """The array-wide refresh keeps the bits of the per-class loop."""
 
@@ -483,15 +445,15 @@ class TestEstimateClassStatsMatchesLoop:
         y[12:12 + k] = np.arange(k)
         counts = np.bincount(y, minlength=k)
         first = estimate_class_stats(z, y, class_counts=counts)
-        ref = _loop_class_stats(z, y, None, 0.0, class_counts=counts)
+        ref = oracles.class_stats_ref(z, y, None, 0.0, class_counts=counts)
         batch = slice(20, 45)  # some classes are absent from this batch
         for momentum in (0.0, 0.9):
             got = estimate_class_stats(z[batch], y[batch], previous=first, momentum=momentum)
-            want = _loop_class_stats(z[batch], y[batch], ref, momentum)
-            for a, b in zip(got.classes, want.classes):
+            want, want_priors = oracles.class_stats_ref(z[batch], y[batch], ref, momentum)
+            for a, b in zip(oracles.components_of(got), want):
                 np.testing.assert_array_equal(a.mu, b.mu)
                 assert a.kappa == b.kappa
-            np.testing.assert_array_equal(got.priors, want.priors)
+            np.testing.assert_array_equal(got.priors, want_priors)
 
     def test_absent_class_without_previous_is_named(self):
         z = np.array([e(0, 3), e(1, 3)])
@@ -565,6 +527,118 @@ class TestVmfParamsValidation:
     def test_mixture_prior_checks(self):
         p = vp(e(0, 3), 1.0)
         with pytest.raises(ValueError):
-            VmfMixture(classes=[p], priors=np.array([0.5]))
+            oracles.mixture_of([p], np.array([0.5]))
         with pytest.raises(ValueError):
-            VmfMixture(classes=[p, p], priors=np.array([1.2, -0.2]))
+            oracles.mixture_of([p, p], np.array([1.2, -0.2]))
+
+
+def valid_arrays(k=3, d=4):
+    rng = np.random.default_rng(k * d)
+    mus = rng.normal(size=(k, d))
+    mus /= np.linalg.norm(mus, axis=1, keepdims=True)
+    return mus, rng.uniform(0.5, 20.0, size=k), np.full(k, 1.0 / k)
+
+
+class TestArrayMixture:
+    """The array mixture rejects everything the list of validated components
+    rejected, with every row checked at once."""
+
+    def test_accepts_valid_arrays(self):
+        mus, kappas, priors = valid_arrays()
+        mix = VmfMixture(mus=mus, kappas=kappas, priors=priors)
+        assert mix.n_classes == 3 and mix.dim == 4
+        assert mix.mus.dtype == mix.kappas.dtype == mix.priors.dtype == np.float64
+        mix = VmfMixture(mus=mus.tolist(), kappas=[0.0, 1.0, 2.0], priors=priors)
+        assert mix.mus.shape == (3, 4) and mix.kappas[0] == 0.0
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0],
+                                     [0.0, 0.0, 0.0, 0.0], [1.0 + 1e-8, 0.0, 0.0, 0.0]])
+    def test_rejects_non_unit_or_nan_mu_rows(self, row):
+        mus, kappas, priors = valid_arrays()
+        mus[1] = row
+        with pytest.raises(ValueError, match="unit norm"):
+            VmfMixture(mus=mus, kappas=kappas, priors=priors)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_kappa(self, bad):
+        mus, kappas, priors = valid_arrays()
+        kappas[2] = bad
+        with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+            VmfMixture(mus=mus, kappas=kappas, priors=priors)
+
+    @pytest.mark.parametrize("priors", [[0.0, 0.5, 0.5], [-0.2, 0.6, 0.6],
+                                        [np.nan, 0.5, 0.5]])
+    def test_rejects_non_positive_priors(self, priors):
+        mus, kappas, _ = valid_arrays()
+        with pytest.raises(ValueError, match="strictly positive"):
+            VmfMixture(mus=mus, kappas=kappas, priors=np.array(priors))
+
+    @pytest.mark.parametrize("priors", [[0.3, 0.3, 0.3], [0.5, 0.5, 0.5],
+                                        [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0 + 1e-8]])
+    def test_rejects_priors_not_summing_to_one(self, priors):
+        mus, kappas, _ = valid_arrays()
+        with pytest.raises(ValueError, match="sum to 1"):
+            VmfMixture(mus=mus, kappas=kappas, priors=np.array(priors))
+
+    def test_rejects_shape_mismatch(self):
+        mus, kappas, priors = valid_arrays()
+        for bad in (dict(mus=mus[0]), dict(mus=mus[:0], kappas=kappas[:0], priors=priors[:0]),
+                    dict(mus=mus[:, :1]), dict(mus=mus[:2]), dict(kappas=kappas[:2]),
+                    dict(priors=np.full(4, 0.25)), dict(kappas=kappas[:, None])):
+            args = {**dict(mus=mus, kappas=kappas, priors=priors), **bad}
+            with pytest.raises(ValueError):
+                VmfMixture(**args)
+
+
+class TestClassStatsReference:
+    def test_300_refreshes_match_per_class_reference(self):
+        # a long-tailed label stream in small batches, so the tail classes
+        # are absent from most refreshes and sometimes present once
+        rng = np.random.default_rng(12)
+        k, d, n = 10, 8, 32
+        centers = rng.normal(size=(k, d))
+        priors = np.geomspace(1.0, 0.01, k)
+        priors /= priors.sum()
+        counts = np.maximum(np.round(priors * 2000), 1)
+        labels = rng.choice(k, size=n * 300, p=priors)
+        labels[:k] = np.arange(k)
+        feats = centers[labels] + 0.4 * rng.normal(size=(labels.size, d))
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        got = estimate_class_stats(feats[:k], labels[:k], class_counts=counts)
+        want = oracles.class_stats_ref(feats[:k], labels[:k], None, 0.0, class_counts=counts)
+        absent = 0
+        for step in range(300):
+            rows = slice(k + step * n, k + (step + 1) * n)
+            absent += np.unique(labels[rows]).size < k
+            got = estimate_class_stats(feats[rows], labels[rows], previous=got, momentum=0.9)
+            want = oracles.class_stats_ref(feats[rows], labels[rows], want, 0.9)
+            np.testing.assert_array_equal(got.mus, np.stack([c.mu for c in want[0]]))
+            np.testing.assert_array_equal(got.kappas, [c.kappa for c in want[0]])
+            np.testing.assert_array_equal(got.priors, want[1])
+        assert absent > 250
+
+    def test_refresh_leaves_previous_arrays_unchanged(self):
+        # with every class present and with some absent, the refresh never
+        # writes into the previous mixture's arrays
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(20, 4))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        y = np.arange(20) % 4
+        first = estimate_class_stats(z, y, class_counts=[5] * 4)
+        mus, kappas = first.mus.copy(), first.kappas.copy()
+        for rows in (slice(0, 20), slice(0, 3)):
+            estimate_class_stats(z[rows], y[rows], previous=first, momentum=0.5)
+            np.testing.assert_array_equal(first.mus, mus)
+            np.testing.assert_array_equal(first.kappas, kappas)
+
+
+class TestNormAndRatioFastPath:
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_all_positive_equals_gathered_path(self, dim):
+        # appending a kappa = 0 lane sends the same values through the
+        # boolean gather and scatter
+        x = np.concatenate([np.linspace(1e-3, 600.0, 41), [top_cut(dim), 5000.0]])
+        log_norm, ratio = _log_norm_and_ratio(dim, x)
+        want_norm, want_ratio = _log_norm_and_ratio(dim, np.append(x, 0.0))
+        np.testing.assert_array_equal(log_norm, want_norm[:-1])
+        np.testing.assert_array_equal(ratio, want_ratio[:-1])
