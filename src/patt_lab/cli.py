@@ -4,10 +4,13 @@ Five subcommands cover the experiment lifecycle: ``gen-data`` writes the
 synthetic benchmark splits, ``train`` fits a model and writes a checkpoint,
 ``calibrate`` extracts the attention weight, ``eval`` scores the test
 splits and writes the report, and ``report`` bins scores into plot-ready
-histogram data. Configuration is a flat ``key = value`` file; every key
-has a default, unknown keys are rejected. All randomness derives from the
-single ``seed`` key, so repeating any subcommand reproduces its output
-files byte for byte.
+histogram data. Configuration is a flat ``key = value`` file. Its keys are
+the fields of ``SynthConfig``, ``TrainConfig`` and ``PattHyper``, with the
+dataclass defaults, plus the five keys in ``_CLI_DEFAULTS``; unknown keys
+are rejected, and ``load_config`` checks every key, so each stage rejects a
+bad value before it reads or writes a data file. All randomness derives
+from the single ``seed`` key, so repeating any subcommand reproduces its
+output files byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,10 +28,10 @@ from .calibration import (AttentionWeight, attention_weight, calibrate_feature,
 from .data import (SynthConfig, class_balanced_subset, gen_longtail,
                    load_features_csv, save_features_csv, save_manifest)
 from .losses import PattHyper
-from .metrics import EvalReport, build_report, classification_report
-from .model import (METHODS, TrainConfig, classifier_logits, encoder_forward,
+from .metrics import TAIL_FRACTION, build_report, classification_report
+from .model import (TrainConfig, classifier_logits, encoder_forward,
                     load_checkpoint, save_checkpoint, train)
-from .util import derive_seed
+from .util import check_fields, derive_seed
 
 __all__ = ["main", "entry"]
 
@@ -36,50 +40,23 @@ HIST_BINS = 30
 # config keys that scale a training step's losses, gradients or update
 _STEP_KEYS = ("learning_rate", "sgd_momentum", "tau", "epsilon", "alpha", "beta", "oe_gamma")
 
-# key -> default; the default's type decides how the value string is parsed
-DEFAULTS = {
-    "seed": 0,
+# the keys that no dataclass reads; per_class 0 means "smallest training
+# class count"
+_CLI_DEFAULTS = {
     "out_dir": "runs/default",
-    # synthetic data
-    "n_classes": 10,
-    "feature_dim": 8,
-    "imbalance_ratio": 100.0,
-    "max_per_class": 500,
-    "within_kappa": 80.0,
-    "ood_kappa": 20.0,
-    "val_per_class": 20,
-    "test_per_class": 40,
-    "ood_train_clusters": 2,
-    "ood_test_clusters": 3,
-    "ood_train_size": 600,
-    "ood_test_size": 400,
-    "max_direction_dot": 0.9,
-    "features_direct": False,
-    "input_dim": 0,
-    # training
-    "epochs": 30,
-    "batch_size": 128,
-    "ood_batch_size": 128,
-    "learning_rate": 1e-3,
-    "optimizer": "adam",
-    "sgd_momentum": 0.9,
-    "vmf_momentum": 0.9,
-    "vmf_update": "batch",
-    "encoder_widths": "64,64",
-    "method": "patt",
-    "oe_gamma": 0.5,
-    # loss weights
-    "tau": 0.1,
-    "epsilon": 0.7,
-    "alpha": 0.5,
-    "beta": 0.1,
-    # calibration; per_class 0 means "smallest training class count"
     "per_class": 0,
-    "tail_fraction": 1.0 / 3.0,
-    # evaluation
+    "tail_fraction": TAIL_FRACTION,
     "score": "energy",
     "use_calibration": "auto",
 }
+
+# dataclass fields that only library callers set
+_LIBRARY_ONLY = ("hyper", "ood_seed")
+
+# key -> default; the default's type decides how the value string is parsed
+DEFAULTS = {f.name: f.default for cls in (SynthConfig, TrainConfig, PattHyper)
+            for f in fields(cls) if f.name not in _LIBRARY_ONLY}
+DEFAULTS.update(_CLI_DEFAULTS)
 
 
 class CliError(Exception):
@@ -93,68 +70,69 @@ def _parse_value(key: str, text: str):
         if low not in ("true", "false"):
             raise CliError(f"config key '{key}' wants true/false, got {text!r}")
         return low == "true"
+    if isinstance(default, str):
+        return text
     try:
-        if isinstance(default, int):
-            return int(text)
+        if isinstance(default, tuple):
+            return tuple(int(part) for part in text.split(","))
         if isinstance(default, float):
             value = float(text)
             if not math.isfinite(value):
                 raise CliError(f"config key '{key}' must be finite, got {text!r}")
             return value
+        value = int(text)
     except ValueError:
         raise CliError(f"config key '{key}' wants a number, got {text!r}") from None
-    return text
+    # an optional size (input_dim) is written 0 for None
+    return None if default is None and value == 0 else value
 
 
-def load_config(path) -> dict:
-    """Parse a key=value file over the documented defaults."""
+def _build(cls, cfg, **extra):
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in DEFAULTS}, **extra)
+
+
+def _train_config(cfg) -> TrainConfig:
+    return _build(TrainConfig, cfg, hyper=_build(PattHyper, cfg))
+
+
+def load_config(path, seed=None) -> dict:
+    """Parse a key=value file over the defaults, apply the ``--seed``
+    override and check every key."""
     if not os.path.isfile(path):
         raise CliError(f"missing config file: {path}")
-    cfg = dict(DEFAULTS)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise CliError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = body.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in DEFAULTS:
-                raise CliError(f"{path}:{lineno}: unknown config key '{key}'")
-            cfg[key] = _parse_value(key, value)
-    return cfg
-
-
-def _widths(cfg) -> tuple:
     try:
-        widths = tuple(int(part) for part in cfg["encoder_widths"].split(","))
-    except ValueError:
-        raise CliError(f"bad encoder_widths {cfg['encoder_widths']!r}") from None
-    if not widths or any(w < 1 for w in widths):
-        raise CliError(f"bad encoder_widths {cfg['encoder_widths']!r}")
-    return widths
-
-
-def _synth_config(cfg) -> SynthConfig:
-    return SynthConfig(
-        n_classes=cfg["n_classes"],
-        feature_dim=cfg["feature_dim"],
-        imbalance_ratio=cfg["imbalance_ratio"],
-        max_per_class=cfg["max_per_class"],
-        within_kappa=cfg["within_kappa"],
-        ood_kappa=cfg["ood_kappa"],
-        val_per_class=cfg["val_per_class"],
-        test_per_class=cfg["test_per_class"],
-        ood_train_clusters=cfg["ood_train_clusters"],
-        ood_test_clusters=cfg["ood_test_clusters"],
-        ood_train_size=cfg["ood_train_size"],
-        ood_test_size=cfg["ood_test_size"],
-        max_direction_dot=cfg["max_direction_dot"],
-        features_direct=cfg["features_direct"],
-        input_dim=cfg["input_dim"] or None,
-        seed=cfg["seed"],
-    )
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not UTF-8 text") from None
+    cfg = dict(DEFAULTS)
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = body.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in DEFAULTS:
+            raise CliError(f"{path}:{lineno}: unknown config key '{key}'")
+        cfg[key] = _parse_value(key, value)
+    if seed is not None:
+        cfg["seed"] = seed
+    try:
+        _build(SynthConfig, cfg)
+        _train_config(cfg)
+        check_fields(cfg, (
+            ("out_dir", cfg["out_dir"] != "", "a path"),
+            ("per_class", cfg["per_class"] >= 0, ">= 0"),
+            ("tail_fraction", 0.0 < cfg["tail_fraction"] < 1.0, "in (0, 1)"),
+            ("score", cfg["score"] in ("energy", "msp"), "energy or msp"),
+            ("use_calibration", cfg["use_calibration"] in ("auto", "on", "off"),
+             "auto, on or off"),
+        ))
+    except ValueError as exc:
+        raise CliError(f"bad config: {exc}") from None
+    return cfg
 
 
 def _require(path, what):
@@ -183,8 +161,8 @@ def _load_train(out_dir, cfg):
 
 
 def cmd_gen_data(cfg, out_dir) -> None:
+    dcfg = _build(SynthConfig, cfg)
     try:
-        dcfg = _synth_config(cfg)
         train_id, val_id, test_id, train_ood, test_ood = gen_longtail(dcfg)
     except ValueError as exc:
         raise CliError(f"data generation failed: {exc}") from None
@@ -202,38 +180,11 @@ def cmd_gen_data(cfg, out_dir) -> None:
 
 
 def cmd_train(cfg, out_dir) -> None:
-    if cfg["method"] not in METHODS:
-        raise CliError(f"unknown method '{cfg['method']}' (pick one of {', '.join(METHODS)})")
     train_id = _load_train(out_dir, cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
     val_id = _load_split(out_dir, "val_id.csv", n_classes=cfg["n_classes"])
-    widths = _widths(cfg)
     try:
-        hyper = PattHyper(tau=cfg["tau"], epsilon=cfg["epsilon"],
-                          alpha=cfg["alpha"], beta=cfg["beta"])
-        tcfg = TrainConfig(
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            ood_batch_size=cfg["ood_batch_size"],
-            learning_rate=cfg["learning_rate"],
-            optimizer=cfg["optimizer"],
-            sgd_momentum=cfg["sgd_momentum"],
-            seed=cfg["seed"],
-            hyper=hyper,
-            vmf_momentum=cfg["vmf_momentum"],
-            vmf_update=cfg["vmf_update"],
-            encoder_widths=widths,
-            feature_dim=cfg["feature_dim"],
-            method=cfg["method"],
-            oe_gamma=cfg["oe_gamma"],
-        )
-    except ValueError as exc:
-        raise CliError(f"bad training config: {exc}") from None
-    try:
-        # a finite config value can still overflow the step; fail on the
-        # first overflow or invalid operation instead of printing warnings
-        with np.errstate(over="raise", invalid="raise"):
-            model, mix, history = train(tcfg, train_id, train_ood, val_id)
+        model, mix, history = train(_train_config(cfg), train_id, train_ood, val_id)
     except ValueError as exc:
         raise CliError(f"training failed: {exc}") from None
     except (FloatingPointError, RuntimeError) as exc:
@@ -259,33 +210,25 @@ def _load_model(out_dir, cfg):
     return model, mix
 
 
-def _train_priors(train_id):
-    counts = np.asarray(train_id.class_counts, dtype=np.float64)
-    return counts / counts.sum()
-
-
 def cmd_calibrate(cfg, out_dir) -> None:
-    model, _mix = _load_model(out_dir, cfg)
+    model, mix = _load_model(out_dir, cfg)
     train_id = _load_train(out_dir, cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
     per_class = cfg["per_class"] or int(train_id.class_counts.min())
-    if per_class < 1:
-        raise CliError(f"per_class must be positive, got {per_class}")
     cb = class_balanced_subset(train_id, per_class,
                                seed=derive_seed(cfg["seed"], "calibration-subset"))
     try:
         cb_z = encoder_forward(model, cb.inputs)
         ood_z = encoder_forward(model, train_ood.inputs)
-        raw = attention_weight(cb_z, cb.labels, ood_z, model, _train_priors(train_id))
-    except ValueError as exc:
+        weight = AttentionWeight.from_raw(
+            attention_weight(cb_z, cb.labels, ood_z, model, mix.priors))
+    except (ValueError, FloatingPointError) as exc:
         raise CliError(f"calibration failed: {exc}") from None
-    save_attention(os.path.join(out_dir, "attention.csv"), AttentionWeight.from_raw(raw))
+    save_attention(os.path.join(out_dir, "attention.csv"), weight)
 
 
 def _resolve_attention(cfg, out_dir):
     mode = cfg["use_calibration"]
-    if mode not in ("auto", "on", "off"):
-        raise CliError(f"use_calibration must be auto/on/off, got '{mode}'")
     path = os.path.join(out_dir, "attention.csv")
     if mode == "off":
         return None
@@ -299,43 +242,35 @@ def _resolve_attention(cfg, out_dir):
         raise CliError(f"bad attention file {path}: {exc}") from None
 
 
-def _score_fn(cfg):
-    if cfg["score"] == "energy":
-        return energy_score
-    if cfg["score"] == "msp":
-        return msp_score
-    raise CliError(f"score must be energy or msp, got '{cfg['score']}'")
-
-
 def cmd_eval(cfg, out_dir) -> None:
     """Score both test splits and write the metric report.
 
     Predicted labels always come from the uncalibrated features; the
     attention weight, when present, reweights features for the score
     path only. The trained classifier is what produced the weight's
-    virtual labels, so its predictions stay the reference.
+    virtual labels, so its predictions stay the reference. The head/tail
+    split ranks classes by the checkpoint's priors.
     """
-    model, _mix = _load_model(out_dir, cfg)
-    train_id = _load_train(out_dir, cfg)
+    model, mix = _load_model(out_dir, cfg)
     test_id = _load_split(out_dir, "test_id.csv", n_classes=cfg["n_classes"])
     test_ood = _load_split(out_dir, "test_ood.csv", n_classes=cfg["n_classes"])
     weight = _resolve_attention(cfg, out_dir)
-    score = _score_fn(cfg)
-    if not 0.0 < cfg["tail_fraction"] < 1.0:
-        raise CliError(f"tail_fraction must be in (0, 1), got {cfg['tail_fraction']}")
+    score = energy_score if cfg["score"] == "energy" else msp_score
 
     try:
         z_id = encoder_forward(model, test_id.inputs)
         z_ood = encoder_forward(model, test_ood.inputs)
-    except ValueError as exc:
+        pred_id = np.argmax(classifier_logits(model, z_id), axis=1)
+        pred_ood = np.argmax(classifier_logits(model, z_ood), axis=1)
+        if weight is not None:
+            z_id = calibrate_feature(z_id, weight.scaled)
+            z_ood = calibrate_feature(z_ood, weight.scaled)
+        id_scores = score(classifier_logits(model, z_id))
+        ood_scores = score(classifier_logits(model, z_ood))
+        report = build_report(id_scores, ood_scores, test_id.labels, pred_id,
+                              mix.priors, tail_fraction=cfg["tail_fraction"])
+    except (ValueError, FloatingPointError) as exc:
         raise CliError(f"evaluation failed: {exc}") from None
-    pred_id = np.argmax(classifier_logits(model, z_id), axis=1)
-    pred_ood = np.argmax(classifier_logits(model, z_ood), axis=1)
-    if weight is not None:
-        z_id = calibrate_feature(z_id, weight.scaled)
-        z_ood = calibrate_feature(z_ood, weight.scaled)
-    id_scores = score(classifier_logits(model, z_id))
-    ood_scores = score(classifier_logits(model, z_ood))
 
     with open(os.path.join(out_dir, "scores.csv"), "w", encoding="ascii") as fh:
         fh.write("split,row,label,pred,score\n")
@@ -345,37 +280,49 @@ def cmd_eval(cfg, out_dir) -> None:
         for i in range(ood_scores.size):
             fh.write(f"ood,{i},{test_ood.labels[i]},{pred_ood[i]},"
                      f"{float(ood_scores[i])!r}\n")
-
-    report = build_report(id_scores, ood_scores, test_id.labels, pred_id,
-                          train_id.class_counts, tail_fraction=cfg["tail_fraction"])
     with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii") as fh:
         fh.write(report.to_csv())
 
 
 def _read_scores(out_dir):
     path = _require(os.path.join(out_dir, "scores.csv"), "scores file")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise CliError(f"bad scores file {path}: not ASCII") from None
+    if not lines or lines[0] != "split,row,label,pred,score":
+        raise CliError(f"bad scores file {path}: unexpected header")
     rows = {"id": [], "ood": []}
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "split,row,label,pred,score":
-            raise CliError(f"bad scores file {path}: unexpected header")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 5 or parts[0] not in rows:
-                raise CliError(f"bad scores file {path}: line {lineno}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        row = None
+        if len(parts) == 5 and parts[0] in rows:
             try:
-                rows[parts[0]].append((int(parts[2]), int(parts[3]), float(parts[4])))
+                row = (int(parts[2]), int(parts[3]), float(parts[4]))
             except ValueError:
-                raise CliError(f"bad scores file {path}: line {lineno}") from None
+                pass
+        # eval writes finite scores only; a NaN would drop out of the histogram
+        if row is None or not math.isfinite(row[2]):
+            raise CliError(f"bad scores file {path}: line {lineno}")
+        rows[parts[0]].append(row)
     if not rows["id"] or not rows["ood"]:
         raise CliError(f"bad scores file {path}: need both id and ood rows")
     return rows
 
 
 def cmd_report(cfg, out_dir) -> None:
-    """Bin scores for plotting and recompute the accuracy split."""
+    """Bin scores for plotting and recompute the accuracy split, ranking
+    classes by the checkpoint's priors."""
+    _model, mix = _load_model(out_dir, cfg)
     rows = _read_scores(out_dir)
-    train_id = _load_train(out_dir, cfg)
+    true_labels = np.array([r[0] for r in rows["id"]])
+    pred_labels = np.array([r[1] for r in rows["id"]])
+    try:
+        acc, acc_head, acc_tail = classification_report(
+            true_labels, pred_labels, mix.priors, tail_fraction=cfg["tail_fraction"])
+    except ValueError as exc:
+        raise CliError(f"bad scores file {os.path.join(out_dir, 'scores.csv')}: {exc}") from None
     id_scores = np.array([r[2] for r in rows["id"]])
     ood_scores = np.array([r[2] for r in rows["ood"]])
     lo = min(id_scores.min(), ood_scores.min())
@@ -390,15 +337,6 @@ def cmd_report(cfg, out_dir) -> None:
         for b in range(HIST_BINS):
             fh.write(f"{float(edges[b])!r},{float(edges[b + 1])!r},"
                      f"{id_counts[b]},{ood_counts[b]}\n")
-
-    true_labels = np.array([r[0] for r in rows["id"]])
-    pred_labels = np.array([r[1] for r in rows["id"]])
-    try:
-        acc, acc_head, acc_tail = classification_report(
-            true_labels, pred_labels, train_id.class_counts,
-            tail_fraction=cfg["tail_fraction"])
-    except ValueError as exc:
-        raise CliError(f"bad scores file {os.path.join(out_dir, 'scores.csv')}: {exc}") from None
     with open(os.path.join(out_dir, "acc_table.csv"), "w", encoding="ascii") as fh:
         fh.write("group,acc\n")
         fh.write(f"overall,{acc!r}\n")
@@ -426,18 +364,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise CliError(f"seed must be nonnegative, got {args.seed}")
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, seed=args.seed)
         out_dir = args.out if args.out is not None else cfg["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
-        COMMANDS[args.command](cfg, out_dir)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        # a finite value in a config or input file can still overflow; fail
+        # on the first overflow or invalid operation instead of printing
+        # numpy warnings
+        with np.errstate(over="raise", invalid="raise"):
+            COMMANDS[args.command](cfg, out_dir)
+    except (CliError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .util import derive_seed
+from .util import check_fields, derive_seed
 from .vmf import VmfParams, sample_vmf
 
 __all__ = [
@@ -91,20 +91,23 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
-        if self.feature_dim < 2:
-            raise ValueError("feature_dim must be >= 2")
-        if self.imbalance_ratio < 1.0:
-            raise ValueError(f"imbalance ratio must be >= 1, got {self.imbalance_ratio}")
-        if self.max_per_class < 1 or self.val_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("split sizes must be >= 1")
-        if self.ood_train_clusters < 1 or self.ood_test_clusters < 1:
-            raise ValueError("need at least one outlier cluster per split")
-        if not 0.0 < self.max_direction_dot < 1.0:
-            raise ValueError("max_direction_dot must be in (0, 1)")
-        if self.within_kappa <= 0.0 or self.ood_kappa <= 0.0:
-            raise ValueError("cluster concentrations must be > 0")
+        check_fields(vars(self), (
+            ("n_classes", self.n_classes >= 2, ">= 2"),
+            ("feature_dim", self.feature_dim >= 2, ">= 2"),
+            ("imbalance_ratio", self.imbalance_ratio >= 1.0, ">= 1"),
+            ("max_per_class", self.max_per_class >= 1, ">= 1"),
+            ("within_kappa", self.within_kappa > 0.0, "> 0"),
+            ("ood_kappa", self.ood_kappa > 0.0, "> 0"),
+            ("val_per_class", self.val_per_class >= 1, ">= 1"),
+            ("test_per_class", self.test_per_class >= 1, ">= 1"),
+            ("ood_train_clusters", self.ood_train_clusters >= 1, ">= 1"),
+            ("ood_test_clusters", self.ood_test_clusters >= 1, ">= 1"),
+            ("ood_train_size", self.ood_train_size >= 0, ">= 0"),
+            ("ood_test_size", self.ood_test_size >= 1, ">= 1"),
+            ("max_direction_dot", 0.0 < self.max_direction_dot < 1.0, "in (0, 1)"),
+            ("input_dim", self.input_dim is None or self.input_dim >= 1, ">= 1 when set"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ))
 
     @property
     def raw_dim(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import logsumexp_softmax, norms_along
+from .util import check_fields, logsumexp_softmax, norms_along
 from .vmf import VmfMixture, _log_norm_and_ratio
 
 __all__ = [
@@ -53,12 +53,12 @@ class PattHyper:
     beta: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be >= 0")
+        check_fields(vars(self), (
+            ("tau", self.tau > 0.0, "> 0"),
+            ("epsilon", self.epsilon > 0.0, "> 0"),
+            ("alpha", self.alpha >= 0.0, ">= 0"),
+            ("beta", self.beta >= 0.0, ">= 0"),
+        ))
 
 
 @dataclass

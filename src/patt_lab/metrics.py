@@ -21,7 +21,11 @@ __all__ = [
     "classification_report",
     "EvalReport",
     "build_report",
+    "TAIL_FRACTION",
 ]
+
+# default share of classes counted as tail
+TAIL_FRACTION = 1.0 / 3.0
 
 
 def _check_scores(id_scores, ood_scores):
@@ -95,26 +99,30 @@ def fpr_at_95_tpr(id_scores, ood_scores) -> float:
     return float(np.mean(a <= threshold))
 
 
-def classification_report(true_labels, pred_labels, class_counts, tail_fraction: float = 1.0 / 3.0):
+def classification_report(true_labels, pred_labels, class_weights,
+                          tail_fraction: float = TAIL_FRACTION):
     """Overall, head-group and tail-group accuracy.
 
-    Classes are ordered by training count (descending, index breaking ties);
-    the tail group is the bottom ``ceil(K * tail_fraction)`` of that order. A
-    group without test samples reports None, not zero.
+    Classes are ordered by their positive training weight, a class count or
+    prior (descending, index breaking ties); the tail group is the bottom
+    ``ceil(K * tail_fraction)`` of that order. A group without test samples
+    reports None, not zero.
     """
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(pred_labels, dtype=np.int64)
-    counts = np.asarray(class_counts, dtype=np.int64)
+    weights = np.asarray(class_weights, dtype=np.float64)
     if t.size == 0 or t.shape != p.shape:
         raise ValueError("need matching non-empty label arrays")
-    if counts.ndim != 1 or counts.size < 1:
-        raise ValueError("class_counts must be a non-empty vector")
-    if np.any(t < 0) or np.any(t >= counts.size):
-        raise ValueError("true labels out of range for class_counts")
+    if weights.ndim != 1 or weights.size < 1:
+        raise ValueError("class_weights must be a non-empty vector")
+    if not (weights > 0.0).all():
+        raise ValueError("class_weights must be positive")
+    if np.any(t < 0) or np.any(t >= weights.size):
+        raise ValueError("true labels out of range for class_weights")
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError("tail_fraction must be in (0, 1)")
-    k = counts.size
-    order = np.argsort(-counts, kind="mergesort")
+    k = weights.size
+    order = np.argsort(-weights, kind="mergesort")
     n_tail = math.ceil(k * tail_fraction)
     tail_classes = set(order[k - n_tail :].tolist())
     acc = float(np.mean(t == p))
@@ -166,10 +174,10 @@ class EvalReport:
         return cls(*vals)
 
 
-def build_report(id_scores, ood_scores, id_true, id_pred, class_counts,
-                 tail_fraction: float = 1.0 / 3.0) -> EvalReport:
+def build_report(id_scores, ood_scores, id_true, id_pred, class_weights,
+                 tail_fraction: float = TAIL_FRACTION) -> EvalReport:
     """Assemble the full evaluation row from scores and predictions."""
-    acc, acc_head, acc_tail = classification_report(id_true, id_pred, class_counts, tail_fraction)
+    acc, acc_head, acc_tail = classification_report(id_true, id_pred, class_weights, tail_fraction)
     a, b = _check_scores(id_scores, ood_scores)
     return EvalReport(
         auroc=auroc(a, b),

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses
-from .util import derive_seed, norms_along
+from .data import SynthConfig
+from .util import check_fields, derive_seed, norms_along
 from .vmf import VmfMixture, estimate_class_stats
 
 __all__ = [
@@ -166,6 +167,45 @@ def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
 
 
 @dataclass
+class TrainConfig:
+    """Training-loop knobs. ``method`` selects the objective: the combined
+    one, outlier-exposed cross entropy, or plain cross entropy."""
+
+    epochs: int = 30
+    batch_size: int = 128
+    ood_batch_size: int = 128
+    learning_rate: float = 1e-3
+    optimizer: str = "adam"
+    sgd_momentum: float = 0.9
+    seed: int = SynthConfig.seed
+    hyper: losses.PattHyper = field(default_factory=losses.PattHyper)
+    vmf_momentum: float = 0.9
+    vmf_update: str = "batch"
+    encoder_widths: tuple = (64, 64)
+    # the embedding sphere of the model is the sphere of the synthetic data
+    feature_dim: int = SynthConfig.feature_dim
+    method: str = "patt"
+    oe_gamma: float = 0.5
+    ood_seed: int | None = None
+
+    def __post_init__(self) -> None:
+        widths = self.encoder_widths
+        check_fields(vars(self), (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("ood_batch_size", self.ood_batch_size >= 1, ">= 1"),
+            ("learning_rate", self.learning_rate >= 0.0, ">= 0"),
+            ("optimizer", self.optimizer in ("adam", "sgd"), "adam or sgd"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("vmf_momentum", 0.0 <= self.vmf_momentum < 1.0, "in [0, 1)"),
+            ("vmf_update", self.vmf_update in ("batch", "epoch"), "batch or epoch"),
+            ("encoder_widths", len(widths) > 0 and min(widths) >= 1, "non-empty, each width >= 1"),
+            ("feature_dim", self.feature_dim >= 2, ">= 2"),
+            ("method", self.method in METHODS, "one of " + ", ".join(METHODS)),
+        ))
+
+
+@dataclass
 class LossBreakdown:
     """Mean per-term values of one batch objective. For the baselines the
     ``tla`` slot holds the plain cross-entropy term and ``isac`` is 0."""
@@ -184,8 +224,8 @@ def batch_loss_and_grads(
     ood_x,
     hyper: losses.PattHyper,
     priors: np.ndarray,
-    method: str = "patt",
-    oe_gamma: float = 0.5,
+    method: str = TrainConfig.method,
+    oe_gamma: float = TrainConfig.oe_gamma,
     forward=None,
     flat_grad=None,
 ):
@@ -247,44 +287,6 @@ def batch_loss_and_grads(
     else:
         total = cls_mean + ood_weight * oe_mean
     return LossBreakdown(total=total, isac=isac_mean, tla=cls_mean, oe=oe_mean), grads
-
-
-@dataclass
-class TrainConfig:
-    """Training-loop knobs. ``method`` selects the objective: the combined
-    one, outlier-exposed cross entropy, or plain cross entropy."""
-
-    epochs: int = 30
-    batch_size: int = 128
-    ood_batch_size: int = 128
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    sgd_momentum: float = 0.9
-    seed: int = 0
-    hyper: losses.PattHyper = field(default_factory=losses.PattHyper)
-    vmf_momentum: float = 0.9
-    vmf_update: str = "batch"
-    encoder_widths: tuple = (64, 64)
-    feature_dim: int = 8
-    method: str = "patt"
-    oe_gamma: float = 0.5
-    ood_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.epochs < 0 or self.batch_size < 1 or self.ood_batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch sizes >= 1")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning rate must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.vmf_update not in ("batch", "epoch"):
-            raise ValueError(f"vmf_update must be 'batch' or 'epoch', got {self.vmf_update!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 <= self.vmf_momentum < 1.0:
-            raise ValueError("vmf_momentum must be in [0, 1)")
-        if self.feature_dim < 2:
-            raise ValueError("feature_dim must be >= 2")
 
 
 @dataclass

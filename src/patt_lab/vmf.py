@@ -273,24 +273,7 @@ def log_norm_const(dim: int, kappa):
     density degrades continuously to the uniform law. ``kappa`` may be a
     scalar or an ndarray.
     """
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    ks = np.asarray(kappa, dtype=np.float64)
-    if np.any(~np.isfinite(ks)) or np.any(ks < 0.0):
-        raise ValueError("kappa must be finite and non-negative")
-    scalar = ks.ndim == 0
-    flat = np.atleast_1d(ks).ravel()
-    half = 0.5 * dim
-    nu = half - 1.0
-    out = np.full_like(flat, _log_uniform_const(dim))
-    pos = flat > 0.0
-    if pos.any():
-        kp = flat[pos]
-        out[pos] = nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_bessel_i(nu, kp)
-    if scalar:
-        return float(out[0])
-    return out.reshape(ks.shape)
+    return _normalizer(dim, kappa)[0]
 
 
 def bessel_ratio(dim: int, kappa):
@@ -299,20 +282,22 @@ def bessel_ratio(dim: int, kappa):
     Also minus the derivative of ``log_norm_const`` in kappa. A_d(0) = 0 and
     A_d is increasing toward 1 as kappa grows.
     """
+    return _normalizer(dim, kappa)[1]
+
+
+def _normalizer(dim, kappa):
+    # the input check of log_norm_const and bessel_ratio, then both from
+    # one Bessel pass
     dim = int(dim)
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     ks = np.asarray(kappa, dtype=np.float64)
-    scalar = ks.ndim == 0
-    flat = np.atleast_1d(ks).ravel()
-    out = np.zeros_like(flat)
-    pos = flat > 0.0
-    if pos.any():
-        kp = flat[pos]
-        out[pos] = np.exp(log_bessel_i(0.5 * dim, kp) - log_bessel_i(0.5 * dim - 1.0, kp))
-    if scalar:
-        return float(out[0])
-    return out.reshape(ks.shape)
+    if not (np.isfinite(ks) & (ks >= 0.0)).all():
+        raise ValueError("kappa must be finite and non-negative")
+    log_norm, ratio = _log_norm_and_ratio(dim, ks.ravel())
+    if ks.ndim == 0:
+        return float(log_norm[0]), float(ratio[0])
+    return log_norm.reshape(ks.shape), ratio.reshape(ks.shape)
 
 
 def _log_norm_and_ratio(dim: int, kappa: np.ndarray):

@@ -218,6 +218,23 @@ def log_norm_const_ref(dim, kappa):
                  - mp.mpf(log_bessel_series(nu, k)))
 
 
+def norm_and_ratio_separate(dim, kappa):
+    """``(log C_d, A_d)`` elementwise from one ``log_bessel_i`` call per
+    order, the way ``log_norm_const`` and ``bessel_ratio`` computed them
+    before both went through ``vmf._log_norm_and_ratio``."""
+    ks = np.asarray(kappa, dtype=np.float64)
+    half = 0.5 * dim
+    nu = half - 1.0
+    log_norm = np.full(ks.shape, math.lgamma(half) - math.log(2.0) - half * math.log(math.pi))
+    ratio = np.zeros(ks.shape)
+    pos = ks > 0.0
+    kp = ks[pos]
+    log_i_nu = vmf.log_bessel_i(nu, kp)
+    log_norm[pos] = nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i_nu
+    ratio[pos] = np.exp(vmf.log_bessel_i(half, kp) - log_i_nu)
+    return log_norm, ratio
+
+
 def log_sphere_integral(d, kappa, n=400):
     """ln of the surface integral of e^(kappa mu.z) over the unit sphere.
 

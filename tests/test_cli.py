@@ -3,10 +3,14 @@
 import contextlib
 import io
 import os
+import re
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patt_lab import cli
+from patt_lab.data import SynthConfig
 from patt_lab.metrics import EvalReport
+from patt_lab.model import TrainConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 ALL_OUTPUTS = (
     "train.csv", "val_id.csv", "test_id.csv", "train_ood.csv", "test_ood.csv",
@@ -106,11 +115,74 @@ class TestLoadConfig:
         with pytest.raises(cli.CliError, match="'tau' must be finite"):
             cli.load_config(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"epochs = 3\xff\n")
+        with pytest.raises(cli.CliError, match="not UTF-8"):
+            cli.load_config(path)
+
     def test_bool_keys_are_strict(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("features_direct = 1\n")
         with pytest.raises(cli.CliError, match="features_direct"):
             cli.load_config(path)
+
+
+# one invalid or out-of-range value for every config key
+BAD_VALUES = {
+    "seed": "-3", "out_dir": "", "n_classes": "1", "feature_dim": "1",
+    "imbalance_ratio": "0.5", "max_per_class": "0", "within_kappa": "0.0",
+    "ood_kappa": "-1.0", "val_per_class": "0", "test_per_class": "0",
+    "ood_train_clusters": "0", "ood_test_clusters": "0", "ood_train_size": "-5",
+    "ood_test_size": "0", "max_direction_dot": "1.5", "features_direct": "yes",
+    "input_dim": "-2", "epochs": "-1", "batch_size": "0", "ood_batch_size": "0",
+    "learning_rate": "-0.1", "optimizer": "rmsprop", "sgd_momentum": "nan",
+    "vmf_momentum": "1.0", "vmf_update": "step", "encoder_widths": "64,0",
+    "method": "pascl", "oe_gamma": "inf", "tau": "0.0", "epsilon": "-0.7",
+    "alpha": "-0.5", "beta": "-0.1", "per_class": "-1", "tail_fraction": "1.5",
+    "score": "mps", "use_calibration": "maybe",
+}
+
+
+class TestConfigSchema:
+    """Every key is declared once, checked at load, and documented."""
+
+    def test_bad_values_cover_every_key(self):
+        assert set(BAD_VALUES) == set(cli.DEFAULTS)
+
+    @pytest.mark.parametrize("command", ["gen-data", "report"])
+    @pytest.mark.parametrize("key", [*BAD_VALUES, "--seed"])
+    def test_every_stage_rejects_a_bad_value(self, tmp_path, capsys, command, key):
+        config = tmp_path / "run.cfg"
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+        if key == "--seed":
+            config.write_text("")
+            argv += ["--seed", "-3"]
+        else:
+            config.write_text(f"{key} = {BAD_VALUES[key]}\n")
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
+        assert re.search(rf"\b{key.lstrip('-')}\b", err), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_shared_fields_share_defaults(self):
+        synth = {f.name: f.default for f in fields(SynthConfig)}
+        train_fields = {f.name: f.default for f in fields(TrainConfig)}
+        shared = set(synth) & set(train_fields)
+        assert shared == {"seed", "feature_dim"}
+        for name in shared:
+            assert synth[name] == train_fields[name] == cli.DEFAULTS[name], name
+
+    def test_readme_table_matches_defaults(self):
+        # the "Configuration keys" table: | `key` | `default` | meaning |
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([a-z_]+)` \| `([^`]*)` \|", section, flags=re.M)
+        assert [key for key, _ in rows] == list(dict(rows))
+        assert set(dict(rows)) == set(cli.DEFAULTS)
+        for key, default in rows:
+            assert cli._parse_value(key, default) == cli.DEFAULTS[key], key
 
 
 class TestPipelineOutputs:
@@ -343,6 +415,40 @@ class TestCliContract:
         rc = cli.main(["report", "--config", str(config), "--out", str(bad)])
         assert_one_error_line(rc, capsys)
 
+    def test_zero_row_test_ood_in_eval(self, pipeline, tmp_path, capsys):
+        # build_report's "non-empty" ValueError used to escape as a traceback
+        config, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        header = (bad / "test_ood.csv").read_text().splitlines()[0]
+        (bad / "test_ood.csv").write_text(header + "\n")
+        rc = cli.main(["eval", "--config", str(config), "--out", str(bad)])
+        assert_one_error_line(rc, capsys)
+        assert (bad / "scores.csv").read_bytes() == (out / "scores.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_score_in_report(self, pipeline, tmp_path, capsys, value):
+        # a NaN score used to drop out of hist.csv with exit 0
+        config, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        lines = (bad / "scores.csv").read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rsplit(",", 1)[0] + f",{value}\n"
+        (bad / "scores.csv").write_text("".join(lines))
+        rc = cli.main(["report", "--config", str(config), "--out", str(bad)])
+        assert_one_error_line(rc, capsys)
+
+
+class TestPriorsFromCheckpoint:
+    def test_eval_and_report_do_not_read_train_csv(self, pipeline, tmp_path):
+        config, out = pipeline
+        bare = tmp_path / "bare"
+        shutil.copytree(out, bare)
+        (bare / "train.csv").unlink()
+        run(config, bare, "eval", "report")
+        for name in ("scores.csv", "report.csv", "hist.csv", "acc_table.csv"):
+            assert (bare / name).read_bytes() == (out / name).read_bytes(), name
+
 
 class TestClassCountAgreement:
     """``n_classes`` must agree with train.csv and with the checkpoint."""
@@ -360,7 +466,7 @@ class TestClassCountAgreement:
         assert rc == 1 and err.count("\n") == 1, err
         assert err.startswith("error:") and "n_classes = 6" in err
 
-    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    @pytest.mark.parametrize("command", ["calibrate", "eval", "report"])
     def test_checkpoint_with_another_class_count(self, pipeline, tmp_path, capsys, command):
         # 5-class data next to the 4-class checkpoint
         _, out = pipeline
@@ -408,9 +514,6 @@ class TestOverflowingStep:
         assert err.startswith("error: training failed: overflow encountered in"), err
         for name in cli._STEP_KEYS:
             assert name in err
-
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_module_entry_point_runs_the_command(tmp_path):
@@ -492,3 +595,62 @@ class TestCliContractFuzz:
                 assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
                 break
             assert err == "", (command, err)
+
+
+# the files calibrate, eval and report read, and the stages that read each
+READERS = {
+    "model.ckpt": ("calibrate", "eval", "report"),
+    "train.csv": ("calibrate",),
+    "train_ood.csv": ("calibrate",),
+    "test_id.csv": ("eval",),
+    "test_ood.csv": ("eval",),
+    "attention.csv": ("eval",),
+    "scores.csv": ("report",),
+}
+CELLS = [b"-1", b"0", b"3", b"42", b"-7", b"", b"x", b"1.5", b"nan", b"inf", b"-inf",
+         b"1e309", b"\xff"]
+BINARY_CELLS = [float("nan"), float("inf"), -1.0, 0.0, 1e308, 5e-324]
+
+
+def corrupt(blob, kind, a, b, cell, number):
+    """``blob`` truncated, with rows deleted, or with one comma-separated
+    cell replaced by ``cell`` (for the binary checkpoint: one float64
+    overwritten by ``number``); ``a`` and ``b`` pick the place."""
+    if kind == "truncate":
+        return blob[:a % len(blob)]
+    if kind == "relabel" and not blob.isascii():
+        at = a % (len(blob) - 7)
+        return blob[:at] + struct.pack("<d", number) + blob[at + 8:]
+    lines = blob.split(b"\n")
+    row = a % len(lines)
+    if kind == "delete":
+        return b"\n".join(lines[:row] + lines[row + 1 + b % (len(lines) - row):])
+    cells = lines[row].split(b",")
+    cells[b % len(cells)] = cell
+    return b"\n".join(lines[:row] + [b",".join(cells)] + lines[row + 1:])
+
+
+class TestCorruptedInputFuzz:
+    """A truncated, shortened or relabelled input file ends every stage that
+    reads it in exit 0 with nothing on stderr, or exit 1 with exactly one
+    ``error:`` line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(READERS)),
+           kind=st.sampled_from(["truncate", "delete", "relabel"]),
+           a=st.integers(0, 2 ** 20), b=st.integers(0, 2 ** 20),
+           cell=st.sampled_from(CELLS), number=st.sampled_from(BINARY_CELLS))
+    def test_stages_reading_the_file(self, pipeline, name, kind, a, b, cell, number):
+        config, out = pipeline
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp) / "out"
+            shutil.copytree(out, work)
+            (work / name).write_bytes(corrupt((out / name).read_bytes(), kind, a, b, cell, number))
+            for command in READERS[name]:
+                rc, err, caught = main_quietly(
+                    [command, "--config", str(config), "--out", str(work)])
+                assert not caught, (name, command, caught)
+                if rc != 0:
+                    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
+                else:
+                    assert err == "", (name, command, err)

@@ -324,8 +324,9 @@ class TestFusedNormAndRatio:
         cut = max(30.0, 2.0 * (0.5 * d) ** 2)
         x = np.concatenate([[cut], np.geomspace(cut, 1e4, 200)])
         log_norm, ratio = _log_norm_and_ratio(d, x)
-        np.testing.assert_array_equal(log_norm, log_norm_const(d, x))
-        np.testing.assert_array_equal(ratio, bessel_ratio(d, x))
+        want_norm, want_ratio = oracles.norm_and_ratio_separate(d, x)
+        np.testing.assert_array_equal(log_norm, want_norm)
+        np.testing.assert_array_equal(ratio, want_ratio)
 
     def test_mixed_branches_match_separate_calls(self):
         # d = 32: the cuts are 450 (nu = 15) and 512 (nu = 16), so x in
@@ -338,8 +339,9 @@ class TestFusedNormAndRatio:
         log_norm, ratio = _log_norm_and_ratio(d, x)
         assert log_norm.shape == ratio.shape == x.shape
         # criterion 4's tolerance: relative 1e-10 with an absolute floor 1e-12
-        np.testing.assert_allclose(log_norm, log_norm_const(d, x), rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(ratio, bessel_ratio(d, x), rtol=1e-10, atol=1e-12)
+        want_norm, want_ratio = oracles.norm_and_ratio_separate(d, x)
+        np.testing.assert_allclose(log_norm, want_norm, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(ratio, want_ratio, rtol=1e-10, atol=1e-12)
         assert np.all(ratio[x == 0.0] == 0.0)
 
     def test_isac_makes_one_bessel_pass(self, monkeypatch):
@@ -475,6 +477,27 @@ class TestBesselRatio:
 
     def test_saturates_below_one(self):
         assert bessel_ratio(3, 1e4) < 1.0
+
+    @pytest.mark.parametrize("kappa", [float("nan"), -3.0, float("inf"), [1.0, -0.5]])
+    def test_rejects_what_log_norm_const_rejects(self, kappa):
+        # bessel_ratio(8, nan) and (8, -3.0) used to return 0.0
+        for fn in (bessel_ratio, log_norm_const):
+            with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+                fn(8, kappa)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_same_bits_as_separate_calls(self, dim):
+        # scalar, vector and matrix kappa with zero lanes, in every branch
+        x = np.concatenate([[0.0, 1e-3, 0.5, 7.0], np.geomspace(20.0, 2000.0, 20)])
+        want_norm, want_ratio = oracles.norm_and_ratio_separate(dim, x)
+        for shape in (x.shape, (4, 6)):
+            np.testing.assert_array_equal(log_norm_const(dim, x.reshape(shape)),
+                                          want_norm.reshape(shape))
+            np.testing.assert_array_equal(bessel_ratio(dim, x.reshape(shape)),
+                                          want_ratio.reshape(shape))
+        for k, want_n, want_r in zip(x, want_norm, want_ratio):
+            assert log_norm_const(dim, float(k)) == want_n
+            assert bessel_ratio(dim, float(k)) == want_r
 
 
 class TestSampleVmf:
