@@ -11,6 +11,9 @@ are rejected, and ``load_config`` checks every key, so each stage rejects a
 bad value before it reads or writes a data file. All randomness derives
 from the single ``seed`` key, so repeating any subcommand reproduces its
 output files byte for byte.
+
+Loading the config and the ``report`` stage import no numpy; ``main``
+imports ``stages``, and numpy with it, only for the other four stages.
 """
 
 from __future__ import annotations
@@ -21,17 +24,9 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
-from .calibration import (AttentionWeight, attention_weight, calibrate_feature,
-                          energy_score, load_attention, msp_score, save_attention)
-from .data import (SynthConfig, class_balanced_subset, gen_longtail,
-                   load_features_csv, save_features_csv, save_manifest)
-from .losses import PattHyper
-from .metrics import TAIL_FRACTION, build_report, classification_report
-from .model import (TrainConfig, classifier_logits, encoder_forward,
-                    load_checkpoint, save_checkpoint, train)
-from .util import check_fields, derive_seed
+from . import checkpoint
+from .config import TAIL_FRACTION, PattHyper, SynthConfig, TrainConfig, check_fields
+from .report import classification_report, histogram
 
 __all__ = ["main", "entry"]
 
@@ -141,147 +136,10 @@ def _require(path, what):
     return path
 
 
-def _load_split(out_dir, name, n_classes=None):
-    path = _require(os.path.join(out_dir, name), "dataset file")
-    try:
-        return load_features_csv(path, n_classes=n_classes)
-    except ValueError as exc:
-        raise CliError(f"bad dataset file {path}: {exc}") from None
-
-
-def _load_train(out_dir, cfg):
-    # train.csv must hold rows of every class that n_classes declares
-    train_id = _load_split(out_dir, "train.csv", n_classes=cfg["n_classes"])
-    empty = np.flatnonzero(train_id.class_counts == 0)
-    if empty.size:
-        path = os.path.join(out_dir, "train.csv")
-        raise CliError(f"bad dataset file {path}: class {empty[0]} has no rows "
-                       f"(n_classes = {cfg['n_classes']})")
-    return train_id
-
-
-def cmd_gen_data(cfg, out_dir) -> None:
-    dcfg = _build(SynthConfig, cfg)
-    try:
-        train_id, val_id, test_id, train_ood, test_ood = gen_longtail(dcfg)
-    except ValueError as exc:
-        raise CliError(f"data generation failed: {exc}") from None
-    splits = {
-        "train.csv": train_id,
-        "val_id.csv": val_id,
-        "test_id.csv": test_id,
-        "train_ood.csv": train_ood,
-        "test_ood.csv": test_ood,
-    }
-    for name, split in splits.items():
-        save_features_csv(split, os.path.join(out_dir, name))
-    sizes = {name: split.inputs.shape[0] for name, split in splits.items()}
-    save_manifest(os.path.join(out_dir, "manifest.txt"), dcfg, sizes)
-
-
-def cmd_train(cfg, out_dir) -> None:
-    train_id = _load_train(out_dir, cfg)
-    train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
-    val_id = _load_split(out_dir, "val_id.csv", n_classes=cfg["n_classes"])
-    try:
-        model, mix, history = train(_train_config(cfg), train_id, train_ood, val_id)
-    except ValueError as exc:
-        raise CliError(f"training failed: {exc}") from None
-    except (FloatingPointError, RuntimeError) as exc:
-        raise CliError(f"training failed: {exc} (check the keys that scale the step: "
-                       f"{', '.join(_STEP_KEYS)})") from None
-    save_checkpoint(os.path.join(out_dir, "model.ckpt"), model, mix)
-    with open(os.path.join(out_dir, "history.csv"), "w", encoding="ascii") as fh:
-        fh.write("epoch,total,isac,tla,oe,val_acc\n")
-        for rec in history.records:
-            fh.write(f"{rec.epoch},{rec.total!r},{rec.isac!r},"
-                     f"{rec.tla!r},{rec.oe!r},{rec.val_acc!r}\n")
-
-
-def _load_model(out_dir, cfg):
-    path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
-    try:
-        model, mix = load_checkpoint(path)
-    except ValueError as exc:
-        raise CliError(f"bad checkpoint {path}: {exc}") from None
-    if model.n_classes != cfg["n_classes"]:
-        raise CliError(f"checkpoint {path} has {model.n_classes} classes "
+def _check_classes(path, n_classes, cfg) -> None:
+    if n_classes != cfg["n_classes"]:
+        raise CliError(f"checkpoint {path} has {n_classes} classes "
                        f"but n_classes = {cfg['n_classes']}")
-    return model, mix
-
-
-def cmd_calibrate(cfg, out_dir) -> None:
-    model, mix = _load_model(out_dir, cfg)
-    train_id = _load_train(out_dir, cfg)
-    train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
-    per_class = cfg["per_class"] or int(train_id.class_counts.min())
-    cb = class_balanced_subset(train_id, per_class,
-                               seed=derive_seed(cfg["seed"], "calibration-subset"))
-    try:
-        cb_z = encoder_forward(model, cb.inputs)
-        ood_z = encoder_forward(model, train_ood.inputs)
-        weight = AttentionWeight.from_raw(
-            attention_weight(cb_z, cb.labels, ood_z, model, mix.priors))
-    except (ValueError, FloatingPointError) as exc:
-        raise CliError(f"calibration failed: {exc}") from None
-    save_attention(os.path.join(out_dir, "attention.csv"), weight)
-
-
-def _resolve_attention(cfg, out_dir):
-    mode = cfg["use_calibration"]
-    path = os.path.join(out_dir, "attention.csv")
-    if mode == "off":
-        return None
-    if not os.path.isfile(path):
-        if mode == "on":
-            raise CliError(f"missing attention weight: {path} (run calibrate first)")
-        return None
-    try:
-        return load_attention(path)
-    except ValueError as exc:
-        raise CliError(f"bad attention file {path}: {exc}") from None
-
-
-def cmd_eval(cfg, out_dir) -> None:
-    """Score both test splits and write the metric report.
-
-    Predicted labels always come from the uncalibrated features; the
-    attention weight, when present, reweights features for the score
-    path only. The trained classifier is what produced the weight's
-    virtual labels, so its predictions stay the reference. The head/tail
-    split ranks classes by the checkpoint's priors.
-    """
-    model, mix = _load_model(out_dir, cfg)
-    test_id = _load_split(out_dir, "test_id.csv", n_classes=cfg["n_classes"])
-    test_ood = _load_split(out_dir, "test_ood.csv", n_classes=cfg["n_classes"])
-    weight = _resolve_attention(cfg, out_dir)
-    score = energy_score if cfg["score"] == "energy" else msp_score
-
-    try:
-        z_id = encoder_forward(model, test_id.inputs)
-        z_ood = encoder_forward(model, test_ood.inputs)
-        pred_id = np.argmax(classifier_logits(model, z_id), axis=1)
-        pred_ood = np.argmax(classifier_logits(model, z_ood), axis=1)
-        if weight is not None:
-            z_id = calibrate_feature(z_id, weight.scaled)
-            z_ood = calibrate_feature(z_ood, weight.scaled)
-        id_scores = score(classifier_logits(model, z_id))
-        ood_scores = score(classifier_logits(model, z_ood))
-        report = build_report(id_scores, ood_scores, test_id.labels, pred_id,
-                              mix.priors, tail_fraction=cfg["tail_fraction"])
-    except (ValueError, FloatingPointError) as exc:
-        raise CliError(f"evaluation failed: {exc}") from None
-
-    with open(os.path.join(out_dir, "scores.csv"), "w", encoding="ascii") as fh:
-        fh.write("split,row,label,pred,score\n")
-        for i in range(id_scores.size):
-            fh.write(f"id,{i},{test_id.labels[i]},{pred_id[i]},"
-                     f"{float(id_scores[i])!r}\n")
-        for i in range(ood_scores.size):
-            fh.write(f"ood,{i},{test_ood.labels[i]},{pred_ood[i]},"
-                     f"{float(ood_scores[i])!r}\n")
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii") as fh:
-        fh.write(report.to_csv())
 
 
 def _read_scores(out_dir):
@@ -313,30 +171,26 @@ def _read_scores(out_dir):
 
 def cmd_report(cfg, out_dir) -> None:
     """Bin scores for plotting and recompute the accuracy split, ranking
-    classes by the checkpoint's priors."""
-    _model, mix = _load_model(out_dir, cfg)
+    classes by the checkpoint's priors. Plain Python: no numpy import."""
+    path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
+    try:
+        _, _, priors = checkpoint.read(path)
+    except ValueError as exc:
+        raise CliError(f"bad checkpoint {path}: {exc}") from None
+    _check_classes(path, len(priors), cfg)
     rows = _read_scores(out_dir)
-    true_labels = np.array([r[0] for r in rows["id"]])
-    pred_labels = np.array([r[1] for r in rows["id"]])
     try:
         acc, acc_head, acc_tail = classification_report(
-            true_labels, pred_labels, mix.priors, tail_fraction=cfg["tail_fraction"])
+            [r[0] for r in rows["id"]], [r[1] for r in rows["id"]], priors,
+            tail_fraction=cfg["tail_fraction"])
+        edges, id_counts, ood_counts = histogram(
+            [r[2] for r in rows["id"]], [r[2] for r in rows["ood"]], HIST_BINS)
     except ValueError as exc:
         raise CliError(f"bad scores file {os.path.join(out_dir, 'scores.csv')}: {exc}") from None
-    id_scores = np.array([r[2] for r in rows["id"]])
-    ood_scores = np.array([r[2] for r in rows["ood"]])
-    lo = min(id_scores.min(), ood_scores.min())
-    hi = max(id_scores.max(), ood_scores.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, HIST_BINS + 1)
-    id_counts, _ = np.histogram(id_scores, bins=edges)
-    ood_counts, _ = np.histogram(ood_scores, bins=edges)
     with open(os.path.join(out_dir, "hist.csv"), "w", encoding="ascii") as fh:
         fh.write("bin_lo,bin_hi,id_count,ood_count\n")
         for b in range(HIST_BINS):
-            fh.write(f"{float(edges[b])!r},{float(edges[b + 1])!r},"
-                     f"{id_counts[b]},{ood_counts[b]}\n")
+            fh.write(f"{edges[b]!r},{edges[b + 1]!r},{id_counts[b]},{ood_counts[b]}\n")
     with open(os.path.join(out_dir, "acc_table.csv"), "w", encoding="ascii") as fh:
         fh.write("group,acc\n")
         fh.write(f"overall,{acc!r}\n")
@@ -344,20 +198,11 @@ def cmd_report(cfg, out_dir) -> None:
         fh.write(f"tail,{'' if acc_tail is None else repr(acc_tail)}\n")
 
 
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "calibrate": cmd_calibrate,
-    "eval": cmd_eval,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="patt-lab",
         description="Long-tailed out-of-distribution detection experiments.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("command", choices=["calibrate", "eval", "gen-data", "report", "train"])
     parser.add_argument("--config", required=True, help="key = value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides out_dir)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
@@ -366,12 +211,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed)
         out_dir = args.out if args.out is not None else cfg["out_dir"]
-        os.makedirs(out_dir, exist_ok=True)
-        # a finite value in a config or input file can still overflow; fail
-        # on the first overflow or invalid operation instead of printing
-        # numpy warnings
-        with np.errstate(over="raise", invalid="raise"):
-            COMMANDS[args.command](cfg, out_dir)
+        if args.command == "report":
+            cmd_report(cfg, out_dir)
+        else:
+            import numpy as np
+            from .stages import COMMANDS as STAGES
+            # a finite value in a config or input file can still overflow;
+            # fail on the first overflow or invalid operation instead of
+            # printing numpy warnings
+            with np.errstate(over="raise", invalid="raise"):
+                STAGES[args.command](cfg, out_dir)
     except (CliError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -383,4 +232,6 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    entry()
+    # run the package's copy of this module: its CliError is the one stages raise
+    from patt_lab.cli import entry as package_entry
+    package_entry()

@@ -10,11 +10,12 @@ higher-dimensional raw space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .util import check_fields, derive_seed
+from .config import SynthConfig
+from .util import derive_seed
 from .vmf import VmfParams, sample_vmf
 
 __all__ = [
@@ -67,53 +68,6 @@ class LabeledSet:
             n_classes = int(known.max()) + 1 if known.size else 0
         counts = np.bincount(known, minlength=n_classes) if n_classes else np.zeros(0, np.int64)
         return cls(inputs=inputs, labels=labels, class_counts=counts, dim=inputs.shape[1])
-
-
-@dataclass
-class SynthConfig:
-    """Geometry and sizes of one synthetic benchmark draw."""
-
-    n_classes: int = 10
-    feature_dim: int = 8
-    imbalance_ratio: float = 100.0
-    max_per_class: int = 500
-    within_kappa: float = 80.0
-    ood_kappa: float = 20.0
-    val_per_class: int = 20
-    test_per_class: int = 40
-    ood_train_clusters: int = 2
-    ood_test_clusters: int = 3
-    ood_train_size: int = 600
-    ood_test_size: int = 400
-    max_direction_dot: float = 0.9
-    features_direct: bool = False
-    input_dim: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_fields(vars(self), (
-            ("n_classes", self.n_classes >= 2, ">= 2"),
-            ("feature_dim", self.feature_dim >= 2, ">= 2"),
-            ("imbalance_ratio", self.imbalance_ratio >= 1.0, ">= 1"),
-            ("max_per_class", self.max_per_class >= 1, ">= 1"),
-            ("within_kappa", self.within_kappa > 0.0, "> 0"),
-            ("ood_kappa", self.ood_kappa > 0.0, "> 0"),
-            ("val_per_class", self.val_per_class >= 1, ">= 1"),
-            ("test_per_class", self.test_per_class >= 1, ">= 1"),
-            ("ood_train_clusters", self.ood_train_clusters >= 1, ">= 1"),
-            ("ood_test_clusters", self.ood_test_clusters >= 1, ">= 1"),
-            ("ood_train_size", self.ood_train_size >= 0, ">= 0"),
-            ("ood_test_size", self.ood_test_size >= 1, ">= 1"),
-            ("max_direction_dot", 0.0 < self.max_direction_dot < 1.0, "in (0, 1)"),
-            ("input_dim", self.input_dim is None or self.input_dim >= 1, ">= 1 when set"),
-            ("seed", self.seed >= 0, ">= 0"),
-        ))
-
-    @property
-    def raw_dim(self) -> int:
-        if self.features_direct:
-            return self.feature_dim
-        return 2 * self.feature_dim if self.input_dim is None else int(self.input_dim)
 
 
 def class_counts_profile(n_classes: int, imbalance_ratio: float, max_per_class: int) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import check_fields, logsumexp_softmax, norms_along
+from .config import PattHyper
+from .util import logsumexp_softmax, norms_along
 from .vmf import VmfMixture, _log_norm_and_ratio
 
 __all__ = [
@@ -39,26 +40,6 @@ class LossValue:
 
     value: float
     grad: np.ndarray
-
-
-@dataclass
-class PattHyper:
-    """Weights of the combined objective: contrastive temperature ``tau``,
-    adjustment sharpening ``epsilon``, and the mixing coefficients ``alpha``
-    (tail-adjusted classification) and ``beta`` (outlier exposure)."""
-
-    tau: float = 0.1
-    epsilon: float = 0.7
-    alpha: float = 0.5
-    beta: float = 0.1
-
-    def __post_init__(self) -> None:
-        check_fields(vars(self), (
-            ("tau", self.tau > 0.0, "> 0"),
-            ("epsilon", self.epsilon > 0.0, "> 0"),
-            ("alpha", self.alpha >= 0.0, ">= 0"),
-            ("beta", self.beta >= 0.0, ">= 0"),
-        ))
 
 
 @dataclass

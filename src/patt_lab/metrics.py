@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TAIL_FRACTION
+from .report import classification_report
+
 __all__ = [
     "auroc",
     "aupr",
@@ -23,9 +26,6 @@ __all__ = [
     "build_report",
     "TAIL_FRACTION",
 ]
-
-# default share of classes counted as tail
-TAIL_FRACTION = 1.0 / 3.0
 
 
 def _check_scores(id_scores, ood_scores):
@@ -97,44 +97,6 @@ def fpr_at_95_tpr(id_scores, ood_scores) -> float:
     k = math.ceil(0.95 * b.size)
     threshold = np.sort(b)[k - 1]
     return float(np.mean(a <= threshold))
-
-
-def classification_report(true_labels, pred_labels, class_weights,
-                          tail_fraction: float = TAIL_FRACTION):
-    """Overall, head-group and tail-group accuracy.
-
-    Classes are ordered by their positive training weight, a class count or
-    prior (descending, index breaking ties); the tail group is the bottom
-    ``ceil(K * tail_fraction)`` of that order. A group without test samples
-    reports None, not zero.
-    """
-    t = np.asarray(true_labels, dtype=np.int64)
-    p = np.asarray(pred_labels, dtype=np.int64)
-    weights = np.asarray(class_weights, dtype=np.float64)
-    if t.size == 0 or t.shape != p.shape:
-        raise ValueError("need matching non-empty label arrays")
-    if weights.ndim != 1 or weights.size < 1:
-        raise ValueError("class_weights must be a non-empty vector")
-    if not (weights > 0.0).all():
-        raise ValueError("class_weights must be positive")
-    if np.any(t < 0) or np.any(t >= weights.size):
-        raise ValueError("true labels out of range for class_weights")
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must be in (0, 1)")
-    k = weights.size
-    order = np.argsort(-weights, kind="mergesort")
-    n_tail = math.ceil(k * tail_fraction)
-    tail_classes = set(order[k - n_tail :].tolist())
-    acc = float(np.mean(t == p))
-
-    def group_acc(members):
-        mask = np.isin(t, list(members))
-        if not mask.any():
-            return None
-        return float(np.mean(t[mask] == p[mask]))
-
-    head_classes = set(order[: k - n_tail].tolist())
-    return acc, group_acc(head_classes), group_acc(tail_classes)
 
 
 @dataclass

@@ -10,14 +10,13 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import losses
-from .data import SynthConfig
-from .util import check_fields, derive_seed, norms_along
+from . import checkpoint, losses
+from .config import METHODS, PattHyper, TrainConfig
+from .util import derive_seed, norms_along
 from .vmf import VmfMixture, estimate_class_stats
 
 __all__ = [
@@ -34,10 +33,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-CHECKPOINT_MAGIC = b"PATT1"
-
-METHODS = ("patt", "oe-baseline", "ce-baseline")
 
 
 @dataclass
@@ -167,45 +162,6 @@ def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
 
 
 @dataclass
-class TrainConfig:
-    """Training-loop knobs. ``method`` selects the objective: the combined
-    one, outlier-exposed cross entropy, or plain cross entropy."""
-
-    epochs: int = 30
-    batch_size: int = 128
-    ood_batch_size: int = 128
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    sgd_momentum: float = 0.9
-    seed: int = SynthConfig.seed
-    hyper: losses.PattHyper = field(default_factory=losses.PattHyper)
-    vmf_momentum: float = 0.9
-    vmf_update: str = "batch"
-    encoder_widths: tuple = (64, 64)
-    # the embedding sphere of the model is the sphere of the synthetic data
-    feature_dim: int = SynthConfig.feature_dim
-    method: str = "patt"
-    oe_gamma: float = 0.5
-    ood_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        widths = self.encoder_widths
-        check_fields(vars(self), (
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("ood_batch_size", self.ood_batch_size >= 1, ">= 1"),
-            ("learning_rate", self.learning_rate >= 0.0, ">= 0"),
-            ("optimizer", self.optimizer in ("adam", "sgd"), "adam or sgd"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("vmf_momentum", 0.0 <= self.vmf_momentum < 1.0, "in [0, 1)"),
-            ("vmf_update", self.vmf_update in ("batch", "epoch"), "batch or epoch"),
-            ("encoder_widths", len(widths) > 0 and min(widths) >= 1, "non-empty, each width >= 1"),
-            ("feature_dim", self.feature_dim >= 2, ">= 2"),
-            ("method", self.method in METHODS, "one of " + ", ".join(METHODS)),
-        ))
-
-
-@dataclass
 class LossBreakdown:
     """Mean per-term values of one batch objective. For the baselines the
     ``tla`` slot holds the plain cross-entropy term and ``isac`` is 0."""
@@ -222,7 +178,7 @@ def batch_loss_and_grads(
     id_x: np.ndarray,
     id_y: np.ndarray,
     ood_x,
-    hyper: losses.PattHyper,
+    hyper: PattHyper,
     priors: np.ndarray,
     method: str = TrainConfig.method,
     oe_gamma: float = TrainConfig.oe_gamma,
@@ -343,11 +299,19 @@ def _apply_update(model, flat_grad, config, opt):
     if isinstance(opt, _AdamState):
         b1, b2, eps = 0.9, 0.999, 1e-8
         t = opt.t + 1
-        m = b1 * opt.m + (1.0 - b1) * flat_grad
-        v = b2 * opt.v + (1.0 - b2) * flat_grad * flat_grad
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        # lr * m_hat / (sqrt(v_hat) + eps) in place, in the same order of operations
+        m = b1 * opt.m
+        m += (1.0 - b1) * flat_grad
+        v = (1.0 - b2) * flat_grad
+        v *= flat_grad
+        v += b2 * opt.v
+        step = m / (1.0 - b1**t)
+        step *= lr
+        denom = v / (1.0 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        params -= step
         new_opt = _AdamState(m=m, v=v, t=t)
     else:
         vel = config.sgd_momentum * opt.velocity + flat_grad
@@ -364,7 +328,7 @@ def _apply_update(model, flat_grad, config, opt):
     return new_model, new_opt
 
 
-def train_step(state: TrainState, id_batch, ood_batch, hyper: losses.PattHyper):
+def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
     """One optimization step; returns the new state and the loss breakdown.
 
     For the combined objective the per-class vMF statistics are refreshed
@@ -507,71 +471,24 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
 
 
 def save_checkpoint(path, model: EncoderClassifier, mix: VmfMixture) -> None:
-    """Binary checkpoint: magic, layer sizes, class count, then all parameters
-    and per-class statistics as little-endian float64.
-
-    Layout after the 5-byte magic: uint32 L (number of layer sizes), L uint32
-    sizes (input, hidden..., feature), uint32 K; float64 blocks: per layer W
-    row-major then bias, classifier W then bias, then per class mu, kappa,
-    prior.
-    """
+    """Write ``model`` and ``mix`` in the layout of ``checkpoint``: the
+    parameters in ``param_list`` order, then one (mu, kappa, prior) row per
+    class."""
     if mix.n_classes != model.n_classes or mix.dim != model.feature_dim:
         raise ValueError("mixture does not match the model's head")
-    sizes = model.layer_sizes
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(sizes))]
-    parts.append(struct.pack(f"<{len(sizes)}I", *sizes))
-    parts.append(struct.pack("<I", model.n_classes))
-    for arr in model.param_list():
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    # one row per class: mu, kappa, prior
     stats = np.column_stack([mix.mus, mix.kappas, mix.priors])
-    parts.append(np.ascontiguousarray(stats, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    data = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                    for arr in (*model.param_list(), stats))
+    checkpoint.write(path, model.layer_sizes, model.n_classes, data)
 
 
 def load_checkpoint(path):
-    """Inverse of ``save_checkpoint``; returns (model, mixture)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
-
-    (n_sizes,) = take("<I")
-    if n_sizes < 2:
-        raise ValueError(f"{path}: invalid layer count {n_sizes}")
-    sizes = list(take(f"<{n_sizes}I"))
-    (k,) = take("<I")
-
-    def take_f64(count, shape):
-        nonlocal off
-        size = 8 * count
-        if off + size > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += size
-        return arr.astype(np.float64)
-
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(take_f64(fan_out * fan_in, (fan_out, fan_in)))
-        biases.append(take_f64(fan_out, (fan_out,)))
+    """Inverse of ``save_checkpoint``, checked by ``checkpoint.read``;
+    returns (model, mixture)."""
+    sizes, blocks, _ = checkpoint.read(path)
+    *params, stats = [np.array(values).reshape(shape) for shape, values in blocks]
     dim = sizes[-1]
-    clf_w = take_f64(k * dim, (k, dim))
-    clf_b = take_f64(k, (k,))
-    stats = take_f64(k * (dim + 2), (k, dim + 2))
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
-    model = EncoderClassifier(weights=weights, biases=biases, clf_w=clf_w, clf_b=clf_b)
+    model = EncoderClassifier(weights=params[0:-2:2], biases=params[1:-2:2],
+                              clf_w=params[-2], clf_b=params[-1])
     mix = VmfMixture(mus=stats[:, :dim], kappas=stats[:, dim], priors=stats[:, dim + 1])
     return model, mix

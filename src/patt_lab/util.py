@@ -1,6 +1,5 @@
 """Shared helpers: deterministic derivation of per-role random seeds, the
-one log-sum-exp/softmax of the package, norms along an axis, and the range
-check of config fields.
+one log-sum-exp/softmax of the package, and norms along an axis.
 
 The hot paths call numpy's ufunc reductions (``np.add.reduce``,
 ``np.maximum.reduce``, ``.any()``/``.all()``) directly instead of the
@@ -47,12 +46,3 @@ def norms_along(x: np.ndarray, axis: int = -1) -> np.ndarray:
     product sums in another order and can differ in the last bit.)"""
     return np.sqrt(np.add.reduce(x * x, axis=axis))
 
-
-def check_fields(values: dict, checks) -> None:
-    """Raise ``ValueError`` for the first failed check of ``checks``, a
-    sequence of ``(name, passed, wanted)`` triples; the message names the
-    field and gives its value from ``values``. A check is written so that
-    NaN fails it."""
-    for name, passed, wanted in checks:
-        if not passed:
-            raise ValueError(f"{name} must be {wanted}, got {values[name]!r}")

@@ -5,8 +5,9 @@ Everything here trades speed for transparency: literal series summation in
 Production code must agree with these oracles, never the other way around.
 The module also keeps the earlier forms of rewritten hot paths (the
 per-element asymptotic Bessel kernel, two-pass log-sum-exp and softmax, the
-per-parameter optimizer step, the per-class statistics refresh); the
-rewrites must match them bit for bit.
+per-parameter optimizer step, the per-class statistics refresh) and the
+numpy forms of the plain-Python report (the head/tail accuracy split, the
+score histogram); the rewrites must match them bit for bit.
 """
 
 import math
@@ -330,3 +331,49 @@ def msp_mp(logits):
     """High-precision max softmax probability of one logit vector."""
     exps = [mp.e ** mp.mpf(float(v)) for v in logits]
     return float(max(exps) / mp.fsum(exps))
+
+
+def classification_report_ref(true_labels, pred_labels, class_weights, tail_fraction):
+    """The numpy form of ``report.classification_report``."""
+    t = np.asarray(true_labels, dtype=np.int64)
+    p = np.asarray(pred_labels, dtype=np.int64)
+    weights = np.asarray(class_weights, dtype=np.float64)
+    if t.size == 0 or t.shape != p.shape:
+        raise ValueError("need matching non-empty label arrays")
+    if weights.ndim != 1 or weights.size < 1:
+        raise ValueError("class_weights must be a non-empty vector")
+    if not (weights > 0.0).all():
+        raise ValueError("class_weights must be positive")
+    if np.any(t < 0) or np.any(t >= weights.size):
+        raise ValueError("true labels out of range for class_weights")
+    if not 0.0 < tail_fraction < 1.0:
+        raise ValueError("tail_fraction must be in (0, 1)")
+    k = weights.size
+    order = np.argsort(-weights, kind="mergesort")
+    n_tail = math.ceil(k * tail_fraction)
+    tail_classes = set(order[k - n_tail :].tolist())
+    acc = float(np.mean(t == p))
+
+    def group_acc(members):
+        mask = np.isin(t, list(members))
+        if not mask.any():
+            return None
+        return float(np.mean(t[mask] == p[mask]))
+
+    head_classes = set(order[: k - n_tail].tolist())
+    return acc, group_acc(head_classes), group_acc(tail_classes)
+
+
+def histogram_ref(id_scores, ood_scores, bins):
+    """The numpy form of ``report.histogram``: ``np.linspace`` edges over
+    the range of both score lists, ``np.histogram`` counts."""
+    id_scores = np.asarray(id_scores, dtype=np.float64)
+    ood_scores = np.asarray(ood_scores, dtype=np.float64)
+    lo = min(id_scores.min(), ood_scores.min())
+    hi = max(id_scores.max(), ood_scores.max())
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, bins + 1)
+    id_counts, _ = np.histogram(id_scores, bins=edges)
+    ood_counts, _ = np.histogram(ood_scores, bins=edges)
+    return edges, id_counts, ood_counts

@@ -481,6 +481,67 @@ class TestClassCountAgreement:
         assert err.startswith("error:") and "4 classes but n_classes = 5" in err
 
 
+def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
+    config, out = pipeline
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    for name in ("hist.csv", "acc_table.csv"):
+        (work / name).unlink()
+    bad = write_config(tmp_path / "bad.cfg", tau="0.0")
+    code = (
+        "import sys\n"
+        "from patt_lab import cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        f"assert cli.main(['train', '--config', {str(bad)!r}]) == 1\n"
+        "assert 'numpy' not in sys.modules, 'config error'\n"
+        f"assert cli.main(['report', '--config', {str(config)!r}, '--out', {str(work)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'report'\n")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("error: bad config: tau") and done.stderr.count("\n") == 1
+    for name in ("hist.csv", "acc_table.csv"):
+        assert (work / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["calibrate", "eval", "report"])
+def test_non_finite_checkpoint_parameter_names_the_file(pipeline, tmp_path, capsys, command):
+    # calibrate and eval used to blame the weight or the scores; report exited 0
+    config, out = pipeline
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    ckpt = bad / "model.ckpt"
+    blob = ckpt.read_bytes()
+    (n_sizes,) = struct.unpack_from("<I", blob, 5)
+    at = 5 + 4 * (n_sizes + 2)  # the first float64: a weight of the first layer
+    ckpt.write_bytes(blob[:at] + struct.pack("<d", float("nan")) + blob[at + 8:])
+    rc = cli.main([command, "--config", str(config), "--out", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: bad checkpoint {ckpt}: {ckpt}: non-finite parameter in checkpoint\n"
+
+
+class TestOutputDirectory:
+    """Only gen-data makes the output directory, once its data exists."""
+
+    @pytest.mark.parametrize("command", ["train", "calibrate", "eval", "report"])
+    def test_reading_stage_on_a_missing_directory(self, pipeline, tmp_path, capsys, command):
+        config, _ = pipeline
+        missing = tmp_path / "missing"
+        rc = cli.main([command, "--config", str(config), "--out", str(missing)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: missing") and err.count("\n") == 1, err
+        assert not missing.exists()
+
+    def test_failed_generation(self, tmp_path, capsys):
+        config = write_config(tmp_path / "run.cfg", imbalance_ratio=1000.0, max_per_class=20)
+        out = tmp_path / "out"
+        rc = cli.main(["gen-data", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: data generation failed"), err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_two_epochs(tmp_path_factory):
     # the CLI defaults (the `small` data) trained for two epochs
@@ -516,15 +577,33 @@ class TestOverflowingStep:
             assert name in err
 
 
-def test_module_entry_point_runs_the_command(tmp_path):
-    # `python -m patt_lab.cli` used to exit 0 without running anything
+def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    # `python -m patt_lab.cli` used to exit 0 without running anything
     done = subprocess.run(
         [sys.executable, "-m", "patt_lab.cli", "train", "--config", str(tmp_path / "nope.cfg")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
     assert done.stderr.startswith("error: missing config file") and done.stderr.count("\n") == 1
+
+
+def test_module_entry_point_words_a_stage_error(tmp_path):
+    # a numpy stage raises the error class of the package's `cli`, which
+    # `python -m` would otherwise load a second time beside `__main__`
+    config = tmp_path / "empty.cfg"
+    config.write_text("")
+    done = subprocess.run(
+        [sys.executable, "-m", "patt_lab.cli", "eval", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: missing checkpoint") and done.stderr.count("\n") == 1, \
+        done.stderr
 
 
 FUZZ = {

@@ -1,8 +1,11 @@
 """Unit tests for the encoder/classifier, the optimizer loop and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from patt_lab import checkpoint
 from patt_lab import model as model_module
 from patt_lab.data import LabeledSet, SynthConfig, gen_longtail
 from patt_lab.losses import PattHyper
@@ -11,7 +14,7 @@ from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState,
                             encoder_forward, load_checkpoint, save_checkpoint,
                             train, train_step)
 from patt_lab.util import derive_seed
-from patt_lab.vmf import VmfParams, estimate_class_stats
+from patt_lab.vmf import VmfMixture, VmfParams, estimate_class_stats
 
 import oracles
 
@@ -526,6 +529,61 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("where, value, message", [
+        ((1, "kappa"), -2.0, "kappa must be finite and non-negative, got [ 5. -2. 20.]"),
+        ((1, "kappa"), float("nan"), "kappa must be finite and non-negative, got [ 5. nan 20.]"),
+        ((0, 0), 2.0, "mu must be unit norm, got ||mu|| = np.float64(2.0)"),
+        ((2, "prior"), 0.0, "priors must be strictly positive"),
+        ((2, "prior"), -0.25, "priors must be strictly positive"),
+        ((2, "prior"), 0.5, "priors must sum to 1, got 1.25"),
+        ("magic", None, "{path}: not a checkpoint (bad magic)"),
+        ("truncate", None, "{path}: truncated checkpoint"),
+        ("trailing", None, "{path}: trailing bytes in checkpoint"),
+        ("weight", float("inf"), "{path}: non-finite parameter in checkpoint"),
+        ("weight", float("nan"), "{path}: non-finite parameter in checkpoint"),
+    ])
+    def test_reader_words_each_failure(self, tmp_path, where, value, message):
+        # the wording of every failure but the non-finite parameter is the
+        # one load_checkpoint gave before the reader moved to its own module
+        model = make_model()
+        mix = VmfMixture(mus=np.eye(3, 4), kappas=np.array([5.0, 10.0, 20.0]),
+                         priors=np.array([0.5, 0.25, 0.25]))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, mix)
+        blob = path.read_bytes()
+        if where == "magic":
+            blob = b"PATT2" + blob[5:]
+        elif where == "truncate":
+            blob = blob[:-1]
+        elif where == "trailing":
+            blob += b"\x00" * 8
+        else:
+            if where == "weight":
+                # the first float64 after the magic and the uint32 header
+                at = 5 + 4 * (1 + len(model.layer_sizes) + 1)
+            else:
+                # the last block: one (mu, kappa, prior) row of 6 per class
+                row, col = where
+                col = {"kappa": 4, "prior": 5}.get(col, col)
+                at = len(blob) - 8 * 3 * 6 + 8 * (row * 6 + col)
+            blob = blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+        path.write_bytes(blob)
+        want = message.format(path=path)
+        for read in (checkpoint.read, load_checkpoint):
+            with pytest.raises(ValueError) as got:
+                read(path)
+            assert str(got.value) == want
+
+    def test_reader_gives_the_priors(self, tmp_path):
+        model = make_model(seed=13, widths=(8, 5))
+        mix = make_mixture(np.random.default_rng(5), model.n_classes, model.feature_dim)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, mix)
+        sizes, blocks, priors = checkpoint.read(path)
+        assert sizes == model.layer_sizes
+        assert [shape for shape, _ in blocks] == [p.shape for p in model.param_list()] + [(3, 6)]
+        assert list(priors) == mix.priors.tolist()
 
     def test_mismatched_statistics_rejected(self, tmp_path):
         model = make_model(n_classes=3)
