@@ -5,8 +5,7 @@ in-distribution subset plus an outlier set, rescaled to [0, 2], and
 multiplied elementwise into features at inference time. Channels that
 help the in-distribution side get amplified, channels that outliers
 lean on get attenuated. Scoring (energy or max-softmax) then runs on
-the calibrated features. Also hosts two post-hoc baselines: classifier
-row renormalization and prior-subtraction logit adjustment.
+the calibrated features.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 from .model import EncoderClassifier, classifier_logits
 from .util import logsumexp_softmax
-from .vmf import log_sum_exp
 
 __all__ = [
     "AttentionWeight",
@@ -27,8 +25,6 @@ __all__ = [
     "calibrate_feature",
     "energy_score",
     "msp_score",
-    "tau_norm_classifier",
-    "posthoc_la_adjust",
     "save_attention",
     "load_attention",
 ]
@@ -117,9 +113,12 @@ def attention_weight(cb_features, cb_labels, ood_features, clf: EncoderClassifie
     else:
         ood_y = np.empty(0, dtype=np.int64)
 
-    occupied = np.union1d(cb_y, ood_y)
-    if np.any(pri[occupied] <= 0.0):
-        bad = occupied[pri[occupied] <= 0.0]
+    # one mask of the classes that receive samples (np.union1d would load
+    # numpy.ma); the error names the smallest bad class
+    occupied = np.zeros(pri.size, dtype=bool)
+    occupied[cb_y] = occupied[ood_y] = True
+    bad = np.flatnonzero(occupied & (pri <= 0.0))
+    if bad.size:
         raise ValueError(f"zero prior for occupied class {bad[0]}")
 
     total = np.zeros(cb.shape[1])
@@ -157,12 +156,10 @@ def energy_score(logits):
     """Log-sum-exp of the logits; larger means more in-distribution.
     Accepts one (K,) vector -> float or an (n, K) batch -> (n,) array."""
     a = np.asarray(logits, dtype=np.float64)
-    if a.ndim == 1:
-        return log_sum_exp(a)
-    if a.ndim != 2:
+    if a.ndim not in (1, 2):
         raise ValueError("logits must be 1- or 2-D")
-    lse, _ = logsumexp_softmax(a)
-    return lse
+    lse, _ = logsumexp_softmax(np.atleast_2d(a))
+    return float(lse[0]) if a.ndim == 1 else lse
 
 
 def msp_score(logits):
@@ -175,37 +172,6 @@ def msp_score(logits):
     _, probs = logsumexp_softmax(a)
     out = probs.max(axis=1)
     return float(out[0]) if one else out
-
-
-def tau_norm_classifier(clf: EncoderClassifier, t: float) -> EncoderClassifier:
-    """Copy of the model with classifier row y divided by ||row y||^t.
-
-    t = 0 leaves the classifier unchanged, t = 1 puts every row on the
-    unit sphere; biases are kept. Long-tail training inflates head-class
-    row norms, so this flattens the implicit head bias post hoc.
-    """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"exponent must be in [0, 1], got {t}")
-    norms = np.linalg.norm(clf.clf_w, axis=1)
-    if np.any(norms < 1e-300):
-        raise ValueError("classifier has a zero weight row")
-    out = clf.copy()
-    out.clf_w = clf.clf_w / norms[:, None] ** t
-    return out
-
-
-def posthoc_la_adjust(logits, priors) -> np.ndarray:
-    """Subtract log priors from logits (one vector or a batch). Boosts
-    rare classes at prediction time; applying it twice keeps shifting, so
-    it is deliberately not idempotent."""
-    a = np.asarray(logits, dtype=np.float64)
-    pri = np.asarray(priors, dtype=np.float64)
-    if pri.ndim != 1 or a.shape[-1] != pri.size:
-        raise ValueError("priors must match the class dimension")
-    if np.any(pri <= 0.0):
-        raise ValueError("priors must be strictly positive")
-    return a - np.log(pri)
 
 
 def save_attention(path, weight: AttentionWeight) -> None:

@@ -39,8 +39,9 @@ def _check_stats(k: int, dim: int, stats: tuple) -> None:
 
 
 def read(path):
-    """``(sizes, blocks, priors)``: the layer sizes, the float64 blocks in file
-    order as ``(shape, flat row-major values)`` pairs, and the class priors.
+    """``(sizes, shapes, payload, priors)``: the layer sizes, the shapes of the
+    float64 blocks in file order, the checked little-endian float64 bytes of
+    those blocks (row-major, one after the other), and the class priors.
     Raises ``ValueError`` for a bad magic, layer count or length, a failed
     ``vmf.VmfMixture`` check or a non-finite parameter."""
     with open(path, "rb") as fh:
@@ -65,11 +66,8 @@ def read(path):
     if off + 8 * sum(counts) < len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
     values = struct.unpack_from(f"<{sum(counts)}d", blob, off)
-    blocks, start = [], 0
-    for shape, count in zip(shapes, counts):
-        blocks.append((shape, values[start : start + count]))
-        start += count
-    _check_stats(k, dim, blocks[-1][1])
+    stats = values[len(values) - counts[-1] :]
+    _check_stats(k, dim, stats)
     if not all(map(math.isfinite, values[: len(values) - counts[-1]])):
         raise ValueError(f"{path}: non-finite parameter in checkpoint")
-    return sizes, blocks, blocks[-1][1][dim + 1 :: dim + 2]
+    return sizes, shapes, blob[off:], stats[dim + 1 :: dim + 2]

@@ -174,7 +174,7 @@ def cmd_report(cfg, out_dir) -> None:
     classes by the checkpoint's priors. Plain Python: no numpy import."""
     path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
     try:
-        _, _, priors = checkpoint.read(path)
+        *_, priors = checkpoint.read(path)
     except ValueError as exc:
         raise CliError(f"bad checkpoint {path}: {exc}") from None
     _check_classes(path, len(priors), cfg)

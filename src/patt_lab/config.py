@@ -1,8 +1,9 @@
-"""The config schema: the dataclasses whose fields are the config keys and
-the range check they share, in plain Python so that checking a config costs
-no numpy import.
+"""The config schema: the dataclasses whose fields are the config keys, the
+range check they share and the class count profile that ties two keys
+together, in plain Python so that checking a config costs no numpy import.
 """
 
+import math
 from dataclasses import dataclass, field
 
 METHODS = ("patt", "oe-baseline", "ce-baseline")
@@ -19,6 +20,22 @@ def check_fields(values: dict, checks) -> None:
     for name, passed, wanted in checks:
         if not passed:
             raise ValueError(f"{name} must be {wanted}, got {values[name]!r}")
+
+
+def class_counts_profile(n_classes: int, imbalance_ratio: float, max_per_class: int) -> list:
+    """Exponentially decaying per-class counts, head count down to
+    head/ratio, rounded half-up; refuses profiles whose smallest class
+    would be empty, naming the two keys that set it."""
+    check_fields(locals(), (
+        ("n_classes", n_classes >= 2, ">= 2"),
+        ("imbalance_ratio", imbalance_ratio >= 1.0, ">= 1"),
+    ))
+    counts = [int(math.floor(max_per_class * imbalance_ratio ** (-y / (n_classes - 1)) + 0.5))
+              for y in range(n_classes)]
+    if counts[-1] < 1:
+        raise ValueError(f"imbalance_ratio = {imbalance_ratio!r} with max_per_class = "
+                         f"{max_per_class} empties the tail: class {n_classes - 1} gets no rows")
+    return counts
 
 
 @dataclass
@@ -60,6 +77,7 @@ class SynthConfig:
             ("input_dim", self.input_dim is None or self.input_dim >= 1, ">= 1 when set"),
             ("seed", self.seed >= 0, ">= 0"),
         ))
+        class_counts_profile(self.n_classes, self.imbalance_ratio, self.max_per_class)
 
     @property
     def raw_dim(self) -> int:

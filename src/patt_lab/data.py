@@ -14,9 +14,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import SynthConfig
+from .config import SynthConfig, class_counts_profile
 from .util import derive_seed
-from .vmf import VmfParams, sample_vmf
+from .vmf import sample_vmf
 
 __all__ = [
     "OOD_LABEL",
@@ -70,28 +70,10 @@ class LabeledSet:
         return cls(inputs=inputs, labels=labels, class_counts=counts, dim=inputs.shape[1])
 
 
-def class_counts_profile(n_classes: int, imbalance_ratio: float, max_per_class: int) -> np.ndarray:
-    """Exponentially decaying per-class counts, head count down to
-    head/ratio, rounded half-up; refuses profiles whose smallest class
-    would be empty."""
-    if n_classes < 2:
-        raise ValueError("need at least two classes")
-    if imbalance_ratio < 1.0:
-        raise ValueError(f"imbalance ratio must be >= 1, got {imbalance_ratio}")
-    counts = np.array([
-        int(math.floor(max_per_class * imbalance_ratio ** (-y / (n_classes - 1)) + 0.5))
-        for y in range(n_classes)
-    ], dtype=np.int64)
-    if counts[-1] < 1:
-        raise ValueError(
-            f"imbalance {imbalance_ratio} with head count {max_per_class} empties the tail"
-        )
-    return counts
-
-
-def _spread_directions(rng, dim, existing, count, max_dot, max_tries=20000):
+def _spread_directions(rng, dim, existing, count, max_dot, key, max_tries=20000):
     # sequential rejection: each new direction must keep its dot product with
-    # every previously accepted one below the bound
+    # every previously accepted one below the bound; ``key`` is the config key
+    # that sets ``count``
     out = []
     for _ in range(count):
         for _attempt in range(max_tries):
@@ -106,8 +88,10 @@ def _spread_directions(rng, dim, existing, count, max_dot, max_tries=20000):
                 out.append(v)
                 break
         else:
+            beside = f" beside {len(existing)} others" if existing else ""
             raise ValueError(
-                f"could not place {count} directions with dot < {max_dot} in dim {dim}"
+                f"could not place {key} = {count} directions{beside} "
+                f"with max_direction_dot = {max_dot} in feature_dim = {dim}"
             )
     return out
 
@@ -119,7 +103,7 @@ def _cluster_split(total: int, n_clusters: int) -> list:
 
 def _sample_clusters(dirs, kappa, sizes, dim, seed, role):
     parts = [
-        sample_vmf(VmfParams(mu=mu, kappa=kappa, dim=dim), size, derive_seed(seed, f"{role}-{c}"))
+        sample_vmf(mu, kappa, size, derive_seed(seed, f"{role}-{c}"))
         for c, (mu, size) in enumerate(zip(dirs, sizes))
         if size > 0
     ]
@@ -137,12 +121,16 @@ def gen_longtail(config: SynthConfig):
     d = config.feature_dim
     counts = class_counts_profile(config.n_classes, config.imbalance_ratio, config.max_per_class)
     dir_rng = np.random.default_rng(derive_seed(config.seed, "directions"))
-    class_dirs = _spread_directions(dir_rng, d, [], config.n_classes, config.max_direction_dot)
+    class_dirs = _spread_directions(
+        dir_rng, d, [], config.n_classes, config.max_direction_dot, "n_classes"
+    )
     ood_train_dirs = _spread_directions(
-        dir_rng, d, class_dirs, config.ood_train_clusters, config.max_direction_dot
+        dir_rng, d, class_dirs, config.ood_train_clusters, config.max_direction_dot,
+        "ood_train_clusters",
     )
     ood_test_dirs = _spread_directions(
-        dir_rng, d, class_dirs + ood_train_dirs, config.ood_test_clusters, config.max_direction_dot
+        dir_rng, d, class_dirs + ood_train_dirs, config.ood_test_clusters,
+        config.max_direction_dot, "ood_test_clusters",
     )
 
     def id_split(per_class, role):

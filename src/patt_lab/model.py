@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import checkpoint, losses
+from . import checkpoint
 from .config import METHODS, PattHyper, TrainConfig
 from .util import derive_seed, norms_along
 from .vmf import VmfMixture, estimate_class_stats
@@ -136,12 +136,13 @@ def classifier_logits(model: EncoderClassifier, z) -> np.ndarray:
     return zv @ model.clf_w.T + model.clf_b
 
 
-def _views(flat: np.ndarray, like) -> list:
-    # consecutive slices of ``flat`` shaped like the arrays in ``like``
+def _views(flat: np.ndarray, shapes) -> list:
+    # consecutive slices of ``flat`` with the given shapes
     views, start = [], 0
-    for a in like:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
     return views
 
 
@@ -196,6 +197,9 @@ def batch_loss_and_grads(
     ``flat_grad`` when the caller passes a zero vector of the parameter
     count, otherwise a new one.
     """
+    # the training path is the only one that needs the losses: calibrate
+    # and eval run the model without loading them
+    from . import losses
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n = id_x.shape[0]
@@ -204,7 +208,7 @@ def batch_loss_and_grads(
     params = model.param_list()
     if flat_grad is None:
         flat_grad = np.zeros(sum(p.size for p in params))
-    grads = _views(flat_grad, params)
+    grads = _views(flat_grad, [p.shape for p in params])
 
     acts, _, norms, z = _forward_batch(model, id_x) if forward is None else forward
     logits = z @ model.clf_w.T + model.clf_b
@@ -317,7 +321,7 @@ def _apply_update(model, flat_grad, config, opt):
         vel = config.sgd_momentum * opt.velocity + flat_grad
         params -= lr * vel
         new_opt = _SgdState(velocity=vel)
-    views = _views(params, current)
+    views = _views(params, [p.shape for p in current])
     n_layers = len(model.weights)
     new_model = EncoderClassifier(
         weights=views[0:2 * n_layers:2],
@@ -484,9 +488,11 @@ def save_checkpoint(path, model: EncoderClassifier, mix: VmfMixture) -> None:
 
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``, checked by ``checkpoint.read``;
-    returns (model, mixture)."""
-    sizes, blocks, _ = checkpoint.read(path)
-    *params, stats = [np.array(values).reshape(shape) for shape, values in blocks]
+    returns (model, mixture). The arrays are writable views into one copy of
+    the checked payload."""
+    sizes, shapes, payload, _ = checkpoint.read(path)
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    *params, stats = _views(flat, shapes)
     dim = sizes[-1]
     model = EncoderClassifier(weights=params[0:-2:2], biases=params[1:-2:2],
                               clf_w=params[-2], clf_b=params[-1])

@@ -1,16 +1,17 @@
-"""The four CLI stages that run numpy. Package functions are called through
-their modules, so a wrapper set on a module (a tracer's) sees every call."""
+"""The four CLI stages that run numpy. Each stage imports the package modules
+it calls, so a stage loads and compiles only the code it runs. Package
+functions are called through their modules, so a wrapper set on a module (a
+tracer's) sees every call."""
 
 import os
 
 import numpy as np
 
-from . import calibration, data, metrics, model
 from .cli import _STEP_KEYS, CliError, _build, _check_classes, _require, _train_config
-from .util import derive_seed
 
 
 def _load_split(out_dir, name, n_classes=None):
+    from . import data
     path = _require(os.path.join(out_dir, name), "dataset file")
     try:
         return data.load_features_csv(path, n_classes=n_classes)
@@ -30,6 +31,7 @@ def _load_train(out_dir, cfg):
 
 
 def cmd_gen_data(cfg, out_dir) -> None:
+    from . import data
     dcfg = _build(data.SynthConfig, cfg)
     try:
         train_id, val_id, test_id, train_ood, test_ood = data.gen_longtail(dcfg)
@@ -51,6 +53,7 @@ def cmd_gen_data(cfg, out_dir) -> None:
 
 
 def cmd_train(cfg, out_dir) -> None:
+    from . import model
     train_id = _load_train(out_dir, cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
     val_id = _load_split(out_dir, "val_id.csv", n_classes=cfg["n_classes"])
@@ -70,6 +73,7 @@ def cmd_train(cfg, out_dir) -> None:
 
 
 def _load_model(out_dir, cfg):
+    from . import model
     path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
     try:
         net, mix = model.load_checkpoint(path)
@@ -80,6 +84,8 @@ def _load_model(out_dir, cfg):
 
 
 def cmd_calibrate(cfg, out_dir) -> None:
+    from . import calibration, data, model
+    from .util import derive_seed
     net, mix = _load_model(out_dir, cfg)
     train_id = _load_train(out_dir, cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
@@ -97,6 +103,7 @@ def cmd_calibrate(cfg, out_dir) -> None:
 
 
 def _resolve_attention(cfg, out_dir):
+    from . import calibration
     mode = cfg["use_calibration"]
     path = os.path.join(out_dir, "attention.csv")
     if mode == "off":
@@ -120,6 +127,7 @@ def cmd_eval(cfg, out_dir) -> None:
     virtual labels, so its predictions stay the reference. The head/tail
     split ranks classes by the checkpoint's priors.
     """
+    from . import calibration, metrics, model
     net, mix = _load_model(out_dir, cfg)
     test_id = _load_split(out_dir, "test_id.csv", n_classes=cfg["n_classes"])
     test_ood = _load_split(out_dir, "test_ood.csv", n_classes=cfg["n_classes"])

@@ -8,8 +8,6 @@ each wrapper dispatches to the same ufunc loop, so the bits are the same and
 only the per-call overhead goes.
 """
 
-import hashlib
-
 import numpy as np
 
 
@@ -18,8 +16,10 @@ def derive_seed(seed: int, role: str) -> int:
 
     sha256-based, so the mapping is stable across platforms and sessions and
     every consumer of randomness (shuffling, sampling, init, ...) gets an
-    independent, reproducible stream.
+    independent, reproducible stream. ``hashlib`` is imported here, so a
+    stage that derives no seed does not load it.
     """
+    import hashlib
     digest = hashlib.sha256(f"{int(seed)}:{role}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

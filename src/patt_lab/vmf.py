@@ -1,9 +1,10 @@
 """von Mises-Fisher numerics on the unit hypersphere.
 
-Log-domain Bessel and normalization constants, densities and mixtures, the
-moment generating function, streaming per-class parameter estimation, and a
-seeded rejection sampler (Wood's algorithm). All functions are pure; the
-sampler takes its randomness as an explicit seed.
+Log-domain Bessel and normalization constants, the array-native mixture,
+streaming per-class parameter estimation, and a seeded rejection sampler
+(Wood's algorithm). All functions are pure; the sampler takes its randomness
+as an explicit seed. The densities and the moment generating function, which
+only tests call, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -13,19 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import logsumexp_softmax, norms_along
+from .util import norms_along
 
 __all__ = [
     "KAPPA_MAX",
-    "VmfParams",
     "VmfMixture",
-    "log_sum_exp",
     "log_bessel_i",
     "log_norm_const",
     "bessel_ratio",
-    "vmf_log_pdf",
-    "mixture_log_pdf",
-    "vmf_mgf_log",
     "estimate_class_stats",
     "sample_vmf",
 ]
@@ -46,36 +42,13 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class VmfParams:
-    """Mean direction, concentration and ambient dimension of one component."""
-
-    mu: np.ndarray
-    kappa: float
-    dim: int
-
-    def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.kappa = float(self.kappa)
-        self.dim = int(self.dim)
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.mu.shape != (self.dim,):
-            raise ValueError(f"mu has shape {self.mu.shape}, expected ({self.dim},)")
-        if not math.isfinite(self.kappa) or self.kappa < 0.0:
-            raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
-        norm = math.sqrt(self.mu @ self.mu)
-        if not abs(norm - 1.0) <= _MU_NORM_TOL:  # written so that NaN fails
-            raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
-
-
-@dataclass
 class VmfMixture:
     """A finite mixture of same-dimension vMF components with strict priors,
     stored as arrays: ``mus`` (K, dim) unit rows, ``kappas`` (K,) and
     ``priors`` (K,).
 
-    Construction runs every check of ``VmfParams`` on all rows at once and
-    requires positive priors that sum to 1.
+    Construction checks every row at once (dim >= 2, finite non-negative
+    kappa, unit-norm mu) and requires positive priors that sum to 1.
     """
 
     mus: np.ndarray
@@ -114,17 +87,6 @@ class VmfMixture:
     @property
     def dim(self) -> int:
         return self.mus.shape[1]
-
-
-def log_sum_exp(values) -> float:
-    """Numerically stable log(sum(exp(values))) for a non-empty finite vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("log_sum_exp expects a non-empty 1-D array")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("log_sum_exp expects finite inputs")
-    lse, _ = logsumexp_softmax(v)
-    return float(lse)
 
 
 def _lgamma_plus_one(orders, row):
@@ -333,47 +295,6 @@ def _check_unit_rows(z: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be unit norm, worst ||.|| = {worst!r}")
 
 
-def vmf_log_pdf(params: VmfParams, z) -> float:
-    """Log density of a unit vector (or a batch of rows) under one component."""
-    zs = np.asarray(z, dtype=np.float64)
-    if zs.shape[-1] != params.dim:
-        raise ValueError(f"feature dim {zs.shape[-1]} != component dim {params.dim}")
-    _check_unit_rows(zs, "z")
-    val = log_norm_const(params.dim, params.kappa) + params.kappa * (zs @ params.mu)
-    if zs.ndim == 1:
-        return float(val)
-    return val
-
-
-def mixture_log_pdf(mix: VmfMixture, z) -> float:
-    """Log density under the prior-weighted mixture, for one vector or rows."""
-    zs = np.asarray(z, dtype=np.float64)
-    if zs.shape[-1] != mix.dim:
-        raise ValueError(f"feature dim {zs.shape[-1]} != mixture dim {mix.dim}")
-    _check_unit_rows(zs, "z")
-    log_z = log_norm_const(mix.dim, mix.kappas)
-    a = np.log(mix.priors) + log_z + (zs @ mix.mus.T) * mix.kappas
-    val, _ = logsumexp_softmax(a)
-    if zs.ndim == 1:
-        return float(val)
-    return val
-
-
-def vmf_mgf_log(params: VmfParams, t) -> float:
-    """log E[exp(t . z)] for z drawn from the component.
-
-    Closed form: the ratio of normalization constants at the original and the
-    tilted concentration ||kappa mu + t||.
-    """
-    tv = np.asarray(t, dtype=np.float64)
-    if tv.shape != (params.dim,):
-        raise ValueError(f"t has shape {tv.shape}, expected ({params.dim},)")
-    if not np.all(np.isfinite(tv)):
-        raise ValueError("t must be finite")
-    tilted = float(np.linalg.norm(params.kappa * params.mu + tv))
-    return log_norm_const(params.dim, params.kappa) - log_norm_const(params.dim, tilted)
-
-
 def _banerjee_kappa(r_bar: np.ndarray, dim: int) -> np.ndarray:
     # kappa ~= r (d - r^2) / (1 - r^2), clamped into [0, KAPPA_MAX]
     capped = r_bar >= 1.0 - 1e-12
@@ -485,20 +406,30 @@ def _orthonormal_to(mu: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def sample_vmf(params: VmfParams, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` unit vectors by Wood's rejection algorithm, bit-deterministic
-    for a fixed seed.
+def sample_vmf(mu, kappa: float, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` unit vectors from the vMF law with unit mean direction
+    ``mu`` (a vector of dim >= 2) and concentration ``kappa`` >= 0 by Wood's
+    rejection algorithm, bit-deterministic for a fixed seed.
 
     Tangent-normal decomposition: the component along mu comes from rejection
     sampling of the longitudinal marginal with Beta proposals, the orthogonal
     part is uniform on the subsphere. kappa = 0 degrades to the uniform law
     (every proposal is accepted).
     """
-    n = int(n)
+    mu = np.asarray(mu, dtype=np.float64)
+    kappa, n = float(kappa), int(n)
+    # each test is written so that NaN fails it
+    if mu.ndim != 1 or mu.size < 2:
+        raise ValueError(f"mu must be a vector of dim >= 2, got shape {mu.shape}")
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
+    norm = math.sqrt(mu @ mu)
+    if not abs(norm - 1.0) <= _MU_NORM_TOL:
+        raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(int(seed))
-    d, kappa, mu = params.dim, params.kappa, params.mu
+    d = mu.size
 
     # stable form of (-2 kappa + sqrt(4 kappa^2 + (d-1)^2)) / (d - 1)
     b = (d - 1.0) / (math.sqrt(4.0 * kappa * kappa + (d - 1.0) ** 2) + 2.0 * kappa)

@@ -8,14 +8,26 @@ per-element asymptotic Bessel kernel, two-pass log-sum-exp and softmax, the
 per-parameter optimizer step, the per-class statistics refresh) and the
 numpy forms of the plain-Python report (the head/tail accuracy split, the
 score histogram); the rewrites must match them bit for bit.
+
+The last part holds code that left the package because no pipeline stage
+runs it: the per-sample losses and the combined objective (thin wrappers of
+the package's batch kernels), the single vMF component with its density and
+moment generating function, the checked 1-D log-sum-exp, the two post-hoc
+baselines (tau-normalised classifier, prior-subtraction logit adjustment),
+and the ``np.union1d`` form of the occupied-class check of
+``calibration.attention_weight``.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from patt_lab import vmf
+from patt_lab import losses, vmf
+from patt_lab.calibration import channel_importance
+from patt_lab.model import classifier_logits
+from patt_lab.util import logsumexp_softmax
 
 mp.mp.dps = 50
 
@@ -152,7 +164,7 @@ def mixture_of(components, priors):
 
 def components_of(mix):
     """Each row of a mixture as its own validated ``VmfParams``."""
-    return [vmf.VmfParams(mu=mix.mus[j], kappa=mix.kappas[j], dim=mix.dim)
+    return [VmfParams(mu=mix.mus[j], kappa=mix.kappas[j], dim=mix.dim)
             for j in range(mix.n_classes)]
 
 
@@ -196,7 +208,7 @@ def class_stats_ref(feats, labs, previous, momentum, class_counts=None):
             b_norm = float(np.linalg.norm(blend))
             mu_hat = blend / b_norm if b_norm > 1e-12 else mu_hat
             kappa_hat = momentum * prev.kappa + (1.0 - momentum) * kappa_hat
-        comps.append(vmf.VmfParams(mu=mu_hat, kappa=kappa_hat, dim=dim))
+        comps.append(VmfParams(mu=mu_hat, kappa=kappa_hat, dim=dim))
     return comps, priors
 
 
@@ -377,3 +389,326 @@ def histogram_ref(id_scores, ood_scores, bins):
     id_counts, _ = np.histogram(id_scores, bins=edges)
     ood_counts, _ = np.histogram(ood_scores, bins=edges)
     return edges, id_counts, ood_counts
+
+
+# ---- code that left the package: no pipeline stage runs it ----
+
+
+@dataclass
+class LossValue:
+    """A loss evaluation: scalar value plus gradient in the differentiated
+    argument."""
+
+    value: float
+    grad: np.ndarray
+
+
+@dataclass
+class TotalLossValue:
+    """Combined objective evaluation with per-term values and the gradients
+    flowing to each argument."""
+
+    value: float
+    isac: float
+    tla: float
+    oe: float
+    grad_z: np.ndarray
+    grad_logits: np.ndarray
+    grad_ood_logits: np.ndarray | None
+
+
+def _check_logits(logits, min_k: int = 2) -> np.ndarray:
+    v = np.asarray(logits, dtype=np.float64)
+    if v.ndim != 1 or v.size < min_k:
+        raise ValueError(f"logits must be 1-D with >= {min_k} entries")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("logits must be finite")
+    return v
+
+
+def _check_priors(priors, k: int) -> np.ndarray:
+    p = np.asarray(priors, dtype=np.float64)
+    if p.shape != (k,):
+        raise ValueError(f"priors shape {p.shape} does not match {k} classes")
+    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+        raise ValueError("priors must be finite and non-negative")
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"priors must sum to 1, got {float(p.sum())!r}")
+    return p
+
+
+def oe_uniform_loss(logits) -> LossValue:
+    """Cross entropy from the uniform target: logsumexp(logits) - mean(logits).
+
+    Minimized (at log K, with zero gradient) exactly when all logits are
+    equal, i.e. the prediction carries no class information.
+    """
+    v = _check_logits(logits)
+    vals, grads = losses.oe_uniform_loss_batch(v[None, :])
+    return LossValue(value=float(vals[0]), grad=grads[0])
+
+
+def scl_batch_loss(features: np.ndarray, labels: np.ndarray, anchor_index: int, tau: float) -> float:
+    """Supervised contrastive loss of one anchor against a finite batch.
+
+    The positive set is every batch sample sharing the anchor's label, the
+    anchor itself included; the denominator runs over the whole batch.
+    """
+    z = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    if tau <= 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    if z.ndim != 2 or y.shape != (z.shape[0],):
+        raise ValueError("features must be (n, d) with one label per row")
+    if not 0 <= anchor_index < z.shape[0]:
+        raise ValueError(f"anchor index {anchor_index} out of range")
+    anchor = z[anchor_index]
+    sims = (z @ anchor) / tau
+    pos = y == y[anchor_index]
+    n_pos = int(pos.sum())
+    lse_pos, _ = logsumexp_softmax(sims[pos])
+    lse_all, _ = logsumexp_softmax(sims)
+    return float(np.log(n_pos) - lse_pos + lse_all)
+
+
+def la_loss(logits, y: int, priors) -> LossValue:
+    """Prior-weighted softmax cross entropy (logit adjustment).
+
+    Equivalent to cross entropy on logits shifted by log priors, so rare
+    classes must win by a larger margin to be predicted.
+    """
+    v = _check_logits(logits)
+    p = _check_priors(priors, v.size)
+    y = int(y)
+    if not 0 <= y < v.size:
+        raise ValueError(f"label {y} out of range")
+    if p[y] == 0.0:
+        raise ValueError(f"target class {y} has zero prior")
+    with np.errstate(divide="ignore"):
+        a = np.log(p) + v
+    lse, grad = logsumexp_softmax(a)
+    value = float(lse - a[y])
+    grad[y] -= 1.0
+    return LossValue(value=value, grad=grad)
+
+
+def tla_loss(logits, y: int, priors, epsilon: float) -> LossValue:
+    """Tail-sharpened logit adjustment: adjustment at temperature ``epsilon``.
+
+    Logits are divided by epsilon before the prior shift; epsilon < 1 both
+    sharpens the decision and scales the gradient by 1/epsilon. epsilon = 1
+    recovers plain adjustment.
+    """
+    v = _check_logits(logits)
+    p = _check_priors(priors, v.size)
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    y = int(y)
+    if not 0 <= y < v.size:
+        raise ValueError(f"label {y} out of range")
+    if p[y] == 0.0:
+        raise ValueError(f"target class {y} has zero prior")
+    vals, grads = losses.tla_loss_batch(v[None, :], np.array([y]), p, epsilon)
+    return LossValue(value=float(vals[0]), grad=grads[0])
+
+
+def isac_loss(mix: vmf.VmfMixture, z, y: int, tau: float) -> LossValue:
+    """Infinite-batch limit of the supervised contrastive loss under a vMF
+    mixture of class-conditional feature laws.
+
+    Every class contributes through the tilted concentration
+    ||kappa_j mu_j + z / tau||; the value is a logsumexp over classes of
+    log-domain normalization-constant ratios, and the gradient in z is exact.
+    The mixture statistics are constants (no gradient flows into them).
+    """
+    zv = np.asarray(z, dtype=np.float64)
+    if zv.ndim != 1:
+        raise ValueError("z must be a single feature vector")
+    vals, grads = losses.isac_loss_batch(mix, zv[None, :], np.array([int(y)]), tau)
+    return LossValue(value=float(vals[0]), grad=grads[0])
+
+
+def patt_total_loss(
+    mix: vmf.VmfMixture,
+    z_id,
+    y: int,
+    logits_id,
+    logits_ood,
+    hyper,
+    priors,
+) -> TotalLossValue:
+    """Combined objective for one labeled sample plus a batch of outlier
+    logits: contrastive + alpha * adjusted classification + beta * exposure.
+
+    ``logits_ood`` may be None or empty (the exposure term is then 0). Each
+    gradient flows to its own argument: features, sample logits, outlier
+    logits.
+    """
+    zv = np.asarray(z_id, dtype=np.float64)
+    isac = isac_loss(mix, zv, y, hyper.tau)
+    tla = tla_loss(logits_id, y, priors, hyper.epsilon)
+    if logits_ood is None or np.size(logits_ood) == 0:
+        oe_val = 0.0
+        grad_ood = None
+    else:
+        lo = np.asarray(logits_ood, dtype=np.float64)
+        if lo.ndim != 2:
+            raise ValueError("outlier logits must be a (m, K) batch")
+        oe_vals, oe_grads = losses.oe_uniform_loss_batch(lo)
+        oe_val = float(oe_vals.mean())
+        grad_ood = hyper.beta * oe_grads / lo.shape[0]
+    value = isac.value + hyper.alpha * tla.value + hyper.beta * oe_val
+    return TotalLossValue(
+        value=value,
+        isac=isac.value,
+        tla=tla.value,
+        oe=oe_val,
+        grad_z=isac.grad,
+        grad_logits=hyper.alpha * tla.grad,
+        grad_ood_logits=grad_ood,
+    )
+
+
+@dataclass
+class VmfParams:
+    """Mean direction, concentration and ambient dimension of one component."""
+
+    mu: np.ndarray
+    kappa: float
+    dim: int
+
+    def __post_init__(self) -> None:
+        self.mu = np.asarray(self.mu, dtype=np.float64)
+        self.kappa = float(self.kappa)
+        self.dim = int(self.dim)
+        if self.dim < 2:
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        if self.mu.shape != (self.dim,):
+            raise ValueError(f"mu has shape {self.mu.shape}, expected ({self.dim},)")
+        if not math.isfinite(self.kappa) or self.kappa < 0.0:
+            raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
+        norm = math.sqrt(self.mu @ self.mu)
+        if not abs(norm - 1.0) <= vmf._MU_NORM_TOL:  # written so that NaN fails
+            raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
+
+
+def log_sum_exp(values) -> float:
+    """Numerically stable log(sum(exp(values))) for a non-empty finite vector."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("log_sum_exp expects a non-empty 1-D array")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("log_sum_exp expects finite inputs")
+    lse, _ = logsumexp_softmax(v)
+    return float(lse)
+
+
+def vmf_log_pdf(params: VmfParams, z) -> float:
+    """Log density of a unit vector (or a batch of rows) under one component."""
+    zs = np.asarray(z, dtype=np.float64)
+    if zs.shape[-1] != params.dim:
+        raise ValueError(f"feature dim {zs.shape[-1]} != component dim {params.dim}")
+    vmf._check_unit_rows(zs, "z")
+    val = vmf.log_norm_const(params.dim, params.kappa) + params.kappa * (zs @ params.mu)
+    if zs.ndim == 1:
+        return float(val)
+    return val
+
+
+def mixture_log_pdf(mix: vmf.VmfMixture, z) -> float:
+    """Log density under the prior-weighted mixture, for one vector or rows."""
+    zs = np.asarray(z, dtype=np.float64)
+    if zs.shape[-1] != mix.dim:
+        raise ValueError(f"feature dim {zs.shape[-1]} != mixture dim {mix.dim}")
+    vmf._check_unit_rows(zs, "z")
+    log_z = vmf.log_norm_const(mix.dim, mix.kappas)
+    a = np.log(mix.priors) + log_z + (zs @ mix.mus.T) * mix.kappas
+    val, _ = logsumexp_softmax(a)
+    if zs.ndim == 1:
+        return float(val)
+    return val
+
+
+def vmf_mgf_log(params: VmfParams, t) -> float:
+    """log E[exp(t . z)] for z drawn from the component.
+
+    Closed form: the ratio of normalization constants at the original and the
+    tilted concentration ||kappa mu + t||.
+    """
+    tv = np.asarray(t, dtype=np.float64)
+    if tv.shape != (params.dim,):
+        raise ValueError(f"t has shape {tv.shape}, expected ({params.dim},)")
+    if not np.all(np.isfinite(tv)):
+        raise ValueError("t must be finite")
+    tilted = float(np.linalg.norm(params.kappa * params.mu + tv))
+    return vmf.log_norm_const(params.dim, params.kappa) - vmf.log_norm_const(params.dim, tilted)
+
+
+def tau_norm_classifier(clf, t: float):
+    """Copy of the model with classifier row y divided by ||row y||^t.
+
+    t = 0 leaves the classifier unchanged, t = 1 puts every row on the
+    unit sphere; biases are kept. Long-tail training inflates head-class
+    row norms, so this flattens the implicit head bias post hoc.
+    """
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"exponent must be in [0, 1], got {t}")
+    norms = np.linalg.norm(clf.clf_w, axis=1)
+    if np.any(norms < 1e-300):
+        raise ValueError("classifier has a zero weight row")
+    out = clf.copy()
+    out.clf_w = clf.clf_w / norms[:, None] ** t
+    return out
+
+
+def posthoc_la_adjust(logits, priors) -> np.ndarray:
+    """Subtract log priors from logits (one vector or a batch). Boosts
+    rare classes at prediction time; applying it twice keeps shifting, so
+    it is deliberately not idempotent."""
+    a = np.asarray(logits, dtype=np.float64)
+    pri = np.asarray(priors, dtype=np.float64)
+    if pri.ndim != 1 or a.shape[-1] != pri.size:
+        raise ValueError("priors must match the class dimension")
+    if np.any(pri <= 0.0):
+        raise ValueError("priors must be strictly positive")
+    return a - np.log(pri)
+
+
+def attention_weight_union1d(cb_features, cb_labels, ood_features, clf, priors):
+    """``calibration.attention_weight`` as it was before the occupied
+    classes became one boolean mask: ``np.union1d`` of the ID and outlier
+    labels."""
+    cb = np.asarray(cb_features, dtype=np.float64)
+    cb_y = np.asarray(cb_labels, dtype=np.int64)
+    pri = np.asarray(priors, dtype=np.float64)
+    if cb.ndim != 2 or cb.shape[0] == 0:
+        raise ValueError("class-balanced ID subset must be non-empty")
+    if cb_y.shape != (cb.shape[0],):
+        raise ValueError("cb label shape mismatch")
+    if pri.ndim != 1 or pri.size != clf.clf_w.shape[0]:
+        raise ValueError("priors must have one entry per class")
+    if np.any(cb_y < 0) or np.any(cb_y >= pri.size):
+        raise ValueError("cb label out of range")
+
+    if ood_features is None:
+        ood = np.empty((0, cb.shape[1]))
+    else:
+        ood = np.asarray(ood_features, dtype=np.float64)
+        if ood.ndim != 2 or (ood.size and ood.shape[1] != cb.shape[1]):
+            raise ValueError("outlier feature dimension mismatch")
+    if ood.shape[0] > 0:
+        ood_y = np.argmax(classifier_logits(clf, ood), axis=1)
+    else:
+        ood_y = np.empty(0, dtype=np.int64)
+
+    occupied = np.union1d(cb_y, ood_y)
+    if np.any(pri[occupied] <= 0.0):
+        bad = occupied[pri[occupied] <= 0.0]
+        raise ValueError(f"zero prior for occupied class {bad[0]}")
+
+    total = np.zeros(cb.shape[1])
+    total += np.sum(channel_importance(cb, cb_y, clf) / pri[cb_y, None], axis=0)
+    if ood.shape[0] > 0:
+        total -= np.sum(channel_importance(ood, ood_y, clf) / pri[ood_y, None], axis=0)
+    return total / (cb.shape[0] + ood.shape[0])

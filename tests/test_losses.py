@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab.losses import (PattHyper, isac_loss, isac_loss_batch, la_loss,
-                             oe_uniform_loss, oe_uniform_loss_batch,
-                             patt_total_loss, scl_batch_loss, tla_loss,
-                             tla_loss_batch)
+from patt_lab.config import PattHyper
+from patt_lab.losses import isac_loss_batch, oe_uniform_loss_batch, tla_loss_batch
 from patt_lab.util import logsumexp_softmax
-from patt_lab.vmf import VmfParams, sample_vmf
+from patt_lab.vmf import sample_vmf
 
 import oracles
+from oracles import (VmfParams, isac_loss, la_loss, oe_uniform_loss, patt_total_loss,
+                     scl_batch_loss, tla_loss)
 
 LN10 = 2.302585092994046
 
@@ -289,7 +289,7 @@ class TestIsacLoss:
                 feats, labels = _mixture_batch(mix, size, seed=40 + rep)
                 for a in range(6):
                     y = int(rng.integers(0, 3))
-                    z = sample_vmf(oracles.components_of(mix)[y], 1, seed=900 + a)[0]
+                    z = sample_vmf(mix.mus[y], mix.kappas[y], 1, seed=900 + a)[0]
                     target = isac_loss(mix, z, y, tau=1.0).value
                     f = np.vstack([z[None, :], feats])
                     l = np.concatenate([[y], labels])
@@ -313,7 +313,7 @@ def _mixture_batch(mix, n, seed):
     for j in range(mix.n_classes):
         rows = np.flatnonzero(labels == j)
         if rows.size:
-            feats[rows] = sample_vmf(oracles.components_of(mix)[j], rows.size, seed=seed + j)
+            feats[rows] = sample_vmf(mix.mus[j], mix.kappas[j], rows.size, seed=seed + j)
     return feats, labels
 
 

@@ -7,16 +7,18 @@ import pytest
 
 from patt_lab import checkpoint
 from patt_lab import model as model_module
+from patt_lab import vmf as vmf_module
+from patt_lab.config import PattHyper
 from patt_lab.data import LabeledSet, SynthConfig, gen_longtail
-from patt_lab.losses import PattHyper
 from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState,
                             batch_loss_and_grads, classifier_logits,
                             encoder_forward, load_checkpoint, save_checkpoint,
                             train, train_step)
 from patt_lab.util import derive_seed
-from patt_lab.vmf import VmfMixture, VmfParams, estimate_class_stats
+from patt_lab.vmf import VmfMixture, estimate_class_stats
 
 import oracles
+from oracles import VmfParams
 
 
 def make_model(seed=0, input_dim=6, widths=(8,), feature_dim=4, n_classes=3):
@@ -336,6 +338,8 @@ class TestFlatGradient:
         monkeypatch.setattr(VmfParams, "__post_init__", counting)
         train_step(state, (x, y), ood, state.config.hyper)
         assert built == []
+        # the package has no per-component type left to build
+        assert not hasattr(vmf_module, "VmfParams")
         VmfParams(mu=np.array([1.0, 0.0]), kappa=1.0, dim=2)
         assert len(built) == 1
 
@@ -356,7 +360,7 @@ class TestFlatUpdate:
     def test_matches_per_parameter_reference(self, optimizer, assigned):
         model = make_model(seed=2)
         if assigned:
-            # arrays assigned after init, as tau_norm_classifier does; the
+            # arrays assigned after init, as oracles.tau_norm_classifier does; the
             # head is a transposed (non-contiguous) view
             rng = np.random.default_rng(9)
             model.clf_w = rng.normal(size=(model.feature_dim, model.n_classes)).T
@@ -580,10 +584,31 @@ class TestCheckpoint:
         mix = make_mixture(np.random.default_rng(5), model.n_classes, model.feature_dim)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, mix)
-        sizes, blocks, priors = checkpoint.read(path)
+        sizes, shapes, payload, priors = checkpoint.read(path)
         assert sizes == model.layer_sizes
-        assert [shape for shape, _ in blocks] == [p.shape for p in model.param_list()] + [(3, 6)]
+        assert shapes == [p.shape for p in model.param_list()] + [(3, 6)]
+        assert payload == path.read_bytes()[-len(payload):]
+        assert len(payload) == 8 * sum(p.size for p in model.param_list()) + 8 * 3 * 6
         assert list(priors) == mix.priors.tolist()
+
+    def test_loaded_arrays_are_writable_copies(self, tmp_path):
+        # one np.frombuffer over the checked payload, copied: the arrays
+        # equal the saved ones, can be written, and share no memory with
+        # the bytes read from the file
+        model = make_model(seed=13, widths=(8, 5))
+        mix = make_mixture(np.random.default_rng(5), model.n_classes, model.feature_dim)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, mix)
+        loaded, loaded_mix = load_checkpoint(path)
+        arrays = loaded.param_list() + [loaded_mix.mus, loaded_mix.kappas, loaded_mix.priors]
+        wanted = model.param_list() + [mix.mus, mix.kappas, mix.priors]
+        for got, want in zip(arrays, wanted):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.flags.writeable
+        loaded.weights[0][0, 0] += 1.0
+        again, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(again.weights[0], model.weights[0])
 
     def test_mismatched_statistics_rejected(self, tmp_path):
         model = make_model(n_classes=3)

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patt_lab import losses, vmf
-from patt_lab.vmf import (KAPPA_MAX, VmfMixture, VmfParams, _log_norm_and_ratio,
-                          bessel_ratio, estimate_class_stats, log_bessel_i,
-                          log_norm_const, log_sum_exp, mixture_log_pdf, sample_vmf,
-                          vmf_log_pdf, vmf_mgf_log)
+from patt_lab.vmf import (KAPPA_MAX, VmfMixture, _log_norm_and_ratio, bessel_ratio,
+                          estimate_class_stats, log_bessel_i, log_norm_const, sample_vmf)
 
 import oracles
+from oracles import VmfParams, log_sum_exp, mixture_log_pdf, vmf_log_pdf, vmf_mgf_log
 
 LN2 = 0.6931471805599453
 
@@ -240,7 +239,7 @@ class TestMgfLog:
     def test_monte_carlo_agreement(self):
         p = vp(e(0, 3), 1.0)
         t = 2.0 * e(0, 3)
-        zs = sample_vmf(p, 10 ** 5, seed=123)
+        zs = sample_vmf(p.mu, p.kappa, 10 ** 5, seed=123)
         mc = np.log(np.mean(np.exp(zs @ t)))
         assert vmf_mgf_log(p, t) == pytest.approx(float(mc), rel=0.02)
 
@@ -503,42 +502,52 @@ class TestBesselRatio:
 class TestSampleVmf:
     def test_uniform_resultant_small(self):
         p = vp(e(0, 3), 0.0)
-        zs = sample_vmf(p, 10 ** 5, seed=9)
+        zs = sample_vmf(p.mu, p.kappa, 10 ** 5, seed=9)
         assert np.linalg.norm(zs.mean(axis=0)) < 0.02
 
     def test_concentrated_mean_direction(self):
         mu = unit([1.0, -2.0, 0.5])
         p = vp(mu, 50.0)
-        zs = sample_vmf(p, 10 ** 4, seed=10)
+        zs = sample_vmf(p.mu, p.kappa, 10 ** 4, seed=10)
         mean_dir = unit(zs.mean(axis=0))
         assert np.arccos(np.clip(mean_dir @ mu, -1, 1)) < 0.05
 
     def test_unit_norm_output(self):
         p = vp(e(2, 6), 3.0)
-        zs = sample_vmf(p, 500, seed=1)
+        zs = sample_vmf(p.mu, p.kappa, 500, seed=1)
         np.testing.assert_allclose(np.linalg.norm(zs, axis=1), 1.0, atol=1e-9)
 
     def test_seed_determinism(self):
         p = vp(e(0, 4), 7.0)
-        a = sample_vmf(p, 256, seed=77)
-        b = sample_vmf(p, 256, seed=77)
+        a = sample_vmf(p.mu, p.kappa, 256, seed=77)
+        b = sample_vmf(p.mu, p.kappa, 256, seed=77)
         np.testing.assert_array_equal(a, b)
-        c = sample_vmf(p, 256, seed=78)
+        c = sample_vmf(p.mu, p.kappa, 256, seed=78)
         assert not np.array_equal(a, c)
 
 
+def sample_one(mu, kappa):
+    return sample_vmf(mu, kappa, 1, seed=0)
+
+
 class TestVmfParamsValidation:
+    """The component checks, in the package's sampler and in the oracles'
+    ``VmfParams``."""
+
     def test_rejects_unnormalized_mu(self):
-        with pytest.raises(ValueError):
-            vp(np.array([1.0, 1.0]), 1.0)
+        for build in (vp, sample_one):
+            with pytest.raises(ValueError):
+                build(np.array([1.0, 1.0]), 1.0)
 
     def test_rejects_negative_kappa(self):
-        with pytest.raises(ValueError):
-            vp(e(0, 3), -1.0)
+        for build in (vp, sample_one):
+            with pytest.raises(ValueError):
+                build(e(0, 3), -1.0)
 
     def test_rejects_nan_mu(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            vp(np.array([np.nan, 0.0]), 1.0)
+        for build in (vp, sample_one):
+            with pytest.raises(ValueError, match="unit norm"):
+                build(np.array([np.nan, 0.0]), 1.0)
 
     def test_unit_row_check_rejects_nan(self):
         z = np.array([[np.nan, 0.0], [1.0, 0.0]])
