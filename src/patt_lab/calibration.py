@@ -10,8 +10,6 @@ the calibrated features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import EncoderClassifier, classifier_logits
@@ -30,24 +28,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AttentionWeight:
     """Raw channel weight and its [0, 2]-rescaled form."""
 
-    raw: np.ndarray
-    scaled: np.ndarray
-
-    def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=np.float64)
-        scaled = np.asarray(self.scaled, dtype=np.float64)
+    def __init__(self, raw, scaled) -> None:
+        raw = np.asarray(raw, dtype=np.float64)
+        scaled = np.asarray(scaled, dtype=np.float64)
         if raw.ndim != 1 or raw.shape != scaled.shape:
             raise ValueError("raw and scaled must be matching 1-D vectors")
         if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(scaled))):
             raise ValueError("attention weight must be finite")
         if np.any(scaled < -1e-12) or np.any(scaled > 2 + 1e-12):
             raise ValueError("scaled weight must lie in [0, 2]")
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "scaled", scaled)
+        self.raw, self.scaled = raw, scaled
 
     @classmethod
     def from_raw(cls, raw) -> "AttentionWeight":

@@ -5,8 +5,8 @@ synthetic benchmark splits, ``train`` fits a model and writes a checkpoint,
 ``calibrate`` extracts the attention weight, ``eval`` scores the test
 splits and writes the report, and ``report`` bins scores into plot-ready
 histogram data. Configuration is a flat ``key = value`` file. Its keys are
-the fields of ``SynthConfig``, ``TrainConfig`` and ``PattHyper``, with the
-dataclass defaults, plus the five keys in ``_CLI_DEFAULTS``; unknown keys
+the fields of ``SynthConfig``, ``TrainConfig`` and ``PattHyper``, with their
+class defaults, plus the five keys in ``_CLI_DEFAULTS``; unknown keys
 are rejected, and ``load_config`` checks every key, so each stage rejects a
 bad value before it reads or writes a data file. All randomness derives
 from the single ``seed`` key, so repeating any subcommand reproduces its
@@ -22,11 +22,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 
-from . import checkpoint
-from .config import TAIL_FRACTION, PattHyper, SynthConfig, TrainConfig, check_fields
-from .report import classification_report, histogram
+from .config import (TAIL_FRACTION, PattHyper, SynthConfig, TrainConfig, check_fields,
+                     config_fields)
 
 __all__ = ["main", "entry"]
 
@@ -35,7 +33,7 @@ HIST_BINS = 30
 # config keys that scale a training step's losses, gradients or update
 _STEP_KEYS = ("learning_rate", "sgd_momentum", "tau", "epsilon", "alpha", "beta", "oe_gamma")
 
-# the keys that no dataclass reads; per_class 0 means "smallest training
+# the keys that no config class reads; per_class 0 means "smallest training
 # class count"
 _CLI_DEFAULTS = {
     "out_dir": "runs/default",
@@ -45,12 +43,12 @@ _CLI_DEFAULTS = {
     "use_calibration": "auto",
 }
 
-# dataclass fields that only library callers set
+# config class fields that only library callers set
 _LIBRARY_ONLY = ("hyper", "ood_seed")
 
 # key -> default; the default's type decides how the value string is parsed
-DEFAULTS = {f.name: f.default for cls in (SynthConfig, TrainConfig, PattHyper)
-            for f in fields(cls) if f.name not in _LIBRARY_ONLY}
+DEFAULTS = {name: default for cls in (SynthConfig, TrainConfig, PattHyper)
+            for name, default in config_fields(cls) if name not in _LIBRARY_ONLY}
 DEFAULTS.update(_CLI_DEFAULTS)
 
 
@@ -83,7 +81,7 @@ def _parse_value(key: str, text: str):
 
 
 def _build(cls, cfg, **extra):
-    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in DEFAULTS}, **extra)
+    return cls(**{k: cfg[k] for k, _ in config_fields(cls) if k in DEFAULTS}, **extra)
 
 
 def _train_config(cfg) -> TrainConfig:
@@ -172,6 +170,8 @@ def _read_scores(out_dir):
 def cmd_report(cfg, out_dir) -> None:
     """Bin scores for plotting and recompute the accuracy split, ranking
     classes by the checkpoint's priors. Plain Python: no numpy import."""
+    from . import checkpoint
+    from .report import classification_report, histogram
     path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
     try:
         *_, priors = checkpoint.read(path)

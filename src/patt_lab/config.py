@@ -1,10 +1,10 @@
-"""The config schema: the dataclasses whose fields are the config keys, the
-range check they share and the class count profile that ties two keys
-together, in plain Python so that checking a config costs no numpy import.
+"""The config schema: the classes whose annotated defaults are the config
+keys, the range check they share and the class count profile that ties two
+keys together, in plain Python so that checking a config costs no numpy
+import. The classes are plain: defining them generates no code at import.
 """
 
 import math
-from dataclasses import dataclass, field
 
 METHODS = ("patt", "oe-baseline", "ce-baseline")
 
@@ -38,8 +38,31 @@ def class_counts_profile(n_classes: int, imbalance_ratio: float, max_per_class: 
     return counts
 
 
-@dataclass
-class SynthConfig:
+def config_fields(cls) -> list:
+    """``(name, default)`` of each field of a config class, in declaration
+    order: its annotated class attributes."""
+    return [(name, getattr(cls, name)) for name in cls.__annotations__]
+
+
+class _Config:
+    """Keyword-only init of the config classes: each field starts at its
+    class default, a config-class default (``TrainConfig.hyper``) gives each
+    instance its own copy, an unknown keyword is a ``TypeError``, and then
+    the class's ``_check`` runs."""
+
+    def __init__(self, **values) -> None:
+        cls = type(self)
+        for name, default in config_fields(cls):
+            if name not in values and isinstance(default, type):
+                default = default()
+            setattr(self, name, values.pop(name, default))
+        if values:
+            raise TypeError(f"{cls.__name__}.__init__() got an unexpected keyword argument "
+                            f"{next(iter(values))!r}")
+        self._check()
+
+
+class SynthConfig(_Config):
     """Geometry and sizes of one synthetic benchmark draw."""
 
     n_classes: int = 10
@@ -59,7 +82,7 @@ class SynthConfig:
     input_dim: int | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_fields(vars(self), (
             ("n_classes", self.n_classes >= 2, ">= 2"),
             ("feature_dim", self.feature_dim >= 2, ">= 2"),
@@ -86,8 +109,7 @@ class SynthConfig:
         return 2 * self.feature_dim if self.input_dim is None else int(self.input_dim)
 
 
-@dataclass
-class PattHyper:
+class PattHyper(_Config):
     """Weights of the combined objective: contrastive temperature ``tau``,
     adjustment sharpening ``epsilon``, and the mixing coefficients ``alpha``
     (tail-adjusted classification) and ``beta`` (outlier exposure)."""
@@ -97,7 +119,7 @@ class PattHyper:
     alpha: float = 0.5
     beta: float = 0.1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_fields(vars(self), (
             ("tau", self.tau > 0.0, "> 0"),
             ("epsilon", self.epsilon > 0.0, "> 0"),
@@ -106,8 +128,7 @@ class PattHyper:
         ))
 
 
-@dataclass
-class TrainConfig:
+class TrainConfig(_Config):
     """Training-loop knobs. ``method`` selects the objective: the combined
     one, outlier-exposed cross entropy, or plain cross entropy."""
 
@@ -118,7 +139,7 @@ class TrainConfig:
     optimizer: str = "adam"
     sgd_momentum: float = 0.9
     seed: int = SynthConfig.seed
-    hyper: PattHyper = field(default_factory=PattHyper)
+    hyper: PattHyper = PattHyper  # a class default: each instance gets its own
     vmf_momentum: float = 0.9
     vmf_update: str = "batch"
     encoder_widths: tuple = (64, 64)
@@ -128,7 +149,7 @@ class TrainConfig:
     oe_gamma: float = 0.5
     ood_seed: int | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         widths = self.encoder_widths
         check_fields(vars(self), (
             ("epochs", self.epochs >= 0, ">= 0"),

@@ -1,28 +1,29 @@
 """Synthetic long-tailed benchmark data and the CSV interchange format.
 
 Classes live on the unit sphere as vMF clusters with an exponentially
-decaying count profile; outlier clusters for training exposure and for the
-final evaluation use separated direction sets. Inputs are either the sphere
+decaying count profile, drawn by a seeded rejection sampler (Wood's
+algorithm); outlier clusters for training exposure and for the final
+evaluation use separated direction sets. Inputs are either the sphere
 features themselves or their image under a fixed seeded affine map into a
 higher-dimensional raw space.
 """
 
 from __future__ import annotations
 
+import array
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import SynthConfig, class_counts_profile
-from .util import derive_seed
-from .vmf import sample_vmf
+from .config import SynthConfig, class_counts_profile, config_fields
+from .util import MU_NORM_TOL, derive_seed
 
 __all__ = [
     "OOD_LABEL",
     "LabeledSet",
     "SynthConfig",
     "class_counts_profile",
+    "sample_vmf",
     "gen_longtail",
     "save_features_csv",
     "load_features_csv",
@@ -33,21 +34,15 @@ __all__ = [
 OOD_LABEL = -1
 
 
-@dataclass
 class LabeledSet:
     """Rows of inputs with integer labels (-1 marks outliers) and the
     per-class count vector of the split."""
 
-    inputs: np.ndarray
-    labels: np.ndarray
-    class_counts: np.ndarray
-    dim: int
-
-    def __post_init__(self) -> None:
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.class_counts = np.asarray(self.class_counts, dtype=np.int64)
-        self.dim = int(self.dim)
+    def __init__(self, inputs, labels, class_counts, dim) -> None:
+        self.inputs = np.asarray(inputs, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.class_counts = np.asarray(class_counts, dtype=np.int64)
+        self.dim = int(dim)
         if self.inputs.ndim != 2 or self.inputs.shape[1] != self.dim:
             raise ValueError(f"inputs must be (n, {self.dim})")
         if self.labels.shape != (self.inputs.shape[0],):
@@ -68,6 +63,71 @@ class LabeledSet:
             n_classes = int(known.max()) + 1 if known.size else 0
         counts = np.bincount(known, minlength=n_classes) if n_classes else np.zeros(0, np.int64)
         return cls(inputs=inputs, labels=labels, class_counts=counts, dim=inputs.shape[1])
+
+
+def _orthonormal_to(mu: np.ndarray) -> np.ndarray:
+    # deterministic unit vector orthogonal to mu (fallback for the rare case
+    # of a Gaussian draw collapsing onto the mean direction)
+    basis = np.zeros_like(mu)
+    basis[int(np.argmin(np.abs(mu)))] = 1.0
+    v = basis - (basis @ mu) * mu
+    return v / np.linalg.norm(v)
+
+
+def sample_vmf(mu, kappa: float, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` unit vectors from the vMF law with unit mean direction
+    ``mu`` (a vector of dim >= 2) and concentration ``kappa`` >= 0 by Wood's
+    rejection algorithm, bit-deterministic for a fixed seed.
+
+    Tangent-normal decomposition: the component along mu comes from rejection
+    sampling of the longitudinal marginal with Beta proposals, the orthogonal
+    part is uniform on the subsphere. kappa = 0 degrades to the uniform law
+    (every proposal is accepted).
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    kappa, n = float(kappa), int(n)
+    # each test is written so that NaN fails it
+    if mu.ndim != 1 or mu.size < 2:
+        raise ValueError(f"mu must be a vector of dim >= 2, got shape {mu.shape}")
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
+    norm = math.sqrt(mu @ mu)
+    if not abs(norm - 1.0) <= MU_NORM_TOL:
+        raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    rng = np.random.default_rng(int(seed))
+    d = mu.size
+
+    # stable form of (-2 kappa + sqrt(4 kappa^2 + (d-1)^2)) / (d - 1)
+    b = (d - 1.0) / (math.sqrt(4.0 * kappa * kappa + (d - 1.0) ** 2) + 2.0 * kappa)
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + (d - 1.0) * math.log1p(-x0 * x0)
+
+    ws = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = n - filled
+        z = rng.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m)
+        u = rng.random(m)
+        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        with np.errstate(divide="ignore"):
+            accept = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
+        got = int(accept.sum())
+        ws[filled : filled + got] = w[accept]
+        filled += got
+
+    v = rng.standard_normal((n, d))
+    v -= np.outer(v @ mu, mu)
+    norms = np.linalg.norm(v, axis=1)
+    low = norms < 1e-12
+    if low.any():
+        v[low] = _orthonormal_to(mu)
+        norms[low] = 1.0
+    v /= norms[:, None]
+    out = ws[:, None] * mu + np.sqrt(np.clip(1.0 - ws * ws, 0.0, None))[:, None] * v
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    return out
 
 
 def _spread_directions(rng, dim, existing, count, max_dot, key, max_tries=20000):
@@ -180,9 +240,9 @@ def save_features_csv(dataset: LabeledSet, path) -> None:
     precision."""
     header = "id,label," + ",".join(f"f{i}" for i in range(dataset.dim))
     lines = [header]
-    for i in range(dataset.n):
-        row = ",".join(repr(float(v)) for v in dataset.inputs[i])
-        lines.append(f"{i},{int(dataset.labels[i])},{row}")
+    # Python floats for one row at a time: a whole-split tolist() peaks higher
+    for i, (label, row) in enumerate(zip(dataset.labels.tolist(), dataset.inputs)):
+        lines.append(f"{i},{label},{','.join(map(repr, row.tolist()))}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -201,20 +261,21 @@ def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
     dim = len(cols) - 2
     if cols[2:] != [f"f{i}" for i in range(dim)]:
         raise ValueError(f"{path}: line 1: bad feature columns")
-    inputs = np.empty((len(lines) - 1, dim))
-    labels = np.empty(len(lines) - 1, dtype=np.int64)
+    # one C double per value, so no Python float outlives its line
+    flat, labels = array.array("d"), []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != dim + 2:
             raise ValueError(f"{path}: line {ln}: expected {dim + 2} fields, got {len(parts)}")
         try:
-            labels[ln - 2] = int(parts[1])
-            inputs[ln - 2] = [float(v) for v in parts[2:]]
+            label = int(parts[1])
+            flat.extend(map(float, parts[2:]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {ln}: {exc}") from None
-        label = labels[ln - 2]
         if label < OOD_LABEL or (n_classes is not None and label >= n_classes):
             raise ValueError(f"{path}: line {ln}: label {label} out of range")
+        labels.append(label)
+    inputs = np.frombuffer(flat).reshape(len(labels), dim)
     if not np.all(np.isfinite(inputs)):
         raise ValueError(f"{path}: non-finite feature values")
     return LabeledSet.from_rows(inputs, labels, n_classes=n_classes)
@@ -242,7 +303,7 @@ def class_balanced_subset(dataset: LabeledSet, per_class: int, seed: int) -> Lab
 
 def save_manifest(path, config: SynthConfig, split_sizes: dict) -> None:
     """Plain-text record of the generating config and split row counts."""
-    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(config)]
+    lines = [f"{name} = {getattr(config, name)}" for name, _ in config_fields(type(config))]
     lines += [f"rows.{name} = {size}" for name, size in split_sizes.items()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -10,7 +10,6 @@ threshold that catches 95% of outliers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,19 +98,14 @@ def fpr_at_95_tpr(id_scores, ood_scores) -> float:
     return float(np.mean(a <= threshold))
 
 
-@dataclass
 class EvalReport:
     """One evaluation row: separation metrics, accuracies and group sizes."""
 
-    auroc: float
-    aupr_in: float
-    aupr_out: float
-    fpr95: float
-    acc: float
-    acc_head: float | None
-    acc_tail: float | None
-    n_id: int = 0
-    n_ood: int = 0
+    def __init__(self, auroc: float, aupr_in: float, aupr_out: float, fpr95: float, acc: float,
+                 acc_head: float | None, acc_tail: float | None, n_id: int = 0, n_ood: int = 0):
+        self.auroc, self.aupr_in, self.aupr_out, self.fpr95 = auroc, aupr_in, aupr_out, fpr95
+        self.acc, self.acc_head, self.acc_tail = acc, acc_head, acc_tail
+        self.n_id, self.n_ood = n_id, n_ood
 
     CSV_COLUMNS = ("auroc", "aupr_in", "aupr_out", "fpr95", "acc", "acc_head", "acc_tail")
 

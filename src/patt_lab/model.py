@@ -10,7 +10,6 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class EncoderClassifier:
     """MLP encoder weights plus the linear classification head.
 
@@ -44,10 +42,11 @@ class EncoderClassifier:
     unit length before classification.
     """
 
-    weights: list
-    biases: list
-    clf_w: np.ndarray
-    clf_b: np.ndarray
+    def __init__(self, weights: list, biases: list, clf_w: np.ndarray, clf_b: np.ndarray):
+        self.weights = weights
+        self.biases = biases
+        self.clf_w = clf_w
+        self.clf_b = clf_b
 
     @classmethod
     def init(cls, input_dim: int, widths, feature_dim: int, n_classes: int, seed: int):
@@ -162,15 +161,15 @@ def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
             g = (g @ model.weights[layer]) * (1.0 - acts[layer] ** 2)
 
 
-@dataclass
 class LossBreakdown:
     """Mean per-term values of one batch objective. For the baselines the
     ``tla`` slot holds the plain cross-entropy term and ``isac`` is 0."""
 
-    total: float
-    isac: float
-    tla: float
-    oe: float
+    def __init__(self, total: float, isac: float, tla: float, oe: float):
+        self.total = total
+        self.isac = isac
+        self.tla = tla
+        self.oe = oe
 
 
 def batch_loss_and_grads(
@@ -249,40 +248,37 @@ def batch_loss_and_grads(
     return LossBreakdown(total=total, isac=isac_mean, tla=cls_mean, oe=oe_mean), grads
 
 
-@dataclass
 class _AdamState:
     """First and second moments, flat in ``param_list`` order."""
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
+    def __init__(self, m: np.ndarray, v: np.ndarray, t: int = 0):
+        self.m, self.v, self.t = m, v, t
 
 
-@dataclass
 class _SgdState:
     """Momentum buffer, flat in ``param_list`` order."""
 
-    velocity: np.ndarray
+    def __init__(self, velocity: np.ndarray):
+        self.velocity = velocity
 
 
-@dataclass
 class TrainState:
     """One optimization step's full context: parameters, mixture statistics,
-    optimizer state and static configuration."""
+    optimizer state (zero moments without ``opt``) and static configuration."""
 
-    model: EncoderClassifier
-    mix: VmfMixture | None
-    config: TrainConfig
-    priors: np.ndarray
-    opt: object = None
-
-    def __post_init__(self) -> None:
-        if self.opt is None:
-            size = sum(p.size for p in self.model.param_list())
-            if self.config.optimizer == "adam":
-                self.opt = _AdamState(m=np.zeros(size), v=np.zeros(size))
+    def __init__(self, model: EncoderClassifier, mix: VmfMixture | None, config: TrainConfig,
+                 priors: np.ndarray, opt=None):
+        self.model = model
+        self.mix = mix
+        self.config = config
+        self.priors = priors
+        if opt is None:
+            size = sum(p.size for p in model.param_list())
+            if config.optimizer == "adam":
+                opt = _AdamState(m=np.zeros(size), v=np.zeros(size))
             else:
-                self.opt = _SgdState(velocity=np.zeros(size))
+                opt = _SgdState(velocity=np.zeros(size))
+        self.opt = opt
 
 
 def _flatten(arrays) -> np.ndarray:
@@ -375,25 +371,28 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
         raise RuntimeError("non-finite gradient in parameter update")
 
     new_model, new_opt = _apply_update(state.model, flat_grad, config, state.opt)
-    new_state = replace(state, model=new_model, mix=mix, opt=new_opt)
+    new_state = TrainState(new_model, mix, config, state.priors, new_opt)
     return new_state, breakdown
 
 
-@dataclass
 class EpochRecord:
-    epoch: int
-    total: float
-    isac: float
-    tla: float
-    oe: float
-    val_acc: float
+    """One epoch's mean loss terms and validation accuracy; two records are
+    equal when every field is."""
+
+    def __init__(self, epoch: int, total: float, isac: float, tla: float, oe: float,
+                 val_acc: float):
+        self.epoch, self.total, self.isac = epoch, total, isac
+        self.tla, self.oe, self.val_acc = tla, oe, val_acc
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EpochRecord) and vars(self) == vars(other)
 
 
-@dataclass
 class TrainHistory:
     """Per-epoch mean loss terms plus validation accuracy."""
 
-    records: list = field(default_factory=list)
+    def __init__(self, records: list | None = None):
+        self.records = [] if records is None else records
 
 
 def _validation_accuracy(model, val_x, val_y) -> float:

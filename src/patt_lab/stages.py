@@ -151,12 +151,10 @@ def cmd_eval(cfg, out_dir) -> None:
 
     with open(os.path.join(out_dir, "scores.csv"), "w", encoding="ascii") as fh:
         fh.write("split,row,label,pred,score\n")
-        for i in range(id_scores.size):
-            fh.write(f"id,{i},{test_id.labels[i]},{pred_id[i]},"
-                     f"{float(id_scores[i])!r}\n")
-        for i in range(ood_scores.size):
-            fh.write(f"ood,{i},{test_ood.labels[i]},{pred_ood[i]},"
-                     f"{float(ood_scores[i])!r}\n")
+        for split, labels, pred, scores in (("id", test_id.labels, pred_id, id_scores),
+                                            ("ood", test_ood.labels, pred_ood, ood_scores)):
+            rows = zip(labels.tolist(), pred.tolist(), scores.tolist())
+            fh.writelines(f"{split},{i},{y},{p},{s!r}\n" for i, (y, p, s) in enumerate(rows))
     with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii") as fh:
         fh.write(report.to_csv())
 

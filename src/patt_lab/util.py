@@ -1,5 +1,6 @@
 """Shared helpers: deterministic derivation of per-role random seeds, the
-one log-sum-exp/softmax of the package, and norms along an axis.
+one log-sum-exp/softmax of the package, norms along an axis, and the
+unit-norm tolerance of a vMF mean direction.
 
 The hot paths call numpy's ufunc reductions (``np.add.reduce``,
 ``np.maximum.reduce``, ``.any()``/``.all()``) directly instead of the
@@ -9,6 +10,10 @@ only the per-call overhead goes.
 """
 
 import numpy as np
+
+# how far from 1 the norm of a vMF mean direction may be, in the mixture and
+# in the sampler
+MU_NORM_TOL = 1e-9
 
 
 def derive_seed(seed: int, role: str) -> int:

@@ -1,20 +1,19 @@
 """von Mises-Fisher numerics on the unit hypersphere.
 
-Log-domain Bessel and normalization constants, the array-native mixture,
-streaming per-class parameter estimation, and a seeded rejection sampler
-(Wood's algorithm). All functions are pure; the sampler takes its randomness
-as an explicit seed. The densities and the moment generating function, which
-only tests call, live in ``tests/oracles.py``.
+Log-domain Bessel and normalization constants, the array-native mixture and
+streaming per-class parameter estimation. All functions are pure. The
+sampler lives in ``data``, its one caller in the package; the densities and
+the moment generating function, which only tests call, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .util import norms_along
+from .util import MU_NORM_TOL, norms_along
 
 __all__ = [
     "KAPPA_MAX",
@@ -23,14 +22,12 @@ __all__ = [
     "log_norm_const",
     "bessel_ratio",
     "estimate_class_stats",
-    "sample_vmf",
 ]
 
 # Concentration cap. Keeps the estimator away from the degenerate point-mass
 # limit and the Bessel evaluation inside its validated range.
 KAPPA_MAX = 1e4
 
-_MU_NORM_TOL = 1e-9
 _UNIT_INPUT_TOL = 1e-6
 
 
@@ -41,7 +38,6 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
 
 
-@dataclass
 class VmfMixture:
     """A finite mixture of same-dimension vMF components with strict priors,
     stored as arrays: ``mus`` (K, dim) unit rows, ``kappas`` (K,) and
@@ -51,14 +47,10 @@ class VmfMixture:
     kappa, unit-norm mu) and requires positive priors that sum to 1.
     """
 
-    mus: np.ndarray
-    kappas: np.ndarray
-    priors: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mus = np.asarray(self.mus, dtype=np.float64)
-        self.kappas = np.asarray(self.kappas, dtype=np.float64)
-        self.priors = np.asarray(self.priors, dtype=np.float64)
+    def __init__(self, mus, kappas, priors) -> None:
+        self.mus = np.asarray(mus, dtype=np.float64)
+        self.kappas = np.asarray(kappas, dtype=np.float64)
+        self.priors = np.asarray(priors, dtype=np.float64)
         if self.mus.ndim != 2 or self.mus.shape[0] == 0:
             raise ValueError(f"mus must be a non-empty (K, dim) matrix, got shape {self.mus.shape}")
         k, dim = self.mus.shape
@@ -71,7 +63,7 @@ class VmfMixture:
         if not (np.isfinite(self.kappas) & (self.kappas >= 0.0)).all():
             raise ValueError(f"kappa must be finite and non-negative, got {self.kappas}")
         norms = _row_norms(self.mus)
-        bad = ~(np.abs(norms - 1.0) <= _MU_NORM_TOL)
+        bad = ~(np.abs(norms - 1.0) <= MU_NORM_TOL)
         if bad.any():
             raise ValueError(f"mu must be unit norm, got ||mu|| = {norms[bad][0]!r}")
         if not (self.priors > 0.0).all():
@@ -395,68 +387,3 @@ def estimate_class_stats(
         mus[present], kappas[present] = mu_new, kappa_new
         mu_new, kappa_new = mus, kappas
     return VmfMixture(mus=mu_new, kappas=kappa_new, priors=priors)
-
-
-def _orthonormal_to(mu: np.ndarray) -> np.ndarray:
-    # deterministic unit vector orthogonal to mu (fallback for the rare case
-    # of a Gaussian draw collapsing onto the mean direction)
-    basis = np.zeros_like(mu)
-    basis[int(np.argmin(np.abs(mu)))] = 1.0
-    v = basis - (basis @ mu) * mu
-    return v / np.linalg.norm(v)
-
-
-def sample_vmf(mu, kappa: float, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` unit vectors from the vMF law with unit mean direction
-    ``mu`` (a vector of dim >= 2) and concentration ``kappa`` >= 0 by Wood's
-    rejection algorithm, bit-deterministic for a fixed seed.
-
-    Tangent-normal decomposition: the component along mu comes from rejection
-    sampling of the longitudinal marginal with Beta proposals, the orthogonal
-    part is uniform on the subsphere. kappa = 0 degrades to the uniform law
-    (every proposal is accepted).
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    kappa, n = float(kappa), int(n)
-    # each test is written so that NaN fails it
-    if mu.ndim != 1 or mu.size < 2:
-        raise ValueError(f"mu must be a vector of dim >= 2, got shape {mu.shape}")
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
-    norm = math.sqrt(mu @ mu)
-    if not abs(norm - 1.0) <= _MU_NORM_TOL:
-        raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(int(seed))
-    d = mu.size
-
-    # stable form of (-2 kappa + sqrt(4 kappa^2 + (d-1)^2)) / (d - 1)
-    b = (d - 1.0) / (math.sqrt(4.0 * kappa * kappa + (d - 1.0) ** 2) + 2.0 * kappa)
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + (d - 1.0) * math.log1p(-x0 * x0)
-
-    ws = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = n - filled
-        z = rng.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m)
-        u = rng.random(m)
-        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        with np.errstate(divide="ignore"):
-            accept = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
-        got = int(accept.sum())
-        ws[filled : filled + got] = w[accept]
-        filled += got
-
-    v = rng.standard_normal((n, d))
-    v -= np.outer(v @ mu, mu)
-    norms = np.linalg.norm(v, axis=1)
-    low = norms < 1e-12
-    if low.any():
-        v[low] = _orthonormal_to(mu)
-        norms[low] = 1.0
-    v /= norms[:, None]
-    out = ws[:, None] * mu + np.sqrt(np.clip(1.0 - ws * ws, 0.0, None))[:, None] * v
-    out /= np.linalg.norm(out, axis=1)[:, None]
-    return out

@@ -27,7 +27,7 @@ import numpy as np
 from patt_lab import losses, vmf
 from patt_lab.calibration import channel_importance
 from patt_lab.model import classifier_logits
-from patt_lab.util import logsumexp_softmax
+from patt_lab.util import MU_NORM_TOL, logsumexp_softmax
 
 mp.mp.dps = 50
 
@@ -588,7 +588,7 @@ class VmfParams:
         if not math.isfinite(self.kappa) or self.kappa < 0.0:
             raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
         norm = math.sqrt(self.mu @ self.mu)
-        if not abs(norm - 1.0) <= vmf._MU_NORM_TOL:  # written so that NaN fails
+        if not abs(norm - 1.0) <= MU_NORM_TOL:  # written so that NaN fails
             raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
 
 

@@ -16,12 +16,12 @@ from patt_lab.calibration import (AttentionWeight, attention_weight,
                                   calibrate_feature, channel_importance,
                                   energy_score, msp_score, scale_weight)
 from patt_lab.config import PattHyper
-from patt_lab.data import SynthConfig, class_balanced_subset, gen_longtail
+from patt_lab.data import SynthConfig, class_balanced_subset, gen_longtail, sample_vmf
 from patt_lab.metrics import auroc, aupr, classification_report, fpr_at_95_tpr
 from patt_lab.model import (EncoderClassifier, TrainConfig,
                             batch_loss_and_grads, classifier_logits,
                             encoder_forward, train)
-from patt_lab.vmf import estimate_class_stats, log_bessel_i, log_norm_const, sample_vmf
+from patt_lab.vmf import estimate_class_stats, log_bessel_i, log_norm_const
 
 import oracles
 from oracles import (VmfParams, isac_loss, la_loss, oe_uniform_loss, patt_total_loss,

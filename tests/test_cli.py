@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patt_lab import cli
+from patt_lab.config import config_fields
 from patt_lab.data import SynthConfig
 from patt_lab.metrics import EvalReport
 from patt_lab.model import TrainConfig
@@ -167,8 +167,8 @@ class TestConfigSchema:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_shared_fields_share_defaults(self):
-        synth = {f.name: f.default for f in fields(SynthConfig)}
-        train_fields = {f.name: f.default for f in fields(TrainConfig)}
+        synth = dict(config_fields(SynthConfig))
+        train_fields = dict(config_fields(TrainConfig))
         shared = set(synth) & set(train_fields)
         assert shared == {"seed", "feature_dim"}
         for name in shared:
@@ -488,14 +488,18 @@ def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
     for name in ("hist.csv", "acc_table.csv"):
         (work / name).unlink()
     bad = write_config(tmp_path / "bad.cfg", tau="0.0")
+    # no numpy, and neither ``dataclasses`` nor the ``inspect`` it imports
     code = (
         "import sys\n"
+        "def check(when):\n"
+        "    loaded = sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "    assert not loaded, (when, loaded)\n"
         "from patt_lab import cli\n"
-        "assert 'numpy' not in sys.modules, 'import'\n"
+        "check('import')\n"
         f"assert cli.main(['train', '--config', {str(bad)!r}]) == 1\n"
-        "assert 'numpy' not in sys.modules, 'config error'\n"
+        "check('config error')\n"
         f"assert cli.main(['report', '--config', {str(config)!r}, '--out', {str(work)!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'report'\n")
+        "check('report')\n")
     done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -504,11 +508,15 @@ def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
         assert (work / name).read_bytes() == (out / name).read_bytes(), name
 
 
-# modules a stage must not load, and the output file that shows it ran
+# modules a stage must not load, and the output file that shows it ran; no
+# stage loads ``dataclasses``
 NOT_LOADED = {
     "gen-data": (("patt_lab.model", "patt_lab.losses", "patt_lab.calibration",
-                  "patt_lab.metrics"), "train.csv"),
-    "calibrate": (("numpy.ma", "patt_lab.losses", "patt_lab.metrics"), "attention.csv"),
+                  "patt_lab.metrics", "patt_lab.vmf", "patt_lab.checkpoint",
+                  "patt_lab.report"), "train.csv"),
+    "train": (("patt_lab.report",), "model.ckpt"),
+    "calibrate": (("numpy.ma", "patt_lab.losses", "patt_lab.metrics", "patt_lab.report"),
+                  "attention.csv"),
     "eval": (("patt_lab.losses", "hashlib"), "scores.csv"),
 }
 
@@ -520,6 +528,7 @@ def test_stage_loads_only_the_modules_it_runs(pipeline, tmp_path, command):
     if command != "gen-data":
         shutil.copytree(out, work)
     unwanted, output = NOT_LOADED[command]
+    unwanted += ("dataclasses",)
     code = (
         "import sys\n"
         "from patt_lab import cli\n"

@@ -181,6 +181,31 @@ class TestFeaturesCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_features_csv(path)
 
+    def test_rows_match_per_element_formatting(self, tmp_path):
+        # the bulk writer against the per-element form it replaced
+        train, *_ = gen_longtail(small_config())
+        path = tmp_path / "train.csv"
+        save_features_csv(train, path)
+        want = ["id,label," + ",".join(f"f{i}" for i in range(train.dim))]
+        for i in range(train.n):
+            row = ",".join(repr(float(v)) for v in train.inputs[i])
+            want.append(f"{i},{int(train.labels[i])},{row}")
+        assert path.read_text() == "\n".join(want) + "\n"
+
+    def test_header_only_gives_an_empty_split(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("id,label,f0,f1,f2\n")
+        loaded = load_features_csv(path, n_classes=2)
+        assert loaded.inputs.shape == (0, 3) and loaded.labels.shape == (0,)
+        assert loaded.class_counts.tolist() == [0, 0]
+
+    def test_label_beyond_int64_is_out_of_range(self, tmp_path):
+        # used to escape as an OverflowError when stored into an int64 array
+        path = tmp_path / "big.csv"
+        path.write_text("id,label,f0\n0,0,0.5\n1,99999999999999999999,0.5\n")
+        with pytest.raises(ValueError, match="line 3: label 99999999999999999999 out of range"):
+            load_features_csv(path, n_classes=2)
+
 
 class TestClassBalancedSubset:
     def make_train(self):

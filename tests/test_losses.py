@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patt_lab.config import PattHyper
+from patt_lab.data import sample_vmf
 from patt_lab.losses import isac_loss_batch, oe_uniform_loss_batch, tla_loss_batch
 from patt_lab.util import logsumexp_softmax
-from patt_lab.vmf import sample_vmf
 
 import oracles
 from oracles import (VmfParams, isac_loss, la_loss, oe_uniform_loss, patt_total_loss,

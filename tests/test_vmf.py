@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patt_lab import losses, vmf
+from patt_lab.data import sample_vmf
 from patt_lab.vmf import (KAPPA_MAX, VmfMixture, _log_norm_and_ratio, bessel_ratio,
-                          estimate_class_stats, log_bessel_i, log_norm_const, sample_vmf)
+                          estimate_class_stats, log_bessel_i, log_norm_const)
 
 import oracles
 from oracles import VmfParams, log_sum_exp, mixture_log_pdf, vmf_log_pdf, vmf_mgf_log
