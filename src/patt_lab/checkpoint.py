@@ -2,9 +2,10 @@
 Python so that the ``report`` stage reads the priors without numpy.
 
 After the 5-byte magic: uint32 L (number of layer sizes), L uint32 sizes
-(input, hidden..., feature), uint32 K; then little-endian float64 blocks: per
-layer W row-major then bias, classifier W then bias, then per class mu,
-kappa, prior.
+(input, hidden..., feature), uint32 K; then little-endian float64 blocks: the
+model's parameters in ``param_shapes`` order (per layer W row-major then
+bias, classifier W then bias), which is the model's one parameter vector,
+then per class mu, kappa, prior.
 """
 
 import math
@@ -17,6 +18,13 @@ def write(path, sizes, n_classes: int, data: bytes) -> None:
     """Write the header, then ``data``: the float64 blocks in file order."""
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack(f"<I{len(sizes)}II", len(sizes), *sizes, n_classes) + data)
+
+
+def param_shapes(sizes, n_classes: int) -> list:
+    """Shapes of the model's float64 blocks in file order: per layer W
+    (fan_out, fan_in) then its bias, then the classifier W and bias."""
+    return [s for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+            for s in ((fan_out, fan_in), (fan_out,))] + [(n_classes, sizes[-1]), (n_classes,)]
 
 
 def _check_stats(k: int, dim: int, stats: tuple) -> None:
@@ -39,9 +47,10 @@ def _check_stats(k: int, dim: int, stats: tuple) -> None:
 
 
 def read(path):
-    """``(sizes, shapes, payload, priors)``: the layer sizes, the shapes of the
-    float64 blocks in file order, the checked little-endian float64 bytes of
-    those blocks (row-major, one after the other), and the class priors.
+    """``(sizes, n_classes, payload, priors)``: the layer sizes, the class
+    count, the checked little-endian float64 bytes of every block in file
+    order (the ``param_shapes`` blocks, then one ``dim + 2`` row per class),
+    and the class priors.
     Raises ``ValueError`` for a bad magic, layer count or length, a failed
     ``vmf.VmfMixture`` check or a non-finite parameter."""
     with open(path, "rb") as fh:
@@ -58,16 +67,15 @@ def read(path):
         raise ValueError(f"{path}: truncated checkpoint")
     *sizes, k = struct.unpack_from(f"<{n_sizes + 1}I", blob, len(MAGIC) + 4)
     dim = sizes[-1]
-    shapes = [s for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
-              for s in ((fan_out, fan_in), (fan_out,))] + [(k, dim), (k,), (k, dim + 2)]
-    counts = [math.prod(s) for s in shapes]
-    if off + 8 * sum(counts) > len(blob):
+    n_params = sum(math.prod(s) for s in param_shapes(sizes, k))
+    total = n_params + k * (dim + 2)
+    if off + 8 * total > len(blob):
         raise ValueError(f"{path}: truncated checkpoint")
-    if off + 8 * sum(counts) < len(blob):
+    if off + 8 * total < len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
-    values = struct.unpack_from(f"<{sum(counts)}d", blob, off)
-    stats = values[len(values) - counts[-1] :]
+    values = struct.unpack_from(f"<{total}d", blob, off)
+    stats = values[n_params:]
     _check_stats(k, dim, stats)
-    if not all(map(math.isfinite, values[: len(values) - counts[-1]])):
+    if not all(map(math.isfinite, values[:n_params])):
         raise ValueError(f"{path}: non-finite parameter in checkpoint")
-    return sizes, shapes, blob[off:], stats[dim + 1 :: dim + 2]
+    return sizes, k, blob[off:], stats[dim + 1 :: dim + 2]

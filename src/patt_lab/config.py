@@ -22,16 +22,19 @@ def check_fields(values: dict, checks) -> None:
             raise ValueError(f"{name} must be {wanted}, got {values[name]!r}")
 
 
-def class_counts_profile(n_classes: int, imbalance_ratio: float, max_per_class: int) -> list:
+def class_counts_profile(n_classes: int, imbalance_ratio: float, max_per_class: int,
+                         tail_only: bool = False) -> list:
     """Exponentially decaying per-class counts, head count down to
-    head/ratio, rounded half-up; refuses profiles whose smallest class
-    would be empty, naming the two keys that set it."""
+    head/ratio, rounded half-up (with ``tail_only``, the last class's count
+    alone, all that a config check needs); refuses profiles whose smallest
+    class would be empty, naming the two keys that set it."""
     check_fields(locals(), (
         ("n_classes", n_classes >= 2, ">= 2"),
         ("imbalance_ratio", imbalance_ratio >= 1.0, ">= 1"),
     ))
+    classes = [n_classes - 1] if tail_only else range(n_classes)
     counts = [int(math.floor(max_per_class * imbalance_ratio ** (-y / (n_classes - 1)) + 0.5))
-              for y in range(n_classes)]
+              for y in classes]
     if counts[-1] < 1:
         raise ValueError(f"imbalance_ratio = {imbalance_ratio!r} with max_per_class = "
                          f"{max_per_class} empties the tail: class {n_classes - 1} gets no rows")
@@ -100,7 +103,8 @@ class SynthConfig(_Config):
             ("input_dim", self.input_dim is None or self.input_dim >= 1, ">= 1 when set"),
             ("seed", self.seed >= 0, ">= 0"),
         ))
-        class_counts_profile(self.n_classes, self.imbalance_ratio, self.max_per_class)
+        class_counts_profile(self.n_classes, self.imbalance_ratio, self.max_per_class,
+                             tail_only=True)
 
     @property
     def raw_dim(self) -> int:

@@ -248,9 +248,9 @@ def save_features_csv(dataset: LabeledSet, path) -> None:
 
 
 def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
-    """Read a split written by ``save_features_csv``; malformed content, and
-    with ``n_classes`` given a label outside [-1, n_classes), is rejected with
-    the offending line number."""
+    """Read a split written by ``save_features_csv``; malformed content and
+    a label outside [-1, n_classes) (without ``n_classes``, [-1, 2**63 - 1))
+    are rejected with the offending line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -263,6 +263,8 @@ def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
         raise ValueError(f"{path}: line 1: bad feature columns")
     # one C double per value, so no Python float outlives its line
     flat, labels = array.array("d"), []
+    # without n_classes, the class count label + 1 must be an int64
+    top = 2**63 - 1 if n_classes is None else n_classes
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != dim + 2:
@@ -272,7 +274,7 @@ def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
             flat.extend(map(float, parts[2:]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {ln}: {exc}") from None
-        if label < OOD_LABEL or (n_classes is not None and label >= n_classes):
+        if not OOD_LABEL <= label < top:
             raise ValueError(f"{path}: line {ln}: label {label} out of range")
         labels.append(label)
     inputs = np.frombuffer(flat).reshape(len(labels), dim)

@@ -34,66 +34,69 @@ __all__ = [
 ]
 
 
-class EncoderClassifier:
-    """MLP encoder weights plus the linear classification head.
+def _views(flat: np.ndarray, shapes) -> list:
+    # consecutive slices of ``flat`` with the given shapes, which cover it
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    if start != flat.size:
+        raise ValueError(f"{flat.size} values for {start} parameters")
+    return views
 
-    ``weights[i]`` has shape (fan_out, fan_in); every layer except the last
-    is followed by tanh, the last is linear and its output is normalized to
-    unit length before classification.
+
+class EncoderClassifier:
+    """MLP encoder weights plus the linear classification head, held in one
+    float64 vector ``flat`` in the ``checkpoint.param_shapes`` order.
+
+    ``weights[i]`` (shape (fan_out, fan_in)), ``biases[i]``, ``clf_w`` and
+    ``clf_b`` are views into ``flat``, so writing into them writes the
+    vector; the attributes themselves cannot be rebound. Every layer except
+    the last is followed by tanh, the last is linear and its output is
+    normalized to unit length before classification.
     """
 
-    def __init__(self, weights: list, biases: list, clf_w: np.ndarray, clf_b: np.ndarray):
-        self.weights = weights
-        self.biases = biases
-        self.clf_w = clf_w
-        self.clf_b = clf_b
+    def __init__(self, flat: np.ndarray, layer_sizes, n_classes: int):
+        *layers, clf_w, clf_b = _views(flat, checkpoint.param_shapes(layer_sizes, n_classes))
+        vars(self).update(flat=flat, layer_sizes=list(layer_sizes), n_classes=n_classes,
+                          weights=tuple(layers[0::2]), biases=tuple(layers[1::2]),
+                          clf_w=clf_w, clf_b=clf_b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: write into the views of model.flat")
 
     @classmethod
     def init(cls, input_dim: int, widths, feature_dim: int, n_classes: int, seed: int):
-        """Symmetric uniform init scaled by fan-in, seeded."""
+        """Symmetric uniform init scaled by fan-in, seeded, drawn parameter
+        by parameter in ``param_list`` order."""
         if input_dim < 1 or feature_dim < 2 or n_classes < 2:
             raise ValueError("need input_dim >= 1, feature_dim >= 2, n_classes >= 2")
         sizes = [int(input_dim)] + [int(w) for w in widths] + [int(feature_dim)]
         if any(s < 1 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
+        n_classes = int(n_classes)
+        shapes = checkpoint.param_shapes(sizes, n_classes)
+        model = cls(np.empty(sum(math.prod(s) for s in shapes)), sizes, n_classes)
         rng = np.random.default_rng(int(seed))
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            biases.append(rng.uniform(-bound, bound, size=fan_out))
-        bound = 1.0 / np.sqrt(feature_dim)
-        clf_w = rng.uniform(-bound, bound, size=(n_classes, feature_dim))
-        clf_b = rng.uniform(-bound, bound, size=n_classes)
-        return cls(weights=weights, biases=biases, clf_w=clf_w, clf_b=clf_b)
+        params = model.param_list()
+        for w, b in zip(params[0::2], params[1::2]):
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        return model
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.layer_sizes[0]
 
     @property
     def feature_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.clf_w.shape[0]
-
-    @property
-    def layer_sizes(self) -> list:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    def copy(self) -> "EncoderClassifier":
-        return EncoderClassifier(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            clf_w=self.clf_w.copy(),
-            clf_b=self.clf_b.copy(),
-        )
+        return self.layer_sizes[-1]
 
     def param_list(self) -> list:
-        """Flat list of parameter arrays, a fixed traversal order shared with
-        gradients and optimizer state."""
+        """The parameter arrays in ``flat`` order, a fixed traversal order
+        shared with gradients, optimizer state and the checkpoint."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
@@ -133,16 +136,6 @@ def classifier_logits(model: EncoderClassifier, z) -> np.ndarray:
     if zv.shape[-1] != model.feature_dim:
         raise ValueError(f"feature dim {zv.shape[-1]} != model feature {model.feature_dim}")
     return zv @ model.clf_w.T + model.clf_b
-
-
-def _views(flat: np.ndarray, shapes) -> list:
-    # consecutive slices of ``flat`` with the given shapes
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
-    return views
 
 
 def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
@@ -192,9 +185,9 @@ def batch_loss_and_grads(
     both the labeled and the outlier stream. ``forward`` may carry the
     labeled batch's encoder pass (``_forward_batch(model, id_x)``) when the
     caller already ran it. The gradients are returned as one array per
-    parameter in ``param_list`` order, each a view into one flat vector:
-    ``flat_grad`` when the caller passes a zero vector of the parameter
-    count, otherwise a new one.
+    parameter in ``param_list`` order, each a view into one vector laid out
+    like ``model.flat``: ``flat_grad`` when the caller passes a zero vector
+    of its size, otherwise a new one.
     """
     # the training path is the only one that needs the losses: calibrate
     # and eval run the model without loading them
@@ -204,10 +197,9 @@ def batch_loss_and_grads(
     n = id_x.shape[0]
     if n == 0:
         raise ValueError("empty labeled batch")
-    params = model.param_list()
     if flat_grad is None:
-        flat_grad = np.zeros(sum(p.size for p in params))
-    grads = _views(flat_grad, [p.shape for p in params])
+        flat_grad = np.zeros(model.flat.size)
+    grads = _views(flat_grad, [p.shape for p in model.param_list()])
 
     acts, _, norms, z = _forward_batch(model, id_x) if forward is None else forward
     logits = z @ model.clf_w.T + model.clf_b
@@ -273,7 +265,7 @@ class TrainState:
         self.config = config
         self.priors = priors
         if opt is None:
-            size = sum(p.size for p in model.param_list())
+            size = model.flat.size
             if config.optimizer == "adam":
                 opt = _AdamState(m=np.zeros(size), v=np.zeros(size))
             else:
@@ -281,20 +273,13 @@ class TrainState:
         self.opt = opt
 
 
-def _flatten(arrays) -> np.ndarray:
-    # one vector holding the arrays in order (a copy)
-    return np.concatenate([a.ravel() for a in arrays])
-
-
 def _apply_update(model, flat_grad, config, opt):
     """One optimizer step over the flat parameter vector.
 
-    ``flat_grad`` holds the gradients in ``param_list`` order. Returns the new
-    model, whose arrays are views into a fresh parameter vector (``model`` is
-    left untouched), and the new optimizer state.
+    ``flat_grad`` is laid out like ``model.flat``. Returns the new model, over
+    a fresh parameter vector (``model`` is left untouched), and the new
+    optimizer state.
     """
-    current = model.param_list()
-    params = _flatten(current)
     lr = config.learning_rate
     if isinstance(opt, _AdamState):
         b1, b2, eps = 0.9, 0.999, 1e-8
@@ -311,21 +296,12 @@ def _apply_update(model, flat_grad, config, opt):
         np.sqrt(denom, out=denom)
         denom += eps
         step /= denom
-        params -= step
         new_opt = _AdamState(m=m, v=v, t=t)
     else:
         vel = config.sgd_momentum * opt.velocity + flat_grad
-        params -= lr * vel
+        step = lr * vel
         new_opt = _SgdState(velocity=vel)
-    views = _views(params, [p.shape for p in current])
-    n_layers = len(model.weights)
-    new_model = EncoderClassifier(
-        weights=views[0:2 * n_layers:2],
-        biases=views[1:2 * n_layers:2],
-        clf_w=views[2 * n_layers],
-        clf_b=views[2 * n_layers + 1],
-    )
-    return new_model, new_opt
+    return EncoderClassifier(model.flat - step, model.layer_sizes, model.n_classes), new_opt
 
 
 def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
@@ -358,7 +334,7 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
 
     # batch_loss_and_grads accumulates every parameter's gradient into a
     # view of this one vector
-    flat_grad = np.zeros(sum(p.size for p in state.model.param_list()))
+    flat_grad = np.zeros(state.model.flat.size)
     breakdown, _ = batch_loss_and_grads(
         state.model, mix, id_x, id_y, ood_x, hyper, state.priors,
         method=config.method, oe_gamma=config.oe_gamma, forward=forward,
@@ -474,26 +450,25 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
 
 
 def save_checkpoint(path, model: EncoderClassifier, mix: VmfMixture) -> None:
-    """Write ``model`` and ``mix`` in the layout of ``checkpoint``: the
-    parameters in ``param_list`` order, then one (mu, kappa, prior) row per
-    class."""
+    """Write ``model`` and ``mix`` in the layout of ``checkpoint``:
+    ``model.flat``, then one (mu, kappa, prior) row per class."""
     if mix.n_classes != model.n_classes or mix.dim != model.feature_dim:
         raise ValueError("mixture does not match the model's head")
     stats = np.column_stack([mix.mus, mix.kappas, mix.priors])
     data = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                    for arr in (*model.param_list(), stats))
+                    for arr in (model.flat, stats))
     checkpoint.write(path, model.layer_sizes, model.n_classes, data)
 
 
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``, checked by ``checkpoint.read``;
     returns (model, mixture). The arrays are writable views into one copy of
-    the checked payload."""
-    sizes, shapes, payload, _ = checkpoint.read(path)
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    *params, stats = _views(flat, shapes)
+    the checked payload, whose first values are ``model.flat``."""
+    sizes, k, payload, _ = checkpoint.read(path)
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     dim = sizes[-1]
-    model = EncoderClassifier(weights=params[0:-2:2], biases=params[1:-2:2],
-                              clf_w=params[-2], clf_b=params[-1])
+    n = values.size - k * (dim + 2)
+    model = EncoderClassifier(values[:n], sizes, k)
+    stats = values[n:].reshape(k, dim + 2)
     mix = VmfMixture(mus=stats[:, :dim], kappas=stats[:, dim], priors=stats[:, dim + 1])
     return model, mix

@@ -59,7 +59,7 @@ def cmd_train(cfg, out_dir) -> None:
     val_id = _load_split(out_dir, "val_id.csv", n_classes=cfg["n_classes"])
     try:
         net, mix, history = model.train(_train_config(cfg), train_id, train_ood, val_id)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise CliError(f"training failed: {exc}") from None
     except (FloatingPointError, RuntimeError) as exc:
         raise CliError(f"training failed: {exc} (check the keys that scale the step: "

@@ -7,7 +7,9 @@ The module also keeps the earlier forms of rewritten hot paths (the
 per-element asymptotic Bessel kernel, two-pass log-sum-exp and softmax, the
 per-parameter optimizer step, the per-class statistics refresh) and the
 numpy forms of the plain-Python report (the head/tail accuracy split, the
-score histogram); the rewrites must match them bit for bit.
+score histogram); the rewrites must match them bit for bit. ``model_of``
+builds a model from separate arrays, which the model, holding one
+parameter vector, no longer takes.
 
 The last part holds code that left the package because no pipeline stage
 runs it: the per-sample losses and the combined objective (thin wrappers of
@@ -26,7 +28,7 @@ import numpy as np
 
 from patt_lab import losses, vmf
 from patt_lab.calibration import channel_importance
-from patt_lab.model import classifier_logits
+from patt_lab.model import EncoderClassifier, classifier_logits
 from patt_lab.util import MU_NORM_TOL, logsumexp_softmax
 
 mp.mp.dps = 50
@@ -153,6 +155,22 @@ def apply_update_ref(params, grads, config, state=None):
         p -= lr * vel
         new_vel.append(vel)
     return params, {"velocity": new_vel}
+
+
+def model_of(weights, biases, clf_w, clf_b):
+    """An ``EncoderClassifier`` holding copies of separate arrays: per layer
+    W of shape (fan_out, fan_in) and its bias, then the head. The model keeps
+    its parameters in one vector, so this is how a test builds one from
+    chosen arrays."""
+    arrays = [a for pair in zip(weights, biases) for a in pair] + [clf_w, clf_b]
+    flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+    sizes = [np.shape(weights[0])[1]] + [np.shape(w)[0] for w in weights]
+    return EncoderClassifier(flat, sizes, np.shape(clf_w)[0])
+
+
+def copy_model(model):
+    """A model over a copy of ``model.flat``."""
+    return EncoderClassifier(model.flat.copy(), model.layer_sizes, model.n_classes)
 
 
 def mixture_of(components, priors):
@@ -657,9 +675,7 @@ def tau_norm_classifier(clf, t: float):
     norms = np.linalg.norm(clf.clf_w, axis=1)
     if np.any(norms < 1e-300):
         raise ValueError("classifier has a zero weight row")
-    out = clf.copy()
-    out.clf_w = clf.clf_w / norms[:, None] ** t
-    return out
+    return model_of(clf.weights, clf.biases, clf.clf_w / norms[:, None] ** t, clf.clf_b)
 
 
 def posthoc_la_adjust(logits, priors) -> np.ndarray:

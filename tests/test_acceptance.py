@@ -215,7 +215,7 @@ def test_criterion_3_gradient_suite(capsys):
         for pi, grad in enumerate(grads):
             flat = grad.ravel()
             for ei in range(flat.size):
-                probe = model.copy()
+                probe = oracles.copy_model(model)
                 arr = probe.param_list()[pi].ravel()
                 arr[ei] += 1e-6
                 up = total(probe)
@@ -367,8 +367,7 @@ def test_criterion_7_calibration_properties(capsys):
         k, d = int(case.integers(2, 8)), int(case.integers(2, 12))
         w = case.normal(size=(k, d))
         b = case.normal(size=k)
-        clf = EncoderClassifier(weights=[np.zeros((d, 1))], biases=[np.zeros(d)],
-                                clf_w=w, clf_b=b)
+        clf = oracles.model_of([np.zeros((d, 1))], [np.zeros(d)], w, b)
         zc = case.normal(size=d)
         zc /= np.linalg.norm(zc)
         logits = classifier_logits(clf, zc)

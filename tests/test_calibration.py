@@ -10,7 +10,7 @@ from patt_lab.calibration import (AttentionWeight, attention_weight,
                                   calibrate_feature, channel_importance,
                                   energy_score, load_attention, msp_score,
                                   save_attention, scale_weight)
-from patt_lab.model import EncoderClassifier, classifier_logits
+from patt_lab.model import classifier_logits
 
 import oracles
 from oracles import posthoc_la_adjust, tau_norm_classifier
@@ -21,8 +21,7 @@ def head_only(clf_w, clf_b=None):
     clf_w = np.asarray(clf_w, dtype=np.float64)
     k, d = clf_w.shape
     b = np.zeros(k) if clf_b is None else np.asarray(clf_b, dtype=np.float64)
-    return EncoderClassifier(weights=[np.zeros((d, 1))], biases=[np.zeros(d)],
-                             clf_w=clf_w, clf_b=b)
+    return oracles.model_of([np.zeros((d, 1))], [np.zeros(d)], clf_w, b)
 
 
 finite_vec = st.lists(st.floats(-50, 50), min_size=2, max_size=10)

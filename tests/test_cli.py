@@ -121,6 +121,15 @@ class TestLoadConfig:
         with pytest.raises(cli.CliError, match="not UTF-8"):
             cli.load_config(path)
 
+    def test_huge_class_count_loads_at_once(self, tmp_path):
+        # the tail check used to build the whole count profile: this load
+        # never returned
+        path = write_config(tmp_path / "run.cfg", n_classes=99999999999999999999999)
+        code = f"from patt_lab import cli; print(cli.load_config({str(path)!r})['n_classes'])"
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0 and done.stdout == "99999999999999999999999\n", done.stderr
+
     def test_bool_keys_are_strict(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("features_direct = 1\n")
@@ -390,6 +399,17 @@ class TestCliContract:
         rc = cli.main(["gen-data", "--config", str(config),
                        "--out", str(tmp_path / "o")])
         assert_one_error_line(rc, capsys)
+
+    def test_unallocatable_width_in_train(self, pipeline, tmp_path, capsys):
+        # used to end in numpy's MemoryError traceback; the parameter vector
+        # (exabytes) is larger than any 64-bit address space, so the
+        # allocation fails at once
+        _, out = pipeline
+        config = write_config(tmp_path / "run.cfg", encoder_widths="10000000000000000,64")
+        rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: training failed: Unable to allocate"), err
 
     def test_out_of_range_test_label_in_eval(self, pipeline, tmp_path, capsys):
         config, out = pipeline

@@ -206,6 +206,14 @@ class TestFeaturesCsv:
         with pytest.raises(ValueError, match="line 3: label 99999999999999999999 out of range"):
             load_features_csv(path, n_classes=2)
 
+    @pytest.mark.parametrize("label", ["99999999999999999999", str(2**63 - 1)])
+    def test_label_beyond_int64_without_class_count(self, tmp_path, label):
+        # the class count, label + 1, used to escape as an OverflowError
+        path = tmp_path / "big.csv"
+        path.write_text(f"id,label,f0\n0,{label},0.5\n")
+        with pytest.raises(ValueError, match=f"line 2: label {label} out of range"):
+            load_features_csv(path)
+
 
 class TestClassBalancedSubset:
     def make_train(self):

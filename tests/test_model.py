@@ -53,8 +53,8 @@ class TestEncoderForward:
 
     def test_zero_final_weights_collapse_to_bias_direction(self):
         model = make_model(seed=0, widths=(5,))
-        model.weights[-1] = np.zeros_like(model.weights[-1])
-        model.biases[-1] = np.array([3.0, 0.0, -4.0, 0.0])
+        model.weights[-1][...] = 0.0
+        model.biases[-1][...] = [3.0, 0.0, -4.0, 0.0]
         x = np.random.default_rng(2).normal(size=(7, model.input_dim))
         z = encoder_forward(model, x)
         expected = np.array([0.6, 0.0, -0.8, 0.0])
@@ -83,8 +83,8 @@ class TestEncoderForward:
 
     def test_degenerate_embedding_rejected(self):
         model = make_model(seed=0)
-        model.weights[-1] = np.zeros_like(model.weights[-1])
-        model.biases[-1] = np.zeros_like(model.biases[-1])
+        model.weights[-1][...] = 0.0
+        model.biases[-1][...] = 0.0
         with pytest.raises(ValueError, match="degenerate"):
             encoder_forward(model, np.ones(model.input_dim))
 
@@ -104,23 +104,23 @@ class TestEncoderForward:
 class TestClassifierLogits:
     def test_identity_head_returns_features(self):
         model = make_model(feature_dim=4, n_classes=4)
-        model.clf_w = np.eye(4)
-        model.clf_b = np.zeros(4)
+        model.clf_w[...] = np.eye(4)
+        model.clf_b[...] = 0.0
         z = encoder_forward(model, np.random.default_rng(0).normal(size=(6, 6)))
         np.testing.assert_array_equal(classifier_logits(model, z), z)
 
     def test_zero_weights_constant_bias(self):
         model = make_model(n_classes=5, feature_dim=4)
-        model.clf_w = np.zeros((5, 4))
-        model.clf_b = np.full(5, 2.5)
+        model.clf_w[...] = 0.0
+        model.clf_b[...] = 2.5
         z = np.eye(4)[0]
         np.testing.assert_array_equal(classifier_logits(model, z), np.full(5, 2.5))
 
     def test_random_case_matches_elementwise_product(self):
         rng = np.random.default_rng(17)
         model = make_model(feature_dim=3, n_classes=3, input_dim=3)
-        model.clf_w = rng.normal(size=(3, 3))
-        model.clf_b = rng.normal(size=3)
+        model.clf_w[...] = rng.normal(size=(3, 3))
+        model.clf_b[...] = rng.normal(size=3)
         z = rng.normal(size=3)
         z /= np.linalg.norm(z)
         got = classifier_logits(model, z)
@@ -157,7 +157,7 @@ class TestBatchGradients:
         for pi, grad in enumerate(grads):
             flat = grad.ravel()
             for ei in range(flat.size):
-                probe = model.copy()
+                probe = oracles.copy_model(model)
                 arr = probe.param_list()[pi].ravel()
                 arr[ei] += h
                 up = total(probe)
@@ -228,7 +228,7 @@ class TestTrainStep:
 
     def test_step_does_not_mutate_previous_model(self):
         model = make_model(seed=2)
-        before = model.copy()
+        before = oracles.copy_model(model)
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y)
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
@@ -304,19 +304,18 @@ class TestFlatGradient:
         _, grads = batch_loss_and_grads(model, new_state.mix, x, y, ood, hyper,
                                         state.priors, method=method)
         assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], model_module._flatten(grads))
+        np.testing.assert_array_equal(seen[0], np.concatenate([g.ravel() for g in grads]))
 
     def test_gradients_are_views_of_the_given_vector(self):
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
         mix = stats_for(model, x, y)
-        size = sum(p.size for p in model.param_list())
-        flat = np.zeros(size)
+        flat = np.zeros(model.flat.size)
         _, grads = batch_loss_and_grads(model, mix, x, y, None, PattHyper(),
                                         np.full(3, 1 / 3), flat_grad=flat)
         assert [g.shape for g in grads] == [p.shape for p in model.param_list()]
         assert all(np.shares_memory(g, flat) for g in grads)
-        np.testing.assert_array_equal(flat, model_module._flatten(grads))
+        np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads]))
         _, fresh = batch_loss_and_grads(model, mix, x, y, None, PattHyper(),
                                         np.full(3, 1 / 3))
         for a, b in zip(grads, fresh):
@@ -344,13 +343,6 @@ class TestFlatGradient:
         assert len(built) == 1
 
 
-def ref_model(model, params):
-    # a model of the same layout holding the arrays of ``params``
-    n = len(model.weights)
-    return EncoderClassifier(weights=params[0:2 * n:2], biases=params[1:2 * n:2],
-                             clf_w=params[2 * n], clf_b=params[2 * n + 1])
-
-
 class TestFlatUpdate:
     """The update over one flat parameter vector keeps the bits of the
     per-parameter reference step."""
@@ -360,11 +352,11 @@ class TestFlatUpdate:
     def test_matches_per_parameter_reference(self, optimizer, assigned):
         model = make_model(seed=2)
         if assigned:
-            # arrays assigned after init, as oracles.tau_norm_classifier does; the
-            # head is a transposed (non-contiguous) view
+            # values written into the model's views after init, the head from a
+            # transposed (non-contiguous) array: the update starts from them
             rng = np.random.default_rng(9)
-            model.clf_w = rng.normal(size=(model.feature_dim, model.n_classes)).T
-            model.biases[0] = rng.normal(size=model.biases[0].shape)
+            model.clf_w[...] = rng.normal(size=(model.feature_dim, model.n_classes)).T
+            model.biases[0][...] = rng.normal(size=model.biases[0].shape)
         x, y = batch_for(model, 12, seed=3)
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
         state = make_state(model, x, y, optimizer=optimizer, learning_rate=1e-2,
@@ -372,8 +364,10 @@ class TestFlatUpdate:
         hyper = state.config.hyper
         ref_params, ref_opt = model.param_list(), None
         for _ in range(3):
-            _, grads = batch_loss_and_grads(ref_model(model, ref_params), state.mix,
-                                            x, y, ood, hyper, state.priors)
+            ref_model = oracles.model_of(ref_params[0:-2:2], ref_params[1:-2:2],
+                                         *ref_params[-2:])
+            _, grads = batch_loss_and_grads(ref_model, state.mix, x, y, ood, hyper,
+                                            state.priors)
             ref_params, ref_opt = oracles.apply_update_ref(ref_params, grads,
                                                            state.config, ref_opt)
             state, _ = train_step(state, (x, y), ood, hyper)
@@ -386,6 +380,63 @@ class TestFlatUpdate:
                     want = np.concatenate([a.ravel() for a in ref_opt[name]])
                     np.testing.assert_array_equal(value, want)
         assert not params_equal(model, state.model)
+
+
+def assert_views_in_checkpoint_order(model):
+    # each parameter is the C-contiguous stretch of model.flat at its offset
+    # in the checkpoint.param_shapes order, and together they cover it
+    shapes = checkpoint.param_shapes(model.layer_sizes, model.n_classes)
+    base = model.flat.__array_interface__["data"][0]
+    offset = 0
+    for param, shape in zip(model.param_list(), shapes, strict=True):
+        assert param.shape == shape and param.flags.c_contiguous
+        assert param.__array_interface__["data"][0] == base + 8 * offset
+        offset += param.size
+    assert model.flat.dtype == np.float64 and model.flat.shape == (offset,)
+
+
+class TestFlatParameters:
+    """The model holds its parameters in one vector that the step, the
+    optimizer and the checkpoint share."""
+
+    def test_params_are_views_of_flat_in_checkpoint_order(self, tmp_path):
+        model = make_model(seed=13, widths=(8, 5))
+        assert_views_in_checkpoint_order(model)
+        x, y = batch_for(model, 12, seed=3)
+        state = make_state(model, x, y)
+        ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
+        stepped, _ = train_step(state, (x, y), ood, state.config.hyper)
+        assert_views_in_checkpoint_order(stepped.model)
+        assert not np.shares_memory(stepped.model.flat, model.flat)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, stepped.model, stepped.mix)
+        loaded, _ = load_checkpoint(path)
+        assert_views_in_checkpoint_order(loaded)
+        np.testing.assert_array_equal(loaded.flat, stepped.model.flat)
+        # the parameter block follows the header: magic, L, L sizes, K
+        header = 5 + 4 * (1 + len(model.layer_sizes) + 1)
+        block = path.read_bytes()[header:header + 8 * model.flat.size]
+        assert block == stepped.model.flat.tobytes()
+
+    def test_writes_into_views_reach_the_vector(self):
+        model = make_model(seed=1)
+        model.clf_b[...] = 7.0
+        model.weights[0][0, 0] = -3.0
+        assert model.flat[-model.n_classes:].tolist() == [7.0] * model.n_classes
+        assert model.flat[0] == -3.0
+
+    def test_attributes_cannot_be_rebound(self):
+        model = make_model()
+        with pytest.raises(AttributeError, match="clf_w"):
+            model.clf_w = np.eye(3, 4)
+        with pytest.raises(TypeError):
+            model.weights[0] = np.zeros((8, 6))
+
+    def test_vector_must_match_the_layout(self):
+        model = make_model()
+        for size in (model.flat.size - 1, model.flat.size + 1):
+            with pytest.raises(ValueError):
+                EncoderClassifier(np.zeros(size), model.layer_sizes, model.n_classes)
 
 
 def smoke_dataset(seed=0, **overrides):
@@ -584,9 +635,9 @@ class TestCheckpoint:
         mix = make_mixture(np.random.default_rng(5), model.n_classes, model.feature_dim)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, mix)
-        sizes, shapes, payload, priors = checkpoint.read(path)
-        assert sizes == model.layer_sizes
-        assert shapes == [p.shape for p in model.param_list()] + [(3, 6)]
+        sizes, n_classes, payload, priors = checkpoint.read(path)
+        assert sizes == model.layer_sizes and n_classes == 3
+        assert checkpoint.param_shapes(sizes, 3) == [p.shape for p in model.param_list()]
         assert payload == path.read_bytes()[-len(payload):]
         assert len(payload) == 8 * sum(p.size for p in model.param_list()) + 8 * 3 * 6
         assert list(priors) == mix.priors.tolist()
