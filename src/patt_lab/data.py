@@ -237,20 +237,24 @@ def gen_longtail(config: SynthConfig):
 
 def save_features_csv(dataset: LabeledSet, path) -> None:
     """Write ``id,label,f0..f{d-1}`` rows; floats keep full round-trip
-    precision."""
+    precision. Each row is written as soon as it is formatted, so no split
+    is held as text."""
     header = "id,label," + ",".join(f"f{i}" for i in range(dataset.dim))
-    lines = [header]
     # Python floats for one row at a time: a whole-split tolist() peaks higher
-    for i, (label, row) in enumerate(zip(dataset.labels.tolist(), dataset.inputs)):
-        lines.append(f"{i},{label},{','.join(map(repr, row.tolist()))}")
+    rows = (
+        f"{i},{label},{','.join(map(repr, row.tolist()))}\n"
+        for i, (label, row) in enumerate(zip(dataset.labels.tolist(), dataset.inputs))
+    )
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(rows)
 
 
 def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
     """Read a split written by ``save_features_csv``; malformed content and
-    a label outside [-1, n_classes) (without ``n_classes``, [-1, 2**63 - 1))
-    are rejected with the offending line number."""
+    a label outside [-1, n_classes) (without ``n_classes``, [-1, 2**63 - 1),
+    and small enough that numpy can allocate its class count) are rejected
+    with the offending line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -280,7 +284,18 @@ def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
     inputs = np.frombuffer(flat).reshape(len(labels), dim)
     if not np.all(np.isfinite(inputs)):
         raise ValueError(f"{path}: non-finite feature values")
-    return LabeledSet.from_rows(inputs, labels, n_classes=n_classes)
+    try:
+        return LabeledSet.from_rows(inputs, labels, n_classes=n_classes)
+    except (ValueError, MemoryError):
+        if n_classes is not None:
+            raise
+        # the largest label sizes the class-count vector, and numpy cannot
+        # allocate it
+        label = max(labels)
+        raise ValueError(
+            f"{path}: line {labels.index(label) + 2}: label {label} out of range "
+            f"(cannot count {label + 1} classes)"
+        ) from None
 
 
 def class_balanced_subset(dataset: LabeledSet, per_class: int, seed: int) -> LabeledSet:

@@ -104,19 +104,28 @@ class EncoderClassifier:
         return out
 
 
-def _forward_batch(model: EncoderClassifier, x: np.ndarray):
-    # returns (hidden activations incl. input, pre-norm output, norms, features)
-    acts = [x]
+def _forward_batch(model: EncoderClassifier, x: np.ndarray, acts: list | None = None):
+    # returns (acts, norms of the pre-norm output, unit-norm features); each
+    # hidden layer is formed in one buffer (h @ w.T, += b, tanh in place: the
+    # bits of tanh(h @ w.T + b)). Training passes a list ``acts``, which
+    # collects the input and every hidden layer for backprop; without it only
+    # the layer being computed is kept.
+    if acts is not None:
+        acts.append(x)
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.tanh(h @ w.T + b)
-        acts.append(h)
-    pre = h @ model.weights[-1].T + model.biases[-1]
-    norms = norms_along(pre)
+        h = h @ w.T
+        h += b
+        np.tanh(h, out=h)
+        if acts is not None:
+            acts.append(h)
+    z = h @ model.weights[-1].T
+    z += model.biases[-1]
+    norms = norms_along(z)
     if (norms < 1e-12).any():
         raise ValueError("degenerate embedding: pre-normalization output is ~0")
-    z = pre / norms[:, None]
-    return acts, pre, norms, z
+    z /= norms[:, None]
+    return acts, norms, z
 
 
 def encoder_forward(model: EncoderClassifier, x) -> np.ndarray:
@@ -126,7 +135,7 @@ def encoder_forward(model: EncoderClassifier, x) -> np.ndarray:
     xb = xv[None, :] if single else xv
     if xb.shape[-1] != model.input_dim:
         raise ValueError(f"input dim {xb.shape[-1]} != model input {model.input_dim}")
-    _, _, _, z = _forward_batch(model, xb)
+    _, _, z = _forward_batch(model, xb)
     return z[0] if single else z
 
 
@@ -183,8 +192,8 @@ def batch_loss_and_grads(
     The mixture statistics are constants here; differentiation covers the
     encoder (through the unit-norm projection) and the classifier head for
     both the labeled and the outlier stream. ``forward`` may carry the
-    labeled batch's encoder pass (``_forward_batch(model, id_x)``) when the
-    caller already ran it. The gradients are returned as one array per
+    labeled batch's encoder pass (``_forward_batch(model, id_x, [])``) when
+    the caller already ran it. The gradients are returned as one array per
     parameter in ``param_list`` order, each a view into one vector laid out
     like ``model.flat``: ``flat_grad`` when the caller passes a zero vector
     of its size, otherwise a new one.
@@ -201,7 +210,7 @@ def batch_loss_and_grads(
         flat_grad = np.zeros(model.flat.size)
     grads = _views(flat_grad, [p.shape for p in model.param_list()])
 
-    acts, _, norms, z = _forward_batch(model, id_x) if forward is None else forward
+    acts, norms, z = _forward_batch(model, id_x, []) if forward is None else forward
     logits = z @ model.clf_w.T + model.clf_b
 
     if method == "patt":
@@ -227,7 +236,7 @@ def batch_loss_and_grads(
     oe_mean = 0.0
     if ood_weight > 0.0 and ood_x is not None and ood_x.shape[0] > 0:
         m = ood_x.shape[0]
-        acts_o, _, norms_o, z_o = _forward_batch(model, ood_x)
+        acts_o, norms_o, z_o = _forward_batch(model, ood_x, [])
         logits_o = z_o @ model.clf_w.T + model.clf_b
         oe_vals, oe_grads = losses.oe_uniform_loss_batch(logits_o)
         oe_mean = float(np.add.reduce(oe_vals)) / m
@@ -325,9 +334,9 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
     if config.method == "patt":
         if config.vmf_update == "batch":
             # one encoder pass feeds both the stats refresh and the loss
-            forward = _forward_batch(state.model, id_x)
+            forward = _forward_batch(state.model, id_x, [])
             mix = estimate_class_stats(
-                forward[3], id_y, previous=mix, momentum=config.vmf_momentum
+                forward[2], id_y, previous=mix, momentum=config.vmf_momentum
             )
         if mix is None:
             raise ValueError("patt training requires initialized mixture statistics")

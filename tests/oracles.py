@@ -157,6 +157,19 @@ def apply_update_ref(params, grads, config, state=None):
     return params, {"velocity": new_vel}
 
 
+def forward_ref(model, x):
+    """The encoder pass as one expression per layer, keeping every hidden
+    layer: returns (input and hidden activations, norms, unit features)."""
+    acts = [x]
+    h = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.tanh(h @ w.T + b)
+        acts.append(h)
+    pre = h @ model.weights[-1].T + model.biases[-1]
+    norms = np.linalg.norm(pre, axis=1)
+    return acts, norms, pre / norms[:, None]
+
+
 def model_of(weights, biases, clf_w, clf_b):
     """An ``EncoderClassifier`` holding copies of separate arrays: per layer
     W of shape (fan_out, fan_in) and its bias, then the head. The model keeps

@@ -1,5 +1,7 @@
 """Unit tests for dataset generation, CSV persistence and subset draws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,18 @@ class TestFeaturesCsv:
             want.append(f"{i},{int(train.labels[i])},{row}")
         assert path.read_text() == "\n".join(want) + "\n"
 
+    def test_writer_peak_does_not_grow_with_the_split(self, tmp_path):
+        rng = np.random.default_rng(0)
+        split = LabeledSet.from_rows(rng.normal(size=(20000, 16)), rng.integers(0, 10, 20000))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            save_features_csv(split, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * path.stat().st_size
+
     def test_header_only_gives_an_empty_split(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,label,f0,f1,f2\n")
@@ -213,6 +227,17 @@ class TestFeaturesCsv:
         path.write_text(f"id,label,f0\n0,{label},0.5\n")
         with pytest.raises(ValueError, match=f"line 2: label {label} out of range"):
             load_features_csv(path)
+
+    @pytest.mark.parametrize("label", [2**62, 2**59])
+    def test_unallocatable_class_count_names_the_line(self, tmp_path, label):
+        # numpy refuses (2**62) or fails to allocate (2**59) a class-count
+        # vector of label + 1 entries; both ended in numpy's error, without
+        # the file or the line
+        path = tmp_path / "huge.csv"
+        path.write_text(f"id,label,f0\n0,0,0.5\n1,{label},0.5\n2,1,0.5\n")
+        with pytest.raises(ValueError) as got:
+            load_features_csv(path)
+        assert str(got.value).startswith(f"{path}: line 3: label {label} out of range")
 
 
 class TestClassBalancedSubset:

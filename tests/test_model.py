@@ -1,6 +1,7 @@
 """Unit tests for the encoder/classifier, the optimizer loop and checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ class TestEncoderForward:
         with pytest.raises(ValueError, match="degenerate"):
             encoder_forward(model, np.ones(model.input_dim))
 
+    def test_inference_leaves_input_and_matches_training_forward(self):
+        model = make_model(seed=5, widths=(8, 7))
+        x = np.random.default_rng(6).normal(size=(20, model.input_dim))
+        x.flags.writeable = False
+        z = encoder_forward(model, x)
+        acts, norms, z_train = model_module._forward_batch(model, x, [])
+        assert np.array_equal(z, z_train)
+        # the in-place layers keep the bits of one expression per layer
+        acts_ref, norms_ref, z_ref = oracles.forward_ref(model, x)
+        assert np.array_equal(z_train, z_ref) and np.array_equal(norms, norms_ref)
+        assert acts[0] is x and len(acts) == len(acts_ref) == 3
+        assert all(np.array_equal(a, r) for a, r in zip(acts, acts_ref))
+
     def test_input_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="input dim"):
             encoder_forward(make_model(), np.ones(5))
@@ -99,6 +113,22 @@ class TestEncoderForward:
             EncoderClassifier.init(6, (8,), 1, 3, 0)
         with pytest.raises(ValueError):
             EncoderClassifier.init(6, (8,), 4, 1, 0)
+
+
+class TestForwardMemory:
+    def test_inference_holds_two_hidden_layers(self):
+        # without backprop a forward keeps only the layer it is computing and
+        # the one it reads
+        rows, width = 5000, 64
+        model = EncoderClassifier.init(16, (width, width), 8, 10, seed=0)
+        x = np.random.default_rng(0).normal(size=(rows, 16))
+        tracemalloc.start()
+        try:
+            encoder_forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rows * width * 8
 
 
 class TestClassifierLogits:
@@ -241,9 +271,9 @@ class TestTrainStep:
         calls = []
         original = model_module._forward_batch
 
-        def counting(model, x):
+        def counting(model, x, acts=None):
             calls.append(x.shape[0])
-            return original(model, x)
+            return original(model, x, acts)
 
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
