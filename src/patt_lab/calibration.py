@@ -49,24 +49,19 @@ class AttentionWeight:
 
 
 def channel_importance(z, y, clf: EncoderClassifier) -> np.ndarray:
-    """Per-channel contribution of a feature vector to its class logit.
+    """Per-channel contribution of each feature row to its class logit.
 
     The classifier is linear, so the sensitivity of logit y to channel k
     is the classifier weight itself and the importance reduces to
-    ``W[y, :] * z``. Accepts a single (d,) vector with integer y or an
-    (n, d) batch with a label vector, returning matching shape. Summed
-    over channels this equals the class logit minus its bias.
+    ``W[y, :] * z``. Takes an (n, d) batch with an (n,) label vector and
+    returns (n, d). Summed over channels, a row equals its class logit minus
+    the bias.
     """
     z = np.asarray(z, dtype=np.float64)
     w = clf.clf_w
-    if z.ndim == 1:
-        y = int(y)
-        if not 0 <= y < w.shape[0]:
-            raise ValueError(f"label {y} out of range for {w.shape[0]} classes")
-        return w[y] * z
     labels = np.asarray(y, dtype=np.int64)
     if z.ndim != 2 or labels.shape != (z.shape[0],):
-        raise ValueError("batch form needs (n, d) features and (n,) labels")
+        raise ValueError("need (n, d) features and (n,) labels")
     if np.any(labels < 0) or np.any(labels >= w.shape[0]):
         raise ValueError("label out of range")
     return w[labels] * z
@@ -95,12 +90,9 @@ def attention_weight(cb_features, cb_labels, ood_features, clf: EncoderClassifie
     if np.any(cb_y < 0) or np.any(cb_y >= pri.size):
         raise ValueError("cb label out of range")
 
-    if ood_features is None:
-        ood = np.empty((0, cb.shape[1]))
-    else:
-        ood = np.asarray(ood_features, dtype=np.float64)
-        if ood.ndim != 2 or (ood.size and ood.shape[1] != cb.shape[1]):
-            raise ValueError("outlier feature dimension mismatch")
+    ood = np.asarray(ood_features, dtype=np.float64)
+    if ood.ndim != 2 or (ood.size and ood.shape[1] != cb.shape[1]):
+        raise ValueError("outlier feature dimension mismatch")
     if ood.shape[0] > 0:
         ood_y = np.argmax(classifier_logits(clf, ood), axis=1)
     else:
@@ -145,26 +137,23 @@ def calibrate_feature(z, scaled) -> np.ndarray:
     return z * s
 
 
-def energy_score(logits):
-    """Log-sum-exp of the logits; larger means more in-distribution.
-    Accepts one (K,) vector -> float or an (n, K) batch -> (n,) array."""
+def energy_score(logits) -> np.ndarray:
+    """Log-sum-exp of each row of an (n, K) logit batch; larger means more
+    in-distribution."""
     a = np.asarray(logits, dtype=np.float64)
-    if a.ndim not in (1, 2):
-        raise ValueError("logits must be 1- or 2-D")
-    lse, _ = logsumexp_softmax(np.atleast_2d(a))
-    return float(lse[0]) if a.ndim == 1 else lse
+    if a.ndim != 2:
+        raise ValueError("logits must be an (n, K) batch")
+    lse, _ = logsumexp_softmax(a)
+    return lse
 
 
-def msp_score(logits):
-    """Maximum softmax probability, same shape convention as energy_score."""
+def msp_score(logits) -> np.ndarray:
+    """Maximum softmax probability of each row of an (n, K) logit batch."""
     a = np.asarray(logits, dtype=np.float64)
-    one = a.ndim == 1
-    a = np.atleast_2d(a)
-    if a.shape[1] < 2:
-        raise ValueError("need at least two classes for a softmax score")
+    if a.ndim != 2 or a.shape[1] < 2:
+        raise ValueError("need an (n, K) batch of at least two classes for a softmax score")
     _, probs = logsumexp_softmax(a)
-    out = probs.max(axis=1)
-    return float(out[0]) if one else out
+    return probs.max(axis=1)
 
 
 def save_attention(path, weight: AttentionWeight) -> None:

@@ -44,7 +44,7 @@ _CLI_DEFAULTS = {
 }
 
 # config class fields that only library callers set
-_LIBRARY_ONLY = ("hyper", "ood_seed")
+_LIBRARY_ONLY = ("hyper",)
 
 # key -> default; the default's type decides how the value string is parsed
 DEFAULTS = {name: default for cls in (SynthConfig, TrainConfig, PattHyper)

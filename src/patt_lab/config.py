@@ -151,7 +151,6 @@ class TrainConfig(_Config):
     feature_dim: int = SynthConfig.feature_dim
     method: str = "patt"
     oe_gamma: float = 0.5
-    ood_seed: int | None = None
 
     def _check(self) -> None:
         widths = self.encoder_widths

@@ -50,18 +50,12 @@ class LabeledSet:
         if np.any(self.labels < OOD_LABEL):
             raise ValueError("labels must be >= -1")
 
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
     @classmethod
-    def from_rows(cls, inputs, labels, n_classes: int | None = None):
+    def from_rows(cls, inputs, labels, n_classes: int):
+        """Rows whose labels lie in [-1, n_classes), counted per class."""
         labels = np.asarray(labels, dtype=np.int64)
         inputs = np.asarray(inputs, dtype=np.float64)
-        known = labels[labels >= 0]
-        if n_classes is None:
-            n_classes = int(known.max()) + 1 if known.size else 0
-        counts = np.bincount(known, minlength=n_classes) if n_classes else np.zeros(0, np.int64)
+        counts = np.bincount(labels[labels >= 0], minlength=n_classes)
         return cls(inputs=inputs, labels=labels, class_counts=counts, dim=inputs.shape[1])
 
 
@@ -134,6 +128,18 @@ def _spread_directions(rng, dim, existing, count, max_dot, key, max_tries=20000)
     # sequential rejection: each new direction must keep its dot product with
     # every previously accepted one below the bound; ``key`` is the config key
     # that sets ``count``
+    beside = f" beside {len(existing)} others" if existing else ""
+    failure = ValueError(f"could not place {key} = {count} directions{beside} "
+                         f"with max_direction_dot = {max_dot} in feature_dim = {dim}")
+    # Cap packing: each direction owns a disjoint cap of angular radius
+    # h = acos(max_dot) / 2, whose area is at least that of the (dim - 1)-ball
+    # of radius sin(h), so the sphere holds fewer than
+    # 2 sqrt(pi) Gamma((dim + 1) / 2) / Gamma(dim / 2) / sin(h)^(dim - 1)
+    # of them. A count beyond that is refused before any draw.
+    log_most = (math.log(2.0 * math.sqrt(math.pi)) + math.lgamma(0.5 * (dim + 1))
+                - math.lgamma(0.5 * dim) - (dim - 1) * math.log(math.sin(0.5 * math.acos(max_dot))))
+    if math.log(len(existing) + count) > log_most:
+        raise failure
     out = []
     for _ in range(count):
         for _attempt in range(max_tries):
@@ -148,11 +154,7 @@ def _spread_directions(rng, dim, existing, count, max_dot, key, max_tries=20000)
                 out.append(v)
                 break
         else:
-            beside = f" beside {len(existing)} others" if existing else ""
-            raise ValueError(
-                f"could not place {key} = {count} directions{beside} "
-                f"with max_direction_dot = {max_dot} in feature_dim = {dim}"
-            )
+            raise failure
     return out
 
 
@@ -179,7 +181,6 @@ def gen_longtail(config: SynthConfig):
     class directions and the exposure outliers.
     """
     d = config.feature_dim
-    counts = class_counts_profile(config.n_classes, config.imbalance_ratio, config.max_per_class)
     dir_rng = np.random.default_rng(derive_seed(config.seed, "directions"))
     class_dirs = _spread_directions(
         dir_rng, d, [], config.n_classes, config.max_direction_dot, "n_classes"
@@ -192,6 +193,8 @@ def gen_longtail(config: SynthConfig):
         dir_rng, d, class_dirs + ood_train_dirs, config.ood_test_clusters,
         config.max_direction_dot, "ood_test_clusters",
     )
+    # after the directions, which refuse a class count that cannot be placed
+    counts = class_counts_profile(config.n_classes, config.imbalance_ratio, config.max_per_class)
 
     def id_split(per_class, role):
         sizes = counts if per_class is None else [per_class] * config.n_classes
@@ -250,11 +253,10 @@ def save_features_csv(dataset: LabeledSet, path) -> None:
         fh.writelines(rows)
 
 
-def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
+def load_features_csv(path, n_classes: int) -> LabeledSet:
     """Read a split written by ``save_features_csv``; malformed content and
-    a label outside [-1, n_classes) (without ``n_classes``, [-1, 2**63 - 1),
-    and small enough that numpy can allocate its class count) are rejected
-    with the offending line number."""
+    a label outside [-1, n_classes) are rejected with the offending line
+    number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -267,8 +269,6 @@ def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
         raise ValueError(f"{path}: line 1: bad feature columns")
     # one C double per value, so no Python float outlives its line
     flat, labels = array.array("d"), []
-    # without n_classes, the class count label + 1 must be an int64
-    top = 2**63 - 1 if n_classes is None else n_classes
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != dim + 2:
@@ -278,24 +278,13 @@ def load_features_csv(path, n_classes: int | None = None) -> LabeledSet:
             flat.extend(map(float, parts[2:]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {ln}: {exc}") from None
-        if not OOD_LABEL <= label < top:
+        if not OOD_LABEL <= label < n_classes:
             raise ValueError(f"{path}: line {ln}: label {label} out of range")
         labels.append(label)
     inputs = np.frombuffer(flat).reshape(len(labels), dim)
     if not np.all(np.isfinite(inputs)):
         raise ValueError(f"{path}: non-finite feature values")
-    try:
-        return LabeledSet.from_rows(inputs, labels, n_classes=n_classes)
-    except (ValueError, MemoryError):
-        if n_classes is not None:
-            raise
-        # the largest label sizes the class-count vector, and numpy cannot
-        # allocate it
-        label = max(labels)
-        raise ValueError(
-            f"{path}: line {labels.index(label) + 2}: label {label} out of range "
-            f"(cannot count {label + 1} classes)"
-        ) from None
+    return LabeledSet.from_rows(inputs, labels, n_classes)
 
 
 def class_balanced_subset(dataset: LabeledSet, per_class: int, seed: int) -> LabeledSet:

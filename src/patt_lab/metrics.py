@@ -99,13 +99,12 @@ def fpr_at_95_tpr(id_scores, ood_scores) -> float:
 
 
 class EvalReport:
-    """One evaluation row: separation metrics, accuracies and group sizes."""
+    """One evaluation row: separation metrics and accuracies."""
 
     def __init__(self, auroc: float, aupr_in: float, aupr_out: float, fpr95: float, acc: float,
-                 acc_head: float | None, acc_tail: float | None, n_id: int = 0, n_ood: int = 0):
+                 acc_head: float | None, acc_tail: float | None):
         self.auroc, self.aupr_in, self.aupr_out, self.fpr95 = auroc, aupr_in, aupr_out, fpr95
         self.acc, self.acc_head, self.acc_tail = acc, acc_head, acc_tail
-        self.n_id, self.n_ood = n_id, n_ood
 
     CSV_COLUMNS = ("auroc", "aupr_in", "aupr_out", "fpr95", "acc", "acc_head", "acc_tail")
 
@@ -117,17 +116,6 @@ class EvalReport:
             v = getattr(self, col)
             vals.append("" if v is None else repr(float(v)))
         return ",".join(self.CSV_COLUMNS) + "\n" + ",".join(vals) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "EvalReport":
-        lines = text.strip().splitlines()
-        if len(lines) != 2 or lines[0] != ",".join(cls.CSV_COLUMNS):
-            raise ValueError("malformed report CSV")
-        raw = lines[1].split(",")
-        if len(raw) != len(cls.CSV_COLUMNS):
-            raise ValueError("malformed report CSV row")
-        vals = [None if v == "" else float(v) for v in raw]
-        return cls(*vals)
 
 
 def build_report(id_scores, ood_scores, id_true, id_pred, class_weights,
@@ -143,6 +131,4 @@ def build_report(id_scores, ood_scores, id_true, id_pred, class_weights,
         acc=acc,
         acc_head=acc_head,
         acc_tail=acc_tail,
-        n_id=int(a.size),
-        n_ood=int(b.size),
     )

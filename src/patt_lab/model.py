@@ -23,7 +23,6 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "EpochRecord",
-    "TrainHistory",
     "encoder_forward",
     "classifier_logits",
     "batch_loss_and_grads",
@@ -129,14 +128,12 @@ def _forward_batch(model: EncoderClassifier, x: np.ndarray, acts: list | None = 
 
 
 def encoder_forward(model: EncoderClassifier, x) -> np.ndarray:
-    """Unit-norm feature for one input vector (or rows of a batch)."""
-    xv = np.asarray(x, dtype=np.float64)
-    single = xv.ndim == 1
-    xb = xv[None, :] if single else xv
-    if xb.shape[-1] != model.input_dim:
-        raise ValueError(f"input dim {xb.shape[-1]} != model input {model.input_dim}")
+    """Unit-norm features (n, feature_dim) for an (n, input_dim) batch."""
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.ndim != 2 or xb.shape[1] != model.input_dim:
+        raise ValueError(f"input dim: got shape {xb.shape}, the model takes (n, {model.input_dim})")
     _, _, z = _forward_batch(model, xb)
-    return z[0] if single else z
+    return z
 
 
 def classifier_logits(model: EncoderClassifier, z) -> np.ndarray:
@@ -182,10 +179,10 @@ def batch_loss_and_grads(
     ood_x,
     hyper: PattHyper,
     priors: np.ndarray,
+    flat_grad: np.ndarray,
     method: str = TrainConfig.method,
     oe_gamma: float = TrainConfig.oe_gamma,
     forward=None,
-    flat_grad=None,
 ):
     """Mean batch objective and its exact parameter gradients.
 
@@ -193,10 +190,9 @@ def batch_loss_and_grads(
     encoder (through the unit-norm projection) and the classifier head for
     both the labeled and the outlier stream. ``forward`` may carry the
     labeled batch's encoder pass (``_forward_batch(model, id_x, [])``) when
-    the caller already ran it. The gradients are returned as one array per
-    parameter in ``param_list`` order, each a view into one vector laid out
-    like ``model.flat``: ``flat_grad`` when the caller passes a zero vector
-    of its size, otherwise a new one.
+    the caller already ran it. The gradients are accumulated into
+    ``flat_grad``, a zero vector laid out like ``model.flat``, and returned
+    as one view of it per parameter in ``param_list`` order.
     """
     # the training path is the only one that needs the losses: calibrate
     # and eval run the model without loading them
@@ -206,8 +202,6 @@ def batch_loss_and_grads(
     n = id_x.shape[0]
     if n == 0:
         raise ValueError("empty labeled batch")
-    if flat_grad is None:
-        flat_grad = np.zeros(model.flat.size)
     grads = _views(flat_grad, [p.shape for p in model.param_list()])
 
     acts, norms, z = _forward_batch(model, id_x, []) if forward is None else forward
@@ -345,9 +339,8 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
     # view of this one vector
     flat_grad = np.zeros(state.model.flat.size)
     breakdown, _ = batch_loss_and_grads(
-        state.model, mix, id_x, id_y, ood_x, hyper, state.priors,
+        state.model, mix, id_x, id_y, ood_x, hyper, state.priors, flat_grad,
         method=config.method, oe_gamma=config.oe_gamma, forward=forward,
-        flat_grad=flat_grad,
     )
     for name, val in (("isac", breakdown.isac), ("tla", breakdown.tla), ("oe", breakdown.oe)):
         if not math.isfinite(val):
@@ -361,23 +354,12 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
 
 
 class EpochRecord:
-    """One epoch's mean loss terms and validation accuracy; two records are
-    equal when every field is."""
+    """One epoch's mean loss terms and validation accuracy."""
 
     def __init__(self, epoch: int, total: float, isac: float, tla: float, oe: float,
                  val_acc: float):
         self.epoch, self.total, self.isac = epoch, total, isac
         self.tla, self.oe, self.val_acc = tla, oe, val_acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EpochRecord) and vars(self) == vars(other)
-
-
-class TrainHistory:
-    """Per-epoch mean loss terms plus validation accuracy."""
-
-    def __init__(self, records: list | None = None):
-        self.records = [] if records is None else records
 
 
 def _validation_accuracy(model, val_x, val_y) -> float:
@@ -392,11 +374,12 @@ def _full_stats(model, train_x, train_y, class_counts) -> VmfMixture:
 
 
 def train(config: TrainConfig, train_id, train_ood, val_id):
-    """Full training run; returns (model, mixture statistics, history).
+    """Full training run; returns (model, mixture statistics, history), the
+    history being one ``EpochRecord`` per epoch.
 
     Sub-seeds for init, labeled shuffling and the outlier stream are derived
     from the config seed by role, so two runs with the same seed are
-    bit-identical and the outlier stream can be reseeded independently.
+    bit-identical.
     """
     x, y = np.asarray(train_id.inputs, dtype=np.float64), np.asarray(train_id.labels)
     counts = np.asarray(train_id.class_counts, dtype=np.float64)
@@ -411,7 +394,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         x.shape[1], config.encoder_widths, config.feature_dim,
         counts.size, derive_seed(config.seed, "model-init"),
     )
-    history = TrainHistory()
+    history = []
     if config.epochs == 0:
         return model, _full_stats(model, x, y, counts), history
 
@@ -424,8 +407,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         state.mix = _full_stats(model, x, y, counts)
 
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "id-shuffle"))
-    ood_seed = config.ood_seed if config.ood_seed is not None else derive_seed(config.seed, "ood-shuffle")
-    ood_rng = np.random.default_rng(ood_seed)
+    ood_rng = np.random.default_rng(derive_seed(config.seed, "ood-shuffle"))
     ood_queue = np.empty(0, dtype=np.int64)
 
     n = x.shape[0]
@@ -449,7 +431,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
             steps += 1
         val_acc = _validation_accuracy(state.model, val_id.inputs, val_id.labels)
         means = sums / steps
-        history.records.append(EpochRecord(
+        history.append(EpochRecord(
             epoch=epoch, total=float(means[0]), isac=float(means[1]),
             tla=float(means[2]), oe=float(means[3]), val_acc=val_acc,
         ))

@@ -10,18 +10,20 @@ import numpy as np
 from .cli import _STEP_KEYS, CliError, _build, _check_classes, _require, _train_config
 
 
-def _load_split(out_dir, name, n_classes=None):
+def _load_split(out_dir, name, cfg):
     from . import data
     path = _require(os.path.join(out_dir, name), "dataset file")
     try:
-        return data.load_features_csv(path, n_classes=n_classes)
-    except ValueError as exc:
+        return data.load_features_csv(path, cfg["n_classes"])
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # an n_classes beyond int64 or beyond memory leaves numpy unable
+        # to count the classes
         raise CliError(f"bad dataset file {path}: {exc}") from None
 
 
 def _load_train(out_dir, cfg):
     # train.csv must hold rows of every class that n_classes declares
-    train_id = _load_split(out_dir, "train.csv", n_classes=cfg["n_classes"])
+    train_id = _load_split(out_dir, "train.csv", cfg)
     empty = np.flatnonzero(train_id.class_counts == 0)
     if empty.size:
         path = os.path.join(out_dir, "train.csv")
@@ -35,7 +37,7 @@ def cmd_gen_data(cfg, out_dir) -> None:
     dcfg = _build(data.SynthConfig, cfg)
     try:
         train_id, val_id, test_id, train_ood, test_ood = data.gen_longtail(dcfg)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise CliError(f"data generation failed: {exc}") from None
     # the one stage that makes the output directory, once it has data to write
     os.makedirs(out_dir, exist_ok=True)
@@ -55,8 +57,8 @@ def cmd_gen_data(cfg, out_dir) -> None:
 def cmd_train(cfg, out_dir) -> None:
     from . import model
     train_id = _load_train(out_dir, cfg)
-    train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
-    val_id = _load_split(out_dir, "val_id.csv", n_classes=cfg["n_classes"])
+    train_ood = _load_split(out_dir, "train_ood.csv", cfg)
+    val_id = _load_split(out_dir, "val_id.csv", cfg)
     try:
         net, mix, history = model.train(_train_config(cfg), train_id, train_ood, val_id)
     except (ValueError, MemoryError) as exc:
@@ -67,7 +69,7 @@ def cmd_train(cfg, out_dir) -> None:
     model.save_checkpoint(os.path.join(out_dir, "model.ckpt"), net, mix)
     with open(os.path.join(out_dir, "history.csv"), "w", encoding="ascii") as fh:
         fh.write("epoch,total,isac,tla,oe,val_acc\n")
-        for rec in history.records:
+        for rec in history:
             fh.write(f"{rec.epoch},{rec.total!r},{rec.isac!r},"
                      f"{rec.tla!r},{rec.oe!r},{rec.val_acc!r}\n")
 
@@ -88,7 +90,7 @@ def cmd_calibrate(cfg, out_dir) -> None:
     from .util import derive_seed
     net, mix = _load_model(out_dir, cfg)
     train_id = _load_train(out_dir, cfg)
-    train_ood = _load_split(out_dir, "train_ood.csv", n_classes=cfg["n_classes"])
+    train_ood = _load_split(out_dir, "train_ood.csv", cfg)
     per_class = cfg["per_class"] or int(train_id.class_counts.min())
     cb = data.class_balanced_subset(train_id, per_class,
                                     seed=derive_seed(cfg["seed"], "calibration-subset"))
@@ -129,8 +131,8 @@ def cmd_eval(cfg, out_dir) -> None:
     """
     from . import calibration, metrics, model
     net, mix = _load_model(out_dir, cfg)
-    test_id = _load_split(out_dir, "test_id.csv", n_classes=cfg["n_classes"])
-    test_ood = _load_split(out_dir, "test_ood.csv", n_classes=cfg["n_classes"])
+    test_id = _load_split(out_dir, "test_id.csv", cfg)
+    test_ood = _load_split(out_dir, "test_ood.csv", cfg)
     weight = _resolve_attention(cfg, out_dir)
     score = calibration.energy_score if cfg["score"] == "energy" else calibration.msp_score
 

@@ -179,39 +179,22 @@ def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def log_bessel_i(nu, x):
-    """log I_nu(x), the modified Bessel function of the first kind.
-
-    ``nu`` is a scalar order >= 0, or a 1-D sequence of orders that are
-    evaluated in one pass and stacked as the leading axis of the result;
-    ``x`` may be a scalar or an ndarray. Evaluated by the ascending series for
-    small and moderate arguments and by the large-argument asymptotic
-    expansion beyond ``max(30, 2 nu^2)``; at x = 0 the limit is 0 for nu = 0
-    and -inf otherwise.
+    """log I_nu(x), the modified Bessel function of the first kind, for a
+    non-empty 1-D sequence of orders >= 0 at positive arguments ``x`` (an
+    ndarray), evaluated in one pass; the result has shape
+    ``(len(nu),) + x.shape``. Evaluated by the ascending series for small and
+    moderate arguments and by the large-argument asymptotic expansion beyond
+    ``max(30, 2 nu^2)``.
     """
     orders = np.asarray(nu, dtype=np.float64)
-    stacked = orders.ndim == 1
-    orders = np.atleast_1d(orders)
     if orders.ndim != 1 or orders.size == 0:
-        raise ValueError("order must be a scalar or a non-empty 1-D sequence")
+        raise ValueError("order must be a non-empty 1-D sequence")
     if not (np.isfinite(orders) & (orders >= 0.0)).all():
         raise ValueError(f"order must be finite and non-negative, got {nu}")
     xs = np.asarray(x, dtype=np.float64)
-    if not (np.isfinite(xs) & (xs >= 0.0)).all():
-        raise ValueError("argument must be finite and non-negative")
-    flat = np.atleast_1d(xs).ravel()
-    zero = flat == 0.0
-    if zero.any():
-        out = np.empty((orders.size, flat.size))
-        out[:, zero] = np.where(orders == 0.0, 0.0, -np.inf)[:, None]
-        if not zero.all():
-            out[:, ~zero] = _log_bessel_positive(orders, flat[~zero])
-    else:
-        out = _log_bessel_positive(orders, flat)
-    if stacked:
-        return out.reshape(orders.shape + xs.shape)
-    if xs.ndim == 0:
-        return float(out[0, 0])
-    return out[0].reshape(xs.shape)
+    if not (np.isfinite(xs) & (xs > 0.0)).all():
+        raise ValueError("argument must be finite and positive")
+    return _log_bessel_positive(orders, xs.ravel()).reshape(orders.shape + xs.shape)
 
 
 def _log_uniform_const(dim: int) -> float:

@@ -9,7 +9,9 @@ per-parameter optimizer step, the per-class statistics refresh) and the
 numpy forms of the plain-Python report (the head/tail accuracy split, the
 score histogram); the rewrites must match them bit for bit. ``model_of``
 builds a model from separate arrays, which the model, holding one
-parameter vector, no longer takes.
+parameter vector, no longer takes. The package evaluates batches only:
+``log_bessel_i_at`` evaluates ``vmf.log_bessel_i`` at one order, and
+``read_report`` parses the ``report.csv`` that eval writes.
 
 The last part holds code that left the package because no pipeline stage
 runs it: the per-sample losses and the combined objective (thin wrappers of
@@ -64,6 +66,13 @@ def log_bessel_half(nu, x):
     if nu == 1.5:
         return float(mp.log(pref * (mp.cosh(x) - mp.sinh(x) / x)))
     raise ValueError(f"no closed form for nu={nu}")
+
+
+def log_bessel_i_at(nu, x):
+    """``vmf.log_bessel_i`` at the one order ``nu``: a float for a scalar
+    ``x``, else an array shaped like ``x``."""
+    out = vmf.log_bessel_i([nu], np.asarray(x, dtype=np.float64))[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def log_bessel_mp(nu, x):
@@ -251,17 +260,6 @@ def log_z3(kappa):
     return float(mp.log(k / (4 * mp.pi * mp.sinh(k))))
 
 
-def log_norm_const_ref(dim, kappa):
-    """Normalizer via the series oracle instead of the production branches."""
-    k = mp.mpf(kappa)
-    d = mp.mpf(dim)
-    if k == 0:
-        return float(mp.log(mp.gamma(d / 2)) - mp.log(2) - (d / 2) * mp.log(mp.pi))
-    nu = d / 2 - 1
-    return float(nu * mp.log(k) - (d / 2) * mp.log(2 * mp.pi)
-                 - mp.mpf(log_bessel_series(nu, k)))
-
-
 def norm_and_ratio_separate(dim, kappa):
     """``(log C_d, A_d)`` elementwise from one ``log_bessel_i`` call per
     order, the way ``log_norm_const`` and ``bessel_ratio`` computed them
@@ -273,9 +271,9 @@ def norm_and_ratio_separate(dim, kappa):
     ratio = np.zeros(ks.shape)
     pos = ks > 0.0
     kp = ks[pos]
-    log_i_nu = vmf.log_bessel_i(nu, kp)
+    log_i_nu = log_bessel_i_at(nu, kp)
     log_norm[pos] = nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i_nu
-    ratio[pos] = np.exp(vmf.log_bessel_i(half, kp) - log_i_nu)
+    ratio[pos] = np.exp(log_bessel_i_at(half, kp) - log_i_nu)
     return log_norm, ratio
 
 
@@ -407,6 +405,13 @@ def classification_report_ref(true_labels, pred_labels, class_weights, tail_frac
     return acc, group_acc(head_classes), group_acc(tail_classes)
 
 
+def read_report(text):
+    """The fields of a ``report.csv``: each column of its one value row as a
+    float, or None for an empty cell."""
+    header, row = text.splitlines()
+    return {col: None if v == "" else float(v) for col, v in zip(header.split(","), row.split(","))}
+
+
 def histogram_ref(id_scores, ood_scores, bins):
     """The numpy form of ``report.histogram``: ``np.linspace`` edges over
     the range of both score lists, ``np.histogram`` counts."""
@@ -426,7 +431,7 @@ def histogram_ref(id_scores, ood_scores, bins):
 
 
 @dataclass
-class LossValue:
+class _LossValue:
     """A loss evaluation: scalar value plus gradient in the differentiated
     argument."""
 
@@ -435,7 +440,7 @@ class LossValue:
 
 
 @dataclass
-class TotalLossValue:
+class _TotalLossValue:
     """Combined objective evaluation with per-term values and the gradients
     flowing to each argument."""
 
@@ -468,7 +473,7 @@ def _check_priors(priors, k: int) -> np.ndarray:
     return p
 
 
-def oe_uniform_loss(logits) -> LossValue:
+def oe_uniform_loss(logits) -> _LossValue:
     """Cross entropy from the uniform target: logsumexp(logits) - mean(logits).
 
     Minimized (at log K, with zero gradient) exactly when all logits are
@@ -476,7 +481,7 @@ def oe_uniform_loss(logits) -> LossValue:
     """
     v = _check_logits(logits)
     vals, grads = losses.oe_uniform_loss_batch(v[None, :])
-    return LossValue(value=float(vals[0]), grad=grads[0])
+    return _LossValue(value=float(vals[0]), grad=grads[0])
 
 
 def scl_batch_loss(features: np.ndarray, labels: np.ndarray, anchor_index: int, tau: float) -> float:
@@ -502,7 +507,7 @@ def scl_batch_loss(features: np.ndarray, labels: np.ndarray, anchor_index: int, 
     return float(np.log(n_pos) - lse_pos + lse_all)
 
 
-def la_loss(logits, y: int, priors) -> LossValue:
+def la_loss(logits, y: int, priors) -> _LossValue:
     """Prior-weighted softmax cross entropy (logit adjustment).
 
     Equivalent to cross entropy on logits shifted by log priors, so rare
@@ -520,10 +525,10 @@ def la_loss(logits, y: int, priors) -> LossValue:
     lse, grad = logsumexp_softmax(a)
     value = float(lse - a[y])
     grad[y] -= 1.0
-    return LossValue(value=value, grad=grad)
+    return _LossValue(value=value, grad=grad)
 
 
-def tla_loss(logits, y: int, priors, epsilon: float) -> LossValue:
+def tla_loss(logits, y: int, priors, epsilon: float) -> _LossValue:
     """Tail-sharpened logit adjustment: adjustment at temperature ``epsilon``.
 
     Logits are divided by epsilon before the prior shift; epsilon < 1 both
@@ -540,10 +545,10 @@ def tla_loss(logits, y: int, priors, epsilon: float) -> LossValue:
     if p[y] == 0.0:
         raise ValueError(f"target class {y} has zero prior")
     vals, grads = losses.tla_loss_batch(v[None, :], np.array([y]), p, epsilon)
-    return LossValue(value=float(vals[0]), grad=grads[0])
+    return _LossValue(value=float(vals[0]), grad=grads[0])
 
 
-def isac_loss(mix: vmf.VmfMixture, z, y: int, tau: float) -> LossValue:
+def isac_loss(mix: vmf.VmfMixture, z, y: int, tau: float) -> _LossValue:
     """Infinite-batch limit of the supervised contrastive loss under a vMF
     mixture of class-conditional feature laws.
 
@@ -556,7 +561,7 @@ def isac_loss(mix: vmf.VmfMixture, z, y: int, tau: float) -> LossValue:
     if zv.ndim != 1:
         raise ValueError("z must be a single feature vector")
     vals, grads = losses.isac_loss_batch(mix, zv[None, :], np.array([int(y)]), tau)
-    return LossValue(value=float(vals[0]), grad=grads[0])
+    return _LossValue(value=float(vals[0]), grad=grads[0])
 
 
 def patt_total_loss(
@@ -567,7 +572,7 @@ def patt_total_loss(
     logits_ood,
     hyper,
     priors,
-) -> TotalLossValue:
+) -> _TotalLossValue:
     """Combined objective for one labeled sample plus a batch of outlier
     logits: contrastive + alpha * adjusted classification + beta * exposure.
 
@@ -589,7 +594,7 @@ def patt_total_loss(
         oe_val = float(oe_vals.mean())
         grad_ood = hyper.beta * oe_grads / lo.shape[0]
     value = isac.value + hyper.alpha * tla.value + hyper.beta * oe_val
-    return TotalLossValue(
+    return _TotalLossValue(
         value=value,
         isac=isac.value,
         tla=tla.value,
@@ -720,12 +725,9 @@ def attention_weight_union1d(cb_features, cb_labels, ood_features, clf, priors):
     if np.any(cb_y < 0) or np.any(cb_y >= pri.size):
         raise ValueError("cb label out of range")
 
-    if ood_features is None:
-        ood = np.empty((0, cb.shape[1]))
-    else:
-        ood = np.asarray(ood_features, dtype=np.float64)
-        if ood.ndim != 2 or (ood.size and ood.shape[1] != cb.shape[1]):
-            raise ValueError("outlier feature dimension mismatch")
+    ood = np.asarray(ood_features, dtype=np.float64)
+    if ood.ndim != 2 or (ood.size and ood.shape[1] != cb.shape[1]):
+        raise ValueError("outlier feature dimension mismatch")
     if ood.shape[0] > 0:
         ood_y = np.argmax(classifier_logits(clf, ood), axis=1)
     else:

@@ -31,13 +31,13 @@ class TestChannelImportance:
     def test_identity_rows_pick_one_channel(self):
         clf = head_only(np.eye(4))
         z = np.array([0.3, -0.7, 0.5, 0.4])
-        got = channel_importance(z, 2, clf)
+        got = channel_importance(z[None], [2], clf)[0]
         np.testing.assert_array_equal(got, [0.0, 0.0, 0.5, 0.0])
 
     def test_zero_feature_zero_importance(self):
         clf = head_only(np.random.default_rng(0).normal(size=(4, 4)))
-        np.testing.assert_array_equal(channel_importance(np.zeros(4), 1, clf),
-                                      np.zeros(4))
+        np.testing.assert_array_equal(channel_importance(np.zeros((1, 4)), [1], clf),
+                                      np.zeros((1, 4)))
 
     def test_matches_finite_difference_sensitivity(self):
         rng = np.random.default_rng(11)
@@ -49,7 +49,7 @@ class TestChannelImportance:
             return float(classifier_logits(clf, v)[y])
 
         want = oracles.central_diff(logit_y, z) * z
-        np.testing.assert_allclose(channel_importance(z, y, clf), want,
+        np.testing.assert_allclose(channel_importance(z[None], [y], clf)[0], want,
                                    rtol=1e-6, atol=1e-9)
 
     def test_channel_sum_equals_logit_minus_bias(self):
@@ -58,7 +58,7 @@ class TestChannelImportance:
         z = rng.normal(size=8)
         z /= np.linalg.norm(z)
         for y in range(5):
-            total = channel_importance(z, y, clf).sum()
+            total = channel_importance(z[None], [y], clf)[0].sum()
             want = classifier_logits(clf, z)[y] - clf.clf_b[y]
             assert total == pytest.approx(want, abs=1e-12)
 
@@ -70,12 +70,12 @@ class TestChannelImportance:
         got = channel_importance(z, y, clf)
         for i in range(6):
             np.testing.assert_array_equal(got[i],
-                                          channel_importance(z[i], y[i], clf))
+                                          channel_importance(z[i:i + 1], y[i:i + 1], clf)[0])
 
     def test_label_out_of_range(self):
         clf = head_only(np.eye(3))
         with pytest.raises(ValueError, match="label"):
-            channel_importance(np.ones(3), 3, clf)
+            channel_importance(np.ones((1, 3)), [3], clf)
 
 
 class TestAttentionWeight:
@@ -85,7 +85,7 @@ class TestAttentionWeight:
     def test_two_sample_hand_case(self):
         clf = head_only(np.eye(2))
         cb = np.eye(2)
-        got = attention_weight(cb, [0, 1], None, clf, [0.5, 0.5])
+        got = attention_weight(cb, [0, 1], np.empty((0, 2)), clf, [0.5, 0.5])
         np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-15)
 
     def test_identical_sets_cancel(self):
@@ -119,19 +119,21 @@ class TestAttentionWeight:
         np.testing.assert_allclose(shuffled, base, atol=1e-12)
 
     def test_missing_outliers_equal_empty_outliers(self):
+        # no outliers (an empty split, as ood_train_size = 0 gives): the
+        # weight is the inverse-prior mean of the ID importances alone
         rng = np.random.default_rng(9)
         clf = head_only(rng.normal(size=(3, 4)))
         cb = rng.normal(size=(6, 4))
         y = rng.integers(0, 3, size=6)
         pri = np.full(3, 1 / 3)
-        a = attention_weight(cb, y, None, clf, pri)
-        b = attention_weight(cb, y, np.empty((0, 4)), clf, pri)
-        np.testing.assert_array_equal(a, b)
+        got = attention_weight(cb, y, np.empty((0, 4)), clf, pri)
+        want = np.sum(channel_importance(cb, y, clf) / pri[y, None], axis=0) / 6
+        np.testing.assert_array_equal(got, want)
 
     def test_zero_prior_for_occupied_class(self):
         clf = head_only(np.eye(2))
         with pytest.raises(ValueError, match="zero prior"):
-            attention_weight(np.eye(2), [0, 1], None, clf, [1.0, 0.0])
+            attention_weight(np.eye(2), [0, 1], np.empty((0, 2)), clf, [1.0, 0.0])
 
     def test_mask_equals_union1d_form(self):
         # random label sets over 6 classes where the ID subset occupies only
@@ -146,7 +148,7 @@ class TestAttentionWeight:
             y = rng.integers(0, 3, size=int(rng.integers(1, 10)))
             cb = rng.normal(size=(y.size, d))
             n_ood = int(rng.integers(0, 12))
-            ood = None if n_ood == 0 else rng.normal(size=(n_ood, d))
+            ood = rng.normal(size=(n_ood, d))
             pri = rng.uniform(0.1, 1.0, size=k)
             pri[rng.random(k) < 0.25] = 0.0
             outcomes = []
@@ -167,7 +169,7 @@ class TestAttentionWeight:
     def test_empty_subset_rejected(self):
         clf = head_only(np.eye(2))
         with pytest.raises(ValueError, match="non-empty"):
-            attention_weight(np.empty((0, 2)), [], None, clf, [0.5, 0.5])
+            attention_weight(np.empty((0, 2)), [], np.empty((0, 2)), clf, [0.5, 0.5])
 
     def test_container_validation(self):
         with pytest.raises(ValueError):
@@ -243,24 +245,24 @@ class TestCalibrateFeature:
 
 class TestEnergyScore:
     def test_uniform_logits(self):
-        assert energy_score(np.zeros(10)) == pytest.approx(2.302585092994046,
-                                                           abs=1e-12)
+        assert energy_score(np.zeros((1, 10)))[0] == pytest.approx(2.302585092994046,
+                                                                   abs=1e-12)
 
     def test_two_logits(self):
-        assert energy_score([1.0, 0.0]) == pytest.approx(1.3132616875182228,
-                                                         abs=1e-13)
+        assert energy_score([[1.0, 0.0]])[0] == pytest.approx(1.3132616875182228,
+                                                              abs=1e-13)
 
     @given(finite_vec, st.floats(-100, 100))
     def test_shift_equivariance(self, vals, c):
-        a = np.asarray(vals)
-        assert energy_score(a + c) == pytest.approx(energy_score(a) + c,
-                                                    abs=1e-9)
+        a = np.asarray(vals)[None]
+        assert energy_score(a + c)[0] == pytest.approx(energy_score(a)[0] + c,
+                                                       abs=1e-9)
 
     def test_batch_matches_rows(self):
         a = np.random.default_rng(1).normal(size=(8, 5))
         batch = energy_score(a)
         for i in range(8):
-            assert batch[i] == pytest.approx(energy_score(a[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(energy_score(a[i:i + 1])[0], abs=1e-12)
 
     def test_batch_keeps_the_bits_of_two_passes(self):
         a = 10.0 * np.random.default_rng(3).normal(size=(50, 7))
@@ -269,24 +271,24 @@ class TestEnergyScore:
 
 class TestMspScore:
     def test_uniform_logits(self):
-        assert msp_score(np.zeros(4)) == pytest.approx(0.25, abs=1e-15)
+        assert msp_score(np.zeros((1, 4)))[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_two_logits(self):
-        assert msp_score([1.0, 0.0]) == pytest.approx(0.73105857863000488,
-                                                      abs=1e-14)
+        assert msp_score([[1.0, 0.0]])[0] == pytest.approx(0.73105857863000488,
+                                                           abs=1e-14)
 
     def test_dominant_logit_saturates(self):
-        assert msp_score([50.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
+        assert msp_score([[50.0, 0.0]])[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="two classes"):
-            msp_score(np.array([1.0]))
+            msp_score(np.array([[1.0]]))
 
     def test_batch_matches_rows(self):
         a = np.random.default_rng(2).normal(size=(8, 5))
         batch = msp_score(a)
         for i in range(8):
-            assert batch[i] == pytest.approx(msp_score(a[i]), abs=1e-14)
+            assert batch[i] == pytest.approx(msp_score(a[i:i + 1])[0], abs=1e-14)
 
     def test_batch_keeps_the_bits_of_two_passes(self):
         # max(e_i / s) == max(e_i) / s: rounding a division is monotone

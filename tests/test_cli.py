@@ -23,6 +23,8 @@ from patt_lab.data import SynthConfig
 from patt_lab.metrics import EvalReport
 from patt_lab.model import TrainConfig
 
+import oracles
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
 
@@ -210,8 +212,9 @@ class TestPipelineOutputs:
 
     def test_report_parses(self, pipeline):
         _, out = pipeline
-        report = EvalReport.from_csv((out / "report.csv").read_text())
-        assert 0.0 <= report.auroc <= 1.0
+        report = oracles.read_report((out / "report.csv").read_text())
+        assert list(report) == list(EvalReport.CSV_COLUMNS)
+        assert 0.0 <= report["auroc"] <= 1.0
 
     def test_history_has_one_row_per_epoch(self, pipeline):
         _, out = pipeline
@@ -326,7 +329,7 @@ class TestMethodSwitch:
             base = (out / "report.csv").read_text().splitlines()
             other = (alt / "report.csv").read_text().splitlines()
             assert other[0] == base[0]
-            EvalReport.from_csv("\n".join(other))
+            oracles.read_report("\n".join(other))
 
 
 class TestErrorPaths:
@@ -410,6 +413,43 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
         assert err.startswith("error: training failed: Unable to allocate"), err
+
+    @pytest.mark.parametrize("overrides", [{"max_per_class": 10**15}, {"ood_test_size": 10**14}])
+    def test_unallocatable_split_in_gen_data(self, tmp_path, capsys, overrides):
+        # used to end in numpy's MemoryError traceback from sample_vmf; a
+        # class of petabytes and an outlier cluster of hundreds of terabytes
+        # are larger than any 64-bit address space, so the allocation fails
+        # at once
+        config = write_config(tmp_path / "run.cfg", **overrides)
+        rc = cli.main(["gen-data", "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: data generation failed: Unable to allocate"), err
+
+    def test_unplaceable_class_count_in_gen_data(self, tmp_path):
+        # used to build the count profile of every class before placing a
+        # direction, and never returned
+        config = write_config(tmp_path / "run.cfg", n_classes=99999999999999999999999)
+        done = subprocess.run(
+            [sys.executable, "-m", "patt_lab.cli", "gen-data", "--config", str(config),
+             "--out", str(tmp_path / "o")],
+            env=src_env(), capture_output=True, text=True, timeout=10)
+        assert done.returncode == 1 and done.stderr.count("\n") == 1, done.stderr
+        assert done.stderr.startswith(
+            "error: data generation failed: could not place n_classes = 99999999999999999999999 "
+        ), done.stderr
+
+    @pytest.mark.parametrize("n_classes", [2**59, 10**23])
+    def test_uncountable_class_count_in_train(self, pipeline, tmp_path, capsys, n_classes):
+        # numpy cannot count 2**59 classes (exabytes, refused at once) or
+        # 10**23 (beyond int64) when a stage loads a split: both used to end
+        # in a traceback
+        _, out = pipeline
+        config = write_config(tmp_path / "run.cfg", n_classes=n_classes)
+        rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith(f"error: bad dataset file {out / 'train.csv'}: "), err
 
     def test_out_of_range_test_label_in_eval(self, pipeline, tmp_path, capsys):
         config, out = pipeline

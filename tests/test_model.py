@@ -79,7 +79,7 @@ class TestEncoderForward:
         x = np.random.default_rng(5).normal(size=(3, model.input_dim))
         z = encoder_forward(model, x)
         for i in range(3):
-            np.testing.assert_allclose(encoder_forward(model, x[i]), z[i],
+            np.testing.assert_allclose(encoder_forward(model, x[i:i + 1])[0], z[i],
                                        rtol=0, atol=1e-14)
 
     def test_degenerate_embedding_rejected(self):
@@ -87,7 +87,7 @@ class TestEncoderForward:
         model.weights[-1][...] = 0.0
         model.biases[-1][...] = 0.0
         with pytest.raises(ValueError, match="degenerate"):
-            encoder_forward(model, np.ones(model.input_dim))
+            encoder_forward(model, np.ones((1, model.input_dim)))
 
     def test_inference_leaves_input_and_matches_training_forward(self):
         model = make_model(seed=5, widths=(8, 7))
@@ -104,7 +104,7 @@ class TestEncoderForward:
 
     def test_input_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="input dim"):
-            encoder_forward(make_model(), np.ones(5))
+            encoder_forward(make_model(), np.ones((1, 5)))
 
     def test_init_validation(self):
         with pytest.raises(ValueError):
@@ -178,11 +178,11 @@ class TestBatchGradients:
 
         def total(m):
             bd, _ = batch_loss_and_grads(
-                m, mix, x, y, ood_x, hyper, priors, method=method)
+                m, mix, x, y, ood_x, hyper, priors, np.zeros(m.flat.size), method=method)
             return bd.total
 
         _, grads = batch_loss_and_grads(
-            model, mix, x, y, ood_x, hyper, priors, method=method)
+            model, mix, x, y, ood_x, hyper, priors, np.zeros(model.flat.size), method=method)
         h = 1e-6
         for pi, grad in enumerate(grads):
             flat = grad.ravel()
@@ -211,21 +211,21 @@ class TestBatchGradients:
         with pytest.raises(ValueError, match="empty"):
             batch_loss_and_grads(
                 model, None, np.zeros((0, 6)), np.zeros(0, dtype=int), None,
-                PattHyper(), np.full(3, 1 / 3), method="ce-baseline")
+                PattHyper(), np.full(3, 1 / 3), np.zeros(model.flat.size), method="ce-baseline")
 
     def test_patt_requires_statistics(self):
         model = make_model()
         x, y = batch_for(model, 8)
         with pytest.raises(ValueError, match="mixture"):
             batch_loss_and_grads(model, None, x, y, None, PattHyper(),
-                                 np.full(3, 1 / 3), method="patt")
+                                 np.full(3, 1 / 3), np.zeros(model.flat.size), method="patt")
 
     def test_unknown_method_rejected(self):
         model = make_model()
         x, y = batch_for(model, 8)
         with pytest.raises(ValueError, match="method"):
             batch_loss_and_grads(model, None, x, y, None, PattHyper(),
-                                 np.full(3, 1 / 3), method="mixup")
+                                 np.full(3, 1 / 3), np.zeros(model.flat.size), method="mixup")
 
 
 def make_state(model, x, y, **config_kwargs):
@@ -332,7 +332,7 @@ class TestFlatGradient:
         new_state, _ = train_step(state, (x, y), ood, hyper)
         # the refreshed statistics are the ones the step's loss used
         _, grads = batch_loss_and_grads(model, new_state.mix, x, y, ood, hyper,
-                                        state.priors, method=method)
+                                        state.priors, np.zeros(model.flat.size), method=method)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], np.concatenate([g.ravel() for g in grads]))
 
@@ -342,12 +342,12 @@ class TestFlatGradient:
         mix = stats_for(model, x, y)
         flat = np.zeros(model.flat.size)
         _, grads = batch_loss_and_grads(model, mix, x, y, None, PattHyper(),
-                                        np.full(3, 1 / 3), flat_grad=flat)
+                                        np.full(3, 1 / 3), flat)
         assert [g.shape for g in grads] == [p.shape for p in model.param_list()]
         assert all(np.shares_memory(g, flat) for g in grads)
         np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads]))
         _, fresh = batch_loss_and_grads(model, mix, x, y, None, PattHyper(),
-                                        np.full(3, 1 / 3))
+                                        np.full(3, 1 / 3), np.zeros(model.flat.size))
         for a, b in zip(grads, fresh):
             np.testing.assert_array_equal(a, b)
 
@@ -397,7 +397,7 @@ class TestFlatUpdate:
             ref_model = oracles.model_of(ref_params[0:-2:2], ref_params[1:-2:2],
                                          *ref_params[-2:])
             _, grads = batch_loss_and_grads(ref_model, state.mix, x, y, ood, hyper,
-                                            state.priors)
+                                            state.priors, np.zeros(ref_model.flat.size))
             ref_params, ref_opt = oracles.apply_update_ref(ref_params, grads,
                                                            state.config, ref_opt)
             state, _ = train_step(state, (x, y), ood, hyper)
@@ -485,7 +485,7 @@ class TestTrain:
         fresh = EncoderClassifier.init(
             train_id.dim, (8,), 4, 4, derive_seed(5, "model-init"))
         assert params_equal(model, fresh)
-        assert history.records == []
+        assert history == []
         assert mix.n_classes == 4 and mix.dim == 4
 
     def test_same_seed_bit_identical(self):
@@ -496,15 +496,7 @@ class TestTrain:
         assert params_equal(m1, m2)
         for c1, c2 in zip(oracles.components_of(mix1), oracles.components_of(mix2)):
             assert np.array_equal(c1.mu, c2.mu) and c1.kappa == c2.kappa
-        assert h1.records == h2.records
-
-    def test_outlier_stream_seed_changes_run(self):
-        train_id, val_id, _, train_ood, _ = smoke_dataset()
-        base = dict(epochs=2, feature_dim=4, encoder_widths=(8,), seed=3,
-                    ood_batch_size=16)
-        m1, _, _ = train(TrainConfig(ood_seed=111, **base), train_id, train_ood, val_id)
-        m2, _, _ = train(TrainConfig(ood_seed=222, **base), train_id, train_ood, val_id)
-        assert not params_equal(m1, m2)
+        assert [vars(r) for r in h1] == [vars(r) for r in h2]
 
     def test_smoke_run_beats_majority_baseline(self):
         """A 10-class run at imbalance 100 must end above chance-level
@@ -513,11 +505,11 @@ class TestTrain:
             SynthConfig(max_per_class=200, seed=1))
         config = TrainConfig(epochs=30, encoder_widths=(32,), seed=1)
         _, _, history = train(config, train_id, train_ood, val_id)
-        assert len(history.records) == 30
-        for rec in history.records:
+        assert len(history) == 30
+        for rec in history:
             for field in (rec.total, rec.isac, rec.tla, rec.oe, rec.val_acc):
                 assert np.isfinite(field)
-        assert history.records[-1].val_acc > 0.1
+        assert history[-1].val_acc > 0.1
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(0)

@@ -13,7 +13,7 @@ import pytest
 from patt_lab.calibration import AttentionWeight
 from patt_lab.config import PattHyper, SynthConfig, TrainConfig, config_fields
 from patt_lab.data import LabeledSet
-from patt_lab.model import EncoderClassifier, TrainHistory, TrainState, _AdamState, _SgdState
+from patt_lab.model import EncoderClassifier, TrainState, _AdamState, _SgdState
 from patt_lab.vmf import VmfMixture
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "patt_lab"
@@ -63,7 +63,8 @@ def test_labeled_set_messages(kwargs, message):
 def test_labeled_set_converts():
     split = LabeledSet(inputs=[[1, 2]], labels=[-1], class_counts=[0, 0], dim=2.0)
     assert split.inputs.dtype == np.float64 and split.labels.dtype == np.int64
-    assert split.class_counts.dtype == np.int64 and split.dim == 2 and split.n == 1
+    assert split.class_counts.dtype == np.int64 and split.dim == 2
+    assert split.inputs.shape == (1, 2)
 
 
 @pytest.mark.parametrize("raw, scaled, message", [
@@ -107,12 +108,6 @@ def test_each_train_config_gets_its_own_hyper():
     assert isinstance(a.hyper, PattHyper) and a.hyper is not b.hyper
     a.hyper.tau = 0.5
     assert b.hyper.tau == PattHyper().tau
-
-
-def test_each_history_gets_its_own_records():
-    a, b = TrainHistory(), TrainHistory()
-    a.records.append(1)
-    assert b.records == [] and a.records is not b.records
 
 
 @pytest.mark.parametrize("optimizer, state_type", [("adam", _AdamState), ("sgd", _SgdState)])
