@@ -91,12 +91,9 @@ def attention_weight(cb_features, cb_labels, ood_features, clf: EncoderClassifie
         raise ValueError("cb label out of range")
 
     ood = np.asarray(ood_features, dtype=np.float64)
-    if ood.ndim != 2 or (ood.size and ood.shape[1] != cb.shape[1]):
+    if ood.ndim != 2 or ood.shape[1] != cb.shape[1]:
         raise ValueError("outlier feature dimension mismatch")
-    if ood.shape[0] > 0:
-        ood_y = np.argmax(classifier_logits(clf, ood), axis=1)
-    else:
-        ood_y = np.empty(0, dtype=np.int64)
+    ood_y = np.argmax(classifier_logits(clf, ood), axis=1)
 
     # one mask of the classes that receive samples (np.union1d would load
     # numpy.ma); the error names the smallest bad class
@@ -108,8 +105,7 @@ def attention_weight(cb_features, cb_labels, ood_features, clf: EncoderClassifie
 
     total = np.zeros(cb.shape[1])
     total += np.sum(channel_importance(cb, cb_y, clf) / pri[cb_y, None], axis=0)
-    if ood.shape[0] > 0:
-        total -= np.sum(channel_importance(ood, ood_y, clf) / pri[ood_y, None], axis=0)
+    total -= np.sum(channel_importance(ood, ood_y, clf) / pri[ood_y, None], axis=0)
     return total / (cb.shape[0] + ood.shape[0])
 
 

@@ -41,6 +41,22 @@ def class_counts_profile(n_classes: int, imbalance_ratio: float, max_per_class: 
     return counts
 
 
+def wood_envelope(kappa: float, dim: int) -> tuple:
+    """``(b, x0)`` of Wood's vMF rejection sampler at concentration ``kappa``
+    in R^dim; it takes log1p(-x0^2), so it cannot run where x0 rounds to 1."""
+    # stable form of (-2 kappa + sqrt(4 kappa^2 + (d-1)^2)) / (d - 1)
+    b = (dim - 1.0) / (math.sqrt(4.0 * kappa * kappa + (dim - 1.0) ** 2) + 2.0 * kappa)
+    return b, (1.0 - b) / (1.0 + b)
+
+
+def direction_error(key: str, count: int, placed: int, max_dot: float, dim: int) -> ValueError:
+    # the error for ``count`` directions, set by config key ``key``, that
+    # cannot be placed beside ``placed`` earlier ones
+    beside = f" beside {placed} others" if placed else ""
+    return ValueError(f"could not place {key} = {count} directions{beside} "
+                      f"with max_direction_dot = {max_dot} in feature_dim = {dim}")
+
+
 def config_fields(cls) -> list:
     """``(name, default)`` of each field of a config class, in declaration
     order: its annotated class attributes."""
@@ -88,7 +104,8 @@ class SynthConfig(_Config):
     def _check(self) -> None:
         check_fields(vars(self), (
             ("n_classes", self.n_classes >= 2, ">= 2"),
-            ("feature_dim", self.feature_dim >= 2, ">= 2"),
+            # numpy indexes with int64, and the checks below take it as a float
+            ("feature_dim", 2 <= self.feature_dim < 2**63, ">= 2 and < 2**63"),
             ("imbalance_ratio", self.imbalance_ratio >= 1.0, ">= 1"),
             ("max_per_class", self.max_per_class >= 1, ">= 1"),
             ("within_kappa", self.within_kappa > 0.0, "> 0"),
@@ -105,6 +122,23 @@ class SynthConfig(_Config):
         ))
         class_counts_profile(self.n_classes, self.imbalance_ratio, self.max_per_class,
                              tail_only=True)
+        dim, dot = self.feature_dim, self.max_direction_dot
+        check_fields(vars(self), ((key, wood_envelope(getattr(self, key), dim)[1] < 1.0,
+                                   f"small enough to sample in feature_dim = {dim}")
+                                  for key in ("within_kappa", "ood_kappa")))
+        # Cap packing: each direction owns a disjoint cap of angular radius
+        # h = acos(max_direction_dot) / 2, whose area is at least that of the
+        # (dim - 1)-ball of radius sin(h), so the sphere holds fewer than
+        # 2 sqrt(pi) Gamma((dim + 1) / 2) / Gamma(dim / 2) / sin(h)^(dim - 1)
+        # of them. The class directions are placed first, then each outlier set.
+        log_most = (math.log(2.0 * math.sqrt(math.pi)) + math.lgamma(0.5 * (dim + 1))
+                    - math.lgamma(0.5 * dim) - (dim - 1) * math.log(math.sin(0.5 * math.acos(dot))))
+        placed = 0
+        for key in ("n_classes", "ood_train_clusters", "ood_test_clusters"):
+            count = getattr(self, key)
+            if math.log(placed + count) > log_most:
+                raise direction_error(key, count, placed, dot, dim)
+            placed += count
 
     @property
     def raw_dim(self) -> int:

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .config import SynthConfig, class_counts_profile, config_fields
+from .config import (SynthConfig, class_counts_profile, config_fields, direction_error,
+                     wood_envelope)
 from .util import MU_NORM_TOL, derive_seed
 
 __all__ = [
@@ -93,9 +94,7 @@ def sample_vmf(mu, kappa: float, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(int(seed))
     d = mu.size
 
-    # stable form of (-2 kappa + sqrt(4 kappa^2 + (d-1)^2)) / (d - 1)
-    b = (d - 1.0) / (math.sqrt(4.0 * kappa * kappa + (d - 1.0) ** 2) + 2.0 * kappa)
-    x0 = (1.0 - b) / (1.0 + b)
+    b, x0 = wood_envelope(kappa, d)
     c = kappa * x0 + (d - 1.0) * math.log1p(-x0 * x0)
 
     ws = np.empty(n)
@@ -127,19 +126,8 @@ def sample_vmf(mu, kappa: float, n: int, seed: int) -> np.ndarray:
 def _spread_directions(rng, dim, existing, count, max_dot, key, max_tries=20000):
     # sequential rejection: each new direction must keep its dot product with
     # every previously accepted one below the bound; ``key`` is the config key
-    # that sets ``count``
-    beside = f" beside {len(existing)} others" if existing else ""
-    failure = ValueError(f"could not place {key} = {count} directions{beside} "
-                         f"with max_direction_dot = {max_dot} in feature_dim = {dim}")
-    # Cap packing: each direction owns a disjoint cap of angular radius
-    # h = acos(max_dot) / 2, whose area is at least that of the (dim - 1)-ball
-    # of radius sin(h), so the sphere holds fewer than
-    # 2 sqrt(pi) Gamma((dim + 1) / 2) / Gamma(dim / 2) / sin(h)^(dim - 1)
-    # of them. A count beyond that is refused before any draw.
-    log_most = (math.log(2.0 * math.sqrt(math.pi)) + math.lgamma(0.5 * (dim + 1))
-                - math.lgamma(0.5 * dim) - (dim - 1) * math.log(math.sin(0.5 * math.acos(max_dot))))
-    if math.log(len(existing) + count) > log_most:
-        raise failure
+    # that sets ``count``, whose cap-packing bound the config has checked
+    failure = direction_error(key, count, len(existing), max_dot, dim)
     out = []
     for _ in range(count):
         for _attempt in range(max_tries):
@@ -193,7 +181,6 @@ def gen_longtail(config: SynthConfig):
         dir_rng, d, class_dirs + ood_train_dirs, config.ood_test_clusters,
         config.max_direction_dot, "ood_test_clusters",
     )
-    # after the directions, which refuse a class count that cannot be placed
     counts = class_counts_profile(config.n_classes, config.imbalance_ratio, config.max_per_class)
 
     def id_split(per_class, role):

@@ -79,7 +79,7 @@ def aupr(id_scores, ood_scores, positive: str = "id") -> float:
     sorted_scores = scores[order]
     tp = np.cumsum(is_pos[order])
     # last index of every tied group = the threshold at that score value
-    ends = np.flatnonzero(np.diff(sorted_scores)) if scores.size > 1 else np.empty(0, np.int64)
+    ends = np.flatnonzero(np.diff(sorted_scores))
     ends = np.concatenate([ends, [scores.size - 1]]).astype(np.int64)
     tp_t = tp[ends].astype(np.float64)
     predicted = ends + 1.0

@@ -81,16 +81,10 @@ class VmfMixture:
         return self.mus.shape[1]
 
 
-def _lgamma_plus_one(orders, row):
-    # lgamma(nu + 1) for each element's order, from math.lgamma once per order
-    return np.array([math.lgamma(v + 1.0) for v in orders])[row]
-
-
-def _log_bessel_series_plain(orders, row, x):
+def _log_bessel_series_plain(nu, x):
     # Ascending series sum_m (x/2)^(2m+nu) / (m! Gamma(m+nu+1)). All terms are
     # positive, so direct summation of the ratio-normalized terms is stable;
     # the plain-float accumulator is safe for x <= 300 (no overflow).
-    nu = orders[row]
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
@@ -103,23 +97,19 @@ def _log_bessel_series_plain(orders, row, x):
             break
         if m > 10000:  # pragma: no cover - series converges long before this
             raise RuntimeError("Bessel series failed to converge")
-    return nu * np.log(0.5 * x) - _lgamma_plus_one(orders, row) + np.log(total)
+    return nu * np.log(0.5 * x) - math.lgamma(nu + 1.0) + np.log(total)
 
 
-def _log_bessel_series_log(orders, row, x):
+def _log_bessel_series_log(nu, x):
     # Same series accumulated in log space for arguments large enough that the
     # normalized partial sums would overflow (only reachable for nu > ~12).
-    # Per-order logs come from math.log, looked up by row, so every element
-    # gets the bits of a scalar-order evaluation.
-    nu = orders[row]
     log_half_x = np.log(0.5 * x)
-    log_term = nu * log_half_x - _lgamma_plus_one(orders, row)
+    log_term = nu * log_half_x - math.lgamma(nu + 1.0)
     total = log_term.copy()
     m = 0
     while True:
         m += 1
-        log_m_nu = np.array([math.log(m + v) for v in orders])[row]
-        log_term = log_term + 2.0 * log_half_x - math.log(m) - log_m_nu
+        log_term = log_term + 2.0 * log_half_x - math.log(m) - math.log(m + nu)
         total = np.logaddexp(total, log_term)
         if m > 4 and (log_term < total - 45.0).all():
             break
@@ -153,29 +143,23 @@ def _log_bessel_asymptotic(nu, x):
 
 def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     # log I_nu(x) for every order (rows) at every positive x (columns). Each
-    # order keeps its own branch cuts, and each branch runs one loop over the
-    # elements of all orders that fall in it. Terms a loop adds after an
+    # order in turn splits x at its own branch cuts and runs each branch's
+    # loop over the elements that fall in it. Terms a loop adds after an
     # element has converged are below half an ulp of its sum, so every element
-    # has the bits of a single-order evaluation.
+    # has the bits of its own evaluation.
     cut = np.maximum(30.0, 2.0 * orders * orders)
     if np.minimum.reduce(x, initial=np.inf) >= np.maximum.reduce(cut):
         # every element takes the asymptotic branch: evaluate the block
         return _log_bessel_asymptotic(orders[:, None], x)
-    row = np.repeat(np.arange(orders.size), x.size)
-    xs = np.tile(x, orders.size)
-    cut = cut[row]
-    small = xs < np.minimum(cut, 300.0)
-    large = xs >= cut
-    out = np.empty_like(xs)
-    for mask, branch in ((small, _log_bessel_series_plain),
-                         (~small & ~large, _log_bessel_series_log)):
-        if mask.all():
-            return branch(orders, row, xs).reshape(orders.size, x.size)
-        if mask.any():
-            out[mask] = branch(orders, row[mask], xs[mask])
-    if large.any():
-        out[large] = _log_bessel_asymptotic(orders[row[large]], xs[large])
-    return out.reshape(orders.size, x.size)
+    out = np.empty((orders.size, x.size))
+    for row, nu, nu_cut in zip(out, orders.tolist(), cut.tolist()):
+        small = x < min(nu_cut, 300.0)
+        large = x >= nu_cut
+        for mask, branch in ((small, _log_bessel_series_plain),
+                             (~small & ~large, _log_bessel_series_log),
+                             (large, _log_bessel_asymptotic)):
+            row[mask] = branch(nu, x[mask])
+    return out
 
 
 def log_bessel_i(nu, x):
@@ -195,12 +179,6 @@ def log_bessel_i(nu, x):
     if not (np.isfinite(xs) & (xs > 0.0)).all():
         raise ValueError("argument must be finite and positive")
     return _log_bessel_positive(orders, xs.ravel()).reshape(orders.shape + xs.shape)
-
-
-def _log_uniform_const(dim: int) -> float:
-    # log normalization constant at kappa = 0: minus the log sphere area
-    half = 0.5 * dim
-    return math.lgamma(half) - math.log(2.0) - half * math.log(math.pi)
 
 
 def log_norm_const(dim: int, kappa):
@@ -246,20 +224,14 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     """
     half = 0.5 * dim
     nu = half - 1.0
+    # kappa = 0 lanes run the pass at a stand-in, then take the uniform law,
+    # whose log normalization constant is minus the log sphere area
     pos = kappa > 0.0
-    if pos.all():
-        # no kappa = 0 lane: skip the boolean gather and scatter
-        log_i = log_bessel_i((nu, half), kappa)
-        log_norm = nu * np.log(kappa) - half * math.log(2.0 * math.pi) - log_i[0]
-        return log_norm, np.exp(log_i[1] - log_i[0])
-    log_norm = np.full(kappa.shape, _log_uniform_const(dim))
-    ratio = np.zeros(kappa.shape)
-    if pos.any():
-        kp = kappa[pos]
-        log_i = log_bessel_i((nu, half), kp)
-        log_norm[pos] = nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i[0]
-        ratio[pos] = np.exp(log_i[1] - log_i[0])
-    return log_norm, ratio
+    kp = np.where(pos, kappa, 1.0)
+    log_i = log_bessel_i((nu, half), kp)
+    log_norm = np.where(pos, nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i[0],
+                        math.lgamma(half) - math.log(2.0) - half * math.log(math.pi))
+    return log_norm, np.where(pos, np.exp(log_i[1] - log_i[0]), 0.0)
 
 
 def _check_unit_rows(z: np.ndarray, what: str) -> None:
@@ -334,39 +306,27 @@ def estimate_class_stats(
 
     n_rows = np.bincount(labs, minlength=n_classes)
     present = n_rows > 0
-    every = present.all()
-    if previous is None and not every:
+    if previous is None and not present.all():
         absent = int(np.argmin(present))
         raise ValueError(f"class {absent} has no samples and no previous stats")
     # per-class resultants, accumulated row by row in batch order (the order
     # of a per-class row sum, so the bits match)
     resultants = np.zeros((n_classes, dim))
     np.add.at(resultants, labs, feats)
-    if not every:
-        resultants, n_rows = resultants[present], n_rows[present]
     r_norm = _row_norms(resultants)
-    kappa_hat = _banerjee_kappa(r_norm / n_rows, dim)
-    if previous is not None:
-        prev_mus, prev_kappas = previous.mus, previous.kappas
-        if not every:
-            prev_mus, prev_kappas = prev_mus[present], prev_kappas[present]
-        fallback = prev_mus
-    else:
+    kappa = _banerjee_kappa(r_norm / np.maximum(n_rows, 1), dim)
+    if previous is None:
         # fully cancelled resultant: direction is unidentifiable, kappa is
         # 0 anyway so any fixed unit vector gives the same (uniform) law
         fallback = np.zeros_like(resultants)
         fallback[:, 0] = 1.0
-    mu_hat = _unit_rows_or(resultants, r_norm, fallback)
-    if previous is not None and momentum > 0.0:
-        blend = momentum * prev_mus + (1.0 - momentum) * mu_hat
-        mu_new = _unit_rows_or(blend, _row_norms(blend), mu_hat)
-        kappa_new = momentum * prev_kappas + (1.0 - momentum) * kappa_hat
-    else:
-        mu_new, kappa_new = mu_hat, kappa_hat
-
-    if not every:
-        # absent classes keep their previous rows
-        mus, kappas = previous.mus.copy(), previous.kappas.copy()
-        mus[present], kappas[present] = mu_new, kappa_new
-        mu_new, kappa_new = mus, kappas
-    return VmfMixture(mus=mu_new, kappas=kappa_new, priors=priors)
+        return VmfMixture(mus=_unit_rows_or(resultants, r_norm, fallback),
+                          kappas=kappa, priors=priors)
+    mu = _unit_rows_or(resultants, r_norm, previous.mus)
+    if momentum > 0.0:
+        blend = momentum * previous.mus + (1.0 - momentum) * mu
+        mu = _unit_rows_or(blend, _row_norms(blend), mu)
+        kappa = momentum * previous.kappas + (1.0 - momentum) * kappa
+    # absent classes keep their previous rows
+    return VmfMixture(mus=np.where(present[:, None], mu, previous.mus),
+                      kappas=np.where(present, kappa, previous.kappas), priors=priors)

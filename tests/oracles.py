@@ -4,10 +4,10 @@ Everything here trades speed for transparency: literal series summation in
 50-digit arithmetic, exhaustive threshold sweeps, O(n^2) pair counting.
 Production code must agree with these oracles, never the other way around.
 The module also keeps the earlier forms of rewritten hot paths (the
-per-element asymptotic Bessel kernel, two-pass log-sum-exp and softmax, the
-per-parameter optimizer step, the per-class statistics refresh) and the
-numpy forms of the plain-Python report (the head/tail accuracy split, the
-score histogram); the rewrites must match them bit for bit. ``model_of``
+per-element series and asymptotic Bessel kernels, two-pass log-sum-exp and
+softmax, the per-parameter optimizer step, the per-class statistics refresh)
+and the numpy forms of the plain-Python report (the head/tail accuracy split,
+the score histogram); the rewrites must match them bit for bit. ``model_of``
 builds a model from separate arrays, which the model, holding one
 parameter vector, no longer takes. The package evaluates batches only:
 ``log_bessel_i_at`` evaluates ``vmf.log_bessel_i`` at one order, and
@@ -98,10 +98,52 @@ def log_bessel_asymptotic_ref(nu, x):
     return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(total), k
 
 
+def _lgamma_plus_one(orders, row):
+    # lgamma(nu + 1) for each element's order, from math.lgamma once per order
+    return np.array([math.lgamma(v + 1.0) for v in orders])[row]
+
+
+def _log_bessel_series_plain_ref(orders, row, x):
+    """The plain ascending-series kernel before its per-order form: element
+    ``i`` has order ``orders[row[i]]``, and one loop runs over the elements
+    of all orders."""
+    nu = orders[row]
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    m = 0
+    while True:
+        m += 1
+        term = term * q / (m * (m + nu))
+        total += term
+        if m > 4 and (term < 1e-18 * total).all():
+            break
+    return nu * np.log(0.5 * x) - _lgamma_plus_one(orders, row) + np.log(total)
+
+
+def _log_bessel_series_log_ref(orders, row, x):
+    """The log-domain series kernel before its per-order form, per-element
+    orders as in ``_log_bessel_series_plain_ref``; the per-order logs come from
+    ``math.log``, looked up by row."""
+    nu = orders[row]
+    log_half_x = np.log(0.5 * x)
+    log_term = nu * log_half_x - _lgamma_plus_one(orders, row)
+    total = log_term.copy()
+    m = 0
+    while True:
+        m += 1
+        log_m_nu = np.array([math.log(m + v) for v in orders])[row]
+        log_term = log_term + 2.0 * log_half_x - math.log(m) - log_m_nu
+        total = np.logaddexp(total, log_term)
+        if m > 4 and (log_term < total - 45.0).all():
+            break
+    return total
+
+
 def log_bessel_positive_ref(orders, x):
-    """``vmf._log_bessel_positive`` with ``log_bessel_asymptotic_ref``: every
-    (order, x) pair flattened, each branch evaluated on its mask with
-    per-element orders."""
+    """``vmf._log_bessel_positive`` from the per-element kernels: every
+    (order, x) pair flattened, and each branch evaluated once on its mask
+    over all orders."""
     row = np.repeat(np.arange(orders.size), x.size)
     xs = np.tile(x, orders.size)
     cut = np.maximum(30.0, 2.0 * orders * orders)[row]
@@ -110,9 +152,9 @@ def log_bessel_positive_ref(orders, x):
     middle = ~small & ~large
     out = np.empty_like(xs)
     if small.any():
-        out[small] = vmf._log_bessel_series_plain(orders, row[small], xs[small])
+        out[small] = _log_bessel_series_plain_ref(orders, row[small], xs[small])
     if middle.any():
-        out[middle] = vmf._log_bessel_series_log(orders, row[middle], xs[middle])
+        out[middle] = _log_bessel_series_log_ref(orders, row[middle], xs[middle])
     if large.any():
         out[large] = log_bessel_asymptotic_ref(orders[row[large]], xs[large])[0]
     return out.reshape(orders.size, x.size)

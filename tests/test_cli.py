@@ -125,8 +125,10 @@ class TestLoadConfig:
 
     def test_huge_class_count_loads_at_once(self, tmp_path):
         # the tail check used to build the whole count profile: this load
-        # never returned
-        path = write_config(tmp_path / "run.cfg", n_classes=99999999999999999999999)
+        # never returned (feature_dim = 64 has room for about 1.9e42
+        # directions)
+        path = write_config(tmp_path / "run.cfg", n_classes=99999999999999999999999,
+                            feature_dim=64)
         code = f"from patt_lab import cli; print(cli.load_config({str(path)!r})['n_classes'])"
         done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=10)
@@ -428,7 +430,8 @@ class TestCliContract:
 
     def test_unplaceable_class_count_in_gen_data(self, tmp_path):
         # used to build the count profile of every class before placing a
-        # direction, and never returned
+        # direction, and never returned; the cap-packing bound now refuses
+        # it at config load
         config = write_config(tmp_path / "run.cfg", n_classes=99999999999999999999999)
         done = subprocess.run(
             [sys.executable, "-m", "patt_lab.cli", "gen-data", "--config", str(config),
@@ -436,16 +439,36 @@ class TestCliContract:
             env=src_env(), capture_output=True, text=True, timeout=10)
         assert done.returncode == 1 and done.stderr.count("\n") == 1, done.stderr
         assert done.stderr.startswith(
-            "error: data generation failed: could not place n_classes = 99999999999999999999999 "
+            "error: bad config: could not place n_classes = 99999999999999999999999 "
         ), done.stderr
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("within_kappa", 1e17, "within_kappa must be small enough to sample in feature_dim "
+                               "= 4, got 1e+17"),
+        ("ood_kappa", 1e17, "ood_kappa must be small enough to sample in feature_dim = 4, "
+                            "got 1e+17"),
+        ("feature_dim", 10**400, "feature_dim must be >= 2 and < 2**63, got 1000"),
+    ], ids=["within_kappa", "ood_kappa", "feature_dim"])
+    def test_unsampleable_geometry_in_gen_data(self, tmp_path, capsys, key, value, message):
+        # such a kappa rounds the sampler's x0 to 1, and gen-data used to end
+        # in "math domain error", which names no key; such a feature_dim
+        # ended in an OverflowError traceback
+        config = write_config(tmp_path / "run.cfg", **{key: value})
+        out = tmp_path / "out"
+        rc = cli.main(["gen-data", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith(f"error: bad config: {message}"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_classes", [2**59, 10**23])
     def test_uncountable_class_count_in_train(self, pipeline, tmp_path, capsys, n_classes):
         # numpy cannot count 2**59 classes (exabytes, refused at once) or
         # 10**23 (beyond int64) when a stage loads a split: both used to end
-        # in a traceback
+        # in a traceback. At feature_dim = 64 the sphere has room for about
+        # 1.9e42 directions, so the config loads.
         _, out = pipeline
-        config = write_config(tmp_path / "run.cfg", n_classes=n_classes)
+        config = write_config(tmp_path / "run.cfg", n_classes=n_classes, feature_dim=64)
         rc = cli.main(["train", "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
@@ -633,14 +656,16 @@ class TestOutputDirectory:
         assert not missing.exists()
 
     def test_failed_generation(self, tmp_path, capsys):
-        # too many classes to place on the circle: a failure only the seeded
-        # direction placement of gen-data finds
-        config = write_config(tmp_path / "run.cfg", n_classes=60, feature_dim=2)
+        # 13 directions are within the circle's cap-packing bound of 14.05,
+        # but the seeded placement jams after 10 classes: a failure only
+        # the direction placement of gen-data finds
+        config = write_config(tmp_path / "run.cfg", n_classes=11, feature_dim=2,
+                              ood_train_clusters=1, ood_test_clusters=1)
         out = tmp_path / "out"
         rc = cli.main(["gen-data", "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: data generation failed"), err
-        assert "n_classes = 60" in err and "feature_dim = 2" in err, err
+        assert "n_classes = 11" in err and "feature_dim = 2" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "calibrate", "eval", "report"])

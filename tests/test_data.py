@@ -7,7 +7,7 @@ import pytest
 
 from patt_lab.config import class_counts_profile
 from patt_lab.data import (LabeledSet, SynthConfig, class_balanced_subset, gen_longtail,
-                           load_features_csv, save_features_csv, save_manifest)
+                           load_features_csv, sample_vmf, save_features_csv, save_manifest)
 
 # round(500 * 100^(-y/9)) for y = 0..9
 PROFILE_10_100_500 = [500, 300, 180, 108, 65, 39, 23, 14, 8, 5]
@@ -131,13 +131,36 @@ class TestGenLongtail:
             SynthConfig(imbalance_ratio=1000.0, max_per_class=20)
         SynthConfig(imbalance_ratio=1000.0, max_per_class=500)
 
+    @pytest.mark.parametrize("key", ["within_kappa", "ood_kappa"])
+    def test_config_refuses_exactly_the_kappas_the_sampler_cannot_take(self, key):
+        # bisect for the smallest refused kappa at feature_dim = 8 (about
+        # 1.6e16): the largest accepted one still samples, and the sampler
+        # fails at the refused one
+        low, high = 1e16, 1e17
+        SynthConfig(**{key: low})
+        while np.nextafter(low, high) < high:
+            mid = 0.5 * (low + high)
+            try:
+                SynthConfig(**{key: mid})
+                low = mid
+            except ValueError:
+                high = mid
+        with pytest.raises(ValueError, match=f"{key} must be small enough to sample "
+                                             f"in feature_dim = 8"):
+            SynthConfig(**{key: high})
+        mu = np.eye(8)[0]
+        assert np.isfinite(sample_vmf(mu, low, 5, seed=0)).all()
+        with pytest.raises(ValueError, match="math domain error"):
+            sample_vmf(mu, high, 5, seed=0)
+
     @pytest.mark.parametrize("overrides, key", [
         (dict(n_classes=60, feature_dim=2), "n_classes = 60 directions"),
         (dict(n_classes=3, feature_dim=2, ood_train_clusters=40), "ood_train_clusters = 40"),
     ])
     def test_direction_placement_failure_names_the_keys(self, overrides, key):
+        # the cap-packing bound is checked when the config is built
         with pytest.raises(ValueError) as got:
-            gen_longtail(small_config(**overrides))
+            small_config(**overrides)
         message = str(got.value)
         for part in (key, "max_direction_dot = 0.9", "feature_dim = 2"):
             assert part in message, message

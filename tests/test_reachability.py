@@ -41,9 +41,6 @@ ALLOWED = {
     "model.EncoderClassifier.__setattr__",
     # the console-script entry point; the stages run through cli.main
     "cli.entry",
-    # the kappa = 0 guard of vmf._log_norm_and_ratio: a fully cancelled
-    # class resultant
-    "vmf._log_uniform_const",
     # bench/trace_stage.py wraps log_norm_const and bessel_ratio, which
     # share _normalizer, and tests/test_trace_names.py checks they resolve
     "vmf.log_norm_const",

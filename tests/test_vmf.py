@@ -395,7 +395,7 @@ class TestBlockBesselKernel:
         rng = np.random.default_rng(dim)
         x = top_cut(dim) * np.exp(rng.uniform(0.0, 6.0, size=(30, 11)))
         assert_matches_reference(monkeypatch, dim, x)
-        x.flat[::7] = 0.0  # kappa = 0 lanes leave the rest a block
+        x.flat[::7] = 0.0  # kappa = 0 lanes run at a stand-in below the cut
         assert_matches_reference(monkeypatch, dim, x)
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
@@ -433,6 +433,9 @@ class TestBlockBesselKernel:
                             [512.0, 700.0, 0.0, 5000.0]])
         assert_matches_reference(monkeypatch, 32, x)
         assert_matches_reference(monkeypatch, 8, np.concatenate([[29.9, 31.99], x]))
+        # d = 64: the cuts are 1922 (nu = 31) and 2048 (nu = 32)
+        assert_matches_reference(monkeypatch, 64, np.concatenate(
+            [x, np.linspace(1000.0, 1921.9, 4), np.linspace(1922.0, 2047.9, 6), [2048.0]]))
 
 
 class TestEstimateClassStatsMatchesLoop:
