@@ -5,9 +5,9 @@ synthetic benchmark splits, ``train`` fits a model and writes a checkpoint,
 ``calibrate`` extracts the attention weight, ``eval`` scores the test
 splits and writes the report, and ``report`` bins scores into plot-ready
 histogram data. Configuration is a flat ``key = value`` file. Its keys are
-the fields of ``SynthConfig``, ``TrainConfig`` and ``PattHyper``, with their
-class defaults, plus the five keys in ``_CLI_DEFAULTS``; unknown keys
-are rejected, and ``load_config`` checks every key, so each stage rejects a
+the fields of ``SynthConfig`` and ``TrainConfig``, with their class
+defaults, plus the five keys in ``_CLI_DEFAULTS``; unknown keys are
+rejected, and ``load_config`` checks every key, so each stage rejects a
 bad value before it reads or writes a data file. All randomness derives
 from the single ``seed`` key, so repeating any subcommand reproduces its
 output files byte for byte.
@@ -23,8 +23,7 @@ import math
 import os
 import sys
 
-from .config import (TAIL_FRACTION, PattHyper, SynthConfig, TrainConfig, check_fields,
-                     config_fields)
+from .config import TAIL_FRACTION, SynthConfig, TrainConfig, check_fields, config_fields
 
 __all__ = ["main", "entry"]
 
@@ -43,12 +42,9 @@ _CLI_DEFAULTS = {
     "use_calibration": "auto",
 }
 
-# config class fields that only library callers set
-_LIBRARY_ONLY = ("hyper",)
-
 # key -> default; the default's type decides how the value string is parsed
-DEFAULTS = {name: default for cls in (SynthConfig, TrainConfig, PattHyper)
-            for name, default in config_fields(cls) if name not in _LIBRARY_ONLY}
+DEFAULTS = {name: default for cls in (SynthConfig, TrainConfig)
+            for name, default in config_fields(cls)}
 DEFAULTS.update(_CLI_DEFAULTS)
 
 
@@ -80,12 +76,8 @@ def _parse_value(key: str, text: str):
     return None if default is None and value == 0 else value
 
 
-def _build(cls, cfg, **extra):
-    return cls(**{k: cfg[k] for k, _ in config_fields(cls) if k in DEFAULTS}, **extra)
-
-
-def _train_config(cfg) -> TrainConfig:
-    return _build(TrainConfig, cfg, hyper=_build(PattHyper, cfg))
+def _build(cls, cfg):
+    return cls(**{k: cfg[k] for k, _ in config_fields(cls)})
 
 
 def load_config(path, seed=None) -> dict:
@@ -114,7 +106,7 @@ def load_config(path, seed=None) -> dict:
         cfg["seed"] = seed
     try:
         _build(SynthConfig, cfg)
-        _train_config(cfg)
+        _build(TrainConfig, cfg)
         check_fields(cfg, (
             ("out_dir", cfg["out_dir"] != "", "a path"),
             ("per_class", cfg["per_class"] >= 0, ">= 0"),

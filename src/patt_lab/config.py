@@ -1,4 +1,4 @@
-"""The config schema: the classes whose annotated defaults are the config
+"""The config schema: the two classes whose annotated defaults are the config
 keys, the range check they share and the class count profile that ties two
 keys together, in plain Python so that checking a config costs no numpy
 import. The classes are plain: defining them generates no code at import.
@@ -65,15 +65,12 @@ def config_fields(cls) -> list:
 
 class _Config:
     """Keyword-only init of the config classes: each field starts at its
-    class default, a config-class default (``TrainConfig.hyper``) gives each
-    instance its own copy, an unknown keyword is a ``TypeError``, and then
-    the class's ``_check`` runs."""
+    class default, an unknown keyword is a ``TypeError``, and then the
+    class's ``_check`` runs."""
 
     def __init__(self, **values) -> None:
         cls = type(self)
         for name, default in config_fields(cls):
-            if name not in values and isinstance(default, type):
-                default = default()
             setattr(self, name, values.pop(name, default))
         if values:
             raise TypeError(f"{cls.__name__}.__init__() got an unexpected keyword argument "
@@ -147,28 +144,12 @@ class SynthConfig(_Config):
         return 2 * self.feature_dim if self.input_dim is None else int(self.input_dim)
 
 
-class PattHyper(_Config):
-    """Weights of the combined objective: contrastive temperature ``tau``,
-    adjustment sharpening ``epsilon``, and the mixing coefficients ``alpha``
-    (tail-adjusted classification) and ``beta`` (outlier exposure)."""
-
-    tau: float = 0.1
-    epsilon: float = 0.7
-    alpha: float = 0.5
-    beta: float = 0.1
-
-    def _check(self) -> None:
-        check_fields(vars(self), (
-            ("tau", self.tau > 0.0, "> 0"),
-            ("epsilon", self.epsilon > 0.0, "> 0"),
-            ("alpha", self.alpha >= 0.0, ">= 0"),
-            ("beta", self.beta >= 0.0, ">= 0"),
-        ))
-
-
 class TrainConfig(_Config):
-    """Training-loop knobs. ``method`` selects the objective: the combined
-    one, outlier-exposed cross entropy, or plain cross entropy."""
+    """Training-loop knobs and the objective's weights. ``method`` selects
+    the objective: the combined one (contrastive temperature ``tau``,
+    adjustment sharpening ``epsilon``, weights ``alpha`` of tail-adjusted
+    classification and ``beta`` of outlier exposure), outlier-exposed cross
+    entropy (weight ``oe_gamma``), or plain cross entropy."""
 
     epochs: int = 30
     batch_size: int = 128
@@ -177,7 +158,6 @@ class TrainConfig(_Config):
     optimizer: str = "adam"
     sgd_momentum: float = 0.9
     seed: int = SynthConfig.seed
-    hyper: PattHyper = PattHyper  # a class default: each instance gets its own
     vmf_momentum: float = 0.9
     vmf_update: str = "batch"
     encoder_widths: tuple = (64, 64)
@@ -185,19 +165,29 @@ class TrainConfig(_Config):
     feature_dim: int = SynthConfig.feature_dim
     method: str = "patt"
     oe_gamma: float = 0.5
+    tau: float = 0.1
+    epsilon: float = 0.7
+    alpha: float = 0.5
+    beta: float = 0.1
 
     def _check(self) -> None:
         widths = self.encoder_widths
         check_fields(vars(self), (
+            ("tau", self.tau > 0.0, "> 0"),
+            ("epsilon", self.epsilon > 0.0, "> 0"),
+            ("alpha", self.alpha >= 0.0, ">= 0"),
+            ("beta", self.beta >= 0.0, ">= 0"),
             ("epochs", self.epochs >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("ood_batch_size", self.ood_batch_size >= 1, ">= 1"),
             ("learning_rate", self.learning_rate >= 0.0, ">= 0"),
             ("optimizer", self.optimizer in ("adam", "sgd"), "adam or sgd"),
+            ("sgd_momentum", 0.0 <= self.sgd_momentum < 1.0, "in [0, 1)"),
             ("seed", self.seed >= 0, ">= 0"),
             ("vmf_momentum", 0.0 <= self.vmf_momentum < 1.0, "in [0, 1)"),
             ("vmf_update", self.vmf_update in ("batch", "epoch"), "batch or epoch"),
             ("encoder_widths", len(widths) > 0 and min(widths) >= 1, "non-empty, each width >= 1"),
             ("feature_dim", self.feature_dim >= 2, ">= 2"),
             ("method", self.method in METHODS, "one of " + ", ".join(METHODS)),
+            ("oe_gamma", self.oe_gamma >= 0.0, ">= 0"),
         ))

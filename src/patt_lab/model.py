@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import checkpoint
-from .config import METHODS, PattHyper, TrainConfig
+from .config import METHODS, TrainConfig
 from .util import derive_seed, norms_along
 from .vmf import VmfMixture, estimate_class_stats
 
@@ -177,18 +177,17 @@ def batch_loss_and_grads(
     id_x: np.ndarray,
     id_y: np.ndarray,
     ood_x,
-    hyper: PattHyper,
-    priors: np.ndarray,
+    config: TrainConfig,
     flat_grad: np.ndarray,
-    method: str = TrainConfig.method,
-    oe_gamma: float = TrainConfig.oe_gamma,
     forward=None,
 ):
-    """Mean batch objective and its exact parameter gradients.
+    """Mean batch objective of ``config.method``, weighted by ``config``,
+    and its exact parameter gradients.
 
-    The mixture statistics are constants here; differentiation covers the
-    encoder (through the unit-norm projection) and the classifier head for
-    both the labeled and the outlier stream. ``forward`` may carry the
+    The mixture statistics, the priors of the logit adjustment included, are
+    constants here; differentiation covers the encoder (through the unit-norm
+    projection) and the classifier head for both the labeled and the outlier
+    stream. ``forward`` may carry the
     labeled batch's encoder pass (``_forward_batch(model, id_x, [])``) when
     the caller already ran it. The gradients are accumulated into
     ``flat_grad``, a zero vector laid out like ``model.flat``, and returned
@@ -197,6 +196,7 @@ def batch_loss_and_grads(
     # the training path is the only one that needs the losses: calibrate
     # and eval run the model without loading them
     from . import losses
+    method = config.method
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n = id_x.shape[0]
@@ -210,13 +210,13 @@ def batch_loss_and_grads(
     if method == "patt":
         if mix is None:
             raise ValueError("patt objective requires mixture statistics")
-        isac_vals, isac_grads = losses.isac_loss_batch(mix, z, id_y, hyper.tau)
-        tla_vals, tla_grads = losses.tla_loss_batch(logits, id_y, priors, hyper.epsilon)
+        isac_vals, isac_grads = losses.isac_loss_batch(mix, z, id_y, config.tau)
+        tla_vals, tla_grads = losses.tla_loss_batch(logits, id_y, mix.priors, config.epsilon)
         d_z = isac_grads / n
-        d_logits = hyper.alpha * tla_grads / n
+        d_logits = config.alpha * tla_grads / n
         isac_mean = float(np.add.reduce(isac_vals)) / n
         cls_mean = float(np.add.reduce(tla_vals)) / n
-        ood_weight = hyper.beta
+        ood_weight = config.beta
     else:
         # plain cross entropy == adjustment under uniform priors
         uniform = np.full(model.n_classes, 1.0 / model.n_classes)
@@ -224,7 +224,7 @@ def batch_loss_and_grads(
         d_z = np.zeros_like(z)
         d_logits = ce_grads / n
         isac_mean, cls_mean = 0.0, float(np.add.reduce(ce_vals)) / n
-        ood_weight = oe_gamma if method == "oe-baseline" else 0.0
+        ood_weight = config.oe_gamma if method == "oe-baseline" else 0.0
     _backprop_stream(model, acts, norms, z, d_z, d_logits, grads)
 
     oe_mean = 0.0
@@ -237,7 +237,7 @@ def batch_loss_and_grads(
         _backprop_stream(model, acts_o, norms_o, z_o, None, ood_weight * oe_grads / m, grads)
 
     if method == "patt":
-        total = isac_mean + hyper.alpha * cls_mean + hyper.beta * oe_mean
+        total = isac_mean + config.alpha * cls_mean + config.beta * oe_mean
     else:
         total = cls_mean + ood_weight * oe_mean
     return LossBreakdown(total=total, isac=isac_mean, tla=cls_mean, oe=oe_mean), grads
@@ -262,11 +262,10 @@ class TrainState:
     optimizer state (zero moments without ``opt``) and static configuration."""
 
     def __init__(self, model: EncoderClassifier, mix: VmfMixture | None, config: TrainConfig,
-                 priors: np.ndarray, opt=None):
+                 opt=None):
         self.model = model
         self.mix = mix
         self.config = config
-        self.priors = priors
         if opt is None:
             size = model.flat.size
             if config.optimizer == "adam":
@@ -307,7 +306,7 @@ def _apply_update(model, flat_grad, config, opt):
     return EncoderClassifier(model.flat - step, model.layer_sizes, model.n_classes), new_opt
 
 
-def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
+def train_step(state: TrainState, id_batch, ood_batch):
     """One optimization step; returns the new state and the loss breakdown.
 
     For the combined objective the per-class vMF statistics are refreshed
@@ -332,16 +331,12 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
             mix = estimate_class_stats(
                 forward[2], id_y, previous=mix, momentum=config.vmf_momentum
             )
-        if mix is None:
-            raise ValueError("patt training requires initialized mixture statistics")
 
     # batch_loss_and_grads accumulates every parameter's gradient into a
     # view of this one vector
     flat_grad = np.zeros(state.model.flat.size)
-    breakdown, _ = batch_loss_and_grads(
-        state.model, mix, id_x, id_y, ood_x, hyper, state.priors, flat_grad,
-        method=config.method, oe_gamma=config.oe_gamma, forward=forward,
-    )
+    breakdown, _ = batch_loss_and_grads(state.model, mix, id_x, id_y, ood_x, config, flat_grad,
+                                        forward=forward)
     for name, val in (("isac", breakdown.isac), ("tla", breakdown.tla), ("oe", breakdown.oe)):
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite loss term: {name} = {val}")
@@ -349,7 +344,7 @@ def train_step(state: TrainState, id_batch, ood_batch, hyper: PattHyper):
         raise RuntimeError("non-finite gradient in parameter update")
 
     new_model, new_opt = _apply_update(state.model, flat_grad, config, state.opt)
-    new_state = TrainState(new_model, mix, config, state.priors, new_opt)
+    new_state = TrainState(new_model, mix, config, new_opt)
     return new_state, breakdown
 
 
@@ -387,8 +382,6 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         raise ValueError("training needs at least two classes")
     if np.any(counts <= 0):
         raise ValueError("every class needs at least one training sample")
-    priors = counts / counts.sum()
-    hyper = config.hyper
 
     model = EncoderClassifier.init(
         x.shape[1], config.encoder_widths, config.feature_dim,
@@ -402,7 +395,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     if train_ood is not None and train_ood.inputs.shape[0] > 0:
         ood_x = np.asarray(train_ood.inputs, dtype=np.float64)
 
-    state = TrainState(model=model, mix=None, config=config, priors=priors)
+    state = TrainState(model=model, mix=None, config=config)
     if config.method == "patt":
         state.mix = _full_stats(model, x, y, counts)
 
@@ -426,7 +419,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
                     ood_queue = np.concatenate([ood_queue, ood_rng.permutation(ood_x.shape[0])])
                 ood_batch = ood_x[ood_queue[:take]]
                 ood_queue = ood_queue[take:]
-            state, breakdown = train_step(state, (x[idx], y[idx]), ood_batch, hyper)
+            state, breakdown = train_step(state, (x[idx], y[idx]), ood_batch)
             sums += (breakdown.total, breakdown.isac, breakdown.tla, breakdown.oe)
             steps += 1
         val_acc = _validation_accuracy(state.model, val_id.inputs, val_id.labels)

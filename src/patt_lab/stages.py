@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .cli import _STEP_KEYS, CliError, _build, _check_classes, _require, _train_config
+from .cli import _STEP_KEYS, CliError, _build, _check_classes, _require
 
 
 def _load_split(out_dir, name, cfg):
@@ -60,7 +60,8 @@ def cmd_train(cfg, out_dir) -> None:
     train_ood = _load_split(out_dir, "train_ood.csv", cfg)
     val_id = _load_split(out_dir, "val_id.csv", cfg)
     try:
-        net, mix, history = model.train(_train_config(cfg), train_id, train_ood, val_id)
+        net, mix, history = model.train(_build(model.TrainConfig, cfg), train_id, train_ood,
+                                        val_id)
     except (ValueError, MemoryError) as exc:
         raise CliError(f"training failed: {exc}") from None
     except (FloatingPointError, RuntimeError) as exc:

@@ -15,7 +15,6 @@ from patt_lab import cli
 from patt_lab.calibration import (AttentionWeight, attention_weight,
                                   calibrate_feature, channel_importance,
                                   energy_score, msp_score, scale_weight)
-from patt_lab.config import PattHyper
 from patt_lab.data import SynthConfig, class_balanced_subset, gen_longtail, sample_vmf
 from patt_lab.metrics import auroc, aupr, classification_report, fpr_at_95_tpr
 from patt_lab.model import (EncoderClassifier, TrainConfig,
@@ -173,9 +172,9 @@ def test_criterion_3_gradient_suite(capsys):
 
         logits_k = rng.normal(scale=2.0, size=km)
         ood_logits = rng.normal(scale=2.0, size=(3, km))
-        hyper = PattHyper(tau=tau, epsilon=eps,
-                          alpha=float(rng.uniform(0.1, 1.0)),
-                          beta=float(rng.uniform(0.1, 1.0)))
+        hyper = TrainConfig(tau=tau, epsilon=eps,
+                            alpha=float(rng.uniform(0.1, 1.0)),
+                            beta=float(rng.uniform(0.1, 1.0)))
         pri_m = rng.uniform(0.1, 1.0, size=km)
         pri_m /= pri_m.sum()
         out = patt_total_loss(mix, z, ym, logits_k, ood_logits, hyper, pri_m)
@@ -203,15 +202,14 @@ def test_criterion_3_gradient_suite(capsys):
         ood = rng.normal(size=(4, 5)) if method != "ce-baseline" else None
         mix = estimate_class_stats(encoder_forward(model, x), y, momentum=0.0,
                                    class_counts=np.bincount(y, minlength=3))
-        pri = np.full(3, 1.0 / 3.0)
-        hyper = PattHyper()
+        config = TrainConfig(method=method)
 
         def total(m):
-            return batch_loss_and_grads(m, mix, x, y, ood, hyper, pri,
-                                        np.zeros(m.flat.size), method=method)[0].total
+            return batch_loss_and_grads(m, mix, x, y, ood, config,
+                                        np.zeros(m.flat.size))[0].total
 
-        _, grads = batch_loss_and_grads(model, mix, x, y, ood, hyper, pri,
-                                        np.zeros(model.flat.size), method=method)
+        _, grads = batch_loss_and_grads(model, mix, x, y, ood, config,
+                                        np.zeros(model.flat.size))
         for pi, grad in enumerate(grads):
             flat = grad.ravel()
             for ei in range(flat.size):
@@ -295,7 +293,7 @@ def test_criterion_6_directional_benchmark(capsys):
 
         def go(method, alpha=0.5):
             tc = TrainConfig(epochs=30, seed=seed, method=method,
-                             learning_rate=3e-3, hyper=PattHyper(alpha=alpha),
+                             learning_rate=3e-3, alpha=alpha,
                              feature_dim=8, vmf_update="epoch")
             return train(tc, tr, otr, va)[0]
 

@@ -186,6 +186,10 @@ class TestConfigSchema:
         assert shared == {"seed", "feature_dim"}
         for name in shared:
             assert synth[name] == train_fields[name] == cli.DEFAULTS[name], name
+        # every config class field is a key, and the keys are those fields
+        # and the CLI's own
+        assert set(synth) | set(train_fields) <= set(cli.DEFAULTS)
+        assert set(cli.DEFAULTS) == set(synth) | set(train_fields) | set(cli._CLI_DEFAULTS)
 
     def test_readme_table_matches_defaults(self):
         # the "Configuration keys" table: | `key` | `default` | meaning |
@@ -386,6 +390,21 @@ class TestCliContract:
         config = write_config(tmp_path / "run.cfg", batch_size=0)
         rc = cli.main(["train", "--config", str(config), "--out", str(out)])
         assert_one_error_line(rc, capsys)
+
+    @pytest.mark.parametrize("overrides, message", [
+        # exited 0 with outlier exposure off: the checkpoint was byte for
+        # byte the one of oe_gamma = 0
+        ({"method": "oe-baseline", "oe_gamma": -1}, "oe_gamma must be >= 0, got -1.0"),
+        # exited 0 with the mean loss growing from 2.86 to 1,249 in one epoch
+        ({"optimizer": "sgd", "sgd_momentum": -3}, "sgd_momentum must be in [0, 1), got -3.0"),
+    ], ids=["oe_gamma", "sgd_momentum"])
+    def test_out_of_range_step_key_in_train(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path / "run.cfg", **overrides)
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == f"error: bad config: {message}\n", err
+        assert not out.exists()
 
     def test_nan_tau_in_train_names_the_key(self, pipeline, tmp_path, capsys):
         _, out = pipeline
@@ -723,6 +742,17 @@ def src_env():
     return env
 
 
+def test_readme_library_block_runs():
+    # the ``## Library`` example, run as written
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(code, f"{README}:Library", "exec"), names)
+    assert len(names["history"]) == 30
+    assert names["scores"].shape == (names["test_id"].inputs.shape[0],)
+    assert np.isfinite(names["scores"]).all()
+
+
 def test_module_entry_point_runs_the_command(tmp_path):
     # `python -m patt_lab.cli` used to exit 0 without running anything
     done = subprocess.run(
@@ -772,7 +802,7 @@ STEP_KEYS = {
     "learning_rate": WEIGHT, "alpha": WEIGHT, "beta": WEIGHT, "oe_gamma": WEIGHT,
     "epsilon": POSITIVE, "tau": POSITIVE,
     "vmf_momentum": step_value(0.0, 1.0, [0.0, TINIEST, 0.5, 0.9, 0.9999999999999999, 1.0]),
-    "sgd_momentum": step_value(-HUGE, HUGE, [0.0, 0.9, 1.0, 2.0, 1e12, 1e300, -1.0]),
+    "sgd_momentum": step_value(0.0, 1.0, [0.0, 0.9, 1.0, 2.0, 1e12, 1e300, -1.0]),
 }
 
 

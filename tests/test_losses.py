@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab.config import PattHyper
+from patt_lab.config import TrainConfig
 from patt_lab.data import sample_vmf
 from patt_lab.losses import isac_loss_batch, oe_uniform_loss_batch, tla_loss_batch
 from patt_lab.util import logsumexp_softmax
@@ -329,7 +329,7 @@ class TestPattTotalLoss:
 
     def test_alpha_beta_zero_reduces_to_contrastive(self):
         mix, z, logits, ood, priors = self._inputs()
-        hyper = PattHyper(tau=0.4, epsilon=0.7, alpha=0.0, beta=0.0)
+        hyper = TrainConfig(tau=0.4, epsilon=0.7, alpha=0.0, beta=0.0)
         out = patt_total_loss(mix, z, 1, logits, ood, hyper, priors)
         ref = isac_loss(mix, z, 1, tau=0.4)
         assert out.value == pytest.approx(ref.value, rel=1e-12)
@@ -339,7 +339,7 @@ class TestPattTotalLoss:
     def test_symmetric_degenerate_composition(self):
         p = vp(e(0, 3), 2.0)
         mix = oracles.mixture_of([p] * 5, np.full(5, 0.2))
-        hyper = PattHyper(tau=0.5, epsilon=0.7, alpha=0.5, beta=0.1)
+        hyper = TrainConfig(tau=0.5, epsilon=0.7, alpha=0.5, beta=0.1)
         out = patt_total_loss(mix, e(1, 3), 0, np.zeros(5), np.zeros((2, 5)),
                               hyper, np.full(5, 0.2))
         lnk = np.log(5)
@@ -348,7 +348,7 @@ class TestPattTotalLoss:
 
     def test_empty_outlier_batch(self):
         mix, z, logits, _, priors = self._inputs()
-        hyper = PattHyper()
+        hyper = TrainConfig()
         for ood in (None, np.zeros((0, 4))):
             out = patt_total_loss(mix, z, 0, logits, ood, hyper, priors)
             assert out.oe == 0.0
@@ -356,7 +356,7 @@ class TestPattTotalLoss:
 
     def test_term_composition(self):
         mix, z, logits, ood, priors = self._inputs(12)
-        hyper = PattHyper(tau=0.3, epsilon=0.6, alpha=0.8, beta=0.25)
+        hyper = TrainConfig(tau=0.3, epsilon=0.6, alpha=0.8, beta=0.25)
         out = patt_total_loss(mix, z, 2, logits, ood, hyper, priors)
         isac = isac_loss(mix, z, 2, tau=0.3)
         tla = tla_loss(logits, 2, priors, 0.6)
@@ -370,7 +370,7 @@ class TestPattTotalLoss:
 
     def test_combined_gradients_match_fd(self):
         mix, z, logits, ood, priors = self._inputs(13)
-        hyper = PattHyper(tau=0.4, epsilon=0.7, alpha=0.5, beta=0.1)
+        hyper = TrainConfig(tau=0.4, epsilon=0.7, alpha=0.5, beta=0.1)
         out = patt_total_loss(mix, z, 1, logits, ood, hyper, priors)
         fd_z = oracles.central_diff(
             lambda v: patt_total_loss(mix, v, 1, logits, ood, hyper,
@@ -389,17 +389,19 @@ class TestPattTotalLoss:
 
 
 class TestPattHyper:
+    """The objective's weights, fields of ``TrainConfig``."""
+
     def test_defaults(self):
-        h = PattHyper()
+        h = TrainConfig()
         assert (h.tau, h.epsilon, h.alpha, h.beta) == (0.1, 0.7, 0.5, 0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PattHyper(tau=0.0)
+            TrainConfig(tau=0.0)
         with pytest.raises(ValueError):
-            PattHyper(epsilon=-1.0)
+            TrainConfig(epsilon=-1.0)
         with pytest.raises(ValueError):
-            PattHyper(alpha=-0.1)
+            TrainConfig(alpha=-0.1)
 
 
 class TestLogsumexpSoftmax:

@@ -10,7 +10,7 @@ import pytest
 from patt_lab import checkpoint
 from patt_lab import model as model_module
 from patt_lab import vmf as vmf_module
-from patt_lab.config import TAIL_FRACTION, PattHyper
+from patt_lab.config import TAIL_FRACTION
 from patt_lab.data import LabeledSet, SynthConfig, gen_longtail
 from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState,
                             batch_loss_and_grads, classifier_logits,
@@ -174,16 +174,14 @@ class TestBatchGradients:
         x, y = rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2])
         ood_x = rng.normal(size=(4, 5)) if with_ood else None
         mix = stats_for(model, x, y)
-        priors = np.full(3, 1.0 / 3.0)
-        hyper = PattHyper()
+        config = TrainConfig(method=method)
 
         def total(m):
-            bd, _ = batch_loss_and_grads(
-                m, mix, x, y, ood_x, hyper, priors, np.zeros(m.flat.size), method=method)
+            bd, _ = batch_loss_and_grads(m, mix, x, y, ood_x, config, np.zeros(m.flat.size))
             return bd.total
 
-        _, grads = batch_loss_and_grads(
-            model, mix, x, y, ood_x, hyper, priors, np.zeros(model.flat.size), method=method)
+        _, grads = batch_loss_and_grads(model, mix, x, y, ood_x, config,
+                                        np.zeros(model.flat.size))
         h = 1e-6
         for pi, grad in enumerate(grads):
             flat = grad.ravel()
@@ -212,28 +210,28 @@ class TestBatchGradients:
         with pytest.raises(ValueError, match="empty"):
             batch_loss_and_grads(
                 model, None, np.zeros((0, 6)), np.zeros(0, dtype=int), None,
-                PattHyper(), np.full(3, 1 / 3), np.zeros(model.flat.size), method="ce-baseline")
+                TrainConfig(method="ce-baseline"), np.zeros(model.flat.size))
 
     def test_patt_requires_statistics(self):
         model = make_model()
         x, y = batch_for(model, 8)
         with pytest.raises(ValueError, match="mixture"):
-            batch_loss_and_grads(model, None, x, y, None, PattHyper(),
-                                 np.full(3, 1 / 3), np.zeros(model.flat.size), method="patt")
+            batch_loss_and_grads(model, None, x, y, None, TrainConfig(method="patt"),
+                                 np.zeros(model.flat.size))
 
     def test_unknown_method_rejected(self):
         model = make_model()
         x, y = batch_for(model, 8)
+        # the config checks the method on construction; this one is set after
+        config = TrainConfig()
+        config.method = "mixup"
         with pytest.raises(ValueError, match="method"):
-            batch_loss_and_grads(model, None, x, y, None, PattHyper(),
-                                 np.full(3, 1 / 3), np.zeros(model.flat.size), method="mixup")
+            batch_loss_and_grads(model, None, x, y, None, config, np.zeros(model.flat.size))
 
 
 def make_state(model, x, y, **config_kwargs):
     config = TrainConfig(**config_kwargs)
-    counts = np.bincount(y, minlength=model.n_classes)
-    state = TrainState(model=model, mix=None, config=config,
-                       priors=counts / counts.sum())
+    state = TrainState(model=model, mix=None, config=config)
     if config.method == "patt":
         state.mix = stats_for(model, x, y)
     return state
@@ -244,15 +242,15 @@ class TestTrainStep:
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y, learning_rate=0.0)
-        new_state, breakdown = train_step(state, (x, y), None, state.config.hyper)
+        new_state, breakdown = train_step(state, (x, y), None)
         assert np.isfinite(breakdown.total)
         assert params_equal(model, new_state.model)
 
     def test_beta_zero_without_outliers_is_valid(self):
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
-        state = make_state(model, x, y, hyper=PattHyper(beta=0.0))
-        new_state, breakdown = train_step(state, (x, y), None, state.config.hyper)
+        state = make_state(model, x, y, beta=0.0)
+        new_state, breakdown = train_step(state, (x, y), None)
         assert breakdown.oe == 0.0
         assert np.isfinite(breakdown.total)
         assert not params_equal(model, new_state.model)
@@ -263,7 +261,7 @@ class TestTrainStep:
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y)
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
-        train_step(state, (x, y), ood, state.config.hyper)
+        train_step(state, (x, y), ood)
         assert params_equal(model, before)
 
     def test_batch_mode_runs_one_labeled_forward(self, monkeypatch):
@@ -282,7 +280,7 @@ class TestTrainStep:
         assert state.config.vmf_update == "batch"
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
         monkeypatch.setattr(model_module, "_forward_batch", counting)
-        train_step(state, (x, y), ood, state.config.hyper)
+        train_step(state, (x, y), ood)
         assert calls == [12, 6]
 
     def test_repeated_steps_reduce_total_loss(self):
@@ -298,9 +296,18 @@ class TestTrainStep:
         state = make_state(model, x, y, learning_rate=1e-3, vmf_update="epoch")
         totals = []
         for _ in range(200):
-            state, breakdown = train_step(state, (x, y), ood, state.config.hyper)
+            state, breakdown = train_step(state, (x, y), ood)
             totals.append(breakdown.total)
         assert totals[-1] < 0.9 * totals[0]
+
+    def test_epoch_mode_without_mixture_is_rejected(self):
+        # in epoch mode the step uses the mixture it is given; the loss is
+        # the one place that checks there is one
+        model = make_model(seed=2)
+        x, y = batch_for(model, 12, seed=3)
+        state = TrainState(model, None, TrainConfig(vmf_update="epoch"))
+        with pytest.raises(ValueError, match="mixture"):
+            train_step(state, (x, y), None)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_term_name(self):
@@ -309,7 +316,7 @@ class TestTrainStep:
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y, method="ce-baseline")
         with pytest.raises(RuntimeError, match="non-finite"):
-            train_step(state, (x, y), None, state.config.hyper)
+            train_step(state, (x, y), None)
 
 
 class TestFlatGradient:
@@ -329,11 +336,10 @@ class TestFlatGradient:
             return original(model, flat_grad, config, opt)
 
         monkeypatch.setattr(model_module, "_apply_update", capturing)
-        hyper = state.config.hyper
-        new_state, _ = train_step(state, (x, y), ood, hyper)
+        new_state, _ = train_step(state, (x, y), ood)
         # the refreshed statistics are the ones the step's loss used
-        _, grads = batch_loss_and_grads(model, new_state.mix, x, y, ood, hyper,
-                                        state.priors, np.zeros(model.flat.size), method=method)
+        _, grads = batch_loss_and_grads(model, new_state.mix, x, y, ood, state.config,
+                                        np.zeros(model.flat.size))
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], np.concatenate([g.ravel() for g in grads]))
 
@@ -342,13 +348,12 @@ class TestFlatGradient:
         x, y = batch_for(model, 12, seed=3)
         mix = stats_for(model, x, y)
         flat = np.zeros(model.flat.size)
-        _, grads = batch_loss_and_grads(model, mix, x, y, None, PattHyper(),
-                                        np.full(3, 1 / 3), flat)
+        _, grads = batch_loss_and_grads(model, mix, x, y, None, TrainConfig(), flat)
         assert [g.shape for g in grads] == [p.shape for p in model.param_list()]
         assert all(np.shares_memory(g, flat) for g in grads)
         np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads]))
-        _, fresh = batch_loss_and_grads(model, mix, x, y, None, PattHyper(),
-                                        np.full(3, 1 / 3), np.zeros(model.flat.size))
+        _, fresh = batch_loss_and_grads(model, mix, x, y, None, TrainConfig(),
+                                        np.zeros(model.flat.size))
         for a, b in zip(grads, fresh):
             np.testing.assert_array_equal(a, b)
 
@@ -366,7 +371,7 @@ class TestFlatGradient:
             original(self)
 
         monkeypatch.setattr(VmfParams, "__post_init__", counting)
-        train_step(state, (x, y), ood, state.config.hyper)
+        train_step(state, (x, y), ood)
         assert built == []
         # the package has no per-component type left to build
         assert not hasattr(vmf_module, "VmfParams")
@@ -392,16 +397,15 @@ class TestFlatUpdate:
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
         state = make_state(model, x, y, optimizer=optimizer, learning_rate=1e-2,
                            vmf_update="epoch")
-        hyper = state.config.hyper
         ref_params, ref_opt = model.param_list(), None
         for _ in range(3):
             ref_model = oracles.model_of(ref_params[0:-2:2], ref_params[1:-2:2],
                                          *ref_params[-2:])
-            _, grads = batch_loss_and_grads(ref_model, state.mix, x, y, ood, hyper,
-                                            state.priors, np.zeros(ref_model.flat.size))
+            _, grads = batch_loss_and_grads(ref_model, state.mix, x, y, ood, state.config,
+                                            np.zeros(ref_model.flat.size))
             ref_params, ref_opt = oracles.apply_update_ref(ref_params, grads,
                                                            state.config, ref_opt)
-            state, _ = train_step(state, (x, y), ood, hyper)
+            state, _ = train_step(state, (x, y), ood)
             for got, want in zip(state.model.param_list(), ref_params):
                 np.testing.assert_array_equal(got, want)
             for name, value in vars(state.opt).items():
@@ -436,7 +440,7 @@ class TestFlatParameters:
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y)
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
-        stepped, _ = train_step(state, (x, y), ood, state.config.hyper)
+        stepped, _ = train_step(state, (x, y), ood)
         assert_views_in_checkpoint_order(stepped.model)
         assert not np.shares_memory(stepped.model.flat, model.flat)
         path = tmp_path / "model.ckpt"
@@ -562,12 +566,18 @@ class TestTrainConfigValidation:
             TrainConfig(method="pascl")
         with pytest.raises(ValueError):
             TrainConfig(vmf_momentum=1.0)
+        with pytest.raises(ValueError, match="sgd_momentum"):
+            TrainConfig(sgd_momentum=1.0)
+        with pytest.raises(ValueError, match="sgd_momentum"):
+            TrainConfig(sgd_momentum=-0.1)
+        with pytest.raises(ValueError, match="oe_gamma"):
+            TrainConfig(oe_gamma=-0.5)
 
     def test_sgd_also_trains(self):
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y, optimizer="sgd", learning_rate=1e-2)
-        new_state, _ = train_step(state, (x, y), None, state.config.hyper)
+        new_state, _ = train_step(state, (x, y), None)
         assert not params_equal(model, new_state.model)
 
 

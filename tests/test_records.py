@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from patt_lab.calibration import AttentionWeight
-from patt_lab.config import PattHyper, SynthConfig, TrainConfig, config_fields
+from patt_lab.config import SynthConfig, TrainConfig, config_fields
 from patt_lab.data import LabeledSet
 from patt_lab.model import EncoderClassifier, TrainState, _AdamState, _SgdState
 from patt_lab.vmf import VmfMixture
@@ -80,48 +80,39 @@ def test_attention_weight_messages(raw, scaled, message):
         AttentionWeight(raw=raw, scaled=scaled)
 
 
-@pytest.mark.parametrize("cls", [SynthConfig, TrainConfig, PattHyper])
+@pytest.mark.parametrize("cls", [SynthConfig, TrainConfig])
 def test_config_rejects_an_unknown_keyword(cls):
     with pytest.raises(TypeError, match=rf"{cls.__name__}\.__init__\(\) got an unexpected keyword "
                                         r"argument 'no_such_key'"):
         cls(no_such_key=1)
 
 
-@pytest.mark.parametrize("cls", [SynthConfig, TrainConfig, PattHyper])
+@pytest.mark.parametrize("cls", [SynthConfig, TrainConfig])
 def test_config_fields_start_at_the_class_defaults(cls):
     config = cls()
     for name, default in config_fields(cls):
-        if name != "hyper":
-            assert getattr(config, name) == default, name
+        assert getattr(config, name) == default, name
     first = config_fields(cls)[0][0]
-    assert first == {SynthConfig: "n_classes", TrainConfig: "epochs", PattHyper: "tau"}[cls]
+    assert first == {SynthConfig: "n_classes", TrainConfig: "epochs"}[cls]
 
 
 def test_config_checks_run_after_the_fields():
     with pytest.raises(ValueError, match=re.escape("tau must be > 0, got 0.0")):
-        PattHyper(tau=0.0)
-    assert TrainConfig(epochs=3, hyper=PattHyper(beta=0.0)).hyper.beta == 0.0
-
-
-def test_each_train_config_gets_its_own_hyper():
-    a, b = TrainConfig(), TrainConfig()
-    assert isinstance(a.hyper, PattHyper) and a.hyper is not b.hyper
-    a.hyper.tau = 0.5
-    assert b.hyper.tau == PattHyper().tau
+        TrainConfig(tau=0.0)
+    assert TrainConfig(epochs=3, beta=0.0).beta == 0.0
 
 
 @pytest.mark.parametrize("optimizer, state_type", [("adam", _AdamState), ("sgd", _SgdState)])
 def test_train_state_starts_the_optimizer_at_zero(optimizer, state_type):
     model = EncoderClassifier.init(3, (4,), 2, 2, seed=0)
-    state = TrainState(model=model, mix=None, config=TrainConfig(optimizer=optimizer),
-                       priors=HALF)
+    state = TrainState(model=model, mix=None, config=TrainConfig(optimizer=optimizer))
     size = sum(p.size for p in model.param_list())
     assert isinstance(state.opt, state_type)
     for buf in vars(state.opt).values():
         if isinstance(buf, np.ndarray):
             np.testing.assert_array_equal(buf, np.zeros(size))
     given = _SgdState(velocity=np.ones(size))
-    assert TrainState(model, None, TrainConfig(), HALF, opt=given).opt is given
+    assert TrainState(model, None, TrainConfig(), opt=given).opt is given
 
 
 def _imported_modules(tree):
