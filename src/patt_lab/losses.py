@@ -1,16 +1,16 @@
 """Training objectives with exact analytic gradients, row-wise over a batch.
 
 Outlier exposure to the uniform prediction, tail-sharpened logit adjustment,
-and the closed-form infinite-batch contrastive loss under a vMF mixture. Each
-returns the per-row values together with the gradient with respect to the
-argument it differentiates (features or logits); mixture statistics are
-always treated as constants. The per-sample forms and the combined objective,
-which only tests call, live in ``tests/oracles.py``.
+and the closed-form infinite-batch contrastive loss under a vMF mixture, built
+on an (n, K) Gram product. Each returns the per-row values with the gradient
+in the argument it differentiates (features or logits); mixture statistics
+are constants. The per-sample forms, the combined objective and the earlier
+tensor form of the contrastive loss live in ``tests/oracles.py``.
 """
 
 import numpy as np
 
-from .util import logsumexp_softmax, norms_along
+from .util import logsumexp_softmax
 from .vmf import VmfMixture, _log_norm_and_ratio
 
 __all__ = ["oe_uniform_loss_batch", "tla_loss_batch", "isac_loss_batch"]
@@ -47,8 +47,10 @@ def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
     gradients (n, d)).
 
     Every class contributes through the tilted concentration
-    ||kappa_j mu_j + z / tau||; the value is a logsumexp over classes of
-    log-domain normalization-constant ratios, and the gradient in z is exact.
+    ||kappa_j mu_j + z / tau||, expanded over the Gram product
+    (z / tau) @ (kappa mu).T with the square clamped at 0; the value is a
+    logsumexp over classes of log-domain normalization-constant ratios, and
+    the gradient in z is exact.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -63,34 +65,29 @@ def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
     if not np.isfinite(z).all():
         raise ValueError("features must be finite")
 
-    n = z.shape[0]
+    n, k = z.shape[0], mix.n_classes
     rows = np.arange(n)
-    log_priors = np.log(mix.priors)
-    kappas = mix.kappas
-    k = kappas.size
 
-    # tilted concentrations per (sample, class)
-    centers = kappas[:, None] * mix.mus
-    tilted_vec = centers[None, :, :] + z[:, None, :] / tau
-    tilted = norms_along(tilted_vec, axis=2)
+    # ||c_j + z/tau||^2 = ||c_j||^2 + 2 (z/tau).c_j + ||z/tau||^2, c_j = kappa_j mu_j
+    centers = mix.kappas[:, None] * mix.mus
+    zt = z / tau
+    sq = (np.add.reduce(centers * centers, axis=1)[None, :] + 2.0 * (zt @ centers.T)
+          + np.add.reduce(zt * zt, axis=1)[:, None])
+    tilted = np.sqrt(np.maximum(sq, 0.0))
     # one Bessel pass for the class and the tilted concentrations together
-    log_z, ratio = _log_norm_and_ratio(mix.dim, np.concatenate([kappas, tilted.ravel()]))
+    log_z, ratio = _log_norm_and_ratio(mix.dim, np.concatenate([mix.kappas, tilted.ravel()]))
     log_z_class = log_z[:k]
     log_z_tilted = log_z[k:].reshape(n, k)
     ratio = ratio[k:].reshape(n, k)
 
-    s = (
-        log_priors[None, :]
-        - log_priors[y][:, None]
-        + log_z_tilted[rows, y][:, None]
-        + log_z_class[None, :]
-        - log_z_class[y][:, None]
-        - log_z_tilted
-    )
+    # s_nj = log(pi_j C(kappa_j) / C(tilted_nj)) - log(pi_y C(kappa_y) / C(tilted_ny))
+    own = np.log(mix.priors) + log_z_class
+    s = (own[None, :] - log_z_tilted) - (own[y] - log_z_tilted[rows, y])[:, None]
     vals, p = logsumexp_softmax(s)
 
-    # d log Z / d kappa = -A_d(kappa); chain through d tilted / d z
+    # d log Z / d kappa = -A_d(kappa); chain through d tilted / d z, which is
+    # (c_j + z/tau) / (tau tilted): W @ centers + (row sums of W) z/tau
     weight = ratio / (tau * np.maximum(tilted, _TINY))
-    grads = np.einsum("nk,nkd->nd", p * weight, tilted_vec)
-    grads -= weight[rows, y][:, None] * tilted_vec[rows, y]
-    return vals, grads
+    w = p * weight
+    w[rows, y] -= weight[rows, y]
+    return vals, w @ centers + np.add.reduce(w, axis=1)[:, None] * zt

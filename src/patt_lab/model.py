@@ -151,8 +151,7 @@ def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
         grads[-1] += np.add.reduce(d_logits, axis=0)
         d_z = d_z + d_logits @ model.clf_w if d_z is not None else d_logits @ model.clf_w
     # unit-norm projection: (I - z z^T) / ||pre||
-    d_pre = (d_z - z * np.add.reduce(z * d_z, axis=-1, keepdims=True)) / norms[:, None]
-    g = d_pre
+    g = (d_z - z * np.add.reduce(z * d_z, axis=-1, keepdims=True)) / norms[:, None]
     for layer in range(len(model.weights) - 1, -1, -1):
         grads[2 * layer] += g.T @ acts[layer]
         grads[2 * layer + 1] += np.add.reduce(g, axis=0)
@@ -165,10 +164,7 @@ class LossBreakdown:
     ``tla`` slot holds the plain cross-entropy term and ``isac`` is 0."""
 
     def __init__(self, total: float, isac: float, tla: float, oe: float):
-        self.total = total
-        self.isac = isac
-        self.tla = tla
-        self.oe = oe
+        self.total, self.isac, self.tla, self.oe = total, isac, tla, oe
 
 
 def batch_loss_and_grads(
@@ -324,13 +320,10 @@ def train_step(state: TrainState, id_batch, ood_batch):
 
     mix = state.mix
     forward = None
-    if config.method == "patt":
-        if config.vmf_update == "batch":
-            # one encoder pass feeds both the stats refresh and the loss
-            forward = _forward_batch(state.model, id_x, [])
-            mix = estimate_class_stats(
-                forward[2], id_y, previous=mix, momentum=config.vmf_momentum
-            )
+    if config.method == "patt" and config.vmf_update == "batch":
+        # one encoder pass feeds both the stats refresh and the loss
+        forward = _forward_batch(state.model, id_x, [])
+        mix = estimate_class_stats(forward[2], id_y, previous=mix, momentum=config.vmf_momentum)
 
     # batch_loss_and_grads accumulates every parameter's gradient into a
     # view of this one vector
@@ -422,12 +415,9 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
             state, breakdown = train_step(state, (x[idx], y[idx]), ood_batch)
             sums += (breakdown.total, breakdown.isac, breakdown.tla, breakdown.oe)
             steps += 1
-        val_acc = _validation_accuracy(state.model, val_id.inputs, val_id.labels)
-        means = sums / steps
-        history.append(EpochRecord(
-            epoch=epoch, total=float(means[0]), isac=float(means[1]),
-            tla=float(means[2]), oe=float(means[3]), val_acc=val_acc,
-        ))
+        total, isac, tla, oe = (sums / steps).tolist()
+        history.append(EpochRecord(epoch, total, isac, tla, oe,
+                                   _validation_accuracy(state.model, val_id.inputs, val_id.labels)))
 
     mix = state.mix if state.mix is not None else _full_stats(state.model, x, y, counts)
     return state.model, mix, history

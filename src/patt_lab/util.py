@@ -44,10 +44,10 @@ def logsumexp_softmax(a: np.ndarray):
     return m[..., 0] + np.log(total[..., 0]), e / total
 
 
-def norms_along(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Euclidean norms of real ``x`` along ``axis``: ``np.linalg.norm(x,
-    axis=axis)`` without its wrapper, which computes this same
+def norms_along(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of real ``x`` along its last axis: ``np.linalg.norm(x,
+    axis=-1)`` without its wrapper, which computes this same
     ``sqrt(add.reduce(x * x))``, so the bits are equal. (A per-row dot
     product sums in another order and can differ in the last bit.)"""
-    return np.sqrt(np.add.reduce(x * x, axis=axis))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 

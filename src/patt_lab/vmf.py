@@ -118,39 +118,43 @@ def _log_bessel_series_log(nu, x):
     return total
 
 
+def _asymptotic_sum(orders, x):
+    # S_nu(x) = sum_k a_k(nu) / x^k with a_0 = 1 and a_k = a_{k-1} ((2k - 1)^2 -
+    # 4 nu^2) / (8k), from I_nu(x) ~ e^x S_nu(x) / sqrt(2 pi x), for each order
+    # (rows) at every x (any shape). Each order's terms stop at the first one
+    # at most 1e-17 of the partial sum at the smallest x (at most 39 terms);
+    # the table is zero-padded to the longest order and summed by Horner's
+    # rule in 1/x. Only used for x >= max(30, 2 nu^2), the asymptotic cut.
+    inv_x = 1.0 / x
+    inv_lo = float(np.maximum.reduce(inv_x, axis=None, initial=0.0))
+    table = np.zeros((40, len(orders)))
+    top = 1
+    for col, nu in enumerate(orders):
+        coef = total = 1.0
+        for k in range(1, 40):
+            coef *= ((2 * k - 1) ** 2 - 4.0 * nu * nu) / (8 * k)
+            table[k, col] = coef
+            term = coef * inv_lo ** k
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+        top = max(top, k)
+    out = np.multiply.outer(table[top], inv_x)
+    for coef in table[top - 1:0:-1]:
+        out += coef.reshape((-1,) + (1,) * inv_x.ndim)
+        out *= inv_x
+    return out + 1.0
+
+
 def _log_bessel_asymptotic(nu, x):
-    # Large-argument expansion I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k a_k(nu)/x^k.
-    # Only used for x >= max(30, 2 nu^2), where the truncated tail is far below
-    # 1e-12 relative. ``nu`` and ``x`` broadcast: a column of orders against a
-    # row of arguments evaluates the whole block with one scalar order per
-    # row. For these x and k <= 39 every term is smaller than the one before,
-    # so once |term| <= 1e-17 |sum| (below half an ulp) later terms leave the
-    # sum unchanged, and testing that every fourth term keeps the bits of a
-    # test after every term.
-    mu4 = 4.0 * nu * nu
-    inv8x = 1.0 / (8.0 * x)
-    term = np.ones(np.broadcast_shapes(np.shape(nu), np.shape(x)))
-    total = term.copy()
-    for k in range(1, 40):
-        term *= (2 * k - 1) ** 2 - mu4
-        term *= inv8x
-        term /= k
-        total += term
-        if k % 4 == 0 and (np.abs(term) <= 1e-17 * np.abs(total)).all():
-            break
-    return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(total)
+    return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(_asymptotic_sum((nu,), x)[0])
 
 
 def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     # log I_nu(x) for every order (rows) at every positive x (columns). Each
     # order in turn splits x at its own branch cuts and runs each branch's
-    # loop over the elements that fall in it. Terms a loop adds after an
-    # element has converged are below half an ulp of its sum, so every element
-    # has the bits of its own evaluation.
+    # loop over the elements that fall in it.
     cut = np.maximum(30.0, 2.0 * orders * orders)
-    if np.minimum.reduce(x, initial=np.inf) >= np.maximum.reduce(cut):
-        # every element takes the asymptotic branch: evaluate the block
-        return _log_bessel_asymptotic(orders[:, None], x)
     out = np.empty((orders.size, x.size))
     for row, nu, nu_cut in zip(out, orders.tolist(), cut.tolist()):
         small = x < min(nu_cut, 300.0)
@@ -167,8 +171,8 @@ def log_bessel_i(nu, x):
     non-empty 1-D sequence of orders >= 0 at positive arguments ``x`` (an
     ndarray), evaluated in one pass; the result has shape
     ``(len(nu),) + x.shape``. Evaluated by the ascending series for small and
-    moderate arguments and by the large-argument asymptotic expansion beyond
-    ``max(30, 2 nu^2)``.
+    moderate arguments and, from ``max(30, 2 nu^2)`` on, by the large-argument
+    asymptotic expansion, summed by Horner's rule in 1/x.
     """
     orders = np.asarray(nu, dtype=np.float64)
     if orders.ndim != 1 or orders.size == 0:
@@ -209,29 +213,38 @@ def _normalizer(dim, kappa):
     ks = np.asarray(kappa, dtype=np.float64)
     if not (np.isfinite(ks) & (ks >= 0.0)).all():
         raise ValueError("kappa must be finite and non-negative")
-    log_norm, ratio = _log_norm_and_ratio(dim, ks.ravel())
-    if ks.ndim == 0:
-        return float(log_norm[0]), float(ratio[0])
-    return log_norm.reshape(ks.shape), ratio.reshape(ks.shape)
+    log_norm, ratio = _log_norm_and_ratio(dim, ks)
+    return (float(log_norm), float(ratio)) if ks.ndim == 0 else (log_norm, ratio)
 
 
 def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     """``(log_norm_const(dim, kappa), bessel_ratio(dim, kappa))`` from one
     Bessel pass over both orders d/2 - 1 and d/2.
 
-    Both arrays have the bits of the two separate calls. ``kappa`` is an
-    array of finite non-negative values; ``dim`` is >= 2.
+    When every positive lane is at or above the asymptotic cut of order d/2,
+    log C_d comes from S_{d/2-1} and A_d = S_{d/2} / S_{d/2-1}, with no
+    difference of logs to cancel; otherwise both come from ``log_bessel_i``.
+    ``kappa`` is an array of finite non-negative values; ``dim`` is >= 2.
     """
     half = 0.5 * dim
     nu = half - 1.0
-    # kappa = 0 lanes run the pass at a stand-in, then take the uniform law,
-    # whose log normalization constant is minus the log sphere area
+    # kappa = 0 lanes run the pass at a stand-in (on the asymptotic path the
+    # smallest positive kappa, which keeps the term count), then take the
+    # uniform law, whose log normalization constant is minus the log sphere area
     pos = kappa > 0.0
-    kp = np.where(pos, kappa, 1.0)
-    log_i = log_bessel_i((nu, half), kp)
-    log_norm = np.where(pos, nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i[0],
+    low = float(np.minimum.reduce(kappa, axis=None, initial=np.inf, where=pos))
+    if math.inf > low >= max(30.0, 2.0 * half * half):
+        kp = np.where(pos, kappa, low)
+        series = _asymptotic_sum((nu, half), kp)
+        log_i = kp - 0.5 * np.log(2.0 * math.pi * kp) + np.log(series[0])
+        ratio = series[1] / series[0]
+    else:
+        kp = np.where(pos, kappa, 1.0)
+        log_i, log_i_half = log_bessel_i((nu, half), kp)
+        ratio = np.exp(log_i_half - log_i)
+    log_norm = np.where(pos, nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i,
                         math.lgamma(half) - math.log(2.0) - half * math.log(math.pi))
-    return log_norm, np.where(pos, np.exp(log_i[1] - log_i[0]), 0.0)
+    return log_norm, np.where(pos, ratio, 0.0)
 
 
 def _check_unit_rows(z: np.ndarray, what: str) -> None:

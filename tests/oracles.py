@@ -4,10 +4,14 @@ Everything here trades speed for transparency: literal series summation in
 50-digit arithmetic, exhaustive threshold sweeps, O(n^2) pair counting.
 Production code must agree with these oracles, never the other way around.
 The module also keeps the earlier forms of rewritten hot paths (the
-per-element series and asymptotic Bessel kernels, two-pass log-sum-exp and
-softmax, the per-parameter optimizer step, the per-class statistics refresh)
-and the numpy forms of the plain-Python report (the head/tail accuracy split,
-the score histogram); the rewrites must match them bit for bit. ``model_of``
+per-element series Bessel kernels, two-pass log-sum-exp and softmax, the
+per-parameter optimizer step, the per-class statistics refresh) and the numpy
+forms of the plain-Python report (the head/tail accuracy split, the score
+histogram); the rewrites must match them bit for bit. Two earlier forms
+round differently from their rewrites and are held to stated tolerances: the
+forward-summed asymptotic Bessel kernel (the Horner rewrite also meets the
+40-digit ``norm_and_ratio_mp`` and ``log_bessel_mp``) and the (n, K, d)
+tensor form of the contrastive loss (the Gram-product rewrite). ``model_of``
 builds a model from separate arrays, which the model, holding one
 parameter vector, no longer takes. The package evaluates batches only:
 ``log_bessel_i_at`` evaluates ``vmf.log_bessel_i`` at one order, and
@@ -80,9 +84,25 @@ def log_bessel_mp(nu, x):
     return float(mp.log(mp.besseli(mp.mpf(nu), mp.mpf(x))))
 
 
+def norm_and_ratio_mp(dim, kappa):
+    """``(log C_d(kappa), A_d(kappa))`` in 40-digit arithmetic for each
+    positive ``kappa``, as two float arrays. The ratio I_{d/2}/I_{d/2-1} is
+    taken inside mpmath: the exp of a float difference of two logs would
+    carry the very cancellation the tests look for."""
+    log_norm, ratio = [], []
+    with mp.workdps(40):
+        nu = mp.mpf(dim) / 2 - 1
+        for k in np.ravel(kappa).tolist():
+            k = mp.mpf(k)
+            i_nu = mp.besseli(nu, k)
+            log_norm.append(float(nu * mp.log(k) - (nu + 1) * mp.log(2 * mp.pi) - mp.log(i_nu)))
+            ratio.append(float(mp.besseli(nu + 1, k) / i_nu))
+    return np.array(log_norm), np.array(ratio)
+
+
 def log_bessel_asymptotic_ref(nu, x):
-    """The large-argument kernel before its block form: per-element orders, a
-    new array per term and a convergence test after every term.
+    """The large-argument kernel before its Horner form: per-element orders,
+    forward summation, and a convergence test after every term.
 
     Returns the values and the number of terms summed.
     """
@@ -604,6 +624,28 @@ def isac_loss(mix: vmf.VmfMixture, z, y: int, tau: float) -> _LossValue:
         raise ValueError("z must be a single feature vector")
     vals, grads = losses.isac_loss_batch(mix, zv[None, :], np.array([int(y)]), tau)
     return _LossValue(value=float(vals[0]), grad=grads[0])
+
+
+def isac_loss_batch_tensor(mix: vmf.VmfMixture, z, y, tau: float):
+    """``losses.isac_loss_batch`` in its earlier form, with no input checks:
+    the tilted vectors kappa_j mu_j + z / tau as an (n, K, d) tensor, their
+    norms, and the gradient contracted against that tensor."""
+    n, k = z.shape[0], mix.n_classes
+    rows = np.arange(n)
+    log_priors = np.log(mix.priors)
+    tilted_vec = (mix.kappas[:, None] * mix.mus)[None, :, :] + z[:, None, :] / tau
+    tilted = np.sqrt(np.add.reduce(tilted_vec * tilted_vec, axis=2))
+    log_z, ratio = vmf._log_norm_and_ratio(mix.dim, np.concatenate([mix.kappas, tilted.ravel()]))
+    log_z_class = log_z[:k]
+    log_z_tilted = log_z[k:].reshape(n, k)
+    ratio = ratio[k:].reshape(n, k)
+    s = (log_priors[None, :] - log_priors[y][:, None] + log_z_tilted[rows, y][:, None]
+         + log_z_class[None, :] - log_z_class[y][:, None] - log_z_tilted)
+    vals, p = logsumexp_softmax(s)
+    weight = ratio / (tau * np.maximum(tilted, 1e-300))
+    grads = np.einsum("nk,nkd->nd", p * weight, tilted_vec)
+    grads -= weight[rows, y][:, None] * tilted_vec[rows, y]
+    return vals, grads
 
 
 def patt_total_loss(

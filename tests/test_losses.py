@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patt_lab import vmf
 from patt_lab.config import TrainConfig
 from patt_lab.data import sample_vmf
 from patt_lab.losses import isac_loss_batch, oe_uniform_loss_batch, tla_loss_batch
@@ -303,6 +304,57 @@ class TestIsacLoss:
         mix = random_mixture(rng, 3, 4)
         with pytest.raises(ValueError):
             isac_loss(mix, unit(rng.normal(size=4)), 3, tau=0.5)
+
+
+class TestIsacGramForm:
+    """The Gram-product kernel against the (n, K, d) tensor form it
+    replaced: gradients within 1e-10 of the largest entry, values within
+    1e-9 relative with a 1e-12 absolute floor (the losses near 0 are where
+    the two roundings part)."""
+
+    @staticmethod
+    def assert_matches_tensor(mix, z, y, tau):
+        vals, grads = isac_loss_batch(mix, z, y, tau)
+        want_vals, want_grads = oracles.isac_loss_batch_tensor(mix, z, y, tau)
+        assert np.isfinite(vals).all() and np.isfinite(grads).all()
+        np.testing.assert_allclose(vals, want_vals, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(grads, want_grads, rtol=0.0,
+                                   atol=1e-10 * np.abs(want_grads).max())
+
+    @pytest.mark.parametrize("k", [10, 100])
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_matches_tensor_form(self, k, d):
+        # kappas from the plain-series range up to the cap, and one batch of
+        # features that each mixture's Bessel pass sees in every branch
+        rng = np.random.default_rng(k + d)
+        mus = rng.normal(size=(k, d))
+        mus /= np.linalg.norm(mus, axis=1, keepdims=True)
+        kappas = np.geomspace(0.5, vmf.KAPPA_MAX, k)
+        priors = rng.uniform(0.2, 1.0, size=k)
+        mix = vmf.VmfMixture(mus=mus, kappas=rng.permutation(kappas), priors=priors / priors.sum())
+        z = rng.normal(size=(64, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        y = rng.integers(0, k, size=64)
+        for tau in (0.1, 0.5):
+            self.assert_matches_tensor(mix, z, y, tau)
+        # classes tight enough that every concentration is asymptotic
+        mix = vmf.VmfMixture(mus=mus, kappas=np.full(k, 2000.0), priors=mix.priors)
+        self.assert_matches_tensor(mix, z, y, 0.1)
+
+    @pytest.mark.parametrize("d", [3, 8, 32])
+    def test_cancellation_point(self, d):
+        # kappa_j mu_j = -z / tau for row j and class j: the tensor form's
+        # tilted vector is exactly 0 (2 z and -2 z are exact at tau = 0.5),
+        # and the Gram form's squared norm rounds to about +-1e-15, clamped
+        # at 0, so the lane takes the uniform law or its limit
+        rng = np.random.default_rng(d)
+        k = 6
+        z = rng.normal(size=(k, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z[0] = e(0, d)  # the squared form is exactly 4 - 8 + 4 = 0 here
+        mix = vmf.VmfMixture(mus=-z, kappas=np.full(k, 2.0), priors=np.full(k, 1.0 / k))
+        for y in (np.arange(k), (np.arange(k) + 1) % k):
+            self.assert_matches_tensor(mix, z, y, 0.5)
 
 
 def _mixture_batch(mix, n, seed):

@@ -320,18 +320,32 @@ class TestEstimateClassStats:
             estimate_class_stats(z, np.array([0, 1]))
 
 
+def top_cut(dim):
+    # the larger of the two orders' asymptotic cuts
+    return max(30.0, 2.0 * (0.5 * dim) ** 2)
+
+
+def assert_rel(got, want, rtol=1e-15):
+    # relative error at most rtol, elementwise, with the worst one reported
+    got, want = np.asarray(got), np.asarray(want)
+    err = np.abs(got - want) / np.abs(want)
+    assert (err <= rtol).all(), f"relative error {err.max():.3g} at {np.argmax(err)}"
+
+
 class TestFusedNormAndRatio:
     """One Bessel pass over both orders gives log C_d and A_d together."""
 
-    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
     def test_asymptotic_branch_is_exact(self, d):
-        # both orders d/2 - 1 and d/2 take the asymptotic branch here
-        cut = max(30.0, 2.0 * (0.5 * d) ** 2)
-        x = np.concatenate([[cut], np.geomspace(cut, 1e4, 200)])
+        # Every lane is at or above both orders' cuts, so A_d is the quotient
+        # of the two asymptotic sums. Taken as exp(log I_{d/2} - log I_{d/2-1})
+        # it was off by 6e-13 to 1.2e-12 relative at large kappa.
+        cut = top_cut(d)
+        x = np.concatenate([[cut, np.nextafter(cut, np.inf)], np.geomspace(cut, KAPPA_MAX, 40)])
         log_norm, ratio = _log_norm_and_ratio(d, x)
-        want_norm, want_ratio = oracles.norm_and_ratio_separate(d, x)
-        np.testing.assert_array_equal(log_norm, want_norm)
-        np.testing.assert_array_equal(ratio, want_ratio)
+        want_norm, want_ratio = oracles.norm_and_ratio_mp(d, x)
+        assert_rel(log_norm, want_norm)
+        assert_rel(ratio, want_ratio)
 
     def test_mixed_branches_match_separate_calls(self):
         # d = 32: the cuts are 450 (nu = 15) and 512 (nu = 16), so x in
@@ -350,6 +364,8 @@ class TestFusedNormAndRatio:
         assert np.all(ratio[x == 0.0] == 0.0)
 
     def test_isac_makes_one_bessel_pass(self, monkeypatch):
+        # at most one log_bessel_i pass, over both orders, and none when
+        # every class and tilted concentration is at or above the cut
         calls = []
         original = vmf.log_bessel_i
 
@@ -365,51 +381,58 @@ class TestFusedNormAndRatio:
         mix = estimate_class_stats(z, y, class_counts=[8] * 5)
         losses.isac_loss_batch(mix, z, y, 0.1)
         assert calls == [(2,)]
-
-
-def assert_matches_reference(monkeypatch, dim, x):
-    # against log_bessel_i (at the positive x) and _log_norm_and_ratio with
-    # the per-element reference kernel swapped in
-    orders = (0.5 * dim - 1.0, 0.5 * dim)
-    with monkeypatch.context() as patch:
-        patch.setattr(vmf, "_log_bessel_positive", oracles.log_bessel_positive_ref)
-        want_i = log_bessel_i(orders, x[x > 0.0])
-        want_norm, want_ratio = _log_norm_and_ratio(dim, x)
-    np.testing.assert_array_equal(log_bessel_i(orders, x[x > 0.0]), want_i)
-    log_norm, ratio = _log_norm_and_ratio(dim, x)
-    np.testing.assert_array_equal(log_norm, want_norm)
-    np.testing.assert_array_equal(ratio, want_ratio)
-
-
-def top_cut(dim):
-    # the larger of the two orders' asymptotic cuts
-    return max(30.0, 2.0 * (0.5 * dim) ** 2)
+        calls.clear()
+        # tight classes: every tilted concentration, at least kappa - 1/tau,
+        # is at or above the cut
+        tight = mix.mus[y] + 0.02 * rng.normal(size=z.shape)
+        tight /= np.linalg.norm(tight, axis=1, keepdims=True)
+        mix = estimate_class_stats(tight, y, class_counts=[8] * 5)
+        assert mix.kappas.min() - 1.0 / 0.1 >= top_cut(8)
+        losses.isac_loss_batch(mix, tight, y, 0.1)
+        assert calls == []
 
 
 class TestBlockBesselKernel:
-    """The block asymptotic kernel, with its convergence test every fourth
-    term, keeps the bits of the per-element kernel tested after every term."""
+    """The asymptotic kernel: the sums of several orders as one block,
+    Horner's rule in 1/x with a term count fixed by the smallest argument.
+    ``_log_norm_and_ratio`` runs it on both orders when every positive lane
+    is asymptotic, and ``log_bessel_i`` on each order's asymptotic lanes; both
+    are held to a 40-digit oracle at 1e-15 relative."""
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
-    def test_random_blocks(self, monkeypatch, dim):
+    def test_random_blocks(self, dim):
         rng = np.random.default_rng(dim)
-        x = top_cut(dim) * np.exp(rng.uniform(0.0, 6.0, size=(30, 11)))
-        assert_matches_reference(monkeypatch, dim, x)
-        x.flat[::7] = 0.0  # kappa = 0 lanes run at a stand-in below the cut
-        assert_matches_reference(monkeypatch, dim, x)
-
-    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
-    def test_just_above_the_cut(self, monkeypatch, dim):
         cut = top_cut(dim)
-        x = np.array([cut, np.nextafter(cut, np.inf), cut * (1.0 + 1e-12),
-                      cut + 1e-6, cut + 0.5, 2.0 * cut])
-        assert_matches_reference(monkeypatch, dim, x)
+        x = cut * np.exp(rng.uniform(0.0, np.log(KAPPA_MAX / cut), size=(6, 5)))
+        x.flat[::7] = 0.0  # kappa = 0 lanes run at a stand-in on the cut side
+        pos = x > 0.0
+        log_norm, ratio = _log_norm_and_ratio(dim, x)
+        want_norm, want_ratio = oracles.norm_and_ratio_mp(dim, x[pos])
+        assert_rel(log_norm[pos], want_norm)
+        assert_rel(ratio[pos], want_ratio)
+        assert (log_norm[~pos] == log_norm_const(dim, 0.0)).all() and (ratio[~pos] == 0.0).all()
+        # the public wrappers keep the shape and the bits of the fused pass
+        np.testing.assert_array_equal(log_norm_const(dim, x), log_norm)
+        np.testing.assert_array_equal(bessel_ratio(dim, x), ratio)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32, 64])
+    def test_just_above_the_cut(self, dim):
+        # log_bessel_i on each order's asymptotic branch, from its cut on
+        for nu in (0.5 * dim - 1.0, 0.5 * dim):
+            cut = max(30.0, 2.0 * nu * nu)
+            x = np.array([cut, np.nextafter(cut, np.inf), cut * (1.0 + 1e-12),
+                          cut + 1e-6, cut + 0.5, 2.0 * cut, KAPPA_MAX])
+            want = [oracles.log_bessel_mp(nu, v) for v in x]
+            assert_rel(log_bessel_i_at(nu, x), want)
+            for v, w in zip(x, want):
+                assert_rel(log_bessel_i_at(nu, np.array([v])), [w])
 
     def test_loop_stopping_at_terms_37_to_39(self):
         # Below the branch cut (x ~ 18.6) the series needs 37-39 terms, which
         # no element of the validated range does (those stop by term 17), so
         # the kernel is called directly. Each row mixes one slow element with
-        # fast ones; the last row never converges and runs to the term cap.
+        # fast ones, whose sums then run to the same term; the last row never
+        # converges and runs to the term cap.
         slow = np.array([[0.0, 18.56], [0.0, 18.55], [4.0, 18.968],
                          [4.0, 18.98], [2.0, 18.67], [0.0, 18.3]])
         stops = [oracles.log_bessel_asymptotic_ref(np.array([nu]), np.array([x]))[1]
@@ -417,25 +440,34 @@ class TestBlockBesselKernel:
         assert stops == [37, 38, 39, 38, 37, 39]
         for nu, x in slow:
             xs = np.array([x, 30.0, 400.0, 9000.0])
-            want, _ = oracles.log_bessel_asymptotic_ref(np.full(4, nu), xs)
-            np.testing.assert_array_equal(vmf._log_bessel_asymptotic(np.full(4, nu), xs), want)
-            block = vmf._log_bessel_asymptotic(np.array([[nu], [nu + 1.0]]), xs)
-            np.testing.assert_array_equal(block[0], want)
-        orders = slow[:, 0]
-        want, _ = oracles.log_bessel_asymptotic_ref(orders, slow[:, 1])
-        np.testing.assert_array_equal(vmf._log_bessel_asymptotic(orders, slow[:, 1]), want)
+            got = vmf._log_bessel_asymptotic(nu, xs)
+            assert_rel(got[1:], [oracles.log_bessel_mp(nu, v) for v in xs[1:]])
+            assert_rel(got[0], oracles.log_bessel_asymptotic_ref(np.array([nu]), xs[:1])[0])
+            # a row of a block has the bits of its order alone: the shorter
+            # order's table is padded with zeros, which Horner adds exactly
+            block = vmf._asymptotic_sum((nu, nu + 1.0, 0.5), xs)
+            np.testing.assert_array_equal(block[0], vmf._asymptotic_sum((nu,), xs)[0])
+            np.testing.assert_array_equal(block[2], 1.0)  # I_{1/2}: the sum ends at a_0
 
-    def test_mixed_branches(self, monkeypatch):
-        # d = 32 puts x in all three branches for each order, and x in
-        # [450, 512) in different branches for the two orders
-        x = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(5.0, 299.0, 7),
+    def test_mixed_branches(self):
+        # x in all three branches for each order, and in different branches
+        # for the two orders: the series lanes keep the bits of the
+        # per-element kernels, the asymptotic lanes meet the 40-digit oracle
+        x = np.concatenate([[1e-3, 0.5], np.linspace(5.0, 299.0, 7), [29.9, 31.99],
                             np.linspace(300.0, 449.0, 5), np.linspace(450.0, 511.9, 9),
-                            [512.0, 700.0, 0.0, 5000.0]])
-        assert_matches_reference(monkeypatch, 32, x)
-        assert_matches_reference(monkeypatch, 8, np.concatenate([[29.9, 31.99], x]))
-        # d = 64: the cuts are 1922 (nu = 31) and 2048 (nu = 32)
-        assert_matches_reference(monkeypatch, 64, np.concatenate(
-            [x, np.linspace(1000.0, 1921.9, 4), np.linspace(1922.0, 2047.9, 6), [2048.0]]))
+                            [512.0, 700.0, 5000.0]])
+        for dim in (2, 3, 8, 32, 64):
+            if dim == 64:  # the cuts are 1922 (nu = 31) and 2048 (nu = 32)
+                x = np.concatenate([x, np.linspace(1000.0, 1921.9, 4),
+                                    np.linspace(1922.0, 2047.9, 6), [2048.0]])
+            orders = np.array([0.5 * dim - 1.0, 0.5 * dim])
+            got = log_bessel_i(orders, x)
+            want = oracles.log_bessel_positive_ref(orders, x)
+            for row, nu, w in zip(got, orders, want):
+                large = x >= max(30.0, 2.0 * nu * nu)
+                assert large.any() and not large.all()
+                np.testing.assert_array_equal(row[~large], w[~large])
+                assert_rel(row[large], [oracles.log_bessel_mp(nu, v) for v in x[large]])
 
 
 class TestEstimateClassStatsMatchesLoop:
@@ -495,7 +527,9 @@ class TestBesselRatio:
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
     def test_same_bits_as_separate_calls(self, dim):
-        # scalar, vector and matrix kappa with zero lanes, in every branch
+        # scalar, vector and matrix kappa with zero lanes, in every branch; a
+        # scalar at or above the cut of order d/2 takes the fused asymptotic
+        # pass instead, which the 40-digit oracle holds to 1e-15
         x = np.concatenate([[0.0, 1e-3, 0.5, 7.0], np.geomspace(20.0, 2000.0, 20)])
         want_norm, want_ratio = oracles.norm_and_ratio_separate(dim, x)
         for shape in (x.shape, (4, 6)):
@@ -503,9 +537,14 @@ class TestBesselRatio:
                                           want_norm.reshape(shape))
             np.testing.assert_array_equal(bessel_ratio(dim, x.reshape(shape)),
                                           want_ratio.reshape(shape))
-        for k, want_n, want_r in zip(x, want_norm, want_ratio):
+        fused = x >= top_cut(dim)
+        for k, want_n, want_r in zip(x[~fused], want_norm[~fused], want_ratio[~fused]):
             assert log_norm_const(dim, float(k)) == want_n
             assert bessel_ratio(dim, float(k)) == want_r
+        mp_norm, mp_ratio = oracles.norm_and_ratio_mp(dim, x[fused])
+        for k, want_n, want_r in zip(x[fused], mp_norm, mp_ratio):
+            assert_rel(log_norm_const(dim, float(k)), want_n)
+            assert_rel(bessel_ratio(dim, float(k)), want_r)
 
 
 class TestSampleVmf:
