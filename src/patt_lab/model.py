@@ -254,14 +254,18 @@ class _SgdState:
 
 
 class TrainState:
-    """One optimization step's full context: parameters, mixture statistics,
-    optimizer state (zero moments without ``opt``) and static configuration."""
+    """One optimization step's full context: parameters, the mixture and the
+    running class sums it comes from (``sums`` (K, d) and ``counts`` (K,), see
+    ``vmf.estimate_class_stats``), optimizer state (zero moments without
+    ``opt``) and static configuration."""
 
     def __init__(self, model: EncoderClassifier, mix: VmfMixture | None, config: TrainConfig,
-                 opt=None):
+                 opt=None, sums=None, counts=None):
         self.model = model
         self.mix = mix
         self.config = config
+        self.sums = sums
+        self.counts = counts
         if opt is None:
             size = model.flat.size
             if config.optimizer == "adam":
@@ -305,9 +309,10 @@ def _apply_update(model, flat_grad, config, opt):
 def train_step(state: TrainState, id_batch, ood_batch):
     """One optimization step; returns the new state and the loss breakdown.
 
-    For the combined objective the per-class vMF statistics are refreshed
-    from the batch features first (exponential moving average, priors fixed)
-    unless the config asks for per-epoch refresh only.
+    For the combined objective the batch features are first folded into the
+    running class sums, each present class's decayed by ``vmf_momentum``,
+    and the mixture is taken from them (priors fixed), unless the config
+    asks for per-epoch refresh only.
     """
     id_x, id_y = id_batch
     id_x = np.asarray(id_x, dtype=np.float64)
@@ -318,12 +323,13 @@ def train_step(state: TrainState, id_batch, ood_batch):
     if id_x.shape[-1] != state.model.input_dim:
         raise ValueError(f"input dim {id_x.shape[-1]} != model input {state.model.input_dim}")
 
-    mix = state.mix
+    mix, sums, counts = state.mix, state.sums, state.counts
     forward = None
-    if config.method == "patt" and config.vmf_update == "batch":
+    if config.method == "patt" and config.vmf_update == "batch" and mix is not None:
         # one encoder pass feeds both the stats refresh and the loss
         forward = _forward_batch(state.model, id_x, [])
-        mix = estimate_class_stats(forward[2], id_y, previous=mix, momentum=config.vmf_momentum)
+        mix, sums, counts = estimate_class_stats(forward[2], id_y, sums, counts, mix.priors,
+                                                 config.vmf_momentum)
 
     # batch_loss_and_grads accumulates every parameter's gradient into a
     # view of this one vector
@@ -337,7 +343,7 @@ def train_step(state: TrainState, id_batch, ood_batch):
         raise RuntimeError("non-finite gradient in parameter update")
 
     new_model, new_opt = _apply_update(state.model, flat_grad, config, state.opt)
-    new_state = TrainState(new_model, mix, config, new_opt)
+    new_state = TrainState(new_model, mix, config, new_opt, sums, counts)
     return new_state, breakdown
 
 
@@ -356,9 +362,11 @@ def _validation_accuracy(model, val_x, val_y) -> float:
     return float(np.mean(pred == val_y))
 
 
-def _full_stats(model, train_x, train_y, class_counts) -> VmfMixture:
+def _full_stats(model, train_x, train_y, priors):
+    # (mixture, sums, counts) of one pass over the split from zero sums
     z = encoder_forward(model, train_x)
-    return estimate_class_stats(z, train_y, momentum=0.0, class_counts=class_counts)
+    k = priors.size
+    return estimate_class_stats(z, train_y, np.zeros((k, z.shape[1])), np.zeros(k), priors)
 
 
 def train(config: TrainConfig, train_id, train_ood, val_id):
@@ -375,6 +383,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         raise ValueError("training needs at least two classes")
     if np.any(counts <= 0):
         raise ValueError("every class needs at least one training sample")
+    priors = counts / np.add.reduce(counts)
 
     model = EncoderClassifier.init(
         x.shape[1], config.encoder_widths, config.feature_dim,
@@ -382,7 +391,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     )
     history = []
     if config.epochs == 0:
-        return model, _full_stats(model, x, y, counts), history
+        return model, _full_stats(model, x, y, priors)[0], history
 
     ood_x = None
     if train_ood is not None and train_ood.inputs.shape[0] > 0:
@@ -390,7 +399,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
 
     state = TrainState(model=model, mix=None, config=config)
     if config.method == "patt":
-        state.mix = _full_stats(model, x, y, counts)
+        state.mix, state.sums, state.counts = _full_stats(model, x, y, priors)
 
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "id-shuffle"))
     ood_rng = np.random.default_rng(derive_seed(config.seed, "ood-shuffle"))
@@ -399,7 +408,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     n = x.shape[0]
     for epoch in range(config.epochs):
         if config.method == "patt" and config.vmf_update == "epoch":
-            state.mix = _full_stats(state.model, x, y, counts)
+            state.mix, state.sums, state.counts = _full_stats(state.model, x, y, priors)
         perm = shuffle_rng.permutation(n)
         sums = np.zeros(4)
         steps = 0
@@ -419,7 +428,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         history.append(EpochRecord(epoch, total, isac, tla, oe,
                                    _validation_accuracy(state.model, val_id.inputs, val_id.labels)))
 
-    mix = state.mix if state.mix is not None else _full_stats(state.model, x, y, counts)
+    mix = state.mix if state.mix is not None else _full_stats(state.model, x, y, priors)[0]
     return state.model, mix, history
 
 

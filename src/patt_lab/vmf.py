@@ -1,7 +1,7 @@
 """von Mises-Fisher numerics on the unit hypersphere.
 
 Log-domain Bessel and normalization constants, the array-native mixture and
-streaming per-class parameter estimation. All functions are pure. The
+per-class parameter estimation from running sums. All functions are pure. The
 sampler lives in ``data``, its one caller in the package; the densities and
 the moment generating function, which only tests call, live in
 ``tests/oracles.py``.
@@ -81,23 +81,28 @@ class VmfMixture:
         return self.mus.shape[1]
 
 
-def _log_bessel_series_plain(nu, x):
-    # Ascending series sum_m (x/2)^(2m+nu) / (m! Gamma(m+nu+1)). All terms are
-    # positive, so direct summation of the ratio-normalized terms is stable;
-    # the plain-float accumulator is safe for x <= 300 (no overflow).
+def _log_bessel_series_plain(orders, x):
+    # Ascending series sum_m (x/2)^(2m+nu) / (m! Gamma(m+nu+1)) for each order
+    # (rows) at every x (columns). All terms are positive, so direct summation
+    # of the ratio-normalized terms is stable; the plain-float accumulator is
+    # safe for x <= 300 (no overflow). Convergence is tested every 4th term
+    # over the whole block: past its peak each term is under 1e-18 of its
+    # sum, less than half an ulp, so the extra terms leave every sum's bits.
+    nu = orders[:, None]
     q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
+    term = np.ones((orders.size, x.size))
+    total = term.copy()
     m = 0
     while True:
         m += 1
         term = term * q / (m * (m + nu))
         total += term
-        if m > 4 and (term < 1e-18 * total).all():
+        if m % 4 == 0 and (term < 1e-18 * total).all():
             break
         if m > 10000:  # pragma: no cover - series converges long before this
             raise RuntimeError("Bessel series failed to converge")
-    return nu * np.log(0.5 * x) - math.lgamma(nu + 1.0) + np.log(total)
+    lgamma = np.array([math.lgamma(v + 1.0) for v in orders.tolist()])[:, None]
+    return nu * np.log(0.5 * x) - lgamma + np.log(total)
 
 
 def _log_bessel_series_log(nu, x):
@@ -151,18 +156,20 @@ def _log_bessel_asymptotic(nu, x):
 
 
 def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # log I_nu(x) for every order (rows) at every positive x (columns). Each
-    # order in turn splits x at its own branch cuts and runs each branch's
-    # loop over the elements that fall in it.
+    # log I_nu(x) for every order (rows) at every positive x (columns). The
+    # plain series runs once over every order at the union of their small
+    # lanes, and each order keeps its own; then each order in turn runs the
+    # other two branches on the elements that fall in them.
     cut = np.maximum(30.0, 2.0 * orders * orders)
+    small = x < np.minimum(cut, 300.0)[:, None]
+    union = small.any(axis=0)
     out = np.empty((orders.size, x.size))
-    for row, nu, nu_cut in zip(out, orders.tolist(), cut.tolist()):
-        small = x < min(nu_cut, 300.0)
+    out[small] = _log_bessel_series_plain(orders, x[union])[small[:, union]]
+    for row, nu, nu_cut, own in zip(out, orders.tolist(), cut.tolist(), small):
         large = x >= nu_cut
-        for mask, branch in ((small, _log_bessel_series_plain),
-                             (~small & ~large, _log_bessel_series_log),
-                             (large, _log_bessel_asymptotic)):
-            row[mask] = branch(nu, x[mask])
+        middle = ~own & ~large
+        row[middle] = _log_bessel_series_log(nu, x[middle])
+        row[large] = _log_bessel_asymptotic(nu, x[large])
     return out
 
 
@@ -264,30 +271,18 @@ def _banerjee_kappa(r_bar: np.ndarray, dim: int) -> np.ndarray:
     return np.where(capped, KAPPA_MAX, kappa)
 
 
-def _unit_rows_or(a: np.ndarray, norms: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    # rows of ``a`` scaled to unit length; rows whose norm is ~0 take the
-    # matching row of ``fallback``
-    cancelled = (norms <= 1e-12)[:, None]
-    return np.where(cancelled, fallback, a / np.where(cancelled, 1.0, norms[:, None]))
+def estimate_class_stats(features, labels, sums, counts, priors, momentum: float = 0.0):
+    """Fold a batch of unit features into running per-class sums and return
+    ``(mixture, sums, counts)``; the inputs are left unchanged.
 
-
-def estimate_class_stats(
-    features,
-    labels,
-    previous: VmfMixture | None = None,
-    momentum: float = 0.0,
-    class_counts=None,
-) -> VmfMixture:
-    """Per-class mean directions and concentrations from unit features.
-
-    Concentration comes from the mean resultant length r via the closed-form
-    approximation kappa = r (d - r^2) / (1 - r^2), clamped to [0, KAPPA_MAX].
-    With ``previous`` given, direction (renormalized) and concentration are
-    blended as an exponential moving average with the given momentum, and
-    classes absent from the batch keep their previous statistics. Priors are
-    fixed from full training-set counts: pass ``class_counts`` on the first
-    call; afterwards they are carried from ``previous``, never re-estimated
-    from batch frequencies.
+    ``sums`` (K, d) holds each class's resultant S and ``counts`` (K,) its row
+    count N. A class present in the batch decays both by ``momentum`` and
+    adds the batch's sum and count, S <- m S + S_b and N <- m N + n_b; an
+    absent class keeps its bits. The mixture has mu = S / |S| and kappa from
+    the mean resultant length r = |S| / N by the closed-form approximation
+    kappa = r (d - r^2) / (1 - r^2), clamped to [0, KAPPA_MAX]; the priors
+    are carried unchanged. A full pass over a split is one call from zero
+    sums, after which every class must have rows.
     """
     feats = np.asarray(features, dtype=np.float64)
     labs = np.asarray(labels)
@@ -298,48 +293,28 @@ def estimate_class_stats(
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     _check_unit_rows(feats, "features")
-    dim = feats.shape[1]
-
-    if previous is not None:
-        if previous.dim != dim:
-            raise ValueError("previous mixture dimension mismatch")
-        n_classes = previous.n_classes
-        priors = previous.priors
-    else:
-        if class_counts is None:
-            raise ValueError("class_counts is required when no previous stats exist")
-        counts = np.asarray(class_counts, dtype=np.float64)
-        if counts.ndim != 1 or counts.size < 2 or not (counts > 0).all():
-            raise ValueError("class_counts must be positive with >= 2 classes")
-        n_classes = counts.size
-        priors = counts / np.add.reduce(counts)
-
+    sums, counts = np.asarray(sums, dtype=np.float64), np.asarray(counts, dtype=np.float64)
+    n_classes, dim = counts.size, feats.shape[1]
+    if sums.shape != (n_classes, dim) or counts.shape != (n_classes,):
+        raise ValueError(f"running sums {sums.shape} and counts {counts.shape} "
+                         f"must be (K, {dim}) and (K,)")
     if (labs < 0).any() or (labs >= n_classes).any():
         raise ValueError("labels out of range for the class count")
 
     n_rows = np.bincount(labs, minlength=n_classes)
-    present = n_rows > 0
-    if previous is None and not present.all():
-        absent = int(np.argmin(present))
-        raise ValueError(f"class {absent} has no samples and no previous stats")
-    # per-class resultants, accumulated row by row in batch order (the order
+    # per-class batch sums, accumulated row by row in batch order (the order
     # of a per-class row sum, so the bits match)
-    resultants = np.zeros((n_classes, dim))
-    np.add.at(resultants, labs, feats)
-    r_norm = _row_norms(resultants)
-    kappa = _banerjee_kappa(r_norm / np.maximum(n_rows, 1), dim)
-    if previous is None:
-        # fully cancelled resultant: direction is unidentifiable, kappa is
-        # 0 anyway so any fixed unit vector gives the same (uniform) law
-        fallback = np.zeros_like(resultants)
-        fallback[:, 0] = 1.0
-        return VmfMixture(mus=_unit_rows_or(resultants, r_norm, fallback),
-                          kappas=kappa, priors=priors)
-    mu = _unit_rows_or(resultants, r_norm, previous.mus)
-    if momentum > 0.0:
-        blend = momentum * previous.mus + (1.0 - momentum) * mu
-        mu = _unit_rows_or(blend, _row_norms(blend), mu)
-        kappa = momentum * previous.kappas + (1.0 - momentum) * kappa
-    # absent classes keep their previous rows
-    return VmfMixture(mus=np.where(present[:, None], mu, previous.mus),
-                      kappas=np.where(present, kappa, previous.kappas), priors=priors)
+    batch_sums = np.zeros((n_classes, dim))
+    np.add.at(batch_sums, labs, feats)
+    decay = np.where(n_rows > 0, momentum, 1.0)
+    sums = decay[:, None] * sums + batch_sums
+    counts = decay * counts + n_rows
+    if not (counts > 0.0).all():
+        raise ValueError(f"class {int(np.argmin(counts > 0.0))} has no samples")
+    r_norm = _row_norms(sums)
+    # a fully cancelled resultant leaves the direction unidentifiable; kappa
+    # is 0 then, so any fixed unit vector gives the same (uniform) law
+    cancelled = (r_norm <= 1e-12)[:, None]
+    mus = np.where(cancelled, np.eye(1, dim), sums / np.where(cancelled, 1.0, r_norm[:, None]))
+    mix = VmfMixture(mus=mus, kappas=_banerjee_kappa(r_norm / counts, dim), priors=priors)
+    return mix, sums, counts

@@ -160,6 +160,39 @@ def _log_bessel_series_log_ref(orders, row, x):
     return total
 
 
+def _log_bessel_series_plain_order(nu, x):
+    # the plain ascending series for one scalar order, testing convergence
+    # after every term from the fifth on
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    m = 0
+    while True:
+        m += 1
+        term = term * q / (m * (m + nu))
+        total += term
+        if m > 4 and (term < 1e-18 * total).all():
+            break
+    return nu * np.log(0.5 * x) - math.lgamma(nu + 1.0) + np.log(total)
+
+
+def log_bessel_positive_per_order(orders, x):
+    """``vmf._log_bessel_positive`` before its plain series ran as one block
+    over all orders: each order in turn splits x at its own branch cuts and
+    runs each branch's loop, the plain series with its own convergence test,
+    over the elements that fall in it."""
+    cut = np.maximum(30.0, 2.0 * orders * orders)
+    out = np.empty((orders.size, x.size))
+    for row, nu, nu_cut in zip(out, orders.tolist(), cut.tolist()):
+        small = x < min(nu_cut, 300.0)
+        large = x >= nu_cut
+        for mask, branch in ((small, _log_bessel_series_plain_order),
+                             (~small & ~large, vmf._log_bessel_series_log),
+                             (large, vmf._log_bessel_asymptotic)):
+            row[mask] = branch(nu, x[mask])
+    return out
+
+
 def log_bessel_positive_ref(orders, x):
     """``vmf._log_bessel_positive`` from the per-element kernels: every
     (order, x) pair flattened, and each branch evaluated once on its mask
@@ -270,33 +303,47 @@ def components_of(mix):
             for j in range(mix.n_classes)]
 
 
-def class_stats_ref(feats, labs, previous, momentum, class_counts=None):
-    """``vmf.estimate_class_stats`` one class at a time, as a Python loop that
-    builds one ``VmfParams`` per class.
+def full_stats(feats, labs, class_counts):
+    """``vmf.estimate_class_stats`` over a whole split from zero sums, with
+    the priors of ``class_counts``, as ``model.train`` runs it; returns
+    ``(mixture, sums, counts)``."""
+    counts = np.asarray(class_counts, dtype=np.float64)
+    k = counts.size
+    return vmf.estimate_class_stats(feats, labs, np.zeros((k, feats.shape[1])), np.zeros(k),
+                                    counts / np.add.reduce(counts))
 
-    ``previous`` is None or an earlier ``(components, priors)`` result of this
-    function; returns ``(components, priors)``.
+
+def assert_stats_equal(got, want):
+    """(mixture, sums, counts) of ``vmf.estimate_class_stats`` against the
+    (components, sums, counts) of ``class_stats_ref``, bit for bit."""
+    mix, sums, counts = got
+    comps, want_sums, want_counts = want
+    np.testing.assert_array_equal(mix.mus, np.stack([c.mu for c in comps]))
+    np.testing.assert_array_equal(mix.kappas, [c.kappa for c in comps])
+    np.testing.assert_array_equal(sums, want_sums)
+    np.testing.assert_array_equal(counts, want_counts)
+
+
+def class_stats_ref(feats, labs, sums, counts, momentum):
+    """``vmf.estimate_class_stats`` one class at a time, as a Python loop that
+    builds one ``VmfParams`` per class: a class with rows in the batch takes
+    S <- m S + (its row sum) and N <- m N + (its row count), an absent class
+    keeps both. Returns ``(components, sums, counts)``; the inputs are left
+    unchanged.
     """
     dim = feats.shape[1]
-    if previous is None:
-        counts = np.asarray(class_counts, dtype=np.float64)
-        priors = counts / counts.sum()
-        prev_comps = [None] * counts.size
-    else:
-        prev_comps, priors = previous
+    sums = np.array(sums, dtype=np.float64)
+    counts = np.array(counts, dtype=np.float64)
     comps = []
-    for y, prev in enumerate(prev_comps):
+    for y in range(counts.size):
         rows = feats[labs == y]
-        if rows.shape[0] == 0:
-            comps.append(prev)
-            continue
-        resultant = rows.sum(axis=0)
-        r_norm = float(np.linalg.norm(resultant))
-        r_bar = r_norm / rows.shape[0]
+        if rows.shape[0] > 0:
+            sums[y] = momentum * sums[y] + rows.sum(axis=0)
+            counts[y] = momentum * counts[y] + rows.shape[0]
+        r_norm = float(np.linalg.norm(sums[y]))
+        r_bar = r_norm / counts[y]
         if r_norm > 1e-12:
-            mu_hat = resultant / r_norm
-        elif prev is not None:
-            mu_hat = prev.mu
+            mu_hat = sums[y] / r_norm
         else:
             mu_hat = np.zeros(dim)
             mu_hat[0] = 1.0
@@ -305,13 +352,8 @@ def class_stats_ref(feats, labs, previous, momentum, class_counts=None):
         else:
             kappa_hat = r_bar * (dim - r_bar * r_bar) / (1.0 - r_bar * r_bar)
             kappa_hat = min(max(kappa_hat, 0.0), vmf.KAPPA_MAX)
-        if prev is not None and momentum > 0.0:
-            blend = momentum * prev.mu + (1.0 - momentum) * mu_hat
-            b_norm = float(np.linalg.norm(blend))
-            mu_hat = blend / b_norm if b_norm > 1e-12 else mu_hat
-            kappa_hat = momentum * prev.kappa + (1.0 - momentum) * kappa_hat
         comps.append(VmfParams(mu=mu_hat, kappa=kappa_hat, dim=dim))
-    return comps, priors
+    return comps, sums, counts
 
 
 def log_z3(kappa):

@@ -20,7 +20,7 @@ from patt_lab.metrics import auroc, aupr, classification_report, fpr_at_95_tpr
 from patt_lab.model import (EncoderClassifier, TrainConfig,
                             batch_loss_and_grads, classifier_logits,
                             encoder_forward, train)
-from patt_lab.vmf import estimate_class_stats, log_norm_const
+from patt_lab.vmf import log_norm_const
 
 import oracles
 from oracles import (VmfParams, isac_loss, la_loss, oe_uniform_loss, patt_total_loss,
@@ -200,8 +200,7 @@ def test_criterion_3_gradient_suite(capsys):
         x = rng.normal(size=(6, 5))
         y = np.array([0, 1, 2, 0, 1, 2])
         ood = rng.normal(size=(4, 5)) if method != "ce-baseline" else None
-        mix = estimate_class_stats(encoder_forward(model, x), y, momentum=0.0,
-                                   class_counts=np.bincount(y, minlength=3))
+        mix = oracles.full_stats(encoder_forward(model, x), y, np.bincount(y, minlength=3))[0]
         config = TrainConfig(method=method)
 
         def total(m):

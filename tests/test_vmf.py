@@ -11,8 +11,8 @@ from patt_lab.vmf import (KAPPA_MAX, VmfMixture, _log_norm_and_ratio, bessel_rat
                           estimate_class_stats, log_bessel_i, log_norm_const)
 
 import oracles
-from oracles import (VmfParams, log_bessel_i_at, log_sum_exp, mixture_log_pdf, vmf_log_pdf,
-                     vmf_mgf_log)
+from oracles import (VmfParams, full_stats, log_bessel_i_at, log_sum_exp, mixture_log_pdf,
+                     vmf_log_pdf, vmf_mgf_log)
 
 LN2 = 0.6931471805599453
 
@@ -256,14 +256,14 @@ class TestEstimateClassStats:
     def test_antipodal_pairs_give_zero_kappa(self):
         z = np.array([e(0, 3), -e(0, 3), e(1, 3), -e(1, 3), e(2, 3)])
         y = np.array([0, 0, 0, 0, 1])
-        mix = estimate_class_stats(z, y, class_counts=[4, 1])
+        mix = full_stats(z, y, [4, 1])[0]
         assert mix.kappas[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_identical_vectors_hit_clamp(self):
         v = unit([1.0, 2.0, 2.0])
         z = np.array([v, v, v, e(1, 3)])
         y = np.array([0, 0, 0, 1])
-        mix = estimate_class_stats(z, y, class_counts=[3, 1])
+        mix = full_stats(z, y, [3, 1])[0]
         np.testing.assert_allclose(mix.mus[0], v, atol=1e-12)
         assert mix.kappas[0] == KAPPA_MAX
 
@@ -272,17 +272,18 @@ class TestEstimateClassStats:
         s = np.sqrt(3.0) / 2.0
         z = np.array([[0.5, s, 0.0], [0.5, -s, 0.0], [0.0, 0.0, 1.0]])
         y = np.array([0, 0, 1])
-        mix = estimate_class_stats(z, y, class_counts=[2, 1])
+        mix = full_stats(z, y, [2, 1])[0]
         assert mix.kappas[0] == pytest.approx(11.0 / 6.0, rel=1e-12)
 
     def test_idempotent_on_repeated_batch(self):
+        # momentum 0 replaces a present class's sums by the batch's
         rng = np.random.default_rng(4)
         z = rng.normal(size=(30, 4))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = np.sort(rng.integers(0, 2, size=30))
         counts = np.bincount(y, minlength=2)
-        first = estimate_class_stats(z, y, class_counts=counts)
-        second = estimate_class_stats(z, y, previous=first, momentum=0.0)
+        first, sums, n = full_stats(z, y, counts)
+        second = estimate_class_stats(z, y, sums, n, first.priors, momentum=0.0)[0]
         for mu_a, mu_b in zip(first.mus, second.mus):
             np.testing.assert_allclose(mu_a, mu_b, atol=1e-12)
         for kappa_a, kappa_b in zip(first.kappas, second.kappas):
@@ -290,34 +291,49 @@ class TestEstimateClassStats:
 
     def test_absent_class_keeps_previous(self):
         z0 = np.array([e(0, 3), e(1, 3), unit([1.0, 1.0, 0.0])])
-        first = estimate_class_stats(z0, np.array([0, 1, 1]), class_counts=[5, 5])
+        first, sums, counts = full_stats(z0, np.array([0, 1, 1]), [5, 5])
         z1 = np.array([e(2, 3)])
-        second = estimate_class_stats(z1, np.array([0]), previous=first,
-                                      momentum=0.0)
+        second, new_sums, new_counts = estimate_class_stats(z1, np.array([0]), sums, counts,
+                                                            first.priors, momentum=0.9)
         np.testing.assert_array_equal(second.mus[1], first.mus[1])
         assert second.kappas[1] == first.kappas[1]
+        np.testing.assert_array_equal(new_sums[1], sums[1])
+        assert new_counts[1] == counts[1]
 
-    def test_ema_blends_kappa(self):
+    def test_decay_blends_the_sums(self):
+        # class 0: two equal rows, then an antipodal pair. The mixture comes
+        # from the decayed sums, S = 0.9 * 2 e0 and N = 0.9 * 2 + 2; a blend
+        # of the two estimates would give kappa = 0.9 KAPPA_MAX
         v = e(0, 3)
-        prev = estimate_class_stats(
-            np.array([v, v, e(1, 3), -e(1, 3)]), np.array([0, 0, 1, 1]),
-            class_counts=[2, 2])
+        prev, sums, counts = full_stats(
+            np.array([v, v, e(1, 3), -e(1, 3)]), np.array([0, 0, 1, 1]), [2, 2])
+        assert prev.kappas[0] == KAPPA_MAX
         batch = np.array([e(2, 3), -e(2, 3), e(1, 3), e(1, 3)])
-        out = estimate_class_stats(batch, np.array([0, 0, 1, 1]), previous=prev,
-                                   momentum=0.9)
-        # class 0: previous clamp KAPPA_MAX, batch estimate 0
-        assert out.kappas[0] == pytest.approx(0.9 * KAPPA_MAX, rel=1e-12)
+        out, sums, counts = estimate_class_stats(batch, np.array([0, 0, 1, 1]), sums, counts,
+                                                 prev.priors, momentum=0.9)
+        np.testing.assert_allclose(sums, [1.8 * v, 2.0 * e(1, 3)], rtol=1e-15)
+        np.testing.assert_allclose(counts, [3.8, 3.8], rtol=1e-15)
+        np.testing.assert_array_equal(out.mus, [v, e(1, 3)])
+        for kappa, r in zip(out.kappas, (1.8 / 3.8, 2.0 / 3.8)):
+            assert kappa == pytest.approx(r * (3.0 - r * r) / (1.0 - r * r), rel=1e-14)
 
     def test_priors_fixed_from_counts(self):
         z = np.array([e(0, 3)] * 3 + [e(1, 3)])
         y = np.array([0, 0, 0, 1])
-        mix = estimate_class_stats(z, y, class_counts=[30, 10])
+        mix, sums, counts = full_stats(z, y, [30, 10])
         np.testing.assert_allclose(mix.priors, [0.75, 0.25], atol=1e-12)
+        # a batch of one class carries them unchanged
+        out = estimate_class_stats(z[:2], y[:2], sums, counts, mix.priors, momentum=0.9)[0]
+        np.testing.assert_array_equal(out.priors, mix.priors)
 
-    def test_requires_counts_on_first_call(self):
+    def test_requires_running_sums(self):
         z = np.array([e(0, 3), e(1, 3)])
-        with pytest.raises(ValueError):
-            estimate_class_stats(z, np.array([0, 1]))
+        y = np.array([0, 1])
+        priors = [0.5, 0.5]
+        for sums, counts in ((np.zeros((2, 2)), np.zeros(2)), (np.zeros((2, 3)), np.zeros(3)),
+                             (None, None)):
+            with pytest.raises(ValueError, match="running sums"):
+                estimate_class_stats(z, y, sums, counts, priors)
 
 
 def top_cut(dim):
@@ -378,7 +394,7 @@ class TestFusedNormAndRatio:
         z = rng.normal(size=(40, 8))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = np.arange(40) % 5
-        mix = estimate_class_stats(z, y, class_counts=[8] * 5)
+        mix = full_stats(z, y, [8] * 5)[0]
         losses.isac_loss_batch(mix, z, y, 0.1)
         assert calls == [(2,)]
         calls.clear()
@@ -386,7 +402,7 @@ class TestFusedNormAndRatio:
         # is at or above the cut
         tight = mix.mus[y] + 0.02 * rng.normal(size=z.shape)
         tight /= np.linalg.norm(tight, axis=1, keepdims=True)
-        mix = estimate_class_stats(tight, y, class_counts=[8] * 5)
+        mix = full_stats(tight, y, [8] * 5)[0]
         assert mix.kappas.min() - 1.0 / 0.1 >= top_cut(8)
         losses.isac_loss_batch(mix, tight, y, 0.1)
         assert calls == []
@@ -470,6 +486,31 @@ class TestBlockBesselKernel:
                 assert_rel(row[large], [oracles.log_bessel_mp(nu, v) for v in x[large]])
 
 
+class TestPlainSeriesBlock:
+    """The plain series runs once as a block over every order, testing
+    convergence every 4th term, and each order keeps its own lanes: they
+    have the bits of the per-order loop, which tested after every term."""
+
+    def test_random_blocks_match_the_per_order_loop(self):
+        rng = np.random.default_rng(16)
+        for _ in range(320):
+            dim = int(rng.integers(2, 34))
+            orders = np.array([0.5 * dim - 1.0, 0.5 * dim])
+            x = np.exp(rng.uniform(np.log(1e-3), np.log(2000.0), size=int(rng.integers(1, 40))))
+            np.testing.assert_array_equal(log_bessel_i(orders, x),
+                                          oracles.log_bessel_positive_per_order(orders, x))
+
+    def test_orders_whose_lanes_differ(self):
+        # four orders in one call, each with its small lanes ending at
+        # another place: min(cut, 300) is 30, 30, 128 and 300
+        orders = np.array([0.0, 2.5, 8.0, 15.0])
+        edges = [30.0, 128.0, 300.0, 450.0]
+        x = np.concatenate([[1e-3, 0.7, 12.0], [np.nextafter(v, 0.0) for v in edges], edges,
+                            [70.0, 200.0, 299.0, 1000.0]])
+        np.testing.assert_array_equal(log_bessel_i(orders, x),
+                                      oracles.log_bessel_positive_per_order(orders, x))
+
+
 class TestEstimateClassStatsMatchesLoop:
     """The array-wide refresh keeps the bits of the per-class loop."""
 
@@ -486,21 +527,21 @@ class TestEstimateClassStatsMatchesLoop:
         y[10:12] = 1           # an antipodal pair
         y[12:12 + k] = np.arange(k)
         counts = np.bincount(y, minlength=k)
-        first = estimate_class_stats(z, y, class_counts=counts)
-        ref = oracles.class_stats_ref(z, y, None, 0.0, class_counts=counts)
+        first = full_stats(z, y, counts)
+        ref = oracles.class_stats_ref(z, y, np.zeros((k, d)), np.zeros(k), 0.9)
+        oracles.assert_stats_equal(first, ref)
         batch = slice(20, 45)  # some classes are absent from this batch
         for momentum in (0.0, 0.9):
-            got = estimate_class_stats(z[batch], y[batch], previous=first, momentum=momentum)
-            want, want_priors = oracles.class_stats_ref(z[batch], y[batch], ref, momentum)
-            for a, b in zip(oracles.components_of(got), want):
-                np.testing.assert_array_equal(a.mu, b.mu)
-                assert a.kappa == b.kappa
-            np.testing.assert_array_equal(got.priors, want_priors)
+            got = estimate_class_stats(z[batch], y[batch], first[1], first[2], first[0].priors,
+                                       momentum)
+            oracles.assert_stats_equal(got, oracles.class_stats_ref(z[batch], y[batch], ref[1], ref[2],
+                                                            momentum))
+            np.testing.assert_array_equal(got[0].priors, first[0].priors)
 
     def test_absent_class_without_previous_is_named(self):
         z = np.array([e(0, 3), e(1, 3)])
         with pytest.raises(ValueError, match="class 2 has no samples"):
-            estimate_class_stats(z, np.array([0, 1]), class_counts=[1, 1, 1])
+            full_stats(z, np.array([0, 1]), [1, 1, 1])
 
 
 class TestBesselRatio:
@@ -600,7 +641,7 @@ class TestVmfParamsValidation:
     def test_unit_row_check_rejects_nan(self):
         z = np.array([[np.nan, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match=r"features must be unit norm, worst \|\|\.\|\| = nan"):
-            estimate_class_stats(z, np.array([0, 1]), class_counts=[1, 1])
+            full_stats(z, np.array([0, 1]), [1, 1])
         with pytest.raises(ValueError, match="z must be unit norm"):
             vmf_log_pdf(vp(e(0, 2), 1.0), np.array([np.nan, 0.0]))
 
@@ -684,32 +725,33 @@ class TestClassStatsReference:
         labels[:k] = np.arange(k)
         feats = centers[labels] + 0.4 * rng.normal(size=(labels.size, d))
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-        got = estimate_class_stats(feats[:k], labels[:k], class_counts=counts)
-        want = oracles.class_stats_ref(feats[:k], labels[:k], None, 0.0, class_counts=counts)
+        got = full_stats(feats[:k], labels[:k], counts)
+        want = oracles.class_stats_ref(feats[:k], labels[:k], np.zeros((k, d)), np.zeros(k), 0.9)
         absent = 0
         for step in range(300):
             rows = slice(k + step * n, k + (step + 1) * n)
             absent += np.unique(labels[rows]).size < k
-            got = estimate_class_stats(feats[rows], labels[rows], previous=got, momentum=0.9)
-            want = oracles.class_stats_ref(feats[rows], labels[rows], want, 0.9)
-            np.testing.assert_array_equal(got.mus, np.stack([c.mu for c in want[0]]))
-            np.testing.assert_array_equal(got.kappas, [c.kappa for c in want[0]])
-            np.testing.assert_array_equal(got.priors, want[1])
+            got = estimate_class_stats(feats[rows], labels[rows], got[1], got[2], got[0].priors,
+                                       momentum=0.9)
+            want = oracles.class_stats_ref(feats[rows], labels[rows], want[1], want[2], 0.9)
+            oracles.assert_stats_equal(got, want)
+            np.testing.assert_array_equal(got[0].priors, counts / counts.sum())
         assert absent > 250
 
     def test_refresh_leaves_previous_arrays_unchanged(self):
         # with every class present and with some absent, the refresh never
-        # writes into the previous mixture's arrays
+        # writes into the previous mixture's arrays or the running sums
         rng = np.random.default_rng(3)
         z = rng.normal(size=(20, 4))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = np.arange(20) % 4
-        first = estimate_class_stats(z, y, class_counts=[5] * 4)
-        mus, kappas = first.mus.copy(), first.kappas.copy()
+        first = full_stats(z, y, [5] * 4)
+        before = [a.copy() for a in (first[0].mus, first[0].kappas, first[1], first[2])]
         for rows in (slice(0, 20), slice(0, 3)):
-            estimate_class_stats(z[rows], y[rows], previous=first, momentum=0.5)
-            np.testing.assert_array_equal(first.mus, mus)
-            np.testing.assert_array_equal(first.kappas, kappas)
+            estimate_class_stats(z[rows], y[rows], first[1], first[2], first[0].priors,
+                                 momentum=0.5)
+            for a, b in zip((first[0].mus, first[0].kappas, first[1], first[2]), before):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestNormAndRatioFastPath:
