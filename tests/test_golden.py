@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 STAGES = ("gen-data", "train", "calibrate", "eval", "report")
 NUMPY = "2.4.6"
 
@@ -67,6 +68,11 @@ CONFIGS = {
     # mixed-branch path of the contrastive normalizer: on 43 of its 300 steps
     # some concentration falls below the asymptotic cut (its smallest is 5.4)
     "small-seed4": SMALL.replace("seed = 0\n", "seed = 4\n") + PATT,
+    # plain cross-entropy training, the baseline with no outlier stream
+    "ce-baseline": SMALL + "method = ce-baseline\nscore = msp\nuse_calibration = off\n",
+    # the criterion-6 settings: per-epoch vMF refresh at a larger step
+    "small-epoch": SMALL.replace("learning_rate = 0.001\n", "learning_rate = 0.003\n")
+                        .replace("vmf_update = batch\n", "vmf_update = epoch\n") + PATT,
 }
 
 DATA = {
@@ -114,6 +120,26 @@ DIGESTS = {
         "hist.csv": "50b503f36495870ab8ed624bab69aadf1e845753bb40a517abb6b10c99bdc01b",
         "acc_table.csv": "d7de644a9189608aa06a04c05cb782450791df9e78c7b86ba96a387dd5a65a0e",
     },
+    "ce-baseline": {
+        **DATA,
+        "model.ckpt": "f03a10cd5b24a77858affa14ae5641f9dfcfd58c18170437ee487f76051d20e8",
+        "history.csv": "d225576faf6fb04246d750d60bd49870d94513cc3293e66cc80822b8c95494fe",
+        "attention.csv": "ace4f3eed12b232c19f5d161846041c3918d197a7a909cf0c5fd42645d27c2c0",
+        "scores.csv": "7ebf33ecabc25c8a0cf8c86575f2ab5c288f4f90e436b79fbe289ee05ba49b2a",
+        "report.csv": "956880fb133b7d8e9e00f8750ce630a91e3d4c5bea939c63f0c130554159474d",
+        "hist.csv": "804f2009f23292f7fbc0656ec39e0460fddff1dd7e4fa4e9b9427c62fdde8649",
+        "acc_table.csv": "9f7f5676831d76ade4eff7d2007541514a56f3429ae087351c08128e0a76dfb7",
+    },
+    "small-epoch": {
+        **DATA,
+        "model.ckpt": "858f2eba16442873c7ffe67056f4099496b6143749dc12282a850a6edcaca2da",
+        "history.csv": "5a484b1ba0d2f6ae3766e884a21d72cb8bbbc0603933d83c039b1672896ed2dd",
+        "attention.csv": "a9cf17baf995500e03bb197517ad0b3912277f68114498a9ea85ce71fbb170ba",
+        "scores.csv": "8076d4916ab960de3fa68deb125351f29a6a3b8b2327d652ee531868eb2edb1a",
+        "report.csv": "6406bc4d084a86f31d5e53c1912e8bfb2177c051329ba411a19809f2063e2efe",
+        "hist.csv": "6e18c15415e3b6ab4fe77b0d8c40df5f63fc335baed50f68c684c141a4b28acc",
+        "acc_table.csv": "c28223f8bcf0f0e5a8aeb3e4d5a81b8c1146655a4dcfd9f3458a3f6e80cbf378",
+    },
 }
 
 
@@ -137,3 +163,15 @@ def test_pipeline_outputs_match_recorded_digests(tmp_path, name):
     changed = {out: got[out] for out, digest in sorted(DIGESTS[name].items()) if got[out] != digest}
     assert not changed, "outputs whose bytes changed, with their new digests:\n" + "".join(
         f'        "{out}": "{digest}",\n' for out, digest in changed.items())
+
+
+@pytest.mark.parametrize("name, workload", [("small", "small"), ("oe-baseline", "baseline")])
+def test_golden_config_is_the_benchmarked_workload(tmp_path, name, workload):
+    # the benchmark's workload files are only read; both sides resolve every
+    # key through the CLI's own loader, and only the seed may differ
+    from patt_lab.cli import load_config
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIGS[name])
+    golden, bench = (load_config(str(path)) for path in (config, WORKLOADS / f"{workload}.cfg"))
+    del golden["seed"], bench["seed"]
+    assert golden == bench
