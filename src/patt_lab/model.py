@@ -145,11 +145,10 @@ def classifier_logits(model: EncoderClassifier, z) -> np.ndarray:
 
 
 def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
-    # head
-    if d_logits is not None:
-        grads[-2] += d_logits.T @ z
-        grads[-1] += np.add.reduce(d_logits, axis=0)
-        d_z = d_z + d_logits @ model.clf_w if d_z is not None else d_logits @ model.clf_w
+    # head; ``d_z`` is the gradient of a feature-level term, None without one
+    grads[-2] += d_logits.T @ z
+    grads[-1] += np.add.reduce(d_logits, axis=0)
+    d_z = d_logits @ model.clf_w if d_z is None else d_z + d_logits @ model.clf_w
     # unit-norm projection: (I - z z^T) / ||pre||
     g = (d_z - z * np.add.reduce(z * d_z, axis=-1, keepdims=True)) / norms[:, None]
     for layer in range(len(model.weights) - 1, -1, -1):
@@ -177,17 +176,21 @@ def batch_loss_and_grads(
     flat_grad: np.ndarray,
     forward=None,
 ):
-    """Mean batch objective of ``config.method``, weighted by ``config``,
-    and its exact parameter gradients.
+    """Mean batch objective of ``config.method`` and its exact parameter
+    gradients.
 
-    The mixture statistics, the priors of the logit adjustment included, are
-    constants here; differentiation covers the encoder (through the unit-norm
-    projection) and the classifier head for both the labeled and the outlier
-    stream. ``forward`` may carry the
-    labeled batch's encoder pass (``_forward_batch(model, id_x, [])``) when
-    the caller already ran it. The gradients are accumulated into
-    ``flat_grad``, a zero vector laid out like ``model.flat``, and returned
-    as one view of it per parameter in ``param_list`` order.
+    Every method trains on isac + w_cls * cls + w_oe * oe, with cls the logit
+    adjustment at (priors, epsilon) and oe the outlier stream's cross entropy
+    from the uniform target. ``patt`` adds the ISAC term and takes (mixture
+    priors, ``epsilon``, ``alpha``, ``beta``); the baselines have none and take
+    (uniform, 1, 1, ``oe_gamma`` or 0), where the adjustment is cross entropy.
+
+    The mixture statistics are constants here; differentiation covers the
+    encoder (through the unit-norm projection) and the head for both
+    streams. ``forward`` may carry the labeled batch's encoder pass
+    (``_forward_batch(model, id_x, [])``) when the caller already ran it. The
+    gradients are accumulated into ``flat_grad``, a zero vector laid out like
+    ``model.flat``, and returned as one view of it per parameter.
     """
     # the training path is the only one that needs the losses: calibrate
     # and eval run the model without loading them
@@ -207,35 +210,25 @@ def batch_loss_and_grads(
         if mix is None:
             raise ValueError("patt objective requires mixture statistics")
         isac_vals, isac_grads = losses.isac_loss_batch(mix, z, id_y, config.tau)
-        tla_vals, tla_grads = losses.tla_loss_batch(logits, id_y, mix.priors, config.epsilon)
-        d_z = isac_grads / n
-        d_logits = config.alpha * tla_grads / n
-        isac_mean = float(np.add.reduce(isac_vals)) / n
-        cls_mean = float(np.add.reduce(tla_vals)) / n
-        ood_weight = config.beta
+        isac_mean, d_z = float(np.add.reduce(isac_vals)) / n, isac_grads / n
+        priors, epsilon, w_cls, w_oe = mix.priors, config.epsilon, config.alpha, config.beta
     else:
-        # plain cross entropy == adjustment under uniform priors
-        uniform = np.full(model.n_classes, 1.0 / model.n_classes)
-        ce_vals, ce_grads = losses.tla_loss_batch(logits, id_y, uniform, 1.0)
-        d_z = np.zeros_like(z)
-        d_logits = ce_grads / n
-        isac_mean, cls_mean = 0.0, float(np.add.reduce(ce_vals)) / n
-        ood_weight = config.oe_gamma if method == "oe-baseline" else 0.0
-    _backprop_stream(model, acts, norms, z, d_z, d_logits, grads)
+        isac_mean, d_z = 0.0, None
+        priors, epsilon, w_cls = np.full(model.n_classes, 1.0 / model.n_classes), 1.0, 1.0
+        w_oe = config.oe_gamma if method == "oe-baseline" else 0.0
+    cls_vals, cls_grads = losses.tla_loss_batch(logits, id_y, priors, epsilon)
+    cls_mean = float(np.add.reduce(cls_vals)) / n
+    _backprop_stream(model, acts, norms, z, d_z, w_cls * cls_grads / n, grads)
 
     oe_mean = 0.0
-    if ood_weight > 0.0 and ood_x is not None and ood_x.shape[0] > 0:
+    if w_oe > 0.0 and ood_x is not None and ood_x.shape[0] > 0:
         m = ood_x.shape[0]
         acts_o, norms_o, z_o = _forward_batch(model, ood_x, [])
-        logits_o = z_o @ model.clf_w.T + model.clf_b
-        oe_vals, oe_grads = losses.oe_uniform_loss_batch(logits_o)
+        oe_vals, oe_grads = losses.oe_uniform_loss_batch(z_o @ model.clf_w.T + model.clf_b)
         oe_mean = float(np.add.reduce(oe_vals)) / m
-        _backprop_stream(model, acts_o, norms_o, z_o, None, ood_weight * oe_grads / m, grads)
+        _backprop_stream(model, acts_o, norms_o, z_o, None, w_oe * oe_grads / m, grads)
 
-    if method == "patt":
-        total = isac_mean + config.alpha * cls_mean + config.beta * oe_mean
-    else:
-        total = cls_mean + ood_weight * oe_mean
+    total = isac_mean + w_cls * cls_mean + w_oe * oe_mean
     return LossBreakdown(total=total, isac=isac_mean, tla=cls_mean, oe=oe_mean), grads
 
 
@@ -373,6 +366,9 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     """Full training run; returns (model, mixture statistics, history), the
     history being one ``EpochRecord`` per epoch.
 
+    For ``patt`` a full pass over the split seeds the mixture at the start
+    of the first epoch, and of every epoch under ``vmf_update = epoch``. The
+    baselines, and a run of no epochs, return a full pass of the final model.
     Sub-seeds for init, labeled shuffling and the outlier stream are derived
     from the config seed by role, so two runs with the same seed are
     bit-identical.
@@ -390,24 +386,18 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         counts.size, derive_seed(config.seed, "model-init"),
     )
     history = []
-    if config.epochs == 0:
-        return model, _full_stats(model, x, y, priors)[0], history
-
     ood_x = None
     if train_ood is not None and train_ood.inputs.shape[0] > 0:
         ood_x = np.asarray(train_ood.inputs, dtype=np.float64)
 
     state = TrainState(model=model, mix=None, config=config)
-    if config.method == "patt":
-        state.mix, state.sums, state.counts = _full_stats(model, x, y, priors)
-
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "id-shuffle"))
     ood_rng = np.random.default_rng(derive_seed(config.seed, "ood-shuffle"))
     ood_queue = np.empty(0, dtype=np.int64)
 
     n = x.shape[0]
     for epoch in range(config.epochs):
-        if config.method == "patt" and config.vmf_update == "epoch":
+        if config.method == "patt" and (epoch == 0 or config.vmf_update == "epoch"):
             state.mix, state.sums, state.counts = _full_stats(state.model, x, y, priors)
         perm = shuffle_rng.permutation(n)
         sums = np.zeros(4)

@@ -533,6 +533,28 @@ class TestTrain:
         assert history == []
         assert mix.n_classes == 4 and mix.dim == 4
 
+    @pytest.mark.parametrize("method, vmf_update, epochs, passes", [
+        ("patt", "epoch", 3, 3), ("patt", "batch", 3, 1), ("patt", "batch", 0, 1),
+        ("oe-baseline", "batch", 2, 1), ("ce-baseline", "epoch", 0, 1),
+    ])
+    def test_at_most_one_full_pass_per_epoch(self, monkeypatch, method, vmf_update, epochs,
+                                             passes):
+        # the mixture seed is the first epoch's refresh; a baseline or a run
+        # of no epochs makes one pass at the end
+        calls = []
+        full_stats = model_module._full_stats
+
+        def counting(*args):
+            calls.append(None)
+            return full_stats(*args)
+
+        monkeypatch.setattr(model_module, "_full_stats", counting)
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        config = TrainConfig(method=method, vmf_update=vmf_update, epochs=epochs,
+                             feature_dim=4, encoder_widths=(8,), seed=3)
+        train(config, train_id, train_ood, val_id)
+        assert len(calls) == passes
+
     def test_same_seed_bit_identical(self):
         train_id, val_id, _, train_ood, _ = smoke_dataset()
         config = TrainConfig(epochs=2, feature_dim=4, encoder_widths=(8,), seed=3)
