@@ -225,33 +225,32 @@ def _normalizer(dim, kappa):
 
 
 def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
-    """``(log_norm_const(dim, kappa), bessel_ratio(dim, kappa))`` from one
-    Bessel pass over both orders d/2 - 1 and d/2.
-
-    When every positive lane is at or above the asymptotic cut of order d/2,
-    log C_d comes from S_{d/2-1} and A_d = S_{d/2} / S_{d/2-1}, with no
-    difference of logs to cancel; otherwise both come from ``log_bessel_i``.
-    ``kappa`` is an array of finite non-negative values; ``dim`` is >= 2.
-    """
+    """``(log_norm_const(dim, kappa), bessel_ratio(dim, kappa))`` for an
+    array of finite non-negative ``kappa`` and ``dim`` >= 2, branch per lane. A
+    lane at or above the asymptotic cut of order d/2 takes log C_d from
+    S_{d/2-1} and A_d = S_{d/2} / S_{d/2-1}, with no difference of logs to
+    cancel, whatever else the call holds; the other positive lanes share one
+    ``log_bessel_i`` call over both orders d/2 - 1 and d/2."""
     half = 0.5 * dim
     nu = half - 1.0
-    # kappa = 0 lanes run the pass at a stand-in (on the asymptotic path the
-    # smallest positive kappa, which keeps the term count), then take the
-    # uniform law, whose log normalization constant is minus the log sphere area
+    # kappa = 0 lanes stand in at 1.0 and join neither branch; they take the
+    # uniform law (minus the log sphere area, ratio 0)
     pos = kappa > 0.0
-    low = float(np.minimum.reduce(kappa, axis=None, initial=np.inf, where=pos))
-    if math.inf > low >= max(30.0, 2.0 * half * half):
-        kp = np.where(pos, kappa, low)
-        series = _asymptotic_sum((nu, half), kp)
-        log_i = kp - 0.5 * np.log(2.0 * math.pi * kp) + np.log(series[0])
-        ratio = series[1] / series[0]
-    else:
-        kp = np.where(pos, kappa, 1.0)
-        log_i, log_i_half = log_bessel_i((nu, half), kp)
-        ratio = np.exp(log_i_half - log_i)
+    kp = np.where(pos, kappa, 1.0)
+    large = kp >= max(30.0, 2.0 * half * half)
+    rest = pos & ~large
+    log_i, ratio = np.zeros(kp.shape), np.zeros(kp.shape)
+    if large.any():
+        kl = kp[large]
+        series = _asymptotic_sum((nu, half), kl)
+        log_i[large] = kl - 0.5 * np.log(2.0 * math.pi * kl) + np.log(series[0])
+        ratio[large] = series[1] / series[0]
+    if rest.any():
+        log_i_nu, log_i_half = log_bessel_i((nu, half), kp[rest])
+        log_i[rest], ratio[rest] = log_i_nu, np.exp(log_i_half - log_i_nu)
     log_norm = np.where(pos, nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i,
                         math.lgamma(half) - math.log(2.0) - half * math.log(math.pi))
-    return log_norm, np.where(pos, ratio, 0.0)
+    return log_norm, ratio
 
 
 def _check_unit_rows(z: np.ndarray, what: str) -> None:

@@ -363,6 +363,21 @@ class TestFusedNormAndRatio:
         assert_rel(log_norm, want_norm)
         assert_rel(ratio, want_ratio)
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    @pytest.mark.parametrize("extra", ["zero", "five", "below_cut"])
+    def test_asymptotic_lanes_keep_their_ratio_beside_any_lane(self, d, extra):
+        # The branch is chosen per lane: a lane at or above the cut takes
+        # the quotient of the asymptotic sums whatever else the call holds.
+        # Chosen per call, one lane below the cut sent every lane through
+        # exp(log I_{d/2} - log I_{d/2-1}), off by up to 6.9e-13 at d = 8.
+        cut = top_cut(d)
+        x = np.concatenate([[cut, np.nextafter(cut, np.inf)], np.geomspace(cut, KAPPA_MAX, 40)])
+        lane = {"zero": 0.0, "five": 5.0, "below_cut": cut - 1.0}[extra]
+        log_norm, ratio = _log_norm_and_ratio(d, np.append(x, lane))
+        want_norm, want_ratio = oracles.norm_and_ratio_mp(d, x)
+        assert_rel(ratio[:-1], want_ratio)
+        assert_rel(log_norm[:-1], want_norm)
+
     def test_mixed_branches_match_separate_calls(self):
         # d = 32: the cuts are 450 (nu = 15) and 512 (nu = 16), so x in
         # [450, 512) takes the asymptotic branch for one order and the log
@@ -411,8 +426,8 @@ class TestFusedNormAndRatio:
 class TestBlockBesselKernel:
     """The asymptotic kernel: the sums of several orders as one block,
     Horner's rule in 1/x with a term count fixed by the smallest argument.
-    ``_log_norm_and_ratio`` runs it on both orders when every positive lane
-    is asymptotic, and ``log_bessel_i`` on each order's asymptotic lanes; both
+    ``_log_norm_and_ratio`` runs it on both orders at its lanes at or above
+    the cut, and ``log_bessel_i`` on each order's asymptotic lanes; both
     are held to a 40-digit oracle at 1e-15 relative."""
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
@@ -420,7 +435,7 @@ class TestBlockBesselKernel:
         rng = np.random.default_rng(dim)
         cut = top_cut(dim)
         x = cut * np.exp(rng.uniform(0.0, np.log(KAPPA_MAX / cut), size=(6, 5)))
-        x.flat[::7] = 0.0  # kappa = 0 lanes run at a stand-in on the cut side
+        x.flat[::7] = 0.0  # kappa = 0 lanes take the uniform law
         pos = x > 0.0
         log_norm, ratio = _log_norm_and_ratio(dim, x)
         want_norm, want_ratio = oracles.norm_and_ratio_mp(dim, x[pos])
@@ -568,21 +583,25 @@ class TestBesselRatio:
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
     def test_same_bits_as_separate_calls(self, dim):
-        # scalar, vector and matrix kappa with zero lanes, in every branch; a
-        # scalar at or above the cut of order d/2 takes the fused asymptotic
-        # pass instead, which the 40-digit oracle holds to 1e-15
+        # scalar, vector and matrix kappa with zero lanes, in every branch. A
+        # lane below the cut of order d/2 keeps the bits of one log_bessel_i
+        # call per order; a lane at or above it takes the fused asymptotic
+        # pass, whatever else the call holds, which the 40-digit oracle holds
+        # to 1e-15
         x = np.concatenate([[0.0, 1e-3, 0.5, 7.0], np.geomspace(20.0, 2000.0, 20)])
-        want_norm, want_ratio = oracles.norm_and_ratio_separate(dim, x)
-        for shape in (x.shape, (4, 6)):
-            np.testing.assert_array_equal(log_norm_const(dim, x.reshape(shape)),
-                                          want_norm.reshape(shape))
-            np.testing.assert_array_equal(bessel_ratio(dim, x.reshape(shape)),
-                                          want_ratio.reshape(shape))
         fused = x >= top_cut(dim)
+        want_norm, want_ratio = oracles.norm_and_ratio_separate(dim, x)
+        mp_norm, mp_ratio = oracles.norm_and_ratio_mp(dim, x[fused])
+        for shape in (x.shape, (4, 6)):
+            for fn, want, mp_want in ((log_norm_const, want_norm, mp_norm),
+                                      (bessel_ratio, want_ratio, mp_ratio)):
+                got = fn(dim, x.reshape(shape))
+                assert got.shape == shape
+                np.testing.assert_array_equal(got.ravel()[~fused], want[~fused])
+                assert_rel(got.ravel()[fused], mp_want)
         for k, want_n, want_r in zip(x[~fused], want_norm[~fused], want_ratio[~fused]):
             assert log_norm_const(dim, float(k)) == want_n
             assert bessel_ratio(dim, float(k)) == want_r
-        mp_norm, mp_ratio = oracles.norm_and_ratio_mp(dim, x[fused])
         for k, want_n, want_r in zip(x[fused], mp_norm, mp_ratio):
             assert_rel(log_norm_const(dim, float(k)), want_n)
             assert_rel(bessel_ratio(dim, float(k)), want_r)
@@ -754,11 +773,11 @@ class TestClassStatsReference:
                 np.testing.assert_array_equal(a, b)
 
 
-class TestNormAndRatioFastPath:
+class TestNormAndRatioZeroLanes:
     @pytest.mark.parametrize("dim", [2, 8, 32])
-    def test_all_positive_equals_gathered_path(self, dim):
-        # appending a kappa = 0 lane sends the same values through the
-        # boolean gather and scatter
+    def test_zero_lane_leaves_the_other_lanes(self, dim):
+        # a kappa = 0 lane joins neither branch, so appending one leaves the
+        # bits of every other lane
         x = np.concatenate([np.linspace(1e-3, 600.0, 41), [top_cut(dim), 5000.0]])
         log_norm, ratio = _log_norm_and_ratio(dim, x)
         want_norm, want_ratio = _log_norm_and_ratio(dim, np.append(x, 0.0))
