@@ -30,6 +30,14 @@ KAPPA_MAX = 1e4
 
 _UNIT_INPUT_TOL = 1e-6
 
+# Largest series sum carried into the next 4 terms: above every sum at x < 300
+# (I_0(300) ~ 4.5e128), and low enough that 4 terms of growth and term * q,
+# each at most q = x^2 / 4, stay finite at every x under the term cap.
+_SERIES_BOUND = 1e150
+# ln 2 in two parts; the low 21 bits of _LN2_HI are zero, so n * _LN2_HI is
+# exact for the about 1.44 x halvings of a sum, under 2^21 at the term cap
+_LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10
+
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     # Norm of each row with the bits of np.linalg.norm on that row, which is
@@ -81,46 +89,39 @@ class VmfMixture:
         return self.mus.shape[1]
 
 
-def _log_bessel_series_plain(orders, x):
+def _log_bessel_series(orders, x):
     # Ascending series sum_m (x/2)^(2m+nu) / (m! Gamma(m+nu+1)) for each order
     # (rows) at every x (columns). All terms are positive, so direct summation
-    # of the ratio-normalized terms is stable; the plain-float accumulator is
-    # safe for x <= 300 (no overflow). Convergence is tested every 4th term
-    # over the whole block: past its peak each term is under 1e-18 of its
+    # of the ratio-normalized terms is stable. Convergence is tested every 4th
+    # term over the whole block: past its peak each term is under 1e-18 of its
     # sum, less than half an ulp, so the extra terms leave every sum's bits.
+    # Then each unconverged sum above _SERIES_BOUND and its term are scaled
+    # exactly into [0.5, 1) by a power of two, whose log is added last: each
+    # element has the bits it has alone, and one never scaled (all x < 300)
+    # the bits of the unscaled sum, as adding 0.0 is exact.
     nu = orders[:, None]
     q = 0.25 * x * x
     term = np.ones((orders.size, x.size))
     total = term.copy()
+    shifts = np.zeros(total.shape, dtype=np.int64)
     m = 0
     while True:
         m += 1
         term = term * q / (m * (m + nu))
         total += term
-        if m % 4 == 0 and (term < 1e-18 * total).all():
-            break
-        if m > 10000:  # pragma: no cover - series converges long before this
+        if m % 4 == 0:
+            live = term >= 1e-18 * total
+            if not live.any():
+                break
+            big = live & (total > _SERIES_BOUND)
+            if big.any():
+                shift = np.where(big, np.frexp(total)[1], 0)
+                term, total = np.ldexp(term, -shift), np.ldexp(total, -shift)
+                shifts += shift
+        if m > 500000:  # pragma: no cover - series converges long before this
             raise RuntimeError("Bessel series failed to converge")
     lgamma = np.array([math.lgamma(v + 1.0) for v in orders.tolist()])[:, None]
-    return nu * np.log(0.5 * x) - lgamma + np.log(total)
-
-
-def _log_bessel_series_log(nu, x):
-    # Same series accumulated in log space for arguments large enough that the
-    # normalized partial sums would overflow (only reachable for nu > ~12).
-    log_half_x = np.log(0.5 * x)
-    log_term = nu * log_half_x - math.lgamma(nu + 1.0)
-    total = log_term.copy()
-    m = 0
-    while True:
-        m += 1
-        log_term = log_term + 2.0 * log_half_x - math.log(m) - math.log(m + nu)
-        total = np.logaddexp(total, log_term)
-        if m > 4 and (log_term < total - 45.0).all():
-            break
-        if m > 500000:  # pragma: no cover
-            raise RuntimeError("Bessel series failed to converge")
-    return total
+    return (nu * np.log(0.5 * x) - lgamma + np.log(total) + shifts * _LN2_LO) + shifts * _LN2_HI
 
 
 def _asymptotic_sum(orders, x):
@@ -157,19 +158,15 @@ def _log_bessel_asymptotic(nu, x):
 
 def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     # log I_nu(x) for every order (rows) at every positive x (columns). The
-    # plain series runs once over every order at the union of their small
-    # lanes, and each order keeps its own; then each order in turn runs the
-    # other two branches on the elements that fall in them.
-    cut = np.maximum(30.0, 2.0 * orders * orders)
-    small = x < np.minimum(cut, 300.0)[:, None]
+    # series runs once over every order at the union of their lanes below the
+    # cut max(30, 2 nu^2), and each order keeps its own; then each order runs
+    # the asymptotic kernel on its lanes at or above its cut.
+    small = x < np.maximum(30.0, 2.0 * orders * orders)[:, None]
     union = small.any(axis=0)
     out = np.empty((orders.size, x.size))
-    out[small] = _log_bessel_series_plain(orders, x[union])[small[:, union]]
-    for row, nu, nu_cut, own in zip(out, orders.tolist(), cut.tolist(), small):
-        large = x >= nu_cut
-        middle = ~own & ~large
-        row[middle] = _log_bessel_series_log(nu, x[middle])
-        row[large] = _log_bessel_asymptotic(nu, x[large])
+    out[small] = _log_bessel_series(orders, x[union])[small[:, union]]
+    for row, nu, own in zip(out, orders.tolist(), small):
+        row[~own] = _log_bessel_asymptotic(nu, x[~own])
     return out
 
 
@@ -177,9 +174,10 @@ def log_bessel_i(nu, x):
     """log I_nu(x), the modified Bessel function of the first kind, for a
     non-empty 1-D sequence of orders >= 0 at positive arguments ``x`` (an
     ndarray), evaluated in one pass; the result has shape
-    ``(len(nu),) + x.shape``. Evaluated by the ascending series for small and
-    moderate arguments and, from ``max(30, 2 nu^2)`` on, by the large-argument
-    asymptotic expansion, summed by Horner's rule in 1/x.
+    ``(len(nu),) + x.shape``. Each order has two branches: below
+    ``max(30, 2 nu^2)`` the ascending series, whose sums are rescaled to stay
+    finite, and from there on the large-argument asymptotic expansion, summed
+    by Horner's rule in 1/x.
     """
     orders = np.asarray(nu, dtype=np.float64)
     if orders.ndim != 1 or orders.size == 0:

@@ -4,16 +4,17 @@ Everything here trades speed for transparency: literal series summation in
 50-digit arithmetic, exhaustive threshold sweeps, O(n^2) pair counting.
 Production code must agree with these oracles, never the other way around.
 The module also keeps the earlier forms of rewritten hot paths (the
-per-element series Bessel kernels, two-pass log-sum-exp and softmax, the
-per-parameter optimizer step, the per-class statistics refresh) and the numpy
-forms of the plain-Python report (the head/tail accuracy split, the score
-histogram); the rewrites must match them bit for bit. Two earlier forms
-round differently from their rewrites and are held to stated tolerances: the
-forward-summed asymptotic Bessel kernel (the Horner rewrite also meets the
-40-digit ``norm_and_ratio_mp`` and ``log_bessel_mp``) and the (n, K, d)
-tensor form of the contrastive loss (the Gram-product rewrite). ``model_of``
-builds a model from separate arrays, which the model, holding one
-parameter vector, no longer takes. The package evaluates batches only:
+per-element and per-order series Bessel kernels below x = 300, two-pass
+log-sum-exp and softmax, the per-parameter optimizer step, the per-class
+statistics refresh) and the numpy forms of the plain-Python report (the
+head/tail accuracy split, the score histogram); the rewrites must match
+them bit for bit. Two earlier forms round differently from their rewrites
+and are held to stated tolerances: the forward-summed asymptotic Bessel
+kernel (the Horner rewrite also meets the 40-digit ``norm_and_ratio_mp`` and
+``log_bessel_mp``) and the (n, K, d) tensor form of the contrastive loss
+(the Gram-product rewrite). ``model_of`` builds a model from separate
+arrays, which the model, holding one parameter vector, no longer takes. The
+package evaluates batches only:
 ``log_bessel_i_at`` evaluates ``vmf.log_bessel_i`` at one order, and
 ``read_report`` parses the ``report.csv`` that eval writes.
 
@@ -141,25 +142,6 @@ def _log_bessel_series_plain_ref(orders, row, x):
     return nu * np.log(0.5 * x) - _lgamma_plus_one(orders, row) + np.log(total)
 
 
-def _log_bessel_series_log_ref(orders, row, x):
-    """The log-domain series kernel before its per-order form, per-element
-    orders as in ``_log_bessel_series_plain_ref``; the per-order logs come from
-    ``math.log``, looked up by row."""
-    nu = orders[row]
-    log_half_x = np.log(0.5 * x)
-    log_term = nu * log_half_x - _lgamma_plus_one(orders, row)
-    total = log_term.copy()
-    m = 0
-    while True:
-        m += 1
-        log_m_nu = np.array([math.log(m + v) for v in orders])[row]
-        log_term = log_term + 2.0 * log_half_x - math.log(m) - log_m_nu
-        total = np.logaddexp(total, log_term)
-        if m > 4 and (log_term < total - 45.0).all():
-            break
-    return total
-
-
 def _log_bessel_series_plain_order(nu, x):
     # the plain ascending series for one scalar order, testing convergence
     # after every term from the fifth on
@@ -177,37 +159,34 @@ def _log_bessel_series_plain_order(nu, x):
 
 
 def log_bessel_positive_per_order(orders, x):
-    """``vmf._log_bessel_positive`` before its plain series ran as one block
-    over all orders: each order in turn splits x at its own branch cuts and
-    runs each branch's loop, the plain series with its own convergence test,
-    over the elements that fall in it."""
+    """``vmf._log_bessel_positive`` before its series ran as one block over
+    all orders: each order in turn splits x at its own branch cuts and runs
+    each branch's loop, the series with its own convergence test, over the
+    elements that fall in it. Lanes in [300, cut), where the series may
+    rescale its sums, are NaN: the tests hold them to mpmath instead."""
     cut = np.maximum(30.0, 2.0 * orders * orders)
-    out = np.empty((orders.size, x.size))
+    out = np.full((orders.size, x.size), np.nan)
     for row, nu, nu_cut in zip(out, orders.tolist(), cut.tolist()):
         small = x < min(nu_cut, 300.0)
         large = x >= nu_cut
-        for mask, branch in ((small, _log_bessel_series_plain_order),
-                             (~small & ~large, vmf._log_bessel_series_log),
-                             (large, vmf._log_bessel_asymptotic)):
-            row[mask] = branch(nu, x[mask])
+        row[small] = _log_bessel_series_plain_order(nu, x[small])
+        row[large] = vmf._log_bessel_asymptotic(nu, x[large])
     return out
 
 
 def log_bessel_positive_ref(orders, x):
     """``vmf._log_bessel_positive`` from the per-element kernels: every
     (order, x) pair flattened, and each branch evaluated once on its mask
-    over all orders."""
+    over all orders. Lanes in [300, cut) are NaN, as in
+    ``log_bessel_positive_per_order``."""
     row = np.repeat(np.arange(orders.size), x.size)
     xs = np.tile(x, orders.size)
     cut = np.maximum(30.0, 2.0 * orders * orders)[row]
     small = xs < np.minimum(cut, 300.0)
     large = xs >= cut
-    middle = ~small & ~large
-    out = np.empty_like(xs)
+    out = np.full(xs.shape, np.nan)
     if small.any():
         out[small] = _log_bessel_series_plain_ref(orders, row[small], xs[small])
-    if middle.any():
-        out[middle] = _log_bessel_series_log_ref(orders, row[middle], xs[middle])
     if large.any():
         out[large] = log_bessel_asymptotic_ref(orders[row[large]], xs[large])[0]
     return out.reshape(orders.size, x.size)

@@ -74,6 +74,17 @@ CONFIGS = {
     # the criterion-6 settings: per-epoch vMF refresh at a larger step
     "small-epoch": SMALL.replace("learning_rate = 0.001\n", "learning_rate = 0.003\n")
                         .replace("vmf_update = batch\n", "vmf_update = epoch\n") + PATT,
+    # K = 20 classes in d = 32, one epoch (the d = 32 config of
+    # tests/test_reachability.py). The Bessel orders 15 and 16 have their
+    # cuts at 450 and 512, and both of its 2 training steps hold
+    # concentrations in [300, 512) (1,054 of their 4,800 lanes), where the
+    # series rescales its sums as they pass its bound
+    "d32": SMALL.replace("n_classes = 10\n", "n_classes = 20\n")
+                .replace("feature_dim = 8\n", "feature_dim = 32\n")
+                .replace("imbalance_ratio = 100.0\n", "imbalance_ratio = 10.0\n")
+                .replace("max_per_class = 500\n", "max_per_class = 30\n")
+                .replace("epochs = 30\n", "epochs = 1\n")
+           + PATT.replace("use_calibration = auto\n", "use_calibration = on\n"),
 }
 
 DATA = {
@@ -140,6 +151,21 @@ DIGESTS = {
         "report.csv": "6406bc4d084a86f31d5e53c1912e8bfb2177c051329ba411a19809f2063e2efe",
         "hist.csv": "ce923960bc6d8af19e72e98784cf4f51b8967f162109867f7578e9308e7c666a",
         "acc_table.csv": "c28223f8bcf0f0e5a8aeb3e4d5a81b8c1146655a4dcfd9f3458a3f6e80cbf378",
+    },
+    "d32": {
+        "train.csv": "b4714fa9fc6f6b93475fd4b5dba83e7f64c11ebdea7945e790d05618b2764890",
+        "val_id.csv": "205c8b88763f1e4666f308486f2a635f7c98d38af06a56be4fcb7983eea68b93",
+        "test_id.csv": "48770e4526746fc00aaa2d015d693ec79e1c6a9154aa4f77a33d0c2cbcceea6a",
+        "train_ood.csv": "53d05887965d7debcedd2b705c6e6676d3bae21a03dc0cb7e5b0dfadb9857ec5",
+        "test_ood.csv": "4ce40f19234985ac1012b7d5e57a7434dd5f686d2ad505d30f8489a8b485c328",
+        "manifest.txt": "2477a8adbb098340fecde7e8976361f478394a5ee51f4a2d37cb049a7dcf3ad7",
+        "model.ckpt": "9a70e6fd95e7d117e534d27fa0caf4210d63cea5275696d5c7b71b0df04b5708",
+        "history.csv": "18c48a180ed75d5859ba1b3a9ca2c27872ebce2fc23c79dfce4de6dc9ac93250",
+        "attention.csv": "f0c0597e9ef7ed33f7904b6fd7a672a85167a02925ada72283955268954ef995",
+        "scores.csv": "44f20ea4edd642adb4e399940e7219c0b8a94033ef1b0a515d7f3c70bc00dc55",
+        "report.csv": "851761f41df09170b0323c9a898dcc09a6869212244bfe8b2c228736d1378f47",
+        "hist.csv": "36d5a7fd5744544966db3a703391b7361d4765f6f042bec81ac620688c312bf9",
+        "acc_table.csv": "f8dba340a621e330be9b5830c5b599ffaaea21acc5af95864bd50a0ea1c0ce3c",
     },
 }
 

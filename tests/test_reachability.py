@@ -20,8 +20,8 @@ TESTS = Path(__file__).resolve().parent
 
 # 1-2 epochs each. Together they take every method, both scores, all three
 # calibration modes, both vMF update modes, both optimizers, raw and direct
-# features, an empty outlier split, spread-out classes (kappa < 30: the plain
-# Bessel series) and d = 32 with K = 20 (the log-domain series).
+# features, an empty outlier split, spread-out classes (kappa < 30: the
+# Bessel series) and d = 32 with K = 20 (series lanes from x = 300 on).
 CONFIGS = (
     {"epochs": 1, "max_per_class": 60},
     {"epochs": 2, "max_per_class": 60, "within_kappa": 2.0, "score": "msp",

@@ -1,5 +1,6 @@
 """Unit tests for the hypersphere density toolkit."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,9 +482,10 @@ class TestBlockBesselKernel:
             np.testing.assert_array_equal(block[2], 1.0)  # I_{1/2}: the sum ends at a_0
 
     def test_mixed_branches(self):
-        # x in all three branches for each order, and in different branches
-        # for the two orders: the series lanes keep the bits of the
-        # per-element kernels, the asymptotic lanes meet the 40-digit oracle
+        # x in both branches for each order, and in different branches for
+        # the two orders: the series lanes below 300 keep the bits of the
+        # per-element kernels, and the series lanes from 300 on, whose sums
+        # are rescaled, and the asymptotic lanes meet the 40-digit oracle
         x = np.concatenate([[1e-3, 0.5], np.linspace(5.0, 299.0, 7), [29.9, 31.99],
                             np.linspace(300.0, 449.0, 5), np.linspace(450.0, 511.9, 9),
                             [512.0, 700.0, 5000.0]])
@@ -497,33 +499,125 @@ class TestBlockBesselKernel:
             for row, nu, w in zip(got, orders, want):
                 large = x >= max(30.0, 2.0 * nu * nu)
                 assert large.any() and not large.all()
-                np.testing.assert_array_equal(row[~large], w[~large])
-                assert_rel(row[large], [oracles.log_bessel_mp(nu, v) for v in x[large]])
+                pinned = ~np.isnan(w) & ~large
+                np.testing.assert_array_equal(row[pinned], w[pinned])
+                assert_rel(row[~pinned], [oracles.log_bessel_mp(nu, v) for v in x[~pinned]])
+                # orders above about 12 (d >= 26) have series lanes from 300 on
+                assert (~pinned & ~large).any() == (dim >= 32)
 
 
 class TestPlainSeriesBlock:
-    """The plain series runs once as a block over every order, testing
-    convergence every 4th term, and each order keeps its own lanes: they
-    have the bits of the per-order loop, which tested after every term."""
+    """The series runs once as a block over every order, testing
+    convergence every 4th term, and each order keeps its own lanes: below
+    x = 300 they have the bits of the per-order loop, which tested after
+    every term; from 300 to the cut, where the sums are rescaled, they meet
+    the 40-digit oracle."""
 
     def test_random_blocks_match_the_per_order_loop(self):
         rng = np.random.default_rng(16)
+        rescaled = []
         for _ in range(320):
             dim = int(rng.integers(2, 34))
             orders = np.array([0.5 * dim - 1.0, 0.5 * dim])
             x = np.exp(rng.uniform(np.log(1e-3), np.log(2000.0), size=int(rng.integers(1, 40))))
-            np.testing.assert_array_equal(log_bessel_i(orders, x),
-                                          oracles.log_bessel_positive_per_order(orders, x))
+            got = log_bessel_i(orders, x)
+            want = oracles.log_bessel_positive_per_order(orders, x)
+            pinned = ~np.isnan(want)
+            np.testing.assert_array_equal(got[pinned], want[pinned])
+            rescaled += [(got[i, j], orders[i], x[j]) for i, j in zip(*np.nonzero(~pinned))]
+        assert len(rescaled) > 20
+        got, nu, x = zip(*rescaled)
+        assert_rel(got, [oracles.log_bessel_mp(n, v) for n, v in zip(nu, x)])
 
     def test_orders_whose_lanes_differ(self):
-        # four orders in one call, each with its small lanes ending at
-        # another place: min(cut, 300) is 30, 30, 128 and 300
+        # four orders in one call, each with its series lanes ending at
+        # another place: the cut is 30, 30, 128 and 450, and the lanes of
+        # nu = 15 from 300 on are rescaled
         orders = np.array([0.0, 2.5, 8.0, 15.0])
         edges = [30.0, 128.0, 300.0, 450.0]
         x = np.concatenate([[1e-3, 0.7, 12.0], [np.nextafter(v, 0.0) for v in edges], edges,
                             [70.0, 200.0, 299.0, 1000.0]])
-        np.testing.assert_array_equal(log_bessel_i(orders, x),
-                                      oracles.log_bessel_positive_per_order(orders, x))
+        got = log_bessel_i(orders, x)
+        want = oracles.log_bessel_positive_per_order(orders, x)
+        pinned = ~np.isnan(want)
+        np.testing.assert_array_equal(got[pinned], want[pinned])
+        assert_rel(got[3, ~pinned[3]], [oracles.log_bessel_mp(15.0, v) for v in x[~pinned[3]]])
+        assert pinned[:3].all() and (~pinned[3]).sum() == 2
+
+
+# orders from the lowest whose cut 2 nu^2 passes 300 (12.5, d = 27) to those
+# of d = 128, in halves as d/2 - 1 and d/2 come
+SERIES_ORDERS = (12.5, 13.0, 15.0, 16.0, 19.0, 24.0, 31.0, 32.0, 63.0, 64.0)
+
+
+def log_bessel_error(nu, x):
+    # |log_bessel_i - log I| / max(1, |log I|) against 40-digit mpmath; plain
+    # relative error blows up where I_nu(x) = 1
+    with mp.workdps(40):
+        want = np.array([float(mp.log(mp.besseli(nu, mp.mpf(v)))) for v in x.tolist()])
+    return np.abs(log_bessel_i([nu], x)[0] - want) / np.maximum(1.0, np.abs(want))
+
+
+class TestSeriesBelowTheCut:
+    """One ascending series serves every x below an order's cut. Sums past
+    1e150, which only x > 300 reach, are rescaled by powers of two."""
+
+    @pytest.mark.parametrize("nu", SERIES_ORDERS)
+    def test_from_300_to_the_cut_meets_mpmath(self, nu):
+        # the straddle of 300, then on to just under the cut
+        cut = 2.0 * nu * nu
+        x = np.concatenate([[299.9, 300.0, 300.1], np.geomspace(300.0, cut, 150)[1:-1],
+                            [np.nextafter(cut, 0.0)]])
+        err = log_bessel_error(nu, x)
+        assert err.max() <= 1e-14, f"{err.max():.3g} at x = {x[np.argmax(err)]!r}"
+
+    @pytest.mark.parametrize("nu", SERIES_ORDERS)
+    def test_below_300_meets_mpmath(self, nu):
+        # Below 300 the series keeps its bits, and from nu ~ 31 on its
+        # prefix nu log(x/2) - lgamma(nu + 1), two terms near 200 that cancel
+        # where I_nu(x) ~ 1 (x ~ 0.7 nu), is off by more than 1e-14: up to
+        # 1.6e-14 at nu = 31 and 32 and 4.3e-14 at nu = 63 and 64 on a dense
+        # scan. Those orders are held to 5e-14 here.
+        x = np.geomspace(1e-3, min(300.0, 2.0 * nu * nu), 800, endpoint=False)
+        err = log_bessel_error(nu, x)
+        bound = 1e-14 if nu < 31.0 else 5e-14
+        assert err.max() <= bound, f"{err.max():.3g} at x = {x[np.argmax(err)]!r}"
+
+    @pytest.mark.parametrize("nu", [63.0, 64.0])
+    def test_each_lane_has_its_bits_alone(self, nu):
+        # one block from the unscaled sums (x < 300) to sums rescaled many
+        # times (7900 is just under the cut of nu = 63); nothing overflows
+        # on the way, which the CLI turns into an error
+        x = np.array([1e-3, 5.0, 299.0, 2000.0, 7900.0])
+        with np.errstate(over="raise"):
+            block = log_bessel_i([nu], x)[0]
+            pair = log_bessel_i([nu, nu + 1.0], x)
+            alone = [log_bessel_i([nu], x[i:i + 1])[0, 0] for i in range(x.size)]
+        np.testing.assert_array_equal(block, alone)
+        np.testing.assert_array_equal(pair[0], block)
+        assert (log_bessel_error(nu, x) <= 1e-14).all()
+
+    def test_far_apart_orders_keep_their_lanes(self):
+        # each sum is rescaled on its own: divided by the sum of nu = 0 at
+        # the same x, that of nu = 200 would underflow (their ratio is about
+        # e^-1162), and its log would be -inf
+        x = np.array([50000.0])
+        with np.errstate(over="raise", under="raise", divide="raise"):
+            pair = log_bessel_i([0.0, 200.0], x)
+            alone = log_bessel_i([200.0], x)[0]
+        np.testing.assert_array_equal(pair[1], alone)
+        assert log_bessel_error(200.0, x)[0] <= 1e-14
+
+    @pytest.mark.parametrize("dim", [32, 64, 128])
+    def test_ratio_below_the_cut_meets_mpmath(self, dim):
+        # A_d below the cut is exp(log I_{d/2} - log I_{d/2-1}); at d = 128
+        # that difference of two logs near 8,000, even correctly rounded, is
+        # off by up to 9.0e-13 on this grid, so the bound holds only while
+        # both logs are within about half an ulp
+        cut = 2.0 * (0.5 * dim) ** 2
+        kappa = np.linspace(1.0, np.nextafter(cut, 0.0), 200)
+        want = oracles.norm_and_ratio_mp(dim, kappa)[1]
+        assert_rel(bessel_ratio(dim, kappa), want, rtol=1e-12)
 
 
 class TestEstimateClassStatsMatchesLoop:
