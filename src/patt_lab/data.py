@@ -37,27 +37,22 @@ OOD_LABEL = -1
 
 class LabeledSet:
     """Rows of inputs with integer labels (-1 marks outliers) and the
-    per-class count vector of the split."""
+    per-class row counts of the labels in [0, n_classes)."""
 
-    def __init__(self, inputs, labels, class_counts, dim) -> None:
+    def __init__(self, inputs, labels, n_classes: int) -> None:
         self.inputs = np.asarray(inputs, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.class_counts = np.asarray(class_counts, dtype=np.int64)
-        self.dim = int(dim)
-        if self.inputs.ndim != 2 or self.inputs.shape[1] != self.dim:
-            raise ValueError(f"inputs must be (n, {self.dim})")
+        if self.inputs.ndim != 2:
+            raise ValueError(f"inputs must be an (n, dim) matrix, got shape {self.inputs.shape}")
         if self.labels.shape != (self.inputs.shape[0],):
             raise ValueError("one label per row required")
         if np.any(self.labels < OOD_LABEL):
             raise ValueError("labels must be >= -1")
+        self.class_counts = np.bincount(self.labels[self.labels >= 0], minlength=n_classes)
 
-    @classmethod
-    def from_rows(cls, inputs, labels, n_classes: int):
-        """Rows whose labels lie in [-1, n_classes), counted per class."""
-        labels = np.asarray(labels, dtype=np.int64)
-        inputs = np.asarray(inputs, dtype=np.float64)
-        counts = np.bincount(labels[labels >= 0], minlength=n_classes)
-        return cls(inputs=inputs, labels=labels, class_counts=counts, dim=inputs.shape[1])
+    @property
+    def dim(self) -> int:
+        return self.inputs.shape[1]
 
 
 def _orthonormal_to(mu: np.ndarray) -> np.ndarray:
@@ -123,14 +118,18 @@ def sample_vmf(mu, kappa: float, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _spread_directions(rng, dim, existing, count, max_dot, key, max_tries=20000):
+# draws per direction before the seeded placement gives up
+_PLACEMENT_TRIES = 20000
+
+
+def _spread_directions(rng, dim, existing, count, max_dot, key):
     # sequential rejection: each new direction must keep its dot product with
     # every previously accepted one below the bound; ``key`` is the config key
     # that sets ``count``, whose cap-packing bound the config has checked
     failure = direction_error(key, count, len(existing), max_dot, dim)
     out = []
     for _ in range(count):
-        for _attempt in range(max_tries):
+        for _attempt in range(_PLACEMENT_TRIES):
             v = rng.standard_normal(dim)
             norm = np.linalg.norm(v)
             if norm < 1e-12:
@@ -187,11 +186,11 @@ def gen_longtail(config: SynthConfig):
         sizes = counts if per_class is None else [per_class] * config.n_classes
         features = _sample_clusters(class_dirs, config.within_kappa, sizes, d, config.seed, role)
         labels = np.repeat(np.arange(config.n_classes), sizes)
-        return features, labels, np.asarray(sizes, dtype=np.int64)
+        return features, labels
 
-    train_f, train_y, train_counts = id_split(None, "train")
-    val_f, val_y, val_counts = id_split(config.val_per_class, "val")
-    test_f, test_y, test_counts = id_split(config.test_per_class, "test")
+    train_f, train_y = id_split(None, "train")
+    val_f, val_y = id_split(config.val_per_class, "val")
+    test_f, test_y = id_split(config.test_per_class, "test")
     ood_train_f = _sample_clusters(
         ood_train_dirs, config.ood_kappa,
         _cluster_split(config.ood_train_size, config.ood_train_clusters), d, config.seed, "ood-train",
@@ -209,19 +208,15 @@ def gen_longtail(config: SynthConfig):
         shift = 0.1 * map_rng.standard_normal(config.raw_dim)
         to_raw = lambda f: f @ mat.T + shift
 
-    def pack(features, labels, split_counts):
-        return LabeledSet(
-            inputs=to_raw(features), labels=labels,
-            class_counts=split_counts, dim=config.raw_dim,
-        )
+    def pack(features, labels):
+        return LabeledSet(to_raw(features), labels, config.n_classes)
 
-    zeros = np.zeros(config.n_classes, dtype=np.int64)
     return (
-        pack(train_f, train_y, train_counts),
-        pack(val_f, val_y, val_counts),
-        pack(test_f, test_y, test_counts),
-        pack(ood_train_f, np.full(ood_train_f.shape[0], OOD_LABEL), zeros),
-        pack(ood_test_f, np.full(ood_test_f.shape[0], OOD_LABEL), zeros),
+        pack(train_f, train_y),
+        pack(val_f, val_y),
+        pack(test_f, test_y),
+        pack(ood_train_f, np.full(ood_train_f.shape[0], OOD_LABEL)),
+        pack(ood_test_f, np.full(ood_test_f.shape[0], OOD_LABEL)),
     )
 
 
@@ -271,7 +266,7 @@ def load_features_csv(path, n_classes: int) -> LabeledSet:
     inputs = np.frombuffer(flat).reshape(len(labels), dim)
     if not np.all(np.isfinite(inputs)):
         raise ValueError(f"{path}: non-finite feature values")
-    return LabeledSet.from_rows(inputs, labels, n_classes)
+    return LabeledSet(inputs, labels, n_classes)
 
 
 def class_balanced_subset(dataset: LabeledSet, per_class: int, seed: int) -> LabeledSet:
@@ -291,7 +286,7 @@ def class_balanced_subset(dataset: LabeledSet, per_class: int, seed: int) -> Lab
         take = min(per_class, idx.size)
         picks.append(np.sort(rng.choice(idx, size=take, replace=False)))
     sel = np.concatenate(picks)
-    return LabeledSet.from_rows(dataset.inputs[sel], dataset.labels[sel], n_classes=n_classes)
+    return LabeledSet(dataset.inputs[sel], dataset.labels[sel], n_classes)
 
 
 def save_manifest(path, config: SynthConfig, split_sizes: dict) -> None:

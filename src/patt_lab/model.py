@@ -3,8 +3,10 @@
 The encoder is a small tanh MLP whose output is projected onto the unit
 sphere; a linear head maps features to class logits. Gradients are computed
 in closed form (including the normalization Jacobian, with no stop-gradient)
-and were validated against central finite differences. Training is fully
-deterministic for a fixed seed.
+and were validated against central finite differences. A training run
+keeps one ``TrainState`` and each step updates its parameters, optimizer
+moments and class statistics in place. Training is fully deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -173,11 +175,10 @@ def batch_loss_and_grads(
     id_y: np.ndarray,
     ood_x,
     config: TrainConfig,
-    flat_grad: np.ndarray,
     forward=None,
 ):
     """Mean batch objective of ``config.method`` and its exact parameter
-    gradients.
+    gradients, returned as ``(LossBreakdown, flat_grad)``.
 
     Every method trains on isac + w_cls * cls + w_oe * oe, with cls the logit
     adjustment at (priors, epsilon) and oe the outlier stream's cross entropy
@@ -188,9 +189,9 @@ def batch_loss_and_grads(
     The mixture statistics are constants here; differentiation covers the
     encoder (through the unit-norm projection) and the head for both
     streams. ``forward`` may carry the labeled batch's encoder pass
-    (``_forward_batch(model, id_x, [])``) when the caller already ran it. The
-    gradients are accumulated into ``flat_grad``, a zero vector laid out like
-    ``model.flat``, and returned as one view of it per parameter.
+    (``_forward_batch(model, id_x, [])``) when the caller already ran it.
+    Every parameter's gradient is accumulated into a view of one zero vector,
+    ``flat_grad``, laid out like ``model.flat``.
     """
     # the training path is the only one that needs the losses: calibrate
     # and eval run the model without loading them
@@ -201,6 +202,7 @@ def batch_loss_and_grads(
     n = id_x.shape[0]
     if n == 0:
         raise ValueError("empty labeled batch")
+    flat_grad = np.zeros(model.flat.size)
     grads = _views(flat_grad, [p.shape for p in model.param_list()])
 
     acts, norms, z = _forward_batch(model, id_x, []) if forward is None else forward
@@ -229,78 +231,54 @@ def batch_loss_and_grads(
         _backprop_stream(model, acts_o, norms_o, z_o, None, w_oe * oe_grads / m, grads)
 
     total = isac_mean + w_cls * cls_mean + w_oe * oe_mean
-    return LossBreakdown(total=total, isac=isac_mean, tla=cls_mean, oe=oe_mean), grads
-
-
-class _AdamState:
-    """First and second moments, flat in ``param_list`` order."""
-
-    def __init__(self, m: np.ndarray, v: np.ndarray, t: int = 0):
-        self.m, self.v, self.t = m, v, t
-
-
-class _SgdState:
-    """Momentum buffer, flat in ``param_list`` order."""
-
-    def __init__(self, velocity: np.ndarray):
-        self.velocity = velocity
+    return LossBreakdown(total=total, isac=isac_mean, tla=cls_mean, oe=oe_mean), flat_grad
 
 
 class TrainState:
-    """One optimization step's full context: parameters, the mixture and the
-    running class sums it comes from (``sums`` (K, d) and ``counts`` (K,), see
-    ``vmf.estimate_class_stats``), optimizer state (zero moments without
-    ``opt``) and static configuration."""
+    """The one mutable context of a training run: parameters, the mixture and
+    the running class sums it comes from (``sums`` (K, d) and ``counts`` (K,),
+    see ``vmf.estimate_class_stats``), the optimizer state and the static
+    configuration. The optimizer state is flat in ``model.flat`` order: Adam's
+    moments ``m``, ``v`` and step count ``t``; SGD keeps its velocity in
+    ``m``. All start at zero."""
 
     def __init__(self, model: EncoderClassifier, mix: VmfMixture | None, config: TrainConfig,
-                 opt=None, sums=None, counts=None):
-        self.model = model
-        self.mix = mix
-        self.config = config
-        self.sums = sums
-        self.counts = counts
-        if opt is None:
-            size = model.flat.size
-            if config.optimizer == "adam":
-                opt = _AdamState(m=np.zeros(size), v=np.zeros(size))
-            else:
-                opt = _SgdState(velocity=np.zeros(size))
-        self.opt = opt
+                 sums=None, counts=None):
+        self.model, self.mix, self.config = model, mix, config
+        self.sums, self.counts = sums, counts
+        self.m, self.v, self.t = np.zeros(model.flat.size), np.zeros(model.flat.size), 0
 
 
-def _apply_update(model, flat_grad, config, opt):
-    """One optimizer step over the flat parameter vector.
-
-    ``flat_grad`` is laid out like ``model.flat``. Returns the new model, over
-    a fresh parameter vector (``model`` is left untouched), and the new
-    optimizer state.
-    """
-    lr = config.learning_rate
-    if isinstance(opt, _AdamState):
+def _apply_update(state: TrainState, flat_grad: np.ndarray) -> None:
+    """One optimizer step, in place on ``state.model.flat`` and the
+    optimizer state; ``flat_grad`` is laid out like ``model.flat``. Each value
+    keeps the order of operations of the plain expression, so its bits."""
+    lr, m, v, flat = state.config.learning_rate, state.m, state.v, state.model.flat
+    if state.config.optimizer == "adam":
         b1, b2, eps = 0.9, 0.999, 1e-8
-        t = opt.t + 1
-        # lr * m_hat / (sqrt(v_hat) + eps) in place, in the same order of operations
-        m = b1 * opt.m
+        state.t += 1
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        # step = lr * m_hat / (sqrt(v_hat) + eps)
+        m *= b1
         m += (1.0 - b1) * flat_grad
-        v = (1.0 - b2) * flat_grad
-        v *= flat_grad
-        v += b2 * opt.v
-        step = m / (1.0 - b1**t)
+        v *= b2
+        v += (1.0 - b2) * flat_grad * flat_grad
+        step = m / (1.0 - b1**state.t)
         step *= lr
-        denom = v / (1.0 - b2**t)
+        denom = v / (1.0 - b2**state.t)
         np.sqrt(denom, out=denom)
         denom += eps
         step /= denom
-        new_opt = _AdamState(m=m, v=v, t=t)
     else:
-        vel = config.sgd_momentum * opt.velocity + flat_grad
-        step = lr * vel
-        new_opt = _SgdState(velocity=vel)
-    return EncoderClassifier(model.flat - step, model.layer_sizes, model.n_classes), new_opt
+        m *= state.config.sgd_momentum
+        m += flat_grad
+        step = lr * m
+    flat -= step
 
 
-def train_step(state: TrainState, id_batch, ood_batch):
-    """One optimization step; returns the new state and the loss breakdown.
+def train_step(state: TrainState, id_batch, ood_batch) -> LossBreakdown:
+    """One optimization step, in place on ``state``; returns the loss
+    breakdown.
 
     For the combined objective the batch features are first folded into the
     running class sums, each present class's decayed by ``vmf_momentum``,
@@ -324,20 +302,17 @@ def train_step(state: TrainState, id_batch, ood_batch):
         mix, sums, counts = estimate_class_stats(forward[2], id_y, sums, counts, mix.priors,
                                                  config.vmf_momentum)
 
-    # batch_loss_and_grads accumulates every parameter's gradient into a
-    # view of this one vector
-    flat_grad = np.zeros(state.model.flat.size)
-    breakdown, _ = batch_loss_and_grads(state.model, mix, id_x, id_y, ood_x, config, flat_grad,
-                                        forward=forward)
+    breakdown, flat_grad = batch_loss_and_grads(state.model, mix, id_x, id_y, ood_x, config,
+                                                forward=forward)
     for name, val in (("isac", breakdown.isac), ("tla", breakdown.tla), ("oe", breakdown.oe)):
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite loss term: {name} = {val}")
     if not np.isfinite(flat_grad).all():
         raise RuntimeError("non-finite gradient in parameter update")
 
-    new_model, new_opt = _apply_update(state.model, flat_grad, config, state.opt)
-    new_state = TrainState(new_model, mix, config, new_opt, sums, counts)
-    return new_state, breakdown
+    state.mix, state.sums, state.counts = mix, sums, counts
+    _apply_update(state, flat_grad)
+    return breakdown
 
 
 class EpochRecord:
@@ -390,7 +365,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     if train_ood is not None and train_ood.inputs.shape[0] > 0:
         ood_x = np.asarray(train_ood.inputs, dtype=np.float64)
 
-    state = TrainState(model=model, mix=None, config=config)
+    state = TrainState(model, None, config)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "id-shuffle"))
     ood_rng = np.random.default_rng(derive_seed(config.seed, "ood-shuffle"))
     ood_queue = np.empty(0, dtype=np.int64)
@@ -411,7 +386,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
                     ood_queue = np.concatenate([ood_queue, ood_rng.permutation(ood_x.shape[0])])
                 ood_batch = ood_x[ood_queue[:take]]
                 ood_queue = ood_queue[take:]
-            state, breakdown = train_step(state, (x[idx], y[idx]), ood_batch)
+            breakdown = train_step(state, (x[idx], y[idx]), ood_batch)
             sums += (breakdown.total, breakdown.isac, breakdown.tla, breakdown.oe)
             steps += 1
         total, isac, tla, oe = (sums / steps).tolist()

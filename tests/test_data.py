@@ -219,7 +219,7 @@ class TestFeaturesCsv:
 
     def test_writer_peak_does_not_grow_with_the_split(self, tmp_path):
         rng = np.random.default_rng(0)
-        split = LabeledSet.from_rows(rng.normal(size=(20000, 16)), rng.integers(0, 10, 20000), 10)
+        split = LabeledSet(rng.normal(size=(20000, 16)), rng.integers(0, 10, 20000), 10)
         path = tmp_path / "big.csv"
         tracemalloc.start()
         try:
@@ -283,8 +283,7 @@ class TestClassBalancedSubset:
             assert np.any(matches & (train.labels == label))
 
     def test_empty_class_rejected(self):
-        bad = LabeledSet(inputs=np.zeros((2, 3)), labels=np.array([0, 0]),
-                         class_counts=np.array([2, 0]), dim=3)
+        bad = LabeledSet(inputs=np.zeros((2, 3)), labels=np.array([0, 0]), n_classes=2)
         with pytest.raises(ValueError, match="class 1"):
             class_balanced_subset(bad, per_class=1, seed=0)
 

@@ -177,24 +177,20 @@ class TestBatchGradients:
         config = TrainConfig(method=method)
 
         def total(m):
-            bd, _ = batch_loss_and_grads(m, mix, x, y, ood_x, config, np.zeros(m.flat.size))
-            return bd.total
+            return batch_loss_and_grads(m, mix, x, y, ood_x, config)[0].total
 
-        _, grads = batch_loss_and_grads(model, mix, x, y, ood_x, config,
-                                        np.zeros(model.flat.size))
+        _, grad = batch_loss_and_grads(model, mix, x, y, ood_x, config)
+        assert grad.shape == model.flat.shape
         h = 1e-6
-        for pi, grad in enumerate(grads):
-            flat = grad.ravel()
-            for ei in range(flat.size):
-                probe = oracles.copy_model(model)
-                arr = probe.param_list()[pi].ravel()
-                arr[ei] += h
-                up = total(probe)
-                arr[ei] -= 2 * h
-                down = total(probe)
-                fd = (up - down) / (2 * h)
-                assert flat[ei] == pytest.approx(fd, rel=rtol, abs=1e-8), (
-                    f"param {pi} entry {ei}: exact {flat[ei]} vs fd {fd}")
+        for i in range(grad.size):
+            probe = oracles.copy_model(model)
+            probe.flat[i] += h
+            up = total(probe)
+            probe.flat[i] -= 2 * h
+            down = total(probe)
+            fd = (up - down) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=rtol, abs=1e-8), (
+                f"entry {i} of flat: exact {grad[i]} vs fd {fd}")
 
     def test_patt_gradients(self):
         self._fd_check("patt", with_ood=True)
@@ -210,14 +206,13 @@ class TestBatchGradients:
         with pytest.raises(ValueError, match="empty"):
             batch_loss_and_grads(
                 model, None, np.zeros((0, 6)), np.zeros(0, dtype=int), None,
-                TrainConfig(method="ce-baseline"), np.zeros(model.flat.size))
+                TrainConfig(method="ce-baseline"))
 
     def test_patt_requires_statistics(self):
         model = make_model()
         x, y = batch_for(model, 8)
         with pytest.raises(ValueError, match="mixture"):
-            batch_loss_and_grads(model, None, x, y, None, TrainConfig(method="patt"),
-                                 np.zeros(model.flat.size))
+            batch_loss_and_grads(model, None, x, y, None, TrainConfig(method="patt"))
 
     def test_unknown_method_rejected(self):
         model = make_model()
@@ -226,7 +221,7 @@ class TestBatchGradients:
         config = TrainConfig()
         config.method = "mixup"
         with pytest.raises(ValueError, match="method"):
-            batch_loss_and_grads(model, None, x, y, None, config, np.zeros(model.flat.size))
+            batch_loss_and_grads(model, None, x, y, None, config)
 
 
 def make_state(model, x, y, **config_kwargs):
@@ -242,27 +237,36 @@ class TestTrainStep:
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y, learning_rate=0.0)
-        new_state, breakdown = train_step(state, (x, y), None)
+        before = model.flat.copy()
+        breakdown = train_step(state, (x, y), None)
         assert np.isfinite(breakdown.total)
-        assert params_equal(model, new_state.model)
+        np.testing.assert_array_equal(state.model.flat, before)
 
     def test_beta_zero_without_outliers_is_valid(self):
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y, beta=0.0)
-        new_state, breakdown = train_step(state, (x, y), None)
+        before = model.flat.copy()
+        breakdown = train_step(state, (x, y), None)
         assert breakdown.oe == 0.0
         assert np.isfinite(breakdown.total)
-        assert not params_equal(model, new_state.model)
+        assert not np.array_equal(state.model.flat, before)
 
-    def test_step_does_not_mutate_previous_model(self):
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_steps_update_one_state_in_place(self, optimizer):
+        # the model, its parameter vector and the optimizer buffers are the
+        # same objects after every step; only their values move
         model = make_model(seed=2)
-        before = oracles.copy_model(model)
         x, y = batch_for(model, 12, seed=3)
-        state = make_state(model, x, y)
+        state = make_state(model, x, y, optimizer=optimizer)
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
-        train_step(state, (x, y), ood)
-        assert params_equal(model, before)
+        flat, m, v = model.flat, state.m, state.v
+        before = flat.copy()
+        for _ in range(3):
+            train_step(state, (x, y), ood)
+            assert state.model is model and state.model.flat is flat
+            assert state.m is m and state.v is v
+        assert not np.array_equal(flat, before)
 
     def test_batch_mode_runs_one_labeled_forward(self, monkeypatch):
         # the stats refresh and the loss share one encoder pass: one forward
@@ -290,11 +294,13 @@ class TestTrainStep:
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y)
         keep = y != 2
-        new_state, _ = train_step(state, (x[keep], y[keep]), None)
+        # the step moves the model, so the features are taken before it
         want = oracles.class_stats_ref(encoder_forward(model, x[keep]), y[keep], state.sums,
                                        state.counts, state.config.vmf_momentum)
-        oracles.assert_stats_equal((new_state.mix, new_state.sums, new_state.counts), want)
-        np.testing.assert_array_equal(new_state.mix.priors, state.mix.priors)
+        priors = state.mix.priors.copy()
+        train_step(state, (x[keep], y[keep]), None)
+        oracles.assert_stats_equal((state.mix, state.sums, state.counts), want)
+        np.testing.assert_array_equal(state.mix.priors, priors)
 
     def test_class_held_out_of_10000_steps_keeps_its_statistics(self):
         # an absent class's sums are decayed by exactly 1, so they neither
@@ -306,7 +312,7 @@ class TestTrainStep:
         assert set(batch[1].tolist()) == {0, 1}
         held = [a[2].copy() for a in (state.mix.mus, state.mix.kappas, state.sums, state.counts)]
         for _ in range(10000):
-            state, _ = train_step(state, batch, None)
+            train_step(state, batch, None)
         for a, b in zip((state.mix.mus, state.mix.kappas, state.sums, state.counts), held):
             assert a[2].tobytes() == b.tobytes()
         assert np.isfinite(state.sums).all() and np.isfinite(state.counts).all()
@@ -327,8 +333,7 @@ class TestTrainStep:
         state = make_state(model, x, y, learning_rate=1e-3, vmf_update="epoch")
         totals = []
         for _ in range(200):
-            state, breakdown = train_step(state, (x, y), ood)
-            totals.append(breakdown.total)
+            totals.append(train_step(state, (x, y), ood).total)
         assert totals[-1] < 0.9 * totals[0]
 
     def test_epoch_mode_without_mixture_is_rejected(self):
@@ -360,42 +365,40 @@ class TestTrainStep:
 
 
 class TestFlatGradient:
-    """train_step accumulates every gradient into views of one zero vector."""
+    """The loss accumulates every gradient into one vector laid out like
+    ``model.flat``, and the step hands that vector to the update."""
 
     @pytest.mark.parametrize("method", ["patt", "oe-baseline", "ce-baseline"])
     def test_flat_gradient_equals_flattened_list(self, monkeypatch, method):
         model = make_model(seed=2)
+        before = oracles.copy_model(model)
         x, y = batch_for(model, 12, seed=3)
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
         state = make_state(model, x, y, method=method)
         seen = []
         original = model_module._apply_update
 
-        def capturing(model, flat_grad, config, opt):
+        def capturing(state, flat_grad):
             seen.append(flat_grad.copy())
-            return original(model, flat_grad, config, opt)
+            original(state, flat_grad)
 
         monkeypatch.setattr(model_module, "_apply_update", capturing)
-        new_state, _ = train_step(state, (x, y), ood)
+        train_step(state, (x, y), ood)
         # the refreshed statistics are the ones the step's loss used
-        _, grads = batch_loss_and_grads(model, new_state.mix, x, y, ood, state.config,
-                                        np.zeros(model.flat.size))
+        _, grad = batch_loss_and_grads(before, state.mix, x, y, ood, state.config)
         assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], np.concatenate([g.ravel() for g in grads]))
+        np.testing.assert_array_equal(seen[0], grad)
 
-    def test_gradients_are_views_of_the_given_vector(self):
+    def test_gradient_is_a_fresh_vector_in_flat_order(self):
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
         mix = stats_for(model, x, y)[0]
-        flat = np.zeros(model.flat.size)
-        _, grads = batch_loss_and_grads(model, mix, x, y, None, TrainConfig(), flat)
-        assert [g.shape for g in grads] == [p.shape for p in model.param_list()]
-        assert all(np.shares_memory(g, flat) for g in grads)
-        np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads]))
-        _, fresh = batch_loss_and_grads(model, mix, x, y, None, TrainConfig(),
-                                        np.zeros(model.flat.size))
-        for a, b in zip(grads, fresh):
-            np.testing.assert_array_equal(a, b)
+        _, grad = batch_loss_and_grads(model, mix, x, y, None, TrainConfig())
+        assert grad.dtype == np.float64 and grad.shape == model.flat.shape
+        assert not np.shares_memory(grad, model.flat)
+        _, again = batch_loss_and_grads(model, mix, x, y, None, TrainConfig())
+        assert again is not grad
+        np.testing.assert_array_equal(grad, again)
 
     def test_step_constructs_no_vmf_params(self, monkeypatch):
         model = make_model(seed=2)
@@ -437,24 +440,32 @@ class TestFlatUpdate:
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
         state = make_state(model, x, y, optimizer=optimizer, learning_rate=1e-2,
                            vmf_update="epoch")
-        ref_params, ref_opt = model.param_list(), None
+        start = model.flat.copy()
+        ref_params, ref_opt = [p.copy() for p in model.param_list()], None
+
+        def flat_of(arrays):
+            return np.concatenate([a.ravel() for a in arrays])
+
         for _ in range(3):
             ref_model = oracles.model_of(ref_params[0:-2:2], ref_params[1:-2:2],
                                          *ref_params[-2:])
-            _, grads = batch_loss_and_grads(ref_model, state.mix, x, y, ood, state.config,
-                                            np.zeros(ref_model.flat.size))
+            _, grad = batch_loss_and_grads(ref_model, state.mix, x, y, ood, state.config)
+            # the flat gradient split into per-parameter arrays
+            grads = EncoderClassifier(grad, model.layer_sizes, model.n_classes).param_list()
             ref_params, ref_opt = oracles.apply_update_ref(ref_params, grads,
                                                            state.config, ref_opt)
-            state, _ = train_step(state, (x, y), ood)
+            train_step(state, (x, y), ood)
             for got, want in zip(state.model.param_list(), ref_params):
                 np.testing.assert_array_equal(got, want)
-            for name, value in vars(state.opt).items():
-                if name == "t":
-                    assert value == ref_opt["t"]
-                else:
-                    want = np.concatenate([a.ravel() for a in ref_opt[name]])
-                    np.testing.assert_array_equal(value, want)
-        assert not params_equal(model, state.model)
+            if optimizer == "adam":
+                np.testing.assert_array_equal(state.m, flat_of(ref_opt["m"]))
+                np.testing.assert_array_equal(state.v, flat_of(ref_opt["v"]))
+                assert state.t == ref_opt["t"]
+            else:
+                np.testing.assert_array_equal(state.m, flat_of(ref_opt["velocity"]))
+                np.testing.assert_array_equal(state.v, np.zeros(model.flat.size))
+                assert state.t == 0
+        assert not np.array_equal(state.model.flat, start)
 
 
 def assert_views_in_checkpoint_order(model):
@@ -480,18 +491,17 @@ class TestFlatParameters:
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y)
         ood = np.random.default_rng(4).normal(size=(6, model.input_dim))
-        stepped, _ = train_step(state, (x, y), ood)
-        assert_views_in_checkpoint_order(stepped.model)
-        assert not np.shares_memory(stepped.model.flat, model.flat)
+        train_step(state, (x, y), ood)
+        assert_views_in_checkpoint_order(state.model)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, stepped.model, stepped.mix)
+        save_checkpoint(path, state.model, state.mix)
         loaded, _ = load_checkpoint(path)
         assert_views_in_checkpoint_order(loaded)
-        np.testing.assert_array_equal(loaded.flat, stepped.model.flat)
+        np.testing.assert_array_equal(loaded.flat, state.model.flat)
         # the parameter block follows the header: magic, L, L sizes, K
         header = 5 + 4 * (1 + len(model.layer_sizes) + 1)
         block = path.read_bytes()[header:header + 8 * model.flat.size]
-        assert block == stepped.model.flat.tobytes()
+        assert block == state.model.flat.tobytes()
 
     def test_writes_into_views_reach_the_vector(self):
         model = make_model(seed=1)
@@ -555,6 +565,34 @@ class TestTrain:
         train(config, train_id, train_ood, val_id)
         assert len(calls) == passes
 
+    @pytest.mark.parametrize("method", ["patt", "oe-baseline"])
+    def test_run_builds_one_model_and_one_state(self, monkeypatch, method):
+        # every step updates the run's one state in place
+        built = []
+        for cls in (EncoderClassifier, TrainState):
+            original = cls.__init__
+
+            def counting(self, *args, _cls=cls, _init=original, **kwargs):
+                built.append(_cls.__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        config = TrainConfig(method=method, epochs=2, batch_size=16, feature_dim=4,
+                             encoder_widths=(8,), seed=3)
+        states = []
+        step = model_module.train_step
+
+        def recording(state, id_batch, ood_batch):
+            states.append(state)
+            return step(state, id_batch, ood_batch)
+
+        monkeypatch.setattr(model_module, "train_step", recording)
+        model, _, _ = train(config, train_id, train_ood, val_id)
+        assert len(states) > 2
+        assert all(state is states[0] and state.model is model for state in states)
+        assert built == ["EncoderClassifier", "TrainState"]
+
     def test_same_seed_bit_identical(self):
         train_id, val_id, _, train_ood, _ = smoke_dataset()
         config = TrainConfig(epochs=2, feature_dim=4, encoder_widths=(8,), seed=3)
@@ -580,17 +618,15 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(0)
-        only = LabeledSet(inputs=rng.normal(size=(5, 3)),
-                          labels=np.zeros(5, dtype=int),
-                          class_counts=np.array([5]), dim=3)
+        only = LabeledSet(inputs=rng.normal(size=(5, 3)), labels=np.zeros(5, dtype=int),
+                          n_classes=1)
         with pytest.raises(ValueError, match="two classes"):
             train(TrainConfig(epochs=1), only, None, only)
 
     def test_empty_class_rejected(self):
         rng = np.random.default_rng(0)
-        bad = LabeledSet(inputs=rng.normal(size=(5, 3)),
-                         labels=np.zeros(5, dtype=int),
-                         class_counts=np.array([5, 0]), dim=3)
+        bad = LabeledSet(inputs=rng.normal(size=(5, 3)), labels=np.zeros(5, dtype=int),
+                         n_classes=2)
         with pytest.raises(ValueError, match="at least one"):
             train(TrainConfig(epochs=1), bad, None, bad)
 
@@ -639,8 +675,9 @@ class TestTrainConfigValidation:
         model = make_model(seed=2)
         x, y = batch_for(model, 12, seed=3)
         state = make_state(model, x, y, optimizer="sgd", learning_rate=1e-2)
-        new_state, _ = train_step(state, (x, y), None)
-        assert not params_equal(model, new_state.model)
+        before = model.flat.copy()
+        train_step(state, (x, y), None)
+        assert not np.array_equal(state.model.flat, before)
 
 
 def make_mixture(rng, k, d):

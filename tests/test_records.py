@@ -13,7 +13,7 @@ import pytest
 from patt_lab.calibration import AttentionWeight
 from patt_lab.config import SynthConfig, TrainConfig, config_fields
 from patt_lab.data import LabeledSet
-from patt_lab.model import EncoderClassifier, TrainState, _AdamState, _SgdState
+from patt_lab.model import EncoderClassifier, TrainState
 from patt_lab.vmf import VmfMixture
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "patt_lab"
@@ -47,13 +47,12 @@ def test_vmf_mixture_converts_to_float_arrays():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(inputs=np.zeros((2, 3)), labels=[0, 1], class_counts=[1, 1], dim=2),
-     "inputs must be (n, 2)"),
-    (dict(inputs=np.zeros(3), labels=[0], class_counts=[1], dim=3), "inputs must be (n, 3)"),
-    (dict(inputs=np.zeros((2, 3)), labels=[0], class_counts=[1], dim=3),
-     "one label per row required"),
-    (dict(inputs=np.zeros((2, 3)), labels=[0, -2], class_counts=[1], dim=3),
-     "labels must be >= -1"),
+    (dict(inputs=np.zeros((2, 3, 1)), labels=[0, 0], n_classes=1),
+     "inputs must be an (n, dim) matrix, got shape (2, 3, 1)"),
+    (dict(inputs=np.zeros(3), labels=[0], n_classes=1),
+     "inputs must be an (n, dim) matrix, got shape (3,)"),
+    (dict(inputs=np.zeros((2, 3)), labels=[0], n_classes=1), "one label per row required"),
+    (dict(inputs=np.zeros((2, 3)), labels=[0, -2], n_classes=1), "labels must be >= -1"),
 ])
 def test_labeled_set_messages(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -61,10 +60,16 @@ def test_labeled_set_messages(kwargs, message):
 
 
 def test_labeled_set_converts():
-    split = LabeledSet(inputs=[[1, 2]], labels=[-1], class_counts=[0, 0], dim=2.0)
+    split = LabeledSet(inputs=[[1, 2]], labels=[-1], n_classes=2)
     assert split.inputs.dtype == np.float64 and split.labels.dtype == np.int64
     assert split.class_counts.dtype == np.int64 and split.dim == 2
     assert split.inputs.shape == (1, 2)
+    assert split.class_counts.tolist() == [0, 0]
+
+
+def test_labeled_set_counts_the_labeled_rows():
+    split = LabeledSet(inputs=np.zeros((5, 2)), labels=[2, -1, 0, 2, -1], n_classes=4)
+    assert split.class_counts.tolist() == [1, 0, 2, 0]
 
 
 @pytest.mark.parametrize("raw, scaled, message", [
@@ -102,17 +107,14 @@ def test_config_checks_run_after_the_fields():
     assert TrainConfig(epochs=3, beta=0.0).beta == 0.0
 
 
-@pytest.mark.parametrize("optimizer, state_type", [("adam", _AdamState), ("sgd", _SgdState)])
-def test_train_state_starts_the_optimizer_at_zero(optimizer, state_type):
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_train_state_starts_the_optimizer_at_zero(optimizer):
     model = EncoderClassifier.init(3, (4,), 2, 2, seed=0)
     state = TrainState(model=model, mix=None, config=TrainConfig(optimizer=optimizer))
     size = sum(p.size for p in model.param_list())
-    assert isinstance(state.opt, state_type)
-    for buf in vars(state.opt).values():
-        if isinstance(buf, np.ndarray):
-            np.testing.assert_array_equal(buf, np.zeros(size))
-    given = _SgdState(velocity=np.ones(size))
-    assert TrainState(model, None, TrainConfig(), opt=given).opt is given
+    np.testing.assert_array_equal(state.m, np.zeros(size))
+    np.testing.assert_array_equal(state.v, np.zeros(size))
+    assert state.t == 0
 
 
 def _imported_modules(tree):
