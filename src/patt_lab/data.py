@@ -6,12 +6,24 @@ algorithm); outlier clusters for training exposure and for the final
 evaluation use separated direction sets. Inputs are either the sphere
 features themselves or their image under a fixed seeded affine map into a
 higher-dimensional raw space.
+
+Each split is written as a CSV, the interchange format, and next to it a
+binary sidecar ``<split>.csv.bin`` that holds the parsed arrays, keyed by the
+CSV's byte length and CRC-32. The loader returns the sidecar's arrays when
+the key matches the CSV's bytes and the arrays pass the loader's checks, and
+parses the CSV otherwise; both give the same bits, since ``float(repr(x)) ==
+x``.
 """
 
 from __future__ import annotations
 
 import array
+import itertools
 import math
+import os
+import stat
+import struct
+import zlib
 
 import numpy as np
 
@@ -33,6 +45,12 @@ __all__ = [
 ]
 
 OOD_LABEL = -1
+
+# sidecar header: magic, then the CSV's byte length and CRC-32, n and d
+_SIDECAR_MAGIC = b"PATTCSV1"
+_SIDECAR_HEAD = struct.Struct("<8s4Q")
+# rows joined per write of a split CSV: the peak stays a few rows' text
+_ROWS_PER_WRITE = 64
 
 
 class LabeledSet:
@@ -222,25 +240,88 @@ def gen_longtail(config: SynthConfig):
 
 def save_features_csv(dataset: LabeledSet, path) -> None:
     """Write ``id,label,f0..f{d-1}`` rows; floats keep full round-trip
-    precision. Each row is written as soon as it is formatted, so no split
-    is held as text."""
-    header = "id,label," + ",".join(f"f{i}" for i in range(dataset.dim))
+    precision. Rows are written a few at a time as they are formatted, so no
+    split is held as text. Then write the sidecar ``<path>.bin``: the split's
+    arrays, keyed by the byte length and CRC-32 of the rows as written."""
+    header = "id,label," + ",".join(f"f{i}" for i in range(dataset.dim)) + "\n"
     # Python floats for one row at a time: a whole-split tolist() peaks higher
     rows = (
         f"{i},{label},{','.join(map(repr, row.tolist()))}\n"
         for i, (label, row) in enumerate(zip(dataset.labels.tolist(), dataset.inputs))
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(rows)
+    lines = itertools.chain((header,), rows)
+    size = crc = 0
+    with open(path, "wb") as fh:
+        # the key is taken from the bytes as they are written, with no read-back
+        while chunk := "".join(itertools.islice(lines, _ROWS_PER_WRITE)).encode("ascii"):
+            size += len(chunk)
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+    # no copy when the arrays are already little-endian and contiguous
+    labels = np.ascontiguousarray(dataset.labels, dtype="<i8")
+    inputs = np.ascontiguousarray(dataset.inputs, dtype="<f8")
+    with open(_sidecar_path(path), "wb") as fh:
+        fh.write(_SIDECAR_HEAD.pack(_SIDECAR_MAGIC, size, crc, *inputs.shape))
+        fh.write(memoryview(labels))
+        fh.write(memoryview(inputs))
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".bin"
+
+
+def _load_sidecar(path, raw: bytes, n_classes: int):
+    """The split held by the sidecar of the CSV whose bytes are ``raw``, or
+    None (a miss) unless the sidecar is a regular file whose key matches
+    ``raw``, whose shape agrees with the CSV's header and line count, and
+    whose arrays pass the loader's checks."""
+    side = _sidecar_path(path)
+    try:
+        st = os.stat(side)
+    except OSError:
+        return None
+    end = raw.find(b"\n")
+    cols = raw[:end].split(b",") if end >= 0 else []
+    dim = len(cols) - 2
+    if (dim < 1 or cols != [b"id", b"label"] + [b"f%d" % i for i in range(dim)]
+            or not raw.endswith(b"\n")):
+        return None
+    n = raw.count(b"\n") - 1
+    body = 8 * n * (dim + 1)
+    if not stat.S_ISREG(st.st_mode) or st.st_size != _SIDECAR_HEAD.size + body:
+        return None
+    try:
+        with open(side, "rb") as fh:
+            key = _SIDECAR_HEAD.pack(_SIDECAR_MAGIC, len(raw), zlib.crc32(raw), n, dim)
+            if fh.read(_SIDECAR_HEAD.size) != key:
+                return None
+            # a bytearray, so the arrays are writable like parsed ones
+            blob = bytearray(body)
+            if fh.readinto(blob) != body:
+                return None
+    except OSError:
+        return None
+    labels = np.frombuffer(blob, dtype="<i8", count=n)
+    inputs = np.frombuffer(blob, dtype="<f8", offset=8 * n).reshape(n, dim)
+    if n and not OOD_LABEL <= int(labels.min()) <= int(labels.max()) < n_classes:
+        return None
+    if not np.isfinite(inputs).all():
+        return None
+    return LabeledSet(inputs, labels, n_classes)
 
 
 def load_features_csv(path, n_classes: int) -> LabeledSet:
-    """Read a split written by ``save_features_csv``; malformed content and
+    """Read a split written by ``save_features_csv``. Its sidecar's arrays
+    are returned when they hit (see ``_load_sidecar``); they are the bits a
+    parse gives. Otherwise the CSV is parsed as UTF-8: malformed content and
     a label outside [-1, n_classes) are rejected with the offending line
     number."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    hit = _load_sidecar(path, raw, n_classes)
+    if hit is not None:
+        return hit
+    lines = raw.decode("utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     cols = lines[0].split(",")

@@ -299,10 +299,11 @@ def estimate_class_stats(features, labels, sums, counts, priors, momentum: float
         raise ValueError("labels out of range for the class count")
 
     n_rows = np.bincount(labs, minlength=n_classes)
-    # per-class batch sums, accumulated row by row in batch order (the order
-    # of a per-class row sum, so the bits match)
-    batch_sums = np.zeros((n_classes, dim))
-    np.add.at(batch_sums, labs, feats)
+    # per-class batch sums: bincount adds each (class, column) bin's weights
+    # from 0.0 in row order (the order of a per-class row sum, so the bits match)
+    bins = (labs * dim)[:, None] + np.arange(dim)
+    batch_sums = np.bincount(bins.ravel(), weights=feats.ravel(),
+                             minlength=n_classes * dim).reshape(n_classes, dim)
     decay = np.where(n_rows > 0, momentum, 1.0)
     sums = decay[:, None] * sums + batch_sums
     counts = decay * counts + n_rows

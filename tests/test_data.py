@@ -1,10 +1,14 @@
 """Unit tests for dataset generation, CSV persistence and subset draws."""
 
+import shutil
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from patt_lab import cli, data
 from patt_lab.config import class_counts_profile
 from patt_lab.data import (LabeledSet, SynthConfig, class_balanced_subset, gen_longtail,
                            load_features_csv, sample_vmf, save_features_csv, save_manifest)
@@ -242,6 +246,144 @@ class TestFeaturesCsv:
         path.write_text("id,label,f0\n0,0,0.5\n1,99999999999999999999,0.5\n")
         with pytest.raises(ValueError, match="line 3: label 99999999999999999999 out of range"):
             load_features_csv(path, n_classes=2)
+
+
+SPLITS = ("train.csv", "val_id.csv", "test_id.csv", "train_ood.csv", "test_ood.csv")
+# magic, CSV byte length, CRC-32, n, d
+SIDECAR_HEAD = struct.Struct("<8s4Q")
+
+
+def bits_equal(a, b):
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.inputs.view(np.uint64), b.inputs.view(np.uint64))
+    np.testing.assert_array_equal(a.class_counts, b.class_counts)
+
+
+def parsed(path, n_classes):
+    # the split as a parse reads it: a copy of the CSV with no sidecar
+    alone = path.parent / "alone"
+    alone.mkdir(exist_ok=True)
+    shutil.copyfile(path, alone / path.name)
+    return load_features_csv(alone / path.name, n_classes)
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    # the data of the golden ``small`` config
+    from test_golden import CONFIGS
+    root = tmp_path_factory.mktemp("sidecar")
+    config = root / "run.cfg"
+    config.write_text(CONFIGS["small"])
+    assert cli.main(["gen-data", "--config", str(config), "--out", str(root / "out")]) == 0
+    return config, root / "out"
+
+
+class TestSidecar:
+    """gen-data writes ``<split>.csv.bin`` next to each CSV. The loader
+    returns its arrays only when its key matches the CSV's bytes and its
+    arrays pass the loader's checks, and parses the CSV otherwise."""
+
+    @pytest.mark.parametrize("name", SPLITS)
+    def test_hit_has_the_bits_of_a_parse(self, small_data, monkeypatch, name):
+        _, out = small_data
+        # a hit parses nothing: the parse's array module is gone
+        monkeypatch.setattr(data, "array", None)
+        hit = load_features_csv(out / name, 10)
+        monkeypatch.undo()
+        bits_equal(hit, parsed(out / name, 10))
+        assert hit.inputs.flags.writeable and hit.labels.flags.writeable
+        assert hit.inputs.shape[0] > 0
+
+    def test_a_hit_reads_the_sidecar(self, tmp_path):
+        # an input changed in the sidecar alone, key kept: the loader
+        # returns the sidecar's value, so a matching key is trusted
+        split = LabeledSet([[0.5, 0.25], [1.5, -2.0]], [0, -1], 2)
+        path = tmp_path / "two.csv"
+        save_features_csv(split, path)
+        side = tmp_path / "two.csv.bin"
+        blob = bytearray(side.read_bytes())
+        struct.pack_into("<d", blob, SIDECAR_HEAD.size + 2 * 8, 7.0)
+        side.write_bytes(bytes(blob))
+        assert load_features_csv(path, 2).inputs.tolist() == [[7.0, 0.25], [1.5, -2.0]]
+
+    def test_layout(self, tmp_path):
+        split = LabeledSet([[0.5, 0.25, 1.0], [1.5, -2.0, 3.0]], [1, -1], 2)
+        path = tmp_path / "split.csv"
+        save_features_csv(split, path)
+        csv = path.read_bytes()
+        blob = (tmp_path / "split.csv.bin").read_bytes()
+        assert SIDECAR_HEAD.unpack_from(blob) == (b"PATTCSV1", len(csv), zlib.crc32(csv), 2, 3)
+        body = blob[SIDECAR_HEAD.size:]
+        assert body == struct.pack("<2q6d", 1, -1, 0.5, 0.25, 1.0, 1.5, -2.0, 3.0)
+
+    def test_edited_csv_is_parsed(self, small_data, tmp_path):
+        _, out = small_data
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        path = work / "train.csv"
+        text = path.read_text()
+        row = text.split("\n")[5]
+        cells = row.split(",")
+        old = cells[2]
+        digit = next(i for i, c in enumerate(old) if c in "123456789")
+        cells[2] = old[:digit] + ("1" if old[digit] != "1" else "2") + old[digit + 1:]
+        path.write_text(text.replace(row, ",".join(cells), 1))
+        loaded = load_features_csv(path, 10)
+        assert loaded.inputs[4, 0] == float(cells[2]) != float(old)
+        bits_equal(loaded, parsed(path, 10))
+
+    @pytest.mark.parametrize("kind", ["truncated", "other split", "directory", "crc flipped",
+                                      "trailing byte", "non-finite input",
+                                      "label out of range"])
+    def test_bad_sidecar_is_a_miss(self, small_data, tmp_path, kind):
+        _, out = small_data
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        path, side = work / "train.csv", work / "train.csv.bin"
+        blob = bytearray(side.read_bytes())
+        n, d = SIDECAR_HEAD.unpack_from(blob)[3:]
+        if kind == "truncated":
+            side.write_bytes(blob[:-8])
+        elif kind == "other split":
+            shutil.copyfile(work / "val_id.csv.bin", side)
+        elif kind == "directory":
+            side.unlink()
+            side.mkdir()
+        elif kind == "crc flipped":
+            blob[16] ^= 0x01
+            side.write_bytes(blob)
+        elif kind == "trailing byte":
+            side.write_bytes(blob + b"\0")
+        elif kind == "non-finite input":
+            struct.pack_into("<d", blob, SIDECAR_HEAD.size + 8 * n + 8 * d, float("nan"))
+            side.write_bytes(blob)
+        else:
+            struct.pack_into("<q", blob, SIDECAR_HEAD.size, 10)
+            side.write_bytes(blob)
+        bits_equal(load_features_csv(path, 10), parsed(path, 10))
+
+    def test_fewer_classes_than_the_data_is_todays_error(self, small_data, tmp_path, capsys):
+        # train.csv holds labels 0..9: n_classes = 9 makes the sidecar a
+        # miss, and the parse names the first row of class 9
+        config, out = small_data
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        fewer = tmp_path / "run.cfg"
+        fewer.write_text(config.read_text().replace("n_classes = 10\n", "n_classes = 9\n"))
+        lines = (work / "train.csv").read_text().splitlines()
+        ln = next(i for i, line in enumerate(lines, start=1) if line.split(",")[1] == "9")
+        rc = cli.main(["train", "--config", str(fewer), "--out", str(work)])
+        path = work / "train.csv"
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: bad dataset file {path}: {path}: "
+                                           f"line {ln}: label 9 out of range\n")
+
+    def test_sidecars_repeat_across_runs(self, small_data, tmp_path):
+        config, out = small_data
+        again = tmp_path / "again"
+        assert cli.main(["gen-data", "--config", str(config), "--out", str(again)]) == 0
+        for name in SPLITS:
+            assert (again / f"{name}.bin").read_bytes() == (out / f"{name}.bin").read_bytes()
 
 
 class TestClassBalancedSubset:
