@@ -28,7 +28,7 @@ def param_shapes(sizes, n_classes: int) -> list:
 
 
 def _check_stats(k: int, dim: int, stats: tuple) -> None:
-    # the checks of vmf.VmfMixture, each written so that NaN fails it
+    # the checks of vmf.check_mixture, each written so that NaN fails it
     rows = [stats[i : i + dim + 2] for i in range(0, len(stats), dim + 2)]
     if (k >= 1 and dim >= 2
             and all(math.isfinite(r[dim]) and r[dim] >= 0.0 for r in rows)
@@ -36,13 +36,13 @@ def _check_stats(k: int, dim: int, stats: tuple) -> None:
             and all(r[dim + 1] > 0.0 for r in rows)
             and abs(sum(r[dim + 1] for r in rows) - 1.0) <= 1e-9):
         return
-    # only a bad file pays for numpy: VmfMixture words the failed check,
+    # only a bad file pays for numpy: check_mixture words the failed check,
     # quoting the values as numpy prints them
     import numpy as np
-    from .vmf import VmfMixture
+    from .vmf import check_mixture
     a = np.array(stats).reshape(k, dim + 2)
     with np.errstate(all="ignore"):
-        VmfMixture(mus=a[:, :dim], kappas=a[:, dim], priors=a[:, dim + 1])
+        check_mixture(a[:, :dim], a[:, dim], a[:, dim + 1])
     raise ValueError("class statistics within rounding of a mixture tolerance")
 
 
@@ -52,7 +52,7 @@ def read(path):
     order (the ``param_shapes`` blocks, then one ``dim + 2`` row per class),
     and the class priors.
     Raises ``ValueError`` for a bad magic, layer count or length, a failed
-    ``vmf.VmfMixture`` check or a non-finite parameter."""
+    ``vmf.check_mixture`` check or a non-finite parameter."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:

@@ -11,7 +11,7 @@ tensor form of the contrastive loss live in ``tests/oracles.py``.
 import numpy as np
 
 from .util import logsumexp_softmax
-from .vmf import VmfMixture, _log_norm_and_ratio
+from .vmf import _log_norm_and_ratio
 
 __all__ = ["oe_uniform_loss_batch", "tla_loss_batch", "isac_loss_batch"]
 
@@ -41,10 +41,16 @@ def tla_loss_batch(logits: np.ndarray, y: np.ndarray, priors: np.ndarray, epsilo
     return vals, grads
 
 
-def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
+def isac_loss_batch(mus: np.ndarray, kappas: np.ndarray, priors: np.ndarray, z: np.ndarray,
+                    y: np.ndarray, tau: float):
     """Infinite-batch limit of the supervised contrastive loss under a vMF
     mixture of class-conditional feature laws, per row: returns (values (n,),
     gradients (n, d)).
+
+    The mixture comes as its arrays, unit rows ``mus`` (K, d), ``kappas``
+    (K,) and ``priors`` (K,); ``z`` (n, d) holds unit features with labels
+    ``y`` in [0, K). Nothing is checked per call: ``model.train`` checks the
+    labels once and ``TrainConfig`` checks tau > 0.
 
     Every class contributes through the tilted concentration
     ||kappa_j mu_j + z / tau||, expanded over the Gram product
@@ -52,36 +58,23 @@ def isac_loss_batch(mix: VmfMixture, z: np.ndarray, y: np.ndarray, tau: float):
     logsumexp over classes of log-domain normalization-constant ratios, and
     the gradient in z is exact.
     """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y)
-    if z.ndim != 2 or z.shape[1] != mix.dim:
-        raise ValueError(f"features must be (n, {mix.dim})")
-    if y.shape != (z.shape[0],):
-        raise ValueError("one label per feature row required")
-    if (y < 0).any() or (y >= mix.n_classes).any():
-        raise ValueError("label out of range for the mixture")
-    if not np.isfinite(z).all():
-        raise ValueError("features must be finite")
-
-    n, k = z.shape[0], mix.n_classes
+    n, (k, dim) = z.shape[0], mus.shape
     rows = np.arange(n)
 
     # ||c_j + z/tau||^2 = ||c_j||^2 + 2 (z/tau).c_j + ||z/tau||^2, c_j = kappa_j mu_j
-    centers = mix.kappas[:, None] * mix.mus
+    centers = kappas[:, None] * mus
     zt = z / tau
     sq = (np.add.reduce(centers * centers, axis=1)[None, :] + 2.0 * (zt @ centers.T)
           + np.add.reduce(zt * zt, axis=1)[:, None])
     tilted = np.sqrt(np.maximum(sq, 0.0))
     # one Bessel pass for the class and the tilted concentrations together
-    log_z, ratio = _log_norm_and_ratio(mix.dim, np.concatenate([mix.kappas, tilted.ravel()]))
+    log_z, ratio = _log_norm_and_ratio(dim, np.concatenate([kappas, tilted.ravel()]))
     log_z_class = log_z[:k]
     log_z_tilted = log_z[k:].reshape(n, k)
     ratio = ratio[k:].reshape(n, k)
 
     # s_nj = log(pi_j C(kappa_j) / C(tilted_nj)) - log(pi_y C(kappa_y) / C(tilted_ny))
-    own = np.log(mix.priors) + log_z_class
+    own = np.log(priors) + log_z_class
     s = (own[None, :] - log_z_tilted) - (own[y] - log_z_tilted[rows, y])[:, None]
     vals, p = logsumexp_softmax(s)
 

@@ -18,13 +18,12 @@ import numpy as np
 from . import checkpoint
 from .config import METHODS, TrainConfig
 from .util import derive_seed, norms_along
-from .vmf import VmfMixture, estimate_class_stats
+from .vmf import check_mixture, estimate_class_stats
 
 __all__ = [
     "EncoderClassifier",
     "TrainConfig",
     "TrainState",
-    "EpochRecord",
     "encoder_forward",
     "classifier_logits",
     "batch_loss_and_grads",
@@ -160,17 +159,9 @@ def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
             g = (g @ model.weights[layer]) * (1.0 - acts[layer] ** 2)
 
 
-class LossBreakdown:
-    """Mean per-term values of one batch objective. For the baselines the
-    ``tla`` slot holds the plain cross-entropy term and ``isac`` is 0."""
-
-    def __init__(self, total: float, isac: float, tla: float, oe: float):
-        self.total, self.isac, self.tla, self.oe = total, isac, tla, oe
-
-
 def batch_loss_and_grads(
     model: EncoderClassifier,
-    mix: VmfMixture | None,
+    stats,
     id_x: np.ndarray,
     id_y: np.ndarray,
     ood_x,
@@ -178,12 +169,15 @@ def batch_loss_and_grads(
     forward=None,
 ):
     """Mean batch objective of ``config.method`` and its exact parameter
-    gradients, returned as ``(LossBreakdown, flat_grad)``.
+    gradients, returned as ``((total, isac, tla, oe), flat_grad)``: the mean
+    per-term values of the batch (for the baselines ``tla`` holds the plain
+    cross-entropy term and ``isac`` is 0) and one fresh gradient vector.
 
     Every method trains on isac + w_cls * cls + w_oe * oe, with cls the logit
     adjustment at (priors, epsilon) and oe the outlier stream's cross entropy
-    from the uniform target. ``patt`` adds the ISAC term and takes (mixture
-    priors, ``epsilon``, ``alpha``, ``beta``); the baselines have none and take
+    from the uniform target. ``patt`` adds the ISAC term under the mixture
+    ``stats`` = ``(mus, kappas, priors)`` and takes (its priors, ``epsilon``,
+    ``alpha``, ``beta``); the baselines have none and take
     (uniform, 1, 1, ``oe_gamma`` or 0), where the adjustment is cross entropy.
 
     The mixture statistics are constants here; differentiation covers the
@@ -209,11 +203,12 @@ def batch_loss_and_grads(
     logits = z @ model.clf_w.T + model.clf_b
 
     if method == "patt":
-        if mix is None:
+        if stats is None:
             raise ValueError("patt objective requires mixture statistics")
-        isac_vals, isac_grads = losses.isac_loss_batch(mix, z, id_y, config.tau)
+        mus, kappas, priors = stats
+        isac_vals, isac_grads = losses.isac_loss_batch(mus, kappas, priors, z, id_y, config.tau)
         isac_mean, d_z = float(np.add.reduce(isac_vals)) / n, isac_grads / n
-        priors, epsilon, w_cls, w_oe = mix.priors, config.epsilon, config.alpha, config.beta
+        epsilon, w_cls, w_oe = config.epsilon, config.alpha, config.beta
     else:
         isac_mean, d_z = 0.0, None
         priors, epsilon, w_cls = np.full(model.n_classes, 1.0 / model.n_classes), 1.0, 1.0
@@ -231,21 +226,23 @@ def batch_loss_and_grads(
         _backprop_stream(model, acts_o, norms_o, z_o, None, w_oe * oe_grads / m, grads)
 
     total = isac_mean + w_cls * cls_mean + w_oe * oe_mean
-    return LossBreakdown(total=total, isac=isac_mean, tla=cls_mean, oe=oe_mean), flat_grad
+    return (total, isac_mean, cls_mean, oe_mean), flat_grad
 
 
 class TrainState:
-    """The one mutable context of a training run: parameters, the mixture and
-    the running class sums it comes from (``sums`` (K, d) and ``counts`` (K,),
-    see ``vmf.estimate_class_stats``), the optimizer state and the static
-    configuration. The optimizer state is flat in ``model.flat`` order: Adam's
-    moments ``m``, ``v`` and step count ``t``; SGD keeps its velocity in
-    ``m``. All start at zero."""
+    """The one mutable context of a training run: parameters, the class
+    statistics as arrays, the optimizer state and the static configuration.
 
-    def __init__(self, model: EncoderClassifier, mix: VmfMixture | None, config: TrainConfig,
-                 sums=None, counts=None):
-        self.model, self.mix, self.config = model, mix, config
-        self.sums, self.counts = sums, counts
+    The statistics are the mixture's ``mus`` (K, d) and ``kappas`` (K,), the
+    running class sums they come from (``sums`` (K, d) and ``counts`` (K,),
+    see ``vmf.estimate_class_stats``), all None until a full pass sets them,
+    and the fixed ``priors`` (K,). The optimizer state is flat in
+    ``model.flat`` order: Adam's moments ``m``, ``v`` and step count ``t``;
+    SGD keeps its velocity in ``m``. All start at zero."""
+
+    def __init__(self, model: EncoderClassifier, config: TrainConfig, priors: np.ndarray):
+        self.model, self.config, self.priors = model, config, priors
+        self.mus = self.kappas = self.sums = self.counts = None
         self.m, self.v, self.t = np.zeros(model.flat.size), np.zeros(model.flat.size), 0
 
 
@@ -276,14 +273,15 @@ def _apply_update(state: TrainState, flat_grad: np.ndarray) -> None:
     flat -= step
 
 
-def train_step(state: TrainState, id_batch, ood_batch) -> LossBreakdown:
+def train_step(state: TrainState, id_batch, ood_batch) -> tuple:
     """One optimization step, in place on ``state``; returns the loss
-    breakdown.
+    breakdown ``(total, isac, tla, oe)``.
 
     For the combined objective the batch features are first folded into the
     running class sums, each present class's decayed by ``vmf_momentum``,
     and the mixture is taken from them (priors fixed), unless the config
-    asks for per-epoch refresh only.
+    asks for per-epoch refresh only. A step that fails leaves the state as
+    it was.
     """
     id_x, id_y = id_batch
     id_x = np.asarray(id_x, dtype=np.float64)
@@ -291,37 +289,26 @@ def train_step(state: TrainState, id_batch, ood_batch) -> LossBreakdown:
     ood_x = None if ood_batch is None else np.asarray(ood_batch, dtype=np.float64)
     config = state.config
 
-    if id_x.shape[-1] != state.model.input_dim:
-        raise ValueError(f"input dim {id_x.shape[-1]} != model input {state.model.input_dim}")
-
-    mix, sums, counts = state.mix, state.sums, state.counts
+    mus, kappas, sums, counts = state.mus, state.kappas, state.sums, state.counts
     forward = None
-    if config.method == "patt" and config.vmf_update == "batch" and mix is not None:
+    if config.method == "patt" and config.vmf_update == "batch" and mus is not None:
         # one encoder pass feeds both the stats refresh and the loss
         forward = _forward_batch(state.model, id_x, [])
-        mix, sums, counts = estimate_class_stats(forward[2], id_y, sums, counts, mix.priors,
-                                                 config.vmf_momentum)
+        mus, kappas, sums, counts = estimate_class_stats(forward[2], id_y, sums, counts,
+                                                         config.vmf_momentum)
 
-    breakdown, flat_grad = batch_loss_and_grads(state.model, mix, id_x, id_y, ood_x, config,
+    stats = None if mus is None else (mus, kappas, state.priors)
+    breakdown, flat_grad = batch_loss_and_grads(state.model, stats, id_x, id_y, ood_x, config,
                                                 forward=forward)
-    for name, val in (("isac", breakdown.isac), ("tla", breakdown.tla), ("oe", breakdown.oe)):
+    for name, val in zip(("isac", "tla", "oe"), breakdown[1:]):
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite loss term: {name} = {val}")
     if not np.isfinite(flat_grad).all():
         raise RuntimeError("non-finite gradient in parameter update")
 
-    state.mix, state.sums, state.counts = mix, sums, counts
+    state.mus, state.kappas, state.sums, state.counts = mus, kappas, sums, counts
     _apply_update(state, flat_grad)
     return breakdown
-
-
-class EpochRecord:
-    """One epoch's mean loss terms and validation accuracy."""
-
-    def __init__(self, epoch: int, total: float, isac: float, tla: float, oe: float,
-                 val_acc: float):
-        self.epoch, self.total, self.isac = epoch, total, isac
-        self.tla, self.oe, self.val_acc = tla, oe, val_acc
 
 
 def _validation_accuracy(model, val_x, val_y) -> float:
@@ -330,16 +317,19 @@ def _validation_accuracy(model, val_x, val_y) -> float:
     return float(np.mean(pred == val_y))
 
 
-def _full_stats(model, train_x, train_y, priors):
-    # (mixture, sums, counts) of one pass over the split from zero sums
+def _full_stats(model, train_x, train_y, k: int):
+    # (mus, kappas, sums, counts) of one pass over the split from zero sums
     z = encoder_forward(model, train_x)
-    k = priors.size
-    return estimate_class_stats(z, train_y, np.zeros((k, z.shape[1])), np.zeros(k), priors)
+    return estimate_class_stats(z, train_y, np.zeros((k, z.shape[1])), np.zeros(k))
 
 
 def train(config: TrainConfig, train_id, train_ood, val_id):
-    """Full training run; returns (model, mixture statistics, history), the
-    history being one ``EpochRecord`` per epoch.
+    """Full training run; returns ``(model, (mus, kappas, priors), history)``,
+    the history holding one ``(epoch, total, isac, tla, oe, val_acc)`` tuple
+    per epoch: the mean loss terms and the validation accuracy.
+
+    The labeled split is checked here, once: at least two classes, each with
+    rows, and every label in [0, K) (an outlier row, label -1, is refused).
 
     For ``patt`` a full pass over the split seeds the mixture at the start
     of the first epoch, and of every epoch under ``vmf_update = epoch``. The
@@ -354,6 +344,10 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         raise ValueError("training needs at least two classes")
     if np.any(counts <= 0):
         raise ValueError("every class needs at least one training sample")
+    lo, hi = int(y.min()), int(y.max())
+    if lo < 0 or hi >= counts.size:
+        raise ValueError(f"labels out of range for the class count: got {lo if lo < 0 else hi}, "
+                         f"want each in [0, {counts.size})")
     priors = counts / np.add.reduce(counts)
 
     model = EncoderClassifier.init(
@@ -365,7 +359,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     if train_ood is not None and train_ood.inputs.shape[0] > 0:
         ood_x = np.asarray(train_ood.inputs, dtype=np.float64)
 
-    state = TrainState(model, None, config)
+    state = TrainState(model, config, priors)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "id-shuffle"))
     ood_rng = np.random.default_rng(derive_seed(config.seed, "ood-shuffle"))
     ood_queue = np.empty(0, dtype=np.int64)
@@ -373,7 +367,8 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     n = x.shape[0]
     for epoch in range(config.epochs):
         if config.method == "patt" and (epoch == 0 or config.vmf_update == "epoch"):
-            state.mix, state.sums, state.counts = _full_stats(state.model, x, y, priors)
+            state.mus, state.kappas, state.sums, state.counts = _full_stats(state.model, x, y,
+                                                                            counts.size)
         perm = shuffle_rng.permutation(n)
         sums = np.zeros(4)
         steps = 0
@@ -387,36 +382,39 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
                 ood_batch = ood_x[ood_queue[:take]]
                 ood_queue = ood_queue[take:]
             breakdown = train_step(state, (x[idx], y[idx]), ood_batch)
-            sums += (breakdown.total, breakdown.isac, breakdown.tla, breakdown.oe)
+            sums += breakdown
             steps += 1
         total, isac, tla, oe = (sums / steps).tolist()
-        history.append(EpochRecord(epoch, total, isac, tla, oe,
-                                   _validation_accuracy(state.model, val_id.inputs, val_id.labels)))
+        history.append((epoch, total, isac, tla, oe,
+                        _validation_accuracy(state.model, val_id.inputs, val_id.labels)))
 
-    mix = state.mix if state.mix is not None else _full_stats(state.model, x, y, priors)[0]
-    return state.model, mix, history
+    if state.mus is None:
+        state.mus, state.kappas = _full_stats(state.model, x, y, counts.size)[:2]
+    return state.model, (state.mus, state.kappas, priors), history
 
 
-def save_checkpoint(path, model: EncoderClassifier, mix: VmfMixture) -> None:
-    """Write ``model`` and ``mix`` in the layout of ``checkpoint``:
-    ``model.flat``, then one (mu, kappa, prior) row per class."""
-    if mix.n_classes != model.n_classes or mix.dim != model.feature_dim:
+def save_checkpoint(path, model: EncoderClassifier, stats) -> None:
+    """Write ``model`` and the mixture ``stats`` = ``(mus, kappas, priors)``,
+    checked by ``vmf.check_mixture`` and against the model's head, in the
+    layout of ``checkpoint``: ``model.flat``, then one (mu, kappa, prior) row
+    per class."""
+    mus, kappas, priors = check_mixture(*stats)
+    if mus.shape != (model.n_classes, model.feature_dim):
         raise ValueError("mixture does not match the model's head")
-    stats = np.column_stack([mix.mus, mix.kappas, mix.priors])
     data = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                    for arr in (model.flat, stats))
+                    for arr in (model.flat, np.column_stack([mus, kappas, priors])))
     checkpoint.write(path, model.layer_sizes, model.n_classes, data)
 
 
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``, checked by ``checkpoint.read``;
-    returns (model, mixture). The arrays are writable views into one copy of
-    the checked payload, whose first values are ``model.flat``."""
+    returns ``(model, (mus, kappas, priors))``. The arrays are writable views
+    into one copy of the checked payload, whose first values are
+    ``model.flat``."""
     sizes, k, payload, _ = checkpoint.read(path)
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     dim = sizes[-1]
     n = values.size - k * (dim + 2)
     model = EncoderClassifier(values[:n], sizes, k)
     stats = values[n:].reshape(k, dim + 2)
-    mix = VmfMixture(mus=stats[:, :dim], kappas=stats[:, dim], priors=stats[:, dim + 1])
-    return model, mix
+    return model, (stats[:, :dim], stats[:, dim], stats[:, dim + 1])

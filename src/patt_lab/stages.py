@@ -60,36 +60,36 @@ def cmd_train(cfg, out_dir) -> None:
     train_ood = _load_split(out_dir, "train_ood.csv", cfg)
     val_id = _load_split(out_dir, "val_id.csv", cfg)
     try:
-        net, mix, history = model.train(_build(model.TrainConfig, cfg), train_id, train_ood,
+        net, stats, history = model.train(_build(model.TrainConfig, cfg), train_id, train_ood,
                                         val_id)
+        model.save_checkpoint(os.path.join(out_dir, "model.ckpt"), net, stats)
     except (ValueError, MemoryError) as exc:
         raise CliError(f"training failed: {exc}") from None
     except (FloatingPointError, RuntimeError) as exc:
         raise CliError(f"training failed: {exc} (check the keys that scale the step: "
                        f"{', '.join(_STEP_KEYS)})") from None
-    model.save_checkpoint(os.path.join(out_dir, "model.ckpt"), net, mix)
     with open(os.path.join(out_dir, "history.csv"), "w", encoding="ascii") as fh:
         fh.write("epoch,total,isac,tla,oe,val_acc\n")
-        for rec in history:
-            fh.write(f"{rec.epoch},{rec.total!r},{rec.isac!r},"
-                     f"{rec.tla!r},{rec.oe!r},{rec.val_acc!r}\n")
+        for epoch, total, isac, tla, oe, val_acc in history:
+            fh.write(f"{epoch},{total!r},{isac!r},{tla!r},{oe!r},{val_acc!r}\n")
 
 
 def _load_model(out_dir, cfg):
+    # the model and the class priors, the one part of the mixture a stage reads
     from . import model
     path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
     try:
-        net, mix = model.load_checkpoint(path)
+        net, (_, _, priors) = model.load_checkpoint(path)
     except ValueError as exc:
         raise CliError(f"bad checkpoint {path}: {exc}") from None
     _check_classes(path, net.n_classes, cfg)
-    return net, mix
+    return net, priors
 
 
 def cmd_calibrate(cfg, out_dir) -> None:
     from . import calibration, data, model
     from .util import derive_seed
-    net, mix = _load_model(out_dir, cfg)
+    net, priors = _load_model(out_dir, cfg)
     train_id = _load_train(out_dir, cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", cfg)
     per_class = cfg["per_class"] or int(train_id.class_counts.min())
@@ -99,7 +99,7 @@ def cmd_calibrate(cfg, out_dir) -> None:
         cb_z = model.encoder_forward(net, cb.inputs)
         ood_z = model.encoder_forward(net, train_ood.inputs)
         weight = calibration.AttentionWeight.from_raw(
-            calibration.attention_weight(cb_z, cb.labels, ood_z, net, mix.priors))
+            calibration.attention_weight(cb_z, cb.labels, ood_z, net, priors))
     except (ValueError, FloatingPointError) as exc:
         raise CliError(f"calibration failed: {exc}") from None
     calibration.save_attention(os.path.join(out_dir, "attention.csv"), weight)
@@ -131,7 +131,7 @@ def cmd_eval(cfg, out_dir) -> None:
     split ranks classes by the checkpoint's priors.
     """
     from . import calibration, metrics, model
-    net, mix = _load_model(out_dir, cfg)
+    net, priors = _load_model(out_dir, cfg)
     test_id = _load_split(out_dir, "test_id.csv", cfg)
     test_ood = _load_split(out_dir, "test_ood.csv", cfg)
     weight = _resolve_attention(cfg, out_dir)
@@ -148,7 +148,7 @@ def cmd_eval(cfg, out_dir) -> None:
         id_scores = score(model.classifier_logits(net, z_id))
         ood_scores = score(model.classifier_logits(net, z_ood))
         report = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
-                                      mix.priors, tail_fraction=cfg["tail_fraction"])
+                                      priors, tail_fraction=cfg["tail_fraction"])
     except (ValueError, FloatingPointError) as exc:
         raise CliError(f"evaluation failed: {exc}") from None
 

@@ -1,10 +1,10 @@
 """von Mises-Fisher numerics on the unit hypersphere.
 
-Log-domain Bessel and normalization constants, the array-native mixture and
-per-class parameter estimation from running sums. All functions are pure. The
-sampler lives in ``data``, its one caller in the package; the densities and
-the moment generating function, which only tests call, live in
-``tests/oracles.py``.
+Log-domain Bessel and normalization constants, the check of a mixture's
+arrays and per-class parameter estimation from running sums. All functions
+are pure. The sampler lives in ``data``, its one caller in the package; the
+densities and the moment generating function, which only tests call, live
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import math
 
 import numpy as np
 
-from .util import MU_NORM_TOL, norms_along
+from .util import MU_NORM_TOL
 
 __all__ = [
     "KAPPA_MAX",
-    "VmfMixture",
+    "check_mixture",
     "log_bessel_i",
     "log_norm_const",
     "bessel_ratio",
@@ -27,8 +27,6 @@ __all__ = [
 # Concentration cap. Keeps the estimator away from the degenerate point-mass
 # limit and the Bessel evaluation inside its validated range.
 KAPPA_MAX = 1e4
-
-_UNIT_INPUT_TOL = 1e-6
 
 # Largest series sum carried into the next 4 terms: above every sum at x < 300
 # (I_0(300) ~ 4.5e128), and low enough that 4 terms of growth and term * q,
@@ -46,47 +44,34 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
 
 
-class VmfMixture:
-    """A finite mixture of same-dimension vMF components with strict priors,
-    stored as arrays: ``mus`` (K, dim) unit rows, ``kappas`` (K,) and
-    ``priors`` (K,).
-
-    Construction checks every row at once (dim >= 2, finite non-negative
-    kappa, unit-norm mu) and requires positive priors that sum to 1.
-    """
-
-    def __init__(self, mus, kappas, priors) -> None:
-        self.mus = np.asarray(mus, dtype=np.float64)
-        self.kappas = np.asarray(kappas, dtype=np.float64)
-        self.priors = np.asarray(priors, dtype=np.float64)
-        if self.mus.ndim != 2 or self.mus.shape[0] == 0:
-            raise ValueError(f"mus must be a non-empty (K, dim) matrix, got shape {self.mus.shape}")
-        k, dim = self.mus.shape
-        if dim < 2:
-            raise ValueError(f"dim must be >= 2, got {dim}")
-        if self.kappas.shape != (k,) or self.priors.shape != (k,):
-            raise ValueError(f"kappas {self.kappas.shape} and priors {self.priors.shape} "
-                             f"must both have shape ({k},)")
-        # each test is written so that NaN fails it
-        if not (np.isfinite(self.kappas) & (self.kappas >= 0.0)).all():
-            raise ValueError(f"kappa must be finite and non-negative, got {self.kappas}")
-        norms = _row_norms(self.mus)
-        bad = ~(np.abs(norms - 1.0) <= MU_NORM_TOL)
-        if bad.any():
-            raise ValueError(f"mu must be unit norm, got ||mu|| = {norms[bad][0]!r}")
-        if not (self.priors > 0.0).all():
-            raise ValueError("priors must be strictly positive")
-        total = float(np.add.reduce(self.priors))
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"priors must sum to 1, got {total!r}")
-
-    @property
-    def n_classes(self) -> int:
-        return self.mus.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mus.shape[1]
+def check_mixture(mus, kappas, priors):
+    """The arrays of a finite mixture of same-dimension vMF components as
+    float64, ``(mus (K, dim), kappas (K,), priors (K,))``, once checked: dim
+    >= 2, finite non-negative kappa, unit-norm mu rows (NaN fails) and
+    positive priors that sum to 1, with every row checked at once. Raises
+    ``ValueError`` naming the first failed check."""
+    mus, kappas, priors = (np.asarray(a, dtype=np.float64) for a in (mus, kappas, priors))
+    if mus.ndim != 2 or mus.shape[0] == 0:
+        raise ValueError(f"mus must be a non-empty (K, dim) matrix, got shape {mus.shape}")
+    k, dim = mus.shape
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    if kappas.shape != (k,) or priors.shape != (k,):
+        raise ValueError(f"kappas {kappas.shape} and priors {priors.shape} "
+                         f"must both have shape ({k},)")
+    # each test is written so that NaN fails it
+    if not (np.isfinite(kappas) & (kappas >= 0.0)).all():
+        raise ValueError(f"kappa must be finite and non-negative, got {kappas}")
+    norms = _row_norms(mus)
+    bad = ~(np.abs(norms - 1.0) <= MU_NORM_TOL)
+    if bad.any():
+        raise ValueError(f"mu must be unit norm, got ||mu|| = {norms[bad][0]!r}")
+    if not (priors > 0.0).all():
+        raise ValueError("priors must be strictly positive")
+    total = float(np.add.reduce(priors))
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"priors must sum to 1, got {total!r}")
+    return mus, kappas, priors
 
 
 def _log_bessel_series(orders, x):
@@ -98,30 +83,58 @@ def _log_bessel_series(orders, x):
     # Then each unconverged sum above _SERIES_BOUND and its term are scaled
     # exactly into [0.5, 1) by a power of two, whose log is added last: each
     # element has the bits it has alone, and one never scaled (all x < 300)
-    # the bits of the unscaled sum, as adding 0.0 is exact.
+    # the bits of the unscaled sum, as adding 0.0 is exact. A block whose
+    # largest x is below 300 has no sum to scale, so it skips the test.
     nu = orders[:, None]
     q = 0.25 * x * x
+    rescale = float(np.maximum.reduce(x, initial=0.0)) >= 300.0
     term = np.ones((orders.size, x.size))
     total = term.copy()
     shifts = np.zeros(total.shape, dtype=np.int64)
     m = 0
     while True:
+        if m % 64 == 0:
+            # the divisors m (m + nu) of the next 64 terms, formed in one
+            # pass with the bits of forming each in its own step
+            ms = np.arange(m + 1, m + 65.0)[:, None, None]
+            divisors = ms * (ms + nu)
         m += 1
-        term = term * q / (m * (m + nu))
+        term *= q
+        term /= divisors[(m - 1) % 64]
         total += term
         if m % 4 == 0:
             live = term >= 1e-18 * total
             if not live.any():
                 break
-            big = live & (total > _SERIES_BOUND)
-            if big.any():
-                shift = np.where(big, np.frexp(total)[1], 0)
-                term, total = np.ldexp(term, -shift), np.ldexp(total, -shift)
-                shifts += shift
+            if rescale:
+                big = live & (total > _SERIES_BOUND)
+                if big.any():
+                    shift = np.where(big, np.frexp(total)[1], 0)
+                    term, total = np.ldexp(term, -shift), np.ldexp(total, -shift)
+                    shifts += shift
         if m > 500000:  # pragma: no cover - series converges long before this
             raise RuntimeError("Bessel series failed to converge")
     lgamma = np.array([math.lgamma(v + 1.0) for v in orders.tolist()])[:, None]
     return (nu * np.log(0.5 * x) - lgamma + np.log(total) + shifts * _LN2_LO) + shifts * _LN2_HI
+
+
+_COEFS = {}
+_COEFS_MAX = 16  # orders kept; a run uses two
+
+
+def _asymptotic_coefs(nu: float) -> tuple:
+    # a_1(nu) .. a_39(nu) of S_nu, each from the one before, built once per
+    # order while the table holds fewer than _COEFS_MAX orders
+    coefs = _COEFS.get(nu)
+    if coefs is None:
+        coefs, coef = [], 1.0
+        for k in range(1, 40):
+            coef *= ((2 * k - 1) ** 2 - 4.0 * nu * nu) / (8 * k)
+            coefs.append(coef)
+        if len(_COEFS) >= _COEFS_MAX:
+            _COEFS.clear()
+        coefs = _COEFS[nu] = tuple(coefs)
+    return coefs
 
 
 def _asymptotic_sum(orders, x):
@@ -136,18 +149,18 @@ def _asymptotic_sum(orders, x):
     table = np.zeros((40, len(orders)))
     top = 1
     for col, nu in enumerate(orders):
-        coef = total = 1.0
-        for k in range(1, 40):
-            coef *= ((2 * k - 1) ** 2 - 4.0 * nu * nu) / (8 * k)
-            table[k, col] = coef
+        coefs = _asymptotic_coefs(float(nu))
+        total = 1.0
+        for k, coef in enumerate(coefs, 1):
             term = coef * inv_lo ** k
             total += term
             if abs(term) <= 1e-17 * abs(total):
                 break
+        table[1:k + 1, col] = coefs[:k]
         top = max(top, k)
     out = np.multiply.outer(table[top], inv_x)
-    for coef in table[top - 1:0:-1]:
-        out += coef.reshape((-1,) + (1,) * inv_x.ndim)
+    for coef in table[top - 1:0:-1].reshape((top - 1, len(orders)) + (1,) * inv_x.ndim):
+        out += coef
         out *= inv_x
     return out + 1.0
 
@@ -160,13 +173,16 @@ def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     # log I_nu(x) for every order (rows) at every positive x (columns). The
     # series runs once over every order at the union of their lanes below the
     # cut max(30, 2 nu^2), and each order keeps its own; then each order runs
-    # the asymptotic kernel on its lanes at or above its cut.
+    # the asymptotic kernel on its lanes at or above its cut. A branch with
+    # no lanes is not called.
     small = x < np.maximum(30.0, 2.0 * orders * orders)[:, None]
     union = small.any(axis=0)
     out = np.empty((orders.size, x.size))
-    out[small] = _log_bessel_series(orders, x[union])[small[:, union]]
+    if union.any():
+        out[small] = _log_bessel_series(orders, x[union])[small[:, union]]
     for row, nu, own in zip(out, orders.tolist(), small):
-        row[~own] = _log_bessel_asymptotic(nu, x[~own])
+        if not own.all():
+            row[~own] = _log_bessel_asymptotic(nu, x[~own])
     return out
 
 
@@ -231,18 +247,19 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     ``log_bessel_i`` call over both orders d/2 - 1 and d/2."""
     half = 0.5 * dim
     nu = half - 1.0
+    large = kappa >= max(30.0, 2.0 * half * half)
+    if large.all():
+        # no lane to gather or scatter
+        log_i, ratio = _asymptotic_log_i_and_ratio(nu, half, kappa)
+        return nu * np.log(kappa) - half * math.log(2.0 * math.pi) - log_i, ratio
     # kappa = 0 lanes stand in at 1.0 and join neither branch; they take the
     # uniform law (minus the log sphere area, ratio 0)
     pos = kappa > 0.0
     kp = np.where(pos, kappa, 1.0)
-    large = kp >= max(30.0, 2.0 * half * half)
     rest = pos & ~large
     log_i, ratio = np.zeros(kp.shape), np.zeros(kp.shape)
     if large.any():
-        kl = kp[large]
-        series = _asymptotic_sum((nu, half), kl)
-        log_i[large] = kl - 0.5 * np.log(2.0 * math.pi * kl) + np.log(series[0])
-        ratio[large] = series[1] / series[0]
+        log_i[large], ratio[large] = _asymptotic_log_i_and_ratio(nu, half, kp[large])
     if rest.any():
         log_i_nu, log_i_half = log_bessel_i((nu, half), kp[rest])
         log_i[rest], ratio[rest] = log_i_nu, np.exp(log_i_half - log_i_nu)
@@ -251,12 +268,10 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     return log_norm, ratio
 
 
-def _check_unit_rows(z: np.ndarray, what: str) -> None:
-    norms = norms_along(z)
-    deviation = np.abs(norms - 1.0)
-    if not (deviation <= _UNIT_INPUT_TOL).all():  # written so that NaN fails
-        worst = float(norms.ravel()[np.argmax(deviation.ravel())])
-        raise ValueError(f"{what} must be unit norm, worst ||.|| = {worst!r}")
+def _asymptotic_log_i_and_ratio(nu, half, x):
+    # log I_nu(x) and I_half(x) / I_nu(x) from one asymptotic block
+    series = _asymptotic_sum((nu, half), x)
+    return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(series[0]), series[1] / series[0]
 
 
 def _banerjee_kappa(r_bar: np.ndarray, dim: int) -> np.ndarray:
@@ -268,41 +283,27 @@ def _banerjee_kappa(r_bar: np.ndarray, dim: int) -> np.ndarray:
     return np.where(capped, KAPPA_MAX, kappa)
 
 
-def estimate_class_stats(features, labels, sums, counts, priors, momentum: float = 0.0):
-    """Fold a batch of unit features into running per-class sums and return
-    ``(mixture, sums, counts)``; the inputs are left unchanged.
+def estimate_class_stats(features, labels, sums, counts, momentum: float = 0.0):
+    """Fold a batch of unit features (n, d) with labels in [0, K) into running
+    per-class sums and return ``(mus, kappas, sums, counts)``; the inputs are
+    left unchanged and are not checked (``model.train`` checks the labels
+    once, and the encoder's features are unit by construction).
 
     ``sums`` (K, d) holds each class's resultant S and ``counts`` (K,) its row
     count N. A class present in the batch decays both by ``momentum`` and
     adds the batch's sum and count, S <- m S + S_b and N <- m N + n_b; an
-    absent class keeps its bits. The mixture has mu = S / |S| and kappa from
+    absent class keeps its bits. Each class takes mu = S / |S| and kappa from
     the mean resultant length r = |S| / N by the closed-form approximation
-    kappa = r (d - r^2) / (1 - r^2), clamped to [0, KAPPA_MAX]; the priors
-    are carried unchanged. A full pass over a split is one call from zero
-    sums, after which every class must have rows.
+    kappa = r (d - r^2) / (1 - r^2), clamped to [0, KAPPA_MAX]. A full pass
+    over a split is one call from zero sums, after which every class must
+    have rows.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    labs = np.asarray(labels)
-    if feats.ndim != 2 or labs.shape != (feats.shape[0],):
-        raise ValueError("features must be (n, d) with one label per row")
-    if feats.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    _check_unit_rows(feats, "features")
-    sums, counts = np.asarray(sums, dtype=np.float64), np.asarray(counts, dtype=np.float64)
-    n_classes, dim = counts.size, feats.shape[1]
-    if sums.shape != (n_classes, dim) or counts.shape != (n_classes,):
-        raise ValueError(f"running sums {sums.shape} and counts {counts.shape} "
-                         f"must be (K, {dim}) and (K,)")
-    if (labs < 0).any() or (labs >= n_classes).any():
-        raise ValueError("labels out of range for the class count")
-
-    n_rows = np.bincount(labs, minlength=n_classes)
+    n_classes, dim = sums.shape
+    n_rows = np.bincount(labels, minlength=n_classes)
     # per-class batch sums: bincount adds each (class, column) bin's weights
     # from 0.0 in row order (the order of a per-class row sum, so the bits match)
-    bins = (labs * dim)[:, None] + np.arange(dim)
-    batch_sums = np.bincount(bins.ravel(), weights=feats.ravel(),
+    bins = (labels * dim)[:, None] + np.arange(dim)
+    batch_sums = np.bincount(bins.ravel(), weights=features.ravel(),
                              minlength=n_classes * dim).reshape(n_classes, dim)
     decay = np.where(n_rows > 0, momentum, 1.0)
     sums = decay[:, None] * sums + batch_sums
@@ -312,7 +313,8 @@ def estimate_class_stats(features, labels, sums, counts, priors, momentum: float
     r_norm = _row_norms(sums)
     # a fully cancelled resultant leaves the direction unidentifiable; kappa
     # is 0 then, so any fixed unit vector gives the same (uniform) law
-    cancelled = (r_norm <= 1e-12)[:, None]
-    mus = np.where(cancelled, np.eye(1, dim), sums / np.where(cancelled, 1.0, r_norm[:, None]))
-    mix = VmfMixture(mus=mus, kappas=_banerjee_kappa(r_norm / counts, dim), priors=priors)
-    return mix, sums, counts
+    cancelled = r_norm <= 1e-12
+    mus = sums / np.where(cancelled, 1.0, r_norm)[:, None]
+    if cancelled.any():
+        mus[cancelled] = np.eye(1, dim)
+    return mus, _banerjee_kappa(r_norm / counts, dim), sums, counts

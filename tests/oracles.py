@@ -18,16 +18,19 @@ package evaluates batches only:
 ``log_bessel_i_at`` evaluates ``vmf.log_bessel_i`` at one order, and
 ``read_report`` parses the ``report.csv`` that eval writes.
 
+``Mixture`` names the package's mixture arrays ``(mus, kappas, priors)``.
+
 The last part holds code that left the package because no pipeline stage
 runs it: the per-sample losses and the combined objective (thin wrappers of
 the package's batch kernels), the single vMF component with its density and
-moment generating function, the checked 1-D log-sum-exp, the two post-hoc
-baselines (tau-normalised classifier, prior-subtraction logit adjustment),
-and the ``np.union1d`` form of the occupied-class check of
-``calibration.attention_weight``.
+moment generating function, the unit-row check of their inputs, the checked
+1-D log-sum-exp, the two post-hoc baselines (tau-normalised classifier,
+prior-subtraction logit adjustment), and the ``np.union1d`` form of the
+occupied-class check of ``calibration.attention_weight``.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -36,7 +39,7 @@ import numpy as np
 from patt_lab import losses, vmf
 from patt_lab.calibration import channel_importance
 from patt_lab.model import EncoderClassifier, classifier_logits
-from patt_lab.util import MU_NORM_TOL, logsumexp_softmax
+from patt_lab.util import MU_NORM_TOL, logsumexp_softmax, norms_along
 
 mp.mp.dps = 50
 
@@ -269,11 +272,28 @@ def copy_model(model):
     return EncoderClassifier(model.flat.copy(), model.layer_sizes, model.n_classes)
 
 
+class Mixture(namedtuple("Mixture", "mus kappas priors")):
+    """The package's mixture, the arrays ``(mus, kappas, priors)``, with
+    names: it unpacks and passes wherever the package takes the tuple
+    (``model.batch_loss_and_grads``, ``model.save_checkpoint``), and
+    ``isac_loss_batch(*mix, z, y, tau)`` takes its arrays."""
+
+    __slots__ = ()
+
+    @property
+    def n_classes(self) -> int:
+        return self.mus.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.mus.shape[1]
+
+
 def mixture_of(components, priors):
-    """A ``vmf.VmfMixture`` whose rows are the given ``VmfParams``."""
-    return vmf.VmfMixture(mus=np.stack([c.mu for c in components]),
-                          kappas=np.array([c.kappa for c in components]),
-                          priors=priors)
+    """The ``Mixture`` whose rows are the given ``VmfParams``, checked by
+    ``vmf.check_mixture``."""
+    return Mixture(*vmf.check_mixture(np.stack([c.mu for c in components]),
+                                      np.array([c.kappa for c in components]), priors))
 
 
 def components_of(mix):
@@ -285,20 +305,23 @@ def components_of(mix):
 def full_stats(feats, labs, class_counts):
     """``vmf.estimate_class_stats`` over a whole split from zero sums, with
     the priors of ``class_counts``, as ``model.train`` runs it; returns
-    ``(mixture, sums, counts)``."""
+    ``(mixture, sums, counts)``, the mixture checked by
+    ``vmf.check_mixture``."""
     counts = np.asarray(class_counts, dtype=np.float64)
     k = counts.size
-    return vmf.estimate_class_stats(feats, labs, np.zeros((k, feats.shape[1])), np.zeros(k),
-                                    counts / np.add.reduce(counts))
+    feats, labs = np.asarray(feats, dtype=np.float64), np.asarray(labs)
+    mus, kappas, sums, n = vmf.estimate_class_stats(feats, labs, np.zeros((k, feats.shape[1])),
+                                                    np.zeros(k))
+    return Mixture(*vmf.check_mixture(mus, kappas, counts / np.add.reduce(counts))), sums, n
 
 
 def assert_stats_equal(got, want):
-    """(mixture, sums, counts) of ``vmf.estimate_class_stats`` against the
-    (components, sums, counts) of ``class_stats_ref``, bit for bit."""
-    mix, sums, counts = got
+    """(mus, kappas, sums, counts) of ``vmf.estimate_class_stats`` against
+    the (components, sums, counts) of ``class_stats_ref``, bit for bit."""
+    mus, kappas, sums, counts = got
     comps, want_sums, want_counts = want
-    np.testing.assert_array_equal(mix.mus, np.stack([c.mu for c in comps]))
-    np.testing.assert_array_equal(mix.kappas, [c.kappa for c in comps])
+    np.testing.assert_array_equal(mus, np.stack([c.mu for c in comps]))
+    np.testing.assert_array_equal(kappas, [c.kappa for c in comps])
     np.testing.assert_array_equal(sums, want_sums)
     np.testing.assert_array_equal(counts, want_counts)
 
@@ -631,7 +654,7 @@ def tla_loss(logits, y: int, priors, epsilon: float) -> _LossValue:
     return _LossValue(value=float(vals[0]), grad=grads[0])
 
 
-def isac_loss(mix: vmf.VmfMixture, z, y: int, tau: float) -> _LossValue:
+def isac_loss(mix: Mixture, z, y: int, tau: float) -> _LossValue:
     """Infinite-batch limit of the supervised contrastive loss under a vMF
     mixture of class-conditional feature laws.
 
@@ -643,11 +666,14 @@ def isac_loss(mix: vmf.VmfMixture, z, y: int, tau: float) -> _LossValue:
     zv = np.asarray(z, dtype=np.float64)
     if zv.ndim != 1:
         raise ValueError("z must be a single feature vector")
-    vals, grads = losses.isac_loss_batch(mix, zv[None, :], np.array([int(y)]), tau)
+    y = int(y)
+    if not 0 <= y < mix.n_classes:
+        raise ValueError(f"label {y} out of range")
+    vals, grads = losses.isac_loss_batch(*mix, zv[None, :], np.array([y]), tau)
     return _LossValue(value=float(vals[0]), grad=grads[0])
 
 
-def isac_loss_batch_tensor(mix: vmf.VmfMixture, z, y, tau: float):
+def isac_loss_batch_tensor(mix: Mixture, z, y, tau: float):
     """``losses.isac_loss_batch`` in its earlier form, with no input checks:
     the tilted vectors kappa_j mu_j + z / tau as an (n, K, d) tensor, their
     norms, and the gradient contracted against that tensor."""
@@ -670,7 +696,7 @@ def isac_loss_batch_tensor(mix: vmf.VmfMixture, z, y, tau: float):
 
 
 def patt_total_loss(
-    mix: vmf.VmfMixture,
+    mix: Mixture,
     z_id,
     y: int,
     logits_id,
@@ -744,24 +770,34 @@ def log_sum_exp(values) -> float:
     return float(lse)
 
 
+def check_unit_rows(z: np.ndarray, what: str) -> None:
+    """Raise unless every row of ``z`` has norm 1 within 1e-6; NaN fails.
+    The message quotes the norm furthest from 1."""
+    norms = norms_along(z)
+    deviation = np.abs(norms - 1.0)
+    if not (deviation <= 1e-6).all():  # written so that NaN fails
+        worst = float(norms.ravel()[np.argmax(deviation.ravel())])
+        raise ValueError(f"{what} must be unit norm, worst ||.|| = {worst!r}")
+
+
 def vmf_log_pdf(params: VmfParams, z) -> float:
     """Log density of a unit vector (or a batch of rows) under one component."""
     zs = np.asarray(z, dtype=np.float64)
     if zs.shape[-1] != params.dim:
         raise ValueError(f"feature dim {zs.shape[-1]} != component dim {params.dim}")
-    vmf._check_unit_rows(zs, "z")
+    check_unit_rows(zs, "z")
     val = vmf.log_norm_const(params.dim, params.kappa) + params.kappa * (zs @ params.mu)
     if zs.ndim == 1:
         return float(val)
     return val
 
 
-def mixture_log_pdf(mix: vmf.VmfMixture, z) -> float:
+def mixture_log_pdf(mix: Mixture, z) -> float:
     """Log density under the prior-weighted mixture, for one vector or rows."""
     zs = np.asarray(z, dtype=np.float64)
     if zs.shape[-1] != mix.dim:
         raise ValueError(f"feature dim {zs.shape[-1]} != mixture dim {mix.dim}")
-    vmf._check_unit_rows(zs, "z")
+    check_unit_rows(zs, "z")
     log_z = vmf.log_norm_const(mix.dim, mix.kappas)
     a = np.log(mix.priors) + log_z + (zs @ mix.mus.T) * mix.kappas
     val, _ = logsumexp_softmax(a)

@@ -204,7 +204,7 @@ def test_criterion_3_gradient_suite(capsys):
         config = TrainConfig(method=method)
 
         def total(m):
-            return batch_loss_and_grads(m, mix, x, y, ood, config)[0].total
+            return batch_loss_and_grads(m, mix, x, y, ood, config)[0][0]
 
         _, grad = batch_loss_and_grads(model, mix, x, y, ood, config)
         for i in range(grad.size):

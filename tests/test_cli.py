@@ -493,6 +493,61 @@ class TestCliContract:
         assert rc == 1 and err.count("\n") == 1, err
         assert err.startswith(f"error: bad dataset file {out / 'train.csv'}: "), err
 
+    @pytest.mark.parametrize("method", ["patt", "oe-baseline", "ce-baseline"])
+    def test_outlier_row_in_train_csv_fails_before_a_step(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch, method):
+        # a labeled split may not hold an outlier row (label -1): training
+        # refuses it at entry. The baselines used to run every step first and
+        # fail only in their final full pass over the split.
+        from patt_lab import model as model_module
+        _, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        lines = (bad / "train.csv").read_text().splitlines(keepends=True)
+        row = lines[1].split(",")
+        assert row[1] == "0"
+        row[1] = "-1"
+        lines[1] = ",".join(row)
+        (bad / "train.csv").write_text("".join(lines))
+        steps = []
+        step = model_module.train_step
+
+        def counting(*args):
+            steps.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(model_module, "train_step", counting)
+        config = write_config(tmp_path / "run.cfg", method=method)
+        rc = cli.main(["train", "--config", str(config), "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err == ("error: training failed: labels out of range for the class count: "
+                       "got -1, want each in [0, 4)\n"), err
+        assert steps == []
+        assert (bad / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
+
+    def test_mixture_refused_at_save_is_one_error_line(self, pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+        # the mixture's checks run where it is written: a refused mixture is a
+        # failed training, one error line and no checkpoint
+        from patt_lab import model as model_module
+        config, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        (bad / "model.ckpt").unlink()
+        train = model_module.train
+
+        def unnormed(*args):
+            net, (mus, kappas, priors), history = train(*args)
+            return net, (2.0 * mus, kappas, priors), history
+
+        monkeypatch.setattr(model_module, "train", unnormed)
+        rc = cli.main(["train", "--config", str(config), "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: training failed: "), err
+        assert not (bad / "model.ckpt").exists()
+
     def test_out_of_range_test_label_in_eval(self, pipeline, tmp_path, capsys):
         config, out = pipeline
         bad = tmp_path / "bad"

@@ -270,7 +270,7 @@ class TestIsacLoss:
         z = rng.normal(size=(5, 4))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = rng.integers(0, 3, size=5)
-        vals, grads = isac_loss_batch(mix, z, y, tau=0.5)
+        vals, grads = isac_loss_batch(*mix, z, y, tau=0.5)
         for i in range(5):
             single = isac_loss(mix, z[i], int(y[i]), tau=0.5)
             assert vals[i] == pytest.approx(single.value, rel=1e-12)
@@ -314,7 +314,7 @@ class TestIsacGramForm:
 
     @staticmethod
     def assert_matches_tensor(mix, z, y, tau):
-        vals, grads = isac_loss_batch(mix, z, y, tau)
+        vals, grads = isac_loss_batch(*mix, z, y, tau)
         want_vals, want_grads = oracles.isac_loss_batch_tensor(mix, z, y, tau)
         assert np.isfinite(vals).all() and np.isfinite(grads).all()
         np.testing.assert_allclose(vals, want_vals, rtol=1e-9, atol=1e-12)
@@ -331,14 +331,15 @@ class TestIsacGramForm:
         mus /= np.linalg.norm(mus, axis=1, keepdims=True)
         kappas = np.geomspace(0.5, vmf.KAPPA_MAX, k)
         priors = rng.uniform(0.2, 1.0, size=k)
-        mix = vmf.VmfMixture(mus=mus, kappas=rng.permutation(kappas), priors=priors / priors.sum())
+        mix = oracles.Mixture(*vmf.check_mixture(mus, rng.permutation(kappas),
+                                                 priors / priors.sum()))
         z = rng.normal(size=(64, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = rng.integers(0, k, size=64)
         for tau in (0.1, 0.5):
             self.assert_matches_tensor(mix, z, y, tau)
         # classes tight enough that every concentration is asymptotic
-        mix = vmf.VmfMixture(mus=mus, kappas=np.full(k, 2000.0), priors=mix.priors)
+        mix = oracles.Mixture(mus, np.full(k, 2000.0), mix.priors)
         self.assert_matches_tensor(mix, z, y, 0.1)
 
     @pytest.mark.parametrize("d", [3, 8, 32])
@@ -352,7 +353,7 @@ class TestIsacGramForm:
         z = rng.normal(size=(k, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         z[0] = e(0, d)  # the squared form is exactly 4 - 8 + 4 = 0 here
-        mix = vmf.VmfMixture(mus=-z, kappas=np.full(k, 2.0), priors=np.full(k, 1.0 / k))
+        mix = oracles.Mixture(*vmf.check_mixture(-z, np.full(k, 2.0), np.full(k, 1.0 / k)))
         for y in (np.arange(k), (np.arange(k) + 1) % k):
             self.assert_matches_tensor(mix, z, y, 0.5)
 

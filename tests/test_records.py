@@ -1,7 +1,8 @@
 """The package's record classes: plain classes whose constructors keep the
-checks and messages they had as dataclasses, and a source check that no
-module imports ``dataclasses``, whose classes compile generated code on
-every import."""
+checks and messages they had as dataclasses, the checks of the mixture
+arrays on the checkpoint path, where the mixture record's constructor ran
+them before, and a source check that no module imports ``dataclasses``,
+whose classes compile generated code on every import."""
 
 import ast
 import re
@@ -13,8 +14,7 @@ import pytest
 from patt_lab.calibration import AttentionWeight
 from patt_lab.config import SynthConfig, TrainConfig, config_fields
 from patt_lab.data import LabeledSet
-from patt_lab.model import EncoderClassifier, TrainState
-from patt_lab.vmf import VmfMixture
+from patt_lab.model import EncoderClassifier, TrainState, load_checkpoint, save_checkpoint
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "patt_lab"
 
@@ -35,15 +35,22 @@ HALF = np.array([0.5, 0.5])
     ((E2, [1.0, 1.0], [1.0, 0.0]), "priors must be strictly positive"),
     ((E2, [1.0, 1.0], [0.5, 0.6]), "priors must sum to 1, got 1.1"),
 ])
-def test_vmf_mixture_messages(args, message):
+def test_vmf_mixture_messages(args, message, tmp_path):
+    # save_checkpoint checks the arrays before it writes a byte, and before
+    # it matches them against the model's head
+    path = tmp_path / "model.ckpt"
     with pytest.raises(ValueError, match=re.escape(message)):
-        VmfMixture(*args)
+        save_checkpoint(path, EncoderClassifier.init(3, (4,), 2, 2, seed=0), args)
+    assert not path.exists()
 
 
-def test_vmf_mixture_converts_to_float_arrays():
-    mix = VmfMixture(mus=[[1, 0], [0, 1]], kappas=[1, 2], priors=HALF)
-    assert all(a.dtype == np.float64 for a in (mix.mus, mix.kappas, mix.priors))
-    assert (mix.n_classes, mix.dim) == (2, 2)
+def test_vmf_mixture_converts_to_float_arrays(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, EncoderClassifier.init(3, (4,), 2, 2, seed=0),
+                    ([[1, 0], [0, 1]], [1, 2], HALF))
+    _, (mus, kappas, priors) = load_checkpoint(path)
+    assert all(a.dtype == np.float64 for a in (mus, kappas, priors))
+    assert mus.shape == (2, 2) and kappas.tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -110,7 +117,7 @@ def test_config_checks_run_after_the_fields():
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_train_state_starts_the_optimizer_at_zero(optimizer):
     model = EncoderClassifier.init(3, (4,), 2, 2, seed=0)
-    state = TrainState(model=model, mix=None, config=TrainConfig(optimizer=optimizer))
+    state = TrainState(model=model, config=TrainConfig(optimizer=optimizer), priors=HALF)
     size = sum(p.size for p in model.param_list())
     np.testing.assert_array_equal(state.m, np.zeros(size))
     np.testing.assert_array_equal(state.v, np.zeros(size))

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab import losses, vmf
+from patt_lab import checkpoint, losses, vmf
 from patt_lab.data import sample_vmf
-from patt_lab.vmf import (KAPPA_MAX, VmfMixture, _log_norm_and_ratio, bessel_ratio,
-                          estimate_class_stats, log_bessel_i, log_norm_const)
+from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState, encoder_forward,
+                            load_checkpoint, save_checkpoint, train_step)
+from patt_lab.util import MU_NORM_TOL
+from patt_lab.vmf import (KAPPA_MAX, _log_norm_and_ratio, bessel_ratio, estimate_class_stats,
+                          log_bessel_i, log_norm_const)
 
 import oracles
 from oracles import (VmfParams, full_stats, log_bessel_i_at, log_sum_exp, mixture_log_pdf,
@@ -283,20 +286,20 @@ class TestEstimateClassStats:
         y = np.sort(rng.integers(0, 2, size=30))
         counts = np.bincount(y, minlength=2)
         first, sums, n = full_stats(z, y, counts)
-        second = estimate_class_stats(z, y, sums, n, first.priors, momentum=0.0)[0]
-        for mu_a, mu_b in zip(first.mus, second.mus):
+        mus, kappas = estimate_class_stats(z, y, sums, n, momentum=0.0)[:2]
+        for mu_a, mu_b in zip(first.mus, mus):
             np.testing.assert_allclose(mu_a, mu_b, atol=1e-12)
-        for kappa_a, kappa_b in zip(first.kappas, second.kappas):
+        for kappa_a, kappa_b in zip(first.kappas, kappas):
             assert kappa_a == pytest.approx(kappa_b, rel=1e-12)
 
     def test_absent_class_keeps_previous(self):
         z0 = np.array([e(0, 3), e(1, 3), unit([1.0, 1.0, 0.0])])
         first, sums, counts = full_stats(z0, np.array([0, 1, 1]), [5, 5])
         z1 = np.array([e(2, 3)])
-        second, new_sums, new_counts = estimate_class_stats(z1, np.array([0]), sums, counts,
-                                                            first.priors, momentum=0.9)
-        np.testing.assert_array_equal(second.mus[1], first.mus[1])
-        assert second.kappas[1] == first.kappas[1]
+        mus, kappas, new_sums, new_counts = estimate_class_stats(z1, np.array([0]), sums, counts,
+                                                                 momentum=0.9)
+        np.testing.assert_array_equal(mus[1], first.mus[1])
+        assert kappas[1] == first.kappas[1]
         np.testing.assert_array_equal(new_sums[1], sums[1])
         assert new_counts[1] == counts[1]
 
@@ -309,31 +312,30 @@ class TestEstimateClassStats:
             np.array([v, v, e(1, 3), -e(1, 3)]), np.array([0, 0, 1, 1]), [2, 2])
         assert prev.kappas[0] == KAPPA_MAX
         batch = np.array([e(2, 3), -e(2, 3), e(1, 3), e(1, 3)])
-        out, sums, counts = estimate_class_stats(batch, np.array([0, 0, 1, 1]), sums, counts,
-                                                 prev.priors, momentum=0.9)
+        mus, kappas, sums, counts = estimate_class_stats(batch, np.array([0, 0, 1, 1]), sums,
+                                                         counts, momentum=0.9)
         np.testing.assert_allclose(sums, [1.8 * v, 2.0 * e(1, 3)], rtol=1e-15)
         np.testing.assert_allclose(counts, [3.8, 3.8], rtol=1e-15)
-        np.testing.assert_array_equal(out.mus, [v, e(1, 3)])
-        for kappa, r in zip(out.kappas, (1.8 / 3.8, 2.0 / 3.8)):
+        np.testing.assert_array_equal(mus, [v, e(1, 3)])
+        for kappa, r in zip(kappas, (1.8 / 3.8, 2.0 / 3.8)):
             assert kappa == pytest.approx(r * (3.0 - r * r) / (1.0 - r * r), rel=1e-14)
 
     def test_priors_fixed_from_counts(self):
+        # the priors come from the split's class counts, once, and stay out
+        # of the estimator: a step that refreshes the statistics from a
+        # batch of one class leaves the state's priors, bit for bit
         z = np.array([e(0, 3)] * 3 + [e(1, 3)])
         y = np.array([0, 0, 0, 1])
-        mix, sums, counts = full_stats(z, y, [30, 10])
+        mix = full_stats(z, y, [30, 10])[0]
         np.testing.assert_allclose(mix.priors, [0.75, 0.25], atol=1e-12)
-        # a batch of one class carries them unchanged
-        out = estimate_class_stats(z[:2], y[:2], sums, counts, mix.priors, momentum=0.9)[0]
-        np.testing.assert_array_equal(out.priors, mix.priors)
-
-    def test_requires_running_sums(self):
-        z = np.array([e(0, 3), e(1, 3)])
-        y = np.array([0, 1])
-        priors = [0.5, 0.5]
-        for sums, counts in ((np.zeros((2, 2)), np.zeros(2)), (np.zeros((2, 3)), np.zeros(3)),
-                             (None, None)):
-            with pytest.raises(ValueError, match="running sums"):
-                estimate_class_stats(z, y, sums, counts, priors)
+        net = EncoderClassifier.init(2, (4,), 3, 2, seed=0)
+        x = np.random.default_rng(0).normal(size=(4, 2))
+        state = TrainState(net, TrainConfig(), mix.priors)
+        state.mus, state.kappas, state.sums, state.counts = estimate_class_stats(
+            encoder_forward(net, x), y, np.zeros((2, 3)), np.zeros(2))
+        before = mix.priors.tobytes()
+        train_step(state, (x[:2], y[:2]), None)
+        assert state.priors is mix.priors and mix.priors.tobytes() == before
 
 
 def top_cut(dim):
@@ -410,7 +412,7 @@ class TestFusedNormAndRatio:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = np.arange(40) % 5
         mix = full_stats(z, y, [8] * 5)[0]
-        losses.isac_loss_batch(mix, z, y, 0.1)
+        losses.isac_loss_batch(*mix, z, y, 0.1)
         assert calls == [(2,)]
         calls.clear()
         # tight classes: every tilted concentration, at least kappa - 1/tau,
@@ -419,7 +421,7 @@ class TestFusedNormAndRatio:
         tight /= np.linalg.norm(tight, axis=1, keepdims=True)
         mix = full_stats(tight, y, [8] * 5)[0]
         assert mix.kappas.min() - 1.0 / 0.1 >= top_cut(8)
-        losses.isac_loss_batch(mix, tight, y, 0.1)
+        losses.isac_loss_batch(*mix, tight, y, 0.1)
         assert calls == []
 
 
@@ -479,6 +481,16 @@ class TestBlockBesselKernel:
             block = vmf._asymptotic_sum((nu, nu + 1.0, 0.5), xs)
             np.testing.assert_array_equal(block[0], vmf._asymptotic_sum((nu,), xs)[0])
             np.testing.assert_array_equal(block[2], 1.0)  # I_{1/2}: the sum ends at a_0
+
+    def test_coefficient_cache_is_bounded(self):
+        # each order's coefficients are kept, but only for the last few
+        # orders: a sweep over many orders does not grow the table, and an
+        # order evicted and built again gets the same bits
+        first = vmf._asymptotic_coefs(2.5)
+        for nu in np.arange(0.0, 50.0, 0.25):
+            log_bessel_i_at(nu, np.array([1e4]))
+        assert 0 < len(vmf._COEFS) <= vmf._COEFS_MAX < 200
+        assert vmf._asymptotic_coefs(2.5) == first
 
     def test_mixed_branches(self):
         # x in both branches for each order, and in different branches for
@@ -634,16 +646,14 @@ class TestEstimateClassStatsMatchesLoop:
         y[10:12] = 1           # an antipodal pair
         y[12:12 + k] = np.arange(k)
         counts = np.bincount(y, minlength=k)
-        first = full_stats(z, y, counts)
+        first = estimate_class_stats(z, y, np.zeros((k, d)), np.zeros(k))
         ref = oracles.class_stats_ref(z, y, np.zeros((k, d)), np.zeros(k), 0.9)
         oracles.assert_stats_equal(first, ref)
         batch = slice(20, 45)  # some classes are absent from this batch
         for momentum in (0.0, 0.9):
-            got = estimate_class_stats(z[batch], y[batch], first[1], first[2], first[0].priors,
-                                       momentum)
+            got = estimate_class_stats(z[batch], y[batch], first[2], first[3], momentum)
             oracles.assert_stats_equal(got, oracles.class_stats_ref(z[batch], y[batch], ref[1], ref[2],
                                                             momentum))
-            np.testing.assert_array_equal(got[0].priors, first[0].priors)
 
     def test_absent_class_without_previous_is_named(self):
         z = np.array([e(0, 3), e(1, 3)])
@@ -752,7 +762,7 @@ class TestVmfParamsValidation:
     def test_unit_row_check_rejects_nan(self):
         z = np.array([[np.nan, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match=r"features must be unit norm, worst \|\|\.\|\| = nan"):
-            full_stats(z, np.array([0, 1]), [1, 1])
+            oracles.check_unit_rows(z, "features")
         with pytest.raises(ValueError, match="z must be unit norm"):
             vmf_log_pdf(vp(e(0, 2), 1.0), np.array([np.nan, 0.0]))
 
@@ -771,55 +781,167 @@ def valid_arrays(k=3, d=4):
     return mus, rng.uniform(0.5, 20.0, size=k), np.full(k, 1.0 / k)
 
 
-class TestArrayMixture:
-    """The array mixture rejects everything the list of validated components
-    rejected, with every row checked at once."""
+# a model whose head takes the mixtures of valid_arrays()
+HEAD = EncoderClassifier.init(2, (3,), 4, 3, seed=0)
 
-    def test_accepts_valid_arrays(self):
+
+def assert_checkpoint_rejects(tmp_path, arrays, match):
+    # save_checkpoint refuses the arrays before it writes a byte; written
+    # into a file, load_checkpoint refuses them with the same words
+    saved = tmp_path / "saved.ckpt"
+    with pytest.raises(ValueError, match=match):
+        save_checkpoint(saved, HEAD, arrays)
+    assert not saved.exists()
+    stats = np.column_stack([np.asarray(a, dtype="<f8") for a in arrays])
+    written = tmp_path / "written.ckpt"
+    checkpoint.write(written, HEAD.layer_sizes, HEAD.n_classes,
+                     HEAD.flat.astype("<f8").tobytes() + stats.tobytes())
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(written)
+
+
+class TestArrayMixture:
+    """The checkpoint path rejects everything the list of validated
+    components rejected, with every row checked at once. Training carries
+    the mixture as plain arrays and checks it where it crosses a file."""
+
+    def test_accepts_valid_arrays(self, tmp_path):
         mus, kappas, priors = valid_arrays()
-        mix = VmfMixture(mus=mus, kappas=kappas, priors=priors)
-        assert mix.n_classes == 3 and mix.dim == 4
-        assert mix.mus.dtype == mix.kappas.dtype == mix.priors.dtype == np.float64
-        mix = VmfMixture(mus=mus.tolist(), kappas=[0.0, 1.0, 2.0], priors=priors)
-        assert mix.mus.shape == (3, 4) and mix.kappas[0] == 0.0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, HEAD, (mus, kappas, priors))
+        loaded = load_checkpoint(path)[1]
+        assert all(a.dtype == np.float64 for a in loaded)
+        for a, b in zip(loaded, (mus, kappas, priors)):
+            assert a.tobytes() == b.tobytes()
+        save_checkpoint(path, HEAD, (mus.tolist(), [0.0, 1.0, 2.0], priors))
+        mus_back, kappas_back, _ = load_checkpoint(path)[1]
+        assert mus_back.shape == (3, 4) and kappas_back[0] == 0.0
 
     @pytest.mark.parametrize("row", [[1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0],
                                      [0.0, 0.0, 0.0, 0.0], [1.0 + 1e-8, 0.0, 0.0, 0.0]])
-    def test_rejects_non_unit_or_nan_mu_rows(self, row):
+    def test_rejects_non_unit_or_nan_mu_rows(self, row, tmp_path):
         mus, kappas, priors = valid_arrays()
         mus[1] = row
-        with pytest.raises(ValueError, match="unit norm"):
-            VmfMixture(mus=mus, kappas=kappas, priors=priors)
+        assert_checkpoint_rejects(tmp_path, (mus, kappas, priors), "unit norm")
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
-    def test_rejects_bad_kappa(self, bad):
+    def test_rejects_bad_kappa(self, bad, tmp_path):
         mus, kappas, priors = valid_arrays()
         kappas[2] = bad
-        with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
-            VmfMixture(mus=mus, kappas=kappas, priors=priors)
+        assert_checkpoint_rejects(tmp_path, (mus, kappas, priors),
+                                  "kappa must be finite and non-negative")
 
     @pytest.mark.parametrize("priors", [[0.0, 0.5, 0.5], [-0.2, 0.6, 0.6],
                                         [np.nan, 0.5, 0.5]])
-    def test_rejects_non_positive_priors(self, priors):
+    def test_rejects_non_positive_priors(self, priors, tmp_path):
         mus, kappas, _ = valid_arrays()
-        with pytest.raises(ValueError, match="strictly positive"):
-            VmfMixture(mus=mus, kappas=kappas, priors=np.array(priors))
+        assert_checkpoint_rejects(tmp_path, (mus, kappas, np.array(priors)), "strictly positive")
 
     @pytest.mark.parametrize("priors", [[0.3, 0.3, 0.3], [0.5, 0.5, 0.5],
                                         [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0 + 1e-8]])
-    def test_rejects_priors_not_summing_to_one(self, priors):
+    def test_rejects_priors_not_summing_to_one(self, priors, tmp_path):
         mus, kappas, _ = valid_arrays()
-        with pytest.raises(ValueError, match="sum to 1"):
-            VmfMixture(mus=mus, kappas=kappas, priors=np.array(priors))
+        assert_checkpoint_rejects(tmp_path, (mus, kappas, np.array(priors)), "sum to 1")
 
-    def test_rejects_shape_mismatch(self):
+    def test_rejects_shape_mismatch(self, tmp_path):
+        # a file cannot hold these; save_checkpoint refuses each
         mus, kappas, priors = valid_arrays()
         for bad in (dict(mus=mus[0]), dict(mus=mus[:0], kappas=kappas[:0], priors=priors[:0]),
                     dict(mus=mus[:, :1]), dict(mus=mus[:2]), dict(kappas=kappas[:2]),
                     dict(priors=np.full(4, 0.25)), dict(kappas=kappas[:, None])):
             args = {**dict(mus=mus, kappas=kappas, priors=priors), **bad}
             with pytest.raises(ValueError):
-                VmfMixture(**args)
+                save_checkpoint(tmp_path / "model.ckpt", HEAD,
+                                (args["mus"], args["kappas"], args["priors"]))
+        assert not (tmp_path / "model.ckpt").exists()
+
+
+def class_rows(rng, kind, d):
+    # a class's rows in one batch: none, one, a few at random, a few equal
+    # rows (r = 1, the kappa cap) or antipodal pairs (a cancelled resultant)
+    n = int(rng.integers(2, 5))
+    if kind == "absent":
+        return np.zeros((0, d))
+    if kind == "one":
+        return unit(rng.normal(size=d))[None, :]
+    if kind == "rows":
+        z = rng.normal(size=(n, d))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+    if kind == "same":
+        return np.repeat(unit(rng.normal(size=d))[None, :], n, axis=0)
+    v = rng.normal(size=(n, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.stack([v, -v], axis=1).reshape(2 * n, d)
+
+
+def assert_mixture_invariants(mus, kappas, k, d):
+    # what the mixture record's constructor checked on every training step
+    assert mus.shape == (k, d) and kappas.shape == (k,)
+    norms = np.linalg.norm(mus, axis=1)
+    assert (np.abs(norms - 1.0) <= MU_NORM_TOL).all(), norms
+    assert (np.isfinite(kappas) & (kappas >= 0.0) & (kappas <= KAPPA_MAX)).all(), kappas
+
+
+KINDS = ("absent", "one", "rows", "same", "cancel")
+
+
+class TestEstimatorInvariants:
+    """The invariants that the per-step mixture record used to check, held
+    as properties: every refresh gives unit mu rows within MU_NORM_TOL and
+    kappas in [0, KAPPA_MAX], with one-row tail classes, classes absent from
+    a batch and cancelled resultants; a training step carries the priors
+    bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_refresh_gives_unit_mus_and_bounded_kappas(self, data):
+        k, d = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 9))
+        momentum = data.draw(st.sampled_from([0.0, 0.5, 0.9, 0.999]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        sums, counts = np.zeros((k, d)), np.zeros(k)
+        for step in range(data.draw(st.integers(1, 4))):
+            # the first refresh is the full pass, in which every class has rows
+            kinds = [data.draw(st.sampled_from(KINDS[1:] if step == 0 else KINDS))
+                     for _ in range(k)]
+            rows = [class_rows(rng, kind, d) for kind in kinds]
+            labels = np.repeat(np.arange(k), [r.shape[0] for r in rows])
+            if labels.size == 0:
+                continue
+            shuffled = data.draw(st.booleans())
+            order = rng.permutation(labels.size) if shuffled else slice(None)
+            feats = np.concatenate(rows)[order]
+            mus, kappas, sums, counts = estimate_class_stats(
+                feats, labels[order], sums, counts, momentum if step else 0.0)
+            assert_mixture_invariants(mus, kappas, k, d)
+            if step == 0:
+                for j, kind in enumerate(kinds):
+                    # a lone row or equal rows have r = 1: the cap
+                    assert kind not in ("one", "same") or kappas[j] == KAPPA_MAX
+                    # antipodal pairs, each in row order, cancel exactly: kappa 0
+                    assert kind != "cancel" or shuffled or kappas[j] == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_steps_carry_the_priors_bit_for_bit(self, data):
+        k = data.draw(st.integers(2, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # long-tailed class counts, down to one-row tail classes
+        per_class = np.array(data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k)))
+        labels = np.repeat(np.arange(k), per_class)
+        x = rng.normal(size=(labels.size, 3))
+        net = EncoderClassifier.init(3, (5,), 4, k, seed=int(rng.integers(0, 2 ** 31)))
+        priors = per_class / np.add.reduce(per_class.astype(np.float64))
+        held = priors.tobytes()
+        config = TrainConfig(vmf_momentum=data.draw(st.sampled_from([0.0, 0.9])))
+        state = TrainState(net, config, priors)
+        state.mus, state.kappas, state.sums, state.counts = estimate_class_stats(
+            encoder_forward(net, x), labels, np.zeros((k, 4)), np.zeros(k))
+        for _ in range(data.draw(st.integers(1, 4))):
+            # a batch of a few rows leaves most classes absent
+            rows = data.draw(st.lists(st.integers(0, labels.size - 1), min_size=1, max_size=8))
+            train_step(state, (x[rows], labels[rows]), None)
+            assert state.priors is priors and priors.tobytes() == held
+            assert_mixture_invariants(state.mus, state.kappas, k, 4)
 
 
 class TestClassStatsReference:
@@ -831,22 +953,19 @@ class TestClassStatsReference:
         centers = rng.normal(size=(k, d))
         priors = np.geomspace(1.0, 0.01, k)
         priors /= priors.sum()
-        counts = np.maximum(np.round(priors * 2000), 1)
         labels = rng.choice(k, size=n * 300, p=priors)
         labels[:k] = np.arange(k)
         feats = centers[labels] + 0.4 * rng.normal(size=(labels.size, d))
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-        got = full_stats(feats[:k], labels[:k], counts)
+        got = estimate_class_stats(feats[:k], labels[:k], np.zeros((k, d)), np.zeros(k))
         want = oracles.class_stats_ref(feats[:k], labels[:k], np.zeros((k, d)), np.zeros(k), 0.9)
         absent = 0
         for step in range(300):
             rows = slice(k + step * n, k + (step + 1) * n)
             absent += np.unique(labels[rows]).size < k
-            got = estimate_class_stats(feats[rows], labels[rows], got[1], got[2], got[0].priors,
-                                       momentum=0.9)
+            got = estimate_class_stats(feats[rows], labels[rows], got[2], got[3], momentum=0.9)
             want = oracles.class_stats_ref(feats[rows], labels[rows], want[1], want[2], 0.9)
             oracles.assert_stats_equal(got, want)
-            np.testing.assert_array_equal(got[0].priors, counts / counts.sum())
         assert absent > 250
 
     def test_refresh_leaves_previous_arrays_unchanged(self):
@@ -856,12 +975,11 @@ class TestClassStatsReference:
         z = rng.normal(size=(20, 4))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = np.arange(20) % 4
-        first = full_stats(z, y, [5] * 4)
-        before = [a.copy() for a in (first[0].mus, first[0].kappas, first[1], first[2])]
+        first = estimate_class_stats(z, y, np.zeros((4, 4)), np.zeros(4))
+        before = [a.copy() for a in first]
         for rows in (slice(0, 20), slice(0, 3)):
-            estimate_class_stats(z[rows], y[rows], first[1], first[2], first[0].priors,
-                                 momentum=0.5)
-            for a, b in zip((first[0].mus, first[0].kappas, first[1], first[2]), before):
+            estimate_class_stats(z[rows], y[rows], first[2], first[3], momentum=0.5)
+            for a, b in zip(first, before):
                 np.testing.assert_array_equal(a, b)
 
 
