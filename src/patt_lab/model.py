@@ -18,7 +18,6 @@ import numpy as np
 from . import checkpoint
 from .config import METHODS, TrainConfig
 from .util import derive_seed, norms_along
-from .vmf import check_mixture, estimate_class_stats
 
 __all__ = [
     "EncoderClassifier",
@@ -187,8 +186,8 @@ def batch_loss_and_grads(
     Every parameter's gradient is accumulated into a view of one zero vector,
     ``flat_grad``, laid out like ``model.flat``.
     """
-    # the training path is the only one that needs the losses: calibrate
-    # and eval run the model without loading them
+    # only the training path needs the losses (and vmf): calibrate and eval
+    # run the model without loading them
     from . import losses
     method = config.method
     if method not in METHODS:
@@ -292,6 +291,7 @@ def train_step(state: TrainState, id_batch, ood_batch) -> tuple:
     mus, kappas, sums, counts = state.mus, state.kappas, state.sums, state.counts
     forward = None
     if config.method == "patt" and config.vmf_update == "batch" and mus is not None:
+        from .vmf import estimate_class_stats
         # one encoder pass feeds both the stats refresh and the loss
         forward = _forward_batch(state.model, id_x, [])
         mus, kappas, sums, counts = estimate_class_stats(forward[2], id_y, sums, counts,
@@ -319,6 +319,7 @@ def _validation_accuracy(model, val_x, val_y) -> float:
 
 def _full_stats(model, train_x, train_y, k: int):
     # (mus, kappas, sums, counts) of one pass over the split from zero sums
+    from .vmf import estimate_class_stats
     z = encoder_forward(model, train_x)
     return estimate_class_stats(z, train_y, np.zeros((k, z.shape[1])), np.zeros(k))
 
@@ -398,6 +399,7 @@ def save_checkpoint(path, model: EncoderClassifier, stats) -> None:
     checked by ``vmf.check_mixture`` and against the model's head, in the
     layout of ``checkpoint``: ``model.flat``, then one (mu, kappa, prior) row
     per class."""
+    from .vmf import check_mixture
     mus, kappas, priors = check_mixture(*stats)
     if mus.shape != (model.n_classes, model.feature_dim):
         raise ValueError("mixture does not match the model's head")

@@ -55,7 +55,9 @@ def cmd_gen_data(cfg, out_dir) -> None:
 
 
 def cmd_train(cfg, out_dir) -> None:
-    from . import model
+    # model imports vmf only on the training path; importing it here, before
+    # the splits are read, keeps its compile off the stage's peak RSS
+    from . import model, vmf  # noqa: F401
     train_id = _load_train(out_dir, cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", cfg)
     val_id = _load_split(out_dir, "val_id.csv", cfg)
