@@ -16,7 +16,6 @@ from .model import EncoderClassifier, classifier_logits
 from .util import logsumexp_softmax
 
 __all__ = [
-    "AttentionWeight",
     "channel_importance",
     "attention_weight",
     "scale_weight",
@@ -26,26 +25,6 @@ __all__ = [
     "save_attention",
     "load_attention",
 ]
-
-
-class AttentionWeight:
-    """Raw channel weight and its [0, 2]-rescaled form."""
-
-    def __init__(self, raw, scaled) -> None:
-        raw = np.asarray(raw, dtype=np.float64)
-        scaled = np.asarray(scaled, dtype=np.float64)
-        if raw.ndim != 1 or raw.shape != scaled.shape:
-            raise ValueError("raw and scaled must be matching 1-D vectors")
-        if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(scaled))):
-            raise ValueError("attention weight must be finite")
-        if np.any(scaled < -1e-12) or np.any(scaled > 2 + 1e-12):
-            raise ValueError("scaled weight must lie in [0, 2]")
-        self.raw, self.scaled = raw, scaled
-
-    @classmethod
-    def from_raw(cls, raw) -> "AttentionWeight":
-        raw = np.asarray(raw, dtype=np.float64)
-        return cls(raw=raw, scaled=scale_weight(raw))
 
 
 def channel_importance(z, y, clf: EncoderClassifier) -> np.ndarray:
@@ -152,14 +131,17 @@ def msp_score(logits) -> np.ndarray:
     return probs.max(axis=1)
 
 
-def save_attention(path, weight: AttentionWeight) -> None:
-    """One CSV line holding the raw values then the scaled values."""
-    vals = list(weight.raw) + list(weight.scaled)
+def save_attention(path, raw) -> None:
+    """One CSV line holding the raw weight then its ``scale_weight``."""
+    vals = list(raw) + list(scale_weight(raw))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(repr(float(v)) for v in vals) + "\n")
 
 
-def load_attention(path) -> AttentionWeight:
+def load_attention(path) -> np.ndarray:
+    """The scaled weight of a ``save_attention`` file, once checked: an even
+    count of at least 2 values, every value finite, the scaled half in
+    [0, 2]."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     parts = text.strip().split(",")
@@ -169,5 +151,9 @@ def load_attention(path) -> AttentionWeight:
         vals = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ValueError(f"bad value in attention file: {exc}") from None
-    d = vals.size // 2
-    return AttentionWeight(raw=vals[:d], scaled=vals[d:])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("attention weight must be finite")
+    scaled = vals[vals.size // 2 :]
+    if np.any(scaled < -1e-12) or np.any(scaled > 2 + 1e-12):
+        raise ValueError("scaled weight must lie in [0, 2]")
+    return scaled

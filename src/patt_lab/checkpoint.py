@@ -11,13 +11,18 @@ then per class mu, kappa, prior.
 import math
 import struct
 
+from .config import MU_NORM_TOL, PRIOR_SUM_TOL
+
 MAGIC = b"PATT1"
 
 
-def write(path, sizes, n_classes: int, data: bytes) -> None:
-    """Write the header, then ``data``: the float64 blocks in file order."""
+def write(path, sizes, n_classes: int, params: bytes, stats) -> None:
+    """Write the header, ``params`` (the model's float64 blocks in file
+    order) and the class rows ``stats``, once ``check_stats`` passes them."""
+    check_stats(n_classes, sizes[-1], stats)
     with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack(f"<I{len(sizes)}II", len(sizes), *sizes, n_classes) + data)
+        fh.write(MAGIC + struct.pack(f"<I{len(sizes)}II", len(sizes), *sizes, n_classes)
+                 + params + struct.pack(f"<{len(stats)}d", *stats))
 
 
 def param_shapes(sizes, n_classes: int) -> list:
@@ -27,23 +32,27 @@ def param_shapes(sizes, n_classes: int) -> list:
             for s in ((fan_out, fan_in), (fan_out,))] + [(n_classes, sizes[-1]), (n_classes,)]
 
 
-def _check_stats(k: int, dim: int, stats: tuple) -> None:
-    # the checks of vmf.check_mixture, each written so that NaN fails it
-    rows = [stats[i : i + dim + 2] for i in range(0, len(stats), dim + 2)]
-    if (k >= 1 and dim >= 2
-            and all(math.isfinite(r[dim]) and r[dim] >= 0.0 for r in rows)
-            and all(abs(math.hypot(*r[:dim]) - 1.0) <= 1e-9 for r in rows)
-            and all(r[dim + 1] > 0.0 for r in rows)
-            and abs(sum(r[dim + 1] for r in rows) - 1.0) <= 1e-9):
-        return
-    # only a bad file pays for numpy: check_mixture words the failed check,
-    # quoting the values as numpy prints them
-    import numpy as np
-    from .vmf import check_mixture
-    a = np.array(stats).reshape(k, dim + 2)
-    with np.errstate(all="ignore"):
-        check_mixture(a[:, :dim], a[:, dim], a[:, dim + 1])
-    raise ValueError("class statistics within rounding of a mixture tolerance")
+def check_stats(k: int, dim: int, stats) -> None:
+    """Check the ``k`` class rows of ``stats``, a flat sequence of ``dim + 2``
+    floats per class (mu, kappa, prior): dim >= 2, finite non-negative
+    kappa, unit-norm mu and positive priors that sum to 1. Raises
+    ``ValueError`` naming the first failed check and its class."""
+    if dim < 2:
+        raise ValueError(f"feature dim must be >= 2, got {dim}")
+    # each test is written so that NaN fails it
+    for c in range(k):
+        row = stats[c * (dim + 2) : (c + 1) * (dim + 2)]
+        kappa, prior = row[dim], row[dim + 1]
+        if not (math.isfinite(kappa) and kappa >= 0.0):
+            raise ValueError(f"kappa must be finite and non-negative, got kappa[{c}] = {kappa!r}")
+        norm = math.hypot(*row[:dim])
+        if not abs(norm - 1.0) <= MU_NORM_TOL:
+            raise ValueError(f"mu must be unit norm, got ||mu[{c}]|| = {norm!r}")
+        if not prior > 0.0:
+            raise ValueError(f"priors must be strictly positive, got prior[{c}] = {prior!r}")
+    total = sum(stats[dim + 1 :: dim + 2])
+    if not abs(total - 1.0) <= PRIOR_SUM_TOL:
+        raise ValueError(f"priors must sum to 1, got {total!r}")
 
 
 def read(path):
@@ -52,7 +61,7 @@ def read(path):
     order (the ``param_shapes`` blocks, then one ``dim + 2`` row per class),
     and the class priors.
     Raises ``ValueError`` for a bad magic, layer count or length, a failed
-    ``vmf.check_mixture`` check or a non-finite parameter."""
+    ``check_stats`` check or a non-finite parameter."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
@@ -75,7 +84,7 @@ def read(path):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
     values = struct.unpack_from(f"<{total}d", blob, off)
     stats = values[n_params:]
-    _check_stats(k, dim, stats)
+    check_stats(k, dim, stats)
     if not all(map(math.isfinite, values[:n_params])):
         raise ValueError(f"{path}: non-finite parameter in checkpoint")
     return sizes, k, blob[off:], stats[dim + 1 :: dim + 2]

@@ -209,13 +209,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             cmd_report(cfg, out_dir)
         else:
-            import numpy as np
-            from .stages import COMMANDS as STAGES
-            # a finite value in a config or input file can still overflow;
-            # fail on the first overflow or invalid operation instead of
-            # printing numpy warnings
-            with np.errstate(over="raise", invalid="raise"):
-                STAGES[args.command](cfg, out_dir)
+            from .stages import run
+            run(args.command, cfg, out_dir)
     except (CliError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,11 @@ METHODS = ("patt", "oe-baseline", "ce-baseline")
 # default share of classes counted as tail
 TAIL_FRACTION = 1.0 / 3.0
 
+# how far from 1 the norm of a vMF mean direction may be, in a checkpoint's
+# class rows and in the sampler, and the sum of a checkpoint's priors
+MU_NORM_TOL = 1e-9
+PRIOR_SUM_TOL = 1e-9
+
 
 def check_fields(values: dict, checks) -> None:
     """Raise ``ValueError`` for the first failed check of ``checks``, a

@@ -27,9 +27,9 @@ import zlib
 
 import numpy as np
 
-from .config import (SynthConfig, class_counts_profile, config_fields, direction_error,
-                     wood_envelope)
-from .util import MU_NORM_TOL, derive_seed
+from .config import (MU_NORM_TOL, SynthConfig, class_counts_profile, config_fields,
+                     direction_error, wood_envelope)
+from .util import derive_seed
 
 __all__ = [
     "OOD_LABEL",

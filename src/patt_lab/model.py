@@ -396,16 +396,19 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
 
 def save_checkpoint(path, model: EncoderClassifier, stats) -> None:
     """Write ``model`` and the mixture ``stats`` = ``(mus, kappas, priors)``,
-    checked by ``vmf.check_mixture`` and against the model's head, in the
-    layout of ``checkpoint``: ``model.flat``, then one (mu, kappa, prior) row
-    per class."""
-    from .vmf import check_mixture
-    mus, kappas, priors = check_mixture(*stats)
-    if mus.shape != (model.n_classes, model.feature_dim):
-        raise ValueError("mixture does not match the model's head")
-    data = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                    for arr in (model.flat, np.column_stack([mus, kappas, priors])))
-    checkpoint.write(path, model.layer_sizes, model.n_classes, data)
+    whose shapes must match the model's head, in the layout of
+    ``checkpoint``, which checks the class rows: ``model.flat``, then one
+    (mu, kappa, prior) row per class."""
+    mus, kappas, priors = (np.asarray(a, dtype=np.float64) for a in stats)
+    k, dim = model.n_classes, model.feature_dim
+    if mus.shape != (k, dim):
+        raise ValueError(f"mus must have the head's shape {(k, dim)}, got {mus.shape}")
+    if kappas.shape != (k,) or priors.shape != (k,):
+        raise ValueError(f"kappas {kappas.shape} and priors {priors.shape} "
+                         f"must both have shape ({k},)")
+    params = np.ascontiguousarray(model.flat, dtype="<f8").tobytes()
+    checkpoint.write(path, model.layer_sizes, k, params,
+                     np.column_stack([mus, kappas, priors]).ravel().tolist())
 
 
 def load_checkpoint(path):

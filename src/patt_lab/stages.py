@@ -100,14 +100,14 @@ def cmd_calibrate(cfg, out_dir) -> None:
     try:
         cb_z = model.encoder_forward(net, cb.inputs)
         ood_z = model.encoder_forward(net, train_ood.inputs)
-        weight = calibration.AttentionWeight.from_raw(
-            calibration.attention_weight(cb_z, cb.labels, ood_z, net, priors))
+        raw = calibration.attention_weight(cb_z, cb.labels, ood_z, net, priors)
+        calibration.save_attention(os.path.join(out_dir, "attention.csv"), raw)
     except (ValueError, FloatingPointError) as exc:
         raise CliError(f"calibration failed: {exc}") from None
-    calibration.save_attention(os.path.join(out_dir, "attention.csv"), weight)
 
 
-def _resolve_attention(cfg, out_dir):
+def _resolve_attention(cfg, out_dir, dim):
+    # the scaled weight, one per channel of the checkpoint's dim features
     from . import calibration
     mode = cfg["use_calibration"]
     path = os.path.join(out_dir, "attention.csv")
@@ -118,9 +118,12 @@ def _resolve_attention(cfg, out_dir):
             raise CliError(f"missing attention weight: {path} (run calibrate first)")
         return None
     try:
-        return calibration.load_attention(path)
+        scaled = calibration.load_attention(path)
+        if scaled.size != dim:
+            raise ValueError(f"{scaled.size} channel weights for {dim} feature channels")
     except ValueError as exc:
         raise CliError(f"bad attention file {path}: {exc}") from None
+    return scaled
 
 
 def cmd_eval(cfg, out_dir) -> None:
@@ -136,7 +139,7 @@ def cmd_eval(cfg, out_dir) -> None:
     net, priors = _load_model(out_dir, cfg)
     test_id = _load_split(out_dir, "test_id.csv", cfg)
     test_ood = _load_split(out_dir, "test_ood.csv", cfg)
-    weight = _resolve_attention(cfg, out_dir)
+    weight = _resolve_attention(cfg, out_dir, net.feature_dim)
     score = calibration.energy_score if cfg["score"] == "energy" else calibration.msp_score
 
     try:
@@ -145,8 +148,8 @@ def cmd_eval(cfg, out_dir) -> None:
         pred_id = np.argmax(model.classifier_logits(net, z_id), axis=1)
         pred_ood = np.argmax(model.classifier_logits(net, z_ood), axis=1)
         if weight is not None:
-            z_id = calibration.calibrate_feature(z_id, weight.scaled)
-            z_ood = calibration.calibrate_feature(z_ood, weight.scaled)
+            z_id = calibration.calibrate_feature(z_id, weight)
+            z_ood = calibration.calibrate_feature(z_ood, weight)
         id_scores = score(model.classifier_logits(net, z_id))
         ood_scores = score(model.classifier_logits(net, z_ood))
         report = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
@@ -166,3 +169,10 @@ def cmd_eval(cfg, out_dir) -> None:
 
 COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "calibrate": cmd_calibrate,
             "eval": cmd_eval}
+
+
+def run(command, cfg, out_dir) -> None:
+    """Run one of ``COMMANDS``, failing on the first overflow or invalid
+    operation (a finite input can still overflow) instead of warning."""
+    with np.errstate(over="raise", invalid="raise"):
+        COMMANDS[command](cfg, out_dir)

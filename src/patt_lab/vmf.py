@@ -1,10 +1,9 @@
 """von Mises-Fisher numerics on the unit hypersphere.
 
-Log-domain Bessel and normalization constants, the check of a mixture's
-arrays and per-class parameter estimation from running sums. All functions
-are pure. The sampler lives in ``data``, its one caller in the package; the
-densities and the moment generating function, which only tests call, live
-in ``tests/oracles.py``.
+Log-domain Bessel and normalization constants and per-class parameter
+estimation from running sums. All functions are pure. The sampler lives in
+``data``, its one caller in the package; the densities and the moment
+generating function, which only tests call, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -13,11 +12,8 @@ import math
 
 import numpy as np
 
-from .util import MU_NORM_TOL
-
 __all__ = [
     "KAPPA_MAX",
-    "check_mixture",
     "log_bessel_i",
     "log_norm_const",
     "bessel_ratio",
@@ -42,36 +38,6 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     # sqrt(row @ row); an axis-wise reduction sums in another order. A stacked
     # vector-vector matmul takes the same dot product path for every row.
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
-
-
-def check_mixture(mus, kappas, priors):
-    """The arrays of a finite mixture of same-dimension vMF components as
-    float64, ``(mus (K, dim), kappas (K,), priors (K,))``, once checked: dim
-    >= 2, finite non-negative kappa, unit-norm mu rows (NaN fails) and
-    positive priors that sum to 1, with every row checked at once. Raises
-    ``ValueError`` naming the first failed check."""
-    mus, kappas, priors = (np.asarray(a, dtype=np.float64) for a in (mus, kappas, priors))
-    if mus.ndim != 2 or mus.shape[0] == 0:
-        raise ValueError(f"mus must be a non-empty (K, dim) matrix, got shape {mus.shape}")
-    k, dim = mus.shape
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if kappas.shape != (k,) or priors.shape != (k,):
-        raise ValueError(f"kappas {kappas.shape} and priors {priors.shape} "
-                         f"must both have shape ({k},)")
-    # each test is written so that NaN fails it
-    if not (np.isfinite(kappas) & (kappas >= 0.0)).all():
-        raise ValueError(f"kappa must be finite and non-negative, got {kappas}")
-    norms = _row_norms(mus)
-    bad = ~(np.abs(norms - 1.0) <= MU_NORM_TOL)
-    if bad.any():
-        raise ValueError(f"mu must be unit norm, got ||mu|| = {norms[bad][0]!r}")
-    if not (priors > 0.0).all():
-        raise ValueError("priors must be strictly positive")
-    total = float(np.add.reduce(priors))
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"priors must sum to 1, got {total!r}")
-    return mus, kappas, priors
 
 
 def _log_bessel_series(orders, x):

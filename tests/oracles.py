@@ -36,10 +36,11 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from patt_lab import losses, vmf
+from patt_lab import checkpoint, losses, vmf
 from patt_lab.calibration import channel_importance
+from patt_lab.config import MU_NORM_TOL
 from patt_lab.model import EncoderClassifier, classifier_logits
-from patt_lab.util import MU_NORM_TOL, logsumexp_softmax, norms_along
+from patt_lab.util import logsumexp_softmax, norms_along
 
 mp.mp.dps = 50
 
@@ -289,11 +290,19 @@ class Mixture(namedtuple("Mixture", "mus kappas priors")):
         return self.mus.shape[1]
 
 
+def checked_mixture(mus, kappas, priors):
+    """The ``Mixture`` of the arrays as float64, once their class rows pass
+    ``checkpoint.check_stats``, the check a checkpoint runs."""
+    mus, kappas, priors = (np.asarray(a, dtype=np.float64) for a in (mus, kappas, priors))
+    checkpoint.check_stats(*mus.shape, np.column_stack([mus, kappas, priors]).ravel().tolist())
+    return Mixture(mus, kappas, priors)
+
+
 def mixture_of(components, priors):
     """The ``Mixture`` whose rows are the given ``VmfParams``, checked by
-    ``vmf.check_mixture``."""
-    return Mixture(*vmf.check_mixture(np.stack([c.mu for c in components]),
-                                      np.array([c.kappa for c in components]), priors))
+    ``checked_mixture``."""
+    return checked_mixture(np.stack([c.mu for c in components]),
+                           [c.kappa for c in components], priors)
 
 
 def components_of(mix):
@@ -306,13 +315,13 @@ def full_stats(feats, labs, class_counts):
     """``vmf.estimate_class_stats`` over a whole split from zero sums, with
     the priors of ``class_counts``, as ``model.train`` runs it; returns
     ``(mixture, sums, counts)``, the mixture checked by
-    ``vmf.check_mixture``."""
+    ``checked_mixture``."""
     counts = np.asarray(class_counts, dtype=np.float64)
     k = counts.size
     feats, labs = np.asarray(feats, dtype=np.float64), np.asarray(labs)
     mus, kappas, sums, n = vmf.estimate_class_stats(feats, labs, np.zeros((k, feats.shape[1])),
                                                     np.zeros(k))
-    return Mixture(*vmf.check_mixture(mus, kappas, counts / np.add.reduce(counts))), sums, n
+    return checked_mixture(mus, kappas, counts / np.add.reduce(counts)), sums, n
 
 
 def assert_stats_equal(got, want):

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from patt_lab import cli
-from patt_lab.calibration import (AttentionWeight, attention_weight,
-                                  calibrate_feature, channel_importance,
+from patt_lab.calibration import (attention_weight, calibrate_feature, channel_importance,
                                   energy_score, msp_score, scale_weight)
 from patt_lab.data import SynthConfig, class_balanced_subset, gen_longtail, sample_vmf
 from patt_lab.metrics import auroc, aupr, classification_report, fpr_at_95_tpr
@@ -300,11 +299,11 @@ def test_criterion_6_directional_benchmark(capsys):
                 te.labels, np.argmax(li, axis=1), tr.class_counts)
             if cal:
                 cb = class_balanced_subset(tr, 5, seed=0)
-                aw = AttentionWeight.from_raw(attention_weight(
+                scaled = scale_weight(attention_weight(
                     encoder_forward(m, cb.inputs), cb.labels,
                     encoder_forward(m, otr.inputs), m, pri))
-                li = classifier_logits(m, calibrate_feature(zi, aw.scaled))
-                lo = classifier_logits(m, calibrate_feature(zo, aw.scaled))
+                li = classifier_logits(m, calibrate_feature(zi, scaled))
+                lo = classifier_logits(m, calibrate_feature(zo, scaled))
             s = energy_score if score == "energy" else msp_score
             return auroc(s(li), s(lo)), acc, head, tail
 

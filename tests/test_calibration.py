@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from patt_lab.calibration import (AttentionWeight, attention_weight,
-                                  calibrate_feature, channel_importance,
+from patt_lab.calibration import (attention_weight, calibrate_feature, channel_importance,
                                   energy_score, load_attention, msp_score,
                                   save_attention, scale_weight)
 from patt_lab.model import classifier_logits
@@ -171,17 +170,19 @@ class TestAttentionWeight:
         with pytest.raises(ValueError, match="non-empty"):
             attention_weight(np.empty((0, 2)), [], np.empty((0, 2)), clf, [0.5, 0.5])
 
-    def test_container_validation(self):
-        with pytest.raises(ValueError):
-            AttentionWeight(raw=np.ones(3), scaled=np.ones(4))
-        with pytest.raises(ValueError):
-            AttentionWeight(raw=np.array([np.nan, 0.0]), scaled=np.ones(2))
-        with pytest.raises(ValueError):
-            AttentionWeight(raw=np.ones(2), scaled=np.array([0.0, 2.5]))
+    def test_container_validation(self, tmp_path):
+        # raw values then scaled values, as save_attention writes them
+        path = tmp_path / "attention.csv"
+        for line in ("1.0,1.0,1.0,1.0,1.0,1.0,1.0", "nan,0.0,1.0,1.0", "1.0,1.0,0.0,2.5"):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError):
+                load_attention(path)
 
-    def test_from_raw_hits_endpoints(self):
-        w = AttentionWeight.from_raw([3.0, -1.0, 0.5])
-        assert w.scaled.min() == 0.0 and w.scaled.max() == 2.0
+    def test_from_raw_hits_endpoints(self, tmp_path):
+        path = tmp_path / "attention.csv"
+        save_attention(path, [3.0, -1.0, 0.5])
+        scaled = load_attention(path)
+        assert scaled.min() == 0.0 and scaled.max() == 2.0
 
 
 class TestScaleWeight:
@@ -383,17 +384,15 @@ class TestPosthocLaAdjust:
 class TestAttentionIo:
     def test_round_trip_exact(self, tmp_path):
         raw = np.random.default_rng(6).normal(size=9)
-        weight = AttentionWeight.from_raw(raw)
         path = tmp_path / "attention.csv"
-        save_attention(path, weight)
-        loaded = load_attention(path)
-        assert np.array_equal(loaded.raw, weight.raw)
-        assert np.array_equal(loaded.scaled, weight.scaled)
+        save_attention(path, raw)
+        assert np.array_equal(load_attention(path), scale_weight(raw))
+        written = [float(v) for v in path.read_text().split(",")]
+        assert np.array_equal(written[:9], raw)
 
     def test_single_line_raw_then_scaled(self, tmp_path):
-        weight = AttentionWeight.from_raw([1.0, 3.0])
         path = tmp_path / "attention.csv"
-        save_attention(path, weight)
+        save_attention(path, [1.0, 3.0])
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         vals = [float(p) for p in lines[0].split(",")]

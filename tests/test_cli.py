@@ -667,6 +667,26 @@ def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
         assert (work / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def test_report_words_a_bad_prior_without_numpy(pipeline, tmp_path):
+    # the class rows' one check is plain Python: a refused checkpoint costs
+    # the report stage no numpy, and no vmf to word the error
+    config, out = pipeline
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    ckpt = work / "model.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", -0.25))  # the last prior
+    code = (
+        "import sys\n"
+        "from patt_lab import cli\n"
+        f"rc = cli.main(['report', '--config', {str(config)!r}, '--out', {str(work)!r}])\n"
+        "print(rc, sorted({'numpy', 'patt_lab.vmf'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout == "1 []\n", (done.stdout, done.stderr)
+    assert done.stderr == (f"error: bad checkpoint {ckpt}: priors must be strictly positive, "
+                           f"got prior[3] = -0.25\n")
+
+
 # modules a stage must not load, and the output file that shows it ran; no
 # stage loads ``dataclasses``
 NOT_LOADED = {
@@ -902,6 +922,30 @@ def test_every_open_is_a_with_item(path):
     assert not lines, f"{path.name}: open() outside a with at lines {lines}"
 
 
+def numpy_imports(tree) -> list:
+    """Line numbers of the import statements that load numpy, also one
+    inside a function."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "numpy")
+
+
+@pytest.mark.parametrize("name", ["config.py", "checkpoint.py", "report.py", "cli.py"])
+def test_numpy_free_module_imports_no_numpy(name):
+    # the report stage and a config check load these modules alone
+    path = SRC / "patt_lab" / name
+    lines = numpy_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not lines, f"{name}: numpy imported at lines {lines}"
+
+
+def test_numpy_check_sees_a_lazy_import():
+    tree = ast.parse("import os, numpy.linalg\ndef f():\n    import numpy as np\n"
+                     "    from numpy import errstate\n    from .numpy import x\n")
+    assert numpy_imports(tree) == [1, 3, 4]
+
+
 def test_open_check_sees_an_unmanaged_open():
     tree = ast.parse("with open(a) as f, open(b) as g:\n    pass\n"
                      "fh = open(c)\nwith wrap(open(d)):\n    pass\n")
@@ -1015,6 +1059,19 @@ class TestCorruptedInputFuzz:
     """A truncated, shortened or relabelled input file ends every stage that
     reads it in exit 0 with nothing on stderr, or exit 1 with exactly one
     ``error:`` line."""
+
+    def test_attention_file_of_another_width_names_the_file(self, pipeline, tmp_path, capsys):
+        # the width is checked where the file is read, so the error names it
+        config, out = pipeline
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        path = work / "attention.csv"
+        path.write_text("0.5,1.5,0.0,2.0\n")
+        rc = cli.main(["eval", "--config", str(config), "--out", str(work)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == (f"error: bad attention file {path}: 2 channel weights for 4 "
+                       f"feature channels\n")
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(sorted(READERS)),

@@ -331,8 +331,7 @@ class TestIsacGramForm:
         mus /= np.linalg.norm(mus, axis=1, keepdims=True)
         kappas = np.geomspace(0.5, vmf.KAPPA_MAX, k)
         priors = rng.uniform(0.2, 1.0, size=k)
-        mix = oracles.Mixture(*vmf.check_mixture(mus, rng.permutation(kappas),
-                                                 priors / priors.sum()))
+        mix = oracles.checked_mixture(mus, rng.permutation(kappas), priors / priors.sum())
         z = rng.normal(size=(64, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = rng.integers(0, k, size=64)
@@ -353,7 +352,7 @@ class TestIsacGramForm:
         z = rng.normal(size=(k, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         z[0] = e(0, d)  # the squared form is exactly 4 - 8 + 4 = 0 here
-        mix = oracles.Mixture(*vmf.check_mixture(-z, np.full(k, 2.0), np.full(k, 1.0 / k)))
+        mix = oracles.checked_mixture(-z, np.full(k, 2.0), np.full(k, 1.0 / k))
         for y in (np.arange(k), (np.arange(k) + 1) % k):
             self.assert_matches_tensor(mix, z, y, 0.5)
 

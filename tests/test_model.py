@@ -10,7 +10,7 @@ import pytest
 from patt_lab import checkpoint
 from patt_lab import model as model_module
 from patt_lab import vmf as vmf_module
-from patt_lab.config import TAIL_FRACTION
+from patt_lab.config import MU_NORM_TOL, TAIL_FRACTION
 from patt_lab.data import LabeledSet, SynthConfig, gen_longtail
 from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState,
                             batch_loss_and_grads, classifier_logits,
@@ -744,11 +744,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("where, value, message", [
-        ((1, "kappa"), -2.0, "kappa must be finite and non-negative, got [ 5. -2. 20.]"),
-        ((1, "kappa"), float("nan"), "kappa must be finite and non-negative, got [ 5. nan 20.]"),
-        ((0, 0), 2.0, "mu must be unit norm, got ||mu|| = np.float64(2.0)"),
-        ((2, "prior"), 0.0, "priors must be strictly positive"),
-        ((2, "prior"), -0.25, "priors must be strictly positive"),
+        ((1, "kappa"), -2.0, "kappa must be finite and non-negative, got kappa[1] = -2.0"),
+        ((1, "kappa"), float("nan"), "kappa must be finite and non-negative, got kappa[1] = nan"),
+        ((0, 0), 2.0, "mu must be unit norm, got ||mu[0]|| = 2.0"),
+        ((2, "prior"), 0.0, "priors must be strictly positive, got prior[2] = 0.0"),
+        ((2, "prior"), -0.25, "priors must be strictly positive, got prior[2] = -0.25"),
         ((2, "prior"), 0.5, "priors must sum to 1, got 1.25"),
         ("magic", None, "{path}: not a checkpoint (bad magic)"),
         ("truncate", None, "{path}: truncated checkpoint"),
@@ -757,8 +757,9 @@ class TestCheckpoint:
         ("weight", float("nan"), "{path}: non-finite parameter in checkpoint"),
     ])
     def test_reader_words_each_failure(self, tmp_path, where, value, message):
-        # the wording of every failure but the non-finite parameter is the
-        # one load_checkpoint gave before the reader moved to its own module
+        # checkpoint.check_stats words the failures of the class rows, naming
+        # the class; the others keep the words load_checkpoint gave before
+        # the reader moved to its own module
         model = make_model()
         mix = (np.eye(3, 4), np.array([5.0, 10.0, 20.0]), np.array([0.5, 0.25, 0.25]))
         path = tmp_path / "model.ckpt"
@@ -786,6 +787,37 @@ class TestCheckpoint:
             with pytest.raises(ValueError) as got:
                 read(path)
             assert str(got.value) == want
+
+    def test_save_and_load_agree_at_the_norm_tolerance(self, tmp_path):
+        # a mu row scaled to norm 1 + 1e-9 whose sqrt(mu @ mu), the norm the
+        # estimator computes, lies within MU_NORM_TOL and whose math.hypot
+        # does not: saved, and spliced into a written file, the rows meet
+        # one check and are accepted or refused with the same words
+        model = make_model()
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            mu = rng.normal(size=4)
+            mu *= (1.0 + 1e-9) / np.linalg.norm(mu)
+            if (abs(vmf_module._row_norms(mu[None])[0] - 1.0) <= MU_NORM_TOL
+                    < abs(math.hypot(*mu) - 1.0)):
+                break
+        else:
+            pytest.fail("no draw falls between the two norms")
+        kappas, priors = np.array([5.0, 10.0, 20.0]), np.array([0.5, 0.25, 0.25])
+        mix = (np.vstack([mu, np.eye(3, 4)[1:]]), kappas, priors)
+        spliced = tmp_path / "spliced.ckpt"
+        save_checkpoint(spliced, model, (np.eye(3, 4), kappas, priors))
+        rows = np.column_stack(mix).astype("<f8")
+        spliced.write_bytes(spliced.read_bytes()[: -rows.nbytes] + rows.tobytes())
+        outcomes = []
+        for step in (lambda: save_checkpoint(tmp_path / "saved.ckpt", model, mix),
+                     lambda: load_checkpoint(spliced)):
+            try:
+                step()
+                outcomes.append("accepted")
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], outcomes
 
     def test_reader_gives_the_priors(self, tmp_path):
         model = make_model(seed=13, widths=(8, 5))

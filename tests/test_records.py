@@ -1,8 +1,9 @@
 """The package's record classes: plain classes whose constructors keep the
 checks and messages they had as dataclasses, the checks of the mixture
-arrays on the checkpoint path, where the mixture record's constructor ran
-them before, and a source check that no module imports ``dataclasses``,
-whose classes compile generated code on every import."""
+arrays and of the attention weight where they cross a file, where their
+record classes' constructors ran them before, and a source check that no
+module imports ``dataclasses``, whose classes compile generated code on
+every import."""
 
 import ast
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patt_lab.calibration import AttentionWeight
+from patt_lab.calibration import load_attention
 from patt_lab.config import SynthConfig, TrainConfig, config_fields
 from patt_lab.data import LabeledSet
 from patt_lab.model import EncoderClassifier, TrainState, load_checkpoint, save_checkpoint
@@ -23,21 +24,21 @@ HALF = np.array([0.5, 0.5])
 
 
 @pytest.mark.parametrize("args, message", [
-    ((np.zeros((0, 2)), [], []), "mus must be a non-empty (K, dim) matrix, got shape (0, 2)"),
-    ((np.ones(2), [1.0], [1.0]), "mus must be a non-empty (K, dim) matrix, got shape (2,)"),
-    ((np.ones((2, 1)), [1.0, 1.0], HALF), "dim must be >= 2, got 1"),
+    ((np.zeros((0, 2)), [], []), "mus must have the head's shape (2, 2), got (0, 2)"),
+    ((np.ones(2), [1.0], [1.0]), "mus must have the head's shape (2, 2), got (2,)"),
+    ((np.ones((2, 1)), [1.0, 1.0], HALF), "mus must have the head's shape (2, 2), got (2, 1)"),
     ((E2, [1.0], HALF), "kappas (1,) and priors (2,) must both have shape (2,)"),
     ((E2, [1.0, 1.0], [1.0]), "kappas (2,) and priors (1,) must both have shape (2,)"),
     ((E2, [1.0, np.nan], HALF), "kappa must be finite and non-negative"),
     ((E2, [1.0, -1.0], HALF), "kappa must be finite and non-negative"),
     ((np.array([[1.0, 0.0], [1.0, 1.0]]), [1.0, 1.0], HALF),
-     "mu must be unit norm, got ||mu|| = np.float64(1.4142135623730951)"),
+     "mu must be unit norm, got ||mu[1]|| = 1.4142135623730951"),
     ((E2, [1.0, 1.0], [1.0, 0.0]), "priors must be strictly positive"),
     ((E2, [1.0, 1.0], [0.5, 0.6]), "priors must sum to 1, got 1.1"),
 ])
 def test_vmf_mixture_messages(args, message, tmp_path):
-    # save_checkpoint checks the arrays before it writes a byte, and before
-    # it matches them against the model's head
+    # save_checkpoint matches the arrays' shapes against the model's head,
+    # then checkpoint.write checks the class rows before it opens the file
     path = tmp_path / "model.ckpt"
     with pytest.raises(ValueError, match=re.escape(message)):
         save_checkpoint(path, EncoderClassifier.init(3, (4,), 2, 2, seed=0), args)
@@ -80,16 +81,21 @@ def test_labeled_set_counts_the_labeled_rows():
 
 
 @pytest.mark.parametrize("raw, scaled, message", [
-    (np.ones(3), np.ones(4), "raw and scaled must be matching 1-D vectors"),
-    (np.ones((2, 2)), np.ones((2, 2)), "raw and scaled must be matching 1-D vectors"),
+    pytest.param(np.ones(3), np.ones(4), "attention file must hold 2d values, got 7",
+                 id="seven-values"),
+    pytest.param(np.ones(1), np.ones(0), "attention file must hold 2d values, got 1",
+                 id="one-value"),
     (np.array([np.nan, 0.0]), np.ones(2), "attention weight must be finite"),
     (np.ones(2), np.array([np.inf, 0.0]), "attention weight must be finite"),
     (np.ones(2), np.array([0.0, 2.5]), "scaled weight must lie in [0, 2]"),
     (np.ones(2), np.array([-0.1, 1.0]), "scaled weight must lie in [0, 2]"),
 ])
-def test_attention_weight_messages(raw, scaled, message):
+def test_attention_weight_messages(raw, scaled, message, tmp_path):
+    # a file in the layout of save_attention: the raw values, then the scaled
+    path = tmp_path / "attention.csv"
+    path.write_text(",".join(map(repr, raw.tolist() + scaled.tolist())) + "\n")
     with pytest.raises(ValueError, match=re.escape(message)):
-        AttentionWeight(raw=raw, scaled=scaled)
+        load_attention(path)
 
 
 @pytest.mark.parametrize("cls", [SynthConfig, TrainConfig])

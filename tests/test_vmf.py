@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patt_lab import checkpoint, losses, vmf
+from patt_lab.config import MU_NORM_TOL
 from patt_lab.data import sample_vmf
 from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState, encoder_forward,
                             load_checkpoint, save_checkpoint, train_step)
-from patt_lab.util import MU_NORM_TOL
 from patt_lab.vmf import (KAPPA_MAX, _log_norm_and_ratio, bessel_ratio, estimate_class_stats,
                           log_bessel_i, log_norm_const)
 
@@ -786,27 +786,32 @@ HEAD = EncoderClassifier.init(2, (3,), 4, 3, seed=0)
 
 
 def assert_checkpoint_rejects(tmp_path, arrays, match):
-    # save_checkpoint refuses the arrays before it writes a byte; written
-    # into a file, load_checkpoint refuses them with the same words
+    # checkpoint.check_stats refuses the class rows; save_checkpoint refuses
+    # the arrays with the same words before it writes a byte, and so does
+    # load_checkpoint once the rows replace those of a written file
+    rows = np.column_stack([np.asarray(a, dtype="<f8") for a in arrays])
+    with pytest.raises(ValueError, match=match) as want:
+        checkpoint.check_stats(HEAD.n_classes, HEAD.feature_dim, rows.ravel().tolist())
     saved = tmp_path / "saved.ckpt"
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError) as got:
         save_checkpoint(saved, HEAD, arrays)
-    assert not saved.exists()
-    stats = np.column_stack([np.asarray(a, dtype="<f8") for a in arrays])
-    written = tmp_path / "written.ckpt"
-    checkpoint.write(written, HEAD.layer_sizes, HEAD.n_classes,
-                     HEAD.flat.astype("<f8").tobytes() + stats.tobytes())
-    with pytest.raises(ValueError, match=match):
-        load_checkpoint(written)
+    assert str(got.value) == str(want.value) and not saved.exists()
+    save_checkpoint(saved, HEAD, valid_arrays())
+    blob = saved.read_bytes()
+    saved.write_bytes(blob[: len(blob) - rows.nbytes] + rows.tobytes())
+    with pytest.raises(ValueError) as got:
+        load_checkpoint(saved)
+    assert str(got.value) == str(want.value)
 
 
 class TestArrayMixture:
-    """The checkpoint path rejects everything the list of validated
-    components rejected, with every row checked at once. Training carries
+    """``checkpoint.check_stats``, the one check of the class rows, rejects
+    everything the list of validated components rejected. Training carries
     the mixture as plain arrays and checks it where it crosses a file."""
 
     def test_accepts_valid_arrays(self, tmp_path):
         mus, kappas, priors = valid_arrays()
+        checkpoint.check_stats(3, 4, np.column_stack([mus, kappas, priors]).ravel().tolist())
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, HEAD, (mus, kappas, priors))
         loaded = load_checkpoint(path)[1]
@@ -844,7 +849,7 @@ class TestArrayMixture:
         assert_checkpoint_rejects(tmp_path, (mus, kappas, np.array(priors)), "sum to 1")
 
     def test_rejects_shape_mismatch(self, tmp_path):
-        # a file cannot hold these; save_checkpoint refuses each
+        # a file cannot hold these; save_checkpoint's head check refuses each
         mus, kappas, priors = valid_arrays()
         for bad in (dict(mus=mus[0]), dict(mus=mus[:0], kappas=kappas[:0], priors=priors[:0]),
                     dict(mus=mus[:, :1]), dict(mus=mus[:2]), dict(kappas=kappas[:2]),
