@@ -99,7 +99,7 @@ def sample_vmf(mu, kappa: float, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"mu must be a vector of dim >= 2, got shape {mu.shape}")
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
-    norm = math.sqrt(mu @ mu)
+    norm = math.hypot(*mu.tolist())
     if not abs(norm - 1.0) <= MU_NORM_TOL:
         raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
     if n < 1:

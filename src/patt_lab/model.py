@@ -329,8 +329,9 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     the history holding one ``(epoch, total, isac, tla, oe, val_acc)`` tuple
     per epoch: the mean loss terms and the validation accuracy.
 
-    The labeled split is checked here, once: at least two classes, each with
-    rows, and every label in [0, K) (an outlier row, label -1, is refused).
+    The labeled splits are checked here, once: at least two classes, each
+    with training rows, a validation split with rows, and every training and
+    validation label in [0, K) (an outlier row, label -1, is refused).
 
     For ``patt`` a full pass over the split seeds the mixture at the start
     of the first epoch, and of every epoch under ``vmf_update = epoch``. The
@@ -345,10 +346,13 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         raise ValueError("training needs at least two classes")
     if np.any(counts <= 0):
         raise ValueError("every class needs at least one training sample")
-    lo, hi = int(y.min()), int(y.max())
-    if lo < 0 or hi >= counts.size:
-        raise ValueError(f"labels out of range for the class count: got {lo if lo < 0 else hi}, "
-                         f"want each in [0, {counts.size})")
+    if val_id.labels.size == 0:
+        raise ValueError("the validation split has no rows")
+    for split, labels in (("labels", y), ("validation labels", val_id.labels)):
+        lo, hi = int(labels.min()), int(labels.max())
+        if lo < 0 or hi >= counts.size:
+            raise ValueError(f"{split} out of range for the class count: "
+                             f"got {lo if lo < 0 else hi}, want each in [0, {counts.size})")
     priors = counts / np.add.reduce(counts)
 
     model = EncoderClassifier.init(

@@ -142,16 +142,17 @@ def cmd_eval(cfg, out_dir) -> None:
     weight = _resolve_attention(cfg, out_dir, net.feature_dim)
     score = calibration.energy_score if cfg["score"] == "energy" else calibration.msp_score
 
-    try:
-        z_id = model.encoder_forward(net, test_id.inputs)
-        z_ood = model.encoder_forward(net, test_ood.inputs)
-        pred_id = np.argmax(model.classifier_logits(net, z_id), axis=1)
-        pred_ood = np.argmax(model.classifier_logits(net, z_ood), axis=1)
+    def predict_and_score(inputs):
+        z = model.encoder_forward(net, inputs)
+        logits = model.classifier_logits(net, z)
+        pred = np.argmax(logits, axis=1)
         if weight is not None:
-            z_id = calibration.calibrate_feature(z_id, weight)
-            z_ood = calibration.calibrate_feature(z_ood, weight)
-        id_scores = score(model.classifier_logits(net, z_id))
-        ood_scores = score(model.classifier_logits(net, z_ood))
+            logits = model.classifier_logits(net, calibration.calibrate_feature(z, weight))
+        return pred, score(logits)
+
+    try:
+        pred_id, id_scores = predict_and_score(test_id.inputs)
+        pred_ood, ood_scores = predict_and_score(test_ood.inputs)
         report = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
                                       priors, tail_fraction=cfg["tail_fraction"])
     except (ValueError, FloatingPointError) as exc:
@@ -164,7 +165,7 @@ def cmd_eval(cfg, out_dir) -> None:
             rows = zip(labels.tolist(), pred.tolist(), scores.tolist())
             fh.writelines(f"{split},{i},{y},{p},{s!r}\n" for i, (y, p, s) in enumerate(rows))
     with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii") as fh:
-        fh.write(report.to_csv())
+        fh.write(metrics.report_csv(report))
 
 
 COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "calibrate": cmd_calibrate,

@@ -478,6 +478,58 @@ def fpr95_sweep(id_scores, ood_scores):
     raise AssertionError("95% OOD recall unreachable")
 
 
+def _scores_ref(id_scores, ood_scores):
+    a = np.asarray(id_scores, dtype=np.float64)
+    b = np.asarray(ood_scores, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
+        raise ValueError("both score lists must be non-empty 1-D arrays")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("scores must be finite")
+    return a, b
+
+
+def auroc_ref(id_scores, ood_scores):
+    """The earlier ``metrics.auroc``: the rank-sum statistic over average
+    ranks of its own stable sort."""
+    a, b = _scores_ref(id_scores, ood_scores)
+    values = np.concatenate([a, b])
+    order = np.argsort(values, kind="mergesort")
+    sv = values[order]
+    edges = np.flatnonzero(np.diff(sv)) + 1
+    starts = np.concatenate([[0], edges])
+    stops = np.concatenate([edges, [values.size]])
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
+    u = float(ranks[: a.size].sum()) - a.size * (a.size + 1) / 2.0
+    return u / (a.size * b.size)
+
+
+def aupr_ref(id_scores, ood_scores, positive="id"):
+    """The earlier ``metrics.aupr``: step-summed precision over a descending
+    sort of its own, the outlier side on negated scores."""
+    a, b = _scores_ref(id_scores, ood_scores)
+    pos, neg = (a, b) if positive == "id" else (-b, -a)
+    scores = np.concatenate([pos, neg])
+    is_pos = np.concatenate([np.ones(pos.size, bool), np.zeros(neg.size, bool)])
+    order = np.argsort(-scores, kind="mergesort")
+    tp = np.cumsum(is_pos[order])
+    # last index of every tied group = the threshold at that score value
+    ends = np.concatenate([np.flatnonzero(np.diff(scores[order])), [scores.size - 1]])
+    tp_t = tp[ends.astype(np.int64)].astype(np.float64)
+    precision = tp_t / (ends + 1.0)
+    recall = tp_t / pos.size
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev_recall) * precision))
+
+
+def fpr95_ref(id_scores, ood_scores):
+    """The earlier ``metrics.fpr_at_95_tpr``: the threshold from a sort of
+    the outlier scores alone."""
+    a, b = _scores_ref(id_scores, ood_scores)
+    threshold = np.sort(b)[math.ceil(0.95 * b.size) - 1]
+    return float(np.mean(a <= threshold))
+
+
 def energy_mp(logits):
     """High-precision ln sum exp of one logit vector."""
     return float(mp.log(mp.fsum(mp.e ** mp.mpf(float(v)) for v in logits)))

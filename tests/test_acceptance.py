@@ -15,10 +15,11 @@ from patt_lab import cli
 from patt_lab.calibration import (attention_weight, calibrate_feature, channel_importance,
                                   energy_score, msp_score, scale_weight)
 from patt_lab.data import SynthConfig, class_balanced_subset, gen_longtail, sample_vmf
-from patt_lab.metrics import auroc, aupr, classification_report, fpr_at_95_tpr
+from patt_lab.metrics import detection_metrics
 from patt_lab.model import (EncoderClassifier, TrainConfig,
                             batch_loss_and_grads, classifier_logits,
                             encoder_forward, train)
+from patt_lab.report import classification_report
 from patt_lab.vmf import log_norm_const
 
 import oracles
@@ -256,11 +257,10 @@ def test_criterion_5_metric_oracles(capsys):
         a, b = rng.normal(size=n_id), rng.normal(size=n_ood)
         if i % 2 == 0:
             a, b = np.round(a, 1), np.round(b, 1)
-        worst = max(worst, abs(auroc(a, b) - oracles.auroc_pairs(a, b)))
-        for side in ("id", "ood"):
-            worst = max(worst, abs(aupr(a, b, positive=side)
-                                   - oracles.aupr_sweep(a, b, positive=side)))
-        worst = max(worst, abs(fpr_at_95_tpr(a, b) - oracles.fpr95_sweep(a, b)))
+        want = (oracles.auroc_pairs(a, b), oracles.aupr_sweep(a, b, positive="id"),
+                oracles.aupr_sweep(a, b, positive="ood"), oracles.fpr95_sweep(a, b))
+        for got, ref in zip(detection_metrics(a, b), want):
+            worst = max(worst, abs(got - ref))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-12 and elapsed < 30.0
     verdict(capsys, 5, "metric oracles", ok,
@@ -305,7 +305,7 @@ def test_criterion_6_directional_benchmark(capsys):
                 li = classifier_logits(m, calibrate_feature(zi, scaled))
                 lo = classifier_logits(m, calibrate_feature(zo, scaled))
             s = energy_score if score == "energy" else msp_score
-            return auroc(s(li), s(lo)), acc, head, tail
+            return detection_metrics(s(li), s(lo))[0], acc, head, tail
 
         model_patt = go("patt")
         res["patt"].append(ev(model_patt, True, "energy"))

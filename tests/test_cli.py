@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from patt_lab import cli
 from patt_lab.config import config_fields
 from patt_lab.data import SynthConfig
-from patt_lab.metrics import EvalReport
+from patt_lab.metrics import REPORT_COLUMNS
 from patt_lab.model import TrainConfig
 
 import oracles
@@ -221,7 +221,7 @@ class TestPipelineOutputs:
     def test_report_parses(self, pipeline):
         _, out = pipeline
         report = oracles.read_report((out / "report.csv").read_text())
-        assert list(report) == list(EvalReport.CSV_COLUMNS)
+        assert list(report) == list(REPORT_COLUMNS)
         assert 0.0 <= report["auroc"] <= 1.0
 
     def test_history_has_one_row_per_epoch(self, pipeline):
@@ -527,6 +527,47 @@ class TestCliContract:
                        "got -1, want each in [0, 4)\n"), err
         assert steps == []
         assert (bad / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("edit, words", [
+        ("outlier-row", "validation labels out of range for the class count: got -1, "
+                        "want each in [0, 4)"),
+        ("no-rows", "the validation split has no rows"),
+    ])
+    def test_bad_val_id_csv_fails_before_a_step(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                edit, words):
+        # val_acc used to count an outlier row of the validation split as a
+        # miss, and training ran to the end; a split of no rows printed numpy's
+        # "Mean of empty slice" warning and blamed the step size
+        from patt_lab import model as model_module
+        _, out = pipeline
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for name in ("train.csv", "train_ood.csv", "val_id.csv"):
+            shutil.copyfile(out / name, bad / name)
+        lines = (bad / "val_id.csv").read_text().splitlines(keepends=True)
+        if edit == "outlier-row":
+            row = lines[1].split(",")
+            assert row[1] == "0"
+            row[1] = "-1"
+            lines[1] = ",".join(row)
+        else:
+            del lines[1:]
+        (bad / "val_id.csv").write_text("".join(lines))
+        steps = []
+        step = model_module.train_step
+
+        def counting(*args):
+            steps.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(model_module, "train_step", counting)
+        config = write_config(tmp_path / "run.cfg")
+        rc = cli.main(["train", "--config", str(config), "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err == f"error: training failed: {words}\n", err
+        assert steps == []
+        assert not (bad / "model.ckpt").exists() and not (bad / "history.csv").exists()
 
     def test_mixture_refused_at_save_is_one_error_line(self, pipeline, tmp_path, capsys,
                                                        monkeypatch):
@@ -844,6 +885,7 @@ def test_readme_library_block_runs():
     assert len(names["history"]) == 30
     assert names["scores"].shape == (names["test_id"].inputs.shape[0],)
     assert np.isfinite(names["scores"]).all()
+    assert 0.0 <= names["auroc"] <= 1.0 and 0.0 <= names["fpr95"] <= 1.0
 
 
 def test_module_entry_point_runs_the_command(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from patt_lab.metrics import (EvalReport, aupr, auroc, build_report,
-                              classification_report, fpr_at_95_tpr)
+from patt_lab.metrics import REPORT_COLUMNS, build_report, detection_metrics, report_csv
+from patt_lab.report import classification_report
 
 import oracles
 
@@ -24,63 +24,67 @@ def random_scores(rng, n_id, n_ood, ties=False):
 
 class TestAuroc:
     def test_perfect_separation(self):
-        assert auroc([2.0, 3.0], [1.0]) == 1.0
+        assert detection_metrics([2.0, 3.0], [1.0])[0] == 1.0
 
     def test_full_ties(self):
-        assert auroc([1.0, 1.0], [1.0, 1.0]) == 0.5
+        assert detection_metrics([1.0, 1.0], [1.0, 1.0])[0] == 0.5
 
     def test_interleaved_pair(self):
-        assert auroc([1.0, 3.0], [2.0]) == 0.5
+        assert detection_metrics([1.0, 3.0], [2.0])[0] == 0.5
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
             a, b = random_scores(rng, 30, 25, ties=trial % 2 == 0)
-            assert auroc(a, b) == pytest.approx(oracles.auroc_pairs(a, b),
-                                                abs=1e-12)
+            assert detection_metrics(a, b)[0] == pytest.approx(oracles.auroc_pairs(a, b),
+                                                               abs=1e-12)
 
     def test_complement_identity(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=40), rng.normal(size=30)
-        assert auroc(a, b) + auroc(b, a) == pytest.approx(1.0, abs=1e-12)
+        assert detection_metrics(a, b)[0] + detection_metrics(b, a)[0] == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_rejects_empty_side(self):
         with pytest.raises(ValueError, match="non-empty"):
-            auroc([], [1.0])
+            detection_metrics([], [1.0])
         with pytest.raises(ValueError, match="non-empty"):
-            auroc([1.0], [])
+            detection_metrics([1.0], [])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            auroc([1.0, np.nan], [0.0])
+            detection_metrics([1.0, np.nan], [0.0])
 
 
 class TestAupr:
     def test_perfect_separation(self):
-        assert aupr([2.0, 3.0], [1.0], positive="id") == 1.0
-        assert aupr([2.0, 3.0], [1.0], positive="ood") == 1.0
+        _, aupr_in, aupr_out, _ = detection_metrics([2.0, 3.0], [1.0])
+        assert aupr_in == 1.0
+        assert aupr_out == 1.0
 
     def test_all_identical_gives_base_rate(self):
         scores = np.full(4, 1.0)
-        assert aupr(scores[:3], scores[3:], positive="id") == pytest.approx(0.75)
-        assert aupr(scores[:3], scores[3:], positive="ood") == pytest.approx(0.25)
+        _, aupr_in, aupr_out, _ = detection_metrics(scores[:3], scores[3:])
+        assert aupr_in == pytest.approx(0.75)
+        assert aupr_out == pytest.approx(0.25)
 
     def test_three_point_case_matches_sweep(self):
         a, b = np.array([3.0, 1.0]), np.array([2.0])
-        assert aupr(a, b, positive="id") == pytest.approx(
+        assert detection_metrics(a, b)[1] == pytest.approx(
             oracles.aupr_sweep(a, b, positive="id"), abs=1e-12)
 
     def test_matches_sweep_oracle_both_orientations(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
             a, b = random_scores(rng, 25, 35, ties=trial % 2 == 0)
-            for side in ("id", "ood"):
-                assert aupr(a, b, positive=side) == pytest.approx(
-                    oracles.aupr_sweep(a, b, positive=side), abs=1e-12)
+            _, aupr_in, aupr_out, _ = detection_metrics(a, b)
+            assert aupr_in == pytest.approx(oracles.aupr_sweep(a, b, positive="id"), abs=1e-12)
+            assert aupr_out == pytest.approx(oracles.aupr_sweep(a, b, positive="ood"),
+                                             abs=1e-12)
 
-    def test_rejects_unknown_orientation(self):
-        with pytest.raises(ValueError, match="positive"):
-            aupr([1.0], [0.0], positive="both")
+
+def fpr_at_95_tpr(id_scores, ood_scores):
+    return detection_metrics(id_scores, ood_scores)[3]
 
 
 class TestFpr95:
@@ -126,12 +130,30 @@ class TestMonotoneInvariance:
         rng = np.random.default_rng(seed)
         a, b = random_scores(rng, 15, 12, ties=seed % 2 == 0)
         transform = lambda s: np.exp(0.5 * s) + 3.0
-        ta, tb = transform(a), transform(b)
-        assert auroc(ta, tb) == pytest.approx(auroc(a, b), abs=1e-12)
-        assert fpr_at_95_tpr(ta, tb) == pytest.approx(fpr_at_95_tpr(a, b), abs=1e-12)
-        for side in ("id", "ood"):
-            assert aupr(ta, tb, positive=side) == pytest.approx(
-                aupr(a, b, positive=side), abs=1e-12)
+        got = detection_metrics(transform(a), transform(b))
+        assert got == pytest.approx(detection_metrics(a, b), abs=1e-12)
+
+
+class TestEarlierFunctions:
+    """``detection_metrics`` has the float bits of the three functions it
+    replaced, each of which sorted the scores itself (``oracles``)."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 400), st.integers(1, 400),
+           st.sampled_from(["normal", "rounded", "signed-zeros"]))
+    def test_bit_equal(self, seed, n_id, n_ood, kind):
+        rng = np.random.default_rng(seed)
+        a, b = random_scores(rng, n_id, n_ood, ties=kind == "rounded")
+        if kind == "signed-zeros":
+            a = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n_id)
+            b = rng.choice([-0.0, 0.0, 0.5, -1.0], size=n_ood)
+        want = (oracles.auroc_ref(a, b), oracles.aupr_ref(a, b, positive="id"),
+                oracles.aupr_ref(a, b, positive="ood"), oracles.fpr95_ref(a, b))
+        assert [v.hex() for v in detection_metrics(a, b)] == [v.hex() for v in want]
+
+    def test_scores_a_float_range_apart(self):
+        # tie groups come from a comparison, so no difference can overflow
+        with np.errstate(over="raise"):
+            assert detection_metrics([1.7e308], [-1.7e308, 0.0]) == (1.0, 1.0, 1.0, 0.0)
 
 
 class TestClassificationReport:
@@ -184,21 +206,17 @@ class TestEvalReport:
         return build_report(id_scores, ood_scores, true, pred, [100, 50, 10, 5])
 
     def test_build_report_fields(self):
-        report = self.make_report()
-        for rate in (report.auroc, report.aupr_in, report.aupr_out,
-                     report.fpr95, report.acc):
-            assert 0.0 <= rate <= 1.0
+        report = dict(zip(REPORT_COLUMNS, self.make_report(), strict=True))
+        for rate in ("auroc", "aupr_in", "aupr_out", "fpr95", "acc"):
+            assert 0.0 <= report[rate] <= 1.0
 
     def test_csv_round_trip(self):
         report = self.make_report()
-        again = oracles.read_report(report.to_csv())
-        assert list(again) == list(EvalReport.CSV_COLUMNS)
-        for col in EvalReport.CSV_COLUMNS:
-            assert again[col] == getattr(report, col)
+        again = oracles.read_report(report_csv(report))
+        assert list(again) == list(REPORT_COLUMNS)
+        assert tuple(again.values()) == report
 
     def test_absent_group_serializes_to_empty_cell(self):
-        report = EvalReport(auroc=0.9, aupr_in=0.8, aupr_out=0.7, fpr95=0.2,
-                            acc=0.5, acc_head=0.6, acc_tail=None)
-        text = report.to_csv()
+        text = report_csv((0.9, 0.8, 0.7, 0.2, 0.5, 0.6, None))
         assert text.strip().endswith(",")
         assert oracles.read_report(text)["acc_tail"] is None

@@ -773,6 +773,33 @@ class TestVmfParamsValidation:
         with pytest.raises(ValueError):
             oracles.mixture_of([p, p], np.array([1.2, -0.2]))
 
+    def test_sampler_and_checkpoint_agree_at_the_norm_tolerance(self):
+        # sample_vmf used sqrt(mu @ mu), check_stats math.hypot: this mu was
+        # sampled, yet a checkpoint holding it was refused (1.000000001)
+        mu = np.array([0.5092761438548099, -0.4293549395313475, 0.5162643517624355,
+                       0.4589580498078405, 0.26643562280850613, 0.09018222504988145])
+
+        def accepts(check, v):
+            try:
+                check(v)
+            except ValueError as exc:
+                assert "unit norm" in str(exc)
+                return False
+            return True
+
+        def sampled(v):
+            sample_one(v, 1.0)
+
+        def stored(v):
+            checkpoint.check_stats(1, v.size, v.tolist() + [1.0, 1.0])
+
+        assert not accepts(sampled, mu) and not accepts(stored, mu)
+        rng = np.random.default_rng(24)
+        for _ in range(2000):
+            v = rng.normal(size=int(rng.integers(2, 9)))
+            v *= (1.0 + rng.uniform(-1.5, 1.5) * MU_NORM_TOL) / np.linalg.norm(v)
+            assert accepts(sampled, v) == accepts(stored, v), v.tolist()
+
 
 def valid_arrays(k=3, d=4):
     rng = np.random.default_rng(k * d)
