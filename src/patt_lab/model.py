@@ -7,11 +7,21 @@ and were validated against central finite differences. A training run
 keeps one ``TrainState`` and each step updates its parameters, optimizer
 moments and class statistics in place. Training is fully deterministic for a
 fixed seed.
+
+A run with an outlier term forks one ``ood_helper.OodHelper`` process, which
+runs each step's outlier stream while the parent runs the labeled stream;
+without ``os.fork`` the stream runs inline. Every bit stays that of the
+inline stream: the helper runs the same code on a copy of the same
+parameters and rows, and each gradient element gets one addition per
+stream, (0 + a) + b inline and (0 + a) + (0 + b) with the helper. These
+agree: 0 + b differs from b only for b = -0.0, and 0 + a is never -0.0, so
+adding either zero to it gives the same value.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -158,6 +168,23 @@ def _backprop_stream(model, acts, norms, z, d_z, d_logits, grads) -> None:
             g = (g @ model.weights[layer]) * (1.0 - acts[layer] ** 2)
 
 
+def _oe_weight(config: TrainConfig) -> float:
+    # the outlier term's weight: beta for patt, oe_gamma for the OE baseline
+    return {"patt": config.beta, "oe-baseline": config.oe_gamma}.get(config.method, 0.0)
+
+
+def _ood_stream(model: EncoderClassifier, ood_x: np.ndarray, w_oe: float, grads) -> float:
+    # the outlier stream: the mean OE term of the rows, with its gradient
+    # (weighted by w_oe) added into the views ``grads``
+    from . import losses
+    m = ood_x.shape[0]
+    acts, norms, z = _forward_batch(model, ood_x, [])
+    oe_vals, oe_grads = losses.oe_uniform_loss_batch(z @ model.clf_w.T + model.clf_b)
+    oe_mean = float(np.add.reduce(oe_vals)) / m
+    _backprop_stream(model, acts, norms, z, None, w_oe * oe_grads / m, grads)
+    return oe_mean
+
+
 def batch_loss_and_grads(
     model: EncoderClassifier,
     stats,
@@ -166,11 +193,12 @@ def batch_loss_and_grads(
     ood_x,
     config: TrainConfig,
     forward=None,
+    grad=None,
 ):
     """Mean batch objective of ``config.method`` and its exact parameter
     gradients, returned as ``((total, isac, tla, oe), flat_grad)``: the mean
     per-term values of the batch (for the baselines ``tla`` holds the plain
-    cross-entropy term and ``isac`` is 0) and one fresh gradient vector.
+    cross-entropy term and ``isac`` is 0) and the gradient vector.
 
     Every method trains on isac + w_cls * cls + w_oe * oe, with cls the logit
     adjustment at (priors, epsilon) and oe the outlier stream's cross entropy
@@ -181,10 +209,13 @@ def batch_loss_and_grads(
 
     The mixture statistics are constants here; differentiation covers the
     encoder (through the unit-norm projection) and the head for both
-    streams. ``forward`` may carry the labeled batch's encoder pass
+    streams. ``ood_x`` holds the outlier rows, or is the ``join`` of the
+    ``OodHelper`` already running this step's outlier stream, called after
+    the labeled stream. ``forward`` may carry the labeled batch's encoder pass
     (``_forward_batch(model, id_x, [])``) when the caller already ran it.
-    Every parameter's gradient is accumulated into a view of one zero vector,
-    ``flat_grad``, laid out like ``model.flat``.
+    Every parameter's gradient is accumulated into a view of one zeroed
+    vector, ``flat_grad``, laid out like ``model.flat``: a fresh one, or the
+    first of the ``grad`` pair ``(flat_grad, views)`` that a caller keeps.
     """
     # only the training path needs the losses (and vmf): calibrate and eval
     # run the model without loading them
@@ -195,34 +226,36 @@ def batch_loss_and_grads(
     n = id_x.shape[0]
     if n == 0:
         raise ValueError("empty labeled batch")
-    flat_grad = np.zeros(model.flat.size)
-    grads = _views(flat_grad, [p.shape for p in model.param_list()])
+    if grad is None:
+        flat_grad = np.zeros(model.flat.size)
+        grads = _views(flat_grad, [p.shape for p in model.param_list()])
+    else:
+        flat_grad, grads = grad
+        flat_grad.fill(0.0)
 
     acts, norms, z = _forward_batch(model, id_x, []) if forward is None else forward
     logits = z @ model.clf_w.T + model.clf_b
 
+    w_oe = _oe_weight(config)
     if method == "patt":
         if stats is None:
             raise ValueError("patt objective requires mixture statistics")
         mus, kappas, priors = stats
         isac_vals, isac_grads = losses.isac_loss_batch(mus, kappas, priors, z, id_y, config.tau)
         isac_mean, d_z = float(np.add.reduce(isac_vals)) / n, isac_grads / n
-        epsilon, w_cls, w_oe = config.epsilon, config.alpha, config.beta
+        epsilon, w_cls = config.epsilon, config.alpha
     else:
         isac_mean, d_z = 0.0, None
         priors, epsilon, w_cls = np.full(model.n_classes, 1.0 / model.n_classes), 1.0, 1.0
-        w_oe = config.oe_gamma if method == "oe-baseline" else 0.0
     cls_vals, cls_grads = losses.tla_loss_batch(logits, id_y, priors, epsilon)
     cls_mean = float(np.add.reduce(cls_vals)) / n
     _backprop_stream(model, acts, norms, z, d_z, w_cls * cls_grads / n, grads)
 
     oe_mean = 0.0
-    if w_oe > 0.0 and ood_x is not None and ood_x.shape[0] > 0:
-        m = ood_x.shape[0]
-        acts_o, norms_o, z_o = _forward_batch(model, ood_x, [])
-        oe_vals, oe_grads = losses.oe_uniform_loss_batch(z_o @ model.clf_w.T + model.clf_b)
-        oe_mean = float(np.add.reduce(oe_vals)) / m
-        _backprop_stream(model, acts_o, norms_o, z_o, None, w_oe * oe_grads / m, grads)
+    if callable(ood_x):
+        oe_mean = ood_x(flat_grad)
+    elif w_oe > 0.0 and ood_x is not None and ood_x.shape[0] > 0:
+        oe_mean = _ood_stream(model, ood_x, w_oe, grads)
 
     total = isac_mean + w_cls * cls_mean + w_oe * oe_mean
     return (total, isac_mean, cls_mean, oe_mean), flat_grad
@@ -237,12 +270,18 @@ class TrainState:
     see ``vmf.estimate_class_stats``), all None until a full pass sets them,
     and the fixed ``priors`` (K,). The optimizer state is flat in
     ``model.flat`` order: Adam's moments ``m``, ``v`` and step count ``t``;
-    SGD keeps its velocity in ``m``. All start at zero."""
+    SGD keeps its velocity in ``m``. All start at zero. The state also holds
+    the run's scratch vectors, built once: the labeled stream's gradient
+    ``grad`` with its per-parameter ``views``, and the update's ``delta`` and
+    ``scratch``."""
 
     def __init__(self, model: EncoderClassifier, config: TrainConfig, priors: np.ndarray):
         self.model, self.config, self.priors = model, config, priors
         self.mus = self.kappas = self.sums = self.counts = None
-        self.m, self.v, self.t = np.zeros(model.flat.size), np.zeros(model.flat.size), 0
+        size = model.flat.size
+        self.m, self.v, self.t = np.zeros(size), np.zeros(size), 0
+        self.grad, self.delta, self.scratch = np.zeros(size), np.empty(size), np.empty(size)
+        self.views = _views(self.grad, [p.shape for p in model.param_list()])
 
 
 def _apply_update(state: TrainState, flat_grad: np.ndarray) -> None:
@@ -250,31 +289,37 @@ def _apply_update(state: TrainState, flat_grad: np.ndarray) -> None:
     optimizer state; ``flat_grad`` is laid out like ``model.flat``. Each value
     keeps the order of operations of the plain expression, so its bits."""
     lr, m, v, flat = state.config.learning_rate, state.m, state.v, state.model.flat
+    step, tmp = state.delta, state.scratch
     if state.config.optimizer == "adam":
         b1, b2, eps = 0.9, 0.999, 1e-8
         state.t += 1
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
         # step = lr * m_hat / (sqrt(v_hat) + eps)
         m *= b1
-        m += (1.0 - b1) * flat_grad
+        np.multiply(1.0 - b1, flat_grad, out=tmp)
+        m += tmp
         v *= b2
-        v += (1.0 - b2) * flat_grad * flat_grad
-        step = m / (1.0 - b1**state.t)
+        np.multiply(1.0 - b2, flat_grad, out=tmp)
+        tmp *= flat_grad
+        v += tmp
+        np.divide(m, 1.0 - b1**state.t, out=step)
         step *= lr
-        denom = v / (1.0 - b2**state.t)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
+        np.divide(v, 1.0 - b2**state.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step /= tmp
     else:
         m *= state.config.sgd_momentum
         m += flat_grad
-        step = lr * m
+        np.multiply(lr, m, out=step)
     flat -= step
 
 
 def train_step(state: TrainState, id_batch, ood_batch) -> tuple:
     """One optimization step, in place on ``state``; returns the loss
-    breakdown ``(total, isac, tla, oe)``.
+    breakdown ``(total, isac, tla, oe)``. ``ood_batch`` holds the outlier
+    rows, or is the ``join`` of the ``OodHelper`` that ``train`` started on
+    them.
 
     For the combined objective the batch features are first folded into the
     running class sums, each present class's decayed by ``vmf_momentum``,
@@ -285,7 +330,9 @@ def train_step(state: TrainState, id_batch, ood_batch) -> tuple:
     id_x, id_y = id_batch
     id_x = np.asarray(id_x, dtype=np.float64)
     id_y = np.asarray(id_y)
-    ood_x = None if ood_batch is None else np.asarray(ood_batch, dtype=np.float64)
+    ood_x = ood_batch
+    if ood_x is not None and not callable(ood_x):
+        ood_x = np.asarray(ood_x, dtype=np.float64)
     config = state.config
 
     mus, kappas, sums, counts = state.mus, state.kappas, state.sums, state.counts
@@ -299,7 +346,7 @@ def train_step(state: TrainState, id_batch, ood_batch) -> tuple:
 
     stats = None if mus is None else (mus, kappas, state.priors)
     breakdown, flat_grad = batch_loss_and_grads(state.model, stats, id_x, id_y, ood_x, config,
-                                                forward=forward)
+                                                forward=forward, grad=(state.grad, state.views))
     for name, val in zip(("isac", "tla", "oe"), breakdown[1:]):
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite loss term: {name} = {val}")
@@ -338,7 +385,8 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     baselines, and a run of no epochs, return a full pass of the final model.
     Sub-seeds for init, labeled shuffling and the outlier stream are derived
     from the config seed by role, so two runs with the same seed are
-    bit-identical.
+    bit-identical. The outlier stream runs in an ``ood_helper.OodHelper``
+    process, which ends before ``train`` returns or raises.
     """
     x, y = np.asarray(train_id.inputs, dtype=np.float64), np.asarray(train_id.labels)
     counts = np.asarray(train_id.class_counts, dtype=np.float64)
@@ -360,9 +408,10 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
         counts.size, derive_seed(config.seed, "model-init"),
     )
     history = []
-    ood_x = None
-    if train_ood is not None and train_ood.inputs.shape[0] > 0:
+    w_oe, ood_x = _oe_weight(config), None
+    if train_ood is not None and train_ood.inputs.shape[0] > 0 and w_oe > 0.0:
         ood_x = np.asarray(train_ood.inputs, dtype=np.float64)
+        take = min(config.ood_batch_size, ood_x.shape[0])
 
     state = TrainState(model, config, priors)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "id-shuffle"))
@@ -370,28 +419,40 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     ood_queue = np.empty(0, dtype=np.int64)
 
     n = x.shape[0]
-    for epoch in range(config.epochs):
-        if config.method == "patt" and (epoch == 0 or config.vmf_update == "epoch"):
-            state.mus, state.kappas, state.sums, state.counts = _full_stats(state.model, x, y,
-                                                                            counts.size)
-        perm = shuffle_rng.permutation(n)
-        sums = np.zeros(4)
-        steps = 0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            ood_batch = None
-            if ood_x is not None:
-                take = min(config.ood_batch_size, ood_x.shape[0])
-                while ood_queue.size < take:
-                    ood_queue = np.concatenate([ood_queue, ood_rng.permutation(ood_x.shape[0])])
-                ood_batch = ood_x[ood_queue[:take]]
-                ood_queue = ood_queue[take:]
-            breakdown = train_step(state, (x[idx], y[idx]), ood_batch)
-            sums += breakdown
-            steps += 1
-        total, isac, tla, oe = (sums / steps).tolist()
-        history.append((epoch, total, isac, tla, oe,
-                        _validation_accuracy(state.model, val_id.inputs, val_id.labels)))
+    helper = None
+    try:
+        if ood_x is not None and config.epochs > 0 and hasattr(os, "fork"):
+            from .ood_helper import OodHelper
+            try:
+                helper = OodHelper(model, ood_x, take, w_oe)
+            except OSError:
+                pass  # no process to spare: the outlier stream runs inline
+        for epoch in range(config.epochs):
+            if config.method == "patt" and (epoch == 0 or config.vmf_update == "epoch"):
+                state.mus, state.kappas, state.sums, state.counts = _full_stats(
+                    state.model, x, y, counts.size)
+            perm = shuffle_rng.permutation(n)
+            sums = np.zeros(4)
+            steps = 0
+            for start in range(0, n, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                ood_batch = None
+                if ood_x is not None:
+                    while ood_queue.size < take:
+                        ood_queue = np.concatenate([ood_queue,
+                                                    ood_rng.permutation(ood_x.shape[0])])
+                    rows, ood_queue = ood_queue[:take], ood_queue[take:]
+                    ood_batch = (ood_x[rows] if helper is None
+                                 else helper.start(state.model.flat, rows))
+                breakdown = train_step(state, (x[idx], y[idx]), ood_batch)
+                sums += breakdown
+                steps += 1
+            total, isac, tla, oe = (sums / steps).tolist()
+            history.append((epoch, total, isac, tla, oe,
+                            _validation_accuracy(state.model, val_id.inputs, val_id.labels)))
+    finally:
+        if helper is not None:
+            helper.close()
 
     if state.mus is None:
         state.mus, state.kappas = _full_stats(state.model, x, y, counts.size)[:2]

@@ -736,8 +736,9 @@ NOT_LOADED = {
                   "patt_lab.report"), "train.csv"),
     "train": (("patt_lab.report",), "model.ckpt"),
     "calibrate": (("numpy.ma", "patt_lab.losses", "patt_lab.metrics", "patt_lab.report",
-                   "patt_lab.vmf"), "attention.csv"),
-    "eval": (("patt_lab.losses", "patt_lab.vmf", "hashlib"), "scores.csv"),
+                   "patt_lab.vmf", "patt_lab.ood_helper", "mmap"), "attention.csv"),
+    "eval": (("patt_lab.losses", "patt_lab.vmf", "patt_lab.ood_helper", "mmap", "hashlib"),
+             "scores.csv"),
 }
 
 
@@ -868,6 +869,70 @@ class TestOverflowingStep:
         assert err.startswith("error: training failed: overflow encountered in"), err
         for name in cli._STEP_KEYS:
             assert name in err
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    # the pids that training forks for its outlier stream, as the parent sees them
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    yield pids
+    # the helper is reaped: this process has no child left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestOutlierHelperProcess:
+    """``train`` runs the outlier stream in a forked helper process, which
+    changes nothing a caller of ``cli.main`` sees."""
+
+    def test_overflowing_outlier_split_is_the_inline_error_line(self, pipeline, tmp_path,
+                                                                 capsys, monkeypatch, forks):
+        # every outlier value overflows the first layer in the helper; with
+        # its sidecar removed, the CSV is what train reads
+        config, out = pipeline
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for name in ("train.csv", "val_id.csv"):
+            shutil.copyfile(out / name, bad / name)
+        lines = (out / "train_ood.csv").read_text().splitlines(keepends=True)
+        (bad / "train_ood.csv").write_text(lines[0] + "".join(
+            ",".join(line.split(",")[:2] + ["1.7e308"] * (line.count(",") - 1)) + "\n"
+            for line in lines[1:]))
+        errs = []
+        for inline in (False, True):
+            if inline:
+                monkeypatch.delattr(os, "fork")
+            rc = cli.main(["train", "--config", str(config), "--out", str(bad)])
+            errs.append(capsys.readouterr().err)
+            assert rc == 1 and errs[-1].count("\n") == 1, errs[-1]
+        assert len(forks) == 1
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: training failed: overflow encountered in "), errs[0]
+        assert not (bad / "model.ckpt").exists()
+
+    def test_a_finally_around_main_runs_once(self, pipeline, tmp_path, forks):
+        # the helper ends in os._exit: it never unwinds through its caller's
+        # finally (bench/trace_stage.py writes its spans in one)
+        config, out = pipeline
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        log = tmp_path / "finally.log"
+        try:
+            rc = cli.main(["train", "--config", str(config), "--out", str(work)])
+        finally:
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert rc == 0 and len(forks) == 1
+        assert log.read_text() == f"{os.getpid()}\n"
+        assert (work / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
 
 
 def src_env():

@@ -1,13 +1,16 @@
 """Unit tests for the encoder/classifier, the optimizer loop and checkpoints."""
 
 import math
+import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from patt_lab import checkpoint
+from patt_lab import losses as losses_module
 from patt_lab import model as model_module
 from patt_lab import vmf as vmf_module
 from patt_lab.config import MU_NORM_TOL, TAIL_FRACTION
@@ -383,6 +386,8 @@ class TestFlatGradient:
         original = model_module._apply_update
 
         def capturing(state, flat_grad):
+            # the state's one gradient buffer, filled again by each step
+            assert flat_grad is state.grad
             seen.append(flat_grad.copy())
             original(state, flat_grad)
 
@@ -654,6 +659,132 @@ class TestTrain:
         tail = np.arange(k - math.ceil(k * TAIL_FRACTION), k)  # counts fall with the index
         assert (mix.kappas[tail] <= 4.0 * full.kappas[tail]).all(), (
             mix.kappas[tail], full.kappas[tail])
+
+
+def counting_forks(monkeypatch):
+    # the pids that training forks, as the parent sees them
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def helper_and_inline(monkeypatch, run):
+    # ``run()`` with the outlier stream in a forked helper, then inline (no
+    # os.fork), each as (returned value, None) or (None, raised exception)
+    outcomes = []
+    forks = counting_forks(monkeypatch)
+    for inline in (False, True):
+        if inline:
+            monkeypatch.delattr(os, "fork")
+        try:
+            outcomes.append((run(), None))
+        except Exception as exc:
+            outcomes.append((None, exc))
+        assert_no_child_left()
+    assert len(forks) == 1
+    return outcomes
+
+
+class TestOutlierHelper:
+    """Training runs each step's outlier stream in a forked helper process;
+    every output keeps the bits of the inline stream, errors keep their
+    precedence, and no process outlives the run."""
+
+    @pytest.mark.parametrize("method, vmf_update, ood_batch_size", [
+        ("patt", "batch", 16), ("patt", "epoch", 16), ("oe-baseline", "batch", 16),
+        ("patt", "batch", 128),  # more than the split's 60 rows: each step takes them all
+    ])
+    def test_runs_are_bit_equal(self, monkeypatch, method, vmf_update, ood_batch_size):
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        config = TrainConfig(method=method, vmf_update=vmf_update, epochs=3, batch_size=16,
+                             ood_batch_size=ood_batch_size, feature_dim=4,
+                             encoder_widths=(8, 8), seed=3)
+        (forked, _), (inline, _) = helper_and_inline(
+            monkeypatch, lambda: train(config, train_id, train_ood, val_id))
+        assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
+        for a, b in zip(forked[1], inline[1]):
+            assert a.tobytes() == b.tobytes()
+        assert forked[2] == inline[2] and len(forked[2]) == 3
+
+    def test_a_failed_fork_runs_the_stream_inline(self, monkeypatch):
+        # no process to spare: training goes on inline, with the same bits,
+        # and closes the pipes it opened for the helper
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        config = TrainConfig(epochs=2, batch_size=16, ood_batch_size=16, feature_dim=4,
+                             encoder_widths=(8,), seed=3)
+        forked = train(config, train_id, train_ood, val_id)
+        fds = os.listdir("/proc/self/fd")
+
+        def failing():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        inline = train(config, train_id, train_ood, val_id)
+        assert os.listdir("/proc/self/fd") == fds
+        assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
+        assert forked[2] == inline[2]
+
+    @pytest.mark.parametrize("fails", ["none", "labeled", "outlier", "both"])
+    def test_errors_come_back_in_the_inline_order(self, monkeypatch, fails):
+        # a failing stream raises on its second call of the run; with both
+        # failing, the labeled stream's error is the one raised, as inline
+        calls = []
+        for name, stream in (("tla_loss_batch", "labeled"), ("oe_uniform_loss_batch", "outlier")):
+            if fails in (stream, "both"):
+                def failing(*args, _original=getattr(losses_module, name), _stream=stream):
+                    calls.append(_stream)
+                    if calls.count(_stream) == 2:
+                        raise FloatingPointError(f"the {_stream} stream fails")
+                    return _original(*args)
+
+                monkeypatch.setattr(losses_module, name, failing)
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        config = TrainConfig(epochs=2, batch_size=16, ood_batch_size=16, feature_dim=4,
+                             encoder_widths=(8,), seed=3)
+
+        def run():
+            calls.clear()
+            return train(config, train_id, train_ood, val_id)
+
+        forked, inline = helper_and_inline(monkeypatch, run)
+        if fails == "none":
+            assert forked[1] is inline[1] is None
+            assert forked[0][2] == inline[0][2]
+        else:
+            want = "outlier" if fails == "outlier" else "labeled"
+            for _, exc in (forked, inline):
+                assert type(exc) is FloatingPointError and str(exc) == f"the {want} stream fails"
+
+    def test_warnings_come_back_as_inline(self, monkeypatch):
+        # outlier rows that overflow the first layer, under numpy's default
+        # warn mode: the helper's warnings are issued in the parent, each with
+        # the place that raised it, and training goes on (tanh(inf) = 1)
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        huge = LabeledSet(np.full_like(train_ood.inputs, 1.7e308), train_ood.labels, 4)
+        config = TrainConfig(epochs=1, batch_size=16, ood_batch_size=16, feature_dim=4,
+                             encoder_widths=(8,), seed=3)
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+                warnings.simplefilter("always")
+                history = train(config, train_id, huge, val_id)[2]
+            return history, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+        (forked, _), (inline, _) = helper_and_inline(monkeypatch, run)
+        assert forked == inline
+        assert (RuntimeWarning, "overflow encountered in matmul") in [w[:2] for w in forked[1]]
 
 
 class TestTrainConfigValidation:

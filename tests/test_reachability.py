@@ -2,10 +2,11 @@
 no oracle that no test uses.
 
 The first test runs all five stages in process under ``sys.setprofile`` over
-six small configs and fails when a function or method defined in
-``src/patt_lab`` is never entered, unless it is on the short, commented
-allowlist below. The second fails when a public top-level name of
-``tests/oracles.py`` is referenced by no ``tests/test_*.py``.
+six small configs, the training stage's forked helper process included, and
+fails when a function or method defined in ``src/patt_lab`` is never entered,
+unless it is on the short, commented allowlist below. The second fails when a
+public top-level name of ``tests/oracles.py`` is referenced by no
+``tests/test_*.py``.
 """
 
 import ast
@@ -72,25 +73,34 @@ def package_functions() -> dict:
 
 
 def test_every_package_function_is_entered_by_a_stage(tmp_path):
-    entered = set()
+    # train forks a helper process for the outlier stream, which inherits
+    # this hook; each process appends the code it enters first to one log
+    log = os.open(tmp_path / "entered.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    seen = set()
 
     def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
+        if event == "call" and frame.f_code not in seen:
+            seen.add(frame.f_code)
+            os.write(log, f"{frame.f_code.co_firstlineno} {frame.f_code.co_filename}\n".encode())
 
     previous = sys.getprofile()
-    for i, values in enumerate(CONFIGS):
-        config = tmp_path / f"{i}.cfg"
-        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        sys.setprofile(profile)
-        try:
-            codes = [cli.main([stage, "--config", str(config), "--out", str(tmp_path / str(i))])
-                     for stage in ("gen-data", "train", "calibrate", "eval", "report")]
-        finally:
-            sys.setprofile(previous)
-        assert codes == [0] * 5, (values, codes)
+    try:
+        for i, values in enumerate(CONFIGS):
+            config = tmp_path / f"{i}.cfg"
+            config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+            sys.setprofile(profile)
+            try:
+                out = str(tmp_path / str(i))
+                codes = [cli.main([stage, "--config", str(config), "--out", out])
+                         for stage in ("gen-data", "train", "calibrate", "eval", "report")]
+            finally:
+                sys.setprofile(previous)
+            assert codes == [0] * 5, (values, codes)
+    finally:
+        os.close(log)
 
-    hit = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in entered}
+    entered = (line.split(" ", 1) for line in (tmp_path / "entered.log").read_text().splitlines())
+    hit = {(os.path.realpath(path), int(first)) for first, path in entered}
     names = package_functions()
     never = sorted(name for key, name in names.items() if key not in hit)
     assert sorted(ALLOWED - set(names.values())) == [], "allowlisted names that do not exist"
