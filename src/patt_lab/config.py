@@ -151,10 +151,11 @@ class SynthConfig(_Config):
 
 class TrainConfig(_Config):
     """Training-loop knobs and the objective's weights. ``method`` selects
-    the objective: the combined one (contrastive temperature ``tau``,
-    adjustment sharpening ``epsilon``, weights ``alpha`` of tail-adjusted
-    classification and ``beta`` of outlier exposure), outlier-exposed cross
-    entropy (weight ``oe_gamma``), or plain cross entropy."""
+    the objective: the combined one (contrastive temperature ``tau``, logit
+    temperature ``epsilon`` of the prior adjustment, which raises the priors
+    to ``epsilon``, weights ``alpha`` of tail-adjusted classification and
+    ``beta`` of outlier exposure), outlier-exposed cross entropy (weight
+    ``oe_gamma``), or plain cross entropy."""
 
     epochs: int = 30
     batch_size: int = 128

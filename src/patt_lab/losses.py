@@ -1,6 +1,6 @@
 """Training objectives with exact analytic gradients, row-wise over a batch.
 
-Outlier exposure to the uniform prediction, tail-sharpened logit adjustment,
+Outlier exposure to the uniform prediction, logit adjustment at a temperature,
 and the closed-form infinite-batch contrastive loss under a vMF mixture, built
 on an (n, K) Gram product. Each returns the per-row values with the gradient
 in the argument it differentiates (features or logits); mixture statistics
@@ -28,9 +28,11 @@ def oe_uniform_loss_batch(logits: np.ndarray):
 
 
 def tla_loss_batch(logits: np.ndarray, y: np.ndarray, priors: np.ndarray, epsilon: float):
-    """Tail-sharpened logit adjustment per row: cross entropy on
-    ``log(priors) + logits / epsilon``, whose gradient in the logits carries
-    the factor 1/epsilon. Returns (values (n,), gradients (n, K))."""
+    """Logit adjustment at temperature ``epsilon`` per row: cross entropy on
+    ``log(priors) + logits / epsilon`` = ``(epsilon log(priors) + logits) /
+    epsilon``, the priors raised to epsilon and the adjusted logits taken at
+    temperature epsilon, so the gradient in the logits carries the factor
+    1/epsilon. Returns (values (n,), gradients (n, K))."""
     with np.errstate(divide="ignore"):
         a = np.log(priors)[None, :] + logits / epsilon
     rows = np.arange(a.shape[0])

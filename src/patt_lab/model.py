@@ -193,7 +193,6 @@ def batch_loss_and_grads(
     ood_x,
     config: TrainConfig,
     forward=None,
-    grad=None,
 ):
     """Mean batch objective of ``config.method`` and its exact parameter
     gradients, returned as ``((total, isac, tla, oe), flat_grad)``: the mean
@@ -213,9 +212,8 @@ def batch_loss_and_grads(
     ``OodHelper`` already running this step's outlier stream, called after
     the labeled stream. ``forward`` may carry the labeled batch's encoder pass
     (``_forward_batch(model, id_x, [])``) when the caller already ran it.
-    Every parameter's gradient is accumulated into a view of one zeroed
-    vector, ``flat_grad``, laid out like ``model.flat``: a fresh one, or the
-    first of the ``grad`` pair ``(flat_grad, views)`` that a caller keeps.
+    Every parameter's gradient is accumulated into a view of one fresh zeroed
+    vector, ``flat_grad``, laid out like ``model.flat``.
     """
     # only the training path needs the losses (and vmf): calibrate and eval
     # run the model without loading them
@@ -226,12 +224,8 @@ def batch_loss_and_grads(
     n = id_x.shape[0]
     if n == 0:
         raise ValueError("empty labeled batch")
-    if grad is None:
-        flat_grad = np.zeros(model.flat.size)
-        grads = _views(flat_grad, [p.shape for p in model.param_list()])
-    else:
-        flat_grad, grads = grad
-        flat_grad.fill(0.0)
+    flat_grad = np.zeros(model.flat.size)
+    grads = _views(flat_grad, [p.shape for p in model.param_list()])
 
     acts, norms, z = _forward_batch(model, id_x, []) if forward is None else forward
     logits = z @ model.clf_w.T + model.clf_b
@@ -270,49 +264,30 @@ class TrainState:
     see ``vmf.estimate_class_stats``), all None until a full pass sets them,
     and the fixed ``priors`` (K,). The optimizer state is flat in
     ``model.flat`` order: Adam's moments ``m``, ``v`` and step count ``t``;
-    SGD keeps its velocity in ``m``. All start at zero. The state also holds
-    the run's scratch vectors, built once: the labeled stream's gradient
-    ``grad`` with its per-parameter ``views``, and the update's ``delta`` and
-    ``scratch``."""
+    SGD keeps its velocity in ``m``. All start at zero."""
 
     def __init__(self, model: EncoderClassifier, config: TrainConfig, priors: np.ndarray):
         self.model, self.config, self.priors = model, config, priors
         self.mus = self.kappas = self.sums = self.counts = None
-        size = model.flat.size
-        self.m, self.v, self.t = np.zeros(size), np.zeros(size), 0
-        self.grad, self.delta, self.scratch = np.zeros(size), np.empty(size), np.empty(size)
-        self.views = _views(self.grad, [p.shape for p in model.param_list()])
+        self.m, self.v, self.t = np.zeros(model.flat.size), np.zeros(model.flat.size), 0
 
 
 def _apply_update(state: TrainState, flat_grad: np.ndarray) -> None:
     """One optimizer step, in place on ``state.model.flat`` and the
-    optimizer state; ``flat_grad`` is laid out like ``model.flat``. Each value
-    keeps the order of operations of the plain expression, so its bits."""
+    optimizer state; ``flat_grad`` is laid out like ``model.flat``."""
     lr, m, v, flat = state.config.learning_rate, state.m, state.v, state.model.flat
-    step, tmp = state.delta, state.scratch
     if state.config.optimizer == "adam":
         b1, b2, eps = 0.9, 0.999, 1e-8
         state.t += 1
-        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-        # step = lr * m_hat / (sqrt(v_hat) + eps)
         m *= b1
-        np.multiply(1.0 - b1, flat_grad, out=tmp)
-        m += tmp
+        m += (1 - b1) * flat_grad
         v *= b2
-        np.multiply(1.0 - b2, flat_grad, out=tmp)
-        tmp *= flat_grad
-        v += tmp
-        np.divide(m, 1.0 - b1**state.t, out=step)
-        step *= lr
-        np.divide(v, 1.0 - b2**state.t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        step /= tmp
+        v += (1 - b2) * flat_grad * flat_grad
+        flat -= lr * (m / (1 - b1**state.t)) / (np.sqrt(v / (1 - b2**state.t)) + eps)
     else:
         m *= state.config.sgd_momentum
         m += flat_grad
-        np.multiply(lr, m, out=step)
-    flat -= step
+        flat -= lr * m
 
 
 def train_step(state: TrainState, id_batch, ood_batch) -> tuple:
@@ -346,7 +321,7 @@ def train_step(state: TrainState, id_batch, ood_batch) -> tuple:
 
     stats = None if mus is None else (mus, kappas, state.priors)
     breakdown, flat_grad = batch_loss_and_grads(state.model, stats, id_x, id_y, ood_x, config,
-                                                forward=forward, grad=(state.grad, state.views))
+                                                forward=forward)
     for name, val in zip(("isac", "tla", "oe"), breakdown[1:]):
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite loss term: {name} = {val}")

@@ -27,8 +27,9 @@ __all__ = ["OodHelper"]
 class OodHelper:
     """The helper process of one training run, forked at construction from
     the run's model and its outlier rows ``ood_x``; each step takes ``take``
-    rows and weighs the OE term by ``w_oe``. An ``OSError`` from the fork
-    leaves nothing open."""
+    rows and weighs the OE term by ``w_oe``. A fork that fails, or warns,
+    leaves nothing open and no child: its warnings are issued again, and then
+    ``OSError`` is raised."""
 
     def __init__(self, model: EncoderClassifier, ood_x: np.ndarray, take: int, w_oe: float):
         p = model.flat.size
@@ -38,12 +39,22 @@ class OodHelper:
         try:
             fds += os.pipe()
             fds += os.pipe()
-            self.pid = os.fork()
+            # Python >= 3.12 warns in a parent with threads, after the fork
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                self.pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
             raise
         start_r, self._start, done_r, done_w = fds
+        if self.pid and caught:
+            for fd in fds:
+                os.close(fd)  # the child reads the end of its pipe and exits
+            os.waitpid(self.pid, 0)
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            raise OSError("os.fork warned")
         if self.pid == 0:
             try:
                 os.close(self._start)

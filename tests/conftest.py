@@ -1,0 +1,32 @@
+"""Fixtures shared by the test modules."""
+
+import os
+
+import pytest
+
+
+class Forks(list):
+    """The pids that ``os.fork`` returned in the parent, in order."""
+
+    @staticmethod
+    def assert_no_child_left():
+        # every forked child is reaped: this process has none left
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    # the pids that training forks for its outlier stream, as the parent sees
+    # them; at the end of the test no child is left
+    pids, fork = Forks(), os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    yield pids
+    pids.assert_no_child_left()

@@ -871,24 +871,6 @@ class TestOverflowingStep:
             assert name in err
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    # the pids that training forks for its outlier stream, as the parent sees them
-    pids, fork = [], os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    yield pids
-    # the helper is reaped: this process has no child left
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestOutlierHelperProcess:
     """``train`` runs the outlier stream in a forked helper process, which
     changes nothing a caller of ``cli.main`` sees."""

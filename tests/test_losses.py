@@ -211,6 +211,23 @@ class TestTlaLoss:
                 lambda v: tla_loss(v, y, priors, eps).value, logits)
             np.testing.assert_allclose(out.grad, fd, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("eps", [0.3, 0.7, 1.0, 2.0])
+    def test_is_cross_entropy_at_temperature_epsilon(self, eps):
+        # log p + z / eps = (eps log p + z) / eps: the priors raised to eps,
+        # under a softmax at temperature eps
+        rng = np.random.default_rng(6)
+        z = rng.normal(scale=2.0, size=(8, 5))
+        y = np.arange(8) % 5
+        priors = np.array([0.5, 0.3, 0.15, 0.049, 1e-3])
+        t = (eps * np.log(priors) + z) / eps
+        e = np.exp(t - t.max(axis=1, keepdims=True))
+        softmax = e / e.sum(axis=1, keepdims=True)
+        want_vals = -np.log(softmax[np.arange(8), y])
+        want_grads = (softmax - np.eye(5)[y]) / eps
+        vals, grads = tla_loss_batch(z, y, priors, eps)
+        np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=0)
+
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(6, 4))

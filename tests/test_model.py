@@ -386,8 +386,6 @@ class TestFlatGradient:
         original = model_module._apply_update
 
         def capturing(state, flat_grad):
-            # the state's one gradient buffer, filled again by each step
-            assert flat_grad is state.grad
             seen.append(flat_grad.copy())
             original(state, flat_grad)
 
@@ -661,30 +659,10 @@ class TestTrain:
             mix.kappas[tail], full.kappas[tail])
 
 
-def counting_forks(monkeypatch):
-    # the pids that training forks, as the parent sees them
-    pids, fork = [], os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return pids
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def helper_and_inline(monkeypatch, run):
+def helper_and_inline(monkeypatch, forks, run):
     # ``run()`` with the outlier stream in a forked helper, then inline (no
     # os.fork), each as (returned value, None) or (None, raised exception)
     outcomes = []
-    forks = counting_forks(monkeypatch)
     for inline in (False, True):
         if inline:
             monkeypatch.delattr(os, "fork")
@@ -692,9 +670,24 @@ def helper_and_inline(monkeypatch, run):
             outcomes.append((run(), None))
         except Exception as exc:
             outcomes.append((None, exc))
-        assert_no_child_left()
+        forks.assert_no_child_left()
     assert len(forks) == 1
     return outcomes
+
+
+def warning_fork(monkeypatch):
+    # os.fork as Python >= 3.12 runs it in a parent with threads: the parent
+    # side warns once the child exists
+    fork = os.fork
+
+    def warning():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning)
 
 
 class TestOutlierHelper:
@@ -706,13 +699,14 @@ class TestOutlierHelper:
         ("patt", "batch", 16), ("patt", "epoch", 16), ("oe-baseline", "batch", 16),
         ("patt", "batch", 128),  # more than the split's 60 rows: each step takes them all
     ])
-    def test_runs_are_bit_equal(self, monkeypatch, method, vmf_update, ood_batch_size):
+    def test_runs_are_bit_equal(self, monkeypatch, forks, method, vmf_update,
+                                ood_batch_size):
         train_id, val_id, _, train_ood, _ = smoke_dataset()
         config = TrainConfig(method=method, vmf_update=vmf_update, epochs=3, batch_size=16,
                              ood_batch_size=ood_batch_size, feature_dim=4,
                              encoder_widths=(8, 8), seed=3)
         (forked, _), (inline, _) = helper_and_inline(
-            monkeypatch, lambda: train(config, train_id, train_ood, val_id))
+            monkeypatch, forks, lambda: train(config, train_id, train_ood, val_id))
         assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
         for a, b in zip(forked[1], inline[1]):
             assert a.tobytes() == b.tobytes()
@@ -736,8 +730,50 @@ class TestOutlierHelper:
         assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
         assert forked[2] == inline[2]
 
+    def test_a_fork_that_warns_runs_the_stream_inline(self, monkeypatch, forks):
+        # the warning is issued, and training goes on inline, with the same
+        # bits, no child and no file descriptor left
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        config = TrainConfig(epochs=2, batch_size=16, ood_batch_size=16, feature_dim=4,
+                             encoder_widths=(8,), seed=3)
+        inline_calls, ood_stream = [], model_module._ood_stream
+
+        def counting(*args):
+            inline_calls.append(args)
+            return ood_stream(*args)
+
+        monkeypatch.setattr(model_module, "_ood_stream", counting)
+        forked = train(config, train_id, train_ood, val_id)
+        assert inline_calls == []
+        fds = os.listdir("/proc/self/fd")
+        warning_fork(monkeypatch)
+        with pytest.warns(DeprecationWarning, match="multi-threaded"):
+            inline = train(config, train_id, train_ood, val_id)
+        assert len(forks) == 2
+        forks.assert_no_child_left()
+        assert os.listdir("/proc/self/fd") == fds
+        assert len(inline_calls) == 2 * math.ceil(train_id.labels.size / 16)
+        assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
+        for a, b in zip(forked[1], inline[1]):
+            assert a.tobytes() == b.tobytes()
+        assert forked[2] == inline[2]
+
+    def test_a_fork_warning_under_an_error_filter_is_raised(self, monkeypatch, forks):
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        config = TrainConfig(epochs=1, batch_size=16, ood_batch_size=16, feature_dim=4,
+                             encoder_widths=(8,), seed=3)
+        fds = os.listdir("/proc/self/fd")
+        warning_fork(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="multi-threaded"):
+                train(config, train_id, train_ood, val_id)
+        assert len(forks) == 1
+        forks.assert_no_child_left()
+        assert os.listdir("/proc/self/fd") == fds
+
     @pytest.mark.parametrize("fails", ["none", "labeled", "outlier", "both"])
-    def test_errors_come_back_in_the_inline_order(self, monkeypatch, fails):
+    def test_errors_come_back_in_the_inline_order(self, monkeypatch, forks, fails):
         # a failing stream raises on its second call of the run; with both
         # failing, the labeled stream's error is the one raised, as inline
         calls = []
@@ -758,7 +794,7 @@ class TestOutlierHelper:
             calls.clear()
             return train(config, train_id, train_ood, val_id)
 
-        forked, inline = helper_and_inline(monkeypatch, run)
+        forked, inline = helper_and_inline(monkeypatch, forks, run)
         if fails == "none":
             assert forked[1] is inline[1] is None
             assert forked[0][2] == inline[0][2]
@@ -767,7 +803,7 @@ class TestOutlierHelper:
             for _, exc in (forked, inline):
                 assert type(exc) is FloatingPointError and str(exc) == f"the {want} stream fails"
 
-    def test_warnings_come_back_as_inline(self, monkeypatch):
+    def test_warnings_come_back_as_inline(self, monkeypatch, forks):
         # outlier rows that overflow the first layer, under numpy's default
         # warn mode: the helper's warnings are issued in the parent, each with
         # the place that raised it, and training goes on (tanh(inf) = 1)
@@ -782,7 +818,7 @@ class TestOutlierHelper:
                 history = train(config, train_id, huge, val_id)[2]
             return history, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
-        (forked, _), (inline, _) = helper_and_inline(monkeypatch, run)
+        (forked, _), (inline, _) = helper_and_inline(monkeypatch, forks, run)
         assert forked == inline
         assert (RuntimeWarning, "overflow encountered in matmul") in [w[:2] for w in forked[1]]
 
