@@ -361,7 +361,9 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     Sub-seeds for init, labeled shuffling and the outlier stream are derived
     from the config seed by role, so two runs with the same seed are
     bit-identical. The outlier stream runs in an ``ood_helper.OodHelper``
-    process, which ends before ``train`` returns or raises.
+    process, which ends before ``train`` returns or raises; it runs inline
+    when ``os.fork`` is missing, fails or warns. A helper that dies during
+    the run ends it with ``ChildProcessError``.
     """
     x, y = np.asarray(train_id.inputs, dtype=np.float64), np.asarray(train_id.labels)
     counts = np.asarray(train_id.class_counts, dtype=np.float64)

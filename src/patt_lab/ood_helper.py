@@ -23,6 +23,8 @@ from .model import EncoderClassifier, _ood_stream, _views
 
 __all__ = ["OodHelper"]
 
+_ENDED = "the outlier stream's helper process ended"
+
 
 class OodHelper:
     """The helper process of one training run, forked at construction from
@@ -88,17 +90,21 @@ class OodHelper:
         returns ``join``, which the step calls after its labeled stream."""
         self.flat[...] = flat
         self.idx[...] = rows
-        os.write(self._start, b"\0")
+        try:
+            os.write(self._start, b"\0")
+        except BrokenPipeError:
+            raise ChildProcessError(_ENDED) from None
         return self.join
 
     def join(self, flat_grad: np.ndarray) -> float:
         """Add the step's outlier gradient into ``flat_grad`` and return its
         OE mean; the helper's warnings are issued, and its error raised,
-        here."""
+        here. A helper that has ended raises ``ChildProcessError``, here or
+        in ``start``."""
         try:
             oe_mean, warned, error = pickle.load(self._done)
         except EOFError:
-            raise RuntimeError("the outlier stream's helper process ended") from None
+            raise ChildProcessError(_ENDED) from None
         for message, category, filename, lineno in warned:
             warnings.warn_explicit(message, category, filename, lineno)
         if error is not None:

@@ -65,7 +65,7 @@ def cmd_train(cfg, out_dir) -> None:
         net, stats, history = model.train(_build(model.TrainConfig, cfg), train_id, train_ood,
                                         val_id)
         model.save_checkpoint(os.path.join(out_dir, "model.ckpt"), net, stats)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, ChildProcessError) as exc:
         raise CliError(f"training failed: {exc}") from None
     except (FloatingPointError, RuntimeError) as exc:
         raise CliError(f"training failed: {exc} (check the keys that scale the step: "

@@ -84,45 +84,26 @@ def _log_bessel_series(orders, x):
     return (nu * np.log(0.5 * x) - lgamma + np.log(total) + shifts * _LN2_LO) + shifts * _LN2_HI
 
 
-_COEFS = {}
-_COEFS_MAX = 16  # orders kept; a run uses two
-
-
-def _asymptotic_coefs(nu: float) -> tuple:
-    # a_1(nu) .. a_39(nu) of S_nu, each from the one before, built once per
-    # order while the table holds fewer than _COEFS_MAX orders
-    coefs = _COEFS.get(nu)
-    if coefs is None:
-        coefs, coef = [], 1.0
-        for k in range(1, 40):
-            coef *= ((2 * k - 1) ** 2 - 4.0 * nu * nu) / (8 * k)
-            coefs.append(coef)
-        if len(_COEFS) >= _COEFS_MAX:
-            _COEFS.clear()
-        coefs = _COEFS[nu] = tuple(coefs)
-    return coefs
-
-
 def _asymptotic_sum(orders, x):
     # S_nu(x) = sum_k a_k(nu) / x^k with a_0 = 1 and a_k = a_{k-1} ((2k - 1)^2 -
     # 4 nu^2) / (8k), from I_nu(x) ~ e^x S_nu(x) / sqrt(2 pi x), for each order
-    # (rows) at every x (any shape). Each order's terms stop at the first one
-    # at most 1e-17 of the partial sum at the smallest x (at most 39 terms);
-    # the table is zero-padded to the longest order and summed by Horner's
-    # rule in 1/x. Only used for x >= max(30, 2 nu^2), the asymptotic cut.
+    # (rows) at every x (any shape), built in plain floats (numpy scalars give
+    # the bits, slower) up to the first term at most 1e-17 of the partial sum at
+    # the smallest x (at most 39); zero-padded to the longest order and summed
+    # by Horner's rule in 1/x. Only used from the asymptotic cut max(30, 2 nu^2).
     inv_x = 1.0 / x
     inv_lo = float(np.maximum.reduce(inv_x, axis=None, initial=0.0))
-    table = np.zeros((40, len(orders)))
-    top = 1
-    for col, nu in enumerate(orders):
-        coefs = _asymptotic_coefs(float(nu))
-        total = 1.0
-        for k, coef in enumerate(coefs, 1):
+    table, top = np.zeros((40, len(orders))), 1
+    for col, nu in enumerate(map(float, orders)):
+        coefs, coef, total = [], 1.0, 1.0
+        for k in range(1, 40):
+            coef *= ((2 * k - 1) ** 2 - 4.0 * nu * nu) / (8 * k)
+            coefs.append(coef)
             term = coef * inv_lo ** k
             total += term
             if abs(term) <= 1e-17 * abs(total):
                 break
-        table[1:k + 1, col] = coefs[:k]
+        table[1:k + 1, col] = coefs
         top = max(top, k)
     out = np.multiply.outer(table[top], inv_x)
     for coef in table[top - 1:0:-1].reshape((top - 1, len(orders)) + (1,) * inv_x.ndim):
@@ -192,8 +173,7 @@ def bessel_ratio(dim: int, kappa):
 
 
 def _normalizer(dim, kappa):
-    # the input check of log_norm_const and bessel_ratio, then both from
-    # one Bessel pass
+    # the input check of log_norm_const and bessel_ratio, then both from one pass
     dim = int(dim)
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
@@ -214,8 +194,7 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     half = 0.5 * dim
     nu = half - 1.0
     large = kappa >= max(30.0, 2.0 * half * half)
-    if large.all():
-        # no lane to gather or scatter
+    if large.all():  # no lane to gather or scatter
         log_i, ratio = _asymptotic_log_i_and_ratio(nu, half, kappa)
         return nu * np.log(kappa) - half * math.log(2.0 * math.pi) - log_i, ratio
     # kappa = 0 lanes stand in at 1.0 and join neither branch; they take the

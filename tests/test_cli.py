@@ -3,10 +3,12 @@
 import ast
 import contextlib
 import gc
+import importlib
 import io
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -916,6 +918,44 @@ class TestOutlierHelperProcess:
         assert log.read_text() == f"{os.getpid()}\n"
         assert (work / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
 
+    def test_a_dead_helper_is_one_error_line(self, pipeline, tmp_path, capsys, monkeypatch,
+                                             forks):
+        # the helper is killed before the first step's hand-off, so start
+        # meets a broken pipe, or after it, so join meets the end of the
+        # reply pipe; waitid with WNOWAIT waits for the death and leaves the
+        # reaping to close
+        from patt_lab.ood_helper import OodHelper
+        config, out = pipeline
+        start, errs = OodHelper.start, []
+
+        def dead(self):
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+
+        def killed_before(self, flat, rows):
+            dead(self)
+            return start(self, flat, rows)
+
+        def killed_after(self, flat, rows):
+            os.kill(self.pid, signal.SIGSTOP)
+            join = start(self, flat, rows)
+            dead(self)
+            return join
+
+        for i, kill in enumerate((killed_before, killed_after)):
+            work = tmp_path / str(i)
+            shutil.copytree(out, work)
+            (work / "model.ckpt").unlink()
+            monkeypatch.setattr(OodHelper, "start", kill)
+            rc = cli.main(["train", "--config", str(config), "--out", str(work)])
+            errs.append(capsys.readouterr().err)
+            assert rc == 1 and errs[-1].count("\n") == 1, errs[-1]
+            assert not (work / "model.ckpt").exists()
+            forks.assert_no_child_left()
+        assert len(forks) == 2
+        assert errs[0] == errs[1] == ("error: training failed: the outlier stream's helper "
+                                      "process ended\n")
+
 
 def src_env():
     env = dict(os.environ)
@@ -933,6 +973,29 @@ def test_readme_library_block_runs():
     assert names["scores"].shape == (names["test_id"].inputs.shape[0],)
     assert np.isfinite(names["scores"]).all()
     assert 0.0 <= names["auroc"] <= 1.0 and 0.0 <= names["fpr95"] <= 1.0
+
+
+def test_readme_parts_table_names_real_code():
+    # "The paper's four parts": | part | functions | config keys | tests |,
+    # each cell a list of `...` names
+    section = README.read_text(encoding="utf-8").split("\n## The paper's four parts\n", 1)[1]
+    rows = [[re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[2:5]]
+            for line in section.split("\n## ", 1)[0].splitlines()
+            if line.startswith("|") and "`" in line]
+    assert len(rows) == 4
+    for functions, keys, tests in rows:
+        assert functions and keys and tests
+        for name in functions:
+            module, attr = name.split(".")
+            assert callable(getattr(importlib.import_module(f"patt_lab.{module}"), attr)), name
+        assert set(keys) <= set(cli.DEFAULTS), keys
+        for test_id in tests:
+            path, *names = test_id.split("::")
+            body = ast.parse((SRC.parent / "tests" / path).read_text(encoding="utf-8")).body
+            for name in names:
+                body = next((node.body for node in body if isinstance(
+                    node, (ast.ClassDef, ast.FunctionDef)) and node.name == name), None)
+                assert body is not None, test_id
 
 
 def test_module_entry_point_runs_the_command(tmp_path):

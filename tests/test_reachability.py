@@ -6,13 +6,16 @@ six small configs, the training stage's forked helper process included, and
 fails when a function or method defined in ``src/patt_lab`` is never entered,
 unless it is on the short, commented allowlist below. The second fails when a
 public top-level name of ``tests/oracles.py`` is referenced by no
-``tests/test_*.py``.
+``tests/test_*.py``. The third fails when a function of a module whose
+functions are pure keeps state between calls in a module-level name.
 """
 
 import ast
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 from patt_lab import cli
 
@@ -128,3 +131,71 @@ def test_every_oracle_is_used_by_a_test():
                 used.add(node.name)
     assert public
     assert sorted(set(public) - used) == [], "oracles no test references"
+
+
+# methods that change a dict, list or set in place
+MUTATORS = {"clear", "update", "pop", "setdefault", "append", "extend"}
+
+
+def _root(node):
+    # the name an item or attribute chain starts from, or None
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def state_writes(tree) -> list:
+    """Line numbers where a function keeps state between calls: a ``global``
+    or ``nonlocal`` statement, a store into an item or attribute of a
+    module-level name, or a call of one of ``MUTATORS`` on one. A function's
+    names, and those of the functions around it, shadow the module's."""
+    shared = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            shared.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            shared.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        else:
+            shared.update(n.id for n in ast.walk(node)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    lines = set()
+
+    def scan(node, outer):
+        # outer: the names the enclosing functions bind
+        for func in ast.iter_child_nodes(node):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                scan(func, outer)
+                continue
+            own = outer | {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+            own.update(n.id for n in ast.walk(func)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+            module = shared - own
+            for n in ast.walk(func):
+                if (isinstance(n, (ast.Global, ast.Nonlocal))
+                        or isinstance(n, (ast.Attribute, ast.Subscript))
+                        and isinstance(n.ctx, (ast.Store, ast.Del)) and _root(n) in module
+                        or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr in MUTATORS and _root(n.func.value) in module):
+                    lines.add(n.lineno)
+            scan(func, own)
+
+    scan(tree, set())
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", ["vmf.py", "losses.py", "util.py"])
+def test_pure_module_keeps_no_state(name):
+    # vmf's docstring says its functions are pure; losses and util hold
+    # the same numerics
+    path = PACKAGE / name
+    lines = state_writes(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not lines, f"{name}: module state written at lines {lines}"
+
+
+def test_state_check_sees_a_module_cache():
+    tree = ast.parse("import np\n_C = {}\nN = 0\n"
+                     "def f(k, v, x):\n    _C[k] = v\n    _C.clear()\n    np.seed = 1\n"
+                     "    global N\n    del _C[k]\n    x.append(1)\n    x[0] = 1\n"
+                     "def g(_C):\n    _C[0] = 1\n    y = []\n    y.append(N)\n"
+                     "    return lambda: _C.pop()\n")
+    assert state_writes(tree) == [5, 6, 7, 8, 9]

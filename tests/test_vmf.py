@@ -482,16 +482,6 @@ class TestBlockBesselKernel:
             np.testing.assert_array_equal(block[0], vmf._asymptotic_sum((nu,), xs)[0])
             np.testing.assert_array_equal(block[2], 1.0)  # I_{1/2}: the sum ends at a_0
 
-    def test_coefficient_cache_is_bounded(self):
-        # each order's coefficients are kept, but only for the last few
-        # orders: a sweep over many orders does not grow the table, and an
-        # order evicted and built again gets the same bits
-        first = vmf._asymptotic_coefs(2.5)
-        for nu in np.arange(0.0, 50.0, 0.25):
-            log_bessel_i_at(nu, np.array([1e4]))
-        assert 0 < len(vmf._COEFS) <= vmf._COEFS_MAX < 200
-        assert vmf._asymptotic_coefs(2.5) == first
-
     def test_mixed_branches(self):
         # x in both branches for each order, and in different branches for
         # the two orders: the series lanes below 300 keep the bits of the
