@@ -10,7 +10,8 @@ defaults, plus the five keys in ``_CLI_DEFAULTS``; unknown keys are
 rejected, and ``load_config`` checks every key, so each stage rejects a
 bad value before it reads or writes a data file. All randomness derives
 from the single ``seed`` key, so repeating any subcommand reproduces its
-output files byte for byte.
+output files byte for byte. Every input file is read through ``_read``,
+which words a missing or refused file and names the stage that writes it.
 
 Loading the config and the ``report`` stage import no numpy; ``main``
 imports ``stages``, and numpy with it, only for the other four stages.
@@ -121,10 +122,21 @@ def load_config(path, seed=None) -> dict:
     return cfg
 
 
-def _require(path, what):
+# the stage that writes each input file, named when the file is missing
+_WRITERS = {"dataset file": "gen-data", "checkpoint": "train", "attention file": "calibrate",
+            "scores file": "eval"}
+
+
+def _read(path, what, read, *args):
+    """``read(path, *args)``, the one reader of every input file: a missing
+    file, or one that ``read`` refuses, is one ``CliError`` naming the file."""
     if not os.path.isfile(path):
-        raise CliError(f"missing {what}: {path}")
-    return path
+        raise CliError(f"missing {what}: {path} (run {_WRITERS[what]} first)")
+    try:
+        return read(path, *args)
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # an n_classes beyond memory or int64 fails numpy's class count
+        raise CliError(f"bad {what} {path}: {exc}") from None
 
 
 def _check_classes(path, n_classes, cfg) -> None:
@@ -133,15 +145,17 @@ def _check_classes(path, n_classes, cfg) -> None:
                        f"but n_classes = {cfg['n_classes']}")
 
 
-def _read_scores(out_dir):
-    path = _require(os.path.join(out_dir, "scores.csv"), "scores file")
+def _score_tables(path, priors, tail_fraction):
+    """The accuracy split and the score histogram of a ``scores.csv``;
+    ``ValueError`` says what is wrong with the file."""
+    from .report import classification_report, histogram
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError:
-        raise CliError(f"bad scores file {path}: not ASCII") from None
+        raise ValueError("not ASCII") from None
     if not lines or lines[0] != "split,row,label,pred,score":
-        raise CliError(f"bad scores file {path}: unexpected header")
+        raise ValueError("unexpected header")
     rows = {"id": [], "ood": []}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -153,33 +167,26 @@ def _read_scores(out_dir):
                 pass
         # eval writes finite scores only; a NaN would drop out of the histogram
         if row is None or not math.isfinite(row[2]):
-            raise CliError(f"bad scores file {path}: line {lineno}")
+            raise ValueError(f"line {lineno}")
         rows[parts[0]].append(row)
     if not rows["id"] or not rows["ood"]:
-        raise CliError(f"bad scores file {path}: need both id and ood rows")
-    return rows
+        raise ValueError("need both id and ood rows")
+    ids, oods = rows["id"], rows["ood"]
+    return (classification_report([r[0] for r in ids], [r[1] for r in ids], priors,
+                                  tail_fraction=tail_fraction),
+            histogram([r[2] for r in ids], [r[2] for r in oods], HIST_BINS))
 
 
 def cmd_report(cfg, out_dir) -> None:
     """Bin scores for plotting and recompute the accuracy split, ranking
     classes by the checkpoint's priors. Plain Python: no numpy import."""
     from . import checkpoint
-    from .report import classification_report, histogram
-    path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
-    try:
-        *_, priors = checkpoint.read(path)
-    except ValueError as exc:
-        raise CliError(f"bad checkpoint {path}: {exc}") from None
+    path = os.path.join(out_dir, "model.ckpt")
+    *_, priors = _read(path, "checkpoint", checkpoint.read)
     _check_classes(path, len(priors), cfg)
-    rows = _read_scores(out_dir)
-    try:
-        acc, acc_head, acc_tail = classification_report(
-            [r[0] for r in rows["id"]], [r[1] for r in rows["id"]], priors,
-            tail_fraction=cfg["tail_fraction"])
-        edges, id_counts, ood_counts = histogram(
-            [r[2] for r in rows["id"]], [r[2] for r in rows["ood"]], HIST_BINS)
-    except ValueError as exc:
-        raise CliError(f"bad scores file {os.path.join(out_dir, 'scores.csv')}: {exc}") from None
+    (acc, acc_head, acc_tail), (edges, id_counts, ood_counts) = _read(
+        os.path.join(out_dir, "scores.csv"), "scores file", _score_tables, priors,
+        cfg["tail_fraction"])
     with open(os.path.join(out_dir, "hist.csv"), "w", encoding="ascii") as fh:
         fh.write("bin_lo,bin_hi,id_count,ood_count\n")
         for b in range(HIST_BINS):
@@ -211,7 +218,7 @@ def main(argv=None) -> int:
         else:
             from .stages import run
             run(args.command, cfg, out_dir)
-    except (CliError, OSError, FloatingPointError) as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

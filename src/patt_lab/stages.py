@@ -1,44 +1,36 @@
 """The four CLI stages that run numpy. Each stage imports the package modules
 it calls, so a stage loads and compiles only the code it runs. Package
 functions are called through their modules, so a wrapper set on a module (a
-tracer's) sees every call."""
+tracer's) sees every call. Inputs are read through ``cli._read``, and
+``run`` is the one failure boundary of a stage's work."""
 
 import os
 
 import numpy as np
 
-from .cli import _STEP_KEYS, CliError, _build, _check_classes, _require
+from .cli import _STEP_KEYS, CliError, _build, _check_classes, _read
+
+
+def _load_train(path, n_classes):
+    # train.csv must hold rows of every class that n_classes declares
+    from . import data
+    train_id = data.load_features_csv(path, n_classes)
+    empty = np.flatnonzero(train_id.class_counts == 0)
+    if empty.size:
+        raise ValueError(f"class {empty[0]} has no rows (n_classes = {n_classes})")
+    return train_id
 
 
 def _load_split(out_dir, name, cfg):
     from . import data
-    path = _require(os.path.join(out_dir, name), "dataset file")
-    try:
-        return data.load_features_csv(path, cfg["n_classes"])
-    except (ValueError, MemoryError, OverflowError) as exc:
-        # an n_classes beyond int64 or beyond memory leaves numpy unable
-        # to count the classes
-        raise CliError(f"bad dataset file {path}: {exc}") from None
-
-
-def _load_train(out_dir, cfg):
-    # train.csv must hold rows of every class that n_classes declares
-    train_id = _load_split(out_dir, "train.csv", cfg)
-    empty = np.flatnonzero(train_id.class_counts == 0)
-    if empty.size:
-        path = os.path.join(out_dir, "train.csv")
-        raise CliError(f"bad dataset file {path}: class {empty[0]} has no rows "
-                       f"(n_classes = {cfg['n_classes']})")
-    return train_id
+    read = _load_train if name == "train.csv" else data.load_features_csv
+    return _read(os.path.join(out_dir, name), "dataset file", read, cfg["n_classes"])
 
 
 def cmd_gen_data(cfg, out_dir) -> None:
     from . import data
     dcfg = _build(data.SynthConfig, cfg)
-    try:
-        train_id, val_id, test_id, train_ood, test_ood = data.gen_longtail(dcfg)
-    except (ValueError, MemoryError) as exc:
-        raise CliError(f"data generation failed: {exc}") from None
+    train_id, val_id, test_id, train_ood, test_ood = data.gen_longtail(dcfg)
     # the one stage that makes the output directory, once it has data to write
     os.makedirs(out_dir, exist_ok=True)
     splits = {
@@ -58,15 +50,13 @@ def cmd_train(cfg, out_dir) -> None:
     # model imports vmf only on the training path; importing it here, before
     # the splits are read, keeps its compile off the stage's peak RSS
     from . import model, vmf  # noqa: F401
-    train_id = _load_train(out_dir, cfg)
+    train_id = _load_split(out_dir, "train.csv", cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", cfg)
     val_id = _load_split(out_dir, "val_id.csv", cfg)
     try:
         net, stats, history = model.train(_build(model.TrainConfig, cfg), train_id, train_ood,
                                         val_id)
         model.save_checkpoint(os.path.join(out_dir, "model.ckpt"), net, stats)
-    except (ValueError, MemoryError, ChildProcessError) as exc:
-        raise CliError(f"training failed: {exc}") from None
     except (FloatingPointError, RuntimeError) as exc:
         raise CliError(f"training failed: {exc} (check the keys that scale the step: "
                        f"{', '.join(_STEP_KEYS)})") from None
@@ -79,11 +69,8 @@ def cmd_train(cfg, out_dir) -> None:
 def _load_model(out_dir, cfg):
     # the model and the class priors, the one part of the mixture a stage reads
     from . import model
-    path = _require(os.path.join(out_dir, "model.ckpt"), "checkpoint")
-    try:
-        net, (_, _, priors) = model.load_checkpoint(path)
-    except ValueError as exc:
-        raise CliError(f"bad checkpoint {path}: {exc}") from None
+    path = os.path.join(out_dir, "model.ckpt")
+    net, (_, _, priors) = _read(path, "checkpoint", model.load_checkpoint)
     _check_classes(path, net.n_classes, cfg)
     return net, priors
 
@@ -92,37 +79,29 @@ def cmd_calibrate(cfg, out_dir) -> None:
     from . import calibration, data, model
     from .util import derive_seed
     net, priors = _load_model(out_dir, cfg)
-    train_id = _load_train(out_dir, cfg)
+    train_id = _load_split(out_dir, "train.csv", cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", cfg)
     per_class = cfg["per_class"] or int(train_id.class_counts.min())
     cb = data.class_balanced_subset(train_id, per_class,
                                     seed=derive_seed(cfg["seed"], "calibration-subset"))
-    try:
-        cb_z = model.encoder_forward(net, cb.inputs)
-        ood_z = model.encoder_forward(net, train_ood.inputs)
-        raw = calibration.attention_weight(cb_z, cb.labels, ood_z, net, priors)
-        calibration.save_attention(os.path.join(out_dir, "attention.csv"), raw)
-    except (ValueError, FloatingPointError) as exc:
-        raise CliError(f"calibration failed: {exc}") from None
+    cb_z = model.encoder_forward(net, cb.inputs)
+    ood_z = model.encoder_forward(net, train_ood.inputs)
+    raw = calibration.attention_weight(cb_z, cb.labels, ood_z, net, priors)
+    calibration.save_attention(os.path.join(out_dir, "attention.csv"), raw)
 
 
 def _resolve_attention(cfg, out_dir, dim):
-    # the scaled weight, one per channel of the checkpoint's dim features
+    # the scaled weight, one per channel of the checkpoint's dim features;
+    # None when calibration is off, or auto with no file
     from . import calibration
     mode = cfg["use_calibration"]
     path = os.path.join(out_dir, "attention.csv")
-    if mode == "off":
+    if mode == "off" or (mode == "auto" and not os.path.isfile(path)):
         return None
-    if not os.path.isfile(path):
-        if mode == "on":
-            raise CliError(f"missing attention weight: {path} (run calibrate first)")
-        return None
-    try:
-        scaled = calibration.load_attention(path)
-        if scaled.size != dim:
-            raise ValueError(f"{scaled.size} channel weights for {dim} feature channels")
-    except ValueError as exc:
-        raise CliError(f"bad attention file {path}: {exc}") from None
+    scaled = _read(path, "attention file", calibration.load_attention)
+    if scaled.size != dim:
+        raise CliError(f"bad attention file {path}: {scaled.size} channel weights for "
+                       f"{dim} feature channels")
     return scaled
 
 
@@ -150,14 +129,10 @@ def cmd_eval(cfg, out_dir) -> None:
             logits = model.classifier_logits(net, calibration.calibrate_feature(z, weight))
         return pred, score(logits)
 
-    try:
-        pred_id, id_scores = predict_and_score(test_id.inputs)
-        pred_ood, ood_scores = predict_and_score(test_ood.inputs)
-        report = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
-                                      priors, tail_fraction=cfg["tail_fraction"])
-    except (ValueError, FloatingPointError) as exc:
-        raise CliError(f"evaluation failed: {exc}") from None
-
+    pred_id, id_scores = predict_and_score(test_id.inputs)
+    pred_ood, ood_scores = predict_and_score(test_ood.inputs)
+    report = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
+                                  priors, tail_fraction=cfg["tail_fraction"])
     with open(os.path.join(out_dir, "scores.csv"), "w", encoding="ascii") as fh:
         fh.write("split,row,label,pred,score\n")
         for split, labels, pred, scores in (("id", test_id.labels, pred_id, id_scores),
@@ -168,12 +143,19 @@ def cmd_eval(cfg, out_dir) -> None:
         fh.write(metrics.report_csv(report))
 
 
-COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "calibrate": cmd_calibrate,
-            "eval": cmd_eval}
+# stage -> (function, the words of its failure line)
+COMMANDS = {"gen-data": (cmd_gen_data, "data generation"), "train": (cmd_train, "training"),
+            "calibrate": (cmd_calibrate, "calibration"), "eval": (cmd_eval, "evaluation")}
 
 
 def run(command, cfg, out_dir) -> None:
     """Run one of ``COMMANDS``, failing on the first overflow or invalid
-    operation (a finite input can still overflow) instead of warning."""
-    with np.errstate(over="raise", invalid="raise"):
-        COMMANDS[command](cfg, out_dir)
+    operation (a finite input can still overflow) instead of warning; any
+    such error of the stage's work ends it as ``<words> failed: <exc>``."""
+    stage, words = COMMANDS[command]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            stage(cfg, out_dir)
+    except (ValueError, MemoryError, OverflowError, FloatingPointError,
+            ChildProcessError) as exc:
+        raise CliError(f"{words} failed: {exc}") from None

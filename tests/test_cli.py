@@ -838,6 +838,86 @@ class TestOutputDirectory:
         assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
+class TestMissingInputNamesItsWriter:
+    """A missing input file names the stage that writes it."""
+
+    def test_every_stage_after_a_failed_generation(self, tmp_path, capsys):
+        # the jammed placement of test_failed_generation: gen-data writes
+        # nothing, and each later stage says which stage to run first
+        config = write_config(tmp_path / "run.cfg", n_classes=11, feature_dim=2,
+                              ood_train_clusters=1, ood_test_clusters=1)
+        out = tmp_path / "out"
+        rc = cli.main(["gen-data", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: data generation failed: could not place "), err
+        ckpt = f"missing checkpoint: {out / 'model.ckpt'} (run train first)"
+        for command, line in (
+                ("train", f"missing dataset file: {out / 'train.csv'} (run gen-data first)"),
+                ("calibrate", ckpt), ("eval", ckpt), ("report", ckpt)):
+            rc = cli.main([command, "--config", str(config), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 1 and err == f"error: {line}\n", (command, err)
+
+    @pytest.mark.parametrize("command, name, what, writer", [
+        ("eval", "attention.csv", "attention file", "calibrate"),
+        ("report", "scores.csv", "scores file", "eval"),
+    ])
+    def test_attention_and_scores_files(self, pipeline, tmp_path, capsys, command, name, what,
+                                        writer):
+        config, out = pipeline
+        on_config = write_config(tmp_path / "on.cfg", use_calibration="on")
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        (work / name).unlink()
+        rc = cli.main([command, "--config", str(on_config), "--out", str(work)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == f"error: missing {what}: {work / name} (run {writer} first)\n", err
+
+
+def raising(exc_type):
+    def fail(*args, **kwargs):
+        raise exc_type("injected")
+    return fail
+
+
+class TestFailureBoundaries:
+    """An error raised in a stage's work, or by the reader of one of its input
+    files, ends the stage in exit 1 with one ``error:`` line and no output
+    written: ``stages.run`` words the first, ``cli._read`` the second."""
+
+    # (stage, module, function, error raised by it, the stage's one line)
+    INJECTED = [
+        ("gen-data", "data", "gen_longtail", OverflowError, "data generation failed: injected"),
+        ("gen-data", "data", "gen_longtail", MemoryError, "data generation failed: injected"),
+        ("train", "model", "train", OverflowError, "training failed: injected"),
+        ("calibrate", "calibration", "attention_weight", MemoryError,
+         "calibration failed: injected"),
+        ("calibrate", "calibration", "attention_weight", OverflowError,
+         "calibration failed: injected"),
+        ("eval", "metrics", "build_report", MemoryError, "evaluation failed: injected"),
+        ("calibrate", "model", "load_checkpoint", MemoryError,
+         "bad checkpoint {out}/model.ckpt: injected"),
+        ("report", "checkpoint", "read", MemoryError, "bad checkpoint {out}/model.ckpt: injected"),
+        ("eval", "calibration", "load_attention", MemoryError,
+         "bad attention file {out}/attention.csv: injected"),
+    ]
+
+    @pytest.mark.parametrize("command, module, name, exc_type, line", INJECTED,
+                             ids=[f"{c}-{m}.{n}-{e.__name__}" for c, m, n, e, _ in INJECTED])
+    def test_injected_error_is_one_line(self, pipeline, tmp_path, capsys, monkeypatch, command,
+                                        module, name, exc_type, line):
+        config, out = pipeline
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        monkeypatch.setattr(importlib.import_module(f"patt_lab.{module}"), name,
+                            raising(exc_type))
+        rc = cli.main([command, "--config", str(config), "--out", str(work)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == f"error: {line.format(out=work)}\n", err
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
 @pytest.fixture(scope="module")
 def small_two_epochs(tmp_path_factory):
     # the CLI defaults (the `small` data) trained for two epochs
@@ -1174,11 +1254,12 @@ class TestCliContractFuzz:
             assert err == "", (command, err)
 
 
-# the files calibrate, eval and report read, and the stages that read each
+# the files train, calibrate, eval and report read, and the stages that read each
 READERS = {
     "model.ckpt": ("calibrate", "eval", "report"),
-    "train.csv": ("calibrate",),
-    "train_ood.csv": ("calibrate",),
+    "train.csv": ("train", "calibrate"),
+    "train_ood.csv": ("train", "calibrate"),
+    "val_id.csv": ("train",),
     "test_id.csv": ("eval",),
     "test_ood.csv": ("eval",),
     "attention.csv": ("eval",),
