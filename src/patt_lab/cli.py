@@ -89,7 +89,7 @@ def load_config(path, seed=None) -> dict:
         raise CliError(f"missing config file: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().removeprefix("\ufeff").splitlines()  # a BOM is no key
     except UnicodeDecodeError:
         raise CliError(f"{path}: not UTF-8 text") from None
     cfg = dict(DEFAULTS)

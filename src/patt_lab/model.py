@@ -10,9 +10,9 @@ fixed seed.
 
 A run with an outlier term forks one ``ood_helper.OodHelper`` process, which
 runs each step's outlier stream while the parent runs the labeled stream;
-without ``os.fork`` the stream runs inline. Every bit stays that of the
-inline stream: the helper runs the same code on a copy of the same
-parameters and rows, and each gradient element gets one addition per
+without ``os.fork`` or a second CPU the stream runs inline. Every bit stays
+that of the inline stream: the helper runs the same code on a copy of the
+same parameters and rows, and each gradient element gets one addition per
 stream, (0 + a) + b inline and (0 + a) + (0 + b) with the helper. These
 agree: 0 + b differs from b only for b = -0.0, and 0 + a is never -0.0, so
 adding either zero to it gives the same value.
@@ -21,7 +21,6 @@ adding either zero to it gives the same value.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -57,20 +56,21 @@ def _views(flat: np.ndarray, shapes) -> list:
 
 class EncoderClassifier:
     """MLP encoder weights plus the linear classification head, held in one
-    float64 vector ``flat`` in the ``checkpoint.param_shapes`` order.
+    float64 vector ``flat`` laid out as ``shapes`` (``checkpoint.param_shapes``).
 
-    ``weights[i]`` (shape (fan_out, fan_in)), ``biases[i]``, ``clf_w`` and
-    ``clf_b`` are views into ``flat``, so writing into them writes the
-    vector; the attributes themselves cannot be rebound. Every layer except
-    the last is followed by tanh, the last is linear and its output is
-    normalized to unit length before classification.
+    ``params`` are the views into ``flat`` in that order, and ``weights[i]``
+    (shape (fan_out, fan_in)), ``biases[i]``, ``clf_w`` and ``clf_b`` are
+    among them: writing into them writes the vector; the attributes cannot
+    be rebound. Every layer except the last is followed by tanh, the last is
+    linear and its output is normalized to unit length before classification.
     """
 
     def __init__(self, flat: np.ndarray, layer_sizes, n_classes: int):
-        *layers, clf_w, clf_b = _views(flat, checkpoint.param_shapes(layer_sizes, n_classes))
+        shapes = checkpoint.param_shapes(layer_sizes, n_classes)
+        params = tuple(_views(flat, shapes))
         vars(self).update(flat=flat, layer_sizes=list(layer_sizes), n_classes=n_classes,
-                          weights=tuple(layers[0::2]), biases=tuple(layers[1::2]),
-                          clf_w=clf_w, clf_b=clf_b)
+                          shapes=shapes, params=params, weights=params[0:-2:2],
+                          biases=params[1:-2:2], clf_w=params[-2], clf_b=params[-1])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: write into the views of model.flat")
@@ -106,11 +106,7 @@ class EncoderClassifier:
     def param_list(self) -> list:
         """The parameter arrays in ``flat`` order, a fixed traversal order
         shared with gradients, optimizer state and the checkpoint."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        out.extend([self.clf_w, self.clf_b])
-        return out
+        return list(self.params)
 
 
 def _forward_batch(model: EncoderClassifier, x: np.ndarray, acts: list | None = None):
@@ -225,7 +221,7 @@ def batch_loss_and_grads(
     if n == 0:
         raise ValueError("empty labeled batch")
     flat_grad = np.zeros(model.flat.size)
-    grads = _views(flat_grad, [p.shape for p in model.param_list()])
+    grads = _views(flat_grad, model.shapes)
 
     acts, norms, z = _forward_batch(model, id_x, []) if forward is None else forward
     logits = z @ model.clf_w.T + model.clf_b
@@ -362,8 +358,9 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     from the config seed by role, so two runs with the same seed are
     bit-identical. The outlier stream runs in an ``ood_helper.OodHelper``
     process, which ends before ``train`` returns or raises; it runs inline
-    when ``os.fork`` is missing, fails or warns. A helper that dies during
-    the run ends it with ``ChildProcessError``.
+    when the process may run on one CPU only, or ``os.fork`` is missing,
+    fails or warns. A helper that dies during the run ends it with
+    ``ChildProcessError``.
     """
     x, y = np.asarray(train_id.inputs, dtype=np.float64), np.asarray(train_id.labels)
     counts = np.asarray(train_id.class_counts, dtype=np.float64)
@@ -398,12 +395,12 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     n = x.shape[0]
     helper = None
     try:
-        if ood_x is not None and config.epochs > 0 and hasattr(os, "fork"):
+        if ood_x is not None and config.epochs > 0:
             from .ood_helper import OodHelper
             try:
                 helper = OodHelper(model, ood_x, take, w_oe)
             except OSError:
-                pass  # no process to spare: the outlier stream runs inline
+                pass  # no fork, CPU or process to spare: the stream runs inline
         for epoch in range(config.epochs):
             if config.method == "patt" and (epoch == 0 or config.vmf_update == "epoch"):
                 state.mus, state.kappas, state.sums, state.counts = _full_stats(

@@ -29,11 +29,17 @@ _ENDED = "the outlier stream's helper process ended"
 class OodHelper:
     """The helper process of one training run, forked at construction from
     the run's model and its outlier rows ``ood_x``; each step takes ``take``
-    rows and weighs the OE term by ``w_oe``. A fork that fails, or warns,
-    leaves nothing open and no child: its warnings are issued again, and then
-    ``OSError`` is raised."""
+    rows and weighs the OE term by ``w_oe``. Without ``os.fork`` or a second
+    CPU (on one, the two streams would only take turns), or when the fork
+    fails or warns, it raises ``OSError`` and leaves nothing open and no
+    child; a fork's warnings are issued again first."""
 
     def __init__(self, model: EncoderClassifier, ood_x: np.ndarray, take: int, w_oe: float):
+        # the CPUs this process may run on, as Python 3.13's os.process_cpu_count
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if not hasattr(os, "fork") or cpus < 2:
+            raise OSError("no os.fork, or no second CPU, for the outlier helper")
         p = model.flat.size
         shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * p + take)))
         self.flat, self.grad, self.idx = shared[:p], shared[p:2 * p], shared[2 * p:].view(np.int64)
@@ -71,7 +77,7 @@ class OodHelper:
 
     def _serve(self, model, ood_x, w_oe, start_r, done) -> None:
         # the helper's loop: one outlier stream per byte, until the pipe ends
-        grads = _views(self.grad, [p.shape for p in model.param_list()])
+        grads = _views(self.grad, model.shapes)
         with warnings.catch_warnings(record=True) as caught:
             while os.read(start_r, 1):
                 self.grad.fill(0.0)

@@ -194,9 +194,6 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     half = 0.5 * dim
     nu = half - 1.0
     large = kappa >= max(30.0, 2.0 * half * half)
-    if large.all():  # no lane to gather or scatter
-        log_i, ratio = _asymptotic_log_i_and_ratio(nu, half, kappa)
-        return nu * np.log(kappa) - half * math.log(2.0 * math.pi) - log_i, ratio
     # kappa = 0 lanes stand in at 1.0 and join neither branch; they take the
     # uniform law (minus the log sphere area, ratio 0)
     pos = kappa > 0.0
@@ -204,19 +201,16 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     rest = pos & ~large
     log_i, ratio = np.zeros(kp.shape), np.zeros(kp.shape)
     if large.any():
-        log_i[large], ratio[large] = _asymptotic_log_i_and_ratio(nu, half, kp[large])
+        x = kp[large]
+        series = _asymptotic_sum((nu, half), x)
+        log_i[large] = x - 0.5 * np.log(2.0 * math.pi * x) + np.log(series[0])
+        ratio[large] = series[1] / series[0]
     if rest.any():
         log_i_nu, log_i_half = log_bessel_i((nu, half), kp[rest])
         log_i[rest], ratio[rest] = log_i_nu, np.exp(log_i_half - log_i_nu)
     log_norm = np.where(pos, nu * np.log(kp) - half * math.log(2.0 * math.pi) - log_i,
                         math.lgamma(half) - math.log(2.0) - half * math.log(math.pi))
     return log_norm, ratio
-
-
-def _asymptotic_log_i_and_ratio(nu, half, x):
-    # log I_nu(x) and I_half(x) / I_nu(x) from one asymptotic block
-    series = _asymptotic_sum((nu, half), x)
-    return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(series[0]), series[1] / series[0]
 
 
 def _banerjee_kappa(r_bar: np.ndarray, dim: int) -> np.ndarray:

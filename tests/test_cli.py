@@ -127,6 +127,14 @@ class TestLoadConfig:
         with pytest.raises(cli.CliError, match="not UTF-8"):
             cli.load_config(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        # an editor that saves UTF-8 with a BOM; the BOM used to make the
+        # first key unknown, with an invisible character in the message
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfepochs = 7\ntau = 0.5\n")
+        cfg = cli.load_config(path)
+        assert cfg["epochs"] == 7 and cfg["tau"] == 0.5
+
     def test_huge_class_count_loads_at_once(self, tmp_path):
         # the tail check used to build the whole count profile: this load
         # never returned (feature_dim = 64 has room for about 1.9e42

@@ -712,6 +712,21 @@ class TestOutlierHelper:
             assert a.tobytes() == b.tobytes()
         assert forked[2] == inline[2] and len(forked[2]) == 3
 
+    def test_one_cpu_runs_the_stream_inline(self, monkeypatch, forks):
+        # on one CPU the two streams would only take turns: training forks
+        # nothing and keeps the bits of a run with the helper
+        train_id, val_id, _, train_ood, _ = smoke_dataset()
+        config = TrainConfig(epochs=2, batch_size=16, ood_batch_size=16, feature_dim=4,
+                             encoder_widths=(8,), seed=3)
+        forked = train(config, train_id, train_ood, val_id)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline = train(config, train_id, train_ood, val_id)
+        assert len(forks) == 1
+        assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
+        for a, b in zip(forked[1], inline[1]):
+            assert a.tobytes() == b.tobytes()
+        assert forked[2] == inline[2]
+
     def test_a_failed_fork_runs_the_stream_inline(self, monkeypatch):
         # no process to spare: training goes on inline, with the same bits,
         # and closes the pipes it opened for the helper

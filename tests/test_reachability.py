@@ -75,7 +75,7 @@ def package_functions() -> dict:
     return found
 
 
-def test_every_package_function_is_entered_by_a_stage(tmp_path):
+def test_every_package_function_is_entered_by_a_stage(tmp_path, two_cpus):
     # train forks a helper process for the outlier stream, which inherits
     # this hook; each process appends the code it enters first to one log
     log = os.open(tmp_path / "entered.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)

@@ -1008,10 +1008,13 @@ class TestClassStatsReference:
 class TestNormAndRatioZeroLanes:
     @pytest.mark.parametrize("dim", [2, 8, 32])
     def test_zero_lane_leaves_the_other_lanes(self, dim):
-        # a kappa = 0 lane joins neither branch, so appending one leaves the
-        # bits of every other lane
-        x = np.concatenate([np.linspace(1e-3, 600.0, 41), [top_cut(dim), 5000.0]])
-        log_norm, ratio = _log_norm_and_ratio(dim, x)
-        want_norm, want_ratio = _log_norm_and_ratio(dim, np.append(x, 0.0))
-        np.testing.assert_array_equal(log_norm, want_norm[:-1])
-        np.testing.assert_array_equal(ratio, want_ratio[:-1])
+        # appending a kappa = 0 lane, which joins neither branch, or a lane
+        # below the cut leaves the bits of every other lane, also when those
+        # all take the asymptotic branch: that case needs no path of its own
+        mixed = np.concatenate([np.linspace(1e-3, 600.0, 41), [top_cut(dim), 5000.0]])
+        for x in (mixed, mixed[mixed >= top_cut(dim)]):
+            log_norm, ratio = _log_norm_and_ratio(dim, x)
+            for extra in (0.0, top_cut(dim) - 1.0):
+                want_norm, want_ratio = _log_norm_and_ratio(dim, np.append(x, extra))
+                np.testing.assert_array_equal(log_norm, want_norm[:-1])
+                np.testing.assert_array_equal(ratio, want_ratio[:-1])
