@@ -1,5 +1,4 @@
-"""The ``model.ckpt`` layout, its writer and its checked reader, in plain
-Python so that the ``report`` stage reads the priors without numpy.
+"""The ``model.ckpt`` layout, its writer and its checked reader, in plain Python.
 
 After the 5-byte magic: uint32 L (number of layer sizes), L uint32 sizes
 (input, hidden..., feature), uint32 K; then little-endian float64 blocks: the
@@ -56,10 +55,9 @@ def check_stats(k: int, dim: int, stats) -> None:
 
 
 def read(path):
-    """``(sizes, n_classes, payload, priors)``: the layer sizes, the class
-    count, the checked little-endian float64 bytes of every block in file
-    order (the ``param_shapes`` blocks, then one ``dim + 2`` row per class),
-    and the class priors.
+    """``(sizes, n_classes, payload)``: the layer sizes, the class count and
+    the checked little-endian float64 bytes of every block in file order
+    (the ``param_shapes`` blocks, then one ``dim + 2`` row per class).
     Raises ``ValueError`` for a bad magic, layer count or length, a failed
     ``check_stats`` check or a non-finite parameter."""
     with open(path, "rb") as fh:
@@ -83,8 +81,7 @@ def read(path):
     if off + 8 * total < len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
     values = struct.unpack_from(f"<{total}d", blob, off)
-    stats = values[n_params:]
-    check_stats(k, dim, stats)
+    check_stats(k, dim, values[n_params:])
     if not all(map(math.isfinite, values[:n_params])):
         raise ValueError(f"{path}: non-finite parameter in checkpoint")
-    return sizes, k, blob[off:], stats[dim + 1 :: dim + 2]
+    return sizes, k, blob[off:]

@@ -3,8 +3,9 @@
 Five subcommands cover the experiment lifecycle: ``gen-data`` writes the
 synthetic benchmark splits, ``train`` fits a model and writes a checkpoint,
 ``calibrate`` extracts the attention weight, ``eval`` scores the test
-splits and writes the report, and ``report`` bins scores into plot-ready
-histogram data. Configuration is a flat ``key = value`` file. Its keys are
+splits and writes the report, and ``report`` bins those scores into
+plot-ready histogram data and copies the report's accuracy split into a
+table. Configuration is a flat ``key = value`` file. Its keys are
 the fields of ``SynthConfig`` and ``TrainConfig``, with their class
 defaults, plus the five keys in ``_CLI_DEFAULTS``; unknown keys are
 rejected, and ``load_config`` checks every key, so each stage rejects a
@@ -124,7 +125,7 @@ def load_config(path, seed=None) -> dict:
 
 # the stage that writes each input file, named when the file is missing
 _WRITERS = {"dataset file": "gen-data", "checkpoint": "train", "attention file": "calibrate",
-            "scores file": "eval"}
+            "scores file": "eval", "report file": "eval"}
 
 
 def _read(path, what, read, *args):
@@ -139,63 +140,46 @@ def _read(path, what, read, *args):
         raise CliError(f"bad {what} {path}: {exc}") from None
 
 
-def _check_classes(path, n_classes, cfg) -> None:
-    if n_classes != cfg["n_classes"]:
-        raise CliError(f"checkpoint {path} has {n_classes} classes "
-                       f"but n_classes = {cfg['n_classes']}")
-
-
-def _score_tables(path, priors, tail_fraction):
-    """The accuracy split and the score histogram of a ``scores.csv``;
-    ``ValueError`` says what is wrong with the file."""
-    from .report import classification_report, histogram
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise ValueError("not ASCII") from None
+def _score_histogram(path):
+    """The score histogram of a ``scores.csv``; ``ValueError`` says what is
+    wrong with the file."""
+    from .report import histogram
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
     if not lines or lines[0] != "split,row,label,pred,score":
         raise ValueError("unexpected header")
-    rows = {"id": [], "ood": []}
+    scores = {"id": [], "ood": []}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        row = None
-        if len(parts) == 5 and parts[0] in rows:
-            try:
-                row = (int(parts[2]), int(parts[3]), float(parts[4]))
-            except ValueError:
-                pass
+        try:
+            score = float(parts[4]) if len(parts) == 5 and parts[0] in scores else math.nan
+        except ValueError:
+            score = math.nan
         # eval writes finite scores only; a NaN would drop out of the histogram
-        if row is None or not math.isfinite(row[2]):
+        if not math.isfinite(score):
             raise ValueError(f"line {lineno}")
-        rows[parts[0]].append(row)
-    if not rows["id"] or not rows["ood"]:
+        scores[parts[0]].append(score)
+    if not scores["id"] or not scores["ood"]:
         raise ValueError("need both id and ood rows")
-    ids, oods = rows["id"], rows["ood"]
-    return (classification_report([r[0] for r in ids], [r[1] for r in ids], priors,
-                                  tail_fraction=tail_fraction),
-            histogram([r[2] for r in ids], [r[2] for r in oods], HIST_BINS))
+    return histogram(scores["id"], scores["ood"], HIST_BINS)
 
 
-def cmd_report(cfg, out_dir) -> None:
-    """Bin scores for plotting and recompute the accuracy split, ranking
-    classes by the checkpoint's priors. Plain Python: no numpy import."""
-    from . import checkpoint
-    path = os.path.join(out_dir, "model.ckpt")
-    *_, priors = _read(path, "checkpoint", checkpoint.read)
-    _check_classes(path, len(priors), cfg)
-    (acc, acc_head, acc_tail), (edges, id_counts, ood_counts) = _read(
-        os.path.join(out_dir, "scores.csv"), "scores file", _score_tables, priors,
-        cfg["tail_fraction"])
+def cmd_report(out_dir) -> None:
+    """Bin the scores of ``scores.csv`` for plotting and copy the accuracy
+    split of ``report.csv`` into ``acc_table.csv``: the stage reads only
+    what ``eval`` wrote. Plain Python: no numpy import."""
+    from . import report
+    row = _read(os.path.join(out_dir, "report.csv"), "report file", report.read_report)
+    edges, id_counts, ood_counts = _read(os.path.join(out_dir, "scores.csv"), "scores file",
+                                         _score_histogram)
     with open(os.path.join(out_dir, "hist.csv"), "w", encoding="ascii") as fh:
         fh.write("bin_lo,bin_hi,id_count,ood_count\n")
-        for b in range(HIST_BINS):
-            fh.write(f"{edges[b]!r},{edges[b + 1]!r},{id_counts[b]},{ood_counts[b]}\n")
+        fh.writelines(f"{lo!r},{hi!r},{a},{b}\n"
+                      for lo, hi, a, b in zip(edges, edges[1:], id_counts, ood_counts))
     with open(os.path.join(out_dir, "acc_table.csv"), "w", encoding="ascii") as fh:
         fh.write("group,acc\n")
-        fh.write(f"overall,{acc!r}\n")
-        fh.write(f"head,{'' if acc_head is None else repr(acc_head)}\n")
-        fh.write(f"tail,{'' if acc_tail is None else repr(acc_tail)}\n")
+        for group, col in (("overall", "acc"), ("head", "acc_head"), ("tail", "acc_tail")):
+            fh.write(f"{group},{'' if row[col] is None else repr(row[col])}\n")
 
 
 def main(argv=None) -> int:
@@ -214,7 +198,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed)
         out_dir = args.out if args.out is not None else cfg["out_dir"]
         if args.command == "report":
-            cmd_report(cfg, out_dir)
+            cmd_report(out_dir)
         else:
             from .stages import run
             run(args.command, cfg, out_dir)

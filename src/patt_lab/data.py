@@ -140,27 +140,23 @@ def sample_vmf(mu, kappa: float, n: int, seed: int) -> np.ndarray:
 _PLACEMENT_TRIES = 20000
 
 
-def _spread_directions(rng, dim, existing, count, max_dot, key):
-    # sequential rejection: each new direction must keep its dot product with
-    # every previously accepted one below the bound; ``key`` is the config key
-    # that sets ``count``, whose cap-packing bound the config has checked
-    failure = direction_error(key, count, len(existing), max_dot, dim)
-    out = []
-    for _ in range(count):
+def _spread_directions(rng, placed, start, count, max_dot, key):
+    # sequential rejection into rows start .. start + count - 1 of ``placed``:
+    # a direction must keep its dot product with every earlier row below the
+    # bound; ``key`` sets ``count``, whose cap-packing bound the config checked
+    failure = direction_error(key, count, start, max_dot, placed.shape[1])
+    for n in range(start, start + count):
         for _attempt in range(_PLACEMENT_TRIES):
-            v = rng.standard_normal(dim)
+            v = rng.standard_normal(placed.shape[1])
             norm = np.linalg.norm(v)
             if norm < 1e-12:
                 continue
             v /= norm
-            if all(float(v @ e) < max_dot for e in existing) and all(
-                float(v @ e) < max_dot for e in out
-            ):
-                out.append(v)
+            if (placed[:n] @ v < max_dot).all():
+                placed[n] = v
                 break
         else:
             raise failure
-    return out
 
 
 def _cluster_split(total: int, n_clusters: int) -> list:
@@ -187,17 +183,13 @@ def gen_longtail(config: SynthConfig):
     """
     d = config.feature_dim
     dir_rng = np.random.default_rng(derive_seed(config.seed, "directions"))
-    class_dirs = _spread_directions(
-        dir_rng, d, [], config.n_classes, config.max_direction_dot, "n_classes"
-    )
-    ood_train_dirs = _spread_directions(
-        dir_rng, d, class_dirs, config.ood_train_clusters, config.max_direction_dot,
-        "ood_train_clusters",
-    )
-    ood_test_dirs = _spread_directions(
-        dir_rng, d, class_dirs + ood_train_dirs, config.ood_test_clusters,
-        config.max_direction_dot, "ood_test_clusters",
-    )
+    # the class directions first, then each outlier set beside all earlier ones
+    keys = ("n_classes", "ood_train_clusters", "ood_test_clusters")
+    bounds = list(itertools.accumulate((getattr(config, key) for key in keys), initial=0))
+    dirs = np.empty((bounds[-1], d))
+    for key, start, stop in zip(keys, bounds, bounds[1:]):
+        _spread_directions(dir_rng, dirs, start, stop - start, config.max_direction_dot, key)
+    class_dirs, ood_train_dirs, ood_test_dirs = np.split(dirs, bounds[1:3])
     counts = class_counts_profile(config.n_classes, config.imbalance_ratio, config.max_per_class)
 
     def id_split(per_class, role):

@@ -15,11 +15,9 @@ import math
 import numpy as np
 
 from .config import TAIL_FRACTION
-from .report import classification_report
+from .report import REPORT_COLUMNS, classification_report, report_csv
 
 __all__ = ["detection_metrics", "REPORT_COLUMNS", "build_report", "report_csv"]
-
-REPORT_COLUMNS = ("auroc", "aupr_in", "aupr_out", "fpr95", "acc", "acc_head", "acc_tail")
 
 
 def _average_precision(tp, predicted, n_pos) -> float:
@@ -82,9 +80,3 @@ def build_report(id_scores, ood_scores, id_true, id_pred, class_weights,
     acc = classification_report(id_true, id_pred, class_weights, tail_fraction)
     return detection_metrics(id_scores, ood_scores) + acc
 
-
-def report_csv(row) -> str:
-    """``report.csv``: the ``REPORT_COLUMNS`` header and one value row, a None
-    as an empty cell."""
-    cells = ("" if v is None else repr(float(v)) for v in row)
-    return ",".join(REPORT_COLUMNS) + "\n" + ",".join(cells) + "\n"

@@ -455,7 +455,7 @@ def load_checkpoint(path):
     returns ``(model, (mus, kappas, priors))``. The arrays are writable views
     into one copy of the checked payload, whose first values are
     ``model.flat``."""
-    sizes, k, payload, _ = checkpoint.read(path)
+    sizes, k, payload = checkpoint.read(path)
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     dim = sizes[-1]
     n = values.size - k * (dim + 2)

@@ -1,5 +1,6 @@
-"""The numbers of the ``report`` stage in plain Python, so that it runs
-without numpy: the head/tail accuracy split, and a score histogram with the
+"""The ``report.csv`` format, its writer and checked reader, and the numbers
+around it in plain Python: the head/tail accuracy split that ``eval`` writes
+into it, and the score histogram of the numpy-free ``report`` stage, with the
 bits of ``np.linspace`` edges and ``np.histogram`` counts.
 """
 
@@ -7,6 +8,8 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .config import TAIL_FRACTION
+
+REPORT_COLUMNS = ("auroc", "aupr_in", "aupr_out", "fpr95", "acc", "acc_head", "acc_tail")
 
 
 def classification_report(true_labels, pred_labels, class_weights,
@@ -40,6 +43,36 @@ def classification_report(true_labels, pred_labels, class_weights,
         return sum(hits) / len(hits) if hits else None
 
     return sum(a == b for a, b in zip(t, p)) / len(t), group_acc(False), group_acc(True)
+
+
+def report_csv(row) -> str:
+    """``report.csv``: the ``REPORT_COLUMNS`` header and one value row, a None
+    as an empty cell."""
+    cells = ("" if v is None else repr(float(v)) for v in row)
+    return ",".join(REPORT_COLUMNS) + "\n" + ",".join(cells) + "\n"
+
+
+def read_report(path) -> dict:
+    """The value row of a ``report.csv``: each ``REPORT_COLUMNS`` entry a
+    finite float in [0, 1], or None for the empty accuracy of a group without
+    test rows. ``ValueError`` says what is wrong with the file."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != ",".join(REPORT_COLUMNS):
+        raise ValueError("unexpected header")
+    cells = lines[1].split(",") if len(lines) == 2 else []
+    if len(cells) != len(REPORT_COLUMNS):
+        raise ValueError(f"expected one row of {len(REPORT_COLUMNS)} cells")
+    row = {}
+    for col, cell in zip(REPORT_COLUMNS, cells):
+        try:
+            row[col] = None if cell == "" and col in ("acc_head", "acc_tail") else float(cell)
+        except ValueError:
+            row[col] = math.nan
+        # written so that NaN fails it
+        if row[col] is not None and not 0.0 <= row[col] <= 1.0:
+            raise ValueError(f"{col} = {cell!r} is not a finite value in [0, 1]")
+    return row
 
 
 def histogram(id_scores, ood_scores, bins: int):

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from .cli import _STEP_KEYS, CliError, _build, _check_classes, _read
+from .cli import _STEP_KEYS, CliError, _build, _read
 
 
 def _load_train(path, n_classes):
@@ -71,7 +71,9 @@ def _load_model(out_dir, cfg):
     from . import model
     path = os.path.join(out_dir, "model.ckpt")
     net, (_, _, priors) = _read(path, "checkpoint", model.load_checkpoint)
-    _check_classes(path, net.n_classes, cfg)
+    if net.n_classes != cfg["n_classes"]:
+        raise CliError(f"checkpoint {path} has {net.n_classes} classes "
+                       f"but n_classes = {cfg['n_classes']}")
     return net, priors
 
 

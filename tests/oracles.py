@@ -6,17 +6,17 @@ Production code must agree with these oracles, never the other way around.
 The module also keeps the earlier forms of rewritten hot paths (the
 per-element and per-order series Bessel kernels below x = 300, two-pass
 log-sum-exp and softmax, the per-parameter optimizer step, the per-class
-statistics refresh) and the numpy forms of the plain-Python report (the
-head/tail accuracy split, the score histogram); the rewrites must match
-them bit for bit. Two earlier forms round differently from their rewrites
-and are held to stated tolerances: the forward-summed asymptotic Bessel
-kernel (the Horner rewrite also meets the 40-digit ``norm_and_ratio_mp`` and
-``log_bessel_mp``) and the (n, K, d) tensor form of the contrastive loss
-(the Gram-product rewrite). ``model_of`` builds a model from separate
-arrays, which the model, holding one parameter vector, no longer takes. The
-package evaluates batches only:
-``log_bessel_i_at`` evaluates ``vmf.log_bessel_i`` at one order, and
-``read_report`` parses the ``report.csv`` that eval writes.
+statistics refresh, the per-pair loop of the seeded direction placement)
+and the numpy forms of the plain-Python report (the head/tail accuracy
+split, the score histogram); the rewrites must match them bit for bit. Two
+earlier forms round differently from their rewrites and are held to stated
+tolerances: the forward-summed asymptotic Bessel kernel (the Horner rewrite
+also meets the 40-digit ``norm_and_ratio_mp`` and ``log_bessel_mp``) and
+the (n, K, d) tensor form of the contrastive loss (the Gram-product
+rewrite). ``model_of`` builds a model from separate arrays, which the
+model, holding one parameter vector, no longer takes. The package evaluates
+batches only: ``log_bessel_i_at`` evaluates ``vmf.log_bessel_i`` at one
+order.
 
 ``Mixture`` names the package's mixture arrays ``(mus, kappas, priors)``.
 
@@ -39,6 +39,7 @@ import numpy as np
 from patt_lab import checkpoint, losses, vmf
 from patt_lab.calibration import channel_importance
 from patt_lab.config import MU_NORM_TOL
+from patt_lab.data import _PLACEMENT_TRIES
 from patt_lab.model import EncoderClassifier, classifier_logits
 from patt_lab.util import logsumexp_softmax, norms_along
 
@@ -572,11 +573,27 @@ def classification_report_ref(true_labels, pred_labels, class_weights, tail_frac
     return acc, group_acc(head_classes), group_acc(tail_classes)
 
 
-def read_report(text):
-    """The fields of a ``report.csv``: each column of its one value row as a
-    float, or None for an empty cell."""
-    header, row = text.splitlines()
-    return {col: None if v == "" else float(v) for col, v in zip(header.split(","), row.split(","))}
+def spread_directions_ref(rng, dim, existing, count, max_dot):
+    """The per-pair loop of ``data._spread_directions``: ``count`` unit
+    directions, each accepted when its dot product with every direction of
+    ``existing`` and every one accepted before it is below ``max_dot``; None
+    when one takes more than ``data._PLACEMENT_TRIES`` draws."""
+    out = []
+    for _ in range(count):
+        for _attempt in range(_PLACEMENT_TRIES):
+            v = rng.standard_normal(dim)
+            norm = np.linalg.norm(v)
+            if norm < 1e-12:
+                continue
+            v /= norm
+            if all(float(v @ e) < max_dot for e in existing) and all(
+                float(v @ e) < max_dot for e in out
+            ):
+                out.append(v)
+                break
+        else:
+            return None
+    return out
 
 
 def histogram_ref(id_scores, ood_scores, bins):

@@ -21,13 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab import cli
+from patt_lab import cli, report
 from patt_lab.config import config_fields
 from patt_lab.data import SynthConfig
-from patt_lab.metrics import REPORT_COLUMNS
-from patt_lab.model import TrainConfig
-
-import oracles
+from patt_lab.model import TrainConfig, load_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -230,9 +227,9 @@ class TestPipelineOutputs:
 
     def test_report_parses(self, pipeline):
         _, out = pipeline
-        report = oracles.read_report((out / "report.csv").read_text())
-        assert list(report) == list(REPORT_COLUMNS)
-        assert 0.0 <= report["auroc"] <= 1.0
+        row = report.read_report(out / "report.csv")
+        assert list(row) == list(report.REPORT_COLUMNS)
+        assert 0.0 <= row["auroc"] <= 1.0
 
     def test_history_has_one_row_per_epoch(self, pipeline):
         _, out = pipeline
@@ -347,7 +344,7 @@ class TestMethodSwitch:
             base = (out / "report.csv").read_text().splitlines()
             other = (alt / "report.csv").read_text().splitlines()
             assert other[0] == base[0]
-            oracles.read_report("\n".join(other))
+            report.read_report(alt / "report.csv")
 
 
 class TestErrorPaths:
@@ -385,6 +382,28 @@ class TestErrorPaths:
                        "--out", str(tmp_path / "o"), "--seed", "-3"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+# edits that make eval's report.csv one that report refuses; "<column>=<cell>"
+# sets one cell
+REPORT_DAMAGES = ["header", "two-rows", "cells", "acc_tail=1.5", "acc="]
+
+
+def damaged_report(path, damage):
+    """The text of the report.csv at ``path`` with one ``REPORT_DAMAGES`` edit."""
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    if damage == "header":
+        header = header.replace("acc_tail", "tail")
+    elif damage == "two-rows":
+        row += "\n" + row
+    elif damage == "cells":
+        row = ",".join(cells[:-1])
+    else:
+        col, _, cell = damage.partition("=")
+        cells[report.REPORT_COLUMNS.index(col)] = cell
+        row = ",".join(cells)
+    return f"{header}\n{row}\n"
 
 
 def assert_one_error_line(rc, capsys):
@@ -613,17 +632,44 @@ class TestCliContract:
         rc = cli.main(["eval", "--config", str(config), "--out", str(bad)])
         assert_one_error_line(rc, capsys)
 
-    def test_out_of_range_score_label_in_report(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("damage", REPORT_DAMAGES)
+    def test_damaged_report_csv_in_report(self, pipeline, tmp_path, capsys, damage):
+        # report used to recompute the accuracy split from scores.csv and
+        # never read report.csv; it now copies the file's cells, checked
         config, out = pipeline
         bad = tmp_path / "bad"
         shutil.copytree(out, bad)
-        lines = (bad / "scores.csv").read_text().splitlines(keepends=True)
-        row = lines[1].split(",")
-        row[2] = "42"
-        lines[1] = ",".join(row)
-        (bad / "scores.csv").write_text("".join(lines))
+        (bad / "report.csv").write_text(damaged_report(out / "report.csv", damage))
+        before = {p.name: p.read_bytes() for p in bad.iterdir()}
         rc = cli.main(["report", "--config", str(config), "--out", str(bad)])
-        assert_one_error_line(rc, capsys)
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith(f"error: bad report file {bad / 'report.csv'}: "), err
+        assert {p.name: p.read_bytes() for p in bad.iterdir()} == before
+
+    def test_report_copies_the_accuracy_split_of_eval(self, small_two_epochs, tmp_path):
+        # the CLI defaults, eval at tail_fraction 1/3 and report at 0.5:
+        # report used to recompute the split at its own fraction, and the
+        # tail accuracy of its acc_table.csv disagreed with report.csv
+        work = tmp_path / "out"
+        shutil.copytree(small_two_epochs, work)
+        config = tmp_path / "run.cfg"
+        config.write_text("")
+        run(config, work, "train", "eval")
+        config.write_text("tail_fraction = 0.5\n")
+        run(config, work, "report")
+        header, row = (work / "report.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        lines = (work / "acc_table.csv").read_text().splitlines()
+        assert lines == ["group,acc", f"overall,{cells['acc']}", f"head,{cells['acc_head']}",
+                         f"tail,{cells['acc_tail']}"]
+        # the split at 0.5 is another one, so the copy is what this checks
+        _, (_, _, priors) = load_checkpoint(work / "model.ckpt")
+        ids = [line.split(",") for line in (work / "scores.csv").read_text().splitlines()
+               if line.startswith("id,")]
+        labels, preds = [int(r[2]) for r in ids], [int(r[3]) for r in ids]
+        assert report.classification_report(labels, preds, priors, 0.5)[2] != float(
+            cells["acc_tail"])
 
     def test_zero_row_test_ood_in_eval(self, pipeline, tmp_path, capsys):
         # build_report's "non-empty" ValueError used to escape as a traceback
@@ -663,7 +709,7 @@ class TestPriorsFromCheckpoint:
 class TestClassCountAgreement:
     """``n_classes`` must agree with train.csv and with the checkpoint."""
 
-    @pytest.mark.parametrize("command", ["train", "calibrate", "eval", "report"])
+    @pytest.mark.parametrize("command", ["train", "calibrate", "eval"])
     def test_more_classes_than_the_data(self, pipeline, tmp_path, capsys, command):
         # the 4-class run read with n_classes = 6: classes 4 and 5 have no
         # rows in train.csv, and the checkpoint holds 4 classes
@@ -676,7 +722,7 @@ class TestClassCountAgreement:
         assert rc == 1 and err.count("\n") == 1, err
         assert err.startswith("error:") and "n_classes = 6" in err
 
-    @pytest.mark.parametrize("command", ["calibrate", "eval", "report"])
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
     def test_checkpoint_with_another_class_count(self, pipeline, tmp_path, capsys, command):
         # 5-class data next to the 4-class checkpoint
         _, out = pipeline
@@ -698,11 +744,13 @@ def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
     for name in ("hist.csv", "acc_table.csv"):
         (work / name).unlink()
     bad = write_config(tmp_path / "bad.cfg", tau="0.0")
-    # no numpy, and neither ``dataclasses`` nor the ``inspect`` it imports
+    # no numpy, neither ``dataclasses`` nor the ``inspect`` it imports, and
+    # no checkpoint reader: report reads only what eval wrote
     code = (
         "import sys\n"
         "def check(when):\n"
-        "    loaded = sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "    loaded = sorted({'numpy', 'dataclasses', 'inspect', 'patt_lab.checkpoint'}\n"
+        "                    & set(sys.modules))\n"
         "    assert not loaded, (when, loaded)\n"
         "from patt_lab import cli\n"
         "check('import')\n"
@@ -718,24 +766,23 @@ def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
         assert (work / name).read_bytes() == (out / name).read_bytes(), name
 
 
-def test_report_words_a_bad_prior_without_numpy(pipeline, tmp_path):
-    # the class rows' one check is plain Python: a refused checkpoint costs
-    # the report stage no numpy, and no vmf to word the error
+def test_report_words_a_bad_report_file_without_numpy(pipeline, tmp_path):
+    # the one check of report.csv is plain Python: a refused file costs the
+    # report stage no numpy. It used to read and check model.ckpt instead.
     config, out = pipeline
     work = tmp_path / "out"
     shutil.copytree(out, work)
-    ckpt = work / "model.ckpt"
-    ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", -0.25))  # the last prior
+    (work / "report.csv").write_text(damaged_report(out / "report.csv", "acc_tail=1.5"))
     code = (
         "import sys\n"
         "from patt_lab import cli\n"
         f"rc = cli.main(['report', '--config', {str(config)!r}, '--out', {str(work)!r}])\n"
-        "print(rc, sorted({'numpy', 'patt_lab.vmf'} & set(sys.modules)))\n")
+        "print(rc, sorted({'numpy', 'patt_lab.checkpoint'} & set(sys.modules)))\n")
     done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.stdout == "1 []\n", (done.stdout, done.stderr)
-    assert done.stderr == (f"error: bad checkpoint {ckpt}: priors must be strictly positive, "
-                           f"got prior[3] = -0.25\n")
+    assert done.stderr == (f"error: bad report file {work / 'report.csv'}: acc_tail = '1.5' "
+                           f"is not a finite value in [0, 1]\n")
 
 
 # modules a stage must not load, and the output file that shows it ran; no
@@ -774,9 +821,9 @@ def test_stage_loads_only_the_modules_it_runs(pipeline, tmp_path, command):
     assert (work / output).read_bytes() == (out / output).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["calibrate", "eval", "report"])
+@pytest.mark.parametrize("command", ["calibrate", "eval"])
 def test_non_finite_checkpoint_parameter_names_the_file(pipeline, tmp_path, capsys, command):
-    # calibrate and eval used to blame the weight or the scores; report exited 0
+    # calibrate and eval used to blame the weight or the scores
     config, out = pipeline
     bad = tmp_path / "bad"
     shutil.copytree(out, bad)
@@ -861,7 +908,8 @@ class TestMissingInputNamesItsWriter:
         ckpt = f"missing checkpoint: {out / 'model.ckpt'} (run train first)"
         for command, line in (
                 ("train", f"missing dataset file: {out / 'train.csv'} (run gen-data first)"),
-                ("calibrate", ckpt), ("eval", ckpt), ("report", ckpt)):
+                ("calibrate", ckpt), ("eval", ckpt),
+                ("report", f"missing report file: {out / 'report.csv'} (run eval first)")):
             rc = cli.main([command, "--config", str(config), "--out", str(out)])
             err = capsys.readouterr().err
             assert rc == 1 and err == f"error: {line}\n", (command, err)
@@ -869,6 +917,8 @@ class TestMissingInputNamesItsWriter:
     @pytest.mark.parametrize("command, name, what, writer", [
         ("eval", "attention.csv", "attention file", "calibrate"),
         ("report", "scores.csv", "scores file", "eval"),
+        # report used to run without report.csv, recomputing its split
+        ("report", "report.csv", "report file", "eval"),
     ])
     def test_attention_and_scores_files(self, pipeline, tmp_path, capsys, command, name, what,
                                         writer):
@@ -905,7 +955,8 @@ class TestFailureBoundaries:
         ("eval", "metrics", "build_report", MemoryError, "evaluation failed: injected"),
         ("calibrate", "model", "load_checkpoint", MemoryError,
          "bad checkpoint {out}/model.ckpt: injected"),
-        ("report", "checkpoint", "read", MemoryError, "bad checkpoint {out}/model.ckpt: injected"),
+        ("report", "report", "read_report", MemoryError,
+         "bad report file {out}/report.csv: injected"),
         ("eval", "calibration", "load_attention", MemoryError,
          "bad attention file {out}/attention.csv: injected"),
     ]
@@ -1264,7 +1315,7 @@ class TestCliContractFuzz:
 
 # the files train, calibrate, eval and report read, and the stages that read each
 READERS = {
-    "model.ckpt": ("calibrate", "eval", "report"),
+    "model.ckpt": ("calibrate", "eval"),
     "train.csv": ("train", "calibrate"),
     "train_ood.csv": ("train", "calibrate"),
     "val_id.csv": ("train",),
@@ -1272,6 +1323,7 @@ READERS = {
     "test_ood.csv": ("eval",),
     "attention.csv": ("eval",),
     "scores.csv": ("report",),
+    "report.csv": ("report",),
 }
 CELLS = [b"-1", b"0", b"3", b"42", b"-7", b"", b"x", b"1.5", b"nan", b"inf", b"-inf",
          b"1e309", b"\xff"]

@@ -2,6 +2,7 @@
 
 import shutil
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -12,6 +13,8 @@ from patt_lab import cli, data
 from patt_lab.config import class_counts_profile
 from patt_lab.data import (LabeledSet, SynthConfig, class_balanced_subset, gen_longtail,
                            load_features_csv, sample_vmf, save_features_csv, save_manifest)
+
+import oracles
 
 # round(500 * 100^(-y/9)) for y = 0..9
 PROFILE_10_100_500 = [500, 300, 180, 108, 65, 39, 23, 14, 8, 5]
@@ -168,6 +171,48 @@ class TestGenLongtail:
         message = str(got.value)
         for part in (key, "max_direction_dot = 0.9", "feature_dim = 2"):
             assert part in message, message
+
+
+class TestDirectionPlacement:
+    """``data._spread_directions`` tests each draw against every placed row
+    in one product, and accepts the directions of the per-pair loop it
+    replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("counts, dim, dot", [
+        ((10, 2, 3), 8, 0.9),  # the CLI defaults
+        ((150, 10, 10), 16, 0.5),
+        ((100, 10, 10), 32, 0.3),
+    ])
+    def test_matches_the_per_pair_loop(self, seed, counts, dim, dot):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        placed = np.empty((sum(counts), dim))
+        want, start = [], 0
+        for count in counts:
+            data._spread_directions(rng, placed, start, count, dot, "n_classes")
+            want += oracles.spread_directions_ref(ref_rng, dim, want, count, dot)
+            start += count
+        np.testing.assert_array_equal(placed.view(np.uint64), np.array(want).view(np.uint64))
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("count, dim", [(11, 2), (60, 6)])
+    def test_jams_where_the_per_pair_loop_jams(self, count, dim):
+        # more directions than the seeded draws can place 60 degrees apart
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        assert oracles.spread_directions_ref(ref_rng, dim, [], count, 0.5) is None
+        with pytest.raises(ValueError, match=f"could not place n_classes = {count} "):
+            data._spread_directions(rng, np.empty((count, dim)), 0, count, 0.5, "n_classes")
+        assert rng.random() == ref_rng.random()
+
+    def test_two_thousand_directions_in_two_seconds(self):
+        # the per-pair loop takes about 8 s for these on a 2 vCPU machine
+        placed = np.empty((2000, 32))
+        start = time.perf_counter()
+        data._spread_directions(np.random.default_rng(0), placed, 0, 2000, 0.5, "n_classes")
+        assert time.perf_counter() - start < 2.0
+        gram = placed @ placed.T
+        np.fill_diagonal(gram, 0.0)
+        assert gram.max() < 0.5
 
 
 class TestFeaturesCsv:

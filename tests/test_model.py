@@ -1001,17 +1001,16 @@ class TestCheckpoint:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], outcomes
 
-    def test_reader_gives_the_priors(self, tmp_path):
+    def test_reader_gives_the_layout(self, tmp_path):
         model = make_model(seed=13, widths=(8, 5))
         mix = make_mixture(np.random.default_rng(5), model.n_classes, model.feature_dim)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, mix)
-        sizes, n_classes, payload, priors = checkpoint.read(path)
+        sizes, n_classes, payload = checkpoint.read(path)
         assert sizes == model.layer_sizes and n_classes == 3
         assert checkpoint.param_shapes(sizes, 3) == [p.shape for p in model.param_list()]
         assert payload == path.read_bytes()[-len(payload):]
         assert len(payload) == 8 * sum(p.size for p in model.param_list()) + 8 * 3 * 6
-        assert list(priors) == mix.priors.tolist()
 
     def test_loaded_arrays_are_writable_copies(self, tmp_path):
         # one np.frombuffer over the checked payload, copied: the arrays

@@ -1,11 +1,14 @@
-"""The plain-Python report numbers against their numpy forms."""
+"""The plain-Python report numbers against their numpy forms, and the
+checked reader of ``report.csv``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab.report import classification_report, histogram
+from patt_lab import metrics
+from patt_lab.report import (REPORT_COLUMNS, classification_report, histogram, read_report,
+                             report_csv)
 
 import oracles
 
@@ -44,6 +47,42 @@ class TestClassificationReportMatchesNumpy:
         with pytest.raises(ValueError) as got:
             classification_report(*args)
         assert str(got.value) == str(want.value)
+
+
+HEADER = ",".join(REPORT_COLUMNS)
+
+
+class TestReadReport:
+    def test_one_home_for_the_format(self):
+        assert metrics.REPORT_COLUMNS is REPORT_COLUMNS
+        assert metrics.report_csv is report_csv
+
+    def test_empty_group_accuracies_are_none(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(f"{HEADER}\n0.5,0.25,1.0,0.0,1.0,,\n")
+        assert read_report(path) == dict(zip(REPORT_COLUMNS, (0.5, 0.25, 1.0, 0.0, 1.0,
+                                                              None, None)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "unexpected header"),
+        (f"{HEADER},x\n0,0,0,0,0,0,0,0\n", "unexpected header"),
+        (f"{HEADER}\n", "expected one row of 7 cells"),
+        (f"{HEADER}\n0,0,0,0,0,0,0\n0,0,0,0,0,0,0\n", "expected one row of 7 cells"),
+        (f"{HEADER}\n0,0,0,0,0,0\n", "expected one row of 7 cells"),
+        (f"{HEADER}\n0,0,0,0,,0,0\n", "acc = '' is not a finite value in [0, 1]"),
+        (f"{HEADER}\n0,0,0,0,0,1.5,0\n", "acc_head = '1.5' is not a finite value in [0, 1]"),
+        (f"{HEADER}\n0,0,0,0,0,0,-0.1\n", "acc_tail = '-0.1' is not a finite value"),
+        (f"{HEADER}\n0,0,0,0,nan,0,0\n", "acc = 'nan' is not a finite value"),
+        (f"{HEADER}\n0,0,0,0,0,inf,0\n", "acc_head = 'inf' is not a finite value"),
+        (f"{HEADER}\n0,0,0,0,0,0,half\n", "acc_tail = 'half' is not a finite value"),
+        (f"{HEADER}\n,0,0,0,0,0,0\n", "auroc = '' is not a finite value"),
+    ])
+    def test_rejects_a_bad_file(self, tmp_path, text, message):
+        path = tmp_path / "report.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as got:
+            read_report(path)
+        assert str(got.value).startswith(message), str(got.value)
 
 
 def assert_matches_numpy(id_scores, ood_scores):
