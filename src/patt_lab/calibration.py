@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import EncoderClassifier, classifier_logits
+from .data import class_balanced_subset
+from .model import EncoderClassifier, classifier_logits, encoder_forward
 from .util import logsumexp_softmax
 
 __all__ = [
@@ -22,6 +23,8 @@ __all__ = [
     "calibrate_feature",
     "energy_score",
     "msp_score",
+    "fit_attention",
+    "predict_and_score",
     "save_attention",
     "load_attention",
 ]
@@ -129,6 +132,31 @@ def msp_score(logits) -> np.ndarray:
         raise ValueError("need an (n, K) batch of at least two classes for a softmax score")
     _, probs = logsumexp_softmax(a)
     return probs.max(axis=1)
+
+
+def fit_attention(net: EncoderClassifier, train_id, train_ood, priors, per_class: int,
+                  seed: int) -> np.ndarray:
+    """Raw ``attention_weight`` of a trained model from a seeded draw of
+    ``per_class`` rows per class of ``train_id`` and every ``train_ood`` row."""
+    cb = class_balanced_subset(train_id, per_class, seed=seed)
+    cb_z = encoder_forward(net, cb.inputs)
+    ood_z = encoder_forward(net, train_ood.inputs)
+    return attention_weight(cb_z, cb.labels, ood_z, net, priors)
+
+
+def predict_and_score(net: EncoderClassifier, inputs, weight, score: str) -> tuple:
+    """``(pred, scores)`` of an (n, input_dim) batch by the ``"energy"`` or
+    ``"msp"`` score. Predictions come from the uncalibrated features: the
+    trained classifier produced the weight's virtual labels, so they stay the
+    reference. The scaled ``weight``, when not None, reweights features for
+    the score path only."""
+    z = encoder_forward(net, inputs)
+    logits = classifier_logits(net, z)
+    pred = np.argmax(logits, axis=1)
+    if weight is not None:
+        logits = classifier_logits(net, calibrate_feature(z, weight))
+    scorer = energy_score if score == "energy" else msp_score
+    return pred, scorer(logits)
 
 
 def save_attention(path, raw) -> None:

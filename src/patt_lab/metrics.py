@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from .config import TAIL_FRACTION
-from .report import REPORT_COLUMNS, classification_report, report_csv
+from .report import classification_report
 
-__all__ = ["detection_metrics", "REPORT_COLUMNS", "build_report", "report_csv"]
+__all__ = ["detection_metrics", "build_report"]
 
 
 def _average_precision(tp, predicted, n_pos) -> float:
@@ -75,7 +75,7 @@ def detection_metrics(id_scores, ood_scores) -> tuple:
 
 def build_report(id_scores, ood_scores, id_true, id_pred, class_weights,
                  tail_fraction: float = TAIL_FRACTION) -> tuple:
-    """The evaluation row, one value per ``REPORT_COLUMNS`` entry; an
+    """The evaluation row, one value per ``report.REPORT_COLUMNS`` entry; an
     accuracy of a group without test rows is None."""
     acc = classification_report(id_true, id_pred, class_weights, tail_fraction)
     return detection_metrics(id_scores, ood_scores) + acc

@@ -78,7 +78,7 @@ class EncoderClassifier:
     @classmethod
     def init(cls, input_dim: int, widths, feature_dim: int, n_classes: int, seed: int):
         """Symmetric uniform init scaled by fan-in, seeded, drawn parameter
-        by parameter in ``param_list`` order."""
+        by parameter in ``params`` order."""
         if input_dim < 1 or feature_dim < 2 or n_classes < 2:
             raise ValueError("need input_dim >= 1, feature_dim >= 2, n_classes >= 2")
         sizes = [int(input_dim)] + [int(w) for w in widths] + [int(feature_dim)]
@@ -88,8 +88,7 @@ class EncoderClassifier:
         shapes = checkpoint.param_shapes(sizes, n_classes)
         model = cls(np.empty(sum(math.prod(s) for s in shapes)), sizes, n_classes)
         rng = np.random.default_rng(int(seed))
-        params = model.param_list()
-        for w, b in zip(params[0::2], params[1::2]):
+        for w, b in zip(model.params[0::2], model.params[1::2]):
             bound = 1.0 / np.sqrt(w.shape[1])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
@@ -102,11 +101,6 @@ class EncoderClassifier:
     @property
     def feature_dim(self) -> int:
         return self.layer_sizes[-1]
-
-    def param_list(self) -> list:
-        """The parameter arrays in ``flat`` order, a fixed traversal order
-        shared with gradients, optimizer state and the checkpoint."""
-        return list(self.params)
 
 
 def _forward_batch(model: EncoderClassifier, x: np.ndarray, acts: list | None = None):

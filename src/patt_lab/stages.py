@@ -78,17 +78,14 @@ def _load_model(out_dir, cfg):
 
 
 def cmd_calibrate(cfg, out_dir) -> None:
-    from . import calibration, data, model
+    from . import calibration
     from .util import derive_seed
     net, priors = _load_model(out_dir, cfg)
     train_id = _load_split(out_dir, "train.csv", cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", cfg)
     per_class = cfg["per_class"] or int(train_id.class_counts.min())
-    cb = data.class_balanced_subset(train_id, per_class,
-                                    seed=derive_seed(cfg["seed"], "calibration-subset"))
-    cb_z = model.encoder_forward(net, cb.inputs)
-    ood_z = model.encoder_forward(net, train_ood.inputs)
-    raw = calibration.attention_weight(cb_z, cb.labels, ood_z, net, priors)
+    raw = calibration.fit_attention(net, train_id, train_ood, priors, per_class,
+                                    derive_seed(cfg["seed"], "calibration-subset"))
     calibration.save_attention(os.path.join(out_dir, "attention.csv"), raw)
 
 
@@ -108,33 +105,18 @@ def _resolve_attention(cfg, out_dir, dim):
 
 
 def cmd_eval(cfg, out_dir) -> None:
-    """Score both test splits and write the metric report.
-
-    Predicted labels always come from the uncalibrated features; the
-    attention weight, when present, reweights features for the score
-    path only. The trained classifier is what produced the weight's
-    virtual labels, so its predictions stay the reference. The head/tail
-    split ranks classes by the checkpoint's priors.
-    """
-    from . import calibration, metrics, model
+    """Score both test splits through ``calibration.predict_and_score`` and
+    write the metric report, its head/tail split ranked by the checkpoint's priors."""
+    from . import calibration, metrics, report
     net, priors = _load_model(out_dir, cfg)
     test_id = _load_split(out_dir, "test_id.csv", cfg)
     test_ood = _load_split(out_dir, "test_ood.csv", cfg)
     weight = _resolve_attention(cfg, out_dir, net.feature_dim)
-    score = calibration.energy_score if cfg["score"] == "energy" else calibration.msp_score
-
-    def predict_and_score(inputs):
-        z = model.encoder_forward(net, inputs)
-        logits = model.classifier_logits(net, z)
-        pred = np.argmax(logits, axis=1)
-        if weight is not None:
-            logits = model.classifier_logits(net, calibration.calibrate_feature(z, weight))
-        return pred, score(logits)
-
-    pred_id, id_scores = predict_and_score(test_id.inputs)
-    pred_ood, ood_scores = predict_and_score(test_ood.inputs)
-    report = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
-                                  priors, tail_fraction=cfg["tail_fraction"])
+    pred_id, id_scores = calibration.predict_and_score(net, test_id.inputs, weight, cfg["score"])
+    pred_ood, ood_scores = calibration.predict_and_score(net, test_ood.inputs, weight,
+                                                         cfg["score"])
+    row = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
+                               priors, tail_fraction=cfg["tail_fraction"])
     with open(os.path.join(out_dir, "scores.csv"), "w", encoding="ascii") as fh:
         fh.write("split,row,label,pred,score\n")
         for split, labels, pred, scores in (("id", test_id.labels, pred_id, id_scores),
@@ -142,7 +124,7 @@ def cmd_eval(cfg, out_dir) -> None:
             rows = zip(labels.tolist(), pred.tolist(), scores.tolist())
             fh.writelines(f"{split},{i},{y},{p},{s!r}\n" for i, (y, p, s) in enumerate(rows))
     with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii") as fh:
-        fh.write(metrics.report_csv(report))
+        fh.write(report.report_csv(row))
 
 
 # stage -> (function, the words of its failure line)

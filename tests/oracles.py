@@ -214,7 +214,7 @@ def softmax_ref(a):
 def apply_update_ref(params, grads, config, state=None):
     """One Adam or SGD step parameter by parameter, each from its own arrays.
 
-    ``params`` and ``grads`` are lists in ``param_list`` order; ``state``
+    ``params`` and ``grads`` are lists in ``model.params`` order; ``state``
     holds per-parameter lists (``m``, ``v`` and ``t`` for Adam,
     ``velocity`` for SGD) and is None before the first step. Returns the new
     parameter list and state; the inputs are left untouched.

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from patt_lab import cli
-from patt_lab.calibration import (attention_weight, calibrate_feature, channel_importance,
-                                  energy_score, msp_score, scale_weight)
-from patt_lab.data import SynthConfig, class_balanced_subset, gen_longtail, sample_vmf
-from patt_lab.metrics import detection_metrics
+from patt_lab.calibration import (calibrate_feature, channel_importance, energy_score,
+                                  fit_attention, msp_score, predict_and_score, scale_weight)
+from patt_lab.data import SynthConfig, gen_longtail, sample_vmf
+from patt_lab.metrics import build_report, detection_metrics
 from patt_lab.model import (EncoderClassifier, TrainConfig,
                             batch_loss_and_grads, classifier_logits,
                             encoder_forward, train)
-from patt_lab.report import classification_report
 from patt_lab.vmf import log_norm_const
 
 import oracles
@@ -291,21 +290,12 @@ def test_criterion_6_directional_benchmark(capsys):
             return train(tc, tr, otr, va)[0]
 
         def ev(m, cal, score):
-            zi, zo = encoder_forward(m, te.inputs), encoder_forward(m, ote.inputs)
-            li, lo = classifier_logits(m, zi), classifier_logits(m, zo)
-            # predictions always come from uncalibrated features; the
-            # attention weight reroutes only the score path
-            acc, head, tail = classification_report(
-                te.labels, np.argmax(li, axis=1), tr.class_counts)
-            if cal:
-                cb = class_balanced_subset(tr, 5, seed=0)
-                scaled = scale_weight(attention_weight(
-                    encoder_forward(m, cb.inputs), cb.labels,
-                    encoder_forward(m, otr.inputs), m, pri))
-                li = classifier_logits(m, calibrate_feature(zi, scaled))
-                lo = classifier_logits(m, calibrate_feature(zo, scaled))
-            s = energy_score if score == "energy" else msp_score
-            return detection_metrics(s(li), s(lo))[0], acc, head, tail
+            # the calibrate and eval stages' path, on 5 rows per class drawn with seed 0
+            weight = scale_weight(fit_attention(m, tr, otr, pri, 5, 0)) if cal else None
+            pred, id_scores = predict_and_score(m, te.inputs, weight, score)
+            _, ood_scores = predict_and_score(m, ote.inputs, weight, score)
+            row = build_report(id_scores, ood_scores, te.labels, pred, pri)
+            return row[0], *row[4:]
 
         model_patt = go("patt")
         res["patt"].append(ev(model_patt, True, "energy"))

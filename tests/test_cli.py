@@ -1102,6 +1102,31 @@ def src_env():
     return env
 
 
+def test_array_path_is_the_stages_path(pipeline, tmp_path):
+    # fit_attention and predict_and_score, called with what the calibrate and
+    # eval stages read, give back the bytes those stages wrote
+    from patt_lab import calibration, data
+    from patt_lab.util import derive_seed
+    config, out = pipeline
+    cfg = cli.load_config(config)
+    net, (_, _, priors) = load_checkpoint(out / "model.ckpt")
+    splits = {name: data.load_features_csv(out / f"{name}.csv", cfg["n_classes"])
+              for name in ("train", "train_ood", "test_id", "test_ood")}
+    per_class = cfg["per_class"] or int(splits["train"].class_counts.min())
+    raw = calibration.fit_attention(net, splits["train"], splits["train_ood"], priors,
+                                    per_class, derive_seed(cfg["seed"], "calibration-subset"))
+    calibration.save_attention(tmp_path / "attention.csv", raw)
+    assert (tmp_path / "attention.csv").read_bytes() == (out / "attention.csv").read_bytes()
+    weight = calibration.load_attention(out / "attention.csv")
+    cells = []
+    for name in ("test_id", "test_ood"):
+        pred, scores = calibration.predict_and_score(net, splits[name].inputs, weight,
+                                                     cfg["score"])
+        cells += [[str(p), repr(s)] for p, s in zip(pred.tolist(), scores.tolist())]
+    rows = (out / "scores.csv").read_text(encoding="ascii").splitlines()[1:]
+    assert cells == [row.split(",")[3:] for row in rows]
+
+
 def test_readme_library_block_runs():
     # the ``## Library`` example, run as written
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]

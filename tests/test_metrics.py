@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from patt_lab.metrics import REPORT_COLUMNS, build_report, detection_metrics, report_csv
-from patt_lab.report import classification_report, read_report
+from patt_lab.metrics import build_report, detection_metrics
+from patt_lab.report import REPORT_COLUMNS, classification_report, read_report, report_csv
 
 import oracles
 

@@ -45,7 +45,7 @@ def stats_for(model, x, y):
 
 
 def params_equal(a, b):
-    return all(np.array_equal(p, q) for p, q in zip(a.param_list(), b.param_list()))
+    return all(np.array_equal(p, q) for p, q in zip(a.params, b.params))
 
 
 class TestEncoderForward:
@@ -73,7 +73,7 @@ class TestEncoderForward:
     def test_init_is_seeded(self):
         assert params_equal(make_model(seed=7), make_model(seed=7))
         a, b = make_model(seed=7), make_model(seed=8)
-        assert not all(np.array_equal(p, q) for p, q in zip(a.param_list(), b.param_list()))
+        assert not all(np.array_equal(p, q) for p, q in zip(a.params, b.params))
 
     def test_single_row_matches_batch(self):
         # single-row and batched matmuls may take different BLAS paths,
@@ -449,7 +449,7 @@ class TestFlatUpdate:
         state = make_state(model, x, y, optimizer=optimizer, learning_rate=1e-2,
                            vmf_update="epoch")
         start = model.flat.copy()
-        ref_params, ref_opt = [p.copy() for p in model.param_list()], None
+        ref_params, ref_opt = [p.copy() for p in model.params], None
 
         def flat_of(arrays):
             return np.concatenate([a.ravel() for a in arrays])
@@ -460,11 +460,11 @@ class TestFlatUpdate:
             _, grad = batch_loss_and_grads(ref_model, mixture_of_state(state), x, y, ood,
                                            state.config)
             # the flat gradient split into per-parameter arrays
-            grads = EncoderClassifier(grad, model.layer_sizes, model.n_classes).param_list()
+            grads = EncoderClassifier(grad, model.layer_sizes, model.n_classes).params
             ref_params, ref_opt = oracles.apply_update_ref(ref_params, grads,
                                                            state.config, ref_opt)
             train_step(state, (x, y), ood)
-            for got, want in zip(state.model.param_list(), ref_params):
+            for got, want in zip(state.model.params, ref_params):
                 np.testing.assert_array_equal(got, want)
             if optimizer == "adam":
                 np.testing.assert_array_equal(state.m, flat_of(ref_opt["m"]))
@@ -483,7 +483,7 @@ def assert_views_in_checkpoint_order(model):
     shapes = checkpoint.param_shapes(model.layer_sizes, model.n_classes)
     base = model.flat.__array_interface__["data"][0]
     offset = 0
-    for param, shape in zip(model.param_list(), shapes, strict=True):
+    for param, shape in zip(model.params, shapes, strict=True):
         assert param.shape == shape and param.flags.c_contiguous
         assert param.__array_interface__["data"][0] == base + 8 * offset
         offset += param.size
@@ -1008,9 +1008,9 @@ class TestCheckpoint:
         save_checkpoint(path, model, mix)
         sizes, n_classes, payload = checkpoint.read(path)
         assert sizes == model.layer_sizes and n_classes == 3
-        assert checkpoint.param_shapes(sizes, 3) == [p.shape for p in model.param_list()]
+        assert checkpoint.param_shapes(sizes, 3) == [p.shape for p in model.params]
         assert payload == path.read_bytes()[-len(payload):]
-        assert len(payload) == 8 * sum(p.size for p in model.param_list()) + 8 * 3 * 6
+        assert len(payload) == 8 * sum(p.size for p in model.params) + 8 * 3 * 6
 
     def test_loaded_arrays_are_writable_copies(self, tmp_path):
         # one np.frombuffer over the checked payload, copied: the arrays
@@ -1021,8 +1021,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, mix)
         loaded, loaded_mix = load_checkpoint(path)
-        arrays = loaded.param_list() + list(loaded_mix)
-        wanted = model.param_list() + [mix.mus, mix.kappas, mix.priors]
+        arrays = list(loaded.params) + list(loaded_mix)
+        wanted = list(model.params) + [mix.mus, mix.kappas, mix.priors]
         for got, want in zip(arrays, wanted):
             np.testing.assert_array_equal(got, want)
             assert got.dtype == np.float64 and got.shape == want.shape

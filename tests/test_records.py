@@ -124,7 +124,7 @@ def test_config_checks_run_after_the_fields():
 def test_train_state_starts_the_optimizer_at_zero(optimizer):
     model = EncoderClassifier.init(3, (4,), 2, 2, seed=0)
     state = TrainState(model=model, config=TrainConfig(optimizer=optimizer), priors=HALF)
-    size = sum(p.size for p in model.param_list())
+    size = sum(p.size for p in model.params)
     np.testing.assert_array_equal(state.m, np.zeros(size))
     np.testing.assert_array_equal(state.v, np.zeros(size))
     assert state.t == 0

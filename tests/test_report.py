@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab import metrics
 from patt_lab.report import (REPORT_COLUMNS, classification_report, histogram, read_report,
                              report_csv)
 
@@ -53,10 +52,6 @@ HEADER = ",".join(REPORT_COLUMNS)
 
 
 class TestReadReport:
-    def test_one_home_for_the_format(self):
-        assert metrics.REPORT_COLUMNS is REPORT_COLUMNS
-        assert metrics.report_csv is report_csv
-
     def test_empty_group_accuracies_are_none(self, tmp_path):
         path = tmp_path / "report.csv"
         path.write_text(f"{HEADER}\n0.5,0.25,1.0,0.0,1.0,,\n")

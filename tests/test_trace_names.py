@@ -120,3 +120,22 @@ def test_small_train_epoch_keeps_the_step_lean(tmp_path, monkeypatch):
     assert built == []
     assert not hasattr(vmf, "VmfMixture")
     assert lanes and min(lanes) > 0
+
+
+def test_traced_calibrate_and_eval_see_their_spans(tmp_path):
+    # the stages reach the traced functions through the array-level path in
+    # `calibration`, whose module namespace the tracer rebinds
+    from patt_lab import cli
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 1\n")
+    for command in ("gen-data", "train"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    wanted = {"calibrate": {"calibration.attention_weight", "model.encoder_forward"},
+              "eval": {"calibration.score", "model.encoder_forward", "metrics.build_report"}}
+    for command, names in wanted.items():
+        with tracer_installed() as tracer:
+            rc = tracer.wrap("cli.main", cli.main)([command, "--config", str(config),
+                                                    "--out", str(tmp_path)])
+        assert rc == 0
+        seen = {span["name"] for span in tracer.spans}
+        assert names <= seen, sorted(names - seen)
