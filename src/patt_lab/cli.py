@@ -21,7 +21,6 @@ imports ``stages``, and numpy with it, only for the other four stages.
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import os
 import sys
@@ -210,12 +209,14 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     code = main()
-    # every output file is closed before main returns, so teardown has no
-    # buffer left to flush: frozen, the ~22,000 objects that numpy and the
-    # package leave alive are not walked by the exit-time collection.
-    # main itself keeps a normal collector for in-process callers.
-    gc.freeze()
-    sys.exit(code)
+    # every output file is closed in a with block before main returns, so
+    # the process ends here once both streams are flushed: teardown (the
+    # exit-time collection over the objects numpy and the package leave
+    # alive, the module cleanup) is left to the operating system. main
+    # itself changes nothing about the exit of in-process callers.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import checkpoint
 from .config import METHODS, TrainConfig
-from .util import derive_seed, norms_along
+from .util import derive_seed, may_fork, norms_along
 
 __all__ = [
     "EncoderClassifier",
@@ -389,12 +389,12 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     n = x.shape[0]
     helper = None
     try:
-        if ood_x is not None and config.epochs > 0:
+        if ood_x is not None and config.epochs > 0 and may_fork():
             from .ood_helper import OodHelper
             try:
                 helper = OodHelper(model, ood_x, take, w_oe)
             except OSError:
-                pass  # no fork, CPU or process to spare: the stream runs inline
+                pass  # no process to spare, or a fork that warned: the stream runs inline
         for epoch in range(config.epochs):
             if config.method == "patt" and (epoch == 0 or config.vmf_update == "epoch"):
                 state.mus, state.kappas, state.sums, state.counts = _full_stats(

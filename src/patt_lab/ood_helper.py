@@ -1,8 +1,8 @@
 """The outlier-stream helper of a training run: a forked process that runs
 each step's outlier stream, ``model._ood_stream`` on its inherited copy of
 the outlier split, while the parent runs the labeled stream. Only
-``model.train`` imports this module, so the stages that run a trained model
-do not compile it.
+``model.train`` imports this module, and only where ``util.may_fork``, so the
+stages that run a trained model, and a train on one CPU, do not compile it.
 
 Per step the parent writes the parameters and the row indices into a shared
 anonymous mmap and one byte on a pipe; the helper adds the stream's gradient
@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 
 from .model import EncoderClassifier, _ood_stream, _views
+from .util import fork
 
 __all__ = ["OodHelper"]
 
@@ -29,17 +30,11 @@ _ENDED = "the outlier stream's helper process ended"
 class OodHelper:
     """The helper process of one training run, forked at construction from
     the run's model and its outlier rows ``ood_x``; each step takes ``take``
-    rows and weighs the OE term by ``w_oe``. Without ``os.fork`` or a second
-    CPU (on one, the two streams would only take turns), or when the fork
-    fails or warns, it raises ``OSError`` and leaves nothing open and no
-    child; a fork's warnings are issued again first."""
+    rows and weighs the OE term by ``w_oe``. Where ``util.fork`` refuses to
+    fork, what it raises is raised here, with nothing left open and no
+    child."""
 
     def __init__(self, model: EncoderClassifier, ood_x: np.ndarray, take: int, w_oe: float):
-        # the CPUs this process may run on, as Python 3.13's os.process_cpu_count
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        if not hasattr(os, "fork") or cpus < 2:
-            raise OSError("no os.fork, or no second CPU, for the outlier helper")
         p = model.flat.size
         shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * p + take)))
         self.flat, self.grad, self.idx = shared[:p], shared[p:2 * p], shared[2 * p:].view(np.int64)
@@ -47,22 +42,12 @@ class OodHelper:
         try:
             fds += os.pipe()
             fds += os.pipe()
-            # Python >= 3.12 warns in a parent with threads, after the fork
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                self.pid = os.fork()
-        except OSError:
+            self.pid = fork()
+        except BaseException:  # a refused fork, or its warning under an error filter
             for fd in fds:
                 os.close(fd)
             raise
         start_r, self._start, done_r, done_w = fds
-        if self.pid and caught:
-            for fd in fds:
-                os.close(fd)  # the child reads the end of its pipe and exits
-            os.waitpid(self.pid, 0)
-            for w in caught:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            raise OSError("os.fork warned")
         if self.pid == 0:
             try:
                 os.close(self._start)

@@ -4,6 +4,7 @@ functions are called through their modules, so a wrapper set on a module (a
 tracer's) sees every call. Inputs are read through ``cli._read``, and
 ``run`` is the one failure boundary of a stage's work."""
 
+import itertools
 import os
 
 import numpy as np
@@ -27,22 +28,80 @@ def _load_split(out_dir, name, cfg):
     return _read(os.path.join(out_dir, name), "dataset file", read, cfg["n_classes"])
 
 
+def _beside(work, *args):
+    """Start ``work(*args)`` in a child forked by ``util.fork`` and return
+    ``join``, which waits for the child, reaps it and raises what ``work``
+    raised: the child pickles it onto a pipe and ends in ``os._exit``. Where
+    the fork is refused, ``work`` runs here, and ``join`` does nothing."""
+    import pickle
+
+    from .util import fork
+    fds, pid = [], None
+    try:
+        fds += os.pipe()
+        pid = fork()
+    except OSError:
+        pass  # no pipe or process to spare, or a fork that warned: work runs here
+    finally:
+        if pid is None:
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
+        work(*args)
+        return lambda: None
+    read_fd, write_fd = fds
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            error = None
+            try:
+                work(*args)
+            except Exception as exc:
+                error = exc
+            reply = pickle.dumps(error)
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(reply)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+
+    def join():
+        with os.fdopen(read_fd, "rb") as fh:
+            reply = fh.read()
+        os.waitpid(pid, 0)
+        error = pickle.loads(reply) if reply else ChildProcessError(
+            "the split writer process ended")
+        if error is not None:
+            raise error
+
+    return join
+
+
 def cmd_gen_data(cfg, out_dir) -> None:
+    """Generate the five splits and write them, the manifest last. A child
+    (``_beside``) writes the leading splits up to half the rows while this
+    process writes the others; its error is raised ahead of this process's,
+    as the inline order would raise them."""
     from . import data
     dcfg = _build(data.SynthConfig, cfg)
-    train_id, val_id, test_id, train_ood, test_ood = data.gen_longtail(dcfg)
+    splits = dict(zip(("train.csv", "val_id.csv", "test_id.csv", "train_ood.csv", "test_ood.csv"),
+                      data.gen_longtail(dcfg)))
     # the one stage that makes the output directory, once it has data to write
     os.makedirs(out_dir, exist_ok=True)
-    splits = {
-        "train.csv": train_id,
-        "val_id.csv": val_id,
-        "test_id.csv": test_id,
-        "train_ood.csv": train_ood,
-        "test_ood.csv": test_ood,
-    }
-    for name, split in splits.items():
-        data.save_features_csv(split, os.path.join(out_dir, name))
     sizes = {name: split.inputs.shape[0] for name, split in splits.items()}
+    ends = list(itertools.accumulate(sizes.values()))
+    lead = next(i for i, end in enumerate(ends, start=1) if 2 * end >= ends[-1])
+    names = list(splits)
+
+    def write(which):
+        for name in which:
+            data.save_features_csv(splits[name], os.path.join(out_dir, name))
+
+    join = _beside(write, names[:lead])
+    try:
+        write(names[lead:])
+    finally:
+        join()  # raised in a finally, the child's error replaces this process's
     data.save_manifest(os.path.join(out_dir, "manifest.txt"), dcfg, sizes)
 
 

@@ -1,5 +1,6 @@
 """Shared helpers: deterministic derivation of per-role random seeds, the
-one log-sum-exp/softmax of the package and norms along an axis.
+one log-sum-exp/softmax of the package, norms along an axis, and the one
+rule for forking a child that works beside this process.
 
 The hot paths call numpy's ufunc reductions (``np.add.reduce``,
 ``np.maximum.reduce``, ``.any()``/``.all()``) directly instead of the
@@ -7,6 +8,9 @@ Python-level wrappers ``np.sum``/``np.max``/``np.any``/``np.linalg.norm``:
 each wrapper dispatches to the same ufunc loop, so the bits are the same and
 only the per-call overhead goes.
 """
+
+import os
+import warnings
 
 import numpy as np
 
@@ -46,3 +50,31 @@ def norms_along(x: np.ndarray) -> np.ndarray:
     product sums in another order and can differ in the last bit.)"""
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
+
+def may_fork() -> bool:
+    """Whether a forked child could work beside this process: ``os.fork``
+    exists and the process may run on two or more CPUs (on one, the two
+    would only take turns), counted as Python 3.13's ``os.process_cpu_count``."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return hasattr(os, "fork") and cpus >= 2
+
+
+def fork() -> int:
+    """``os.fork()`` where ``may_fork``. Otherwise, or when the fork fails or
+    warns, raise ``OSError`` and leave no child; a fork's warnings are issued
+    again first, so under an error filter the warning is what is raised.
+    Python >= 3.12 warns in a parent with threads, once the child exists."""
+    if not may_fork():
+        raise OSError("no os.fork, or no second CPU, to fork a child beside this process")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pid = os.fork()
+    if pid and caught:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        raise OSError("os.fork warned")
+    return pid

@@ -17,15 +17,16 @@ class Forks(list):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    # the outlier helper forks only where the process may run on two CPUs:
-    # report two, so that it forks on a one-CPU machine too
+    # training's outlier helper and gen-data's writer fork only where the
+    # process may run on two CPUs (util.may_fork): report two, so that they
+    # fork on a one-CPU machine too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture
 def forks(monkeypatch, two_cpus):
-    # the pids that training forks for its outlier stream, as the parent sees
-    # them, on two CPUs; at the end of the test no child is left
+    # the pids that training's helper and gen-data's writer fork, as the
+    # parent sees them, on two CPUs; at the end of the test no child is left
     pids, fork = Forks(), os.fork
 
     def counting():

@@ -1095,6 +1095,80 @@ class TestOutlierHelperProcess:
         assert errs[0] == errs[1] == ("error: training failed: the outlier stream's helper "
                                       "process ended\n")
 
+    def test_one_cpu_train_compiles_no_helper(self, pipeline, tmp_path):
+        # the fork rule is asked before ood_helper is imported: a train that
+        # may run on one CPU loads neither it nor mmap, with the same bits
+        config, out = pipeline
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        (work / "model.ckpt").unlink()
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "from patt_lab import cli\n"
+            f"rc = cli.main(['train', '--config', {str(config)!r}, '--out', {str(work)!r}])\n"
+            "print(rc, sorted({'patt_lab.ood_helper', 'mmap'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout == "0 []\n", (done.stdout, done.stderr)
+        assert (work / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
+
+
+class TestSplitWriterProcess:
+    """``gen-data`` writes the leading splits in a forked child while the
+    stage writes the others, which changes nothing a caller of ``cli.main``
+    sees."""
+
+    def test_forked_and_inline_runs_write_the_same_bytes(self, tmp_path, monkeypatch, forks):
+        config = write_config(tmp_path / "run.cfg")
+        for name in ("forked", "inline"):
+            if name == "inline":
+                monkeypatch.delattr(os, "fork")
+            run(config, tmp_path / name, "gen-data")
+        assert len(forks) == 1
+        names = sorted(os.listdir(tmp_path / "forked"))
+        assert len(names) == 11 and names == sorted(os.listdir(tmp_path / "inline"))
+        for name in names:
+            forked, inline = ((tmp_path / run_dir / name).read_bytes()
+                              for run_dir in ("forked", "inline"))
+            assert forked == inline, name
+
+    @pytest.mark.parametrize("broken", [("train.csv",), ("val_id.csv", "test_ood.csv")])
+    def test_a_failed_split_is_the_inline_error_line(self, tmp_path, capsys, monkeypatch,
+                                                      forks, broken):
+        # a directory in a split's place fails its open: the child's split
+        # first, and with a second failure in the stage's own splits, the
+        # child's error is still the one raised, as inline
+        config = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "out"
+        for name in broken:
+            (out / name).mkdir(parents=True)
+        errs = []
+        for inline in (False, True):
+            if inline:
+                monkeypatch.delattr(os, "fork")
+            rc = cli.main(["gen-data", "--config", str(config), "--out", str(out)])
+            errs.append(capsys.readouterr().err)
+            assert rc == 1 and errs[-1].count("\n") == 1, errs[-1]
+            assert not (out / "manifest.txt").exists()
+            forks.assert_no_child_left()
+        assert len(forks) == 1
+        assert errs[0] == errs[1] == f"error: [Errno 21] Is a directory: '{out / broken[0]}'\n"
+
+    def test_a_finally_around_main_runs_once(self, tmp_path, forks):
+        # the writer ends in os._exit: it never unwinds through its caller's
+        # finally
+        config = write_config(tmp_path / "run.cfg")
+        log = tmp_path / "finally.log"
+        try:
+            rc = cli.main(["gen-data", "--config", str(config), "--out", str(tmp_path / "out")])
+        finally:
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert rc == 0 and len(forks) == 1
+        assert log.read_text() == f"{os.getpid()}\n"
+        assert (tmp_path / "out" / "manifest.txt").exists()
+
 
 def src_env():
     env = dict(os.environ)
@@ -1185,10 +1259,20 @@ def test_module_entry_point_words_a_stage_error(tmp_path):
         done.stderr
 
 
+class FlushedText(io.StringIO):
+    """A text stream that keeps what it held at its last ``flush``."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+
+
 class TestExitFreeze:
-    """``entry`` freezes the collector once ``main`` returns, so interpreter
-    teardown does not walk the objects that numpy and the package leave
-    alive; ``main`` never does, so in-process callers keep a normal one."""
+    """``entry`` flushes both streams once ``main`` returns and ends the
+    process in ``os._exit``, so no interpreter teardown runs (the exit-time
+    collection over the objects numpy and the package leave alive); ``main``
+    itself changes nothing, so in-process callers keep a normal collector."""
 
     @pytest.fixture
     def unfrozen(self):
@@ -1204,20 +1288,27 @@ class TestExitFreeze:
         assert gc.get_freeze_count() == 0
 
     @pytest.mark.parametrize("command, code", [("calibrate", 0), ("eval", 1)])
-    def test_entry_exits_with_the_code_of_main_frozen(self, pipeline, tmp_path, monkeypatch,
-                                                      capsys, unfrozen, command, code):
-        # eval fails on the missing directory, calibrate passes on a copy
+    def test_entry_flushes_and_exits_with_the_code_of_main(self, pipeline, tmp_path,
+                                                           monkeypatch, command, code):
+        # eval fails on the missing directory, calibrate passes on a copy;
+        # os._exit records its code and what each stream had flushed by then
         config, out = pipeline
         work = tmp_path / "out"
         if code == 0:
             shutil.copytree(out, work)
+        stdout, stderr, exits = FlushedText(), FlushedText(), []
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        monkeypatch.setattr(os, "_exit", lambda n: exits.append((n, stdout.flushed,
+                                                                 stderr.flushed)))
         monkeypatch.setattr(sys, "argv", ["patt-lab", command, "--config", str(config),
                                           "--out", str(work)])
-        with pytest.raises(SystemExit) as exc:
-            cli.entry()
-        assert exc.value.code == code
-        assert gc.get_freeze_count() > 0
-        assert capsys.readouterr().err.count("error:") == code
+        cli.entry()
+        err = stderr.getvalue()
+        assert exits == [(code, "", err)]
+        assert err.count("error:") == err.count("\n") == code, err
+        if code == 0:
+            assert (work / "attention.csv").read_bytes() == (out / "attention.csv").read_bytes()
 
 
 def unmanaged_opens(tree) -> list:
@@ -1232,8 +1323,9 @@ def unmanaged_opens(tree) -> list:
 
 @pytest.mark.parametrize("path", sorted((SRC / "patt_lab").glob("*.py")), ids=lambda p: p.name)
 def test_every_open_is_a_with_item(path):
-    # `entry` freezes the collector before exit, so a file object left open
-    # inside a reference cycle would never be flushed; a `with` closes each
+    # `entry` ends the process in os._exit, which flushes and closes no file
+    # object: one still open when main returns would lose its buffered
+    # bytes. A `with` closes each before main returns.
     lines = unmanaged_opens(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not lines, f"{path.name}: open() outside a with at lines {lines}"
 
