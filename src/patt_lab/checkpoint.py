@@ -58,8 +58,8 @@ def read(path):
     """``(sizes, n_classes, payload)``: the layer sizes, the class count and
     the checked little-endian float64 bytes of every block in file order
     (the ``param_shapes`` blocks, then one ``dim + 2`` row per class).
-    Raises ``ValueError`` for a bad magic, layer count or length, a failed
-    ``check_stats`` check or a non-finite parameter."""
+    Raises ``ValueError`` for a bad magic, layer count, layer size or
+    length, a failed ``check_stats`` check or a non-finite parameter."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
@@ -73,6 +73,8 @@ def read(path):
     if off > len(blob):
         raise ValueError(f"{path}: truncated checkpoint")
     *sizes, k = struct.unpack_from(f"<{n_sizes + 1}I", blob, len(MAGIC) + 4)
+    if min(sizes) < 1:
+        raise ValueError(f"{path}: invalid layer sizes {sizes}")
     dim = sizes[-1]
     n_params = sum(math.prod(s) for s in param_shapes(sizes, k))
     total = n_params + k * (dim + 2)

@@ -8,14 +8,14 @@ keeps one ``TrainState`` and each step updates its parameters, optimizer
 moments and class statistics in place. Training is fully deterministic for a
 fixed seed.
 
-A run with an outlier term forks one ``ood_helper.OodHelper`` process, which
-runs each step's outlier stream while the parent runs the labeled stream;
-without ``os.fork`` or a second CPU the stream runs inline. Every bit stays
-that of the inline stream: the helper runs the same code on a copy of the
-same parameters and rows, and each gradient element gets one addition per
-stream, (0 + a) + b inline and (0 + a) + (0 + b) with the helper. These
-agree: 0 + b differs from b only for b = -0.0, and 0 + a is never -0.0, so
-adding either zero to it gives the same value.
+A run with an outlier term runs each step's outlier stream in a forked
+helper, a ``util.Beside``, while the parent runs the labeled stream; without
+``os.fork`` or a second CPU the stream runs inline. Every bit stays that of
+the inline stream: the helper runs the same code on a copy of the same
+parameters and rows, and each gradient element gets one addition per stream,
+(0 + a) + b inline and (0 + a) + (0 + b) with the helper. These agree:
+0 + b differs from b only for b = -0.0, and 0 + a is never -0.0, so adding
+either zero to it gives the same value.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import checkpoint
 from .config import METHODS, TrainConfig
-from .util import derive_seed, may_fork, norms_along
+from .util import Beside, derive_seed, may_fork, norms_along
 
 __all__ = [
     "EncoderClassifier",
@@ -198,10 +198,11 @@ def batch_loss_and_grads(
 
     The mixture statistics are constants here; differentiation covers the
     encoder (through the unit-norm projection) and the head for both
-    streams. ``ood_x`` holds the outlier rows, or is the ``join`` of the
-    ``OodHelper`` already running this step's outlier stream, called after
-    the labeled stream. ``forward`` may carry the labeled batch's encoder pass
-    (``_forward_batch(model, id_x, [])``) when the caller already ran it.
+    streams. ``ood_x`` holds the outlier rows, or is the join of the helper
+    already running this step's outlier stream (``train``), called with
+    ``flat_grad`` after the labeled stream. ``forward`` may carry the labeled
+    batch's encoder pass (``_forward_batch(model, id_x, [])``) when the
+    caller already ran it.
     Every parameter's gradient is accumulated into a view of one fresh zeroed
     vector, ``flat_grad``, laid out like ``model.flat``.
     """
@@ -283,8 +284,7 @@ def _apply_update(state: TrainState, flat_grad: np.ndarray) -> None:
 def train_step(state: TrainState, id_batch, ood_batch) -> tuple:
     """One optimization step, in place on ``state``; returns the loss
     breakdown ``(total, isac, tla, oe)``. ``ood_batch`` holds the outlier
-    rows, or is the ``join`` of the ``OodHelper`` that ``train`` started on
-    them.
+    rows, or is the join of the helper that ``train`` started on them.
 
     For the combined objective the batch features are first folded into the
     running class sums, each present class's decayed by ``vmf_momentum``,
@@ -336,6 +336,37 @@ def _full_stats(model, train_x, train_y, k: int):
     return estimate_class_stats(z, train_y, np.zeros((k, z.shape[1])), np.zeros(k))
 
 
+def _outlier_helper(model: EncoderClassifier, ood_x: np.ndarray, take: int, w_oe: float):
+    # ``(helper, hand_off)``: a ``util.Beside`` running the outlier stream
+    # on its own copy of ``model``, and ``hand_off(rows)``, which writes the
+    # step's parameters and rows into a shared anonymous mmap, starts the
+    # stream and returns the join for ``batch_loss_and_grads``
+    import mmap
+    p = model.flat.size
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * p + take)))
+    flat, grad, idx = shared[:p], shared[p:2 * p], shared[2 * p:].view(np.int64)
+    grads = _views(grad, model.shapes)
+
+    def stream():
+        model.flat[...] = flat  # the helper's copy; run here, the same values
+        grad.fill(0.0)
+        return _ood_stream(model, ood_x[idx], w_oe, grads)
+
+    def join(flat_grad):
+        oe_mean = helper.join()
+        flat_grad += grad
+        return oe_mean
+
+    def hand_off(rows):
+        flat[...] = model.flat
+        idx[...] = rows
+        helper.start()
+        return join
+
+    helper = Beside(stream, "the outlier stream's helper")
+    return helper, hand_off
+
+
 def train(config: TrainConfig, train_id, train_ood, val_id):
     """Full training run; returns ``(model, (mus, kappas, priors), history)``,
     the history holding one ``(epoch, total, isac, tla, oe, val_acc)`` tuple
@@ -350,10 +381,9 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     baselines, and a run of no epochs, return a full pass of the final model.
     Sub-seeds for init, labeled shuffling and the outlier stream are derived
     from the config seed by role, so two runs with the same seed are
-    bit-identical. The outlier stream runs in an ``ood_helper.OodHelper``
-    process, which ends before ``train`` returns or raises; it runs inline
-    when the process may run on one CPU only, or ``os.fork`` is missing,
-    fails or warns. A helper that dies during the run ends it with
+    bit-identical. The outlier stream runs in a forked helper, which ends
+    before ``train`` returns or raises; it runs inline where ``util.Beside``
+    does not fork. A helper that dies during the run ends it with
     ``ChildProcessError``.
     """
     x, y = np.asarray(train_id.inputs, dtype=np.float64), np.asarray(train_id.labels)
@@ -390,11 +420,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     helper = None
     try:
         if ood_x is not None and config.epochs > 0 and may_fork():
-            from .ood_helper import OodHelper
-            try:
-                helper = OodHelper(model, ood_x, take, w_oe)
-            except OSError:
-                pass  # no process to spare, or a fork that warned: the stream runs inline
+            helper, hand_off = _outlier_helper(model, ood_x, take, w_oe)
         for epoch in range(config.epochs):
             if config.method == "patt" and (epoch == 0 or config.vmf_update == "epoch"):
                 state.mus, state.kappas, state.sums, state.counts = _full_stats(
@@ -410,8 +436,7 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
                         ood_queue = np.concatenate([ood_queue,
                                                     ood_rng.permutation(ood_x.shape[0])])
                     rows, ood_queue = ood_queue[:take], ood_queue[take:]
-                    ood_batch = (ood_x[rows] if helper is None
-                                 else helper.start(state.model.flat, rows))
+                    ood_batch = ood_x[rows] if helper is None else hand_off(rows)
                 breakdown = train_step(state, (x[idx], y[idx]), ood_batch)
                 sums += breakdown
                 steps += 1

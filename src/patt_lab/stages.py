@@ -28,61 +28,13 @@ def _load_split(out_dir, name, cfg):
     return _read(os.path.join(out_dir, name), "dataset file", read, cfg["n_classes"])
 
 
-def _beside(work, *args):
-    """Start ``work(*args)`` in a child forked by ``util.fork`` and return
-    ``join``, which waits for the child, reaps it and raises what ``work``
-    raised: the child pickles it onto a pipe and ends in ``os._exit``. Where
-    the fork is refused, ``work`` runs here, and ``join`` does nothing."""
-    import pickle
-
-    from .util import fork
-    fds, pid = [], None
-    try:
-        fds += os.pipe()
-        pid = fork()
-    except OSError:
-        pass  # no pipe or process to spare, or a fork that warned: work runs here
-    finally:
-        if pid is None:
-            for fd in fds:
-                os.close(fd)
-    if pid is None:
-        work(*args)
-        return lambda: None
-    read_fd, write_fd = fds
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            error = None
-            try:
-                work(*args)
-            except Exception as exc:
-                error = exc
-            reply = pickle.dumps(error)
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(reply)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-
-    def join():
-        with os.fdopen(read_fd, "rb") as fh:
-            reply = fh.read()
-        os.waitpid(pid, 0)
-        error = pickle.loads(reply) if reply else ChildProcessError(
-            "the split writer process ended")
-        if error is not None:
-            raise error
-
-    return join
-
-
 def cmd_gen_data(cfg, out_dir) -> None:
     """Generate the five splits and write them, the manifest last. A child
-    (``_beside``) writes the leading splits up to half the rows while this
-    process writes the others; its error is raised ahead of this process's,
-    as the inline order would raise them."""
-    from . import data
+    (``util.Beside``) writes the leading splits up to half the rows while
+    this process writes the others. Its warnings are issued after this
+    process's, and its error replaces this process's, as writing the splits
+    in order would raise it first."""
+    from . import data, util
     dcfg = _build(data.SynthConfig, cfg)
     splits = dict(zip(("train.csv", "val_id.csv", "test_id.csv", "train_ood.csv", "test_ood.csv"),
                       data.gen_longtail(dcfg)))
@@ -97,11 +49,12 @@ def cmd_gen_data(cfg, out_dir) -> None:
         for name in which:
             data.save_features_csv(splits[name], os.path.join(out_dir, name))
 
-    join = _beside(write, names[:lead])
-    try:
-        write(names[lead:])
-    finally:
-        join()  # raised in a finally, the child's error replaces this process's
+    with util.Beside(write, "the split writer") as writer:
+        join = writer.start(names[:lead])
+        try:
+            write(names[lead:])
+        finally:
+            join()  # raised in a finally, the child's error replaces this process's
     data.save_manifest(os.path.join(out_dir, "manifest.txt"), dcfg, sizes)
 
 

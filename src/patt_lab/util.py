@@ -1,6 +1,6 @@
 """Shared helpers: deterministic derivation of per-role random seeds, the
-one log-sum-exp/softmax of the package, norms along an axis, and the one
-rule for forking a child that works beside this process.
+one log-sum-exp/softmax of the package, norms along an axis, and
+``Beside``, the one forked child that works beside this process.
 
 The hot paths call numpy's ufunc reductions (``np.add.reduce``,
 ``np.maximum.reduce``, ``.any()``/``.all()``) directly instead of the
@@ -10,6 +10,7 @@ only the per-call overhead goes.
 """
 
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -60,21 +61,120 @@ def may_fork() -> bool:
     return hasattr(os, "fork") and cpus >= 2
 
 
-def fork() -> int:
-    """``os.fork()`` where ``may_fork``. Otherwise, or when the fork fails or
-    warns, raise ``OSError`` and leave no child; a fork's warnings are issued
-    again first, so under an error filter the warning is what is raised.
-    Python >= 3.12 warns in a parent with threads, once the child exists."""
-    if not may_fork():
-        raise OSError("no os.fork, or no second CPU, to fork a child beside this process")
+class Beside:
+    """A forked child that runs ``work(*args)`` beside this process, once per
+    ``start(*args)``: the args go pickled down one pipe, and the pickled
+    ``(result, warnings, error)`` of the call comes back on another, for
+    ``join`` to issue, raise or return. A dead child is ``ChildProcessError(
+    "<what> process ended")`` from ``start`` or ``join``. ``close`` ends the
+    child and reaps it; the child ends in ``os._exit``, so it runs none of
+    this process's ``finally`` or ``atexit`` code. Where the fork is refused
+    (not ``may_fork``, or a fork that fails or warns: Python >= 3.12 warns in
+    a parent with threads), ``start`` runs ``work`` here under the same
+    contract; the fork's warning is issued again, so under an error filter
+    it is raised here, with no pipe or child left.
+    """
+
+    def __init__(self, work, what: str):
+        self._work, self._ended, self.pid = work, f"{what} process ended", None
+        fds = []
+        try:
+            if may_fork():
+                fds += os.pipe()
+                fds += os.pipe()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    self.pid = os.fork()
+                if self.pid and caught:
+                    import signal
+                    os.kill(self.pid, signal.SIGKILL)
+                    os.waitpid(self.pid, 0)
+                    self.pid = None
+                    for w in caught:
+                        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        except OSError:
+            pass  # no pipe or process to spare: work runs here
+        finally:
+            if self.pid is None:
+                for fd in fds:
+                    os.close(fd)
+        if self.pid is None:
+            return
+        request_r, self._request, reply_r, reply_w = fds
+        if self.pid == 0:
+            try:
+                os.close(self._request)
+                os.close(reply_r)
+                _serve(work, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+            finally:
+                os._exit(0)
+        os.close(request_r)
+        os.close(reply_w)
+        self._reply = os.fdopen(reply_r, "rb")
+
+    def start(self, *args):
+        """Hand ``args`` to the child, or run ``work(*args)`` here; returns ``join``."""
+        if self.pid is None:
+            with warnings.catch_warnings(record=True) as caught:
+                self._replied = _attempt(self._work, args, caught)
+            return self.join
+        message = pickle.dumps(args)
+        try:
+            while message:  # a write to a pipe can be cut short by a signal
+                message = message[os.write(self._request, message):]
+        except BrokenPipeError:
+            raise ChildProcessError(self._ended) from None
+        return self.join
+
+    def join(self):
+        """Issue the last call's warnings, then raise its error or return its result."""
+        if self.pid is None:
+            result, warned, error = self._replied
+        else:
+            try:
+                result, warned, error = pickle.load(self._reply)
+            except EOFError:
+                raise ChildProcessError(self._ended) from None
+        for message, category, filename, lineno in warned:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            raise error
+        return result
+
+    def close(self) -> None:
+        """Close both pipes, which ends the child, and reap it."""
+        if self.pid is not None:
+            self._reply.close()
+            os.close(self._request)
+            os.waitpid(self.pid, 0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def _attempt(work, args, caught) -> tuple:
+    # ``(result, warnings, error)`` of ``work(*args)``, its warnings taken from ``caught``
+    result = error = None
+    try:
+        result = work(*args)
+    except Exception as exc:  # raised by join, where the caller expects it
+        error = exc
+    warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    caught.clear()
+    return result, warned, error
+
+
+def _serve(work, requests, replies) -> None:
+    # the child's loop, one call per request until the request pipe ends;
+    # one record of warnings over it, so a warning shown once is sent once
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pid = os.fork()
-    if pid and caught:
-        import signal
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        raise OSError("os.fork warned")
-    return pid
+        while True:
+            try:
+                args = pickle.load(requests)
+            except EOFError:
+                return
+            pickle.dump(_attempt(work, args, caught), replies)
+            replies.flush()

@@ -17,16 +17,17 @@ class Forks(list):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    # training's outlier helper and gen-data's writer fork only where the
-    # process may run on two CPUs (util.may_fork): report two, so that they
-    # fork on a one-CPU machine too
+    # util.Beside, training's outlier helper and gen-data's writer, forks
+    # only where the process may run on two CPUs (util.may_fork): report
+    # two, so that both fork on a one-CPU machine too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture
 def forks(monkeypatch, two_cpus):
-    # the pids that training's helper and gen-data's writer fork, as the
-    # parent sees them, on two CPUs; at the end of the test no child is left
+    # the pids of the util.Beside children (training's helper, gen-data's
+    # writer), as the parent sees them, on two CPUs; at the end of the test
+    # no child is left
     pids, fork = Forks(), os.fork
 
     def counting():

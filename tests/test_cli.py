@@ -793,9 +793,8 @@ NOT_LOADED = {
                   "patt_lab.report"), "train.csv"),
     "train": (("patt_lab.report",), "model.ckpt"),
     "calibrate": (("numpy.ma", "patt_lab.losses", "patt_lab.metrics", "patt_lab.report",
-                   "patt_lab.vmf", "patt_lab.ood_helper", "mmap"), "attention.csv"),
-    "eval": (("patt_lab.losses", "patt_lab.vmf", "patt_lab.ood_helper", "mmap", "hashlib"),
-             "scores.csv"),
+                   "patt_lab.vmf", "mmap"), "attention.csv"),
+    "eval": (("patt_lab.losses", "patt_lab.vmf", "mmap", "hashlib"), "scores.csv"),
 }
 
 
@@ -1057,47 +1056,9 @@ class TestOutlierHelperProcess:
         assert log.read_text() == f"{os.getpid()}\n"
         assert (work / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
 
-    def test_a_dead_helper_is_one_error_line(self, pipeline, tmp_path, capsys, monkeypatch,
-                                             forks):
-        # the helper is killed before the first step's hand-off, so start
-        # meets a broken pipe, or after it, so join meets the end of the
-        # reply pipe; waitid with WNOWAIT waits for the death and leaves the
-        # reaping to close
-        from patt_lab.ood_helper import OodHelper
-        config, out = pipeline
-        start, errs = OodHelper.start, []
-
-        def dead(self):
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
-
-        def killed_before(self, flat, rows):
-            dead(self)
-            return start(self, flat, rows)
-
-        def killed_after(self, flat, rows):
-            os.kill(self.pid, signal.SIGSTOP)
-            join = start(self, flat, rows)
-            dead(self)
-            return join
-
-        for i, kill in enumerate((killed_before, killed_after)):
-            work = tmp_path / str(i)
-            shutil.copytree(out, work)
-            (work / "model.ckpt").unlink()
-            monkeypatch.setattr(OodHelper, "start", kill)
-            rc = cli.main(["train", "--config", str(config), "--out", str(work)])
-            errs.append(capsys.readouterr().err)
-            assert rc == 1 and errs[-1].count("\n") == 1, errs[-1]
-            assert not (work / "model.ckpt").exists()
-            forks.assert_no_child_left()
-        assert len(forks) == 2
-        assert errs[0] == errs[1] == ("error: training failed: the outlier stream's helper "
-                                      "process ended\n")
-
     def test_one_cpu_train_compiles_no_helper(self, pipeline, tmp_path):
-        # the fork rule is asked before ood_helper is imported: a train that
-        # may run on one CPU loads neither it nor mmap, with the same bits
+        # the fork rule is asked before the helper's mmap is made: a train
+        # that may run on one CPU does not load mmap, and keeps its bits
         config, out = pipeline
         work = tmp_path / "out"
         shutil.copytree(out, work)
@@ -1107,7 +1068,7 @@ class TestOutlierHelperProcess:
             "os.sched_getaffinity = lambda pid: {0}\n"
             "from patt_lab import cli\n"
             f"rc = cli.main(['train', '--config', {str(config)!r}, '--out', {str(work)!r}])\n"
-            "print(rc, sorted({'patt_lab.ood_helper', 'mmap'} & set(sys.modules)))\n")
+            "print(rc, sorted({'mmap'} & set(sys.modules)))\n")
         done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.stdout == "0 []\n", (done.stdout, done.stderr)
@@ -1132,6 +1093,28 @@ class TestSplitWriterProcess:
             forked, inline = ((tmp_path / run_dir / name).read_bytes()
                               for run_dir in ("forked", "inline"))
             assert forked == inline, name
+
+    def test_forked_and_inline_runs_issue_the_same_warnings(self, tmp_path, monkeypatch, forks):
+        # a warning from each split's writer: the child's are issued in this
+        # process, in the order of an inline run
+        from patt_lab import data
+        save, caught = data.save_features_csv, []
+
+        def warning(split, path):
+            warnings.warn(f"writing {os.path.basename(path)}", UserWarning)
+            return save(split, path)
+
+        monkeypatch.setattr(data, "save_features_csv", warning)
+        config = write_config(tmp_path / "run.cfg")
+        for name in ("forked", "inline"):
+            if name == "inline":
+                monkeypatch.delattr(os, "fork")
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                run(config, tmp_path / name, "gen-data")
+            caught.append([(w.category, str(w.message), w.filename, w.lineno) for w in got])
+        assert len(forks) == 1
+        assert caught[0] == caught[1] and len(caught[0]) == 5, caught
 
     @pytest.mark.parametrize("broken", [("train.csv",), ("val_id.csv", "test_ood.csv")])
     def test_a_failed_split_is_the_inline_error_line(self, tmp_path, capsys, monkeypatch,
@@ -1168,6 +1151,47 @@ class TestSplitWriterProcess:
         assert rc == 0 and len(forks) == 1
         assert log.read_text() == f"{os.getpid()}\n"
         assert (tmp_path / "out" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command, output, line", [
+    ("gen-data", "manifest.txt", "data generation failed: the split writer process ended"),
+    ("train", "model.ckpt", "training failed: the outlier stream's helper process ended"),
+], ids=["gen-data", "train"])
+def test_a_dead_helper_is_one_error_line(pipeline, tmp_path, capsys, monkeypatch, forks,
+                                         command, output, line):
+    # the child is killed before the hand-off, so start meets a broken pipe,
+    # or after it, so join meets the end of the reply pipe; waitid with
+    # WNOWAIT waits for the death and leaves the reaping to close
+    from patt_lab.util import Beside
+    config, out = pipeline
+    start, errs = Beside.start, []
+
+    def dead(self):
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+
+    def killed_before(self, *args):
+        dead(self)
+        return start(self, *args)
+
+    def killed_after(self, *args):
+        os.kill(self.pid, signal.SIGSTOP)
+        join = start(self, *args)
+        dead(self)
+        return join
+
+    for i, kill in enumerate((killed_before, killed_after)):
+        work = tmp_path / str(i)
+        shutil.copytree(out, work)
+        (work / output).unlink()
+        monkeypatch.setattr(Beside, "start", kill)
+        rc = cli.main([command, "--config", str(config), "--out", str(work)])
+        errs.append(capsys.readouterr().err)
+        assert rc == 1 and errs[-1].count("\n") == 1, errs[-1]
+        assert not (work / output).exists()
+        forks.assert_no_child_left()
+    assert len(forks) == 2
+    assert errs[0] == errs[1] == f"error: {line}\n"
 
 
 def src_env():
@@ -1328,6 +1352,25 @@ def test_every_open_is_a_with_item(path):
     # bytes. A `with` closes each before main returns.
     lines = unmanaged_opens(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not lines, f"{path.name}: open() outside a with at lines {lines}"
+
+
+def process_calls(tree) -> list:
+    """``(name, top-level definition)`` of each use of ``os.fork``,
+    ``os.pipe`` and ``os._exit``, the name of the definition None outside
+    one."""
+    return [(node.attr, getattr(top, "name", None)) for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "os" and node.attr in ("fork", "pipe", "_exit")]
+
+
+def test_every_child_is_a_beside():
+    # util.Beside is the one forked child of the package: it alone forks
+    # and opens pipes, and its child and cli.entry alone end the process
+    found = {(path.name, *use) for path in (SRC / "patt_lab").glob("*.py")
+             for use in process_calls(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("util.py", "fork", "Beside"), ("util.py", "pipe", "Beside"),
+                     ("util.py", "_exit", "Beside"), ("cli.py", "_exit", "entry")}
 
 
 def numpy_imports(tree) -> list:

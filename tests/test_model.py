@@ -970,6 +970,19 @@ class TestCheckpoint:
                 read(path)
             assert str(got.value) == want
 
+    def test_zero_layer_size_rejected(self, tmp_path):
+        # a layer of width 0, which EncoderClassifier.init never builds,
+        # makes features that ignore the input
+        sizes, k = [16, 0, 8], 3
+        n_params = sum(math.prod(s) for s in checkpoint.param_shapes(sizes, k))
+        rows = np.column_stack([np.eye(k, 8), np.full(k, 5.0), [0.5, 0.25, 0.25]])
+        path = tmp_path / "model.ckpt"
+        checkpoint.write(path, sizes, k, np.zeros(n_params).tobytes(), rows.ravel().tolist())
+        for read in (checkpoint.read, load_checkpoint):
+            with pytest.raises(ValueError) as got:
+                read(path)
+            assert str(got.value) == f"{path}: invalid layer sizes [16, 0, 8]"
+
     def test_save_and_load_agree_at_the_norm_tolerance(self, tmp_path):
         # a mu row scaled to norm 1 + 1e-9 whose sqrt(mu @ mu), the norm the
         # estimator computes, lies within MU_NORM_TOL and whose math.hypot

@@ -2,7 +2,7 @@
 no oracle that no test uses.
 
 The first test runs all five stages in process under ``sys.setprofile`` over
-six small configs, the training stage's forked helper process included, and
+six small configs, the forked ``util.Beside`` children included, and
 fails when a function or method defined in ``src/patt_lab`` is never entered,
 unless it is on the short, commented allowlist below. The second fails when a
 public top-level name of ``tests/oracles.py`` is referenced by no
@@ -76,8 +76,9 @@ def package_functions() -> dict:
 
 
 def test_every_package_function_is_entered_by_a_stage(tmp_path, two_cpus):
-    # train forks a helper process for the outlier stream, which inherits
-    # this hook; each process appends the code it enters first to one log
+    # gen-data's writer and train's outlier helper are forked children,
+    # which inherit this hook; each process appends the code it enters first
+    # to one log
     log = os.open(tmp_path / "entered.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     seen = set()
 
