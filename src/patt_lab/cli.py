@@ -14,13 +14,12 @@ from the single ``seed`` key, so repeating any subcommand reproduces its
 output files byte for byte. Every input file is read through ``_read``,
 which words a missing or refused file and names the stage that writes it.
 
-Loading the config and the ``report`` stage import no numpy; ``main``
-imports ``stages``, and numpy with it, only for the other four stages.
+The config check and the ``report`` stage load neither numpy nor argparse;
+``main`` imports ``stages``, and numpy with it, only for the other four stages.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -30,6 +29,10 @@ from .config import TAIL_FRACTION, SynthConfig, TrainConfig, check_fields, confi
 __all__ = ["main", "entry"]
 
 HIST_BINS = 30
+
+_COMMANDS = ("gen-data", "train", "calibrate", "eval", "report")
+USAGE = (f"usage: patt-lab {{{','.join(_COMMANDS)}}} --config FILE [--out DIR] [--seed N]\n"
+         "--out and --seed override the config's out_dir and seed; --opt=VALUE works too\n")
 
 # config keys that scale a training step's losses, gradients or update
 _STEP_KEYS = ("learning_rate", "sgd_momentum", "tau", "epsilon", "alpha", "beta", "oe_gamma")
@@ -181,26 +184,50 @@ def cmd_report(out_dir) -> None:
             fh.write(f"{group},{'' if row[col] is None else repr(row[col])}\n")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="patt-lab",
-        description="Long-tailed out-of-distribution detection experiments.")
-    parser.add_argument("command", choices=["calibrate", "eval", "gen-data", "report", "train"])
-    parser.add_argument("--config", required=True, help="key = value config file")
-    parser.add_argument("--out", default=None, help="output directory (overrides out_dir)")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
-    args = parser.parse_args(argv)
-
+def _parse_args(argv):
+    """The command, config, out and seed of ``argv``; a usage error raises ``CliError``."""
+    words, opts, args = [], dict.fromkeys(("--config", "--out", "--seed")), iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if not arg.startswith("-"):
+            words.append(arg)
+        elif name not in opts:  # an abbreviation too
+            raise CliError(f"unknown option {name!r}")
+        elif not eq and (value := next(args, None)) is None:
+            raise CliError(f"{name} needs a value")
+        else:
+            opts[name] = value  # the last of a repeated option
+    if len(words) != 1 or words[0] not in _COMMANDS:
+        raise CliError(f"want one command of {', '.join(_COMMANDS)}, got {words or 'none'}")
+    if opts["--config"] is None:
+        raise CliError("--config FILE is required")
+    seed = opts["--seed"]
     try:
-        if args.out == "":
+        return words[0], opts["--config"], opts["--out"], None if seed is None else int(seed)
+    except ValueError:
+        raise CliError(f"--seed wants an integer, got {seed!r}") from None
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
+    try:
+        command, config, out, seed = _parse_args(argv)
+    except CliError as exc:
+        print(f"error: {exc} (see patt-lab --help)", file=sys.stderr)
+        return 2
+    try:
+        if out == "":
             raise CliError("--out must be a path, got ''")
-        cfg = load_config(args.config, seed=args.seed)
-        out_dir = args.out if args.out is not None else cfg["out_dir"]
-        if args.command == "report":
+        cfg = load_config(config, seed=seed)
+        out_dir = out if out is not None else cfg["out_dir"]
+        if command == "report":
             cmd_report(out_dir)
         else:
             from .stages import run
-            run(args.command, cfg, out_dir)
+            run(command, cfg, out_dir)
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

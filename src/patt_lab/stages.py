@@ -12,20 +12,23 @@ import numpy as np
 from .cli import _STEP_KEYS, CliError, _build, _read
 
 
-def _load_train(path, n_classes):
+# the splits that the config sizes at one row or more, so one of none is damaged
+_SIZED = {"val_id.csv": "validation", "test_id.csv": "test", "test_ood.csv": "OOD test"}
+
+
+def _load_rows(path, n_classes, name):
     # train.csv must hold rows of every class that n_classes declares
     from . import data
-    train_id = data.load_features_csv(path, n_classes)
-    empty = np.flatnonzero(train_id.class_counts == 0)
-    if empty.size:
+    rows = data.load_features_csv(path, n_classes)
+    if name == "train.csv" and (empty := np.flatnonzero(rows.class_counts == 0)).size:
         raise ValueError(f"class {empty[0]} has no rows (n_classes = {n_classes})")
-    return train_id
+    if name in _SIZED and not rows.labels.size:
+        raise ValueError(f"the {_SIZED[name]} split has no rows")
+    return rows
 
 
 def _load_split(out_dir, name, cfg):
-    from . import data
-    read = _load_train if name == "train.csv" else data.load_features_csv
-    return _read(os.path.join(out_dir, name), "dataset file", read, cfg["n_classes"])
+    return _read(os.path.join(out_dir, name), "dataset file", _load_rows, cfg["n_classes"], name)
 
 
 def cmd_gen_data(cfg, out_dir) -> None:

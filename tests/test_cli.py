@@ -594,7 +594,10 @@ class TestCliContract:
         rc = cli.main(["train", "--config", str(config), "--out", str(bad)])
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
-        assert err == f"error: training failed: {words}\n", err
+        # a split of no rows is refused by the reader, which names the file
+        fails = ("training failed" if edit == "outlier-row"
+                 else f"bad dataset file {bad / 'val_id.csv'}")
+        assert err == f"error: {fails}: {words}\n", err
         assert steps == []
         assert not (bad / "model.ckpt").exists() and not (bad / "history.csv").exists()
 
@@ -682,6 +685,28 @@ class TestCliContract:
         assert_one_error_line(rc, capsys)
         assert (bad / "scores.csv").read_bytes() == (out / "scores.csv").read_bytes()
 
+    @pytest.mark.parametrize("command, name, split", [
+        ("train", "val_id.csv", "validation"),
+        ("eval", "test_id.csv", "test"),
+        ("eval", "test_ood.csv", "OOD test"),
+    ])
+    def test_header_only_sized_split_names_its_file(self, pipeline, tmp_path, capsys, command,
+                                                    name, split):
+        # the config sizes these splits at one row or more; a header-only one
+        # used to pass the reader and fail in the stage without naming the file
+        config, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        outputs = {"train": ("model.ckpt", "history.csv"), "eval": ("scores.csv", "report.csv")}
+        for output in outputs[command]:
+            (bad / output).unlink()
+        (bad / name).write_text((out / name).read_text().splitlines()[0] + "\n")
+        rc = cli.main([command, "--config", str(config), "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == (f"error: bad dataset file {bad / name}: "
+                                   f"the {split} split has no rows\n"), err
+        assert not any((bad / output).exists() for output in outputs[command])
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_score_in_report(self, pipeline, tmp_path, capsys, value):
         # a NaN score used to drop out of hist.csv with exit 0
@@ -744,13 +769,14 @@ def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
     for name in ("hist.csv", "acc_table.csv"):
         (work / name).unlink()
     bad = write_config(tmp_path / "bad.cfg", tau="0.0")
-    # no numpy, neither ``dataclasses`` nor the ``inspect`` it imports, and
-    # no checkpoint reader: report reads only what eval wrote
+    # no numpy, neither ``dataclasses`` nor the ``inspect`` it imports, no
+    # checkpoint reader (report reads only what eval wrote), and no argparse
+    # nor the ``gettext`` and ``locale`` that it loads
     code = (
         "import sys\n"
         "def check(when):\n"
-        "    loaded = sorted({'numpy', 'dataclasses', 'inspect', 'patt_lab.checkpoint'}\n"
-        "                    & set(sys.modules))\n"
+        "    loaded = sorted({'numpy', 'dataclasses', 'inspect', 'patt_lab.checkpoint',\n"
+        "                     'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
         "    assert not loaded, (when, loaded)\n"
         "from patt_lab import cli\n"
         "check('import')\n"
@@ -786,7 +812,7 @@ def test_report_words_a_bad_report_file_without_numpy(pipeline, tmp_path):
 
 
 # modules a stage must not load, and the output file that shows it ran; no
-# stage loads ``dataclasses``
+# stage loads ``dataclasses``, nor ``argparse`` and the modules it loads
 NOT_LOADED = {
     "gen-data": (("patt_lab.model", "patt_lab.losses", "patt_lab.calibration",
                   "patt_lab.metrics", "patt_lab.vmf", "patt_lab.checkpoint",
@@ -805,7 +831,7 @@ def test_stage_loads_only_the_modules_it_runs(pipeline, tmp_path, command):
     if command != "gen-data":
         shutil.copytree(out, work)
     unwanted, output = NOT_LOADED[command]
-    unwanted += ("dataclasses",)
+    unwanted += ("dataclasses", "argparse", "gettext", "locale")
     code = (
         "import sys\n"
         "from patt_lab import cli\n"
@@ -1281,6 +1307,91 @@ def test_module_entry_point_words_a_stage_error(tmp_path):
     assert done.returncode == 1
     assert done.stderr.startswith("error: missing checkpoint") and done.stderr.count("\n") == 1, \
         done.stderr
+
+
+def command_line(how, argv):
+    """``(exit code, stdout, stderr)`` of the command line ``argv``, run by
+    ``cli.main`` in this process or by ``python -m patt_lab.cli``, whose
+    ``entry`` parses ``sys.argv``."""
+    if how == "main":
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        return rc, out.getvalue(), err.getvalue()
+    done = subprocess.run([sys.executable, "-m", "patt_lab.cli", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestCommandLine:
+    """The grammar ``COMMAND --config FILE [--out DIR] [--seed N]``: options
+    in any order, spaced or joined by ``=``; a usage error is exit 2 and one
+    ``error:`` line."""
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_the_usage_without_numpy(self, flag):
+        code = ("import sys\n"
+                "from patt_lab import cli\n"
+                f"rc = cli.main(['gen-data', {flag!r}])\n"
+                "print(rc, sorted({'numpy', 'argparse'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.stdout, done.stderr) == (cli.USAGE + "0 []\n", "")
+        assert cli.USAGE.startswith("usage: patt-lab {gen-data,train,calibrate,eval,report} "
+                                    "--config FILE [--out DIR] [--seed N]\n")
+        # the module entry point, with the interpreter listing what it imports
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "patt_lab.cli", flag],
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, cli.USAGE), done.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert "patt_lab.cli" in imported and not imported & {"numpy", "argparse"}
+
+    @pytest.mark.parametrize("how", ["main", "module"])
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--config", "{cfg}", "--out", "{out}"],
+        ["gen", "--config", "{cfg}", "--out", "{out}"],
+        ["gen-data", "train", "--config", "{cfg}", "--out", "{out}"],
+        ["gen-data", "--conf", "{cfg}", "--out", "{out}"],
+        ["gen-data", "--config", "{cfg}", "--out", "{out}", "--verbose"],
+        ["gen-data", "-c", "{cfg}", "--out", "{out}"],
+        ["gen-data", "--out", "{out}", "--config"],
+        ["gen-data", "--config", "{cfg}", "--out", "{out}", "--seed", "1.5"],
+        ["gen-data", "--config", "{cfg}", "--out", "{out}", "--seed="],
+        ["gen-data", "--out", "{out}"],
+    ], ids=["nothing", "no-command", "unknown-command", "two-commands", "abbreviated",
+            "unknown-option", "short-option", "no-value", "float-seed", "empty-seed",
+            "no-config"])
+    def test_usage_error_is_exit_2_and_one_line(self, tmp_path, monkeypatch, how, argv):
+        config = write_config(tmp_path / "run.cfg")
+        monkeypatch.chdir(tmp_path)  # the config's out_dir is relative
+        argv = [arg.format(cfg=config, out=tmp_path / "out") for arg in argv]
+        rc, out, err = command_line(how, argv)
+        assert (rc, out) == (2, ""), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and err.endswith(" (see patt-lab --help)\n"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("how", ["main", "module"])
+    def test_option_forms_and_order_give_the_same_outputs(self, tmp_path, how):
+        config = write_config(tmp_path / "run.cfg")
+        forms = {
+            "spaced": ["gen-data", "--config", "{cfg}", "--out", "{out}", "--seed", "3"],
+            "joined": ["gen-data", "--config={cfg}", "--out={out}", "--seed=3"],
+            "options-first": ["--seed", "3", "--out", "{out}", "--config", "{cfg}", "gen-data"],
+            "repeated": ["gen-data", "--seed", "1", "--config", "{cfg}", "--seed", "3",
+                         "--out", "{cfg}", "--out", "{out}"],
+        }
+        for form, argv in forms.items():
+            argv = [arg.format(cfg=config, out=tmp_path / form) for arg in argv]
+            assert command_line(how, argv) == (0, "", ""), form
+        reference = tmp_path / "reference"
+        run(write_config(tmp_path / "seed3.cfg", seed=3), reference, "gen-data")
+        files = sorted(p.name for p in reference.iterdir())
+        for form in forms:
+            assert sorted(p.name for p in (tmp_path / form).iterdir()) == files, form
+            for name in files:
+                assert (tmp_path / form / name).read_bytes() == (reference / name).read_bytes()
 
 
 class FlushedText(io.StringIO):

@@ -640,6 +640,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="at least one"):
             train(TrainConfig(epochs=1), bad, None, bad)
 
+    def test_empty_validation_split_rejected(self):
+        # the CLI's reader refuses a header-only val_id.csv first, so only a
+        # library call reaches this check
+        rng = np.random.default_rng(0)
+        two = LabeledSet(inputs=rng.normal(size=(4, 3)), labels=np.array([0, 1, 0, 1]),
+                         n_classes=2)
+        empty = LabeledSet(inputs=np.empty((0, 3)), labels=np.empty(0, dtype=int), n_classes=2)
+        with pytest.raises(ValueError, match="the validation split has no rows"):
+            train(TrainConfig(epochs=1), two, None, empty)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_tail_kappa_stays_near_a_full_pass(self, seed):
         # The CLI defaults on data seeds 0-2. A tail class seen once in a
