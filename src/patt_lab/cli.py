@@ -145,10 +145,10 @@ def _read(path, what, read, *args):
 def _score_histogram(path):
     """The score histogram of a ``scores.csv``; ``ValueError`` says what is
     wrong with the file."""
-    from .report import histogram
+    from .report import SCORES_HEADER, histogram
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "split,row,label,pred,score":
+    if not lines or lines[0] != SCORES_HEADER:
         raise ValueError("unexpected header")
     scores = {"id": [], "ood": []}
     for lineno, line in enumerate(lines[1:], start=2):

@@ -1,4 +1,5 @@
-"""Encoder/classifier model, exact manual backprop, and the training loop.
+"""Encoder/classifier model, exact manual backprop, the training loop, and
+``model.ckpt``, its one format: ``save_checkpoint`` and ``load_checkpoint``.
 
 The encoder is a small tanh MLP whose output is projected onto the unit
 sphere; a linear head maps features to class logits. Gradients are computed
@@ -21,11 +22,11 @@ either zero to it gives the same value.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
-from . import checkpoint
-from .config import METHODS, TrainConfig
+from .config import METHODS, MU_NORM_TOL, PRIOR_SUM_TOL, TrainConfig
 from .util import Beside, derive_seed, may_fork, norms_along
 
 __all__ = [
@@ -37,9 +38,20 @@ __all__ = [
     "batch_loss_and_grads",
     "train_step",
     "train",
+    "param_shapes",
+    "check_stats",
     "save_checkpoint",
     "load_checkpoint",
 ]
+
+MAGIC = b"PATT1"  # the first bytes of a model.ckpt, whose layout save_checkpoint gives
+
+
+def param_shapes(sizes, n_classes: int) -> list:
+    """Shapes of the model's float64 blocks in file order: per layer W
+    (fan_out, fan_in) then its bias, then the classifier W and bias."""
+    return [s for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+            for s in ((fan_out, fan_in), (fan_out,))] + [(n_classes, sizes[-1]), (n_classes,)]
 
 
 def _views(flat: np.ndarray, shapes) -> list:
@@ -56,7 +68,7 @@ def _views(flat: np.ndarray, shapes) -> list:
 
 class EncoderClassifier:
     """MLP encoder weights plus the linear classification head, held in one
-    float64 vector ``flat`` laid out as ``shapes`` (``checkpoint.param_shapes``).
+    float64 vector ``flat`` laid out as ``shapes`` (``param_shapes``).
 
     ``params`` are the views into ``flat`` in that order, and ``weights[i]``
     (shape (fan_out, fan_in)), ``biases[i]``, ``clf_w`` and ``clf_b`` are
@@ -66,7 +78,7 @@ class EncoderClassifier:
     """
 
     def __init__(self, flat: np.ndarray, layer_sizes, n_classes: int):
-        shapes = checkpoint.param_shapes(layer_sizes, n_classes)
+        shapes = param_shapes(layer_sizes, n_classes)
         params = tuple(_views(flat, shapes))
         vars(self).update(flat=flat, layer_sizes=list(layer_sizes), n_classes=n_classes,
                           shapes=shapes, params=params, weights=params[0:-2:2],
@@ -85,7 +97,7 @@ class EncoderClassifier:
         if any(s < 1 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
         n_classes = int(n_classes)
-        shapes = checkpoint.param_shapes(sizes, n_classes)
+        shapes = param_shapes(sizes, n_classes)
         model = cls(np.empty(sum(math.prod(s) for s in shapes)), sizes, n_classes)
         rng = np.random.default_rng(int(seed))
         for w, b in zip(model.params[0::2], model.params[1::2]):
@@ -452,32 +464,80 @@ def train(config: TrainConfig, train_id, train_ood, val_id):
     return state.model, (state.mus, state.kappas, priors), history
 
 
+def check_stats(k: int, dim: int, stats) -> None:
+    """Check the ``k`` class rows of ``stats``, a flat sequence of ``dim + 2``
+    Python floats per class (mu, kappa, prior): dim >= 2, finite
+    non-negative kappa, unit-norm mu and positive priors that sum to 1.
+    Raises ``ValueError`` naming the first failed check and its class."""
+    if dim < 2:
+        raise ValueError(f"feature dim must be >= 2, got {dim}")
+    # each test is written so that NaN fails it
+    for c in range(k):
+        row = stats[c * (dim + 2) : (c + 1) * (dim + 2)]
+        kappa, prior = row[dim], row[dim + 1]
+        if not (math.isfinite(kappa) and kappa >= 0.0):
+            raise ValueError(f"kappa must be finite and non-negative, got kappa[{c}] = {kappa!r}")
+        norm = math.hypot(*row[:dim])
+        if not abs(norm - 1.0) <= MU_NORM_TOL:
+            raise ValueError(f"mu must be unit norm, got ||mu[{c}]|| = {norm!r}")
+        if not prior > 0.0:
+            raise ValueError(f"priors must be strictly positive, got prior[{c}] = {prior!r}")
+    total = sum(stats[dim + 1 :: dim + 2])
+    if not abs(total - 1.0) <= PRIOR_SUM_TOL:
+        raise ValueError(f"priors must sum to 1, got {total!r}")
+
+
 def save_checkpoint(path, model: EncoderClassifier, stats) -> None:
-    """Write ``model`` and the mixture ``stats`` = ``(mus, kappas, priors)``,
-    whose shapes must match the model's head, in the layout of
-    ``checkpoint``, which checks the class rows: ``model.flat``, then one
-    (mu, kappa, prior) row per class."""
+    """Write ``model`` and the mixture ``stats`` = ``(mus, kappas, priors)``
+    once their shapes match the model's head and ``check_stats`` passes the
+    rows. Little-endian: ``MAGIC``, uint32 L, the L layer sizes and K as
+    uint32, then float64 ``model.flat`` and one (mu, kappa, prior) row per class."""
     mus, kappas, priors = (np.asarray(a, dtype=np.float64) for a in stats)
-    k, dim = model.n_classes, model.feature_dim
+    k, dim, sizes = model.n_classes, model.feature_dim, model.layer_sizes
     if mus.shape != (k, dim):
         raise ValueError(f"mus must have the head's shape {(k, dim)}, got {mus.shape}")
     if kappas.shape != (k,) or priors.shape != (k,):
         raise ValueError(f"kappas {kappas.shape} and priors {priors.shape} "
                          f"must both have shape ({k},)")
-    params = np.ascontiguousarray(model.flat, dtype="<f8").tobytes()
-    checkpoint.write(path, model.layer_sizes, k, params,
-                     np.column_stack([mus, kappas, priors]).ravel().tolist())
+    rows = np.column_stack([mus, kappas, priors])
+    check_stats(k, dim, rows.ravel().tolist())
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack(f"<I{len(sizes)}II", len(sizes), *sizes, k)
+                 + model.flat.astype("<f8").tobytes() + rows.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Inverse of ``save_checkpoint``, checked by ``checkpoint.read``;
-    returns ``(model, (mus, kappas, priors))``. The arrays are writable views
-    into one copy of the checked payload, whose first values are
-    ``model.flat``."""
-    sizes, k, payload = checkpoint.read(path)
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    """Inverse of ``save_checkpoint``: ``(model, (mus, kappas, priors))``,
+    writable views into one decoded copy of the payload. A bad magic, layer
+    count, layer size or length, a failed ``check_stats`` or a non-finite
+    parameter raises ``ValueError``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"{path}: not a checkpoint (bad magic)")
+    if len(blob) < len(MAGIC) + 4:
+        raise ValueError(f"{path}: truncated checkpoint")
+    (n_sizes,) = struct.unpack_from("<I", blob, len(MAGIC))
+    if n_sizes < 2:
+        raise ValueError(f"{path}: invalid layer count {n_sizes}")
+    off = len(MAGIC) + 4 * (n_sizes + 2)
+    if off > len(blob):
+        raise ValueError(f"{path}: truncated checkpoint")
+    *sizes, k = struct.unpack_from(f"<{n_sizes + 1}I", blob, len(MAGIC) + 4)
+    if min(sizes) < 1:
+        raise ValueError(f"{path}: invalid layer sizes {sizes}")
     dim = sizes[-1]
-    n = values.size - k * (dim + 2)
+    n = sum(math.prod(s) for s in param_shapes(sizes, k))
+    end = off + 8 * (n + k * (dim + 2))
+    if end > len(blob):
+        raise ValueError(f"{path}: truncated checkpoint")
+    if end < len(blob):
+        raise ValueError(f"{path}: trailing bytes in checkpoint")
+    values = np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
+    # the class rows as Python floats: the checks and words of the save
+    check_stats(k, dim, values[n:].tolist())
+    if not np.isfinite(values[:n]).all():
+        raise ValueError(f"{path}: non-finite parameter in checkpoint")
     model = EncoderClassifier(values[:n], sizes, k)
     stats = values[n:].reshape(k, dim + 2)
     return model, (stats[:, :dim], stats[:, dim], stats[:, dim + 1])

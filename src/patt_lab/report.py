@@ -9,6 +9,8 @@ from bisect import bisect_left, bisect_right
 
 from .config import TAIL_FRACTION
 
+# the header line of scores.csv, which eval writes and report bins
+SCORES_HEADER = "split,row,label,pred,score"
 REPORT_COLUMNS = ("auroc", "aupr_in", "aupr_out", "fpr95", "acc", "acc_head", "acc_tail")
 
 

@@ -16,10 +16,13 @@ from .cli import _STEP_KEYS, CliError, _build, _read
 _SIZED = {"val_id.csv": "validation", "test_id.csv": "test", "test_ood.csv": "OOD test"}
 
 
-def _load_rows(path, n_classes, name):
-    # train.csv must hold rows of every class that n_classes declares
+def _load_rows(path, n_classes, name, width):
+    # train.csv must hold rows of every class that n_classes declares, and a
+    # split read against a width (None for any) must have that many columns
     from . import data
     rows = data.load_features_csv(path, n_classes)
+    if width is not None and rows.dim != width:
+        raise ValueError(f"{rows.dim} feature columns, want {width}")
     if name == "train.csv" and (empty := np.flatnonzero(rows.class_counts == 0)).size:
         raise ValueError(f"class {empty[0]} has no rows (n_classes = {n_classes})")
     if name in _SIZED and not rows.labels.size:
@@ -27,8 +30,9 @@ def _load_rows(path, n_classes, name):
     return rows
 
 
-def _load_split(out_dir, name, cfg):
-    return _read(os.path.join(out_dir, name), "dataset file", _load_rows, cfg["n_classes"], name)
+def _load_split(out_dir, name, cfg, width=None):
+    return _read(os.path.join(out_dir, name), "dataset file", _load_rows, cfg["n_classes"], name,
+                 width)
 
 
 def cmd_gen_data(cfg, out_dir) -> None:
@@ -66,8 +70,8 @@ def cmd_train(cfg, out_dir) -> None:
     # the splits are read, keeps its compile off the stage's peak RSS
     from . import model, vmf  # noqa: F401
     train_id = _load_split(out_dir, "train.csv", cfg)
-    train_ood = _load_split(out_dir, "train_ood.csv", cfg)
-    val_id = _load_split(out_dir, "val_id.csv", cfg)
+    train_ood = _load_split(out_dir, "train_ood.csv", cfg, train_id.dim)
+    val_id = _load_split(out_dir, "val_id.csv", cfg, train_id.dim)
     try:
         net, stats, history = model.train(_build(model.TrainConfig, cfg), train_id, train_ood,
                                         val_id)
@@ -96,8 +100,8 @@ def cmd_calibrate(cfg, out_dir) -> None:
     from . import calibration
     from .util import derive_seed
     net, priors = _load_model(out_dir, cfg)
-    train_id = _load_split(out_dir, "train.csv", cfg)
-    train_ood = _load_split(out_dir, "train_ood.csv", cfg)
+    train_id = _load_split(out_dir, "train.csv", cfg, net.input_dim)
+    train_ood = _load_split(out_dir, "train_ood.csv", cfg, net.input_dim)
     per_class = cfg["per_class"] or int(train_id.class_counts.min())
     raw = calibration.fit_attention(net, train_id, train_ood, priors, per_class,
                                     derive_seed(cfg["seed"], "calibration-subset"))
@@ -124,8 +128,8 @@ def cmd_eval(cfg, out_dir) -> None:
     write the metric report, its head/tail split ranked by the checkpoint's priors."""
     from . import calibration, metrics, report
     net, priors = _load_model(out_dir, cfg)
-    test_id = _load_split(out_dir, "test_id.csv", cfg)
-    test_ood = _load_split(out_dir, "test_ood.csv", cfg)
+    test_id = _load_split(out_dir, "test_id.csv", cfg, net.input_dim)
+    test_ood = _load_split(out_dir, "test_ood.csv", cfg, net.input_dim)
     weight = _resolve_attention(cfg, out_dir, net.feature_dim)
     pred_id, id_scores = calibration.predict_and_score(net, test_id.inputs, weight, cfg["score"])
     pred_ood, ood_scores = calibration.predict_and_score(net, test_ood.inputs, weight,
@@ -133,7 +137,7 @@ def cmd_eval(cfg, out_dir) -> None:
     row = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
                                priors, tail_fraction=cfg["tail_fraction"])
     with open(os.path.join(out_dir, "scores.csv"), "w", encoding="ascii") as fh:
-        fh.write("split,row,label,pred,score\n")
+        fh.write(report.SCORES_HEADER + "\n")
         for split, labels, pred, scores in (("id", test_id.labels, pred_id, id_scores),
                                             ("ood", test_ood.labels, pred_ood, ood_scores)):
             rows = zip(labels.tolist(), pred.tolist(), scores.tolist())

@@ -36,11 +36,11 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from patt_lab import checkpoint, losses, vmf
+from patt_lab import losses, vmf
 from patt_lab.calibration import channel_importance
 from patt_lab.config import MU_NORM_TOL
 from patt_lab.data import _PLACEMENT_TRIES
-from patt_lab.model import EncoderClassifier, classifier_logits
+from patt_lab.model import EncoderClassifier, check_stats, classifier_logits
 from patt_lab.util import logsumexp_softmax, norms_along
 
 mp.mp.dps = 50
@@ -293,9 +293,9 @@ class Mixture(namedtuple("Mixture", "mus kappas priors")):
 
 def checked_mixture(mus, kappas, priors):
     """The ``Mixture`` of the arrays as float64, once their class rows pass
-    ``checkpoint.check_stats``, the check a checkpoint runs."""
+    ``model.check_stats``, the check a checkpoint runs."""
     mus, kappas, priors = (np.asarray(a, dtype=np.float64) for a in (mus, kappas, priors))
-    checkpoint.check_stats(*mus.shape, np.column_stack([mus, kappas, priors]).ravel().tolist())
+    check_stats(*mus.shape, np.column_stack([mus, kappas, priors]).ravel().tolist())
     return Mixture(mus, kappas, priors)
 
 

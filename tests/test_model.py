@@ -9,16 +9,15 @@ import warnings
 import numpy as np
 import pytest
 
-from patt_lab import checkpoint
 from patt_lab import losses as losses_module
 from patt_lab import model as model_module
 from patt_lab import vmf as vmf_module
 from patt_lab.config import MU_NORM_TOL, TAIL_FRACTION
 from patt_lab.data import LabeledSet, SynthConfig, gen_longtail
-from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState,
+from patt_lab.model import (MAGIC, EncoderClassifier, TrainConfig, TrainState,
                             batch_loss_and_grads, classifier_logits,
-                            encoder_forward, load_checkpoint, save_checkpoint,
-                            train, train_step)
+                            encoder_forward, load_checkpoint, param_shapes,
+                            save_checkpoint, train, train_step)
 from patt_lab.util import derive_seed
 
 import oracles
@@ -479,8 +478,8 @@ class TestFlatUpdate:
 
 def assert_views_in_checkpoint_order(model):
     # each parameter is the C-contiguous stretch of model.flat at its offset
-    # in the checkpoint.param_shapes order, and together they cover it
-    shapes = checkpoint.param_shapes(model.layer_sizes, model.n_classes)
+    # in the param_shapes order, and together they cover it
+    shapes = param_shapes(model.layer_sizes, model.n_classes)
     base = model.flat.__array_interface__["data"][0]
     offset = 0
     for param, shape in zip(model.params, shapes, strict=True):
@@ -949,9 +948,8 @@ class TestCheckpoint:
         ("weight", float("nan"), "{path}: non-finite parameter in checkpoint"),
     ])
     def test_reader_words_each_failure(self, tmp_path, where, value, message):
-        # checkpoint.check_stats words the failures of the class rows, naming
-        # the class; the others keep the words load_checkpoint gave before
-        # the reader moved to its own module
+        # model.check_stats words the failures of the class rows, naming
+        # the class; the header, length and parameter checks name the file
         model = make_model()
         mix = (np.eye(3, 4), np.array([5.0, 10.0, 20.0]), np.array([0.5, 0.25, 0.25]))
         path = tmp_path / "model.ckpt"
@@ -974,24 +972,23 @@ class TestCheckpoint:
                 at = len(blob) - 8 * 3 * 6 + 8 * (row * 6 + col)
             blob = blob[:at] + struct.pack("<d", value) + blob[at + 8:]
         path.write_bytes(blob)
-        want = message.format(path=path)
-        for read in (checkpoint.read, load_checkpoint):
-            with pytest.raises(ValueError) as got:
-                read(path)
-            assert str(got.value) == want
+        with pytest.raises(ValueError) as got:
+            load_checkpoint(path)
+        assert str(got.value) == message.format(path=path)
 
     def test_zero_layer_size_rejected(self, tmp_path):
         # a layer of width 0, which EncoderClassifier.init never builds,
         # makes features that ignore the input
         sizes, k = [16, 0, 8], 3
-        n_params = sum(math.prod(s) for s in checkpoint.param_shapes(sizes, k))
+        n_params = sum(math.prod(s) for s in param_shapes(sizes, k))
         rows = np.column_stack([np.eye(k, 8), np.full(k, 5.0), [0.5, 0.25, 0.25]])
         path = tmp_path / "model.ckpt"
-        checkpoint.write(path, sizes, k, np.zeros(n_params).tobytes(), rows.ravel().tolist())
-        for read in (checkpoint.read, load_checkpoint):
-            with pytest.raises(ValueError) as got:
-                read(path)
-            assert str(got.value) == f"{path}: invalid layer sizes [16, 0, 8]"
+        path.write_bytes(MAGIC + struct.pack("<I3II", 3, *sizes, k)
+                         + struct.pack(f"<{n_params + rows.size}d", *[0.0] * n_params,
+                                       *rows.ravel().tolist()))
+        with pytest.raises(ValueError) as got:
+            load_checkpoint(path)
+        assert str(got.value) == f"{path}: invalid layer sizes [16, 0, 8]"
 
     def test_save_and_load_agree_at_the_norm_tolerance(self, tmp_path):
         # a mu row scaled to norm 1 + 1e-9 whose sqrt(mu @ mu), the norm the
@@ -1029,11 +1026,26 @@ class TestCheckpoint:
         mix = make_mixture(np.random.default_rng(5), model.n_classes, model.feature_dim)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, mix)
-        sizes, n_classes, payload = checkpoint.read(path)
-        assert sizes == model.layer_sizes and n_classes == 3
-        assert checkpoint.param_shapes(sizes, 3) == [p.shape for p in model.params]
-        assert payload == path.read_bytes()[-len(payload):]
-        assert len(payload) == 8 * sum(p.size for p in model.params) + 8 * 3 * 6
+        # the documented layout, little-endian: the magic, uint32 L, L uint32
+        # sizes and uint32 K; then per layer W and bias, the head's W and
+        # bias, and one (mu, kappa, prior) row of float64 per class
+        blob = path.read_bytes()
+        assert MAGIC == b"PATT1" and blob[:5] == MAGIC
+        assert struct.unpack_from("<I", blob, 5) == (4,)
+        *sizes, n_classes = struct.unpack_from("<5I", blob, 9)
+        assert sizes == [6, 8, 5, 4] == model.layer_sizes and n_classes == 3
+        assert param_shapes(sizes, 3) == [(8, 6), (8,), (5, 8), (5,), (4, 5), (4,), (3, 4), (3,)]
+        assert param_shapes(sizes, 3) == [p.shape for p in model.params]
+        n = sum(p.size for p in model.params)
+        values = struct.unpack(f"<{n + 3 * 6}d", blob[29:])
+        offset = 0
+        for param in model.params:
+            assert list(values[offset:offset + param.size]) == param.ravel().tolist()
+            offset += param.size
+        rows = [values[n + 6 * c : n + 6 * (c + 1)] for c in range(3)]
+        assert [list(r[:4]) for r in rows] == np.asarray(mix.mus).tolist()
+        assert [r[4] for r in rows] == np.asarray(mix.kappas).tolist()
+        assert [r[5] for r in rows] == np.asarray(mix.priors).tolist()
 
     def test_loaded_arrays_are_writable_copies(self, tmp_path):
         # one np.frombuffer over the checked payload, copied: the arrays

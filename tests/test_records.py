@@ -38,7 +38,7 @@ HALF = np.array([0.5, 0.5])
 ])
 def test_vmf_mixture_messages(args, message, tmp_path):
     # save_checkpoint matches the arrays' shapes against the model's head,
-    # then checkpoint.write checks the class rows before it opens the file
+    # then check_stats checks the class rows before it opens the file
     path = tmp_path / "model.ckpt"
     with pytest.raises(ValueError, match=re.escape(message)):
         save_checkpoint(path, EncoderClassifier.init(3, (4,), 2, 2, seed=0), args)

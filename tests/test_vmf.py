@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab import checkpoint, losses, vmf
+from patt_lab import losses, vmf
 from patt_lab.config import MU_NORM_TOL
 from patt_lab.data import sample_vmf
-from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState, encoder_forward,
-                            load_checkpoint, save_checkpoint, train_step)
+from patt_lab.model import (EncoderClassifier, TrainConfig, TrainState, check_stats,
+                            encoder_forward, load_checkpoint, save_checkpoint, train_step)
 from patt_lab.vmf import (KAPPA_MAX, _log_norm_and_ratio, bessel_ratio, estimate_class_stats,
                           log_bessel_i, log_norm_const)
 
@@ -781,7 +781,7 @@ class TestVmfParamsValidation:
             sample_one(v, 1.0)
 
         def stored(v):
-            checkpoint.check_stats(1, v.size, v.tolist() + [1.0, 1.0])
+            check_stats(1, v.size, v.tolist() + [1.0, 1.0])
 
         assert not accepts(sampled, mu) and not accepts(stored, mu)
         rng = np.random.default_rng(24)
@@ -803,12 +803,12 @@ HEAD = EncoderClassifier.init(2, (3,), 4, 3, seed=0)
 
 
 def assert_checkpoint_rejects(tmp_path, arrays, match):
-    # checkpoint.check_stats refuses the class rows; save_checkpoint refuses
+    # model.check_stats refuses the class rows; save_checkpoint refuses
     # the arrays with the same words before it writes a byte, and so does
     # load_checkpoint once the rows replace those of a written file
     rows = np.column_stack([np.asarray(a, dtype="<f8") for a in arrays])
     with pytest.raises(ValueError, match=match) as want:
-        checkpoint.check_stats(HEAD.n_classes, HEAD.feature_dim, rows.ravel().tolist())
+        check_stats(HEAD.n_classes, HEAD.feature_dim, rows.ravel().tolist())
     saved = tmp_path / "saved.ckpt"
     with pytest.raises(ValueError) as got:
         save_checkpoint(saved, HEAD, arrays)
@@ -822,13 +822,13 @@ def assert_checkpoint_rejects(tmp_path, arrays, match):
 
 
 class TestArrayMixture:
-    """``checkpoint.check_stats``, the one check of the class rows, rejects
+    """``model.check_stats``, the one check of the class rows, rejects
     everything the list of validated components rejected. Training carries
     the mixture as plain arrays and checks it where it crosses a file."""
 
     def test_accepts_valid_arrays(self, tmp_path):
         mus, kappas, priors = valid_arrays()
-        checkpoint.check_stats(3, 4, np.column_stack([mus, kappas, priors]).ravel().tolist())
+        check_stats(3, 4, np.column_stack([mus, kappas, priors]).ravel().tolist())
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, HEAD, (mus, kappas, priors))
         loaded = load_checkpoint(path)[1]
