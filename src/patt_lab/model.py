@@ -10,7 +10,9 @@ moments and class statistics in place. Training is fully deterministic for a
 fixed seed.
 
 A run with an outlier term runs each step's outlier stream in a forked
-helper, a ``util.Beside``, while the parent runs the labeled stream; without
+helper, a ``util.Beside``, while the parent runs the labeled stream, the two
+pinned to different CPUs (the hand-off's pipe write would otherwise wake the
+helper on the parent's CPU, and the streams would take turns); without
 ``os.fork`` or a second CPU the stream runs inline. Every bit stays that of
 the inline stream: the helper runs the same code on a copy of the same
 parameters and rows, and each gradient element gets one addition per stream,

@@ -65,14 +65,17 @@ class Beside:
     """A forked child that runs ``work(*args)`` beside this process, once per
     ``start(*args)``: the args go pickled down one pipe, and the pickled
     ``(result, warnings, error)`` of the call comes back on another, for
-    ``join`` to issue, raise or return. A dead child is ``ChildProcessError(
+    ``join`` to issue, raise or return. The child runs on the last CPU of this
+    process's mask and this process on the others until ``close`` (each pin
+    best effort): a pipe write wakes its reader on the writer's CPU, so
+    unpinned, the two take turns. A dead child is ``ChildProcessError(
     "<what> process ended")`` from ``start`` or ``join``. ``close`` ends the
-    child and reaps it; the child ends in ``os._exit``, so it runs none of
-    this process's ``finally`` or ``atexit`` code. Where the fork is refused
-    (not ``may_fork``, or a fork that fails or warns: Python >= 3.12 warns in
-    a parent with threads), ``start`` runs ``work`` here under the same
-    contract; the fork's warning is issued again, so under an error filter
-    it is raised here, with no pipe or child left.
+    child, reaps it and restores the mask; the child ends in ``os._exit``, so
+    it runs none of this process's ``finally`` or ``atexit`` code. Where the
+    fork is refused (not ``may_fork``, or a fork that fails or warns: Python
+    >= 3.12 warns in a parent with threads), ``start`` runs ``work`` here
+    under the same contract; the fork's warning is issued again, so under an
+    error filter it is raised here, with no pipe, child or pin left.
     """
 
     def __init__(self, work, what: str):
@@ -80,6 +83,7 @@ class Beside:
         fds = []
         try:
             if may_fork():
+                self._cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))
                 fds += os.pipe()
                 fds += os.pipe()
                 with warnings.catch_warnings(record=True) as caught:
@@ -103,6 +107,7 @@ class Beside:
         request_r, self._request, reply_r, reply_w = fds
         if self.pid == 0:
             try:
+                _pin(self._cpus[-1:])
                 os.close(self._request)
                 os.close(reply_r)
                 _serve(work, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
@@ -111,6 +116,7 @@ class Beside:
         os.close(request_r)
         os.close(reply_w)
         self._reply = os.fdopen(reply_r, "rb")
+        _pin(self._cpus[:-1])
 
     def start(self, *args):
         """Hand ``args`` to the child, or run ``work(*args)`` here; returns ``join``."""
@@ -147,12 +153,21 @@ class Beside:
             self._reply.close()
             os.close(self._request)
             os.waitpid(self.pid, 0)
+            _pin(self._cpus)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.close()
+
+
+def _pin(cpus) -> None:
+    # this process to ``cpus``, best effort: where the call is missing or refused, the mask stays
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
 
 
 def _attempt(work, args, caught) -> tuple:

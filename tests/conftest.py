@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import os
+import warnings
 
 import pytest
 
@@ -18,9 +19,47 @@ class Forks(list):
 @pytest.fixture
 def two_cpus(monkeypatch):
     # util.Beside, training's outlier helper and gen-data's writer, forks
-    # only where the process may run on two CPUs (util.may_fork): report
-    # two, so that both fork on a one-CPU machine too
+    # only where the process may run on two CPUs (util.may_fork): where the
+    # real mask has fewer, report {0, 1}, so that both fork there too. Under
+    # that fake mask Beside pins its child to CPU 1 and this process to CPU
+    # 0, and close asks for {0, 1}. As on a machine of the real CPU alone, a
+    # pin to none of the real CPUs is refused (OSError 22, which leaves that
+    # process's mask as it was) and any other keeps only the real ones, so
+    # both processes keep the one CPU, also under `taskset -c 0` on a larger
+    # machine. A real mask of two or more CPUs is reported as it is, so that
+    # the mask close gives back is the one this process had
+    real = set(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    if len(real) >= 2:
+        return
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if hasattr(os, "sched_setaffinity"):
+        pin = os.sched_setaffinity
+
+        def real_cpus_only(pid, cpus):
+            if not real & set(cpus):
+                raise OSError(22, "Invalid argument")
+            pin(pid, real & set(cpus))
+
+        monkeypatch.setattr(os, "sched_setaffinity", real_cpus_only)
+
+
+@pytest.fixture
+def warning_fork(monkeypatch):
+    # install() makes os.fork warn as Python >= 3.12 does in a parent with
+    # threads: the parent side warns once the child exists
+    def install():
+        fork = os.fork
+
+        def warning():
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning)
+
+    return install
 
 
 @pytest.fixture

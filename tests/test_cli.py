@@ -1243,6 +1243,122 @@ def test_a_dead_helper_is_one_error_line(pipeline, tmp_path, capsys, monkeypatch
     assert errs[0] == errs[1] == f"error: {line}\n"
 
 
+# the real CPU mask of a pid (0: this process), read past the two_cpus
+# fixture's report; where the call is missing, no mask can change
+REAL_MASK = getattr(os, "sched_getaffinity", lambda pid: {0})
+# this process's mask when the tests were collected: each util.Beside gives
+# it back on close, so every later run starts from it
+START_MASK = REAL_MASK(0)
+
+# what each stage with a util.Beside child writes (each split with its sidecar)
+STAGE_WRITES = {
+    "gen-data": tuple(f"{name}{ext}" for name in ALL_OUTPUTS[:5] for ext in ("", ".bin"))
+    + ("manifest.txt",),
+    "train": ("model.ckpt", "history.csv"),
+}
+
+
+def fresh_copy(pipeline, work, command):
+    """Make ``work`` a copy of the pipeline's outputs without the files that
+    ``command`` writes; returns the arguments that run it there."""
+    config, out = pipeline
+    shutil.copytree(out, work)
+    for name in STAGE_WRITES[command]:
+        (work / name).unlink()
+    return [command, "--config", str(config), "--out", str(work)]
+
+
+class TestPinnedApart:
+    """The ``util.Beside`` child runs on the last CPU of this process's mask
+    and this process on the others: unpinned, a pipe write wakes its reader
+    on the writer's CPU, and the two take turns on one."""
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_the_child_and_this_process_are_pinned_apart(self, pipeline, tmp_path,
+                                                        monkeypatch, forks, command):
+        # both masks are read at each join, while the child lives: it has
+        # served a call by then, so it has made its pin. Where the real mask
+        # has one CPU, the pin is refused and both keep that mask
+        from patt_lab.util import Beside
+        masks, join = [], Beside.join
+
+        def reading(self):
+            result = join(self)
+            masks.append((REAL_MASK(self.pid), REAL_MASK(0)))
+            return result
+
+        monkeypatch.setattr(Beside, "join", reading)
+        assert cli.main(fresh_copy(pipeline, tmp_path / "out", command)) == 0
+        assert len(forks) == 1 and masks
+        last = {max(START_MASK)}
+        want = ((last, START_MASK - last) if len(START_MASK) > 1
+                else (START_MASK, START_MASK))
+        assert all(got == want for got in masks), (masks, START_MASK)
+        assert REAL_MASK(0) == START_MASK
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("path", ["passes", "fails", "dead child", "fork fails",
+                                      "fork warns"])
+    def test_the_mask_comes_back_on_every_path(self, pipeline, tmp_path, monkeypatch, forks,
+                                               warning_fork, command, path):
+        # a stage that fails: the labeled stream raises in train, and a
+        # directory in place of a split this process writes fails gen-data;
+        # a dead child is killed before the first hand-off
+        from patt_lab import losses
+        from patt_lab.util import Beside
+        start = Beside.start
+        argv = fresh_copy(pipeline, tmp_path / "out", command)
+
+        def failing(*args):
+            raise FloatingPointError("the labeled stream fails")
+
+        def killed_before(self, *args):
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+            return start(self, *args)
+
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        if path == "fails" and command == "train":
+            monkeypatch.setattr(losses, "tla_loss_batch", failing)
+        elif path == "fails":
+            (tmp_path / "out" / "test_ood.csv").mkdir()
+        elif path == "dead child":
+            monkeypatch.setattr(Beside, "start", killed_before)
+        elif path == "fork fails":
+            monkeypatch.setattr(os, "fork", failing_fork)
+        elif path == "fork warns":
+            warning_fork()
+        with (pytest.warns(DeprecationWarning, match="multi-threaded")
+              if path == "fork warns" else contextlib.nullcontext()):
+            rc = cli.main(argv)
+        assert rc == (1 if path in ("fails", "dead child") else 0)
+        assert len(forks) == (0 if path == "fork fails" else 1)
+        assert REAL_MASK(0) == START_MASK
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("refused", ["OSError", "missing"])
+    def test_the_pin_is_best_effort(self, pipeline, tmp_path, capsys, monkeypatch, forks,
+                                    command, refused):
+        # a refused pin (a one-CPU machine under the two_cpus fixture gives
+        # OSError 22), or no os.sched_setaffinity: the child still works
+        # beside this process, and every bit is kept
+        def einval(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        if refused == "OSError":
+            monkeypatch.setattr(os, "sched_setaffinity", einval)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity")
+        assert cli.main(fresh_copy(pipeline, tmp_path / "out", command)) == 0
+        assert "error:" not in capsys.readouterr().err
+        assert len(forks) == 1
+        forks.assert_no_child_left()
+        for name in STAGE_WRITES[command]:
+            assert (tmp_path / "out" / name).read_bytes() == (pipeline[1] / name).read_bytes()
+
+
 def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)

@@ -684,21 +684,6 @@ def helper_and_inline(monkeypatch, forks, run):
     return outcomes
 
 
-def warning_fork(monkeypatch):
-    # os.fork as Python >= 3.12 runs it in a parent with threads: the parent
-    # side warns once the child exists
-    fork = os.fork
-
-    def warning():
-        pid = fork()
-        if pid:
-            warnings.warn("This process is multi-threaded, use of fork() may lead to "
-                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
-        return pid
-
-    monkeypatch.setattr(os, "fork", warning)
-
-
 class TestOutlierHelper:
     """Training runs each step's outlier stream in a forked helper process;
     every output keeps the bits of the inline stream, errors keep their
@@ -754,7 +739,7 @@ class TestOutlierHelper:
         assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
         assert forked[2] == inline[2]
 
-    def test_a_fork_that_warns_runs_the_stream_inline(self, monkeypatch, forks):
+    def test_a_fork_that_warns_runs_the_stream_inline(self, monkeypatch, forks, warning_fork):
         # the warning is issued, and training goes on inline, with the same
         # bits, no child and no file descriptor left
         train_id, val_id, _, train_ood, _ = smoke_dataset()
@@ -770,7 +755,7 @@ class TestOutlierHelper:
         forked = train(config, train_id, train_ood, val_id)
         assert inline_calls == []
         fds = os.listdir("/proc/self/fd")
-        warning_fork(monkeypatch)
+        warning_fork()
         with pytest.warns(DeprecationWarning, match="multi-threaded"):
             inline = train(config, train_id, train_ood, val_id)
         assert len(forks) == 2
@@ -782,12 +767,12 @@ class TestOutlierHelper:
             assert a.tobytes() == b.tobytes()
         assert forked[2] == inline[2]
 
-    def test_a_fork_warning_under_an_error_filter_is_raised(self, monkeypatch, forks):
+    def test_a_fork_warning_under_an_error_filter_is_raised(self, forks, warning_fork):
         train_id, val_id, _, train_ood, _ = smoke_dataset()
         config = TrainConfig(epochs=1, batch_size=16, ood_batch_size=16, feature_dim=4,
                              encoder_widths=(8,), seed=3)
         fds = os.listdir("/proc/self/fd")
-        warning_fork(monkeypatch)
+        warning_fork()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DeprecationWarning, match="multi-threaded"):
