@@ -1,21 +1,13 @@
-"""Command-line harness for the full pipeline.
+"""The command line of the pipeline: its grammar, the config table and its
+check, and dispatch. It holds no stage: ``main`` imports ``report`` for the
+``report`` stage and ``stages``, and numpy with it, for the other four, so a
+config check and the ``report`` stage load neither numpy nor argparse.
 
-Five subcommands cover the experiment lifecycle: ``gen-data`` writes the
-synthetic benchmark splits, ``train`` fits a model and writes a checkpoint,
-``calibrate`` extracts the attention weight, ``eval`` scores the test
-splits and writes the report, and ``report`` bins those scores into
-plot-ready histogram data and copies the report's accuracy split into a
-table. Configuration is a flat ``key = value`` file. Its keys are
-the fields of ``SynthConfig`` and ``TrainConfig``, with their class
-defaults, plus the five keys in ``_CLI_DEFAULTS``; unknown keys are
-rejected, and ``load_config`` checks every key, so each stage rejects a
-bad value before it reads or writes a data file. All randomness derives
-from the single ``seed`` key, so repeating any subcommand reproduces its
-output files byte for byte. Every input file is read through ``_read``,
-which words a missing or refused file and names the stage that writes it.
-
-The config check and the ``report`` stage load neither numpy nor argparse;
-``main`` imports ``stages``, and numpy with it, only for the other four stages.
+Configuration is a flat ``key = value`` file whose keys are the fields of
+``SynthConfig`` and ``TrainConfig`` plus ``_CLI_DEFAULTS``; ``load_config``
+rejects an unknown key and checks every value before a stage reads or
+writes a data file. All randomness derives from the ``seed`` key, so a
+stage run again writes the same bytes. ``_read`` reads every input file.
 """
 
 from __future__ import annotations
@@ -27,8 +19,6 @@ import sys
 from .config import TAIL_FRACTION, SynthConfig, TrainConfig, check_fields, config_fields
 
 __all__ = ["main", "entry"]
-
-HIST_BINS = 30
 
 _COMMANDS = ("gen-data", "train", "calibrate", "eval", "report")
 USAGE = (f"usage: patt-lab {{{','.join(_COMMANDS)}}} --config FILE [--out DIR] [--seed N]\n"
@@ -142,48 +132,6 @@ def _read(path, what, read, *args):
         raise CliError(f"bad {what} {path}: {exc}") from None
 
 
-def _score_histogram(path):
-    """The score histogram of a ``scores.csv``; ``ValueError`` says what is
-    wrong with the file."""
-    from .report import SCORES_HEADER, histogram
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != SCORES_HEADER:
-        raise ValueError("unexpected header")
-    scores = {"id": [], "ood": []}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        try:
-            score = float(parts[4]) if len(parts) == 5 and parts[0] in scores else math.nan
-        except ValueError:
-            score = math.nan
-        # eval writes finite scores only; a NaN would drop out of the histogram
-        if not math.isfinite(score):
-            raise ValueError(f"line {lineno}")
-        scores[parts[0]].append(score)
-    if not scores["id"] or not scores["ood"]:
-        raise ValueError("need both id and ood rows")
-    return histogram(scores["id"], scores["ood"], HIST_BINS)
-
-
-def cmd_report(out_dir) -> None:
-    """Bin the scores of ``scores.csv`` for plotting and copy the accuracy
-    split of ``report.csv`` into ``acc_table.csv``: the stage reads only
-    what ``eval`` wrote. Plain Python: no numpy import."""
-    from . import report
-    row = _read(os.path.join(out_dir, "report.csv"), "report file", report.read_report)
-    edges, id_counts, ood_counts = _read(os.path.join(out_dir, "scores.csv"), "scores file",
-                                         _score_histogram)
-    with open(os.path.join(out_dir, "hist.csv"), "w", encoding="ascii") as fh:
-        fh.write("bin_lo,bin_hi,id_count,ood_count\n")
-        fh.writelines(f"{lo!r},{hi!r},{a},{b}\n"
-                      for lo, hi, a, b in zip(edges, edges[1:], id_counts, ood_counts))
-    with open(os.path.join(out_dir, "acc_table.csv"), "w", encoding="ascii") as fh:
-        fh.write("group,acc\n")
-        for group, col in (("overall", "acc"), ("head", "acc_head"), ("tail", "acc_tail")):
-            fh.write(f"{group},{'' if row[col] is None else repr(row[col])}\n")
-
-
 def _parse_args(argv):
     """The command, config, out and seed of ``argv``; a usage error raises ``CliError``."""
     words, opts, args = [], dict.fromkeys(("--config", "--out", "--seed")), iter(argv)
@@ -224,6 +172,7 @@ def main(argv=None) -> int:
         cfg = load_config(config, seed=seed)
         out_dir = out if out is not None else cfg["out_dir"]
         if command == "report":
+            from .report import cmd_report
             cmd_report(out_dir)
         else:
             from .stages import run

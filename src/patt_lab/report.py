@@ -1,17 +1,19 @@
-"""The ``report.csv`` format, its writer and checked reader, and the numbers
-around it in plain Python: the head/tail accuracy split that ``eval`` writes
-into it, and the score histogram of the numpy-free ``report`` stage, with the
-bits of ``np.linspace`` edges and ``np.histogram`` counts.
-"""
+"""The ``report`` stage and, in plain Python, the rows of the files that
+``eval`` and ``report`` write: ``scores.csv`` and ``report.csv`` with their
+writers and checked readers, the head/tail accuracy split of ``report.csv``,
+and the score histogram of ``hist.csv``, with the bits of ``np.linspace``
+edges and ``np.histogram`` counts."""
 
 import math
+import os
 from bisect import bisect_left, bisect_right
 
+from .cli import _read
 from .config import TAIL_FRACTION
 
-# the header line of scores.csv, which eval writes and report bins
 SCORES_HEADER = "split,row,label,pred,score"
 REPORT_COLUMNS = ("auroc", "aupr_in", "aupr_out", "fpr95", "acc", "acc_head", "acc_tail")
+HIST_BINS = 30
 
 
 def classification_report(true_labels, pred_labels, class_weights,
@@ -77,6 +79,39 @@ def read_report(path) -> dict:
     return row
 
 
+def write_scores(path, splits) -> None:
+    """Write ``scores.csv``: the ``SCORES_HEADER`` line, then a row for each
+    test row of each ``(split, labels, preds, scores)``, arrays in row order."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(SCORES_HEADER + "\n")
+        for split, labels, preds, scores in splits:
+            rows = zip(labels.tolist(), preds.tolist(), scores.tolist())
+            fh.writelines(f"{split},{i},{y},{p},{s!r}\n" for i, (y, p, s) in enumerate(rows))
+
+
+def read_scores(path):
+    """``(id_scores, ood_scores)`` of a ``scores.csv``, each a non-empty list
+    of finite floats; ``ValueError`` says what is wrong with the file."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != SCORES_HEADER:
+        raise ValueError("unexpected header")
+    scores = {"id": [], "ood": []}
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        try:
+            score = float(parts[4]) if len(parts) == 5 and parts[0] in scores else math.nan
+        except ValueError:
+            score = math.nan
+        # eval writes finite scores only; a NaN would drop out of the histogram
+        if not math.isfinite(score):
+            raise ValueError(f"line {lineno}")
+        scores[parts[0]].append(score)
+    if not scores["id"] or not scores["ood"]:
+        raise ValueError("need both id and ood rows")
+    return scores["id"], scores["ood"]
+
+
 def histogram(id_scores, ood_scores, bins: int):
     """``(edges, id_counts, ood_counts)`` of ``bins`` equal bins over the range
     of both finite score lists, a unit range when every score is equal."""
@@ -99,3 +134,19 @@ def histogram(id_scores, ood_scores, bins: int):
         return [b - a for a, b in zip(below, below[1:])]
 
     return edges, counts(id_scores), counts(ood_scores)
+
+
+def cmd_report(out_dir) -> None:
+    """Bin the scores of ``scores.csv`` for plotting and copy the accuracy
+    split of ``report.csv`` into ``acc_table.csv``: it reads only what ``eval`` wrote."""
+    row = _read(os.path.join(out_dir, "report.csv"), "report file", read_report)
+    edges, id_counts, ood_counts = _read(os.path.join(out_dir, "scores.csv"), "scores file",
+                                         lambda path: histogram(*read_scores(path), HIST_BINS))
+    with open(os.path.join(out_dir, "hist.csv"), "w", encoding="ascii") as fh:
+        fh.write("bin_lo,bin_hi,id_count,ood_count\n")
+        fh.writelines(f"{lo!r},{hi!r},{a},{b}\n"
+                      for lo, hi, a, b in zip(edges, edges[1:], id_counts, ood_counts))
+    with open(os.path.join(out_dir, "acc_table.csv"), "w", encoding="ascii") as fh:
+        fh.write("group,acc\n")
+        for group, col in (("overall", "acc"), ("head", "acc_head"), ("tail", "acc_tail")):
+            fh.write(f"{group},{'' if row[col] is None else repr(row[col])}\n")

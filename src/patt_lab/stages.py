@@ -136,12 +136,8 @@ def cmd_eval(cfg, out_dir) -> None:
                                                          cfg["score"])
     row = metrics.build_report(id_scores, ood_scores, test_id.labels, pred_id,
                                priors, tail_fraction=cfg["tail_fraction"])
-    with open(os.path.join(out_dir, "scores.csv"), "w", encoding="ascii") as fh:
-        fh.write(report.SCORES_HEADER + "\n")
-        for split, labels, pred, scores in (("id", test_id.labels, pred_id, id_scores),
-                                            ("ood", test_ood.labels, pred_ood, ood_scores)):
-            rows = zip(labels.tolist(), pred.tolist(), scores.tolist())
-            fh.writelines(f"{split},{i},{y},{p},{s!r}\n" for i, (y, p, s) in enumerate(rows))
+    report.write_scores(os.path.join(out_dir, "scores.csv"), (
+        ("id", test_id.labels, pred_id, id_scores), ("ood", test_ood.labels, pred_ood, ood_scores)))
     with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii") as fh:
         fh.write(report.report_csv(row))
 

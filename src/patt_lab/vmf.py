@@ -112,17 +112,21 @@ def _asymptotic_sum(orders, x):
     return out + 1.0
 
 
-def _log_bessel_asymptotic(nu, x):
-    return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(_asymptotic_sum((nu,), x)[0])
+def _asymptotic_cut(nu):  # where order nu's asymptotic branch starts
+    return np.maximum(30.0, 2.0 * nu * nu)
+
+
+def _log_bessel_asymptotic(nu, x, series=None):
+    # log I_nu(x) from S_nu(x), summed here unless the caller has it
+    series = _asymptotic_sum((nu,), x)[0] if series is None else series
+    return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(series)
 
 
 def _log_bessel_positive(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # log I_nu(x) for every order (rows) at every positive x (columns). The
-    # series runs once over every order at the union of their lanes below the
-    # cut max(30, 2 nu^2), and each order keeps its own; then each order runs
-    # the asymptotic kernel on its lanes at or above its cut. A branch with
-    # no lanes is not called.
-    small = x < np.maximum(30.0, 2.0 * orders * orders)[:, None]
+    # log I_nu(x) for every order (rows) at every positive x (columns): one
+    # series pass at the union of the orders' lanes below their cuts, each
+    # order keeping its own, then the asymptotic kernel per order on the rest.
+    small = x < _asymptotic_cut(orders)[:, None]
     union = small.any(axis=0)
     out = np.empty((orders.size, x.size))
     if union.any():
@@ -193,7 +197,7 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     ``log_bessel_i`` call over both orders d/2 - 1 and d/2."""
     half = 0.5 * dim
     nu = half - 1.0
-    large = kappa >= max(30.0, 2.0 * half * half)
+    large = kappa >= _asymptotic_cut(half)
     # kappa = 0 lanes stand in at 1.0 and join neither branch; they take the
     # uniform law (minus the log sphere area, ratio 0)
     pos = kappa > 0.0
@@ -202,9 +206,8 @@ def _log_norm_and_ratio(dim: int, kappa: np.ndarray):
     log_i, ratio = np.zeros(kp.shape), np.zeros(kp.shape)
     if large.any():
         x = kp[large]
-        series = _asymptotic_sum((nu, half), x)
-        log_i[large] = x - 0.5 * np.log(2.0 * math.pi * x) + np.log(series[0])
-        ratio[large] = series[1] / series[0]
+        s_nu, s_half = _asymptotic_sum((nu, half), x)
+        log_i[large], ratio[large] = _log_bessel_asymptotic(nu, x, s_nu), s_half / s_nu
     if rest.any():
         log_i_nu, log_i_half = log_bessel_i((nu, half), kp[rest])
         log_i[rest], ratio[rest] = log_i_nu, np.exp(log_i_half - log_i_nu)

@@ -241,7 +241,7 @@ class TestPipelineOutputs:
         _, out = pipeline
         lines = (out / "hist.csv").read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,id_count,ood_count"
-        assert len(lines) == 1 + cli.HIST_BINS
+        assert len(lines) == 1 + report.HIST_BINS
         id_total = sum(int(line.split(",")[2]) for line in lines[1:])
         ood_total = sum(int(line.split(",")[3]) for line in lines[1:])
         assert id_total == 4 * 8 and ood_total == 24

@@ -1,13 +1,13 @@
-"""The plain-Python report numbers against their numpy forms, and the
-checked reader of ``report.csv``."""
+"""The plain-Python report numbers against their numpy forms, the checked
+reader of ``report.csv``, and ``scores.csv`` from its writer to its reader."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patt_lab.report import (REPORT_COLUMNS, classification_report, histogram, read_report,
-                             report_csv)
+from patt_lab.report import (HIST_BINS, REPORT_COLUMNS, SCORES_HEADER, classification_report,
+                             histogram, read_report, read_scores, report_csv, write_scores)
 
 import oracles
 
@@ -78,6 +78,32 @@ class TestReadReport:
         with pytest.raises(ValueError) as got:
             read_report(path)
         assert str(got.value).startswith(message), str(got.value)
+
+
+class TestScoresFile:
+    def test_extreme_scores_read_back_bit_for_bit(self, tmp_path):
+        # a subnormal, -0.0 and scores near the largest float of one sign:
+        # each row keeps its bits, and the report stage bins what eval scored
+        id_scores = [5e-324, -0.0, 1.5, 1.7976931348623157e308]
+        ood_scores = [-0.0, 2.2250738585072014e-308, 1e308, 0.1]
+        path = tmp_path / "scores.csv"
+        write_scores(path, (("id", np.array([0, 3, 1, 2]), np.array([0, 1, 1, 2]),
+                             np.array(id_scores)),
+                            ("ood", np.full(4, -1), np.array([2, 0, 1, 1]), np.array(ood_scores))))
+        lines = path.read_text(encoding="ascii").splitlines()
+        assert lines[0] == SCORES_HEADER
+        assert lines[1:] == ["id,0,0,0,5e-324", "id,1,3,1,-0.0", "id,2,1,1,1.5",
+                             "id,3,2,2,1.7976931348623157e+308", "ood,0,-1,2,-0.0",
+                             "ood,1,-1,0,2.2250738585072014e-308", "ood,2,-1,1,1e+308",
+                             "ood,3,-1,1,0.1"]
+        got_id, got_ood = read_scores(path)
+        assert [s.hex() for s in got_id] == [s.hex() for s in id_scores]
+        assert [s.hex() for s in got_ood] == [s.hex() for s in ood_scores]
+        edges, id_counts, ood_counts = histogram(got_id, got_ood, HIST_BINS)
+        want_edges, want_id, want_ood = histogram(id_scores, ood_scores, HIST_BINS)
+        assert [e.hex() for e in edges] == [e.hex() for e in want_edges]
+        assert (id_counts, ood_counts) == (want_id, want_ood)
+        assert sum(id_counts) == sum(ood_counts) == 4
 
 
 def assert_matches_numpy(id_scores, ood_scores):
