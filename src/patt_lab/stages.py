@@ -1,8 +1,9 @@
 """The four CLI stages that run numpy. Each stage imports the package modules
 it calls, so a stage loads and compiles only the code it runs. Package
 functions are called through their modules, so a wrapper set on a module (a
-tracer's) sees every call. Inputs are read through ``cli._read``, and
-``run`` is the one failure boundary of a stage's work."""
+tracer's) sees every call. ``cli._read`` words the error of an input file,
+missing or refused by its reader here (also for disagreeing with the config
+or the checkpoint), and ``run`` every error of the stage's work."""
 
 import itertools
 import os
@@ -14,6 +15,8 @@ from .cli import _STEP_KEYS, CliError, _build, _read
 
 # the splits that the config sizes at one row or more, so one of none is damaged
 _SIZED = {"val_id.csv": "validation", "test_id.csv": "test", "test_ood.csv": "OOD test"}
+# the splits of class rows, where an outlier row (label -1) is damage
+_LABELED = {"train.csv": "training", "val_id.csv": "validation", "test_id.csv": "test"}
 
 
 def _load_rows(path, n_classes, name, width):
@@ -23,6 +26,9 @@ def _load_rows(path, n_classes, name, width):
     rows = data.load_features_csv(path, n_classes)
     if width is not None and rows.dim != width:
         raise ValueError(f"{rows.dim} feature columns, want {width}")
+    if name in _LABELED and (outliers := np.flatnonzero(rows.labels < 0)).size:
+        raise ValueError(f"line {outliers[0] + 2}: {_LABELED[name]} label out of range for the "
+                         f"class count: got -1, want each in [0, {n_classes})")
     if name == "train.csv" and (empty := np.flatnonzero(rows.class_counts == 0)).size:
         raise ValueError(f"class {empty[0]} has no rows (n_classes = {n_classes})")
     if name in _SIZED and not rows.labels.size:
@@ -66,40 +72,35 @@ def cmd_gen_data(cfg, out_dir) -> None:
 
 
 def cmd_train(cfg, out_dir) -> None:
-    # model imports vmf only on the training path; importing it here, before
-    # the splits are read, keeps its compile off the stage's peak RSS
-    from . import model, vmf  # noqa: F401
+    # model imports losses, and losses vmf, only on the training path: imported
+    # here, before the splits are read and the outlier helper forks, they
+    # compile once, and off the stage's peak RSS
+    from . import losses, model  # noqa: F401
     train_id = _load_split(out_dir, "train.csv", cfg)
     train_ood = _load_split(out_dir, "train_ood.csv", cfg, train_id.dim)
     val_id = _load_split(out_dir, "val_id.csv", cfg, train_id.dim)
-    try:
-        net, stats, history = model.train(_build(model.TrainConfig, cfg), train_id, train_ood,
-                                        val_id)
-        model.save_checkpoint(os.path.join(out_dir, "model.ckpt"), net, stats)
-    except (FloatingPointError, RuntimeError) as exc:
-        raise CliError(f"training failed: {exc} (check the keys that scale the step: "
-                       f"{', '.join(_STEP_KEYS)})") from None
+    net, stats, history = model.train(_build(model.TrainConfig, cfg), train_id, train_ood, val_id)
+    model.save_checkpoint(os.path.join(out_dir, "model.ckpt"), net, stats)
     with open(os.path.join(out_dir, "history.csv"), "w", encoding="ascii") as fh:
         fh.write("epoch,total,isac,tla,oe,val_acc\n")
         for epoch, total, isac, tla, oe, val_acc in history:
             fh.write(f"{epoch},{total!r},{isac!r},{tla!r},{oe!r},{val_acc!r}\n")
 
 
-def _load_model(out_dir, cfg):
+def _load_model(path, n_classes):
     # the model and the class priors, the one part of the mixture a stage reads
     from . import model
-    path = os.path.join(out_dir, "model.ckpt")
-    net, (_, _, priors) = _read(path, "checkpoint", model.load_checkpoint)
-    if net.n_classes != cfg["n_classes"]:
-        raise CliError(f"checkpoint {path} has {net.n_classes} classes "
-                       f"but n_classes = {cfg['n_classes']}")
+    net, (_, _, priors) = model.load_checkpoint(path)
+    if net.n_classes != n_classes:
+        raise ValueError(f"{net.n_classes} classes but n_classes = {n_classes}")
     return net, priors
 
 
 def cmd_calibrate(cfg, out_dir) -> None:
     from . import calibration
     from .util import derive_seed
-    net, priors = _load_model(out_dir, cfg)
+    net, priors = _read(os.path.join(out_dir, "model.ckpt"), "checkpoint", _load_model,
+                        cfg["n_classes"])
     train_id = _load_split(out_dir, "train.csv", cfg, net.input_dim)
     train_ood = _load_split(out_dir, "train_ood.csv", cfg, net.input_dim)
     per_class = cfg["per_class"] or int(train_id.class_counts.min())
@@ -108,18 +109,12 @@ def cmd_calibrate(cfg, out_dir) -> None:
     calibration.save_attention(os.path.join(out_dir, "attention.csv"), raw)
 
 
-def _resolve_attention(cfg, out_dir, dim):
-    # the scaled weight, one per channel of the checkpoint's dim features;
-    # None when calibration is off, or auto with no file
+def _load_attention(path, dim):
+    # the scaled weight, one per channel of the checkpoint's dim features
     from . import calibration
-    mode = cfg["use_calibration"]
-    path = os.path.join(out_dir, "attention.csv")
-    if mode == "off" or (mode == "auto" and not os.path.isfile(path)):
-        return None
-    scaled = _read(path, "attention file", calibration.load_attention)
+    scaled = calibration.load_attention(path)
     if scaled.size != dim:
-        raise CliError(f"bad attention file {path}: {scaled.size} channel weights for "
-                       f"{dim} feature channels")
+        raise ValueError(f"{scaled.size} channel weights for {dim} feature channels")
     return scaled
 
 
@@ -127,10 +122,14 @@ def cmd_eval(cfg, out_dir) -> None:
     """Score both test splits through ``calibration.predict_and_score`` and
     write the metric report, its head/tail split ranked by the checkpoint's priors."""
     from . import calibration, metrics, report
-    net, priors = _load_model(out_dir, cfg)
+    net, priors = _read(os.path.join(out_dir, "model.ckpt"), "checkpoint", _load_model,
+                        cfg["n_classes"])
     test_id = _load_split(out_dir, "test_id.csv", cfg, net.input_dim)
     test_ood = _load_split(out_dir, "test_ood.csv", cfg, net.input_dim)
-    weight = _resolve_attention(cfg, out_dir, net.feature_dim)
+    # no weight when calibration is off, or auto with no file
+    path, mode = os.path.join(out_dir, "attention.csv"), cfg["use_calibration"]
+    weight = (None if mode == "off" or (mode == "auto" and not os.path.isfile(path))
+              else _read(path, "attention file", _load_attention, net.feature_dim))
     pred_id, id_scores = calibration.predict_and_score(net, test_id.inputs, weight, cfg["score"])
     pred_ood, ood_scores = calibration.predict_and_score(net, test_ood.inputs, weight,
                                                          cfg["score"])
@@ -142,19 +141,23 @@ def cmd_eval(cfg, out_dir) -> None:
         fh.write(report.report_csv(row))
 
 
-# stage -> (function, the words of its failure line)
-COMMANDS = {"gen-data": (cmd_gen_data, "data generation"), "train": (cmd_train, "training"),
-            "calibrate": (cmd_calibrate, "calibration"), "eval": (cmd_eval, "evaluation")}
+# stage -> (function, the words of its failure line, the hint that ends the
+# line of a floating-point or runtime error)
+COMMANDS = {"gen-data": (cmd_gen_data, "data generation", ""), "train": (cmd_train, "training",
+            f" (check the keys that scale the step: {', '.join(_STEP_KEYS)})"),
+            "calibrate": (cmd_calibrate, "calibration", ""), "eval": (cmd_eval, "evaluation", "")}
 
 
 def run(command, cfg, out_dir) -> None:
     """Run one of ``COMMANDS``, failing on the first overflow or invalid
     operation (a finite input can still overflow) instead of warning; any
-    such error of the stage's work ends it as ``<words> failed: <exc>``."""
-    stage, words = COMMANDS[command]
+    such error of the stage's work ends it as ``<words> failed: <exc>``,
+    a floating-point or runtime error with the stage's hint after it."""
+    stage, words, hint = COMMANDS[command]
     try:
         with np.errstate(over="raise", invalid="raise"):
             stage(cfg, out_dir)
-    except (ValueError, MemoryError, OverflowError, FloatingPointError,
-            ChildProcessError) as exc:
+    except (FloatingPointError, RuntimeError) as exc:
+        raise CliError(f"{words} failed: {exc}{hint}") from None
+    except (ValueError, MemoryError, OverflowError, ChildProcessError) as exc:
         raise CliError(f"{words} failed: {exc}") from None

@@ -527,9 +527,9 @@ class TestCliContract:
     @pytest.mark.parametrize("method", ["patt", "oe-baseline", "ce-baseline"])
     def test_outlier_row_in_train_csv_fails_before_a_step(self, pipeline, tmp_path, capsys,
                                                           monkeypatch, method):
-        # a labeled split may not hold an outlier row (label -1): training
-        # refuses it at entry. The baselines used to run every step first and
-        # fail only in their final full pass over the split.
+        # a labeled split may not hold an outlier row (label -1): its reader
+        # refuses it, before a step. The baselines used to run every step
+        # first and fail only in their final full pass over the split.
         from patt_lab import model as model_module
         _, out = pipeline
         bad = tmp_path / "bad"
@@ -552,13 +552,42 @@ class TestCliContract:
         rc = cli.main(["train", "--config", str(config), "--out", str(bad)])
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
-        assert err == ("error: training failed: labels out of range for the class count: "
-                       "got -1, want each in [0, 4)\n"), err
+        assert err == (f"error: bad dataset file {bad / 'train.csv'}: line 2: training label out "
+                       "of range for the class count: got -1, want each in [0, 4)\n"), err
         assert steps == []
         assert (bad / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("command, name, words", [
+        ("train", "train.csv", "training"),
+        ("train", "val_id.csv", "validation"),
+        ("calibrate", "train.csv", "training"),
+        ("eval", "test_id.csv", "test"),
+    ])
+    def test_outlier_row_in_a_labeled_split_names_its_line(self, pipeline, tmp_path, capsys,
+                                                           command, name, words):
+        # the split written as gen-data writes it, its sidecar too, with the
+        # third row made an outlier: calibrate used to exit 0, and the other
+        # stages named neither the file nor the row
+        from patt_lab import data
+        config, out = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        rows = data.load_features_csv(bad / name, TINY["n_classes"])
+        labels = rows.labels.copy()
+        labels[2] = -1
+        data.save_features_csv(data.LabeledSet(rows.inputs, labels, TINY["n_classes"]),
+                               bad / name)
+        assert (bad / name).read_text().splitlines()[3].split(",")[1] == "-1"
+        before = {p.name: p.read_bytes() for p in bad.iterdir()}
+        rc = cli.main([command, "--config", str(config), "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == (f"error: bad dataset file {bad / name}: line 4: {words} label "
+                                   "out of range for the class count: got -1, want each in "
+                                   "[0, 4)\n"), err
+        assert {p.name: p.read_bytes() for p in bad.iterdir()} == before
+
     @pytest.mark.parametrize("edit, words", [
-        ("outlier-row", "validation labels out of range for the class count: got -1, "
+        ("outlier-row", "validation label out of range for the class count: got -1, "
                         "want each in [0, 4)"),
         ("no-rows", "the validation split has no rows"),
     ])
@@ -594,10 +623,9 @@ class TestCliContract:
         rc = cli.main(["train", "--config", str(config), "--out", str(bad)])
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
-        # a split of no rows is refused by the reader, which names the file
-        fails = ("training failed" if edit == "outlier-row"
-                 else f"bad dataset file {bad / 'val_id.csv'}")
-        assert err == f"error: {fails}: {words}\n", err
+        # the reader refuses both, and names the file, and the row of an outlier
+        line = ": line 2" if edit == "outlier-row" else ""
+        assert err == f"error: bad dataset file {bad / 'val_id.csv'}{line}: {words}\n", err
         assert steps == []
         assert not (bad / "model.ckpt").exists() and not (bad / "history.csv").exists()
 
@@ -783,7 +811,8 @@ class TestClassCountAgreement:
         rc = cli.main([command, "--config", str(config), "--out", str(bad)])
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
-        assert err.startswith("error:") and "4 classes but n_classes = 5" in err
+        assert err == (f"error: bad checkpoint {bad / 'model.ckpt'}: "
+                       "4 classes but n_classes = 5\n"), err
 
 
 def test_cli_config_check_and_report_import_no_numpy(pipeline, tmp_path):
@@ -989,18 +1018,22 @@ def raising(exc_type):
 class TestFailureBoundaries:
     """An error raised in a stage's work, or by the reader of one of its input
     files, ends the stage in exit 1 with one ``error:`` line and no output
-    written: ``stages.run`` words the first, ``cli._read`` the second."""
+    written: ``stages.run`` words the first, ``cli._read`` the second. No
+    other code of ``stages`` words an error."""
 
     # (stage, module, function, error raised by it, the stage's one line)
     INJECTED = [
         ("gen-data", "data", "gen_longtail", OverflowError, "data generation failed: injected"),
         ("gen-data", "data", "gen_longtail", MemoryError, "data generation failed: injected"),
         ("train", "model", "train", OverflowError, "training failed: injected"),
+        ("train", "model", "train", RuntimeError, "training failed: injected (check the keys that "
+         f"scale the step: {', '.join(cli._STEP_KEYS)})"),
         ("calibrate", "calibration", "attention_weight", MemoryError,
          "calibration failed: injected"),
         ("calibrate", "calibration", "attention_weight", OverflowError,
          "calibration failed: injected"),
         ("eval", "metrics", "build_report", MemoryError, "evaluation failed: injected"),
+        ("eval", "metrics", "build_report", RuntimeError, "evaluation failed: injected"),
         ("calibrate", "model", "load_checkpoint", MemoryError,
          "bad checkpoint {out}/model.ckpt: injected"),
         ("report", "report", "read_report", MemoryError,
@@ -1023,6 +1056,18 @@ class TestFailureBoundaries:
         err = capsys.readouterr().err
         assert rc == 1 and err == f"error: {line.format(out=work)}\n", err
         assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+    def test_only_run_words_an_error(self):
+        # the top-level definitions of stages.py that raise CliError, and the
+        # cmd_* functions that catch an error
+        tree = ast.parse((SRC / "patt_lab" / "stages.py").read_text(encoding="utf-8"))
+        tops = [(getattr(top, "name", ""), top) for top in tree.body]
+        raising = {name for name, top in tops for node in ast.walk(top)
+                   if isinstance(node, ast.Raise) and node.exc is not None
+                   and "CliError" in ast.unparse(node.exc)}
+        catching = {name for name, top in tops if name.startswith("cmd_")
+                    for node in ast.walk(top) if isinstance(node, ast.ExceptHandler)}
+        assert (raising, catching) == ({"run"}, set())
 
 
 @pytest.fixture(scope="module")
@@ -1121,6 +1166,26 @@ class TestOutlierHelperProcess:
         done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.stdout == "0 []\n", (done.stdout, done.stderr)
+        assert (work / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
+
+    def test_two_cpu_train_compiles_losses_once(self, pipeline, tmp_path):
+        # losses is imported before the helper forks, so the helper does not
+        # compile it again on its first stream
+        config, out = pipeline
+        work = tmp_path / "out"
+        shutil.copytree(out, work)
+        (work / "model.ckpt").unlink()
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from patt_lab import cli\n"
+            f"rc = cli.main(['train', '--config', {str(config)!r}, '--out', {str(work)!r}])\n"
+            "print(rc, sorted({'mmap'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout == "0 ['mmap']\n", (done.stdout, done.stderr)
+        imports = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+        assert imports.count("patt_lab.losses") == 1, done.stderr
         assert (work / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
 
 
